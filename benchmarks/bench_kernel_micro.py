@@ -1,9 +1,10 @@
 """Kernel microbenchmark: raw event-loop throughput and cell wall time.
 
-Tracks the perf-regression surface of the PR-1 fast path (Timeout pool,
-inlined run loop, pre-bound process resume): events/sec through the bare
-simulator with the pool on and off, plus the wall time of one small
-``run_experiment`` cell.  Results land in paper-style text *and* a
+Tracks the perf-regression surface of the kernel fast path (Timeout pool,
+cohort dispatch loop, pre-bound process resume, C accelerator):
+events/sec through the bare simulator on the default kernel and on the
+pure-Python heap, plus the wall time of one small ``run_experiment``
+cell.  Results land in paper-style text *and* a
 machine-readable ``benchmarks/results/BENCH_kernel.json`` so CI and
 later sessions can diff them.
 
@@ -15,12 +16,12 @@ Runnable standalone (no pytest) for the CI smoke check::
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 
 from repro import JobSpec, MpiIoTest, run_experiment
 from repro.cluster import paper_spec
+from repro.sim import HeapQueue
 from repro.sim.core import Simulator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -47,12 +48,12 @@ def _pingpong(sim, store, n, rank):
 
 
 def measure_events_per_sec(
-    n_procs: int = 16, n_iters: int = 20_000, repeats: int = 3, queue=None
+    n_procs: int = 16, n_iters: int = 20_000, repeats: int = 3, make_queue=None
 ) -> float:
     """Best-of-N events/sec through the bare kernel (yield-Timeout loop)."""
     best = 0.0
     for _ in range(repeats):
-        sim = Simulator() if queue is None else Simulator(queue=queue)
+        sim = Simulator() if make_queue is None else Simulator(queue=make_queue())
         for _p in range(n_procs):
             sim.process(_timeout_loop(sim, n_iters))
         t0 = time.perf_counter()
@@ -63,19 +64,16 @@ def measure_events_per_sec(
 
 
 def measure_queue_ab(repeats: int = 3) -> dict:
-    """Heap-vs-calendar A/B on the same workload.
+    """Default-kernel-vs-heap A/B on the same workload.
 
-    ``calendar`` is the default discipline (C-accelerated when the
-    in-tree extension built); ``calendar_py`` forces the pure-Python
-    calendar by passing an explicit instance, which also bypasses the C
-    dispatch pump; ``heap`` is the reference binary heap.
+    ``default`` is what ``Simulator()`` picks (the C calendar queue and
+    dispatch loop when the in-tree extension built); ``heap`` passes
+    :class:`HeapQueue` instances, which run the pure-Python loop -- the
+    kernel every simulator gets with ``REPRO_SIM_ACCEL=0``.
     """
-    from repro.sim import CalendarQueue
-
     return {
-        "heap": measure_events_per_sec(repeats=repeats, queue="heap"),
-        "calendar": measure_events_per_sec(repeats=repeats, queue="calendar"),
-        "calendar_py": measure_events_per_sec(repeats=repeats, queue=CalendarQueue()),
+        "heap": measure_events_per_sec(repeats=repeats, make_queue=HeapQueue),
+        "default": measure_events_per_sec(repeats=repeats),
     }
 
 
@@ -87,17 +85,17 @@ def _pow2_bin(x: float) -> str:
 
 def measure_queue_histograms(n_events: int = 50_000) -> dict:
     """Queue-depth and inter-cohort-gap histograms over a bursty,
-    heavy-tailed schedule (the traffic shape the calendar's lazy width
-    adaptation is tuned for).  Justifies the power-of-two sizing rule:
-    the gap mass should sit within a few bins of the final slot width.
+    heavy-tailed schedule (the traffic shape the C calendar's lazy width
+    adaptation is tuned for), run on the default kernel's queue.
+    Justifies the power-of-two sizing rule: the gap mass should sit
+    within a few bins of the final slot width.
     """
     from random import Random
 
-    from repro.sim import CalendarQueue
     from repro.sim.core import NORMAL
 
     rng = Random(20260808)
-    q = CalendarQueue()
+    q = Simulator()._queue
     depth: dict[str, int] = {}
     gaps: dict[str, int] = {}
     now = 0.0
@@ -127,7 +125,7 @@ def measure_queue_histograms(n_events: int = 50_000) -> dict:
     return {
         "depth": _sorted(depth),
         "inter_event_gap_s": _sorted(gaps),
-        "final_calendar_info": q.info(),
+        "final_queue_info": q.info(),
     }
 
 
@@ -160,21 +158,15 @@ def measure_cell_seconds(repeats: int = 3) -> float:
 
 def collect() -> dict:
     pooled = measure_events_per_sec()
-    os.environ["REPRO_NO_EVENT_POOL"] = "1"
-    try:
-        unpooled = measure_events_per_sec(repeats=2)
-    finally:
-        del os.environ["REPRO_NO_EVENT_POOL"]
     mixed = measure_mixed_events_per_sec()
     cell_s = measure_cell_seconds()
     queue_ab = measure_queue_ab()
     histograms = measure_queue_histograms()
     return {
         "events_per_sec": pooled,
-        "events_per_sec_no_pool": unpooled,
         "events_per_sec_mixed": mixed,
         "queue_ab": queue_ab,
-        "calendar_vs_heap": queue_ab["calendar"] / queue_ab["heap"],
+        "default_vs_heap": queue_ab["default"] / queue_ab["heap"],
         "queue_histograms": histograms,
         "vanilla_cell_s": cell_s,
         "cells_per_sec": 1.0 / cell_s,
@@ -194,13 +186,11 @@ def write_bench_json(payload: dict) -> pathlib.Path:
 def _rows(data: dict) -> list[list]:
     ab = data["queue_ab"]
     return [
-        ["events/sec (pooled)", f"{data['events_per_sec']:,.0f}"],
-        ["events/sec (REPRO_NO_EVENT_POOL=1)", f"{data['events_per_sec_no_pool']:,.0f}"],
+        ["events/sec", f"{data['events_per_sec']:,.0f}"],
         ["events/sec (mixed store traffic)", f"{data['events_per_sec_mixed']:,.0f}"],
-        ["events/sec (queue=heap)", f"{ab['heap']:,.0f}"],
-        ["events/sec (queue=calendar)", f"{ab['calendar']:,.0f}"],
-        ["events/sec (queue=calendar, pure python)", f"{ab['calendar_py']:,.0f}"],
-        ["calendar vs heap", f"{data['calendar_vs_heap']:.2f}x"],
+        ["events/sec (default kernel)", f"{ab['default']:,.0f}"],
+        ["events/sec (pure-Python heap)", f"{ab['heap']:,.0f}"],
+        ["default vs heap", f"{data['default_vs_heap']:.2f}x"],
         ["16-rank vanilla cell (s)", f"{data['vanilla_cell_s']:.4f}"],
         ["speedup vs seed kernel", f"{data['speedup_vs_seed']:.2f}x"],
         ["cell speedup vs seed kernel", f"{data['cell_speedup_vs_seed']:.2f}x"],
@@ -222,13 +212,11 @@ def test_kernel_micro(benchmark, report):
         ),
     )
     # Regression guards, kept loose enough for noisy shared hardware:
-    # the kernel must still push a healthy event rate, and the pool must
-    # never make things slower than the escape-hatch path.
+    # the kernel must still push a healthy event rate.
     assert data["events_per_sec"] > 100_000
-    assert data["events_per_sec"] > 0.8 * data["events_per_sec_no_pool"]
     assert data["queue_ab"]["heap"] > 100_000
-    # The default discipline must never lose badly to the reference heap.
-    assert data["calendar_vs_heap"] > 0.8
+    # The default kernel must never lose badly to the reference heap.
+    assert data["default_vs_heap"] > 0.8
     assert data["queue_histograms"]["inter_event_gap_s"]
 
 

@@ -202,10 +202,14 @@ class WorkerPool:
             if worker.process.is_alive():  # pragma: no cover - defensive
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            worker.job_conn.close()
-            worker.result_conn.close()
+        # The monitor may still be inside _on_death or waiting on these
+        # connections: let it finish before closing anything.
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
+        with self._lock:
+            for worker in self._workers.values():
+                self._close_locked(worker)
+            self._workers.clear()
         return drained
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
@@ -304,8 +308,7 @@ class WorkerPool:
             if worker.id not in self._workers:
                 return
             del self._workers[worker.id]
-            worker.job_conn.close()
-            worker.result_conn.close()
+            self._close_locked(worker)
             assignment = worker.current
             worker.current = None
             events: list[tuple] = []
@@ -336,6 +339,13 @@ class WorkerPool:
             self._maybe_idle_locked()
         for event in events:
             self._deliver(event)
+
+    @staticmethod
+    def _close_locked(worker: _Worker) -> None:
+        # Only the thread that removes ``worker`` from ``_workers`` (under
+        # the lock) closes its connections, so none is closed twice.
+        worker.job_conn.close()
+        worker.result_conn.close()
 
     # -- introspection ---------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.sim.core import (
     all_of,
     any_of,
 )
-from repro.sim.equeue import CalendarQueue, HeapQueue
+from repro.sim.equeue import HeapQueue
 from repro.sim.resources import (
     FilterStore,
     PriorityResource,
@@ -40,7 +40,6 @@ from repro.sim.resources import (
 from repro.sim.sync import Gate, Semaphore, SimBarrier
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "FilterStore",
     "HeapQueue",

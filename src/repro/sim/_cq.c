@@ -1,30 +1,29 @@
 /* C accelerator for the repro.sim event kernel.
  *
  * Three pieces, all optional (repro.sim._accel builds this module on
- * first use when a C compiler is available and falls back to the pure
- * Python implementations in repro.sim.equeue / repro.sim.core
- * otherwise):
+ * first use when a C compiler is available; without it the kernel runs
+ * on the pure-Python repro.sim.equeue.HeapQueue and the Python dispatch
+ * loop in repro.sim.core):
  *
- *   - CalQ: the calendar / timing-wheel event queue.  Same discipline
- *     and cohort contract as equeue.CalendarQueue, so the two are
- *     interchangeable and produce bit-identical dispatch order.
+ *   - CalQ: a calendar / timing-wheel event queue with the same cohort
+ *     contract as equeue.HeapQueue, producing the identical dispatch
+ *     order ``(t, priority, arrival)``.
  *   - TimeoutFn: a callable installed as ``sim.timeout`` that performs
  *     the pooled-Timeout fast path without entering the interpreter.
- *   - run() / run_until(): dispatch drivers fusing the dominant case
- *     (a Timeout whose single callback is a bound Process._resume)
- *     into a C loop around ``generator.send``.
+ *   - drive(): the dispatch loop of Simulator._drive, fusing the
+ *     dominant case (a Timeout whose single callback is a bound
+ *     Process._resume) into a C loop around ``generator.send``.
  *
  * All simulation *semantics* stay in the Python classes -- this file
- * only mirrors the exact hot-path steps of Simulator.run and
+ * only mirrors the exact hot-path steps of Simulator._drive and
  * Process._resume, and calls back into Python (`_process`,
  * `_resume_tail`, `succeed`, `fail`) for every cold case.  Slot access
  * uses member-descriptor offsets resolved at setup() time, so the
  * Python class layout remains the single source of truth.
  *
- * The accelerated path is only engaged when the sanitizer is off (the
- * sanitizer needs a per-event Python hook); the Python cohort driver
- * in core.py drives this queue through its visible pop_cohort /
- * requeue_front methods in that case.
+ * drive() is only used when the sanitizer is off (the sanitizer needs a
+ * per-event Python hook); the Python loop in core.py drives this queue
+ * through its visible pop_cohort / requeue_front methods in that case.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -654,6 +653,18 @@ static PyObject *CalQ_pop_cohort_py(CalQ *q, PyObject *noarg)
     return Py_BuildValue("(dlO)", q->active_t, q->active_prio, q->active_list);
 }
 
+/* Early exit mid-cohort: restore the non-None remainder of `events`
+ * and forget the active cohort. */
+static int calq_requeue_front(CalQ *q, double t, long prio, PyObject *events)
+{
+    int rc = calq_requeue_band(q, t, prio, events);
+    q->active_prio = IDLE_PRIO;
+    q->band_t = -1.0;
+    q->band_list = NULL;
+    Py_CLEAR(q->active_list);
+    return rc;
+}
+
 static PyObject *CalQ_requeue_front_py(CalQ *q, PyObject *const *args,
                                        Py_ssize_t nargs)
 {
@@ -665,11 +676,7 @@ static PyObject *CalQ_requeue_front_py(CalQ *q, PyObject *const *args,
     if (t == -1.0 && PyErr_Occurred()) return NULL;
     long prio = PyLong_AsLong(args[1]);
     if (prio == -1 && PyErr_Occurred()) return NULL;
-    if (calq_requeue_band(q, t, prio, args[2]) < 0) return NULL;
-    q->active_prio = IDLE_PRIO;
-    q->band_t = -1.0;
-    q->band_list = NULL;
-    Py_CLEAR(q->active_list);
+    if (calq_requeue_front(q, t, prio, args[2]) < 0) return NULL;
     Py_RETURN_NONE;
 }
 
@@ -907,7 +914,7 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 /* --------------------------------------------------------------- drivers */
 
 /* Dispatch one event; mirrors the fused Timeout fast path of
- * Simulator.run / Process._resume.  Returns 0 ok, -1 error. */
+ * Simulator._drive / Process._resume.  Returns 0 ok, -1 error. */
 static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
                         PyObject *event /* borrowed */)
 {
@@ -936,48 +943,44 @@ static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
                 Py_XINCREF(val);
                 PyObject *result = PyObject_CallOneArg(send, val);
                 Py_XDECREF(val);
+                /* Take the generator's exception (StopIteration on return)
+                 * *before* resetting _active: the attribute store may run
+                 * a type lookup, and a type-cache miss clears any
+                 * pending exception. */
+                PyObject *etype = NULL, *evalue = NULL, *etb = NULL;
+                if (result == NULL) PyErr_Fetch(&etype, &evalue, &etb);
                 if (PyObject_SetAttr(sim, str_active, Py_None) < 0) {
                     Py_XDECREF(result);
+                    Py_XDECREF(etype);
+                    Py_XDECREF(evalue);
+                    Py_XDECREF(etb);
                     Py_DECREF(w);
                     return -1;
                 }
                 if (result == NULL) {
-                    if (!PyErr_ExceptionMatches(PyExc_StopIteration)) {
+                    PyErr_NormalizeException(&etype, &evalue, &etb);
+                    PyObject *r;
+                    if (!PyErr_GivenExceptionMatches(etype, PyExc_StopIteration)) {
                         /* mirror `except BaseException: self.fail(exc)` */
-                        PyObject *etype, *evalue, *etb;
-                        PyErr_Fetch(&etype, &evalue, &etb);
-                        PyErr_NormalizeException(&etype, &evalue, &etb);
                         if (etb != NULL)
                             PyException_SetTraceback(evalue, etb);
-                        PyObject *r = PyObject_CallMethodObjArgs(
-                            w, str_fail, evalue, long_urgent, NULL);
-                        Py_XDECREF(etype);
-                        Py_XDECREF(evalue);
-                        Py_XDECREF(etb);
-                        Py_DECREF(w);
-                        if (!r) return -1;
-                        Py_DECREF(r);
+                        r = PyObject_CallMethodObjArgs(w, str_fail, evalue,
+                                                       long_urgent, NULL);
                     } else {
-                        PyObject *etype, *evalue, *etb;
-                        PyErr_Fetch(&etype, &evalue, &etb);
-                        PyErr_NormalizeException(&etype, &evalue, &etb);
                         PyObject *retval =
-                            evalue ? PyObject_GetAttrString(evalue, "value")
-                                   : Py_NewRef(Py_None);
-                        Py_XDECREF(etype);
-                        Py_XDECREF(evalue);
-                        Py_XDECREF(etb);
-                        if (!retval) {
-                            Py_DECREF(w);
-                            return -1;
-                        }
-                        PyObject *r = PyObject_CallMethodObjArgs(
-                            w, str_succeed, retval, long_urgent, NULL);
-                        Py_DECREF(retval);
-                        Py_DECREF(w);
-                        if (!r) return -1;
-                        Py_DECREF(r);
+                            PyObject_GetAttrString(evalue, "value");
+                        r = retval ? PyObject_CallMethodObjArgs(
+                                         w, str_succeed, retval, long_urgent,
+                                         NULL)
+                                   : NULL;
+                        Py_XDECREF(retval);
                     }
+                    Py_XDECREF(etype);
+                    Py_XDECREF(evalue);
+                    Py_XDECREF(etb);
+                    Py_DECREF(w);
+                    if (!r) return -1;
+                    Py_DECREF(r);
                 } else {
                     if (Py_TYPE(result) == (PyTypeObject *)TimeoutType &&
                         SLOT(result, off_sim) == sim &&
@@ -1004,8 +1007,7 @@ static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
                     Py_DECREF(result);
                     Py_DECREF(w);
                 }
-                if (pool != NULL && Py_REFCNT(event) == 1 &&
-                    PyList_GET_SIZE(pool) < POOL_MAX)
+                if (Py_REFCNT(event) == 1 && PyList_GET_SIZE(pool) < POOL_MAX)
                     PyList_Append(pool, event);
                 return 0;
             }
@@ -1015,8 +1017,7 @@ static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
         PyObject *r = PyObject_CallMethodNoArgs(event, str_process);
         if (!r) return -1;
         Py_DECREF(r);
-        if (pool != NULL && Py_REFCNT(event) == 1 &&
-            PyList_GET_SIZE(pool) < POOL_MAX)
+        if (Py_REFCNT(event) == 1 && PyList_GET_SIZE(pool) < POOL_MAX)
             PyList_Append(pool, event);
         return 0;
     }
@@ -1026,50 +1027,37 @@ static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
     return 0;
 }
 
-/* Shared driver core.  target==NULL: run(until); target!=NULL:
- * run_until_event(target, limit=until).  Returns NULL on error,
- * Py_True if the target fired / the schedule drained, Py_False if the
- * until boundary stopped the run. */
-static PyObject *drive(PyObject *sim, CalQ *q, PyObject *pool, double until,
-                       PyObject *target)
+/* drive(sim, calq, pool, limit, target, budget) -> (n, drained): the
+ * loop of Simulator._drive.  Dispatches cohorts in order and stops when
+ * the schedule drains (drained=True), when the next cohort lies beyond
+ * `limit`, once `target` (None for no target) has been processed, or
+ * once `budget` events have run (0 = no budget).  `n` counts the
+ * dispatched events. */
+static PyObject *mod_drive(PyObject *self, PyObject *args)
 {
-    for (;;) {
-        if (target != NULL && SLOT(target, off_processed) == Py_True)
-            Py_RETURN_TRUE;
+    PyObject *sim, *qo, *pool, *target;
+    double limit;
+    Py_ssize_t budget;
+    if (!PyArg_ParseTuple(args, "OO!O!dOn", &sim, &CalQ_Type, &qo,
+                          &PyList_Type, &pool, &limit, &target, &budget))
+        return NULL;
+    CalQ *q = (CalQ *)qo;
+    if (target == Py_None) target = NULL;
+    Py_ssize_t n = 0;
+    int drained = 0;
+    while (target == NULL || SLOT(target, off_processed) != Py_True) {
         int rc = calq_pop_cohort(q);
         if (rc < 0) return NULL;
         if (rc == 0) {
-            if (target != NULL) {
-                PyErr_SetString(
-                    SimError,
-                    "schedule drained before event fired (deadlock?)");
-                return NULL;
-            }
-            Py_RETURN_TRUE;
+            drained = 1;
+            break;
         }
         double t = q->active_t;
         long prio = q->active_prio;
         PyObject *events = q->active_list;
-        if (t > until) {
-            Py_INCREF(events);
-            int rq = calq_requeue_band(q, t, prio, events);
-            if (rq == 0)
-                rq = PyList_SetSlice(events, 0, PyList_GET_SIZE(events), NULL);
-            q->active_prio = IDLE_PRIO;
-            Py_CLEAR(q->active_list);
-            Py_DECREF(events);
-            if (rq < 0) return NULL;
-            if (target != NULL) {
-                PyObject *lf = PyFloat_FromDouble(until);
-                if (lf) {
-                    PyErr_Format(SimError,
-                                 "time limit %S reached before event fired",
-                                 lf);
-                    Py_DECREF(lf);
-                }
-                return NULL;
-            }
-            Py_RETURN_FALSE;
+        if (t > limit) {
+            if (calq_requeue_front(q, t, prio, events) < 0) return NULL;
+            break;
         }
         q->now = t;
         PyObject *tf = PyFloat_FromDouble(t);
@@ -1079,64 +1067,37 @@ static PyObject *drive(PyObject *sim, CalQ *q, PyObject *pool, double until,
         if (sa < 0) return NULL;
         Py_INCREF(events); /* hold across dispatch (preempt may drop q's ref) */
         Py_ssize_t i = 0;
+        int stop = 0;
         /* size re-read every iteration: a preempting push clears the list */
-        while (i < PyList_GET_SIZE(events)) {
+        while (!stop && i < PyList_GET_SIZE(events)) {
             PyObject *event = PyList_GET_ITEM(events, i);
             Py_INCREF(event);
             Py_INCREF(Py_None);
             PyList_SetItem(events, i, Py_None);
             i++;
-            if (event == Py_None) {
-                Py_DECREF(event);
-                continue;
-            }
             if (dispatch_one(sim, q, pool, event) < 0) {
                 Py_DECREF(event);
                 /* keep the queue consistent for a caller that catches */
-                calq_requeue_band(q, t, prio, events);
-                PyList_SetSlice(events, 0, PyList_GET_SIZE(events), NULL);
-                q->active_prio = IDLE_PRIO;
+                PyObject *etype, *evalue, *etb;
+                PyErr_Fetch(&etype, &evalue, &etb);
+                calq_requeue_front(q, t, prio, events);
+                PyErr_Restore(etype, evalue, etb);
                 Py_DECREF(events);
                 return NULL;
             }
             Py_DECREF(event);
-            if (target != NULL && SLOT(target, off_processed) == Py_True) {
-                int rq = calq_requeue_band(q, t, prio, events);
-                if (rq == 0)
-                    rq = PyList_SetSlice(events, 0, PyList_GET_SIZE(events),
-                                         NULL);
-                q->active_prio = IDLE_PRIO;
-                Py_DECREF(events);
-                if (rq < 0) return NULL;
-                Py_RETURN_TRUE;
-            }
+            n++;
+            stop = (budget && n >= budget) ||
+                   (target != NULL && SLOT(target, off_processed) == Py_True);
+        }
+        if (stop && calq_requeue_front(q, t, prio, events) < 0) {
+            Py_DECREF(events);
+            return NULL;
         }
         Py_DECREF(events);
+        if (stop) break;
     }
-}
-
-static PyObject *mod_run(PyObject *self, PyObject *args)
-{
-    PyObject *sim, *qo, *pool;
-    double until = Py_HUGE_VAL;
-    if (!PyArg_ParseTuple(args, "OO!O|d", &sim, &CalQ_Type, &qo, &pool,
-                          &until))
-        return NULL;
-    return drive(sim, (CalQ *)qo, pool == Py_None ? NULL : pool, until, NULL);
-}
-
-static PyObject *mod_run_until(PyObject *self, PyObject *args)
-{
-    PyObject *sim, *qo, *pool, *target;
-    double limit = Py_HUGE_VAL;
-    if (!PyArg_ParseTuple(args, "OO!OO|d", &sim, &CalQ_Type, &qo, &pool,
-                          &target, &limit))
-        return NULL;
-    Py_INCREF(target);
-    PyObject *r =
-        drive(sim, (CalQ *)qo, pool == Py_None ? NULL : pool, limit, target);
-    Py_DECREF(target);
-    return r;
+    return Py_BuildValue("(nO)", n, drained ? Py_True : Py_False);
 }
 
 static PyMethodDef mod_methods[] = {
@@ -1144,9 +1105,8 @@ static PyMethodDef mod_methods[] = {
      "setup(Event, Timeout, Process, SimulationError): resolve slot offsets"},
     {"make_timeout", mod_make_timeout, METH_VARARGS,
      "make_timeout(sim, calq, pool_or_None) -> fast sim.timeout callable"},
-    {"run", mod_run, METH_VARARGS, "run(sim, calq, pool_or_None[, until])"},
-    {"run_until", mod_run_until, METH_VARARGS,
-     "run_until(sim, calq, pool_or_None, event[, limit])"},
+    {"drive", mod_drive, METH_VARARGS,
+     "drive(sim, calq, pool, limit, target_or_None, budget) -> (n, drained)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1163,6 +1123,6 @@ PyMODINIT_FUNC PyInit__cq(void)
     if (PyType_Ready(&TimeoutFn_Type) < 0) return NULL;
     Py_INCREF(&CalQ_Type);
     if (PyModule_AddObject(m, "CalQ", (PyObject *)&CalQ_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 1) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 2) < 0) return NULL;
     return m;
 }

@@ -12,29 +12,23 @@ Determinism: ties in time are broken first by an integer priority (lower
 runs first) and then by arrival order, so a simulation is a pure
 function of its inputs.
 
-The schedule itself is pluggable (see :mod:`repro.sim.equeue`): the
-default is a slotted calendar queue with O(1) amortized push/pop for the
-short-timeout traffic that dominates the paper's workloads, with the
-classic binary heap retained as a reference fallback.  Select with
-``Simulator(queue="heap")`` / ``Simulator(queue="calendar")`` or the
-``REPRO_EVENT_QUEUE`` environment variable; both orderings are
-bit-identical.  Events are dispatched in *cohorts* -- all events sharing
-one ``(time, priority)`` band are drained in a single inner loop so
-per-event bookkeeping (until-check, sanitizer probe, clock write) is
-amortized per band.
+The schedule is the C calendar queue of the optional accelerator
+(:mod:`repro.sim._accel`, built on first use when a C compiler is
+available) or, without it, the pure-Python binary heap
+:class:`repro.sim.equeue.HeapQueue`; set ``REPRO_SIM_ACCEL=0`` to force
+pure Python.  Both produce the same order, so every simulated result is
+identical either way.  Events are dispatched in *cohorts* -- all events
+sharing one ``(time, priority)`` band are drained in a single inner loop
+so per-event bookkeeping (stop check, sanitizer probe, clock write) is
+amortized per band.  One loop, :meth:`Simulator._drive`, serves
+``step``, ``run``, ``run_below`` and ``run_until_event``; they differ
+only in when it stops.  The accelerator's ``drive`` is the same loop in
+C and runs whenever the sanitizer is off.
 
 Performance: the inner loop is allocation-light.  :class:`Timeout` events
 are recycled through a per-simulator free list (see
 :meth:`Simulator.timeout`); recycling is guarded by a CPython refcount
-check so an event that any other code still holds is never reused.  Set
-``REPRO_NO_EVENT_POOL=1`` to disable the pool (simulators created while
-the variable is set allocate a fresh ``Timeout`` per call; scheduling
-order, and therefore every simulated result, is identical either way).
-When a C compiler is available, a small extension module
-(:mod:`repro.sim._accel`) additionally accelerates the calendar queue
-and the Timeout dispatch fast path; set ``REPRO_SIM_ACCEL=0`` to force
-pure Python.  The accelerator is engaged only when the sanitizer is off
-and mirrors the Python semantics exactly, so results are identical.
+check so an event that any other code still holds is never reused.
 
 Sanitizing: ``Simulator(sanitize=True)`` (or ``REPRO_SANITIZE=1``)
 attaches a :class:`repro.devtools.sanitizer.SimSanitizer` that validates
@@ -57,11 +51,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
+from math import inf, nextafter
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro.sim import _accel
-from repro.sim.equeue import CalendarQueue, EventQueue, HeapQueue
+from repro.sim.equeue import EventQueue, HeapQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.sanitizer import SimSanitizer
@@ -447,18 +442,19 @@ class Simulator:
     components publish metrics and spans into; the default is the shared
     no-op :data:`repro.obs.NULL_OBS`.
 
-    ``queue=`` selects the pending-event structure: ``"calendar"`` (the
-    default, a slotted calendar queue), ``"heap"`` (the reference binary
-    heap), or any object implementing the cohort contract documented in
-    :mod:`repro.sim.equeue`.  ``None`` defers to ``REPRO_EVENT_QUEUE``.
-    Dispatch order is bit-identical across queues.
+    ``queue=`` is a test seam: an event-queue instance implementing the
+    cohort contract documented in :mod:`repro.sim.equeue` (a
+    :class:`HeapQueue` or the accelerator's ``CalQ``).  The default
+    ``None`` takes the C ``CalQ`` when the accelerator is available and a
+    :class:`HeapQueue` otherwise.  Dispatch order is bit-identical across
+    queues.
     """
 
     def __init__(
         self,
         sanitize: Optional[bool] = None,
         observe: Optional["Observability"] = None,
-        queue: Union[str, EventQueue, None] = None,
+        queue: Optional[EventQueue] = None,
         workers: Optional[int] = None,
     ) -> None:
         self._now: float = 0.0
@@ -483,10 +479,8 @@ class Simulator:
         #: Monotone per-dispatch counter fed to the sanitizer's
         #: ``on_dispatch`` hook as the schedule sequence number.
         self._dispatch_seq = 0
-        #: Free list of recycled Timeout objects (None = pooling disabled).
-        self._pool: Optional[list[Timeout]] = (
-            None if os.environ.get("REPRO_NO_EVENT_POOL") else []
-        )
+        #: Free list of recycled Timeout objects.
+        self._pool: list[Timeout] = []
         if sanitize is None:
             # Arming the ownership checker implies sanitizing: the
             # checker rides the sanitizer's process-creation hooks.
@@ -516,28 +510,15 @@ class Simulator:
 
             self.obs = NULL_OBS
         # -- pending-event schedule ------------------------------------
-        if queue is None:
-            queue = os.environ.get("REPRO_EVENT_QUEUE") or "calendar"
-        #: C accelerator module when the schedule is a C CalQ, else None.
-        self._accel: Optional[Any] = None
-        self._queue: EventQueue
         if isinstance(queue, str):
-            if queue == "heap":
-                self._queue = HeapQueue()
-            elif queue == "calendar":
-                if _CQ is not None:
-                    self._queue = _CQ.CalQ()
-                    self._accel = _CQ
-                else:
-                    self._queue = CalendarQueue()
-            else:
-                raise SimulationError(
-                    f"unknown event queue {queue!r} (expected 'heap' or 'calendar')"
-                )
-        else:
-            self._queue = queue
-            if _CQ is not None and isinstance(queue, _CQ.CalQ):
-                self._accel = _CQ
+            raise SimulationError(f"queue= takes an event-queue instance, not {queue!r}")
+        if queue is None:
+            queue = _CQ.CalQ() if _CQ is not None else HeapQueue()
+        self._queue: EventQueue = queue
+        #: C accelerator module when the schedule is a C CalQ, else None.
+        self._accel: Optional[Any] = (
+            _CQ if _CQ is not None and isinstance(queue, _CQ.CalQ) else None
+        )
         if self._accel is not None:
             # C fast path for sim.timeout(): pooled reset + push without
             # entering the interpreter.  Shadows the bound method; the
@@ -622,35 +603,8 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        q = self._queue
-        band = q.pop_cohort()
-        if band is None:
+        if not self._drive(inf, budget=1)[0]:
             raise SimulationError("step() on an empty schedule")
-        t, prio, events = band
-        event = events[0]
-        events[0] = None
-        san = self._sanitizer
-        if san is not None:
-            self._dispatch_seq += 1
-            san.on_dispatch(t, prio, self._dispatch_seq, event)
-        self._now = t
-        if self._accel is not None:
-            self._queue.now = t
-        try:
-            event._process()
-        finally:
-            # A preempting push mid-dispatch clears the cohort list; only
-            # requeue the untouched remainder.
-            if events:
-                q.requeue_front(t, prio, events)
-        pool = self._pool
-        if (
-            pool is not None
-            and event.__class__ is Timeout
-            and getrefcount(event) == 2
-            and len(pool) < _POOL_MAX
-        ):
-            pool.append(event)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the schedule drains or the clock passes ``until``.
@@ -660,48 +614,80 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        if self._accel is not None and self._sanitizer is None:
-            drained = self._accel.run(
-                self,
-                self._queue,
-                self._pool,
-                float("inf") if until is None else until,
-            )
-        else:
-            drained = self._run_py(until)
+        drained = self._drive(inf if until is None else until)[1]
         if until is not None:
-            self._now = max(self._now, until)
-            if self._accel is not None:
-                self._queue.now = self._now
+            self._now = self._queue.now = max(self._now, until)
         if drained and self._sanitizer is not None:
             # The schedule fully drained: anything still alive or held is
             # a leak (daemons excepted).
             self._sanitizer.on_quiescent(self._now)
         return self._now
 
-    def _run_py(self, until: Optional[float]) -> bool:
-        """Pure-Python cohort dispatch loop; True when the schedule drained."""
+    def run_below(self, limit: float) -> int:
+        """Dispatch every scheduled event with time strictly below ``limit``.
+
+        The conservative parallel-DES horizon primitive (see
+        :mod:`repro.sim.pdes`): a logical process may safely execute all
+        local events earlier than its input horizon, but never an event
+        *at* the horizon -- a message could still arrive there.  Events at
+        ``t >= limit`` stay queued untouched.  Returns the number of
+        events dispatched (the window's committed-event count).
+
+        Unlike :meth:`run`, the clock is left at the last dispatched
+        event and no quiescence check runs -- the caller owns the loop.
+        """
+        return self._drive(nextafter(limit, -inf))[0]
+
+    def run_until_event(self, event: Event, limit: float = inf) -> Any:
+        """Run until ``event`` is processed; return its value.
+
+        Raises the event's exception if it failed, or
+        :class:`SimulationError` if the schedule drains or ``limit`` is
+        reached first.
+        """
+        drained = self._drive(limit, target=event)[1]
+        if not event._processed:
+            if drained:
+                raise SimulationError("schedule drained before event fired (deadlock?)")
+            raise SimulationError(f"time limit {limit} reached before event fired")
+        if not event._ok:
+            raise event._value
+        return event._value
+
+    def _drive(
+        self, limit: float, target: Optional[Event] = None, budget: int = 0
+    ) -> tuple[int, bool]:
+        """The dispatch loop behind every public run method.
+
+        Dispatches cohorts in ``(t, priority, arrival)`` order until the
+        schedule drains, the next cohort lies beyond ``limit`` (it stays
+        queued untouched), ``target`` has been processed, or ``budget``
+        events have run (0 = no budget).  Returns ``(dispatched,
+        drained)``.  With the accelerator and no sanitizer the same loop
+        runs in C (``_cq.drive``).
+        """
         q = self._queue
         pool = self._pool
+        if self._accel is not None and self._sanitizer is None:
+            return self._accel.drive(self, q, pool, limit, target, budget)
         san = self._sanitizer
-        accel = self._accel
         pop = q.pop_cohort
-        while True:
+        watch = target is not None or budget > 0
+        n = 0
+        while target is None or not target._processed:
             band = pop()
             if band is None:
-                return True
+                return n, True
             t, prio, events = band
-            if until is not None and t > until:
+            if t > limit:
                 q.requeue_front(t, prio, events)
-                return False
-            self._now = t
-            if accel is not None:
-                q.now = t
+                break
+            self._now = q.now = t
             # Cohort inner loop: the size is re-read every iteration
             # because a preempting push clears the list in place, and
             # each slot is nulled *before* dispatch so the event's only
             # remaining references are local (pool recycling relies on
-            # this, and a requeue after an exception skips it).
+            # this, and a requeue after an exception or a stop skips it).
             i = 0
             while i < len(events):
                 event = events[i]
@@ -722,11 +708,7 @@ class Simulator:
                     except BaseException:
                         q.requeue_front(t, prio, events)
                         raise
-                    if (
-                        pool is not None
-                        and getrefcount(event) == 2
-                        and len(pool) < _POOL_MAX
-                    ):
+                    if getrefcount(event) == 2 and len(pool) < _POOL_MAX:
                         pool.append(event)
                 else:
                     try:
@@ -734,135 +716,11 @@ class Simulator:
                     except BaseException:
                         q.requeue_front(t, prio, events)
                         raise
-
-    def run_below(self, limit: float) -> int:
-        """Dispatch every scheduled event with time strictly below ``limit``.
-
-        The conservative parallel-DES horizon primitive (see
-        :mod:`repro.sim.pdes`): a logical process may safely execute all
-        local events earlier than its input horizon, but never an event
-        *at* the horizon -- a message could still arrive there.  Events at
-        ``t >= limit`` stay queued untouched.  Returns the number of
-        events dispatched (the window's committed-event count).
-
-        Unlike :meth:`run`, the clock is left at the last dispatched
-        event and no quiescence check runs -- the caller owns the loop.
-        """
-        q = self._queue
-        pool = self._pool
-        san = self._sanitizer
-        accel = self._accel
-        pop = q.pop_cohort
-        n_dispatched = 0
-        while True:
-            band = pop()
-            if band is None:
-                return n_dispatched
-            t, prio, events = band
-            if t >= limit:
-                q.requeue_front(t, prio, events)
-                return n_dispatched
-            self._now = t
-            if accel is not None:
-                q.now = t
-            i = 0
-            while i < len(events):
-                event = events[i]
-                events[i] = None
-                i += 1
-                if san is not None:
-                    self._dispatch_seq += 1
-                    san.on_dispatch(t, prio, self._dispatch_seq, event)
-                n_dispatched += 1
-                if event.__class__ is Timeout:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    try:
-                        for cb in callbacks:  # type: ignore[union-attr]
-                            cb(event)
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                    if (
-                        pool is not None
-                        and getrefcount(event) == 2
-                        and len(pool) < _POOL_MAX
-                    ):
-                        pool.append(event)
-                else:
-                    try:
-                        event._process()
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-
-    def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` is processed; return its value.
-
-        Raises the event's exception if it failed, or
-        :class:`SimulationError` if the schedule drains or ``limit`` is
-        reached first.
-        """
-        if self._accel is not None and self._sanitizer is None:
-            self._accel.run_until(self, self._queue, self._pool, event, limit)
-        else:
-            self._run_until_py(event, limit)
-        if not event._ok:
-            raise event._value
-        return event._value
-
-    def _run_until_py(self, event: Event, limit: float) -> None:
-        q = self._queue
-        pool = self._pool
-        san = self._sanitizer
-        accel = self._accel
-        pop = q.pop_cohort
-        while not event._processed:
-            band = pop()
-            if band is None:
-                raise SimulationError("schedule drained before event fired (deadlock?)")
-            t, prio, events = band
-            if t > limit:
-                q.requeue_front(t, prio, events)
-                raise SimulationError(f"time limit {limit} reached before event fired")
-            self._now = t
-            if accel is not None:
-                q.now = t
-            i = 0
-            while i < len(events):
-                ev = events[i]
-                events[i] = None
-                i += 1
-                if san is not None:
-                    self._dispatch_seq += 1
-                    san.on_dispatch(t, prio, self._dispatch_seq, ev)
-                if ev.__class__ is Timeout:
-                    callbacks = ev.callbacks
-                    ev.callbacks = None
-                    ev._processed = True
-                    try:
-                        for cb in callbacks:  # type: ignore[union-attr]
-                            cb(ev)
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                    if (
-                        pool is not None
-                        and getrefcount(ev) == 2
-                        and len(pool) < _POOL_MAX
-                    ):
-                        pool.append(ev)
-                else:
-                    try:
-                        ev._process()
-                    except BaseException:
-                        q.requeue_front(t, prio, events)
-                        raise
-                if event._processed:
-                    if events:
-                        q.requeue_front(t, prio, events)
-                    return
+                n += 1
+                if watch and (n == budget or (target is not None and target._processed)):
+                    q.requeue_front(t, prio, events)
+                    return n, False
+        return n, False
 
     # -- internals ---------------------------------------------------------
 

@@ -1,28 +1,22 @@
-"""Event-queue disciplines for the simulation kernel.
+"""The pure-Python event queue of the simulation kernel.
 
-Two interchangeable implementations of one *cohort* contract:
-
-- :class:`HeapQueue` -- the classic binary heap of ``(t, priority, seq,
-  event)`` entries.  O(log n) per operation, zero tuning.  Retained as
-  the pure reference discipline (``REPRO_EVENT_QUEUE=heap``).
-- :class:`CalendarQueue` -- a slotted calendar / timing wheel: a
-  power-of-two array of buckets indexed by ``int(t / width) & mask``.
-  Amortized O(1) push and pop for the short-relative-delay traffic a
-  DES kernel is dominated by, with a far-future overflow heap and lazy
-  resize driven by the observed inter-cohort gap.
-
-Both produce the *identical* total order ``(t, priority, arrival)``:
-within one ``(t, priority)`` band, events dispatch in push order, which
-is exactly the seq order the heap would use.  The property tests in
-``tests/test_equeue.py`` verify the two disciplines stay bit-identical
-over randomized schedules including cancels and re-arms.
+:class:`HeapQueue` is a binary heap of ``(t, priority, seq, event)``
+entries: O(log n) per operation, zero tuning.  It is the reference
+discipline and the schedule of every simulator that runs without the C
+accelerator (``REPRO_SIM_ACCEL=0``, no C compiler, or a failed
+accelerator self-test).  The C calendar queue ``repro.sim._cq.CalQ`` is
+the fast path; it implements the same cohort contract and produces the
+*identical* total order ``(t, priority, arrival)``: within one ``(t,
+priority)`` band, events dispatch in push order.  The property tests in
+``tests/test_equeue.py`` verify the two stay bit-identical over
+randomized schedules including cancels and re-arms.
 
 The cohort contract
 -------------------
 
 ``pop_cohort()`` removes and returns the entire earliest ``(t,
 priority)`` band as ``(t, priority, events)``.  The caller (the
-dispatch driver in :mod:`repro.sim.core`) walks ``events`` replacing
+dispatch loop in :mod:`repro.sim.core`) walks ``events`` replacing
 each entry with ``None`` *before* dispatching it.  Two re-entrant
 situations are handled by the queue itself:
 
@@ -33,41 +27,33 @@ situations are handled by the queue itself:
   of the active band, requeues it at the *front* of its band, and
   clears the active list in place so the driver's loop terminates.  The
   driver then simply pops the next cohort, which is the urgent band.
-- **Early exit**: drivers that stop mid-band for their own reasons
-  (``until`` reached, target event processed, one ``step()``, an
-  exception propagating out of a callback) call
-  ``requeue_front(t, priority, events)`` with the partially-``None``
-  list; the queue restores the remainder exactly.
+- **Early exit**: when the loop stops mid-band for its own reasons
+  (limit reached, target event processed, one ``step()``, an exception
+  propagating out of a callback) it calls ``requeue_front(t, priority,
+  events)`` with the partially-``None`` list; the queue restores the
+  remainder exactly.
 
 Same-band pushes *during* dispatch of that band go into a fresh band
 (the old one has been popped), which is dispatched next -- the same
 order the heap produces, since those entries carry newer seqs.
+
+A queue also carries a ``now`` attribute, the clock mirror the C
+accelerator's timeout fast path reads; the dispatch loop keeps it equal
+to the simulator clock.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import log2
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Event
 
-__all__ = ["HeapQueue", "CalendarQueue"]
+__all__ = ["HeapQueue"]
 
 #: Sentinel priority meaning "no active cohort, nothing can preempt".
 _IDLE_PRIO = 1 << 30
-
-#: Timestamps at or beyond this never enter the bucket array (the slot
-#: index would overflow); they live in the overflow heap instead.
-_FAR_T = 1e300
-
-#: Pops between resize-policy evaluations (CalendarQueue).
-_RESIZE_CHECK = 64
-
-#: Initial bucket count (power of two) and slot width.
-_N0 = 64
-_W0 = 1.0
 
 
 class HeapQueue:
@@ -86,8 +72,8 @@ class HeapQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Any]] = []
         self._seq = 0
-        #: Clock mirror kept by the C accelerator's queues; unused here
-        #: but present so drivers can assign it uniformly.
+        #: Clock mirror read by the C accelerator's queues; unused here
+        #: but present so the dispatch loop can assign it uniformly.
         self.now = 0.0
         self._active_t = -1.0
         self._active_prio = _IDLE_PRIO
@@ -152,359 +138,5 @@ class HeapQueue:
         return len(self._heap)
 
 
-class CalendarQueue:
-    """Slotted calendar queue with grouped ``(t, priority)`` bands.
-
-    Each bucket holds a dict mapping ``(t, priority)`` to the list of
-    events pushed for that band, in push order.  Because pushes are
-    globally ordered in time-of-arrival, list order *is* seq order and
-    no per-entry sequence numbers (or sorts) are needed.
-
-    Invariant: every bucket entry has slot index ``k = int(t / width)``
-    in ``[cur_k, far_k)`` with ``far_k - cur_k >= n`` only transiently;
-    entries at ``k >= far_k`` (or ``t >= 1e300``) wait in the overflow
-    heap and are migrated when the cursor advances.  The first
-    non-empty bucket scanning from ``cur_k`` therefore contains the
-    global minimum band.  Erroneous pushes *behind* the cursor (time
-    travel into the past -- possible only through raw ``_enqueue``
-    misuse; the sanitizer exists to catch it) go to a small ``past``
-    heap that is always drained first, preserving the heap's
-    earliest-first behavior for such schedules.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_n",
-        "_mask",
-        "_width",
-        "_inv_w",
-        "_cur_k",
-        "_far_k",
-        "_count",
-        "_overflow",
-        "_past",
-        "_oseq",
-        "_front_seq",
-        "_band_t",
-        "_band_prio",
-        "_band_list",
-        "_active_t",
-        "_active_prio",
-        "_active_events",
-        "_pops",
-        "_gap_ewma",
-        "_last_t",
-        "stats_resizes",
-        "now",
-    )
-
-    def __init__(self, n: int = _N0, width: float = _W0) -> None:
-        if n & (n - 1):
-            raise ValueError("bucket count must be a power of two")
-        self._buckets: list[dict[tuple[float, int], list[Any]]] = [{} for _ in range(n)]
-        self._n = n
-        self._mask = n - 1
-        self._width = width
-        self._inv_w = 1.0 / width
-        self._cur_k = 0
-        self._far_k = n
-        self._count = 0
-        self._overflow: list[tuple[float, int, int, Any]] = []
-        self._past: list[tuple[float, int, int, Any]] = []
-        self._oseq = 0
-        self._front_seq = 0
-        # Push-side band cache: the band the last event went to, so a
-        # burst of same-(t, prio) pushes is two compares and an append.
-        self._band_t = -1.0
-        self._band_prio = -1
-        self._band_list: Optional[list[Any]] = None
-        # Active cohort (the band currently being dispatched).
-        self._active_t = -1.0
-        self._active_prio = _IDLE_PRIO
-        self._active_events: Optional[list[Any]] = None
-        # Resize policy state.
-        self._pops = 0
-        self._gap_ewma = width
-        self._last_t = 0.0
-        self.stats_resizes = 0
-        #: Clock mirror; see HeapQueue.now.
-        self.now = 0.0
-
-    # -- push ----------------------------------------------------------
-
-    def push(self, t: float, prio: int, ev: "Event") -> None:
-        if t == self._band_t and prio == self._band_prio:
-            assert self._band_list is not None
-            self._band_list.append(ev)
-            self._count += 1
-            return
-        if prio < self._active_prio and t == self._active_t:
-            self._preempt(t, prio, ev)
-            return
-        self._push_slow(t, prio, ev)
-
-    def _push_slow(self, t: float, prio: int, ev: "Event") -> None:
-        if t < _FAR_T:
-            k = int(t * self._inv_w)
-            if k < self._far_k:
-                if k < self._cur_k:
-                    # Behind the cursor: erroneous past-time push.
-                    self._oseq += 1
-                    heappush(self._past, (t, prio, self._oseq, ev))
-                    return
-                d = self._buckets[k & self._mask]
-                key = (t, prio)
-                lst = d.get(key)
-                if lst is None:
-                    d[key] = lst = [ev]
-                else:
-                    lst.append(ev)
-                self._count += 1
-                self._band_t = t
-                self._band_prio = prio
-                self._band_list = lst
-                return
-        self._oseq += 1
-        heappush(self._overflow, (t, prio, self._oseq, ev))
-
-    def _preempt(self, t: float, prio: int, ev: "Event") -> None:
-        act = self._active_events
-        act_t = self._active_t
-        act_prio = self._active_prio
-        self._active_prio = _IDLE_PRIO
-        self._active_events = None
-        if act is not None:
-            remaining = [e for e in act if e is not None]
-            del act[:]  # the driver's loop over this list terminates
-            if remaining:
-                self._requeue_band(act_t, act_prio, remaining)
-        self._band_t = -1.0
-        self._band_list = None
-        self._push_slow(t, prio, ev)
-
-    def _requeue_band(self, t: float, prio: int, events: list[Any]) -> None:
-        """Prepend ``events`` to the (t, prio) band, ahead of newer pushes."""
-        if t < _FAR_T:
-            k = int(t * self._inv_w)
-            if k < self._cur_k:
-                self._requeue_heap(self._past, t, prio, events)
-                return
-            if k < self._far_k:
-                d = self._buckets[k & self._mask]
-                key = (t, prio)
-                old = d.get(key)
-                d[key] = events if old is None else events + old
-                self._count += len(events)
-                return
-        self._requeue_heap(self._overflow, t, prio, events)
-
-    def _requeue_heap(
-        self, heap: list[tuple[float, int, int, Any]], t: float, prio: int, events: list[Any]
-    ) -> None:
-        # Front-sequence numbers (<= 0, counting down) sort requeued
-        # entries ahead of everything already in the heap for this band
-        # while preserving their relative order.
-        base = self._front_seq - len(events)
-        for i, e in enumerate(events):
-            heappush(heap, (t, prio, base + i + 1, e))
-        self._front_seq = base
-
-    # -- pop -----------------------------------------------------------
-
-    def pop_cohort(self) -> Optional[tuple[float, int, list[Any]]]:
-        past = self._past
-        if past:
-            return self._pop_heap_band(past)
-        if not self._count:
-            if not self._overflow:
-                self._active_prio = _IDLE_PRIO
-                self._active_events = None
-                return None
-            self._jump()
-            if not self._count:
-                # Only far/infinite-time entries remain.
-                return self._pop_heap_band(self._overflow)
-        buckets = self._buckets
-        mask = self._mask
-        k = self._cur_k
-        while True:
-            d = buckets[k & mask]
-            if d:
-                break
-            k += 1
-        self._cur_k = k
-        far_k = k + self._n
-        if far_k > self._far_k:
-            self._far_k = far_k
-            if self._overflow:
-                self._migrate()
-        if len(d) == 1:
-            key, events = d.popitem()
-        else:
-            key = min(d)
-            events = d.pop(key)
-        self._count -= len(events)
-        t, prio = key
-        self._activate(t, prio, events)
-        self._pops += 1
-        if t > self._last_t:
-            self._gap_ewma += (t - self._last_t - self._gap_ewma) * 0.125
-            self._last_t = t
-        if self._pops >= _RESIZE_CHECK:
-            self._pops = 0
-            self._maybe_resize()
-        return t, prio, events
-
-    def _activate(self, t: float, prio: int, events: list[Any]) -> None:
-        self._active_t = t
-        self._active_prio = prio
-        self._active_events = events
-        self._band_t = -1.0
-        self._band_list = None
-
-    def _pop_heap_band(self, heap: list[tuple[float, int, int, Any]]) -> tuple[float, int, list[Any]]:
-        t, prio, _s, ev = heappop(heap)
-        events = [ev]
-        while heap and heap[0][0] == t and heap[0][1] == prio:
-            events.append(heappop(heap)[3])
-        self._activate(t, prio, events)
-        return t, prio, events
-
-    def requeue_front(self, t: float, prio: int, events: list[Any]) -> None:
-        remaining = [e for e in events if e is not None]
-        if remaining:
-            self._requeue_band(t, prio, remaining)
-        self._active_prio = _IDLE_PRIO
-        self._active_events = None
-        self._band_t = -1.0
-        self._band_list = None
-
-    def _jump(self) -> None:
-        """Move the cursor to the earliest overflow entry and migrate."""
-        t0 = self._overflow[0][0]
-        k = int(t0 * self._inv_w) if t0 < _FAR_T else self._far_k
-        self._cur_k = k
-        self._far_k = k + self._n
-        self._migrate()
-
-    def _migrate(self) -> None:
-        ov = self._overflow
-        far_k = self._far_k
-        inv_w = self._inv_w
-        buckets = self._buckets
-        mask = self._mask
-        while ov:
-            t = ov[0][0]
-            if t >= _FAR_T:
-                break
-            k = int(t * inv_w)
-            if k >= far_k:
-                break
-            _t, prio, _s, ev = heappop(ov)
-            d = buckets[k & mask]
-            key = (t, prio)
-            lst = d.get(key)
-            if lst is None:
-                d[key] = [ev]
-            else:
-                lst.append(ev)
-            self._count += 1
-
-    # -- sizing --------------------------------------------------------
-
-    def _maybe_resize(self) -> None:
-        """Lazy resize: adapt slot width to the observed inter-cohort gap
-        and the bucket count to the population (both powers of two)."""
-        n = self._n
-        count = self._count
-        new_n = n
-        if count > 2 * n:
-            new_n = n * 2
-        elif count < n // 8 and n > _N0:
-            new_n = n // 2
-        gap = self._gap_ewma
-        new_w = self._width
-        # Sustained >4x drift between slot width and the typical gap
-        # means cohorts either crowd one bucket (width too coarse) or
-        # the scan strides many empty buckets (width too fine).
-        if gap > 0.0 and (gap > self._width * 4.0 or gap < self._width * 0.25):
-            new_w = 2.0 ** round(log2(gap))
-            new_w = min(max(new_w, 1e-9), 1e9)
-        if new_n != n or new_w != self._width:
-            self._rebuild(new_n, new_w)
-
-    def _rebuild(self, n: int, width: float) -> None:
-        bands: list[tuple[float, int, list[Any]]] = []
-        for d in self._buckets:
-            for (t, prio), lst in d.items():
-                bands.append((t, prio, lst))
-        self._buckets = [{} for _ in range(n)]
-        self._n = n
-        self._mask = n - 1
-        self._width = width
-        self._inv_w = 1.0 / width
-        self._count = 0
-        self._band_t = -1.0
-        self._band_list = None
-        if bands:
-            min_t = min(b[0] for b in bands)
-        elif self._overflow and self._overflow[0][0] < _FAR_T:
-            min_t = self._overflow[0][0]
-        else:
-            min_t = self._last_t
-        k0 = int(min_t * self._inv_w)
-        self._cur_k = k0
-        self._far_k = k0 + n
-        for t, prio, lst in bands:
-            k = int(t * self._inv_w)
-            if k < self._far_k:
-                d = self._buckets[k & self._mask]
-                key = (t, prio)
-                old = d.get(key)
-                # Rebuild keeps each band list whole, so order is intact.
-                d[key] = lst if old is None else old + lst
-                self._count += len(lst)
-            else:
-                for e in lst:
-                    self._oseq += 1
-                    heappush(self._overflow, (t, prio, self._oseq, e))
-        if self._overflow:
-            self._migrate()
-        self.stats_resizes += 1
-
-    # -- introspection -------------------------------------------------
-
-    def peek(self) -> float:
-        if self._past:
-            return self._past[0][0]
-        if self._count:
-            buckets = self._buckets
-            mask = self._mask
-            k = self._cur_k
-            while True:
-                d = buckets[k & mask]
-                if d:
-                    return min(d)[0]
-                k += 1
-        if self._overflow:
-            return self._overflow[0][0]
-        return float("inf")
-
-    def info(self) -> dict[str, Any]:
-        return {
-            "discipline": "calendar",
-            "n": self._n,
-            "width": self._width,
-            "count": self._count,
-            "overflow": len(self._overflow),
-            "past": len(self._past),
-            "resizes": self.stats_resizes,
-        }
-
-    def __len__(self) -> int:
-        return self._count + len(self._overflow) + len(self._past)
-
-
-#: Either queue discipline (or the C-accelerated calendar, which has
-#: the same surface).
-EventQueue = Union[HeapQueue, CalendarQueue, Any]
+#: The heap or the C-accelerated calendar, which has the same surface.
+EventQueue = Union[HeapQueue, Any]

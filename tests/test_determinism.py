@@ -1,20 +1,21 @@
-"""Determinism regression: identical results across repeats and with the
-Timeout pool disabled.
+"""Determinism regression: identical results across repeats, and a
+Timeout pool that is invisible to simulation code.
 
-The PR-1 kernel fast path recycles Timeout events through a free list;
-recycling must be invisible to simulation code, so the same seeded
-experiment must produce bit-identical measurements (JobResult fields and
-the raw blktrace ``(time, lbn, size)`` sequences) with the pool on, with
-the pool off (``REPRO_NO_EVENT_POOL=1``), and across repeated runs.
+The kernel fast path recycles Timeout events through a free list, guarded
+by a refcount check: a timeout is reused only when nothing but the
+dispatch loop still holds it.  The same seeded experiment must produce
+bit-identical measurements (JobResult fields and the raw blktrace
+``(time, lbn, size)`` sequences) across repeated runs, and a Timeout that
+user code still references must never be handed out again.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
-from repro import JobSpec, MpiIoTest, Noncontig, run_experiment
+from repro import JobSpec, MpiIoTest, run_experiment
 from repro.cluster import paper_spec
-from repro.sim.core import Simulator
+from repro.sim import HeapQueue, Simulator
 
 
 def _measurements(strategy: str):
@@ -43,44 +44,6 @@ def test_repeat_runs_identical():
         assert _measurements(strategy) == _measurements(strategy)
 
 
-def test_pool_escape_hatch_disables_pool(monkeypatch):
-    assert Simulator()._pool is not None
-    monkeypatch.setenv("REPRO_NO_EVENT_POOL", "1")
-    assert Simulator()._pool is None
-
-
-def test_pooled_vs_unpooled_identical(monkeypatch):
-    pooled = _measurements("dualpar-forced")
-    monkeypatch.setenv("REPRO_NO_EVENT_POOL", "1")
-    unpooled = _measurements("dualpar-forced")
-    assert pooled == unpooled
-
-
-def test_pooled_vs_unpooled_identical_multi_job(monkeypatch):
-    def run():
-        res = run_experiment(
-            [
-                JobSpec("a", 8, MpiIoTest(file_name="a.dat", file_size=4 * 1024 * 1024)),
-                JobSpec(
-                    "b",
-                    8,
-                    Noncontig(file_name="b.dat", elmtcount=64, n_rows=512),
-                    strategy="dualpar-forced",
-                    delay_s=0.1,
-                ),
-            ],
-            cluster_spec=paper_spec(n_compute_nodes=8, trace_disks=True),
-        )
-        return [asdict(j) for j in res.jobs], [
-            [(r.time, r.lbn, r.nsectors) for r in t.records] if t is not None else None
-            for t in res.cluster.traces
-        ]
-
-    pooled = run()
-    monkeypatch.setenv("REPRO_NO_EVENT_POOL", "1")
-    assert run() == pooled
-
-
 def test_timeout_pool_actually_recycles():
     sim = Simulator()
 
@@ -91,3 +54,28 @@ def test_timeout_pool_actually_recycles():
     sim.process(loop(50))
     sim.run()
     assert sim._pool, "pool should hold recycled Timeout objects after a run"
+
+
+def test_referenced_timeout_is_never_recycled():
+    """A fired Timeout that user code still holds stays out of the pool:
+    no later ``sim.timeout()`` returns it, and its value is untouched."""
+    for make_sim in (Simulator, lambda: Simulator(queue=HeapQueue())):
+        sim = make_sim()
+        held = []
+        aliased = []
+
+        def proc():
+            first = sim.timeout(1.0, value="first")
+            held.append(first)
+            yield first
+            for _ in range(50):
+                ev = sim.timeout(0.5, value="later")
+                aliased.append(ev is first)
+                yield ev
+
+        sim.process(proc())
+        sim.run()
+        assert sim._pool, "unreferenced timeouts should still be recycled"
+        assert not any(aliased)
+        assert all(ev is not held[0] for ev in sim._pool)
+        assert held[0].processed and held[0].value == "first"

@@ -1,35 +1,47 @@
-"""Event-queue disciplines stay bit-identical.
+"""The two event queues stay bit-identical.
 
 The kernel's ordering contract is ``(t, priority, arrival)``: FIFO within
 one ``(t, priority)`` band, URGENT (0) before NORMAL (1) at equal times.
-The binary heap realises that contract trivially; the calendar queue (and
-its C twin) must reproduce it *exactly* -- including under cancels
-(``requeue_front`` with ``None`` holes), re-arms (pushes made while a
-cohort drains), preemption (an URGENT push landing at the active band's
-timestamp) and lazy resizes.
+The pure-Python binary heap realises that contract trivially; the C
+calendar queue (``repro.sim._cq.CalQ``) must reproduce it *exactly* --
+including under cancels (``requeue_front`` with ``None`` holes), re-arms
+(pushes made while a cohort drains), preemption (an URGENT push landing
+at the active band's timestamp) and lazy resizes.
 
-Two layers of evidence:
+Three layers of evidence:
 
-1. A Hypothesis interpreter drives every available discipline through the
-   same randomized op script (pushes, partial dispatch, early stops,
+1. A Hypothesis interpreter drives both queues through the same
+   randomized op script (pushes, partial dispatch, early stops,
    same-time urgent pushes) and compares the full dispatch streams.
 2. End-to-end: the same seeded simulation -- including interrupt-driven
-   cancel/re-arm traffic -- produces identical logs under
-   ``queue="heap"`` and ``queue="calendar"``, sanitized or not, and a
-   full experiment is bit-identical across ``REPRO_EVENT_QUEUE`` legs.
+   cancel/re-arm traffic -- produces identical logs on the heap, on the
+   C queue under the C dispatch loop, and on the C queue under the
+   Python loop (``sanitize=True``); a paper cell run without a C
+   compiler matches the C kernel's result digest.
+3. The one dispatch loop: cutting a run into ``run_below``, ``step`` and
+   ``run_until_event`` segments dispatches exactly what one ``run()``
+   does, on both queues.
+
+The C queue is built for these tests even when ``REPRO_SIM_ACCEL=0``
+keeps simulators on the heap; they skip only without a C compiler.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import hashlib
+import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import JobSpec, MpiIoTest, run_experiment
+from repro import JobSpec, MpiIoTest
 from repro.cluster import paper_spec
-from repro.sim import CalendarQueue, HeapQueue, Interrupt, SimulationError, Simulator
+from repro.runner.parallel import ExperimentSpec, _run_spec
+from repro.service import canonical_json, result_to_dict
+from repro.sim import HeapQueue, Interrupt, SimulationError, Simulator
+from repro.sim import _accel
 from repro.sim import core as sim_core
 
 NORMAL = sim_core.NORMAL
@@ -43,16 +55,24 @@ TIMES = [0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 1.5, 3.0, 7.5, 16.0, 100.0, 1e4, 5e299,
 DELTAS = [0.0, 0.0, 0.25, 1.0, 64.0, 1e4]
 
 
-def _factories():
-    fac = [
-        ("heap", HeapQueue),
-        ("calendar", CalendarQueue),
-        # Tiny wheel: forces jump/migrate/resize churn on the same script.
-        ("calendar-4x0.25", lambda: CalendarQueue(4, 0.25)),
-    ]
+@pytest.fixture(scope="module")
+def cq():
+    """The C accelerator module, built even when ``REPRO_SIM_ACCEL=0``
+    keeps simulators on the heap; skipped only without a C compiler."""
     if sim_core._CQ is not None:
-        fac.append(("calq-c", sim_core._CQ.CalQ))
-    return fac
+        return sim_core._CQ
+    if shutil.which(os.environ.get("CC", "cc")) is None:
+        pytest.skip("no C compiler")
+    saved = os.environ.pop("REPRO_SIM_ACCEL", None)
+    _accel._reset_for_tests()
+    try:
+        mod = _accel.load()
+    finally:
+        if saved is not None:
+            os.environ["REPRO_SIM_ACCEL"] = saved
+        _accel._reset_for_tests()
+    assert mod is not None, "a C compiler exists but the accelerator did not build"
+    return mod
 
 
 def _run_script(make_queue, initial, reactions):
@@ -117,17 +137,14 @@ script_strategy = st.tuples(
 
 @settings(max_examples=80, deadline=None)
 @given(script=script_strategy)
-def test_disciplines_identical_over_random_schedules(script):
+def test_disciplines_identical_over_random_schedules(cq, script):
     initial, reactions = script
-    factories = _factories()
-    name0, make0 = factories[0]
-    reference = _run_script(make0, initial, reactions)
+    reference = _run_script(HeapQueue, initial, reactions)
     # Every pushed token (assigned 0, 1, 2, ... in push order) must be
     # dispatched exactly once -- nothing lost, nothing duplicated.
     dispatched = [e[2] for e in reference if isinstance(e[2], int)]
     assert sorted(dispatched) == list(range(len(dispatched)))
-    for name, make in factories[1:]:
-        assert _run_script(make, initial, reactions) == reference, f"{name} diverged from {name0}"
+    assert _run_script(cq.CalQ, initial, reactions) == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,7 +155,7 @@ def test_disciplines_identical_over_random_schedules(script):
         max_size=6,
     )
 )
-def test_simulation_identical_across_queues(specs):
+def test_simulation_identical_across_queues(cq, specs):
     """Same coroutine workload -> same log, every queue, sanitized or not."""
 
     def run(**kw):
@@ -155,17 +172,16 @@ def test_simulation_identical_across_queues(specs):
         sim.run()
         return log
 
-    reference = run(queue="heap")
-    assert run(queue="calendar") == reference
-    assert run(queue=CalendarQueue(4, 0.25)) == reference
-    assert run(queue="calendar", sanitize=True) == reference
-    if sim_core._CQ is not None:
-        assert run(queue=sim_core._CQ.CalQ()) == reference
+    reference = run(queue=HeapQueue())
+    assert run() == reference
+    assert run(queue=HeapQueue(), sanitize=True) == reference
+    assert run(queue=cq.CalQ()) == reference
+    assert run(queue=cq.CalQ(), sanitize=True) == reference
 
 
-def test_interrupt_cancel_rearm_identical_across_queues():
+def test_interrupt_cancel_rearm_identical_across_queues(cq):
     """Interrupts cancel a pending timeout and the victim re-arms: the
-    cancel/re-arm traffic must not perturb ordering on any discipline."""
+    cancel/re-arm traffic must not perturb ordering on either queue."""
 
     def run(queue):
         sim = Simulator(queue=queue)
@@ -194,75 +210,153 @@ def test_interrupt_cancel_rearm_identical_across_queues():
         sim.run()
         return log
 
-    reference = run("heap")
+    reference = run(HeapQueue())
     assert reference, "scenario produced no events"
     assert any(e[2] == "int" for e in reference)
-    assert run("calendar") == reference
-    if sim_core._CQ is not None:
-        assert run(sim_core._CQ.CalQ()) == reference
-
-
-def test_experiment_bit_identical_across_event_queue_env(monkeypatch):
-    """The determinism-suite acceptance: a real figure-style experiment is
-    bit-identical under ``REPRO_EVENT_QUEUE=heap`` and ``=calendar``."""
-
-    def measurements():
-        res = run_experiment(
-            [JobSpec("m", 8, MpiIoTest(file_size=4 * 1024 * 1024, op="R"))],
-            cluster_spec=paper_spec(n_compute_nodes=8, trace_disks=True),
-        )
-        jobs = [asdict(j) for j in res.jobs]
-        traces = [
-            [(r.time, r.lbn, r.nsectors) for r in t.records] if t is not None else None
-            for t in res.cluster.traces
-        ]
-        return jobs, traces
-
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    heap = measurements()
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    assert measurements() == heap
-    monkeypatch.setenv("REPRO_SIM_ACCEL", "0")
-    assert measurements() == heap
+    assert run(cq.CalQ()) == reference
 
 
 # ---------------------------------------------------------------------------
-# selection plumbing and introspection
+# the one dispatch loop
 # ---------------------------------------------------------------------------
 
 
-def test_queue_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
+segment_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.just("below"), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 64.0])),
+        st.just(("step",)),
+        st.tuples(st.just("until"), st.integers(min_value=0, max_value=5)),
+    ),
+    max_size=12,
+)
+
+
+def _segmented_log(make_queue, specs, segments):
+    """Run the ``specs`` workload: ``segments`` first, then one ``run()``.
+
+    Worker ``i`` sleeps through its delays, logging each wake-up, then
+    optionally joins an earlier worker (an URGENT completion landing in
+    the middle of a NORMAL cohort).  Returns the log, the final clock,
+    and per segment the dispatched count, clock, next event time and
+    log length.
+    """
+    sim = Simulator(queue=make_queue())
+    log = []
+    procs = []
+
+    def worker(i, delays, join):
+        for j, d in enumerate(delays):
+            yield sim.timeout(d)
+            log.append((sim.now, i, j))
+        if join is not None:
+            value = yield procs[join]
+            log.append((sim.now, i, "joined", value))
+        return i
+
+    for i, (delays, join) in enumerate(specs):
+        procs.append(sim.process(worker(i, delays, join if join < i else None)))
+    marks = []
+    for seg in segments:
+        if seg[0] == "below":
+            n = sim.run_below(seg[1])
+            assert sim.peek() >= seg[1] and (n == 0 or sim.now < seg[1])
+        elif seg[0] == "step":
+            n = None
+            if sim.peek() < float("inf"):
+                sim.step()
+        else:
+            target = procs[seg[1] % len(procs)]
+            n = None
+            assert sim.run_until_event(target) == seg[1] % len(procs)
+        marks.append((seg, n, sim.now, sim.peek(), len(log)))
+    sim.run()
+    return log, sim.now, marks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([0.0, 0.5, 0.5, 1.0, 1.5, 3.0]), min_size=1, max_size=4),
+            st.integers(min_value=0, max_value=5),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    segments=segment_strategy,
+)
+def test_segmented_run_matches_single_run(cq, specs, segments):
+    """``run_below``/``step``/``run_until_event`` are the same loop as
+    ``run()`` with another stop condition: any cut of one run into
+    segments dispatches the same events in the same order."""
+    reference = _segmented_log(HeapQueue, specs, [])
+    heap_cut = _segmented_log(HeapQueue, specs, segments)
+    assert heap_cut[:2] == reference[:2]
+    assert _segmented_log(cq.CalQ, specs, []) == reference
+    # The segment boundaries themselves agree between the two loops.
+    assert _segmented_log(cq.CalQ, specs, segments) == heap_cut
+
+
+# ---------------------------------------------------------------------------
+# kernel selection, the no-compiler fallback, and introspection
+# ---------------------------------------------------------------------------
+
+
+def test_queue_selection():
     default_q = Simulator()._queue
     if sim_core._CQ is not None:
         assert isinstance(default_q, sim_core._CQ.CalQ)
     else:
-        assert isinstance(default_q, CalendarQueue)
-    assert isinstance(Simulator(queue="heap")._queue, HeapQueue)
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-    assert isinstance(Simulator()._queue, HeapQueue)
-    inst = CalendarQueue()
-    assert Simulator(queue=inst)._queue is inst
-    with pytest.raises(SimulationError, match="unknown event queue"):
-        Simulator(queue="splay")
+        assert isinstance(default_q, HeapQueue)
+    inst = HeapQueue()
+    sim = Simulator(queue=inst)
+    assert sim._queue is inst and sim._accel is None
+    with pytest.raises(SimulationError, match="event-queue instance"):
+        Simulator(queue="heap")
 
 
-def test_info_and_len():
-    for name, make in _factories():
+def _cell_digest() -> str:
+    spec = ExperimentSpec(
+        specs=(JobSpec("m", 8, MpiIoTest(file_size=4 * 1024 * 1024, op="R")),),
+        cluster_spec=paper_spec(n_compute_nodes=8, trace_disks=True),
+    )
+    return hashlib.sha256(canonical_json(result_to_dict(_run_spec(spec))).encode()).hexdigest()
+
+
+def test_no_compiler_fallback_matches_c_kernel(monkeypatch, tmp_path):
+    """Without a C compiler the accelerator fails to build, simulators get
+    the heap, and a paper cell's result digest equals the C kernel's."""
+    reference = _cell_digest()  # the C kernel when it is available
+    monkeypatch.setattr(_accel, "_cached", None)
+    monkeypatch.setattr(_accel, "_attempted", False)
+    monkeypatch.setattr(_accel, "_so_path", lambda: str(tmp_path / "_cq.so"))
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.delenv("REPRO_SIM_ACCEL", raising=False)
+    assert _accel.load() is None
+    assert not (tmp_path / "_cq.so").exists()
+    monkeypatch.setattr(sim_core, "_CQ", sim_core._load_accel())
+    assert sim_core._CQ is None
+    sim = Simulator()
+    assert isinstance(sim._queue, HeapQueue) and sim._accel is None
+    assert _cell_digest() == reference
+
+
+def test_info_and_len(cq):
+    for make in (HeapQueue, cq.CalQ):
         q = make()
         assert len(q) == 0
         assert q.peek() == float("inf")
         for i in range(200):
             q.push(float(i % 7), NORMAL, i)
         info = q.info()
-        assert len(q) == 200, name
+        assert len(q) == 200, make
         total = info["count"] + info.get("overflow", 0) + info.get("past", 0)
-        assert total == 200, name
+        assert total == 200, make
         assert q.peek() == 0.0
 
 
-def test_calendar_resize_triggers_and_preserves_order():
-    q = CalendarQueue(4, 1.0)
+def test_calendar_resize_triggers_and_preserves_order(cq):
+    q = cq.CalQ()
     n = 4096
     for i in range(n):
         q.push(float(i) * 100.0, NORMAL, i)  # gap 100 vs width 1: forces rewidth
@@ -274,5 +368,4 @@ def test_calendar_resize_triggers_and_preserves_order():
         out.extend(c[2])
         c[2][:] = [None] * len(c[2])
     assert out == list(range(n))
-    assert q.stats_resizes > 0
-    assert q.info()["resizes"] == q.stats_resizes
+    assert q.info()["resizes"] > 0

@@ -340,6 +340,54 @@ def test_pool_reports_child_traceback_on_failing_payload():
     assert attempts == 1
 
 
+def _start_submit_stop(cycle: int) -> list:
+    """One pool lifecycle; returns the parent-side connections it used."""
+    done = threading.Event()
+    pool = WorkerPool(2, deliver=lambda event: done.set())
+    pool.start()
+    pool.submit(f"job-{cycle}", {"schema_version": 1, "jobs": []})
+    assert done.wait(60)
+    conns = [c for w in pool._workers.values() for c in (w.job_conn, w.result_conn)]
+    errors: list[Exception] = []
+
+    def stop() -> None:
+        try:
+            pool.stop()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    stopper = threading.Thread(target=stop, daemon=True)
+    stopper.start()
+    stopper.join(30)
+    assert not stopper.is_alive(), f"stop() hung in cycle {cycle}"
+    assert not errors, f"stop() raised in cycle {cycle}: {errors[0]!r}"
+    return conns
+
+
+def test_pool_start_submit_stop_cycles_are_clean(monkeypatch):
+    """stop() and the monitor thread never both close a worker's pipes:
+    over repeated start/submit/stop cycles every connection is closed
+    exactly once, stop() raises nothing and never hangs."""
+    from multiprocessing.connection import Connection
+
+    closes: dict[int, list] = {}  # id -> [conn (kept alive: no id reuse), count]
+    real_close = Connection.close
+
+    def counting_close(conn: Connection) -> None:
+        closes.setdefault(id(conn), [conn, 0])[1] += 1
+        real_close(conn)
+
+    monkeypatch.setattr(Connection, "close", counting_close)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # let the monitor and stop() interleave
+    try:
+        for cycle in range(20):
+            conns = _start_submit_stop(cycle)
+            assert [closes.get(id(c), [c, 0])[1] for c in conns] == [1] * len(conns), cycle
+    finally:
+        sys.setswitchinterval(switch)
+
+
 # ---------------------------------------------------------------------------
 # quotas and backpressure
 # ---------------------------------------------------------------------------

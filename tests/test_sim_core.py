@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import sys
+
 import pytest
 
 from repro.sim import (
@@ -382,3 +384,50 @@ def test_nested_process_trees():
     sim.run()
     assert results == [[10, 20, 30]]
     assert sim.now == 3
+
+
+def test_process_return_survives_type_cache_miss():
+    """A process that finishes right after a type-cache flush still hands
+    its return value to the joiner.  The C dispatch loop must take the
+    generator's StopIteration before it touches ``sim._active``: a
+    type-cache miss on that attribute store clears a pending exception."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(1.0)
+        sys._clear_type_cache()
+        return 42
+
+    proc = sim.process(body())
+    got = []
+
+    def joiner():
+        got.append((yield proc))
+
+    sim.process(joiner())
+    sim.run()
+    assert got == [42]
+
+
+def test_process_exception_survives_type_cache_miss():
+    """Same as above for a body that raises: the joiner gets the original
+    exception, not a TypeError from the dispatch loop."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(1.0)
+        sys._clear_type_cache()
+        raise KeyError("boom")
+
+    proc = sim.process(body())
+    got = []
+
+    def joiner():
+        try:
+            yield proc
+        except KeyError as exc:
+            got.append(exc.args)
+
+    sim.process(joiner())
+    sim.run()
+    assert got == [("boom",)]
