@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-fast bench-kernel bench-gate bench-pdes pdes-gate ci-local examples results clean
+.PHONY: install test test-fast test-py test-pdes coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-kernel bench-gate bench-pdes pdes-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -78,14 +78,11 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/serve_smoke.py \
 		--out-dir serve-smoke-out
 
+# Benchmark grids: cells fan out across all CPUs and land in the result
+# catalog (.service_catalog/), so a warm re-run only recomputes changed
+# cells.  The kernel-micro table includes the default-kernel-vs-heap A/B rows.
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Benchmark grids with process fan-out across all CPUs and the on-disk
-# result cache enabled: a warm re-run only recomputes changed cells.
-# The kernel-micro table includes the default-kernel-vs-heap A/B rows.
-bench-fast:
-	BENCH_JOBS=$(NPROC) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Standalone kernel microbench; prints the default kernel and the
 # pure-Python heap and rewrites benchmarks/results/BENCH_kernel.json.
@@ -136,6 +133,6 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
 
 clean:
-	rm -rf .pytest_cache .benchmarks .bench_cache soak-out serve-smoke-out \
+	rm -rf .pytest_cache .benchmarks soak-out serve-smoke-out \
 		.service_catalog src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

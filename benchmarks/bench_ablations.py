@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bench_jobs, run_once
+from conftest import run_once
 from repro import (
     Demo,
     DualParConfig,
@@ -51,7 +51,7 @@ def test_ablation_io_scheduler(benchmark, report):
             for sched in scheds
             for strategy in strategies
         ]
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         rows = []
         for i, sched in enumerate(scheds):
             row = [sched]
@@ -102,9 +102,7 @@ def test_ablation_t_improvement(benchmark, report):
 
     def run():
         thresholds = (1.0, 3.0, 10.0, 30.0)
-        results = run_experiments(
-            [scenario(t) for t in thresholds], jobs=bench_jobs()
-        )
+        results = run_experiments([scenario(t) for t in thresholds])
         rows = []
         for t, res in zip(thresholds, results):
             switched = len(
@@ -151,7 +149,7 @@ def test_ablation_hole_filling(benchmark, report):
             )
             for fill in (True, False)
         ]
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         rows = []
         for fill, res in zip((True, False), results):
             extra = res.total_bytes_served / max(res.jobs[0].bytes_read, 1)
@@ -198,7 +196,7 @@ def test_ablation_list_io(benchmark, report):
             )
             for use in (True, False)
         ]
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         return [
             ["on" if use else "off", res.jobs[0].throughput_mb_s]
             for use, res in zip((True, False), results)
@@ -304,7 +302,7 @@ def test_ablation_ghost_compute(benchmark, report):
             )
             for factor in (1.0, 0.0)
         ]
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         return [
             [f"{factor:.0%}", res.jobs[0].elapsed_s]
             for factor, res in zip((1.0, 0.0), results)

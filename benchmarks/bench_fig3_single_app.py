@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bench_jobs, run_once
+from conftest import run_once
 from repro import (
     ExperimentSpec,
     IorMpiIo,
@@ -52,7 +52,7 @@ def run_grid(op: str):
         for wname, build in workloads(op)
         for scheme in SCHEMES
     ]
-    results = run_experiments(cells, jobs=bench_jobs())
+    results = run_experiments(cells)
     rows = []
     for wi, (wname, _build) in enumerate(workloads(op)):
         row = [wname]

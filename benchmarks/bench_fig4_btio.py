@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bench_jobs, run_once
+from conftest import run_once
 from repro import Btio, ExperimentSpec, JobSpec, format_table, run_experiments
 from repro.cluster import paper_spec
 
@@ -56,7 +56,7 @@ def test_fig4_btio_scaling(benchmark, report):
             for nprocs in NPROCS_SWEEP
             for scheme in SCHEMES
         ]
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         rows = []
         for pi, nprocs in enumerate(NPROCS_SWEEP):
             row = [nprocs]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import bench_jobs, run_once
+from conftest import run_once
 from repro import (
     Btio,
     DualParConfig,
@@ -56,7 +56,7 @@ def test_fig8_cache_size_sweep(benchmark, report):
                 label="vanilla",
             )
         )
-        results = run_experiments(cells, jobs=bench_jobs())
+        results = run_experiments(cells)
         labels = [f"{kb} KB" for kb in QUOTAS_KB] + ["vanilla"]
         return [
             [label, res.jobs[0].throughput_mb_s]

@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from conftest import bench_jobs, run_once
+from conftest import run_once
 from repro import (
     ExperimentSpec,
     IorMpiIo,
@@ -53,7 +53,7 @@ def test_overall_average_improvement(benchmark, report):
             for name, workload in grid()
             for scheme in schemes
         ]
-        results = run_experiments(specs, jobs=bench_jobs())
+        results = run_experiments(specs)
         rows = []
         for wi, (name, _workload) in enumerate(grid()):
             cells = {

@@ -19,26 +19,14 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-# Anchor the experiment result cache at the repo root so cold/warm runs
-# share it regardless of the pytest invocation directory.  Benches fan
-# their independent cells through repro.runner.parallel.run_experiments,
-# which memoises each cell here (delete the directory, or run with
-# REPRO_NO_BENCH_CACHE=1, to force recomputation).
+# Anchor the result catalog at the repo root so cold/warm runs share it
+# regardless of the pytest invocation directory.  Benches fan their
+# independent cells through repro.runner.parallel.run_experiments, which
+# catalogues each cell here (delete the directory to force recomputation).
 os.environ.setdefault(
-    "REPRO_BENCH_CACHE",
-    str(pathlib.Path(__file__).resolve().parent.parent / ".bench_cache"),
+    "REPRO_SERVICE_CATALOG",
+    str(pathlib.Path(__file__).resolve().parent.parent / ".service_catalog"),
 )
-
-
-def bench_jobs() -> int:
-    """Worker-process count for grid fan-out (override with BENCH_JOBS)."""
-    env = os.environ.get("BENCH_JOBS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="session")

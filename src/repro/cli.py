@@ -606,7 +606,8 @@ def cmd_catalog(args) -> int:
             rows.append(
                 [
                     record.fingerprint[:16],
-                    sub.get("tenant", "?"),
+                    prov.get("source", "serve"),
+                    sub.get("tenant", "-"),
                     sub.get("label", "") or "-",
                     len(sub.get("jobs", [])),
                     f"{record.result.get('makespan_s', 0.0):.3f}",
@@ -616,7 +617,8 @@ def cmd_catalog(args) -> int:
             )
         print(
             format_table(
-                ["fingerprint", "tenant", "label", "jobs", "sim (s)", "wall (s)", "tries"],
+                ["fingerprint", "source", "tenant", "label", "jobs", "sim (s)",
+                 "wall (s)", "tries"],
                 rows,
                 title=f"catalog {catalog.root} ({len(rows)} records)",
             )
@@ -766,7 +768,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--no-cache",
         action="store_true",
-        help="recompute every cell instead of reading .bench_cache/",
+        help="recompute every cell and catalog nothing (the catalog is "
+        "$REPRO_SERVICE_CATALOG, default .service_catalog/)",
     )
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -67,6 +67,9 @@ class RaidArray:
         self._member_failed = [False] * len(members)
         # Repaired but not yet resynced: takes writes, serves no reads.
         self._member_stale = [False] * len(members)
+        # Bumped when a member fails: a rebuild started before then is
+        # superseded and must not mark the member in-sync.
+        self._member_epoch = [0] * len(members)
         self._n_rebuilding = 0
         self.n_member_failures = 0
         self.n_rebuilds = 0
@@ -192,6 +195,7 @@ class RaidArray:
         self._member_failed[member] = True
         # Whatever happens on the array while it is out, it misses.
         self._member_stale[member] = True
+        self._member_epoch[member] += 1
         self.n_member_failures += 1
 
     def repair_member(
@@ -216,7 +220,9 @@ class RaidArray:
         self._member_failed[member] = False
         self._n_rebuilding += 1
         return self.sim.process(
-            self._rebuild(member, rebuild_rate_bytes_s, rebuild_bytes),
+            self._rebuild(
+                member, rebuild_rate_bytes_s, rebuild_bytes, self._member_epoch[member]
+            ),
             name=f"{self.name}-rebuild{member}",
             daemon=True,
         )
@@ -228,13 +234,13 @@ class RaidArray:
         raise RuntimeError(f"{self.name}: no in-sync mirror to rebuild from")
 
     def _rebuild(
-        self, member: int, rate_bytes_s: float, limit_bytes: Optional[int]
+        self, member: int, rate_bytes_s: float, limit_bytes: Optional[int], epoch: int
     ) -> Generator:
         total = self.members[member].total_sectors
         if limit_bytes is not None:
             total = min(total, -(-int(limit_bytes) // 512))
         pos = 0
-        while pos < total:
+        while pos < total and self._member_epoch[member] == epoch:
             n = min(_REBUILD_STEP_SECTORS, total - pos)
             src = self._rebuild_source(member)
             yield from self._member_service(src, pos, n, "R")
@@ -243,6 +249,8 @@ class RaidArray:
             # Pace to the configured rebuild rate on top of the media time.
             yield self.sim.timeout(n * 512 / rate_bytes_s)
             pos += n
-        self._member_stale[member] = False
         self._n_rebuilding -= 1
+        if self._member_epoch[member] != epoch:
+            return  # the member failed mid-rebuild; a later repair starts over
+        self._member_stale[member] = False
         self.n_rebuilds += 1

@@ -4,8 +4,8 @@ A :class:`FaultPlan` is the complete description of everything that will
 go wrong in a run: a seed (the only entropy source the injector uses), a
 tuple of :class:`FaultEvent` entries pinned to simulated time, and the
 :class:`RetryPolicy` the PFS clients apply while riding the faults out.
-Plans are frozen dataclasses with a JSON round-trip, so they fingerprint
-into the bench cache exactly like every other piece of an
+Plans are frozen dataclasses with a JSON round-trip, so they enter
+the experiment fingerprint exactly like every other piece of an
 ``ExperimentSpec`` and two runs of the same plan are bit-identical.
 
 Fault taxonomy (see ``docs/fault_injection.md`` for semantics):

@@ -1,4 +1,4 @@
-"""Parallel experiment fan-out with deterministic on-disk result caching.
+"""Independent experiment cells: run many, remember each once.
 
 The benchmark grids run dozens of *independent* ``run_experiment`` cells:
 each cell builds its own :class:`~repro.sim.core.Simulator`, so no state
@@ -7,19 +7,16 @@ result.  This module provides:
 
 - :class:`ExperimentSpec` -- a picklable description of one cell (the
   exact arguments of :func:`repro.runner.experiment.run_experiment`);
-- :class:`SlimExperimentResult` -- the picklable subset of
+- :class:`SlimExperimentResult` -- the subset of
   :class:`~repro.runner.experiment.ExperimentResult` the benches consume
   (per-job measurements plus a few cluster/DualPar summaries);
-- :func:`run_experiments` -- evaluate many cells, fanning out over a
-  process pool and memoising each cell on disk under ``.bench_cache/``
-  keyed by a fingerprint of (workloads, cluster spec, strategy, config,
-  code version).  Re-running a sweep only recomputes changed cells.
-
-Environment knobs::
-
-    REPRO_BENCH_CACHE     cache directory (default ``.bench_cache``)
-    REPRO_NO_BENCH_CACHE  set to disable the cache entirely
-    REPRO_JOBS            default worker count (default: cpu count)
+- :func:`experiment_fingerprint` -- the content address of one cell
+  (workloads, cluster spec, strategy, config, code version);
+- :func:`run_experiments` -- evaluate many cells.  A cell already in the
+  result catalog (:mod:`repro.service.catalog`, the store ``repro serve``
+  writes too) is served from its record; the rest run inline or on a
+  :class:`repro.service.worker.WorkerPool`, and each is catalogued.
+  Re-running a sweep only recomputes changed cells.
 """
 
 from __future__ import annotations
@@ -27,10 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
-import tempfile
-import traceback
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -50,23 +44,14 @@ __all__ = [
     "ExperimentSpec",
     "SlimExperimentResult",
     "WorkerCellError",
-    "clear_cache",
-    "default_cache_dir",
     "experiment_fingerprint",
     "run_experiments",
 ]
 
 
 class WorkerCellError(RuntimeError):
-    """An experiment cell raised inside a pool worker.
-
-    A bare exception re-raised across the process boundary loses its
-    child traceback (pickling keeps the instance, not the stack), which
-    used to surface a failed cell as an opaque one-liner with only
-    parent-side frames.  This wrapper captures ``traceback.format_exc()``
-    in the worker and carries the text home, so the parent-side error
-    names the failing cell and shows exactly where in the child it died.
-    """
+    """An experiment cell raised in a pool worker, or kept killing its
+    worker until the pool gave up; carries the child's traceback text."""
 
     def __init__(self, label: str, traceback_text: str) -> None:
         self.label = label
@@ -75,12 +60,6 @@ class WorkerCellError(RuntimeError):
             f"experiment cell {label or '<unlabelled>'!r} failed in worker:\n"
             f"{traceback_text}"
         )
-
-    def __reduce__(self):
-        # Multi-arg exceptions need an explicit recipe to cross the
-        # pickle boundary intact (BaseException.__reduce__ replays
-        # ``args``, which here is the formatted message, not our pair).
-        return (WorkerCellError, (self.label, self.traceback_text))
 
 
 @dataclass(frozen=True)
@@ -115,10 +94,10 @@ class ExperimentSpec:
 
 @dataclass
 class SlimExperimentResult:
-    """The picklable (and therefore cacheable) view of one cell's result.
+    """The catalogued view of one cell's result.
 
     Mirrors the measurement surface of :class:`ExperimentResult`; the live
-    simulator, cluster, and MPI job objects are deliberately absent.
+    simulator, cluster, MPI job objects and timeline are deliberately absent.
     """
 
     jobs: list[JobResult]
@@ -127,15 +106,13 @@ class SlimExperimentResult:
     total_bytes_served: int = 0
     #: DualPar EMC (time, job name, new mode) transitions, if any.
     dualpar_transitions: list[tuple[float, str, str]] = field(default_factory=list)
-    #: Windowed throughput timeline, when timeline_window_s was given.
-    timeline: Optional[Any] = None
     #: End-of-run metrics snapshot, when the cell ran with observe=True.
     metrics: Optional[dict] = None
     #: (time, kind, phase, target) fault events, when a plan was injected.
     fault_log: list = field(default_factory=list)
     #: Guard (time, job, state, reason) transitions, when a guard ran.
     guard_transitions: list = field(default_factory=list)
-    #: Picklable SafetyGovernor.summary() dict, when a guard ran.
+    #: SafetyGovernor.summary() dict, when a guard ran.
     guard_summary: Optional[dict] = None
 
     @property
@@ -160,7 +137,6 @@ class SlimExperimentResult:
             makespan_s=res.makespan_s,
             total_bytes_served=res.cluster.total_bytes_served(),
             dualpar_transitions=list(res.dualpar.transitions) if res.dualpar else [],
-            timeline=res.timeline,
             metrics=res.metrics,
             fault_log=list(res.faults.log) if res.faults is not None else [],
             guard_transitions=list(res.guard.transitions) if res.guard else [],
@@ -174,7 +150,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    errors: int = 0
 
 
 #: Stats of the most recent run_experiments() call (for tests/reporting).
@@ -186,17 +161,23 @@ LAST_RUN_STATS = CacheStats()
 _CODE_FINGERPRINT: Optional[str] = None
 
 
+#: The repro package directory (this file is repro/runner/parallel.py).
+_PKG_ROOT = Path(__file__).parent.parent
+
+
+def _code_files() -> list[Path]:
+    """Every source file of the repro package: Python and the C kernel."""
+    return sorted([*_PKG_ROOT.rglob("*.py"), *_PKG_ROOT.rglob("*.c")])
+
+
 def _code_fingerprint() -> str:
-    """Hash of every .py file in the repro package: a new code version
-    invalidates all cached results."""
+    """Hash of every source file in the repro package: a new code version
+    invalidates all catalogued results."""
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        import repro
-
-        pkg_root = Path(repro.__file__).parent
         h = hashlib.sha256()
-        for path in sorted(pkg_root.rglob("*.py")):
-            h.update(str(path.relative_to(pkg_root)).encode())
+        for path in _code_files():
+            h.update(os.path.relpath(path, _PKG_ROOT).encode())
             h.update(path.read_bytes())
         _CODE_FINGERPRINT = h.hexdigest()
     return _CODE_FINGERPRINT
@@ -260,58 +241,6 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
     return h.hexdigest()
 
 
-# -- cache --------------------------------------------------------------
-
-
-def default_cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
-
-
-def clear_cache(cache_dir: Optional[Path] = None) -> int:
-    """Delete all cached results; returns the number of entries removed."""
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    n = 0
-    if cache_dir.is_dir():
-        for f in cache_dir.glob("*.pkl"):
-            try:
-                f.unlink()
-                n += 1
-            except OSError:
-                pass
-    return n
-
-
-def _cache_load(path: Path) -> Optional[SlimExperimentResult]:
-    """Read one entry; any corruption (truncation, bad pickle, wrong type)
-    is treated as a miss, never an error."""
-    try:
-        with path.open("rb") as f:
-            obj = pickle.load(f)
-    except Exception:
-        return None
-    return obj if isinstance(obj, SlimExperimentResult) else None
-
-
-def _cache_store(path: Path, result: SlimExperimentResult) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(result, f)
-                # Make the temp file durable before it becomes visible:
-                # os.replace is atomic in the namespace, but a crash before
-                # the data hits disk could still publish a torn entry.
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass  # caching is best-effort; never fail the experiment
-
-
 # -- execution ----------------------------------------------------------
 
 
@@ -336,24 +265,39 @@ def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
     return SlimExperimentResult.from_full(res)
 
 
-def _run_spec_in_worker(spec: ExperimentSpec) -> SlimExperimentResult:
-    """Pool entry point: like :func:`_run_spec`, but any failure crosses
-    back to the parent as a :class:`WorkerCellError` with the child's
-    full traceback text attached."""
+def _run_pooled(specs: list[ExperimentSpec], jobs: int) -> list[tuple]:
+    """Run cells on a :class:`~repro.service.worker.WorkerPool`; returns
+    each cell's ``done`` event, in order.  A failed cell raises
+    :class:`WorkerCellError`."""
+    import queue
+
+    from repro.service.worker import WorkerPool
+
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    done: list = [None] * len(specs)
+    pool = WorkerPool(min(jobs, len(specs)), deliver=events.put)
+    pool.start()
     try:
-        return _run_spec(spec)
-    except Exception as exc:
-        raise WorkerCellError(spec.label, traceback.format_exc()) from exc
+        for i, spec in enumerate(specs):
+            pool.submit(i, spec)
+        while None in done:
+            event = events.get()
+            if event[0] == "failed":
+                raise WorkerCellError(specs[event[1]].label, event[2])
+            if event[0] == "done":
+                done[event[1]] = event
+    finally:
+        pool.stop(drain=False)
+    return done
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _run_inline(spec: ExperimentSpec) -> tuple:
+    """Run one cell in this process; returns a pool-shaped ``done`` event."""
+    from repro.service.catalog import result_to_dict
+
+    t0 = time.perf_counter()
+    result = result_to_dict(_run_spec(spec))
+    return ("done", None, result, None, time.perf_counter() - t0, 1)
 
 
 def run_experiments(
@@ -364,45 +308,58 @@ def run_experiments(
 ) -> list[SlimExperimentResult]:
     """Evaluate independent experiment cells, in parallel and memoised.
 
-    Results come back in input order.  Cached cells are served from
-    ``cache_dir`` without simulating; the remaining cells fan out over a
-    process pool of ``jobs`` workers (``jobs=1`` runs inline, which is
-    also the fallback on single-CPU hosts).
+    Results come back in input order.  With ``cache``, cells already in
+    the result catalog at ``cache_dir`` (default:
+    :func:`~repro.service.catalog.default_catalog_dir`) are served from
+    their records without simulating, and every computed cell is
+    catalogued.  The remaining cells fan out over a
+    :class:`~repro.service.worker.WorkerPool` of ``jobs`` workers
+    (default: all CPUs); ``jobs=1`` runs inline and raises a failing
+    cell's own exception.  Every result passes through the record codec,
+    so a hit equals a miss.
     """
+    from repro.service.catalog import CatalogRecord, ResultCatalog, result_from_dict
+
     global LAST_RUN_STATS
     stats = CacheStats()
     LAST_RUN_STATS = stats
     if jobs is None:
-        jobs = _default_jobs()
-    use_cache = cache and not os.environ.get("REPRO_NO_BENCH_CACHE")
-    cdir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        jobs = os.cpu_count() or 1
+    catalog = ResultCatalog(cache_dir) if cache else None
 
-    results: list[Optional[SlimExperimentResult]] = [None] * len(specs)
+    results: list[Optional[dict]] = [None] * len(specs)
+    fingerprints = [experiment_fingerprint(s) if cache else "" for s in specs]
     misses: list[int] = []
-    paths: list[Optional[Path]] = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        if use_cache:
-            paths[i] = cdir / f"{experiment_fingerprint(spec)}.pkl"
-            hit = _cache_load(paths[i])
-            if hit is not None:
-                results[i] = hit
-                stats.hits += 1
-                continue
-        misses.append(i)
+    for i, fingerprint in enumerate(fingerprints):
+        record = catalog.get(fingerprint) if catalog is not None else None
+        if record is not None:
+            results[i] = record.result
+        else:
+            misses.append(i)
+    stats.hits = len(specs) - len(misses)
     stats.misses = len(misses)
 
     if len(misses) <= 1 or jobs <= 1:
-        for i in misses:
-            results[i] = _run_spec(specs[i])
+        done = [_run_inline(specs[i]) for i in misses]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            for i, res in zip(
-                misses, pool.map(_run_spec_in_worker, (specs[i] for i in misses))
-            ):
-                results[i] = res
-
-    if use_cache:
-        for i in misses:
-            if paths[i] is not None and results[i] is not None:
-                _cache_store(paths[i], results[i])
-    return results  # type: ignore[return-value]
+        done = _run_pooled([specs[i] for i in misses], jobs)
+    for i, (_, _, result, worker_id, wall_s, attempts) in zip(misses, done):
+        results[i] = result
+        if catalog is None:
+            continue
+        spec = specs[i]
+        jobs_run = [{"name": j.name, "nprocs": j.nprocs, "strategy": j.strategy}
+                    for j in spec.specs]
+        record = CatalogRecord(
+            fingerprint=fingerprints[i],
+            code_version=_code_fingerprint(),
+            submission={"label": spec.label, "jobs": jobs_run},
+            result=result,
+            provenance={"source": "runner", "worker_id": worker_id, "attempts": attempts,
+                        "wall_time_s": wall_s, "committed_unix": time.time()},
+        )
+        try:
+            catalog.put(record)
+        except OSError:
+            pass  # the store is best-effort; never fail the experiment
+    return [result_from_dict(r) for r in results]  # type: ignore[arg-type]

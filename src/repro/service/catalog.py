@@ -1,28 +1,30 @@
 """Content-addressed experiment result catalog with full provenance.
 
-One :class:`CatalogRecord` per experiment fingerprint (the bench-cache
-sha256 of the lowered spec, code version included), stored as one JSON
-file under ``<root>/records/<fingerprint>.json``.  Records are committed
-atomically -- written to a temp file, fsynced, then renamed into place,
-exactly like the bench cache -- so a reader can never observe a torn
-entry: a record either exists whole or not at all, and any corruption
-found on disk reads as a miss, never an error.
+The repo's one result store, written by the ``repro serve`` coordinator
+and by :func:`repro.runner.parallel.run_experiments`.  One
+:class:`CatalogRecord` per experiment fingerprint (code version
+included), stored as one JSON file under
+``<root>/records/<fingerprint>.json``.  Records are committed atomically
+-- written to a temp file, fsynced, then linked into place -- so a reader
+can never observe a torn entry, and any corruption found on disk reads
+as a miss, never an error.
 
 A record carries everything needed to audit or reproduce the run:
 
 - ``code_version``   -- hash of the whole ``repro`` package source;
-- ``submission``     -- the canonical schema-v1 submission dict
-  (including any fault plan and guard config verbatim);
+- ``submission``     -- the canonical schema-v1 submission dict (fault
+  plan and guard config verbatim); a runner record has label and jobs;
 - ``result``         -- the JSON-canonical measurement surface of the
   run (per-job measurements, makespan, DualPar transitions, fault log,
   guard transitions/summary, obs metrics snapshot when observed);
-- ``provenance``     -- who computed it and how: worker id, attempt
-  count, wall time, coordinator host/pid, submit tenant, timestamps.
+- ``provenance``     -- who computed it and how: ``source`` (``"serve"``
+  or ``"runner"``), worker id, attempt count, wall time, timestamps, and
+  for the service the coordinator host/pid and submit tenant.
 
 ``result_to_dict`` defines the *one* canonical JSON form of a
-:class:`~repro.runner.SlimExperimentResult`; the service-level tests
-compare a catalog record against a direct ``run_experiment`` of the same
-spec through this function, bit for bit.
+:class:`~repro.runner.SlimExperimentResult` (``result_from_dict`` reads
+it back); the service-level tests compare a catalog record against a
+direct ``run_experiment`` of the same spec through it, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.runner.experiment import JobResult
 from repro.runner.parallel import SlimExperimentResult
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "ResultCatalog",
     "canonical_json",
     "default_catalog_dir",
+    "result_from_dict",
     "result_to_dict",
 ]
 
@@ -80,6 +84,20 @@ def result_to_dict(result: SlimExperimentResult) -> dict:
         "metrics": result.metrics,
     }
     return json.loads(canonical_json(payload))
+
+
+def result_from_dict(d: Mapping[str, Any]) -> SlimExperimentResult:
+    """Inverse of :func:`result_to_dict`: the slim result a record holds."""
+    return SlimExperimentResult(
+        jobs=[JobResult(**j) for j in d["jobs"]],
+        makespan_s=d["makespan_s"],
+        total_bytes_served=d["total_bytes_served"],
+        dualpar_transitions=[tuple(t) for t in d["dualpar_transitions"]],
+        metrics=d["metrics"],
+        fault_log=[tuple(ev) for ev in d["fault_log"]],
+        guard_transitions=[tuple(t) for t in d["guard_transitions"]],
+        guard_summary=d["guard_summary"],
+    )
 
 
 @dataclass(frozen=True)
@@ -152,15 +170,15 @@ class ResultCatalog:
         return record if record.fingerprint == fingerprint else None
 
     def put(self, record: CatalogRecord) -> bool:
-        """Commit one record atomically (fsync before rename).
+        """Commit one record atomically (fsync, then link into place).
 
         Returns False -- leaving the existing entry untouched -- when the
         fingerprint is already catalogued: content-addressed entries are
-        immutable, so first write wins and replays are no-ops.
+        immutable, so first write wins (``os.link`` refuses an existing
+        name, even under a race) and replays are no-ops.  An existing
+        record that does not read back is replaced.
         """
         path = self.path_for(record.fingerprint)
-        if path.exists():
-            return False
         self.records_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.records_dir, suffix=".tmp")
         try:
@@ -169,7 +187,12 @@ class ResultCatalog:
                 f.write("\n")
                 f.flush()
                 os.fsync(f.fileno())
-            os.replace(tmp, path)
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                if self.get(record.fingerprint) is not None:
+                    return False
+                os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -4,7 +4,7 @@ The coordinator is the long-running front of the DualPar harness
 (ROADMAP item 3): tenants submit :class:`~repro.service.schemas
 .ExperimentSubmission` JSON over a line-delimited TCP API, the
 coordinator validates each against the versioned schema, dedupes by the
-bench-cache sha256 fingerprint (code version included), applies
+cell's sha256 fingerprint (code version included), applies
 per-tenant quotas and global backpressure charged against a
 :class:`repro.guard.MemoryBudget`, fans the remaining work out to a
 :class:`~repro.service.worker.WorkerPool`, and commits each result to
@@ -51,8 +51,8 @@ from typing import Any, Optional
 
 from repro import __version__
 from repro.guard import GuardConfig, MemoryBudget
-from repro.runner.parallel import _code_fingerprint
-from repro.service.catalog import CatalogRecord, ResultCatalog, result_to_dict
+from repro.runner.parallel import _code_fingerprint, experiment_fingerprint
+from repro.service.catalog import CatalogRecord, ResultCatalog
 from repro.service.schemas import SCHEMA_VERSION, ExperimentSubmission
 from repro.service.worker import WorkerPool
 
@@ -73,7 +73,6 @@ _COORD_NODE = 0
 class _PendingJob:
     __slots__ = (
         "fingerprint",
-        "submission",
         "payload",
         "tenant",
         "charged_bytes",
@@ -86,7 +85,6 @@ class _PendingJob:
         self, fingerprint: str, submission: ExperimentSubmission, payload: dict
     ) -> None:
         self.fingerprint = fingerprint
-        self.submission = submission
         self.payload = payload
         self.tenant = submission.tenant
         self.charged_bytes = submission.declared_bytes
@@ -245,7 +243,8 @@ class Coordinator:
                     "error": "submit needs a 'submission' object"}
         try:
             submission = ExperimentSubmission.from_dict(raw)
-            fingerprint = submission.fingerprint()
+            spec = submission.to_experiment_spec()
+            fingerprint = experiment_fingerprint(spec)
         except (ValueError, TypeError) as exc:
             self.n_rejected_invalid += 1
             return {"ok": False, "status": "rejected", "reason": "invalid",
@@ -301,7 +300,7 @@ class Coordinator:
         self._jobs[fingerprint] = job
         self.n_queued += 1
         assert self._pool is not None
-        self._pool.submit(fingerprint, payload, chaos_crash=chaos_crash)
+        self._pool.submit(fingerprint, spec, chaos_crash=chaos_crash)
         if wait:
             return await self._wait_for(job, status="queued")
         return {"ok": True, "status": "queued", "fingerprint": fingerprint}
@@ -332,7 +331,7 @@ class Coordinator:
     def _on_pool_event(self, event: tuple) -> None:
         kind = event[0]
         if kind == "done":
-            _, fingerprint, slim, worker_id, wall_s, attempts = event
+            _, fingerprint, result, worker_id, wall_s, attempts = event
             job = self._jobs.get(fingerprint)
             if job is None:  # pragma: no cover - defensive
                 return
@@ -340,8 +339,9 @@ class Coordinator:
                 fingerprint=fingerprint,
                 code_version=_code_fingerprint(),
                 submission=job.payload,
-                result=result_to_dict(slim),
+                result=result,
                 provenance={
+                    "source": "serve",
                     "repro_version": __version__,
                     "tenant": job.tenant,
                     "worker_id": worker_id,

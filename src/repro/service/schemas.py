@@ -274,7 +274,7 @@ class ExperimentSubmission:
         )
 
     def fingerprint(self) -> str:
-        """The submission's content address: the bench-cache fingerprint
+        """The submission's content address: the experiment fingerprint
         of the lowered cell (parameters + code version)."""
         from repro.runner.parallel import experiment_fingerprint
 

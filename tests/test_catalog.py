@@ -29,6 +29,7 @@ from repro.service import (
     canonical_json,
     result_to_dict,
 )
+from repro.service.catalog import result_from_dict
 from repro.service.schemas import guard_from_dict, guard_to_dict
 
 
@@ -298,6 +299,32 @@ def test_catalog_first_write_wins(tmp_path):
     assert len(catalog) == 1
 
 
+def test_catalog_first_write_wins_without_an_exists_check(tmp_path, monkeypatch):
+    """A writer that lost the race (its ``exists`` check saw nothing) still
+    leaves the first record in place: the commit itself refuses."""
+    from pathlib import Path
+
+    catalog = ResultCatalog(tmp_path)
+    first = _record(result={"makespan_s": 1.0})
+    assert catalog.put(first) is True
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    assert catalog.put(_record(result={"makespan_s": 9.0})) is False
+    monkeypatch.undo()
+    assert catalog.get(first.fingerprint) == first
+    assert not list(catalog.records_dir.glob("*.tmp"))
+
+
+def test_catalog_put_heals_a_corrupt_record(tmp_path):
+    catalog = ResultCatalog(tmp_path)
+    record = _record()
+    catalog.put(record)
+    path = catalog.path_for(record.fingerprint)
+    path.write_text(path.read_text()[:20])
+    assert catalog.get(record.fingerprint) is None
+    assert catalog.put(record) is True
+    assert catalog.get(record.fingerprint) == record
+
+
 def test_catalog_leaves_no_temp_files(tmp_path):
     catalog = ResultCatalog(tmp_path)
     for i in range(4):
@@ -353,3 +380,5 @@ def test_result_to_dict_is_canonical_and_idempotent():
     # And it is deterministic across runs of the same cell.
     again = result_to_dict(_run_spec(_submission().to_experiment_spec()))
     assert canonical_json(again) == canonical_json(payload)
+    # result_from_dict reads the record form back without loss.
+    assert result_to_dict(result_from_dict(payload)) == payload

@@ -17,7 +17,7 @@ The contract under test (docs/fault_injection.md):
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster, paper_spec
@@ -402,6 +402,10 @@ _mirror_ops = st.lists(
 
 
 @given(ops=_mirror_ops)
+# A member that fails again mid-rebuild: the superseded rebuild must not
+# mark it in-sync, or the array lets its last in-sync mirror fail.
+@example(ops=[("fail", 1, 0), ("repair", 1, 0), ("fail", 1, 0), ("read", 0, 0),
+              ("read", 0, 0), ("read", 0, 0), ("repair", 1, 0), ("fail", 0, 0)])
 @settings(max_examples=15, deadline=None)
 def test_raid1_reads_never_touch_out_of_sync_mirror(ops):
     """For any interleaving of member failures, repairs (with real paced

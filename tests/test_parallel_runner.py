@@ -1,9 +1,10 @@
-"""Coverage for the parallel experiment runner and its on-disk cache."""
+"""Coverage for the parallel experiment runner and its result catalog."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
-import pickle
+import os
 from typing import Iterator
 
 import pytest
@@ -11,11 +12,8 @@ import pytest
 from repro import DualParConfig, ExperimentSpec, JobSpec, MpiIoTest, run_experiments
 from repro.cluster import paper_spec
 from repro.runner import parallel
-from repro.runner.parallel import (
-    WorkerCellError,
-    clear_cache,
-    experiment_fingerprint,
-)
+from repro.runner.parallel import WorkerCellError, experiment_fingerprint
+from repro.service.catalog import ResultCatalog, canonical_json, result_to_dict
 from repro.workloads.base import FileSpec, Workload
 
 
@@ -37,6 +35,14 @@ def _spec(strategy="vanilla", quota_kb=None, stripe_unit=64 * 1024, nprocs=8):
     )
 
 
+def _canon(results) -> list[str]:
+    return [canonical_json(result_to_dict(r)) for r in results]
+
+
+def _record_path(cache_dir, spec):
+    return ResultCatalog(cache_dir).path_for(experiment_fingerprint(spec))
+
+
 def test_results_in_input_order_and_correct(tmp_path):
     specs = [_spec("vanilla"), _spec("collective"), _spec("dualpar-forced")]
     results = run_experiments(specs, jobs=1, cache_dir=tmp_path)
@@ -53,7 +59,25 @@ def test_pool_matches_inline(tmp_path):
     specs = [_spec("vanilla"), _spec("collective"), _spec("dualpar-forced")]
     inline = run_experiments(specs, jobs=1, cache=False)
     pooled = run_experiments(specs, jobs=2, cache=False)
-    assert pickle.dumps(inline) == pickle.dumps(pooled)
+    assert _canon(inline) == _canon(pooled)
+    # Hit, miss, inline and pooled results are the same objects too.
+    assert inline == pooled
+
+
+def test_cold_warm_inline_pooled_all_equal(tmp_path):
+    specs = [_spec("vanilla"), _spec("dualpar-forced", quota_kb=256)]
+    cold = run_experiments(specs, jobs=2, cache_dir=tmp_path)
+    assert parallel.LAST_RUN_STATS.misses == 2
+    warm = run_experiments(specs, jobs=2, cache_dir=tmp_path)
+    assert parallel.LAST_RUN_STATS.hits == 2
+    inline = run_experiments(specs, jobs=1, cache=False)
+    assert _canon(cold) == _canon(warm) == _canon(inline)
+    assert cold == warm == inline
+    for spec, res in zip(specs, cold):
+        record = ResultCatalog(tmp_path).get(experiment_fingerprint(spec))
+        assert record.provenance["source"] == "runner"
+        assert record.submission["label"] == spec.label
+        assert canonical_json(record.result) == canonical_json(result_to_dict(res))
 
 
 def test_cache_hit_returns_byte_identical_result(tmp_path):
@@ -63,7 +87,7 @@ def test_cache_hit_returns_byte_identical_result(tmp_path):
     second = run_experiments(specs, jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.hits == 1
     assert parallel.LAST_RUN_STATS.misses == 0
-    assert pickle.dumps(first) == pickle.dumps(second)
+    assert _canon(first) == _canon(second)
 
 
 def test_fingerprint_sensitive_to_parameters():
@@ -94,52 +118,49 @@ def test_changed_parameters_miss_the_cache(tmp_path):
 def test_corrupt_cache_file_is_ignored(tmp_path):
     spec = _spec("vanilla")
     good = run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    path = tmp_path / f"{experiment_fingerprint(spec)}.pkl"
+    path = _record_path(tmp_path, spec)
     assert path.exists()
 
-    # Truncated garbage must be treated as a miss, not an error.
+    # Garbage must be treated as a miss, not an error, and rewritten.
     path.write_bytes(b"\x80corrupt")
     again = run_experiments([spec], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.misses == 1
-    assert pickle.dumps(good) == pickle.dumps(again)
+    assert _canon(good) == _canon(again)
+    assert ResultCatalog(tmp_path).get(experiment_fingerprint(spec)) is not None
 
-    # A valid pickle of the wrong type is also a miss.
-    path.write_bytes(pickle.dumps({"not": "a result"}))
+    # Valid JSON that is not a record is also a miss.
+    path.write_text(json.dumps({"not": "a record"}))
     run_experiments([spec], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.misses == 1
+    run_experiments([spec], jobs=1, cache_dir=tmp_path)
+    assert parallel.LAST_RUN_STATS.hits == 1
 
 
 def test_truncated_cache_entry_is_a_miss(tmp_path):
-    """A valid entry cut short mid-stream -- the torn-write shape fsync in
-    ``_cache_store`` defends against -- must replay as a miss and be
-    rewritten whole."""
+    """A valid record cut short mid-stream -- the torn-write shape the
+    fsync before the commit defends against -- must replay as a miss and
+    be rewritten whole."""
     spec = _spec("vanilla")
     good = run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    path = tmp_path / f"{experiment_fingerprint(spec)}.pkl"
-    whole = path.read_bytes()
+    path = _record_path(tmp_path, spec)
+    whole = path.read_text()
 
-    path.write_bytes(whole[: len(whole) // 2])
+    path.write_text(whole[: len(whole) // 2])
     again = run_experiments([spec], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.misses == 1
     assert parallel.LAST_RUN_STATS.hits == 0
-    assert pickle.dumps(good) == pickle.dumps(again)
-    assert path.read_bytes() == whole  # entry healed by the re-run
+    assert _canon(good) == _canon(again)
+    # The record was healed by the re-run: whole, and a hit again.
+    healed = json.loads(path.read_text())
+    assert healed["result"] == json.loads(whole)["result"]
+    run_experiments([spec], jobs=1, cache_dir=tmp_path)
+    assert parallel.LAST_RUN_STATS.hits == 1
 
 
-def test_cache_can_be_disabled(tmp_path, monkeypatch):
+def test_cache_can_be_disabled(tmp_path):
     spec = _spec("vanilla")
     run_experiments([spec], jobs=1, cache=False, cache_dir=tmp_path)
-    assert not list(tmp_path.glob("*.pkl"))
-    monkeypatch.setenv("REPRO_NO_BENCH_CACHE", "1")
-    run_experiments([spec], jobs=1, cache_dir=tmp_path)
-    assert not list(tmp_path.glob("*.pkl"))
-
-
-def test_clear_cache(tmp_path):
-    run_experiments([_spec("vanilla"), _spec("collective")], jobs=1, cache_dir=tmp_path)
-    assert len(list(tmp_path.glob("*.pkl"))) == 2
-    assert clear_cache(tmp_path) == 2
-    assert not list(tmp_path.glob("*.pkl"))
+    assert not tmp_path.joinpath("records").exists()
 
 
 def test_slim_result_measurement_surface(tmp_path):
@@ -203,19 +224,76 @@ def test_worker_failure_carries_child_traceback():
     assert "kaboom in ops" in str(err)
 
 
-def test_worker_cell_error_pickles_whole():
-    err = WorkerCellError("cell-7", "Traceback ...\nValueError: nope\n")
-    clone = pickle.loads(pickle.dumps(err))
-    assert isinstance(clone, WorkerCellError)
-    assert clone.label == "cell-7"
-    assert clone.traceback_text == err.traceback_text
-    assert str(clone) == str(err)
-
-
 def test_inline_run_raises_the_original_exception():
     # jobs=1 runs in-process: no wrapping, the real exception propagates.
     with pytest.raises(RuntimeError, match="kaboom in ops"):
         run_experiments([_boom_spec()], jobs=1, cache=False)
+
+
+# ---------------------------------------------------------------------------
+# worker crashes: requeue, then give up
+# ---------------------------------------------------------------------------
+
+
+class _CrashingMpiIoTest(MpiIoTest):
+    """mpi-io-test whose worker dies while setting up the cell: on the
+    first attempt only (``marker`` records it), or on every attempt."""
+
+    def __init__(self, marker: str, always: bool = False) -> None:
+        super().__init__(file_size=4 * 1024 * 1024)
+        self.marker = marker
+        self.always = always
+
+    def files(self) -> list[FileSpec]:
+        if self.always or not os.path.exists(self.marker):
+            open(self.marker, "a").close()
+            os._exit(3)
+        return super().files()
+
+
+def _crash_spec(marker, always=False):
+    return ExperimentSpec(
+        [JobSpec("m", 8, _CrashingMpiIoTest(str(marker), always), strategy="vanilla")],
+        cluster_spec=paper_spec(n_compute_nodes=8),
+        label="crashy",
+    )
+
+
+def test_pool_requeues_a_cell_whose_worker_dies(tmp_path):
+    specs = [_spec("vanilla"), _crash_spec(tmp_path / "crashed-once")]
+    pooled = run_experiments(specs, jobs=2, cache=False)
+    assert (tmp_path / "crashed-once").exists()
+    inline = run_experiments(specs, jobs=1, cache=False)
+    assert _canon(pooled) == _canon(inline)
+
+
+def test_pool_gives_up_on_a_cell_that_always_crashes(tmp_path):
+    specs = [_spec("vanilla"), _crash_spec(tmp_path / "crashed", always=True)]
+    with pytest.raises(WorkerCellError) as excinfo:
+        run_experiments(specs, jobs=2, cache=False)
+    assert excinfo.value.label == "crashy"
+    assert "giving up" in excinfo.value.traceback_text
+
+
+# ---------------------------------------------------------------------------
+# code fingerprint
+# ---------------------------------------------------------------------------
+
+
+def test_code_fingerprint_covers_c_sources(tmp_path, monkeypatch):
+    c_file = tmp_path / "kernel.c"
+    c_file.write_text("int f(void) { return 1; }\n")
+    files = parallel._code_files()
+    assert any(p.suffix == ".c" for p in files)
+    monkeypatch.setattr(parallel, "_code_files", lambda: [*files, c_file])
+
+    def fingerprint() -> str:
+        monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
+        return parallel._code_fingerprint()
+
+    before = fingerprint()
+    c_file.write_text("int f(void) { return 2; }\n")
+    assert fingerprint() != before
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +307,15 @@ def _race_entry(cache_dir, barrier, results):
     spec = _spec("vanilla")
     barrier.wait()
     first = run_experiments([spec], jobs=1, cache_dir=cache_dir)
-    blobs = [pickle.dumps(first)]
+    blobs = _canon(first)
     for _ in range(3):
         again = run_experiments([spec], jobs=1, cache_dir=cache_dir)
-        blobs.append(pickle.dumps(again))
+        blobs += _canon(again)
     results.put((len(set(blobs)) == 1, blobs[0]))
 
 
 def test_cross_process_cache_race_single_entry_no_corrupt_reads(tmp_path):
-    """Two processes racing the same .bench_cache key must yield exactly
+    """Two processes racing the same catalog record must yield exactly
     one stored entry and zero corrupt reads (extends the truncated-entry
     -is-miss test above to real concurrency: atomic fsync-before-rename
     means a reader sees a whole entry or a miss, never a torn one)."""
@@ -258,10 +336,10 @@ def test_cross_process_cache_race_single_entry_no_corrupt_reads(tmp_path):
     assert all(consistent for consistent, _ in outcomes)
     assert len({blob for _, blob in outcomes}) == 1
     # Exactly one whole stored entry, no leftover temp files.
-    entries = list(tmp_path.glob("*.pkl"))
+    entries = list(tmp_path.glob("records/*.json"))
     assert len(entries) == 1
-    assert not list(tmp_path.glob("*.tmp*"))
+    assert not list(tmp_path.glob("records/*.tmp*"))
     # The surviving entry replays as a hit, byte-identical to the race.
     final = run_experiments([_spec("vanilla")], jobs=1, cache_dir=tmp_path)
     assert parallel.LAST_RUN_STATS.hits == 1
-    assert pickle.dumps(final) == outcomes[0][1]
+    assert _canon(final)[0] == outcomes[0][1]

@@ -105,3 +105,20 @@ def test_version_string():
     import repro
 
     assert repro.__version__
+
+
+def test_env_knobs_match_readme_environment_table():
+    """Every ``REPRO_*`` variable named in the package is documented in the
+    README "Environment" table, and the table lists nothing else."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for path in (root / "src" / "repro").rglob("*"):
+        if path.suffix in (".py", ".c"):
+            used |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Environment", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
+    assert used == documented

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import ExperimentSpec, JobSpec, MpiIoTest
+from repro.cluster import paper_spec
 from repro.faults import FaultEvent, FaultPlan
 from repro.guard import GuardConfig
 from repro.runner.parallel import _run_spec
@@ -191,6 +193,52 @@ def test_cached_hit_after_completion(service):
     assert counters["completed"] == 1
 
 
+def test_corrupt_record_is_rerun_and_healed(service):
+    """A committed record that no longer reads back is a miss; the re-run
+    replaces it, so the next submission is served from the catalog."""
+    _handle, client, catalog_dir = service
+    sub = _submission(label="heal")
+    first = client.submit(sub, wait=True)
+    path = ResultCatalog(catalog_dir).path_for(sub.fingerprint())
+    path.write_text(path.read_text()[:40], encoding="utf-8")
+    rerun = client.submit(sub, wait=True)
+    assert rerun["submit_status"] == "queued"
+    again = client.submit(sub, wait=True)
+    assert again["status"] == "cached"
+    record = ResultCatalog(catalog_dir).get(sub.fingerprint())
+    assert record is not None
+    assert record.result == first["record"]["result"]
+
+
+def test_compare_cell_is_served_cached_by_serve(tmp_path, monkeypatch):
+    """The runner and the coordinator share one catalog: a cell computed
+    by ``repro compare`` is a ``cached`` hit for ``repro serve``."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_SERVICE_CATALOG", str(tmp_path))
+    rc = main([
+        "compare", "--workload", "mpi-io-test", "--nprocs", "4", "--size-mb", "2",
+        "--strategies", "vanilla", "--compute-nodes", "4", "--data-servers", "3",
+        "-j", "1",
+    ])
+    assert rc == 0
+    (record,) = ResultCatalog(tmp_path).records()
+    assert record.provenance["source"] == "runner"
+    # Same cell as a submission; the job is named after its workload, as
+    # compare names it, so the fingerprints match.
+    sub = _submission(
+        jobs=(JobSubmission("mpi-io-test", "mpi-io-test", nprocs=4, size_mb=2),)
+    )
+    assert sub.fingerprint() == record.fingerprint
+    handle = start_in_thread(catalog_dir=tmp_path, workers=1)
+    try:
+        response = ServiceClient(handle.host, handle.port).submit(sub, wait=True)
+    finally:
+        handle.stop()
+    assert response["status"] == "cached"
+    assert response["record"]["result"] == record.result
+
+
 # ---------------------------------------------------------------------------
 # concurrent dedup
 # ---------------------------------------------------------------------------
@@ -313,8 +361,16 @@ def test_chaos_flag_requires_allow_chaos(tmp_path):
         handle.stop()
 
 
+def _failing_spec() -> ExperimentSpec:
+    """A cell that raises inside the worker (its strategy does not exist)."""
+    return ExperimentSpec(
+        [JobSpec("j", 2, MpiIoTest(file_size=1 << 20), strategy="no-such-strategy")],
+        cluster_spec=paper_spec(n_compute_nodes=2),
+    )
+
+
 def test_pool_reports_child_traceback_on_failing_payload():
-    """A payload that raises inside a worker comes back as a 'failed'
+    """A cell that raises inside a worker comes back as a 'failed'
     event carrying the child's full traceback text, not a bare error."""
     events: list[tuple] = []
     done = threading.Event()
@@ -326,9 +382,7 @@ def test_pool_reports_child_traceback_on_failing_payload():
     pool = WorkerPool(1, deliver=deliver)
     pool.start()
     try:
-        # Bypasses the coordinator's schema gate on purpose: the pool
-        # must survive (and attribute) garbage payloads on its own.
-        pool.submit("job-x", {"schema_version": 1, "jobs": []})
+        pool.submit("job-x", _failing_spec())
         assert done.wait(60)
     finally:
         pool.stop()
@@ -336,7 +390,7 @@ def test_pool_reports_child_traceback_on_failing_payload():
     assert kind == "failed"
     assert job_id == "job-x"
     assert "Traceback (most recent call last)" in tb_text
-    assert "at least one job" in tb_text
+    assert "unknown strategy 'no-such-strategy'" in tb_text
     assert attempts == 1
 
 
@@ -345,7 +399,7 @@ def _start_submit_stop(cycle: int) -> list:
     done = threading.Event()
     pool = WorkerPool(2, deliver=lambda event: done.set())
     pool.start()
-    pool.submit(f"job-{cycle}", {"schema_version": 1, "jobs": []})
+    pool.submit(f"job-{cycle}", _failing_spec())
     assert done.wait(60)
     conns = [c for w in pool._workers.values() for c in (w.job_conn, w.result_conn)]
     errors: list[Exception] = []
