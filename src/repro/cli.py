@@ -268,7 +268,6 @@ def cmd_run(args) -> int:
         observe=_observe_from_args(args),
         fault_plan=_faults_from_args(args),
         guard=_guard_from_args(args),
-        workers=args.workers,
     )
     print(
         format_table(
@@ -316,7 +315,6 @@ def cmd_compare(args) -> int:
             observe=bool(args.metrics),
             fault_plan=_faults_from_args(args),
             guard=_guard_from_args(args),
-            workers=args.workers if args.workers is not None else 1,
             label=strategy,
         )
         for strategy in args.strategies
@@ -367,7 +365,6 @@ def cmd_report(args) -> int:
         observe=_observe_from_args(args),
         fault_plan=_faults_from_args(args),
         guard=_guard_from_args(args),
-        workers=args.workers,
     )
     print(summarize(result))
     _print_fault_summary(result)
@@ -402,104 +399,6 @@ def cmd_ownership(args) -> int:
     if args.check:
         own_argv += ["--check"]
     return ownership.main(own_argv)
-
-
-def cmd_pdes(args) -> int:
-    """Run the sharded PFS cell; optionally verify against the serial run.
-
-    This is the entry point the CI ``pdes-determinism`` matrix drives:
-    ``repro pdes --verify`` runs the same cell serially and sharded and
-    exits non-zero unless the result digests are byte-identical.
-    """
-    import json
-
-    from repro.sim.pdes import CellParams, run_sharded_cell
-
-    params = CellParams(
-        n_servers=args.servers,
-        n_client_nodes=args.client_nodes,
-        n_ranks=args.ranks,
-        file_size=args.size_mb * 1024 * 1024,
-        request_bytes=args.request_kb * 1024,
-        op="W" if args.op.startswith("w") else "R",
-        io_scheduler=args.elevator,
-    )
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = int(os.environ.get("REPRO_SIM_WORKERS", "1") or "1")
-        except ValueError:
-            workers = 1
-
-    runs: list[tuple[str, object]] = []
-    if args.verify:
-        runs.append(("serial", run_sharded_cell(params, workers=0)))
-    runs.append((f"workers={workers}", run_sharded_cell(params, workers=workers)))
-
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "label": label,
-                        "digest": r.digest,
-                        "events": r.events,
-                        "elapsed_s": r.elapsed_s,
-                        "wall_s": r.wall_s,
-                        "stats": r.stats.as_dict(),
-                    }
-                    for label, r in runs
-                ],
-                indent=2,
-            )
-        )
-    else:
-        rows = [
-            [
-                label,
-                r.digest[:16],
-                r.events,
-                r.elapsed_s,
-                r.wall_s,
-                r.stats.rounds,
-                r.stats.null_messages,
-                r.stats.horizon_stalls,
-            ]
-            for label, r in runs
-        ]
-        print(
-            format_table(
-                ["run", "digest", "events", "sim (s)", "wall (s)", "rounds", "nulls", "stalls"],
-                rows,
-                title=(
-                    f"pdes cell: {params.n_servers} servers, "
-                    f"{params.n_client_nodes} client nodes, {params.n_ranks} ranks"
-                ),
-                float_fmt="{:.3f}",
-            )
-        )
-
-    # Keep stdout parseable under --json: status lines go to stderr.
-    out = sys.stderr if args.json else sys.stdout
-    final = runs[-1][1]
-    if args.digest_out:
-        with open(args.digest_out, "w") as f:
-            f.write(final.digest + "\n")
-        print(f"digest written to {args.digest_out}", file=out)
-    if args.verify:
-        serial = runs[0][1]
-        if serial.digest != final.digest:
-            print(
-                f"DIGEST MISMATCH: serial {serial.digest} != "
-                f"{runs[-1][0]} {final.digest}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"verified: sharded run bit-identical to serial ({serial.digest})",
-            file=out,
-        )
-    return 0
 
 
 def cmd_serve(args) -> int:
@@ -722,15 +621,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="attach the safety governor: budgets, benefit governor, "
         "circuit breaker, stall watchdog (docs/degradation.md)",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sharded-simulation worker count (default: REPRO_SIM_WORKERS "
-        "or 1; the full cluster model currently falls back to the "
-        "bit-identical serial run -- see docs/parallel_des.md)",
-    )
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -815,49 +705,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="exit non-zero on unannotated shared-hazard findings",
     )
     p_own.set_defaults(func=cmd_ownership)
-
-    p_pdes = sub.add_parser(
-        "pdes",
-        help="run the sharded (conservative parallel DES) PFS cell; "
-        "--verify checks bit-identity against the serial run",
-    )
-    p_pdes.add_argument("--servers", type=int, default=4, help="data-server LPs")
-    p_pdes.add_argument("--client-nodes", type=int, default=2, help="client-node LPs")
-    p_pdes.add_argument("--ranks", type=int, default=4, help="MPI ranks (across nodes)")
-    p_pdes.add_argument("--size-mb", type=int, default=8, help="file size (MB)")
-    p_pdes.add_argument("--request-kb", type=int, default=64, help="per-call bytes (KB)")
-    p_pdes.add_argument(
-        "--op",
-        type=str.lower,
-        choices=["r", "w", "read", "write"],
-        default="r",
-    )
-    p_pdes.add_argument(
-        "--elevator",
-        choices=["cfq", "deadline", "noop", "anticipatory"],
-        default="cfq",
-    )
-    p_pdes.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: REPRO_SIM_WORKERS or 1; "
-        "0 = serial reference run)",
-    )
-    p_pdes.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run serially and exit 1 unless digests are byte-identical",
-    )
-    p_pdes.add_argument("--json", action="store_true", help="machine-readable output")
-    p_pdes.add_argument(
-        "--digest-out",
-        metavar="PATH",
-        default=None,
-        help="write the final run's result digest to this file",
-    )
-    p_pdes.set_defaults(func=cmd_pdes)
 
     p_srv = sub.add_parser(
         "serve",

@@ -46,28 +46,16 @@ class Cluster:
         return sum(depths) / len(depths)
 
 
-def build_cluster(
-    spec: Optional[ClusterSpec] = None, observe=None, workers: Optional[int] = None
-) -> Cluster:
+def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
     """Instantiate a ready-to-run :class:`Cluster` from ``spec``
     (defaults to :class:`ClusterSpec`'s Darwin-like configuration).
 
     ``observe`` is an optional :class:`repro.obs.Observability` layer;
     when given, every component registers its instruments there.
-    ``workers`` requests a sharded simulation (default: the
-    ``REPRO_SIM_WORKERS`` environment variable).  The full cluster model
-    still crosses LP boundaries through :meth:`Network.transfer`, which
-    holds sender and receiver NICs simultaneously (a zero-lookahead
-    edge), so it cannot shard yet: a request for more than one worker
-    falls back to the serial calendar-queue run -- bit-identical to
-    ``workers=1`` -- and is recorded on the ``pdes.fallback`` counter.
-    The shardable cell model lives in :mod:`repro.sim.pdes.cell`.
     """
 
     spec = spec or ClusterSpec()
-    sim = Simulator(observe=observe, workers=workers)
-    if sim.workers > 1 and sim.obs.enabled:
-        sim.obs.registry.counter("pdes.fallback").inc()
+    sim = Simulator(observe=observe)
     network = Network(sim, spec.n_nodes, spec.network)
     layout = StripeLayout(spec.n_data_servers, spec.stripe_unit)
 

@@ -1,10 +1,10 @@
 """simown -- state-ownership & cross-process sharing analyzer.
 
-ROADMAP item 2 (conservative parallel DES) needs to know, for every
-component in the simulated cluster, *which logical process owns its
-mutable state* and which state is silently shared across the would-be
-partition boundary.  This module answers that question statically: an
-AST whole-tree pass over ``src/repro`` that
+A conservative parallel DES of the cluster model would need to know,
+for every component in the simulated cluster, *which logical process
+owns its mutable state* and which state is silently shared across the
+would-be partition boundary.  This module answers that question
+statically: an AST whole-tree pass over ``src/repro`` that
 
 1. collects every class and its mutable attributes (``self.x = ...``
    in methods, class-level assignments, dataclass fields), plus the

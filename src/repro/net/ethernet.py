@@ -1,15 +1,23 @@
 """Bandwidth/latency network with per-NIC serialisation.
 
-Transfer model (cut-through): a message of ``n`` bytes from A to B
+Transfer model: a message of ``n`` bytes from A to B
 
-1. waits for A's TX side, holding it for ``overhead + n / bandwidth``;
-2. propagates for ``latency``;
-3. waits for B's RX side, holding it for ``n / bandwidth``.
+1. waits for A's TX side and keeps it;
+2. then waits for B's RX side;
+3. holds both together for ``overhead + latency + n / bandwidth``.
 
-TX is released before the RX hold, so a fast sender can pipeline messages
-to distinct receivers while a busy receiver back-pressures its own queue.
-This keeps end-to-end time = ``overhead + latency + n/bw`` when idle and
-produces fan-in queueing when many clients target one server.
+End-to-end time is ``overhead + latency + n/bw`` when idle.  Under
+contention both ends serialise for the whole message, latency included:
+N senders into one receiver finish at ``N * (overhead + latency +
+n/bw)``, and a sender waiting on a busy receiver keeps its TX, so the
+node's later messages, even to idle nodes, queue behind that one.
+
+The paper's Fig 4 vanilla collapse depends on this receiver hold.  A
+cut-through variant (TX held for ``overhead + n/bw``, RX held for
+``n/bw`` from arrival) lifts vanilla MPI-IO enough that BTIO at 64
+processes drops from 23.8x to 4.0x for collective/vanilla and from
+30.8x to 5.4x for DualPar/vanilla, against the paper's up to 24x and
+35x.
 """
 
 from __future__ import annotations
@@ -96,16 +104,21 @@ class Network:
         # Hold TX and RX simultaneously over a single wire occupation so
         # transfer time is charged once while both endpoints serialise.
         # Acquisition order (own TX, then destination RX) is cycle-free.
+        # Both waits sit inside the ``try``: an interrupted transfer
+        # (a client request timeout) releases what it holds and cancels
+        # what it still queues for, so no NIC is pinned by a dead process.
         tx_req = src_nic.tx.request()
-        yield tx_req
-        rx_req = dst_nic.rx.request()
-        yield rx_req
+        rx_req = None
         try:
+            yield tx_req
+            rx_req = dst_nic.rx.request()
+            yield rx_req
             yield sim.timeout(p.per_message_overhead_s + p.latency_s + wire_time)
             src_nic.bytes_sent += nbytes
             dst_nic.bytes_received += nbytes
         finally:
-            dst_nic.rx.release(rx_req)
+            if rx_req is not None:
+                dst_nic.rx.release(rx_req)
             src_nic.tx.release(tx_req)
         self.messages_delivered += 1
         if owncheck is not None:

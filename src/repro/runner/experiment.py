@@ -115,7 +115,6 @@ def run_experiment(
     observe=None,
     fault_plan=None,
     guard=None,
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run ``specs`` on one fresh cluster; return all measurements.
 
@@ -131,13 +130,11 @@ def run_experiment(
     ``guard`` is an optional :class:`repro.guard.GuardConfig` (or True
     for defaults); when enabled, a :class:`repro.guard.SafetyGovernor`
     is attached across the stack (budgets, benefit governor, breaker,
-    watchdog) and returned as ``result.guard``.  ``workers`` asks for a
-    sharded simulation (see :func:`repro.cluster.build_cluster` -- the
-    full model currently falls back to the serial run, bit-identically).
+    watchdog) and returned as ``result.guard``.
     """
     if not specs:
         raise ValueError("need at least one job spec")
-    cluster = build_cluster(cluster_spec, observe=observe, workers=workers)
+    cluster = build_cluster(cluster_spec, observe=observe)
     runtime = MpiRuntime(cluster)
     _create_files(cluster, specs)
 

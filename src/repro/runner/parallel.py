@@ -79,10 +79,6 @@ class ExperimentSpec:
     #: Safety-governor config (repro.guard.GuardConfig) or None to run
     #: unguarded; part of the cache fingerprint.
     guard: Optional[Any] = None
-    #: Sharded-simulation worker count passed to run_experiment; part of
-    #: the cache fingerprint only when != 1 (a one-worker request runs
-    #: the same serial kernel as the default).
-    workers: int = 1
     #: Free-form display label; not part of the cache fingerprint.
     label: str = ""
 
@@ -215,9 +211,6 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
     guard = spec.guard
     if guard is not None and not getattr(guard, "enabled", True):
         guard = None
-    # Same normalization for workers: one worker is the plain serial
-    # kernel, so it shares a key with specs predating the field.
-    workers = spec.workers if spec.workers != 1 else None
     payload = _canonical(
         (
             tuple(spec.specs),
@@ -233,7 +226,6 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
             # config must key the cache.
             guard,
         )
-        + ((("workers", workers),) if workers is not None else ())
     )
     h = hashlib.sha256()
     h.update(_code_fingerprint().encode())
@@ -260,7 +252,6 @@ def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
         observe=observe,
         fault_plan=spec.fault_plan,
         guard=spec.guard,
-        workers=spec.workers,
     )
     return SlimExperimentResult.from_full(res)
 

@@ -21,9 +21,9 @@ identical either way.  Events are dispatched in *cohorts* -- all events
 sharing one ``(time, priority)`` band are drained in a single inner loop
 so per-event bookkeeping (stop check, sanitizer probe, clock write) is
 amortized per band.  One loop, :meth:`Simulator._drive`, serves
-``step``, ``run``, ``run_below`` and ``run_until_event``; they differ
-only in when it stops.  The accelerator's ``drive`` is the same loop in
-C and runs whenever the sanitizer is off.
+``step``, ``run`` and ``run_until_event``; they differ only in when it
+stops.  The accelerator's ``drive`` is the same loop in C and runs
+whenever the sanitizer is off.
 
 Performance: the inner loop is allocation-light.  :class:`Timeout` events
 are recycled through a per-simulator free list (see
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
-from math import inf, nextafter
+from math import inf
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
@@ -455,26 +455,8 @@ class Simulator:
         sanitize: Optional[bool] = None,
         observe: Optional["Observability"] = None,
         queue: Optional[EventQueue] = None,
-        workers: Optional[int] = None,
     ) -> None:
         self._now: float = 0.0
-        # -- sharding degree -------------------------------------------
-        # The kernel itself is strictly single-threaded; ``workers``
-        # records the *intended* sharding degree for the conservative
-        # parallel-DES layer (repro.sim.pdes), which partitions a model
-        # into logical processes each owning a Simulator like this one.
-        # None defers to REPRO_SIM_WORKERS (default 1 = serial).
-        if workers is None:
-            try:
-                workers = int(os.environ.get("REPRO_SIM_WORKERS", "1") or "1")
-            except ValueError:
-                raise SimulationError(
-                    f"REPRO_SIM_WORKERS={os.environ['REPRO_SIM_WORKERS']!r} "
-                    "is not an integer"
-                ) from None
-        if not isinstance(workers, int) or workers < 1:
-            raise SimulationError(f"workers must be a positive int, got {workers!r}")
-        self.workers: int = workers
         self._active: Optional[Process] = None
         #: Monotone per-dispatch counter fed to the sanitizer's
         #: ``on_dispatch`` hook as the schedule sequence number.
@@ -622,21 +604,6 @@ class Simulator:
             # a leak (daemons excepted).
             self._sanitizer.on_quiescent(self._now)
         return self._now
-
-    def run_below(self, limit: float) -> int:
-        """Dispatch every scheduled event with time strictly below ``limit``.
-
-        The conservative parallel-DES horizon primitive (see
-        :mod:`repro.sim.pdes`): a logical process may safely execute all
-        local events earlier than its input horizon, but never an event
-        *at* the horizon -- a message could still arrive there.  Events at
-        ``t >= limit`` stay queued untouched.  Returns the number of
-        events dispatched (the window's committed-event count).
-
-        Unlike :meth:`run`, the clock is left at the last dispatched
-        event and no quiescence check runs -- the caller owns the loop.
-        """
-        return self._drive(nextafter(limit, -inf))[0]
 
     def run_until_event(self, event: Event, limit: float = inf) -> Any:
         """Run until ``event`` is processed; return its value.

@@ -18,9 +18,9 @@ Three layers of evidence:
    C queue under the C dispatch loop, and on the C queue under the
    Python loop (``sanitize=True``); a paper cell run without a C
    compiler matches the C kernel's result digest.
-3. The one dispatch loop: cutting a run into ``run_below``, ``step`` and
-   ``run_until_event`` segments dispatches exactly what one ``run()``
-   does, on both queues.
+3. The one dispatch loop: cutting a run into ``run(until=)``, ``step``
+   and ``run_until_event`` segments dispatches exactly what one
+   ``run()`` does, on both queues.
 
 The C queue is built for these tests even when ``REPRO_SIM_ACCEL=0``
 keeps simulators on the heap; they skip only without a C compiler.
@@ -223,7 +223,7 @@ def test_interrupt_cancel_rearm_identical_across_queues(cq):
 
 segment_strategy = st.lists(
     st.one_of(
-        st.tuples(st.just("below"), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 64.0])),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 64.0])),
         st.just(("step",)),
         st.tuples(st.just("until"), st.integers(min_value=0, max_value=5)),
     ),
@@ -237,8 +237,7 @@ def _segmented_log(make_queue, specs, segments):
     Worker ``i`` sleeps through its delays, logging each wake-up, then
     optionally joins an earlier worker (an URGENT completion landing in
     the middle of a NORMAL cohort).  Returns the log, the final clock,
-    and per segment the dispatched count, clock, next event time and
-    log length.
+    and per segment the clock, next event time and log length.
     """
     sim = Simulator(queue=make_queue())
     log = []
@@ -257,18 +256,18 @@ def _segmented_log(make_queue, specs, segments):
         procs.append(sim.process(worker(i, delays, join if join < i else None)))
     marks = []
     for seg in segments:
-        if seg[0] == "below":
-            n = sim.run_below(seg[1])
-            assert sim.peek() >= seg[1] and (n == 0 or sim.now < seg[1])
+        if seg[0] == "run":
+            # A cut in the past runs nothing: ``run`` refuses to rewind.
+            until = max(seg[1], sim.now)
+            assert sim.run(until=until) == until
+            assert sim.peek() > until
         elif seg[0] == "step":
-            n = None
             if sim.peek() < float("inf"):
                 sim.step()
         else:
             target = procs[seg[1] % len(procs)]
-            n = None
             assert sim.run_until_event(target) == seg[1] % len(procs)
-        marks.append((seg, n, sim.now, sim.peek(), len(log)))
+        marks.append((seg, sim.now, sim.peek(), len(log)))
     sim.run()
     return log, sim.now, marks
 
@@ -286,12 +285,15 @@ def _segmented_log(make_queue, specs, segments):
     segments=segment_strategy,
 )
 def test_segmented_run_matches_single_run(cq, specs, segments):
-    """``run_below``/``step``/``run_until_event`` are the same loop as
+    """``run(until=)``/``step``/``run_until_event`` are the same loop as
     ``run()`` with another stop condition: any cut of one run into
     segments dispatches the same events in the same order."""
     reference = _segmented_log(HeapQueue, specs, [])
     heap_cut = _segmented_log(HeapQueue, specs, segments)
-    assert heap_cut[:2] == reference[:2]
+    assert heap_cut[0] == reference[0]
+    # ``run(until=)`` moves the clock to its cut even past the last event.
+    cut = max((seg[1] for seg in segments if seg[0] == "run"), default=0.0)
+    assert heap_cut[1] == max(reference[1], cut)
     assert _segmented_log(cq.CalQ, specs, []) == reference
     # The segment boundaries themselves agree between the two loops.
     assert _segmented_log(cq.CalQ, specs, segments) == heap_cut
