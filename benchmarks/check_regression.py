@@ -3,13 +3,20 @@
 Compares the kernel's event-loop throughput against the committed
 baseline in ``benchmarks/results/BENCH_kernel.baseline.json`` and exits
 non-zero when it has regressed more than the allowed tolerance (25% by
-default).  Replaces the old smoke-only bench step in CI::
+default).  Two rows are gated, each against its own baseline key:
+
+- ``events_per_sec``: the bare yield-Timeout loop;
+- ``events_per_sec_mixed``: the ``Store`` put/get ping-pong, which runs
+  through the general dispatch path (event callbacks, process resume,
+  ``succeed``) rather than the Timeout fast path.
+
+A row whose key the baseline lacks is skipped.  Run in CI as::
 
     PYTHONPATH=src python benchmarks/check_regression.py
 
 Noise handling, because CI runners are shared and vary in speed:
 
-- the measured figure is the *median of three* independent bench runs,
+- each measured figure is the *median of three* independent bench runs,
   not a single sample;
 - the baseline records a *calibration rate* -- a fixed pure-Python loop
   measured on the baseline host -- and the gate re-measures it locally,
@@ -24,7 +31,8 @@ Maintenance::
                                           # figure, no bench run (tests)
 
 ``--measured`` skips both the bench and the calibration scaling: the
-given raw events/sec is compared straight against the baseline figure.
+given raw events/sec is compared straight against every gated baseline
+figure.
 """
 
 from __future__ import annotations
@@ -65,12 +73,24 @@ def calibration_rate(n: int = 2_000_000) -> float:
     return best
 
 
-def measure_median_events_per_sec() -> float:
-    """Median of three independent kernel-bench runs."""
-    from bench_kernel_micro import measure_events_per_sec
+#: Gated rows, each a key of the baseline and of bench_kernel_micro's output.
+GATED = ("events_per_sec", "events_per_sec_mixed")
 
-    samples = [measure_events_per_sec(repeats=1) for _ in range(MEDIAN_OF)]
-    return statistics.median(samples)
+
+def measure_sample(key: str) -> float:
+    """One bench run of the gated row ``key``."""
+    import bench_kernel_micro as bench
+
+    if key == "events_per_sec":
+        return bench.measure_events_per_sec(repeats=1)
+    return bench.measure_mixed_events_per_sec()
+
+
+def measure_medians(keys=GATED) -> dict:
+    """Median of three independent bench runs for each gated row."""
+    return {
+        key: statistics.median(measure_sample(key) for _ in range(MEDIAN_OF)) for key in keys
+    }
 
 
 def load_baseline(path: pathlib.Path) -> dict:
@@ -81,12 +101,17 @@ def load_baseline(path: pathlib.Path) -> dict:
     return data
 
 
-def write_baseline(path: pathlib.Path, measured: float, calibration: float) -> None:
+def write_baseline(path: pathlib.Path, measured: dict, calibration: float) -> None:
     payload = {
-        "events_per_sec": measured,
+        **measured,
         "calibration_ops_per_sec": calibration,
         "tolerance": DEFAULT_TOLERANCE,
-        "bench": "benchmarks/bench_kernel_micro.py::measure_events_per_sec",
+        "bench": {
+            "events_per_sec": "benchmarks/bench_kernel_micro.py::measure_events_per_sec",
+            "events_per_sec_mixed": (
+                "benchmarks/bench_kernel_micro.py::measure_mixed_events_per_sec"
+            ),
+        },
         "method": f"median of {MEDIAN_OF} runs, baseline scaled by local calibration rate",
     }
     path.parent.mkdir(exist_ok=True)
@@ -98,9 +123,10 @@ def check(
     baseline: dict,
     tolerance: float,
     local_calibration: float | None = None,
+    key: str = "events_per_sec",
 ) -> tuple[bool, dict]:
-    """Gate ``measured`` against ``baseline``; returns (ok, report)."""
-    reference = float(baseline["events_per_sec"])
+    """Gate ``measured`` against ``baseline[key]``; returns (ok, report)."""
+    reference = float(baseline[key])
     scale = 1.0
     base_cal = baseline.get("calibration_ops_per_sec")
     if local_calibration is not None and base_cal:
@@ -151,10 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
     if args.update_baseline:
-        measured = measure_median_events_per_sec()
+        measured = measure_medians()
         cal = calibration_rate()
         write_baseline(args.baseline, measured, cal)
-        print(f"baseline updated: {measured:,.0f} events/sec "
+        rates = ", ".join(f"{k} {v:,.0f}" for k, v in measured.items())
+        print(f"baseline updated: {rates} events/sec "
               f"(calibration {cal:,.0f} ops/sec) -> {args.baseline}")
         return 0
 
@@ -162,29 +189,35 @@ def main(argv: list[str] | None = None) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
+    keys = [key for key in GATED if key in baseline]
 
     if args.measured is not None:
-        measured, local_cal = args.measured, None
+        measured, local_cal = dict.fromkeys(keys, args.measured), None
     else:
-        measured = measure_median_events_per_sec()
+        measured = measure_medians(keys)
         local_cal = calibration_rate()
 
-    ok, report = check(measured, baseline, tolerance, local_cal)
+    rows = {key: check(measured[key], baseline, tolerance, local_cal, key)[1] for key in keys}
+    ok = all(row["ok"] for row in rows.values())
 
     try:
         REPORT_PATH.parent.mkdir(exist_ok=True)
-        REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        REPORT_PATH.write_text(
+            json.dumps({"ok": ok, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        )
     except OSError:
         pass  # the verdict matters, the artifact is best-effort
 
-    print(f"        measured: {report['measured_events_per_sec']:>14,.0f} events/sec")
-    print(f"        baseline: {report['baseline_events_per_sec']:>14,.0f} events/sec")
-    if report["calibration_scale"] != 1.0:
-        print(f" scaled baseline: {report['scaled_baseline']:>14,.0f} events/sec "
-              f"(host calibration x{report['calibration_scale']:.2f})")
-    print(f"       threshold: {report['threshold']:>14,.0f} events/sec "
-          f"(-{tolerance:.0%})")
-    print(f"         verdict: {'PASS' if ok else 'FAIL: kernel regressed'}")
+    for key, report in rows.items():
+        print(f"{key}:")
+        print(f"        measured: {report['measured_events_per_sec']:>14,.0f} events/sec")
+        print(f"        baseline: {report['baseline_events_per_sec']:>14,.0f} events/sec")
+        if report["calibration_scale"] != 1.0:
+            print(f" scaled baseline: {report['scaled_baseline']:>14,.0f} events/sec "
+                  f"(host calibration x{report['calibration_scale']:.2f})")
+        print(f"       threshold: {report['threshold']:>14,.0f} events/sec "
+              f"(-{tolerance:.0%})")
+        print(f"         verdict: {'PASS' if report['ok'] else 'FAIL: kernel regressed'}")
     return 0 if ok else 1
 
 

@@ -24,7 +24,7 @@ import sysconfig
 from types import ModuleType
 from typing import Optional
 
-_API_VERSION = 2
+_API_VERSION = 3
 _cached: Optional[ModuleType] = None
 _attempted = False
 

@@ -10,16 +10,20 @@
  *     order ``(t, priority, arrival)``.
  *   - TimeoutFn: a callable installed as ``sim.timeout`` that performs
  *     the pooled-Timeout fast path without entering the interpreter.
- *   - drive(): the dispatch loop of Simulator._drive, fusing the
- *     dominant case (a Timeout whose single callback is a bound
- *     Process._resume) into a C loop around ``generator.send``.
+ *   - drive(): the dispatch loop of Simulator._drive.  It runs
+ *     Event._process for every event kind, and every bound
+ *     Process._resume callback runs in C around ``generator.send`` /
+ *     ``throw`` (a generator's return becomes an inlined URGENT
+ *     ``succeed``).
  *
  * All simulation *semantics* stay in the Python classes -- this file
- * only mirrors the exact hot-path steps of Simulator._drive and
- * Process._resume, and calls back into Python (`_process`,
- * `_resume_tail`, `succeed`, `fail`) for every cold case.  Slot access
- * uses member-descriptor offsets resolved at setup() time, so the
- * Python class layout remains the single source of truth.
+ * only mirrors the exact hot-path steps of Simulator._drive,
+ * Event._process and Process._resume, and calls back into Python for
+ * every cold case: other callbacks (``_Condition._check``, interrupt
+ * delivery), ``fail``, ``_resume_tail`` for an already-processed or
+ * non-event yield, and any Event subclass that overrides ``_process``.
+ * Slot access uses member-descriptor offsets resolved at setup() time,
+ * so the Python class layout remains the single source of truth.
  *
  * drive() is only used when the sanitizer is off (the sanitizer needs a
  * per-event Python hook); the Python loop in core.py drives this queue
@@ -88,9 +92,12 @@ typedef struct {
 
 /* resolved at setup() */
 static Py_ssize_t off_value, off_processed, off_callbacks, off_delay,
-    off_send, off_target, off_resume_cb, off_sim;
-static PyObject *TimeoutType = NULL, *ProcessType = NULL, *SimError = NULL;
-static PyObject *resume_func = NULL; /* Process._resume (plain function) */
+    off_send, off_target, off_resume_cb, off_sim, off_ok, off_defused,
+    off_triggered, off_throw, off_gen;
+static PyObject *EventType = NULL, *TimeoutType = NULL, *ProcessType = NULL,
+    *SimError = NULL;
+static PyObject *resume_func = NULL;  /* Process._resume (plain function) */
+static PyObject *process_func = NULL; /* Event._process (plain function) */
 static PyObject *long_urgent = NULL; /* int(0) */
 static PyObject *str_process, *str_resume_tail, *str_succeed, *str_fail,
     *str_now, *str_active;
@@ -865,6 +872,11 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOO", &event_t, &timeout_t, &process_t,
                           &sim_error))
         return NULL;
+    if (!PyType_Check(event_t)) {
+        PyErr_SetString(PyExc_TypeError, "setup() needs the Event type");
+        return NULL;
+    }
+    Py_XSETREF(EventType, Py_NewRef(event_t));
     Py_XSETREF(TimeoutType, Py_NewRef(timeout_t));
     Py_XSETREF(ProcessType, Py_NewRef(process_t));
     Py_XSETREF(SimError, Py_NewRef(sim_error));
@@ -872,18 +884,28 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     off_processed = member_offset(event_t, "_processed");
     off_callbacks = member_offset(event_t, "callbacks");
     off_sim = member_offset(event_t, "sim");
+    off_ok = member_offset(event_t, "_ok");
+    off_defused = member_offset(event_t, "_defused");
+    off_triggered = member_offset(event_t, "_triggered");
     off_delay = member_offset(timeout_t, "delay");
     off_send = member_offset(process_t, "_send");
+    off_throw = member_offset(process_t, "_throw");
+    off_gen = member_offset(process_t, "gen");
     off_target = member_offset(process_t, "_target");
     off_resume_cb = member_offset(process_t, "_resume_cb");
     if (off_value < 0 || off_processed < 0 || off_callbacks < 0 ||
-        off_sim < 0 || off_delay < 0 || off_send < 0 || off_target < 0 ||
-        off_resume_cb < 0)
+        off_sim < 0 || off_ok < 0 || off_defused < 0 || off_triggered < 0 ||
+        off_delay < 0 || off_send < 0 || off_throw < 0 || off_gen < 0 ||
+        off_target < 0 || off_resume_cb < 0)
         return NULL;
+    /* class attribute access yields the plain functions, matched by
+     * identity against bound-method callbacks and type lookups */
     PyObject *rf = PyObject_GetAttrString(process_t, "_resume");
     if (!rf) return NULL;
-    /* unwrap to the plain function for identity matching of bound methods */
     Py_XSETREF(resume_func, rf);
+    PyObject *pf = PyObject_GetAttrString(event_t, "_process");
+    if (!pf) return NULL;
+    Py_XSETREF(process_func, pf);
     Py_XSETREF(long_urgent, PyLong_FromLong(0));
     str_process = PyUnicode_InternFromString("_process");
     str_resume_tail = PyUnicode_InternFromString("_resume_tail");
@@ -891,6 +913,9 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     str_fail = PyUnicode_InternFromString("fail");
     str_now = PyUnicode_InternFromString("_now");
     str_active = PyUnicode_InternFromString("_active");
+    if (!long_urgent || !str_process || !str_resume_tail || !str_succeed ||
+        !str_fail || !str_now || !str_active)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -913,117 +938,160 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 
 /* --------------------------------------------------------------- drivers */
 
-/* Dispatch one event; mirrors the fused Timeout fast path of
- * Simulator._drive / Process._resume.  Returns 0 ok, -1 error. */
+/* The kernel's flag slots (_ok, _triggered, _processed, _defused) only
+ * ever hold True or False, so `if flag:` is a pointer compare here. */
+
+/* Process.succeed(value, priority=URGENT) for a process of the driven
+ * simulator: its queue is `q` and its clock is q->now.  0 ok, -1 error. */
+static int proc_succeed(CalQ *q, PyObject *w, PyObject *value /* borrowed */)
+{
+    if (SLOT(w, off_triggered) == Py_True) {
+        /* raises SimulationError("... already triggered") */
+        PyObject *r =
+            PyObject_CallMethodObjArgs(w, str_succeed, value, long_urgent, NULL);
+        Py_XDECREF(r);
+        return r ? 0 : -1;
+    }
+    slot_set(w, off_triggered, Py_NewRef(Py_True));
+    slot_set(w, off_ok, Py_NewRef(Py_True));
+    slot_set(w, off_value, Py_NewRef(value));
+    return calq_push(q, q->now, 0 /* URGENT */, w);
+}
+
+/* Process._resume(event) for a process `w` of the driven simulator,
+ * including the live-event branch of _resume_tail.  0 ok, -1 error. */
+static int resume_proc(PyObject *sim, CalQ *q, PyObject *w, PyObject *event)
+{
+    if (PyObject_SetAttr(sim, str_active, w) < 0) return -1;
+    slot_set(w, off_target, Py_NewRef(Py_None));
+    PyObject *value = Py_NewRef(SLOT(event, off_value));
+    PyObject *result = NULL;
+    PySendResult st;
+    if (SLOT(event, off_ok) == Py_True) {
+        PyObject *gen = SLOT(w, off_gen);
+        if (PyGen_CheckExact(gen)) {
+            /* gen.send(value) without the StopIteration round trip */
+            st = PyIter_Send(gen, value, &result);
+        } else {
+            result = PyObject_CallOneArg(SLOT(w, off_send), value);
+            st = result ? PYGEN_NEXT : PYGEN_ERROR;
+        }
+    } else {
+        slot_set(event, off_defused, Py_NewRef(Py_True));
+        result = PyObject_CallOneArg(SLOT(w, off_throw), value);
+        st = result ? PYGEN_NEXT : PYGEN_ERROR;
+    }
+    /* Take the generator's exception *before* resetting _active: the
+     * attribute store may run a type lookup, and a type-cache miss
+     * clears any pending exception. */
+    PyObject *etype = NULL, *evalue = NULL, *etb = NULL;
+    if (st == PYGEN_ERROR) PyErr_Fetch(&etype, &evalue, &etb);
+    Py_DECREF(value);
+    if (PyObject_SetAttr(sim, str_active, Py_None) < 0) {
+        Py_XDECREF(result);
+        Py_XDECREF(etype);
+        Py_XDECREF(evalue);
+        Py_XDECREF(etb);
+        return -1;
+    }
+    int rc;
+    if (st == PYGEN_RETURN) {
+        rc = proc_succeed(q, w, result);
+        Py_DECREF(result);
+        return rc;
+    }
+    if (st == PYGEN_ERROR) {
+        PyErr_NormalizeException(&etype, &evalue, &etb);
+        if (PyErr_GivenExceptionMatches(etype, PyExc_StopIteration)) {
+            PyObject *retval = PyObject_GetAttrString(evalue, "value");
+            rc = retval ? proc_succeed(q, w, retval) : -1;
+            Py_XDECREF(retval);
+        } else {
+            /* mirror `except BaseException: self.fail(exc, URGENT)` */
+            if (etb != NULL) PyException_SetTraceback(evalue, etb);
+            PyObject *r = PyObject_CallMethodObjArgs(w, str_fail, evalue,
+                                                     long_urgent, NULL);
+            rc = r ? 0 : -1;
+            Py_XDECREF(r);
+        }
+        Py_XDECREF(etype);
+        Py_XDECREF(evalue);
+        Py_XDECREF(etb);
+        return rc;
+    }
+    /* yielded a pending event of this simulator: wait on it */
+    PyObject *rcbs;
+    if ((Py_TYPE(result) == (PyTypeObject *)TimeoutType ||
+         PyObject_TypeCheck(result, (PyTypeObject *)EventType)) &&
+        SLOT(result, off_sim) == sim &&
+        (rcbs = SLOT(result, off_callbacks)) != NULL && PyList_CheckExact(rcbs)) {
+        if (PyList_Append(rcbs, SLOT(w, off_resume_cb)) < 0) {
+            Py_DECREF(result);
+            return -1;
+        }
+        if (SLOT(result, off_ok) != Py_True)
+            slot_set(result, off_defused, Py_NewRef(Py_True));
+        slot_set(w, off_target, result); /* steals the reference */
+        return 0;
+    }
+    PyObject *r = PyObject_CallMethodOneArg(w, str_resume_tail, result);
+    Py_DECREF(result);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
+}
+
+/* Dispatch one event: Event._process (Simulator._drive's inlined copy
+ * for Timeouts) plus the Timeout pool step.  Every bound Process._resume
+ * callback of this simulator runs through resume_proc; any other
+ * callback is called.  0 ok, -1 error. */
 static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
                         PyObject *event /* borrowed */)
 {
-    if (Py_TYPE(event) == (PyTypeObject *)TimeoutType) {
-        PyObject *cbs = SLOT(event, off_callbacks);
-        if (cbs != NULL && cbs != Py_None && PyList_CheckExact(cbs) &&
-            PyList_GET_SIZE(cbs) == 1) {
-            PyObject *cb = PyList_GET_ITEM(cbs, 0);
-            if (PyMethod_Check(cb) && PyMethod_GET_FUNCTION(cb) == resume_func) {
-                /* fused: Timeout waited on by exactly one process */
-                PyObject *w = PyMethod_GET_SELF(cb);
-                Py_INCREF(w);
-                Py_INCREF(Py_None);
-                slot_set(event, off_callbacks, Py_None);
-                Py_INCREF(Py_True);
-                slot_set(event, off_processed, Py_True);
-                /* Process._resume, inlined */
-                if (PyObject_SetAttr(sim, str_active, w) < 0) {
-                    Py_DECREF(w);
-                    return -1;
-                }
-                Py_INCREF(Py_None);
-                slot_set(w, off_target, Py_None);
-                PyObject *send = SLOT(w, off_send);
-                PyObject *val = SLOT(event, off_value);
-                Py_XINCREF(val);
-                PyObject *result = PyObject_CallOneArg(send, val);
-                Py_XDECREF(val);
-                /* Take the generator's exception (StopIteration on return)
-                 * *before* resetting _active: the attribute store may run
-                 * a type lookup, and a type-cache miss clears any
-                 * pending exception. */
-                PyObject *etype = NULL, *evalue = NULL, *etb = NULL;
-                if (result == NULL) PyErr_Fetch(&etype, &evalue, &etb);
-                if (PyObject_SetAttr(sim, str_active, Py_None) < 0) {
-                    Py_XDECREF(result);
-                    Py_XDECREF(etype);
-                    Py_XDECREF(evalue);
-                    Py_XDECREF(etb);
-                    Py_DECREF(w);
-                    return -1;
-                }
-                if (result == NULL) {
-                    PyErr_NormalizeException(&etype, &evalue, &etb);
-                    PyObject *r;
-                    if (!PyErr_GivenExceptionMatches(etype, PyExc_StopIteration)) {
-                        /* mirror `except BaseException: self.fail(exc)` */
-                        if (etb != NULL)
-                            PyException_SetTraceback(evalue, etb);
-                        r = PyObject_CallMethodObjArgs(w, str_fail, evalue,
-                                                       long_urgent, NULL);
-                    } else {
-                        PyObject *retval =
-                            PyObject_GetAttrString(evalue, "value");
-                        r = retval ? PyObject_CallMethodObjArgs(
-                                         w, str_succeed, retval, long_urgent,
-                                         NULL)
-                                   : NULL;
-                        Py_XDECREF(retval);
-                    }
-                    Py_XDECREF(etype);
-                    Py_XDECREF(evalue);
-                    Py_XDECREF(etb);
-                    Py_DECREF(w);
-                    if (!r) return -1;
-                    Py_DECREF(r);
-                } else {
-                    if (Py_TYPE(result) == (PyTypeObject *)TimeoutType &&
-                        SLOT(result, off_sim) == sim &&
-                        SLOT(result, off_callbacks) != Py_None) {
-                        PyObject *rcbs = SLOT(result, off_callbacks);
-                        PyObject *rcb = SLOT(w, off_resume_cb);
-                        if (PyList_Append(rcbs, rcb) < 0) {
-                            Py_DECREF(result);
-                            Py_DECREF(w);
-                            return -1;
-                        }
-                        Py_INCREF(result);
-                        slot_set(w, off_target, result);
-                    } else {
-                        PyObject *r = PyObject_CallMethodOneArg(
-                            w, str_resume_tail, result);
-                        if (!r) {
-                            Py_DECREF(result);
-                            Py_DECREF(w);
-                            return -1;
-                        }
-                        Py_DECREF(r);
-                    }
-                    Py_DECREF(result);
-                    Py_DECREF(w);
-                }
-                if (Py_REFCNT(event) == 1 && PyList_GET_SIZE(pool) < POOL_MAX)
-                    PyList_Append(pool, event);
-                return 0;
-            }
-        }
-        /* plain timeout (0 or many callbacks): generic _process, but
-         * still eligible for the pool afterwards */
+    int is_timeout = Py_TYPE(event) == (PyTypeObject *)TimeoutType;
+    PyObject *cbs = SLOT(event, off_callbacks);
+    if (cbs == NULL || !PyList_CheckExact(cbs) ||
+        (!is_timeout && _PyType_Lookup(Py_TYPE(event), str_process) != process_func)) {
+        /* processed twice, or a subclass's own _process */
         PyObject *r = PyObject_CallMethodNoArgs(event, str_process);
         if (!r) return -1;
         Py_DECREF(r);
-        if (Py_REFCNT(event) == 1 && PyList_GET_SIZE(pool) < POOL_MAX)
-            PyList_Append(pool, event);
-        return 0;
+        goto done;
     }
-    PyObject *r = PyObject_CallMethodNoArgs(event, str_process);
-    if (!r) return -1;
-    Py_DECREF(r);
+    SLOT(event, off_callbacks) = Py_NewRef(Py_None); /* we own `cbs` now */
+    slot_set(event, off_processed, Py_NewRef(Py_True));
+    int rc = 0;
+    /* size re-read every iteration, as `for cb in callbacks` does */
+    for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(cbs); i++) {
+        PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
+        PyObject *w;
+        if (PyMethod_Check(cb) && PyMethod_GET_FUNCTION(cb) == resume_func &&
+            PyObject_TypeCheck((w = PyMethod_GET_SELF(cb)),
+                               (PyTypeObject *)ProcessType) &&
+            SLOT(w, off_sim) == sim) {
+            rc = resume_proc(sim, q, w, event);
+        } else {
+            PyObject *r = PyObject_CallOneArg(cb, event);
+            rc = r ? 0 : -1;
+            Py_XDECREF(r);
+        }
+        Py_DECREF(cb);
+    }
+    Py_DECREF(cbs);
+    if (rc < 0) return -1;
+    if (!is_timeout && SLOT(event, off_ok) != Py_True &&
+        SLOT(event, off_defused) != Py_True) {
+        /* an un-waited-for failure: `raise self._value` */
+        PyObject *exc = SLOT(event, off_value);
+        if (PyExceptionInstance_Check(exc))
+            PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+        else
+            PyErr_SetString(PyExc_TypeError,
+                            "exceptions must derive from BaseException");
+        return -1;
+    }
+done:
+    if (is_timeout && Py_REFCNT(event) == 1 && PyList_GET_SIZE(pool) < POOL_MAX)
+        return PyList_Append(pool, event);
     return 0;
 }
 
@@ -1123,6 +1191,6 @@ PyMODINIT_FUNC PyInit__cq(void)
     if (PyType_Ready(&TimeoutFn_Type) < 0) return NULL;
     Py_INCREF(&CalQ_Type);
     if (PyModule_AddObject(m, "CalQ", (PyObject *)&CalQ_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 2) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 3) < 0) return NULL;
     return m;
 }

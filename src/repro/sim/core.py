@@ -53,6 +53,7 @@ import os
 from collections.abc import Generator
 from math import inf
 from sys import getrefcount
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro.sim import _accel
@@ -80,6 +81,10 @@ URGENT = 0
 
 #: Upper bound on recycled Timeout objects kept per simulator.
 _POOL_MAX = 4096
+
+#: Allocates an event without running its ``__init__`` chain; the hot
+#: constructors set every slot themselves.
+_new = object.__new__
 
 #: The compiled repro.sim._cq extension module once it has been loaded,
 #: set up, and self-tested (see the wiring at the bottom of this file);
@@ -212,18 +217,14 @@ class Timeout(Event):
 
 
 class _Initialize(Event):
-    """Internal event used to start a process at creation time."""
+    """Internal event used to start a process at creation time.
+
+    Built by :meth:`Process.__init__` with its slots set directly: an
+    URGENT event at the current time whose one callback resumes the
+    process.
+    """
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", process: "Process") -> None:
-        super().__init__(sim)
-        assert self.callbacks is not None
-        self.callbacks.append(process._resume_cb)
-        self._triggered = True
-        self._ok = True
-        self._value = None
-        sim._enqueue(self, delay=0.0, priority=URGENT)
 
 
 class Process(Event):
@@ -248,9 +249,19 @@ class Process(Event):
         name: Optional[str] = None,
         daemon: bool = False,
     ) -> None:
-        if not hasattr(gen, "send") or not hasattr(gen, "throw"):
+        if type(gen) is not GeneratorType and (
+            not hasattr(gen, "send") or not hasattr(gen, "throw")
+        ):
             raise SimulationError(f"process body must be a generator, got {gen!r}")
-        super().__init__(sim)
+        # Event.__init__, with the slots set directly: one Process starts
+        # per piece of I/O, so the constructor chain is a hot path.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.daemon = daemon
@@ -259,14 +270,24 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Pre-bound hot-path callables: binding a method allocates, and
         # _resume is registered as a callback once per yield.
-        self._resume_cb = self._resume
+        self._resume_cb = resume = self._resume
         self._send = gen.send
         self._throw = gen.throw
         if sim._sanitizer is not None:
             sim._sanitizer.on_process_created(self)
         if sim._watchdog is not None:
             sim._watchdog.on_process_created(self)
-        _Initialize(sim, self)
+        # The _Initialize that starts the body: triggered, queued URGENT
+        # at the current time.
+        init = _new(_Initialize)
+        init.sim = sim
+        init.callbacks = [resume]
+        init._value = None
+        init._ok = True
+        init._triggered = True
+        init._processed = False
+        init._defused = False
+        sim._queue.push(sim._now, URGENT, init)
 
     @property
     def is_alive(self) -> bool:
@@ -286,21 +307,32 @@ class Process(Event):
         interrupt_ev = Event(self.sim)
         interrupt_ev._defused = True
         assert interrupt_ev.callbacks is not None
-        interrupt_ev.callbacks.append(self._resume_cb)
+        interrupt_ev.callbacks.append(self._deliver_interrupt)
         interrupt_ev._triggered = True
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)
         # Detach from the current target so its eventual firing does not
         # resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._target = None
+        self._detach()
         self.sim._enqueue(interrupt_ev, delay=0.0, priority=URGENT)
 
     # -- internals -----------------------------------------------------
+
+    def _detach(self) -> None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume_cb)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+        self._target = None
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        # A process interrupted before it first ran had no target to
+        # detach from at interrupt() time; it may have started and
+        # yielded since, so detach from whatever it waits on now.
+        self._detach()
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
@@ -702,30 +734,66 @@ def _accel_selftest(mod: Any) -> bool:
     """End-to-end check of the C queue + dispatch pump before trusting it.
 
     Exercises ordering, join (StopIteration -> URGENT succeed, which
-    preempts the draining NORMAL band), the pooled timeout callable, and
-    the drained return.  Any mismatch or exception disables the
-    accelerator for the process; the pure-Python kernel is always safe.
+    preempts the draining NORMAL band), the pooled timeout callable, a
+    contended resource grant, an ``all_of`` over processes, a failed
+    process caught by its joiner, and the drained return.  Any mismatch
+    or exception disables the accelerator for the process; the
+    pure-Python kernel is always safe.
     """
     try:
+        # Imported here: repro.sim.resources imports this module.
+        from repro.sim.resources import Resource
+
         sim = Simulator(sanitize=False, queue=mod.CalQ())
         if sim._accel is not mod:
             return False
         out: list[tuple[float, Any]] = []
+        nic = Resource(sim, 1)
 
         def worker(tag: str, d: float) -> Generator:
             yield sim.timeout(d)
             out.append((sim.now, tag))
 
-        def joiner() -> Generator:
-            proc = sim.process(worker("x", 2.0))
+        def joiner(proc: Process) -> Generator:
             value = yield proc
             out.append((sim.now, ("join", value)))
 
+        def holder(tag: str) -> Generator:
+            req = nic.request()
+            yield req
+            yield sim.timeout(1.0)
+            nic.release(req)
+            return (tag, sim.now)
+
+        def failing() -> Generator:
+            yield sim.timeout(0.5)
+            raise KeyError("selftest")
+
+        def contender() -> Generator:
+            got = yield sim.all_of([sim.process(holder("p")), sim.process(holder("q"))])
+            out.append((sim.now, sorted(got.values())))
+            try:
+                yield sim.process(failing())
+            except KeyError:
+                out.append((sim.now, "caught"))
+
         sim.process(worker("b", 3.0))
         sim.process(worker("a", 1.0))
-        sim.process(joiner())
+        # x's return must wake the joiner before c's timeout, queued
+        # behind x's in the same NORMAL band, runs
+        sim.process(joiner(sim.process(worker("x", 2.0))))
+        sim.process(worker("c", 2.0))
+        sim.process(contender())
         end = sim.run()
-        expected = [(1.0, "a"), (2.0, "x"), (2.0, ("join", None)), (3.0, "b")]
+        expected = [
+            (1.0, "a"),
+            (2.0, "x"),
+            (2.0, ("join", None)),
+            (2.0, "c"),
+            (2.0, [("p", 1.0), ("q", 2.0)]),
+            (2.5, "caught"),
+            (3.0, "b"),
+        ]
         return bool(out == expected and end == 3.0 and len(sim._queue) == 0)
     except Exception:  # noqa: BLE001 - any failure disables the accelerator
         return False

@@ -22,7 +22,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import NORMAL, Event, SimulationError, Simulator
 
 __all__ = ["Resource", "PriorityResource", "Store", "FilterStore"]
 
@@ -33,7 +33,15 @@ class _Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
+        # Event.__init__, with the slots set directly: every network
+        # transfer makes two requests, so the constructor chain is hot.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
 
     # Support ``with`` blocks for symmetry with SimPy-style code in tests.
@@ -61,9 +69,10 @@ class Resource:
         return len(self.users)
 
     def request(self) -> _Request:
+        sim = self.sim
         req = _Request(self)
-        san = self.sim._sanitizer
-        wd = self.sim._watchdog
+        san = sim._sanitizer
+        wd = sim._watchdog
         if san is not None:
             san.on_request(self, req)
         if wd is not None:
@@ -74,7 +83,10 @@ class Resource:
                 san.on_acquire(self, req)
             if wd is not None:
                 wd.on_acquire(self, req)
-            req.succeed(req)
+            # req.succeed(req), inlined: a fresh request is never triggered.
+            req._triggered = True
+            req._value = req
+            sim._queue.push(sim._now, NORMAL, req)
         else:
             self.queue.append(req)
         return req

@@ -147,36 +147,156 @@ def test_disciplines_identical_over_random_schedules(cq, script):
     assert _run_script(cq.CalQ, initial, reactions) == reference
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    specs=st.lists(
-        st.lists(st.sampled_from([0.0, 0.001, 0.5, 1.0, 1.0, 2.5, 64.0, 1000.0]), min_size=1, max_size=5),
-        min_size=1,
-        max_size=6,
-    )
+#: Delays for the kernel-vocabulary workload (0.0 = same-time re-arm).
+SIM_DELAYS = [0.0, 0.001, 0.5, 1.0, 1.0, 2.5, 64.0, 1000.0]
+
+#: One step of a worker: every kind of wait the dispatch loops handle.
+sim_op_strategy = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(SIM_DELAYS)),
+    # contended Resource: request, hold, release
+    st.tuples(st.just("acquire"), st.integers(0, 1), st.sampled_from(SIM_DELAYS)),
+    # request with a deadline; release whether granted or still queued
+    st.tuples(st.just("cancel"), st.integers(0, 1), st.sampled_from(SIM_DELAYS)),
+    st.tuples(st.just("pingpong"), st.integers(0, 9)),
+    st.tuples(st.sampled_from(["all_of", "any_of"]),
+              st.lists(st.sampled_from(SIM_DELAYS), min_size=1, max_size=3)),
+    # join a child that is still running (False) or already finished (True)
+    st.tuples(st.just("join"), st.sampled_from(SIM_DELAYS), st.booleans()),
+    # a failed child process (True) or failed plain event, caught
+    st.tuples(st.just("fail"), st.booleans()),
+    # interrupt a child after the delay (0.0: before it starts) while it
+    # waits on a timeout (False) or on an event that failed (True)
+    st.tuples(st.just("interrupt"), st.sampled_from(SIM_DELAYS), st.booleans()),
+    # yield a timeout that was processed while waiting on another
+    st.tuples(st.just("stale"), st.sampled_from(SIM_DELAYS)),
 )
+
+
+def _kernel_vocabulary_log(specs, **sim_kw):
+    """Run one worker per op list in ``specs``; return the event log."""
+    from repro.sim.resources import Resource, Store
+
+    sim = Simulator(**sim_kw)
+    resources = [Resource(sim, 1), Resource(sim, 2)]
+    store = Store(sim, capacity=2)
+    log = []
+
+    def child(tag, d, fail=False):
+        yield sim.timeout(d)
+        if fail:
+            raise ValueError(tag)
+        return tag
+
+    def sleeper(tag, on_failed):
+        try:
+            if on_failed:
+                # left behind by the interrupt: a waiter that was detached
+                # has already defused it, so it must not raise out of run()
+                ev = sim.event()
+                ev.fail(ValueError(tag))
+                yield ev
+            else:
+                yield sim.timeout(3.0)
+            log.append((sim.now, tag, "slept"))
+        except ValueError:
+            log.append((sim.now, tag, "failed"))
+        except Interrupt as it:
+            log.append((sim.now, tag, "int", it.cause))
+            yield sim.timeout(0.5)
+        return tag
+
+    def worker(i, ops):
+        for j, op in enumerate(ops):
+            kind = op[0]
+            tag = (i, j)
+            if kind == "timeout":
+                yield sim.timeout(op[1])
+                out = None
+            elif kind == "acquire":
+                req = resources[op[1]].request()
+                yield req
+                yield sim.timeout(op[2])
+                resources[op[1]].release(req)
+                out = None
+            elif kind == "cancel":
+                req = resources[op[1]].request()
+                got = yield sim.any_of([req, sim.timeout(op[2])])
+                resources[op[1]].release(req)
+                out = req in got
+            elif kind == "pingpong":
+                yield store.put((i, j, op[1]))
+                out = yield store.get()
+            elif kind in ("all_of", "any_of"):
+                kids = [sim.process(child((i, j, k), d)) for k, d in enumerate(op[1])]
+                cond = sim.all_of(kids) if kind == "all_of" else sim.any_of(kids)
+                got = yield cond
+                out = sorted(got.values())
+            elif kind == "join":
+                kid = sim.process(child(tag, op[1]))
+                if op[2]:
+                    yield sim.timeout(op[1] + 0.5)
+                out = yield kid
+            elif kind == "fail":
+                if op[1]:
+                    ev = sim.process(child(tag, 0.5, fail=True))
+                else:
+                    ev = sim.event()
+                    ev.fail(ValueError(tag))
+                try:
+                    yield ev
+                    out = "not raised"
+                except ValueError as exc:
+                    out = ("caught", exc.args)
+            elif kind == "interrupt":
+                kid = sim.process(sleeper(tag, op[2]))
+                if op[1]:
+                    yield sim.timeout(op[1])
+                if kid.is_alive:
+                    kid.interrupt(tag)
+                out = yield kid
+            else:  # "stale"
+                early = sim.timeout(0.0, value=tag)
+                yield sim.timeout(op[1] + 0.001)
+                out = yield early
+            log.append((sim.now, i, j, kind, out))
+
+    for i, ops in enumerate(specs):
+        sim.process(worker(i, ops))
+    sim.run()
+    return log
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(st.lists(sim_op_strategy, min_size=1, max_size=4), min_size=1, max_size=5))
 def test_simulation_identical_across_queues(cq, specs):
-    """Same coroutine workload -> same log, every queue, sanitized or not."""
+    """Same coroutine workload -> same log, every queue, sanitized or not.
 
-    def run(**kw):
-        sim = Simulator(**kw)
-        log = []
+    The workload uses every kind of wait the dispatch loops handle, so the
+    C loop's own copies of Event._process and Process._resume are checked
+    against the Python ones (the sanitized runs use the Python loop)."""
+    reference = _kernel_vocabulary_log(specs, queue=HeapQueue())
+    # every worker ran every op (worker entries are the 5-tuples)
+    assert sum(len(e) == 5 for e in reference) == sum(len(ops) for ops in specs)
+    assert _kernel_vocabulary_log(specs) == reference
+    assert _kernel_vocabulary_log(specs, queue=HeapQueue(), sanitize=True) == reference
+    assert _kernel_vocabulary_log(specs, queue=cq.CalQ()) == reference
+    assert _kernel_vocabulary_log(specs, queue=cq.CalQ(), sanitize=True) == reference
 
-        def worker(i, delays):
-            for j, d in enumerate(delays):
-                yield sim.timeout(d)
-                log.append((sim.now, i, j))
 
-        for i, delays in enumerate(specs):
-            sim.process(worker(i, delays))
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("kernel", ["heap", "c"])
+def test_unwaited_failure_raises_out_of_run(cq, kernel, sanitize):
+    """A failed event nobody waits on raises out of run() on every loop;
+    the schedule keeps what was still queued behind it."""
+    sim = Simulator(queue=HeapQueue() if kernel == "heap" else cq.CalQ(), sanitize=sanitize)
+    ev = sim.event()
+    later = sim.event()
+    ev.fail(KeyError("lost"))
+    later.succeed("kept")
+    with pytest.raises(KeyError, match="lost"):
         sim.run()
-        return log
-
-    reference = run(queue=HeapQueue())
-    assert run() == reference
-    assert run(queue=HeapQueue(), sanitize=True) == reference
-    assert run(queue=cq.CalQ()) == reference
-    assert run(queue=cq.CalQ(), sanitize=True) == reference
+    assert ev.processed and not later.processed
+    assert sim.run_until_event(later) == "kept"
 
 
 def test_interrupt_cancel_rearm_identical_across_queues(cq):

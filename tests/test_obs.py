@@ -379,3 +379,19 @@ def test_regression_gate_boundary_and_tolerance_override(tmp_path):
         "--baseline", str(baseline), "--measured", "900000", "--tolerance", "0.05"
     )
     assert tight.returncode == 1
+
+
+def test_regression_gate_checks_the_mixed_row(tmp_path):
+    """A baseline with ``events_per_sec_mixed`` gates that row too: a
+    figure that clears the bare-loop bar but not the mixed one fails."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(
+        {"events_per_sec": 100_000, "events_per_sec_mixed": 1_000_000, "tolerance": 0.25}
+    ))
+    bad = run_gate("--baseline", str(baseline), "--measured", "500000")
+    assert bad.returncode == 1
+    assert bad.stdout.count("PASS") == 1 and bad.stdout.count("FAIL") == 1
+    assert "events_per_sec_mixed:" in bad.stdout
+    ok = run_gate("--baseline", str(baseline), "--measured", "800000")
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    assert ok.stdout.count("PASS") == 2

@@ -6,12 +6,14 @@ import pytest
 
 from repro.sim import (
     Event,
+    HeapQueue,
     Interrupt,
     SimulationError,
     Simulator,
     all_of,
     any_of,
 )
+from repro.sim import core as sim_core
 
 
 def test_clock_starts_at_zero():
@@ -253,6 +255,51 @@ def test_interrupt_then_rewait():
     assert log == [5]
 
 
+def _kernels():
+    """Queue factories for both kernels: the pure-Python heap and, when
+    the accelerator is loaded, the C calendar queue (C dispatch loop)."""
+    return [
+        pytest.param(HeapQueue, id="heap"),
+        pytest.param(
+            lambda: sim_core._CQ.CalQ(),
+            id="c",
+            marks=pytest.mark.skipif(sim_core._CQ is None, reason="no C accelerator"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("make_queue", _kernels())
+def test_interrupt_before_first_resume(make_queue):
+    """A process interrupted before it ever ran gets the interrupt after
+    its first yield, and the event it was waiting on then no longer
+    resumes it (it used to resume the finished process a second time)."""
+    sim = Simulator(queue=make_queue())
+    log = []
+
+    def victim():
+        try:
+            yield sim.timeout(5.0)
+            log.append(("timeout-fired", sim.now))
+        except Interrupt as it:
+            log.append(("interrupted", sim.now, it.cause))
+            yield sim.timeout(1.0)
+            log.append(("after-int", sim.now))
+
+    def killer():
+        v = sim.process(victim())
+        v.interrupt("early")
+        yield sim.timeout(10.0)
+        log.append(("killer-done", sim.now, v.is_alive))
+
+    sim.process(killer())
+    sim.run()
+    assert log == [
+        ("interrupted", 0.0, "early"),
+        ("after-int", 1.0),
+        ("killer-done", 10.0, False),
+    ]
+
+
 def test_interrupt_finished_process_rejected():
     sim = Simulator()
 
@@ -431,3 +478,55 @@ def test_process_exception_survives_type_cache_miss():
     sim.process(joiner())
     sim.run()
     assert got == [("boom",)]
+
+
+@pytest.mark.parametrize("make_queue", _kernels())
+def test_flattened_constructors_match_event_init(make_queue):
+    """Process, its start event and Resource requests set their Event
+    slots directly.  Over every name in ``Event.__slots__`` they must hold
+    what ``Event.__init__`` followed by the old triggering code gave, and
+    be queued at the same time and priority, so a slot added to Event
+    cannot be missed."""
+    from repro.sim.core import NORMAL, URGENT, _Initialize
+    from repro.sim.resources import Resource, _Request
+
+    def reference(obj, sim, **changes):
+        ref = object.__new__(type(obj))
+        Event.__init__(ref, sim)
+        for name, value in changes.items():
+            setattr(ref, name, value)
+        return ref
+
+    def assert_same_event_slots(obj, ref):
+        for name in Event.__slots__:
+            got, want = getattr(obj, name), getattr(ref, name)
+            assert got == want and type(got) is type(want), (type(obj).__name__, name)
+
+    sim = Simulator(queue=make_queue())
+
+    def body():
+        yield sim.timeout(1.0)
+
+    proc = sim.process(body())
+    assert_same_event_slots(proc, reference(proc, sim))
+    t, prio, (init,) = sim._queue.pop_cohort()
+    assert (t, prio, type(init)) == (0.0, URGENT, _Initialize)
+    # old code: _Initialize(sim, proc) -> callbacks.append(proc._resume_cb),
+    # then _triggered/_ok/_value set and _enqueue(delay=0, URGENT)
+    assert_same_event_slots(
+        init,
+        reference(init, sim, callbacks=[proc._resume_cb], _triggered=True, _ok=True, _value=None),
+    )
+    assert init.callbacks[0].__func__ is type(proc)._resume
+
+    res = Resource(sim, 1)
+    granted = res.request()
+    queued = res.request()
+    assert granted.resource is res and queued.resource is res
+    # old code: a granted request is succeed(req)-ed at NORMAL priority
+    assert_same_event_slots(granted, reference(granted, sim, _triggered=True, _value=granted))
+    assert_same_event_slots(queued, reference(queued, sim))
+    t, prio, (ev,) = sim._queue.pop_cohort()
+    assert (t, prio, ev) == (0.0, NORMAL, granted)
+    assert sim._queue.pop_cohort() is None
+    assert type(granted) is _Request
