@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py coverage lint lint-fast own own-map sanitize chaos soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
+.PHONY: install test test-fast test-py coverage lint lint-fast own own-map sanitize chaos digests soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -65,6 +65,13 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -q --hypothesis-seed=0 \
 		tests/test_faults.py tests/test_chaos_scenarios.py tests/test_sanitizer.py
 
+# Seed-0 digests of every benchmark-suite cell, smoke and full size (about
+# 30 s), against benchmarks/results/cells.digests.json: any change to a
+# simulated result fails.  A deliberate model change re-pins the file with
+# `$(PYTHON) benchmarks/cell_digests.py --write`.
+digests:
+	PYTHONPATH=src $(PYTHON) benchmarks/cell_digests.py
+
 # Long randomized-chaos soak at a pinned seed: guard + watchdog +
 # sanitizer armed; fails on watchdog deadlock or sanitizer finding.
 soak:
@@ -95,12 +102,13 @@ bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
 
 # Replay the CI gates locally: lint legs, tier-1 tests, the determinism
-# jobs' suites, and the kernel bench gate.
+# jobs' suites and cell digests, and the kernel bench gate.
 ci-local: lint own
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py
 	REPRO_SANITIZE_OWNERSHIP=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_ownership.py
+	$(MAKE) digests
 	$(PYTHON) benchmarks/check_regression.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.

@@ -32,12 +32,15 @@ NPROCS = 64
 
 
 def grid():
+    """(row name, job name, workload).  The job names and specs are the
+    ones ``bench_fig3_single_app`` submits, so every cell here is a
+    result-catalog hit once Fig 3 has run."""
     return [
-        ("mpi-io-test R", MpiIoTest(file_size=64 * 1024 * 1024, op="R")),
-        ("mpi-io-test W", MpiIoTest(file_size=64 * 1024 * 1024, op="W")),
-        ("noncontig R", Noncontig(elmtcount=256, n_rows=4096, op="R")),
-        ("ior-mpi-io R", IorMpiIo(file_size=128 * 1024 * 1024, op="R")),
-        ("ior-mpi-io W", IorMpiIo(file_size=128 * 1024 * 1024, op="W")),
+        ("mpi-io-test R", "mpi-io-test", MpiIoTest(file_size=64 * 1024 * 1024, op="R")),
+        ("mpi-io-test W", "mpi-io-test", MpiIoTest(file_size=64 * 1024 * 1024, op="W")),
+        ("noncontig R", "noncontig", Noncontig(elmtcount=256, n_rows=4096, op="R")),
+        ("ior-mpi-io R", "ior-mpi-io", IorMpiIo(file_size=128 * 1024 * 1024, op="R")),
+        ("ior-mpi-io W", "ior-mpi-io", IorMpiIo(file_size=128 * 1024 * 1024, op="W")),
     ]
 
 
@@ -46,16 +49,16 @@ def test_overall_average_improvement(benchmark, report):
         schemes = ("vanilla", "collective", "dualpar-forced")
         specs = [
             ExperimentSpec(
-                [JobSpec(name, NPROCS, workload, strategy=scheme)],
+                [JobSpec(job, NPROCS, workload, strategy=scheme)],
                 cluster_spec=paper_spec(),
-                label=f"{name}/{scheme}",
+                label=f"{job}/{scheme}",
             )
-            for name, workload in grid()
+            for _name, job, workload in grid()
             for scheme in schemes
         ]
         results = run_experiments(specs)
         rows = []
-        for wi, (name, _workload) in enumerate(grid()):
+        for wi, (name, _job, _workload) in enumerate(grid()):
             cells = {
                 scheme: results[wi * len(schemes) + si].jobs[0].throughput_mb_s
                 for si, scheme in enumerate(schemes)

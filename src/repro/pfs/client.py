@@ -6,6 +6,11 @@ returns.  A write moves the payload with the request.  Pieces proceed in
 parallel; the call completes when the last piece does -- exactly the
 synchronous MPI-IO semantics DualPar's vanilla baseline exhibits.
 
+Each piece of a multi-piece call runs in a process of its own; a call
+that splits into one piece (every request of the vanilla baseline's
+small-request patterns) runs it in the caller's process, with hops that
+keep the event schedule of the spawned form (see :meth:`_do_piece`).
+
 Under fault injection (``client.faults`` set by the installer) every
 piece runs through :meth:`PfsClient.robust_call`: requests to servers
 the metadata server reports down park on the recovery event; live
@@ -18,29 +23,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.pfs.dataserver import DataServer, ServerRequest
+from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile
 from repro.pfs.layout import StripeLayout, StripePiece
 from repro.net.ethernet import Network
-from repro.sim import Interrupt, Process, Simulator, all_of, any_of
+from repro.sim import Process, Simulator, all_of, any_of
 
 __all__ = ["PfsClient"]
 
 #: Size of a request/acknowledge control message.
 CONTROL_MSG_BYTES = 128
-
-
-def _absorb_interrupt(gen: Generator) -> Generator:
-    """Wrap an attempt so a timeout interrupt ends it via StopIteration.
-
-    The kernel's ``any_of`` does not defuse a constituent that *fails*
-    after the combinator already fired, so an abandoned attempt must end
-    normally, never by raising out of its process.
-    """
-    try:
-        yield from gen
-    except Interrupt:
-        return
 
 
 class PfsClient:
@@ -85,7 +77,7 @@ class PfsClient:
                 # a black hole -- park until the server returns.
                 self.n_failovers += 1
                 yield health.recovery_event(server_index)
-            proc = sim.process(_absorb_interrupt(make_attempt()), name="pfs-attempt")
+            proc = sim.process(absorb_interrupt(make_attempt()), name="pfs-attempt")
             gate = sim.timeout(timeout_s)
             yield any_of(sim, [proc, gate])
             if proc.triggered:
@@ -115,9 +107,23 @@ class PfsClient:
         stream_id: int,
         trace_id: int = 0,
         req_id: Optional[int] = None,
+        inline: bool = False,
     ) -> Generator:
+        """Move one stripe piece: request out, server service, reply back.
+
+        ``inline=True`` runs the piece inside the caller's process instead
+        of the piece process :meth:`_join_pieces` would spawn and join.
+        Hops stand in for that process: an URGENT one where its
+        ``_Initialize`` would run, then an URGENT one and a NORMAL one
+        where its completion and the ``all_of`` over it would fire.
+        Every other event keeps its ``(time, priority, arrival)`` slot,
+        so results are bit-identical to the spawned form.
+        """
+        sim = self.sim
         server = self.servers[piece.server]
         net = self.network
+        if inline:
+            yield sim.urgent_hop()
         if op == "W":
             # Request + payload travel together.
             yield from net.transfer(
@@ -125,7 +131,7 @@ class PfsClient:
             )
         else:
             yield from net.transfer(self.node_id, server.node_id, CONTROL_MSG_BYTES)
-        done = server.handle(
+        yield from server.call(
             ServerRequest(
                 file_name=f.name,
                 object_offset=piece.object_offset,
@@ -136,13 +142,48 @@ class PfsClient:
                 req_id=req_id,
             )
         )
-        yield done
         if op == "R":
             yield from net.transfer(
                 server.node_id, self.node_id, CONTROL_MSG_BYTES + piece.length
             )
         else:
             yield from net.transfer(server.node_id, self.node_id, CONTROL_MSG_BYTES)
+        if inline:
+            yield sim.urgent_hop()
+            yield sim.timeout(0)
+
+    def _join_pieces(
+        self, f: PfsFile, pieces: list[StripePiece], op: str, stream_id: int, trace_id: int
+    ) -> Generator:
+        """One process per stripe piece, joined; under fault injection
+        each piece runs through :meth:`robust_call`."""
+        sim = self.sim
+        faults = self.faults
+        if faults is None:
+            procs = [
+                sim.process(self._do_piece(f, p, op, stream_id, trace_id), name="pfs-piece")
+                for p in pieces
+            ]
+        else:
+            # Write ids are assigned once per piece, before any attempt,
+            # so every retry re-sends the same id (exactly-once commit).
+            with_ids = [
+                (p, faults.next_request_id() if op == "W" else None) for p in pieces
+            ]
+            procs = [
+                sim.process(
+                    self.robust_call(
+                        lambda p=p, rid=rid: self._do_piece(
+                            f, p, op, stream_id, trace_id, req_id=rid
+                        ),
+                        p.server,
+                        nbytes=p.length,
+                    ),
+                    name="pfs-piece",
+                )
+                for p, rid in with_ids
+            ]
+        yield all_of(sim, procs)
 
     def io(
         self,
@@ -172,32 +213,10 @@ class PfsClient:
         tr = self._tracer
         trace_id = tr.trace_of_stream(stream_id) if tr is not None else 0
         faults = self.faults
-        if faults is None:
-            procs = [
-                self.sim.process(
-                    self._do_piece(f, p, op, stream_id, trace_id), name="pfs-piece"
-                )
-                for p in pieces
-            ]
+        if faults is None and len(pieces) == 1:
+            work = self._do_piece(f, pieces[0], op, stream_id, trace_id, inline=True)
         else:
-            # Write ids are assigned once per piece, before any attempt,
-            # so every retry re-sends the same id (exactly-once commit).
-            with_ids = [
-                (p, faults.next_request_id() if op == "W" else None) for p in pieces
-            ]
-            procs = [
-                self.sim.process(
-                    self.robust_call(
-                        lambda p=p, rid=rid: self._do_piece(
-                            f, p, op, stream_id, trace_id, req_id=rid
-                        ),
-                        p.server,
-                        nbytes=p.length,
-                    ),
-                    name="pfs-piece",
-                )
-                for p, rid in with_ids
-            ]
+            work = self._join_pieces(f, pieces, op, stream_id, trace_id)
         if tr is not None:
             # Async span: one client node can have overlapping I/O calls.
             with tr.span(
@@ -213,9 +232,9 @@ class PfsClient:
                 pieces=len(pieces),
                 lp=f"client:node{self.node_id}",
             ):
-                yield all_of(self.sim, procs)
+                yield from work
         else:
-            yield all_of(self.sim, procs)
+            yield from work
         if op == "R":
             self.bytes_read += length
         else:

@@ -14,7 +14,7 @@ slot, building the ``SeekDist`` series EMC consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 from repro.disk.drive import BlockDevice
 from repro.iosched.blocklayer import BlockLayer
@@ -22,7 +22,7 @@ from repro.net.ethernet import Network
 from repro.pfs.filesystem import FileSystem
 from repro.sim import Event, Interrupt, Simulator, all_of
 
-__all__ = ["DataServer", "LocalityDaemon", "ServerRequest"]
+__all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt"]
 
 #: Largest single block-layer submission; matches the 512 KB kernel cap.
 DEFAULT_MAX_IO_BYTES = 512 * 1024
@@ -37,11 +37,15 @@ LIST_PIECE_CPU_S = 2e-6
 MEMCPY_BYTES_S = 3e9
 
 
-def _absorb_interrupt(gen):
-    """Run a service generator, ending quietly if the server crashes
-    under it.  Ending via StopIteration (not a failure) matters: the
-    client side may hold this process inside ``any_of``/``all_of``
-    combinators, which propagate constituent *failures*."""
+def absorb_interrupt(gen: Generator) -> Generator:
+    """Run ``gen``, ending quietly if it is interrupted (a server crash
+    under a service, a request timeout under a client attempt).
+
+    Ending via StopIteration, not a failure, matters: the other side may
+    hold this process inside ``any_of``/``all_of``, and the kernel's
+    combinators propagate a constituent's *failure* even after they have
+    fired.
+    """
     try:
         yield from gen
     except Interrupt:
@@ -226,7 +230,7 @@ class DataServer:
         if procs is None:
             proc = self.sim.process(gen, name=name)
         else:
-            proc = self.sim.process(_absorb_interrupt(gen), name=name)
+            proc = self.sim.process(absorb_interrupt(gen), name=name)
             procs[proc] = None
             proc.callbacks.append(self._untrack)
         if self._ownership is not None:
@@ -452,7 +456,41 @@ class DataServer:
                 entries.remove(entry)
             inflight_ev.succeed()
 
+    def call(self, req: ServerRequest) -> Generator:
+        """Service ``req`` inside the caller's process: ``yield from
+        server.call(req)`` returns exactly when :meth:`handle`'s event
+        would have woken the caller.
+
+        Nominally no service process is spawned.  Two hops stand in for
+        the one :meth:`handle` would spawn: an URGENT one where its
+        ``_Initialize`` would run and a NORMAL one where ``done`` would
+        fire, so every other event keeps its ``(time, priority,
+        arrival)`` slot.  (The spawned process's own completion is
+        waited on by nobody, so it needs no hop.)  Under fault tracking
+        (a crash must interrupt in-flight service), on a crashed server
+        and with the ownership checker armed (service runs in the
+        server's LP) this is ``yield server.handle(req)``.
+        """
+        if (
+            self._service_procs is not None
+            or self.crashed
+            or self._ownership is not None
+        ):
+            yield self.handle(req)
+            return
+        sim = self.sim
+        yield sim.urgent_hop()
+        yield from self._serve(req)
+        yield sim.timeout(0)
+
     def _service(self, req: ServerRequest, done: Event):
+        yield from self._serve(req)
+        done.succeed(self.sim.now)
+
+    def _serve(self, req: ServerRequest):
+        """The work of one request: parse CPU, disk/cache I/O, commit
+        and accounting.  Ends without yielding after the commit, so the
+        caller's completion signal is atomic with it."""
         sim = self.sim
         tr = self._tracer
         if tr is not None:
@@ -480,7 +518,6 @@ class DataServer:
         if m is not None:
             m.requests.inc()
             (m.bytes_read if req.op == "R" else m.bytes_written).inc(req.length)
-        done.succeed(sim.now)
 
     # ------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 /* C accelerator for the repro.sim event kernel.
  *
- * Three pieces, all optional (repro.sim._accel builds this module on
+ * Four pieces, all optional (repro.sim._accel builds this module on
  * first use when a C compiler is available; without it the kernel runs
  * on the pure-Python repro.sim.equeue.HeapQueue and the Python dispatch
  * loop in repro.sim.core):
@@ -8,8 +8,12 @@
  *   - CalQ: a calendar / timing-wheel event queue with the same cohort
  *     contract as equeue.HeapQueue, producing the identical dispatch
  *     order ``(t, priority, arrival)``.
- *   - TimeoutFn: a callable installed as ``sim.timeout`` that performs
- *     the pooled-Timeout fast path without entering the interpreter.
+ *   - TimeoutFn: a callable installed as ``sim.timeout`` (and, in its
+ *     hop form, as ``sim.urgent_hop``) that performs the pooled-Timeout
+ *     fast path without entering the interpreter.
+ *   - GrantFn: ``request`` / ``release`` of a ``Resource(capacity=1)``
+ *     (the NIC sides), installed per instance when the simulator does
+ *     not sanitize.
  *   - drive(): the dispatch loop of Simulator._drive.  It runs
  *     Event._process for every event kind, and every bound
  *     Process._resume callback runs in C around ``generator.send`` /
@@ -25,9 +29,10 @@
  * Slot access uses member-descriptor offsets resolved at setup() time,
  * so the Python class layout remains the single source of truth.
  *
- * drive() is only used when the sanitizer is off (the sanitizer needs a
- * per-event Python hook); the Python loop in core.py drives this queue
- * through its visible pop_cohort / requeue_front methods in that case.
+ * drive() and GrantFn are only used when the sanitizer is off (the
+ * sanitizer needs a per-event Python hook); the Python loop in core.py
+ * drives this queue through its visible pop_cohort / requeue_front
+ * methods in that case.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -100,7 +105,8 @@ static PyObject *resume_func = NULL;  /* Process._resume (plain function) */
 static PyObject *process_func = NULL; /* Event._process (plain function) */
 static PyObject *long_urgent = NULL; /* int(0) */
 static PyObject *str_process, *str_resume_tail, *str_succeed, *str_fail,
-    *str_now, *str_active;
+    *str_now, *str_active, *str_append, *str_popleft, *str_remove,
+    *str_watchdog;
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -749,7 +755,10 @@ typedef struct {
     PyObject *sim;  /* owned */
     CalQ *q;        /* owned */
     PyObject *pool; /* owned list, or NULL when pooling is disabled */
+    int hop;        /* 1: sim.urgent_hop() -- no arguments, zero delay, URGENT */
 } TimeoutFn;
+
+static PyObject *float_zero = NULL; /* 0.0, the delay of every hop */
 
 static int TimeoutFn_traverse(TimeoutFn *f, visitproc visit, void *arg)
 {
@@ -774,12 +783,34 @@ static void TimeoutFn_dealloc(TimeoutFn *f)
     Py_TYPE(f)->tp_free((PyObject *)f);
 }
 
+/* A Timeout of `sim` with every Event slot set as Timeout.__init__ sets
+ * it (not yet queued; callbacks/delay/_value are set by the caller). */
+static PyObject *new_timeout(PyObject *sim)
+{
+    PyTypeObject *tp = (PyTypeObject *)TimeoutType;
+    PyObject *ev = tp->tp_alloc(tp, 0);
+    if (!ev) return NULL;
+    SLOT(ev, off_sim) = Py_NewRef(sim);
+    SLOT(ev, off_ok) = Py_NewRef(Py_True);
+    SLOT(ev, off_triggered) = Py_NewRef(Py_True);
+    SLOT(ev, off_defused) = Py_NewRef(Py_False);
+    return ev;
+}
+
 static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
 {
     Py_ssize_t na = PyTuple_GET_SIZE(args);
     PyObject *delay_ob;
     PyObject *value = Py_None;
-    if (kw != NULL && PyDict_GET_SIZE(kw) != 0) {
+    long prio = 1; /* NORMAL */
+    if (f->hop) {
+        if (na != 0 || (kw != NULL && PyDict_GET_SIZE(kw) != 0)) {
+            PyErr_SetString(PyExc_TypeError, "urgent_hop() takes no arguments");
+            return NULL;
+        }
+        delay_ob = float_zero;
+        prio = 0; /* URGENT */
+    } else if (kw != NULL && PyDict_GET_SIZE(kw) != 0) {
         static char *kwlist[] = {"delay", "value", NULL};
         if (!PyArg_ParseTupleAndKeywords(args, kw, "O|O", kwlist, &delay_ob,
                                          &value))
@@ -802,18 +833,20 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
     CalQ *q = f->q;
     PyObject *pool = f->pool;
     Py_ssize_t psz;
+    PyObject *ev;
     if (pool == NULL || (psz = PyList_GET_SIZE(pool)) == 0) {
-        PyObject *argv[3] = {f->sim, delay_ob, value};
-        /* Timeout.__init__ enqueues via sim._queue.push */
-        return PyObject_Vectorcall(TimeoutType, argv, 3, NULL);
+        ev = new_timeout(f->sim);
+        if (!ev) return NULL;
+    } else {
+        ev = PyList_GET_ITEM(pool, psz - 1);
+        Py_INCREF(ev);
+        if (PyList_SetSlice(pool, psz - 1, psz, NULL) < 0) {
+            Py_DECREF(ev);
+            return NULL;
+        }
     }
-    PyObject *ev = PyList_GET_ITEM(pool, psz - 1);
-    Py_INCREF(ev);
-    if (PyList_SetSlice(pool, psz - 1, psz, NULL) < 0) {
-        Py_DECREF(ev);
-        return NULL;
-    }
-    /* mirror of Simulator.timeout's pooled reset */
+    /* mirror of Simulator.timeout's pooled reset: a pooled Timeout keeps
+     * its invariant flags (_triggered, _ok, _defused) */
     PyObject *cbs = PyList_New(0);
     if (!cbs) {
         Py_DECREF(ev);
@@ -826,14 +859,7 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
     slot_set(ev, off_value, value);
     Py_INCREF(Py_False);
     slot_set(ev, off_processed, Py_False);
-    double t = q->now + delay;
-    if (t == q->band_t && q->band_prio == 1) {
-        if (PyList_Append(q->band_list, ev) < 0) {
-            Py_DECREF(ev);
-            return NULL;
-        }
-        q->count++;
-    } else if (calq_push(q, t, 1 /* NORMAL */, ev) < 0) {
+    if (calq_push(q, q->now + delay, prio, ev) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
@@ -913,8 +939,14 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     str_fail = PyUnicode_InternFromString("fail");
     str_now = PyUnicode_InternFromString("_now");
     str_active = PyUnicode_InternFromString("_active");
+    str_append = PyUnicode_InternFromString("append");
+    str_popleft = PyUnicode_InternFromString("popleft");
+    str_remove = PyUnicode_InternFromString("remove");
+    str_watchdog = PyUnicode_InternFromString("_watchdog");
+    Py_XSETREF(float_zero, PyFloat_FromDouble(0.0));
     if (!long_urgent || !str_process || !str_resume_tail || !str_succeed ||
-        !str_fail || !str_now || !str_active)
+        !str_fail || !str_now || !str_active || !str_append || !str_popleft ||
+        !str_remove || !str_watchdog || !float_zero)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -922,7 +954,8 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
 static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 {
     PyObject *sim, *q, *pool;
-    if (!PyArg_ParseTuple(args, "OOO", &sim, &q, &pool)) return NULL;
+    int hop = 0;
+    if (!PyArg_ParseTuple(args, "OOO|p", &sim, &q, &pool, &hop)) return NULL;
     if (!PyObject_TypeCheck(q, &CalQ_Type)) {
         PyErr_SetString(PyExc_TypeError, "make_timeout() needs a CalQ");
         return NULL;
@@ -932,8 +965,220 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
     f->sim = Py_NewRef(sim);
     f->q = (CalQ *)Py_NewRef(q);
     f->pool = pool == Py_None ? NULL : Py_NewRef(pool);
+    f->hop = hop;
     PyObject_GC_Track(f);
     return (PyObject *)f;
+}
+
+/* -------------------------------------------------------------- GrantFn */
+
+/* request() / release(req) of one Resource(capacity=1): the bodies of
+ * Resource.request and Resource.release with the sanitizer and watchdog
+ * hooks absent.  Installed on the instance only when the simulator does
+ * not sanitize; a watchdog attached later sends every call back to the
+ * Python methods.  The `users` list and `queue` deque are the Python
+ * object's own, so both paths see one state. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim;      /* owned */
+    CalQ *q;            /* owned */
+    PyObject *res;      /* owned: the Resource */
+    PyObject *users;    /* owned: res.users */
+    PyObject *queue;    /* owned: res.queue */
+    PyObject *req_type; /* owned: _Request */
+    PyObject *py_fn;    /* owned: Resource.request / Resource.release */
+    Py_ssize_t off_resource;
+    int release;
+} GrantFn;
+
+static int GrantFn_traverse(GrantFn *g, visitproc visit, void *arg)
+{
+    Py_VISIT(g->sim);
+    Py_VISIT((PyObject *)g->q);
+    Py_VISIT(g->res);
+    Py_VISIT(g->users);
+    Py_VISIT(g->queue);
+    Py_VISIT(g->req_type);
+    Py_VISIT(g->py_fn);
+    return 0;
+}
+
+static int GrantFn_clear(GrantFn *g)
+{
+    Py_CLEAR(g->sim);
+    Py_CLEAR(g->q);
+    Py_CLEAR(g->res);
+    Py_CLEAR(g->users);
+    Py_CLEAR(g->queue);
+    Py_CLEAR(g->req_type);
+    Py_CLEAR(g->py_fn);
+    return 0;
+}
+
+static void GrantFn_dealloc(GrantFn *g)
+{
+    PyObject_GC_UnTrack(g);
+    GrantFn_clear(g);
+    Py_TYPE(g)->tp_free((PyObject *)g);
+}
+
+/* req.succeed(req) for a granted request: NORMAL at the current time. */
+static int grant_succeed(GrantFn *g, PyObject *req)
+{
+    if (SLOT(req, off_triggered) == Py_True) {
+        /* raises SimulationError("... already triggered") */
+        PyObject *r = PyObject_CallMethodOneArg(req, str_succeed, req);
+        Py_XDECREF(r);
+        return r ? 0 : -1;
+    }
+    slot_set(req, off_triggered, Py_NewRef(Py_True));
+    slot_set(req, off_ok, Py_NewRef(Py_True));
+    slot_set(req, off_value, Py_NewRef(req));
+    return calq_push(g->q, g->q->now, 1 /* NORMAL */, req);
+}
+
+static PyObject *grant_request(GrantFn *g)
+{
+    PyTypeObject *tp = (PyTypeObject *)g->req_type;
+    PyObject *req = tp->tp_alloc(tp, 0);
+    if (!req) return NULL;
+    /* _Request.__init__, slot by slot */
+    SLOT(req, off_sim) = Py_NewRef(g->sim);
+    if (!(SLOT(req, off_callbacks) = PyList_New(0))) {
+        Py_DECREF(req);
+        return NULL;
+    }
+    SLOT(req, off_value) = Py_NewRef(Py_None);
+    SLOT(req, off_ok) = Py_NewRef(Py_True);
+    SLOT(req, off_triggered) = Py_NewRef(Py_False);
+    SLOT(req, off_processed) = Py_NewRef(Py_False);
+    SLOT(req, off_defused) = Py_NewRef(Py_False);
+    SLOT(req, g->off_resource) = Py_NewRef(g->res);
+    int rc;
+    if (PyList_GET_SIZE(g->users) < 1) {
+        rc = PyList_Append(g->users, req);
+        if (rc == 0) {
+            /* req.succeed(req), inlined: a fresh request is untriggered */
+            slot_set(req, off_triggered, Py_NewRef(Py_True));
+            slot_set(req, off_value, Py_NewRef(req));
+            rc = calq_push(g->q, g->q->now, 1 /* NORMAL */, req);
+        }
+    } else {
+        PyObject *r = PyObject_CallMethodOneArg(g->queue, str_append, req);
+        rc = r ? 0 : -1;
+        Py_XDECREF(r);
+    }
+    if (rc < 0) {
+        Py_DECREF(req);
+        return NULL;
+    }
+    return req;
+}
+
+static PyObject *grant_release(GrantFn *g, PyObject *req)
+{
+    PyObject *users = g->users;
+    if (PyList_GET_SIZE(users) == 1 && PyList_GET_ITEM(users, 0) == req) {
+        if (PyList_SetSlice(users, 0, 1, NULL) < 0) return NULL;
+    } else {
+        /* Releasing a queued (never-granted) request cancels it. */
+        PyObject *r = PyObject_CallMethodOneArg(g->queue, str_remove, req);
+        if (r) {
+            Py_DECREF(r);
+            Py_RETURN_NONE;
+        }
+        if (!PyErr_ExceptionMatches(PyExc_ValueError)) return NULL;
+        PyErr_Clear();
+        PyErr_SetString(SimError, "release() of unknown request");
+        return NULL;
+    }
+    for (;;) {
+        Py_ssize_t nq = PyObject_Size(g->queue);
+        if (nq < 0) return NULL;
+        if (nq == 0 || PyList_GET_SIZE(users) >= 1) break;
+        PyObject *nxt = PyObject_CallMethodNoArgs(g->queue, str_popleft);
+        if (!nxt) return NULL;
+        int rc = PyList_Append(users, nxt);
+        if (rc == 0) rc = grant_succeed(g, nxt);
+        Py_DECREF(nxt);
+        if (rc < 0) return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *GrantFn_call(GrantFn *g, PyObject *args, PyObject *kw)
+{
+    Py_ssize_t na = PyTuple_GET_SIZE(args);
+    if ((kw != NULL && PyDict_GET_SIZE(kw) != 0) || na != g->release) {
+        PyErr_SetString(PyExc_TypeError, g->release ? "release(request)"
+                                                    : "request() takes no arguments");
+        return NULL;
+    }
+    PyObject *wd = PyObject_GetAttr(g->sim, str_watchdog);
+    if (!wd) return NULL;
+    Py_DECREF(wd);
+    if (wd != Py_None) {
+        /* a watchdog tracks every request: take the Python method */
+        PyObject *argv[2] = {g->res, na ? PyTuple_GET_ITEM(args, 0) : NULL};
+        return PyObject_Vectorcall(g->py_fn, argv, 1 + na, NULL);
+    }
+    return g->release ? grant_release(g, PyTuple_GET_ITEM(args, 0))
+                      : grant_request(g);
+}
+
+static PyTypeObject GrantFn_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro.sim._cq.GrantFn",
+    .tp_basicsize = sizeof(GrantFn),
+    .tp_dealloc = (destructor)GrantFn_dealloc,
+    .tp_call = (ternaryfunc)GrantFn_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)GrantFn_traverse,
+    .tp_clear = (inquiry)GrantFn_clear,
+};
+
+/* make_grant(resource, calq, request_type, python_method, release) */
+static PyObject *mod_make_grant(PyObject *self, PyObject *args)
+{
+    PyObject *res, *q, *req_type, *py_fn;
+    int release;
+    if (!PyArg_ParseTuple(args, "OO!OOp", &res, &CalQ_Type, &q, &req_type,
+                          &py_fn, &release))
+        return NULL;
+    if (!PyType_Check(req_type) ||
+        !PyType_IsSubtype((PyTypeObject *)req_type, (PyTypeObject *)EventType)) {
+        PyErr_SetString(PyExc_TypeError, "make_grant() needs an Event subclass");
+        return NULL;
+    }
+    Py_ssize_t off_resource = member_offset(req_type, "resource");
+    if (off_resource < 0) return NULL;
+    PyObject *sim = PyObject_GetAttrString(res, "sim");
+    PyObject *users = sim ? PyObject_GetAttrString(res, "users") : NULL;
+    PyObject *queue = users ? PyObject_GetAttrString(res, "queue") : NULL;
+    if (!queue || !PyList_CheckExact(users)) {
+        if (queue) PyErr_SetString(PyExc_TypeError, "resource.users must be a list");
+        Py_XDECREF(sim);
+        Py_XDECREF(users);
+        Py_XDECREF(queue);
+        return NULL;
+    }
+    GrantFn *g = PyObject_GC_New(GrantFn, &GrantFn_Type);
+    if (!g) {
+        Py_DECREF(sim);
+        Py_DECREF(users);
+        Py_DECREF(queue);
+        return NULL;
+    }
+    g->sim = sim;
+    g->q = (CalQ *)Py_NewRef(q);
+    g->res = Py_NewRef(res);
+    g->users = users;
+    g->queue = queue;
+    g->req_type = Py_NewRef(req_type);
+    g->py_fn = Py_NewRef(py_fn);
+    g->off_resource = off_resource;
+    g->release = release;
+    PyObject_GC_Track(g);
+    return (PyObject *)g;
 }
 
 /* --------------------------------------------------------------- drivers */
@@ -1172,7 +1417,11 @@ static PyMethodDef mod_methods[] = {
     {"setup", mod_setup, METH_VARARGS,
      "setup(Event, Timeout, Process, SimulationError): resolve slot offsets"},
     {"make_timeout", mod_make_timeout, METH_VARARGS,
-     "make_timeout(sim, calq, pool_or_None) -> fast sim.timeout callable"},
+     "make_timeout(sim, calq, pool_or_None, hop=False) -> fast sim.timeout "
+     "(or, with hop, sim.urgent_hop) callable"},
+    {"make_grant", mod_make_grant, METH_VARARGS,
+     "make_grant(resource, calq, Request, python_method, release) -> fast "
+     "request() or release(req) of a capacity-1 Resource"},
     {"drive", mod_drive, METH_VARARGS,
      "drive(sim, calq, pool, limit, target_or_None, budget) -> (n, drained)"},
     {NULL, NULL, 0, NULL},
@@ -1189,8 +1438,9 @@ PyMODINIT_FUNC PyInit__cq(void)
     if (!m) return NULL;
     if (PyType_Ready(&CalQ_Type) < 0) return NULL;
     if (PyType_Ready(&TimeoutFn_Type) < 0) return NULL;
+    if (PyType_Ready(&GrantFn_Type) < 0) return NULL;
     Py_INCREF(&CalQ_Type);
     if (PyModule_AddObject(m, "CalQ", (PyObject *)&CalQ_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 3) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 4) < 0) return NULL;
     return m;
 }

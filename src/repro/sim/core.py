@@ -541,6 +541,9 @@ class Simulator:
             self.timeout = self._accel.make_timeout(  # type: ignore[method-assign]
                 self, self._queue, self._pool
             )
+            self.urgent_hop = self._accel.make_timeout(  # type: ignore[method-assign]
+                self, self._queue, self._pool, True
+            )
 
     # -- clock & introspection ------------------------------------------
 
@@ -596,6 +599,32 @@ class Simulator:
             self._queue.push(self._now + delay, NORMAL, ev)
             return ev
         return Timeout(self, delay, value)
+
+    def urgent_hop(self) -> Timeout:
+        """A zero-delay timeout queued URGENT at the current time.
+
+        Yielding it resumes the caller exactly where a process spawned
+        at this point would first run, or where the joiners of a process
+        ending here would be woken.  Code run inline in the caller keeps
+        the dispatch order of the process it replaces by yielding a hop
+        at each such point (``sim.timeout(0)`` is the NORMAL hop).
+        Recycled through the timeout pool like :meth:`timeout`.
+        """
+        pool = self._pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = _new(Timeout)
+            ev.sim = self
+            ev._ok = True
+            ev._triggered = True
+            ev._defused = False
+        ev.callbacks = []
+        ev.delay = 0.0
+        ev._value = None
+        ev._processed = False
+        self._queue.push(self._now, URGENT, ev)
+        return ev
 
     def process(
         self, gen: Generator, name: Optional[str] = None, daemon: bool = False
@@ -734,9 +763,10 @@ def _accel_selftest(mod: Any) -> bool:
     """End-to-end check of the C queue + dispatch pump before trusting it.
 
     Exercises ordering, join (StopIteration -> URGENT succeed, which
-    preempts the draining NORMAL band), the pooled timeout callable, a
-    contended resource grant, an ``all_of`` over processes, a failed
-    process caught by its joiner, and the drained return.  Any mismatch
+    preempts the draining NORMAL band), the pooled timeout and urgent-hop
+    callables, a contended capacity-1 resource grant and the release of
+    a still-queued request (a cancel), an ``all_of`` over processes, a
+    failed process caught by its joiner, and the drained return.  Any mismatch
     or exception disables the accelerator for the process; the
     pure-Python kernel is always safe.
     """
@@ -769,8 +799,17 @@ def _accel_selftest(mod: Any) -> bool:
             yield sim.timeout(0.5)
             raise KeyError("selftest")
 
+        def canceller() -> Generator:
+            yield sim.urgent_hop()
+            req = nic.request()  # queued behind p's grant and q's wait
+            yield sim.timeout(0.5)
+            nic.release(req)  # cancels it: q keeps its turn
+            out.append((sim.now, ("cancelled", req.triggered)))
+
         def contender() -> Generator:
-            got = yield sim.all_of([sim.process(holder("p")), sim.process(holder("q"))])
+            procs = [sim.process(holder("p")), sim.process(holder("q"))]
+            sim.process(canceller())
+            got = yield sim.all_of(procs)
             out.append((sim.now, sorted(got.values())))
             try:
                 yield sim.process(failing())
@@ -786,6 +825,7 @@ def _accel_selftest(mod: Any) -> bool:
         sim.process(contender())
         end = sim.run()
         expected = [
+            (0.5, ("cancelled", False)),
             (1.0, "a"),
             (2.0, "x"),
             (2.0, ("join", None)),

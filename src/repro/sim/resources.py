@@ -14,6 +14,10 @@ When the owning simulator sanitizes (``REPRO_SANITIZE=1`` /
 ``Simulator(sanitize=True)``), every request/grant/release is reported
 to the :class:`~repro.devtools.sanitizer.SimSanitizer`, which attributes
 leaked and double-released slots to the process that acquired them.
+Otherwise, on the C kernel, a ``Resource(capacity=1)`` -- a NIC side --
+requests and releases through the accelerator: the same steps, grant
+order and pushes as the methods here, which it defers to while a stall
+watchdog is attached.
 """
 
 from __future__ import annotations
@@ -62,6 +66,19 @@ class Resource:
         self.capacity = capacity
         self.users: list[_Request] = []
         self.queue: deque[_Request] = deque()  # simlint: ignore[SL006] one entry per waiting process
+        accel = sim._accel
+        if accel is not None and sim._sanitizer is None and capacity == 1 and (
+            type(self) is Resource
+        ):
+            # C request/release (a NIC side makes one of each per message);
+            # they defer to the methods below while a watchdog is attached.
+            q = sim._queue
+            self.request = accel.make_grant(  # type: ignore[method-assign]
+                self, q, _Request, Resource.request, False
+            )
+            self.release = accel.make_grant(  # type: ignore[method-assign]
+                self, q, _Request, Resource.release, True
+            )
 
     @property
     def count(self) -> int:

@@ -530,3 +530,30 @@ def test_flattened_constructors_match_event_init(make_queue):
     assert (t, prio, ev) == (0.0, NORMAL, granted)
     assert sim._queue.pop_cohort() is None
     assert type(granted) is _Request
+
+
+@pytest.mark.parametrize("make_queue", _kernels())
+def test_urgent_hop_preempts_the_normal_band(make_queue):
+    """``sim.urgent_hop()`` resumes its caller ahead of NORMAL events
+    already queued at the same time (where a process spawned there would
+    first run); ``sim.timeout(0)`` resumes it behind them."""
+    for hop, expected in ((True, ["caller", "other"]), (False, ["other", "caller"])):
+        sim = Simulator(queue=make_queue())
+        log = []
+
+        def caller():
+            yield sim.timeout(1.0)
+            yield sim.urgent_hop() if hop else sim.timeout(0)
+            log.append("caller")
+
+        def other():
+            yield sim.timeout(1.0)
+            log.append("other")
+
+        sim.process(caller())
+        sim.process(other())
+        sim.run()
+        assert log == expected
+        assert sim.now == 1.0
+    with pytest.raises(TypeError):
+        sim.urgent_hop(1.0)

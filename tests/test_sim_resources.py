@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim import FilterStore, PriorityResource, Resource, SimulationError, Simulator, Store
+from repro.sim import (
+    FilterStore,
+    HeapQueue,
+    PriorityResource,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+)
+from repro.sim import core as sim_core
 
 
 # ---------------------------------------------------------------- Resource
@@ -104,6 +113,84 @@ def test_resource_context_manager():
     sim.process(user("y"))
     sim.run()
     assert order == ["x", "y"]
+
+
+def _kernels():
+    """Queue factories for both kernels.  On the C kernel a capacity-1
+    Resource requests and releases through the accelerator."""
+    return [
+        pytest.param(HeapQueue, id="heap"),
+        pytest.param(
+            lambda: sim_core._CQ.CalQ(),
+            id="c",
+            marks=pytest.mark.skipif(sim_core._CQ is None, reason="no C accelerator"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("make_queue", _kernels())
+def test_capacity_one_grants_fifo_and_cancels_on_both_kernels(make_queue):
+    sim = Simulator(queue=make_queue())
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def user(tag, hold, cancel_at=None):
+        req = res.request()
+        if cancel_at is not None:
+            yield sim.timeout(cancel_at)
+            res.release(req)  # still queued: a cancel
+            log.append((sim.now, tag, "cancelled", req.triggered))
+            return
+        yield req
+        log.append((sim.now, tag, "got", req.value is req))
+        yield sim.timeout(hold)
+        res.release(req)
+
+    def prober():
+        # A grant is a NORMAL push: an URGENT hop queued after it still
+        # runs first, and a NORMAL timeout queued after it runs after.
+        req = res.request()
+        hop, late = sim.urgent_hop(), sim.timeout(0)
+        yield hop
+        log.append((sim.now, "hop", req.processed))
+        yield late
+        log.append((sim.now, "late", req.processed))
+        res.release(req)
+
+    sim.process(user("a", 2.0))
+    sim.process(user("b", 0.0, cancel_at=1.0))
+    sim.process(user("c", 1.0))
+    sim.process(user("d", 1.0))
+    sim.run()
+    sim.process(prober())
+    sim.run()
+    assert log == [
+        (0.0, "a", "got", True),
+        (1.0, "b", "cancelled", False),
+        (2.0, "c", "got", True),
+        (3.0, "d", "got", True),
+        (4.0, "hop", False),
+        (4.0, "late", True),
+    ]
+    assert res.count == 0 and not res.queue
+    req = res.request()
+    res.release(req)
+    with pytest.raises(SimulationError):
+        res.release(req)  # double release
+
+
+def test_capacity_one_takes_python_path_under_a_watchdog():
+    """A watchdog attached after the resource was built still sees every
+    request and grant: the C request/release defer to the methods."""
+    from repro.guard.watchdog import StallWatchdog
+
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    wd = StallWatchdog(sim)
+    first, second = res.request(), res.request()
+    assert id(first) in wd._granted and id(second) in wd._requested
+    res.release(first)
+    assert id(second) in wd._granted and id(first) not in wd._granted
 
 
 # ------------------------------------------------------- PriorityResource
