@@ -67,7 +67,9 @@ chaos:
 
 # Seed-0 digests of every benchmark-suite cell, smoke and full size (about
 # 30 s), against benchmarks/results/cells.digests.json: any change to a
-# simulated result fails.  A deliberate model change re-pins the file with
+# simulated result fails.  The file is pinned on one Python major.minor
+# (recorded in it); other interpreters skip the check and say so.  A
+# deliberate model change re-pins the file with
 # `$(PYTHON) benchmarks/cell_digests.py --write`.
 digests:
 	PYTHONPATH=src $(PYTHON) benchmarks/cell_digests.py

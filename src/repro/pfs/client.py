@@ -114,10 +114,13 @@ class PfsClient:
         ``inline=True`` runs the piece inside the caller's process instead
         of the piece process :meth:`_join_pieces` would spawn and join.
         Hops stand in for that process: an URGENT one where its
-        ``_Initialize`` would run, then an URGENT one and a NORMAL one
-        where its completion and the ``all_of`` over it would fire.
-        Every other event keeps its ``(time, priority, arrival)`` slot,
-        so results are bit-identical to the spawned form.
+        ``_Initialize`` would run and a NORMAL one where the ``all_of``
+        over it would fire.  Every other event keeps its ``(time,
+        priority, arrival)`` slot, so results are bit-identical to the
+        spawned form.  The piece process's own (URGENT) completion needs
+        no hop: the piece ends on the reply transfer's wire timeout,
+        which has this piece as its one waiter, so nothing can be queued
+        or dispatched between that completion and the ``all_of`` push.
         """
         sim = self.sim
         server = self.servers[piece.server]
@@ -149,7 +152,6 @@ class PfsClient:
         else:
             yield from net.transfer(server.node_id, self.node_id, CONTROL_MSG_BYTES)
         if inline:
-            yield sim.urgent_hop()
             yield sim.timeout(0)
 
     def _join_pieces(

@@ -461,15 +461,20 @@ class DataServer:
         server.call(req)`` returns exactly when :meth:`handle`'s event
         would have woken the caller.
 
-        Nominally no service process is spawned.  Two hops stand in for
-        the one :meth:`handle` would spawn: an URGENT one where its
-        ``_Initialize`` would run and a NORMAL one where ``done`` would
-        fire, so every other event keeps its ``(time, priority,
-        arrival)`` slot.  (The spawned process's own completion is
-        waited on by nobody, so it needs no hop.)  Under fault tracking
-        (a crash must interrupt in-flight service), on a crashed server
-        and with the ownership checker armed (service runs in the
-        server's LP) this is ``yield server.handle(req)``.
+        Nominally no service process is spawned.  A NORMAL hop where
+        ``done`` would fire stands in for the one :meth:`handle` would
+        spawn, so every other event keeps its ``(time, priority,
+        arrival)`` slot.  The spawned process's URGENT ``_Initialize``
+        needs no hop: a piece calls this right after its request
+        transfer's wire timeout, which has the piece as its one waiter,
+        so nothing can be queued or dispatched between that timeout and
+        the service's start.  (The spawned process's own completion is
+        waited on by nobody either.)  Any other caller yields
+        ``sim.urgent_hop()`` first to keep the spawned form's order.
+        Under fault tracking (a crash must interrupt in-flight
+        service), on a crashed server and with the ownership checker
+        armed (service runs in the server's LP) this is ``yield
+        server.handle(req)``.
         """
         if (
             self._service_procs is not None
@@ -478,10 +483,8 @@ class DataServer:
         ):
             yield self.handle(req)
             return
-        sim = self.sim
-        yield sim.urgent_hop()
         yield from self._serve(req)
-        yield sim.timeout(0)
+        yield self.sim.timeout(0)
 
     def _service(self, req: ServerRequest, done: Event):
         yield from self._serve(req)

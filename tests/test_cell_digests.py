@@ -4,7 +4,9 @@
 every benchmark-suite cell; this test recomputes the smoke-size cells
 (under a second) and requires each to match.  ``make digests`` checks
 the full-size cells too.  A deliberate model change re-pins the file
-with ``python benchmarks/cell_digests.py --write``.
+with ``python benchmarks/cell_digests.py --write``.  The file is pinned
+on one Python major.minor (float results may round differently on
+another), so the digest comparison skips on any other interpreter.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +33,9 @@ def _load_digests_module():
 def test_smoke_cell_digests_match_golden():
     digests = _load_digests_module()
     golden = digests.load_golden()
+    reason = digests.skip_reason(golden)
+    if reason is not None:
+        pytest.skip(reason)
     got = digests.compute(smoke=True)
     assert len(got) == 22
     assert digests.diff(golden["smoke"], got) == []

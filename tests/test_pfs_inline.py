@@ -3,7 +3,7 @@
 Nominally a :meth:`PfsClient.io` call that splits into one stripe piece
 runs the piece inside the caller's process, and a piece runs the server's
 service inside its own process (``DataServer.call``).  Hops at the points
-where the spawned processes would have started, finished and been joined
+where the spawned processes would have started or woken their joiners
 keep every other event in its ``(time, priority, arrival)`` slot.  These
 tests hold the inline form against a reference kept here -- the
 process-per-piece client and process-per-request server -- on a
@@ -95,9 +95,16 @@ def _patch(monkeypatch, kernel: str, reference: bool) -> None:
         monkeypatch.setattr(DataServer, "call", _reference_call)
 
 
-def _run(monkeypatch, kernel: str, reference: bool, **kw):
-    """One tie-heavy MPI run; returns (observables, spawned process names)."""
+def _run(monkeypatch, kernel: str, reference: bool, ownership: bool = False, **kw):
+    """One tie-heavy MPI run; returns (observables, spawned process names).
+
+    ``ownership`` arms the ownership checker for the run; otherwise it
+    is off whatever the environment says."""
     _patch(monkeypatch, kernel, reference)
+    if ownership:
+        monkeypatch.setenv("REPRO_SANITIZE_OWNERSHIP", "1")
+    else:
+        monkeypatch.delenv("REPRO_SANITIZE_OWNERSHIP", raising=False)
     names: list[str] = []
     spawn = Simulator.process
 
@@ -248,8 +255,7 @@ def test_fault_plan_keeps_process_per_piece_and_per_request(monkeypatch):
 
 
 def test_ownership_checker_keeps_service_processes(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE_OWNERSHIP", "1")
-    _, names = _run(monkeypatch, "python", reference=False)
+    _, names = _run(monkeypatch, "python", reference=False, ownership=True)
     # Pieces still run inline; service is adopted into the server's LP.
     assert names.count("pfs-piece") == 8 * 2
     assert sum(n.endswith("-svc") for n in names) == 8 * 6
