@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py coverage lint lint-fast own own-map sanitize chaos digests soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
+.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -38,14 +38,6 @@ lint:
 # a repository) -- the pre-push inner loop.
 lint-fast:
 	PYTHONPATH=src $(PYTHON) -m repro lint --changed
-
-# simown state-ownership gate: fails on unannotated shared-hazard
-# findings (see docs/static_analysis.md).
-own:
-	PYTHONPATH=src $(PYTHON) -m repro ownership --check
-
-own-map:
-	PYTHONPATH=src $(PYTHON) -m repro ownership --out docs/partition_map.json
 
 # Tier-1 tests under coverage (pytest-cov, dev extra); CI fails below
 # 80% line coverage of the repro package.  Skipped when uninstalled.
@@ -105,11 +97,10 @@ bench-gate:
 
 # Replay the CI gates locally: lint legs, tier-1 tests, the determinism
 # jobs' suites and cell digests, and the kernel bench gate.
-ci-local: lint own
+ci-local: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py
-	REPRO_SANITIZE_OWNERSHIP=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_ownership.py
 	$(MAKE) digests
 	$(PYTHON) benchmarks/check_regression.py
 

@@ -388,19 +388,6 @@ def cmd_lint(args) -> int:
     return simlint.main(lint_argv)
 
 
-def cmd_ownership(args) -> int:
-    from repro.devtools import ownership
-
-    own_argv = list(args.paths) or ["src/repro"]
-    if args.format != "text":
-        own_argv += ["--format", args.format]
-    if args.out:
-        own_argv += ["--out", args.out]
-    if args.check:
-        own_argv += ["--check"]
-    return ownership.main(own_argv)
-
-
 def cmd_serve(args) -> int:
     """Run the experiment coordinator until SIGTERM/SIGINT, then drain.
 
@@ -683,28 +670,6 @@ def make_parser() -> argparse.ArgumentParser:
         "outside a repository)",
     )
     p_lint.set_defaults(func=cmd_lint)
-
-    p_own = sub.add_parser(
-        "ownership",
-        help="simown state-ownership report / partition map (see "
-        "docs/static_analysis.md)",
-    )
-    p_own.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files/directories (default: src/repro)",
-    )
-    p_own.add_argument("--format", choices=["text", "json"], default="text")
-    p_own.add_argument(
-        "--out", default=None, help="write the JSON partition map to this path"
-    )
-    p_own.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on unannotated shared-hazard findings",
-    )
-    p_own.set_defaults(func=cmd_ownership)
 
     p_srv = sub.add_parser(
         "serve",

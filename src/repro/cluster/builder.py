@@ -114,19 +114,6 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
 
     mds = MetadataServer(sim, spec.metadata_node_id, network, fs)
 
-    san = sim._sanitizer
-    if san is not None and san.ownership is not None:
-        # Dynamic simown topology: client nodes get an LP label so a
-        # reply transfer grants the right side, and the per-server
-        # locality daemons adopt their server's LP.  (Servers, block
-        # layers, devices and the MDS tag themselves at construction.)
-        own = san.ownership
-        for i in range(spec.n_compute_nodes):
-            node = spec.compute_node_id(i)
-            own.map_node(node, f"client:node{node}")
-        for ds, daemon in zip(data_servers, daemons):
-            own.tag(daemon, f"server:ds{ds.server_index}")
-
     clients = [
         PfsClient(
             sim,

@@ -132,7 +132,7 @@ class Crm:
         cb = cache.chunk_bytes
         fs = self.engine.runtime.cluster.fs
         nodes = self._live_nodes()
-        # simown: shared[MDS health query; becomes a meta RPC]
+        # Not charged network time: server-health query to the MDS (DESIGN.md).
         live_servers = self.engine.system.emc.live_servers()
         wanted: dict[str, set[int]] = {}
         for per_file in cyc.recorded.values():
@@ -264,7 +264,7 @@ class Crm:
         cache = self.engine.cache
         fs = self.engine.runtime.cluster.fs
         dirty = cache.dirty_chunks(self.engine.job.job_id)
-        # simown: shared[MDS health query; becomes a meta RPC]
+        # Not charged network time: server-health query to the MDS (DESIGN.md).
         live_servers = self.engine.system.emc.live_servers()
         if live_servers is not None and dirty:
             cb = cache.chunk_bytes

@@ -80,7 +80,8 @@ class EmcDaemon:
 
     def ave_seek_dist(self) -> Optional[float]:
         vals = [
-            d.recent_seek_dist()  # simown: shared[locality stat poll; server->meta report msg]
+            # Not charged network time: locality poll of a data server (DESIGN.md).
+            d.recent_seek_dist()
             for d in self.system.runtime.cluster.locality_daemons
         ]
         vals = [v for v in vals if v is not None]
@@ -131,7 +132,8 @@ class EmcDaemon:
                     continue
                 if engine.config.force_mode is not None:
                     continue
-                if engine.locked_out:  # simown: shared[EMC mode control; meta->client ctrl msg]
+                # Not charged network time: EMC mode-control message (DESIGN.md).
+                if engine.locked_out:
                     continue
                 if job.mode == "normal":
                     if (
@@ -140,11 +142,11 @@ class EmcDaemon:
                         and imp is not None
                         and imp > cfg.t_improvement
                     ):
-                        # simown: shared[EMC mode control; meta->client ctrl msg]
+                        # Not charged network time: EMC mode-control message (DESIGN.md).
                         engine.set_mode("datadriven")
                 else:
                     if ratio is not None and ratio < cfg.io_ratio_exit:
-                        # simown: shared[EMC mode control; meta->client ctrl msg]
+                        # Not charged network time: EMC mode-control message (DESIGN.md).
                         engine.set_mode("normal")
             sample = EmcSample(
                 time=sim.now,
@@ -174,6 +176,8 @@ class EmcDaemon:
             return
         if ratio > self.config.misprefetch_threshold:
             if self.config.misprefetch_lockout:
-                engine.locked_out = True  # simown: shared[EMC mode control; meta->client ctrl msg]
+                # Not charged network time: EMC mode-control message (DESIGN.md).
+                engine.locked_out = True
             if engine.job.mode == "datadriven" and engine.config.force_mode is None:
-                engine.set_mode("normal")  # simown: shared[EMC mode control; meta->client ctrl msg]
+                # Not charged network time: EMC mode-control message (DESIGN.md).
+                engine.set_mode("normal")

@@ -89,7 +89,7 @@ class DualParEngine(IoEngine):
         if mode == self.job.mode:
             return
         self.job.mode = mode
-        # simown: shared[central job registry on MDS; client->meta report]
+        # Not charged network time: report to the MDS job registry (DESIGN.md).
         self.system.log_transition(self.job, mode)
         if mode == "normal" and self.cache.dirty_chunks(self.job.job_id):
             self.sim.process(self.crm.writeback_all(), name=f"flush-{self.job.name}")
@@ -99,11 +99,11 @@ class DualParEngine(IoEngine):
     def on_job_start(self) -> None:
         if self.config.force_mode is not None:
             self.job.mode = self.config.force_mode
-        # simown: shared[central job registry on MDS; client->meta report]
+        # Not charged network time: report to the MDS job registry (DESIGN.md).
         self.system.register(self)
 
     def on_job_end(self) -> None:
-        # simown: shared[central job registry on MDS; client->meta report]
+        # Not charged network time: report to the MDS job registry (DESIGN.md).
         self.system.unregister(self)
         self.cache.purge_job(self.job.job_id)
 
@@ -117,7 +117,7 @@ class DualParEngine(IoEngine):
     # ------------------------------------------------------------------
 
     def do_io(self, proc: "MpiProcess", op: IoOp) -> Generator:
-        # simown: shared[central job registry on MDS; client->meta report]
+        # Not charged network time: report to the MDS job registry (DESIGN.md).
         self.system.record_request(proc, op)
         # A zero quota means no cache space at all: the data-driven mode
         # is "essentially disabled" (Fig 8's 0 KB point) regardless of

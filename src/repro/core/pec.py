@@ -170,7 +170,7 @@ class Pec:
             self.misprefetch_history.append((target, ratio))
             if self._ts_misprefetch is not None:
                 self._ts_misprefetch.record(self.sim.now, ratio)
-            # simown: shared[central job registry on MDS; client->meta report]
+            # Not charged network time: report to the MDS job registry (DESIGN.md).
             self.engine.system.report_misprefetch(self.engine, ratio)
             if ratio > self.config.misprefetch_threshold:
                 # Only demonstrably wrong data is evicted; TTL ages out

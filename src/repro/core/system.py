@@ -65,13 +65,13 @@ class DualParSystem:
         """A data server crashed: every engine's PEC stops pre-executing
         for it (the open cycle's batch plan is stale)."""
         for job_id in sorted(self.engines):
-            # simown: shared[fault fan-out; harness-driven world pause]
+            # Not charged network time: fault fan-out from the harness (DESIGN.md).
             self.engines[job_id].pec.on_server_fault(server_index)
 
     def on_compute_node_fault(self, node_id: int) -> None:
         """A cache node was evicted: CRMs re-elect lost coordinators."""
         for job_id in sorted(self.engines):
-            # simown: shared[fault fan-out; harness-driven world pause]
+            # Not charged network time: fault fan-out from the harness (DESIGN.md).
             self.engines[job_id].crm.on_node_fault(node_id)
 
     # ------------------------------------------------------------------

@@ -30,21 +30,10 @@ All violations raise :class:`SanitizerError` (a
 :class:`~repro.sim.core.SimulationError`), so an unsanitized run and a
 sanitized run of a correct simulation produce identical results -- the
 sanitizer only observes, it never perturbs scheduling.
-
-Setting ``REPRO_SANITIZE_OWNERSHIP=1`` additionally arms the
-:class:`OwnershipChecker` -- the dynamic half of simown (see
-:mod:`repro.devtools.ownership` and ``docs/static_analysis.md``): each
-component is tagged with its owning logical process (LP), simulated
-processes inherit or adopt an LP, and instrumented access points
-(``DataServer.handle``, ``BlockLayer.submit``, metadata RPCs) verify
-that any cross-LP access was preceded by a
-:meth:`~repro.net.ethernet.Network.transfer` into the owner's node --
-the sim-level happens-before edge a real message would create.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -53,7 +42,7 @@ from repro.sim.core import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Event, Process, Simulator
 
-__all__ = ["OwnershipChecker", "OwnershipError", "SanitizerError", "SimSanitizer"]
+__all__ = ["SanitizerError", "SimSanitizer"]
 
 #: Cap on the number of leaks enumerated in one error message.
 _REPORT_LIMIT = 8
@@ -61,127 +50,6 @@ _REPORT_LIMIT = 8
 
 class SanitizerError(SimulationError):
     """A simulation invariant was violated (only raised when sanitizing)."""
-
-
-class OwnershipError(SanitizerError):
-    """A component was accessed from a foreign logical process without a
-    message boundary (only raised when the ownership checker is armed)."""
-
-
-class OwnershipChecker:
-    """Dynamic half of simown: validates the static partition map at run
-    time.
-
-    Components are :meth:`tag`-ged with an owning LP label (e.g.
-    ``"server:ds0"``, ``"meta"``, ``"client:node4"``); simulated
-    processes get an LP by :meth:`adopt`-ion (rank bodies, server
-    service processes, daemons) or inherit their creator's.  A completed
-    :meth:`~repro.net.ethernet.Network.transfer` to a node *grants* the
-    active process access to that node's LP -- the happens-before edge a
-    real message would create.  :meth:`check` then enforces: a process
-    may touch a tagged component only when its LP is unknown (harness),
-    matches the owner, or holds a message grant for the owner's LP.
-
-    The checker holds no event references and never mutates simulation
-    state, so an armed run is bit-identical to an unarmed one.
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        #: id(component) -> (component, lp); the component reference keeps
-        #: the id stable for the simulation's lifetime.
-        self._components: dict[int, tuple[Any, str]] = {}
-        self._node_lp: dict[int, str] = {}
-        self._proc_lp: dict["Process", str] = {}
-        #: process -> LP labels it has messaged into.
-        self._grants: dict["Process", set[str]] = {}
-        self.n_checks = 0
-        self.n_crossings = 0
-        self.n_cross_lp = 0
-
-    # -- topology registration -----------------------------------------
-
-    def tag(self, component: Any, lp: str) -> None:
-        """Declare ``component`` owned by logical process ``lp``."""
-
-        self._components[id(component)] = (component, lp)
-
-    def lp_of(self, component: Any) -> Optional[str]:
-        rec = self._components.get(id(component))
-        return rec[1] if rec is not None else None
-
-    def map_node(self, node_id: int, lp: str) -> None:
-        """Declare that messages to ``node_id`` land in ``lp``."""
-
-        self._node_lp[node_id] = lp
-
-    def adopt(self, proc: "Process", lp: str) -> None:
-        """Pin ``proc``'s owning LP (overrides inheritance)."""
-
-        self._proc_lp[proc] = lp
-
-    def lp_of_process(self, proc: "Process") -> Optional[str]:
-        return self._proc_lp.get(proc)
-
-    # -- runtime hooks --------------------------------------------------
-
-    def on_process_created(self, proc: "Process") -> None:
-        """A child process runs in its creator's LP unless adopted."""
-
-        creator = self.sim.active_process
-        if creator is None:
-            return
-        lp = self._proc_lp.get(creator)
-        if lp is not None:
-            self._proc_lp[proc] = lp
-
-    def on_transfer(self, src: int, dst: int) -> None:
-        """A network message landed: grant the sender access to ``dst``'s
-        LP (the message *is* the happens-before edge)."""
-
-        proc = self.sim.active_process
-        if proc is None:
-            return
-        self.n_crossings += 1
-        lp = self._node_lp.get(dst)
-        if lp is not None:
-            self._grants.setdefault(proc, set()).add(lp)
-
-    def check(self, component: Any, action: str = "access") -> None:
-        """Validate that the active process may touch ``component``."""
-
-        rec = self._components.get(id(component))
-        if rec is None:
-            return
-        proc = self.sim.active_process
-        if proc is None:  # harness context (setup/teardown) is unrestricted
-            return
-        self.n_checks += 1
-        owner_lp = rec[1]
-        lp = self._proc_lp.get(proc)
-        if lp is None or lp == owner_lp:
-            return
-        self.n_cross_lp += 1
-        if owner_lp in self._grants.get(proc, ()):
-            return
-        raise OwnershipError(
-            f"cross-LP {action}: process {proc.name!r} (LP {lp}) touched "
-            f"{type(rec[0]).__name__} owned by LP {owner_lp} at "
-            f"t={self.sim.now:.6g} without a message boundary; route the "
-            "access through Network.transfer or re-partition (see "
-            "docs/static_analysis.md)"
-        )
-
-    # -- introspection --------------------------------------------------
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "n_components": len(self._components),
-            "n_tagged_processes": len(self._proc_lp),
-            "n_checks": self.n_checks,
-            "n_crossings": self.n_crossings,
-            "n_cross_lp": self.n_cross_lp,
-        }
 
 
 @dataclass
@@ -232,12 +100,6 @@ class SimSanitizer:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.stats = SanitizerStats()
-        #: Dynamic simown checker, armed by REPRO_SANITIZE_OWNERSHIP=1.
-        self.ownership: Optional[OwnershipChecker] = (
-            OwnershipChecker(sim)
-            if os.environ.get("REPRO_SANITIZE_OWNERSHIP")
-            else None
-        )
         self._last_key: tuple[float, int, int] = (float("-inf"), -(2**62), -(2**62))
         #: insertion-ordered map of live non-daemon processes (removed on exit)
         self._live: dict["Process", None] = {}
@@ -324,8 +186,6 @@ class SimSanitizer:
     # -- process lifecycle ---------------------------------------------
 
     def on_process_created(self, proc: "Process") -> None:
-        if self.ownership is not None:
-            self.ownership.on_process_created(proc)
         if proc.daemon:
             return
         self._live[proc] = None
@@ -441,7 +301,7 @@ class SimSanitizer:
         """Snapshot of counters plus currently-open state."""
 
         open_reqs = sum(1 for r in self._requests.values() if r.state == "granted")
-        out = {
+        return {
             "n_events": self.stats.n_events,
             "n_ties": self.stats.n_ties,
             "n_requests": self.stats.n_requests,
@@ -450,6 +310,3 @@ class SimSanitizer:
             "open_requests": open_reqs,
             "registered_components": len(self._components),
         }
-        if self.ownership is not None:
-            out["ownership"] = self.ownership.summary()
-        return out

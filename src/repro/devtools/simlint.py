@@ -33,10 +33,10 @@ seed:
 - **SL007** direct mutation of *another* component's container:
   ``self.server.queue.append(...)``, ``other.pending[k] = v`` -- a
   mutator call or subscript store whose container lives behind an
-  attribute chain that crosses an object boundary.  Cross-component
-  writes are exactly the shared state that blocks the conservative
-  parallel-DES partitioning (see ``repro.devtools.ownership``); route
-  them through the owner's API or a message, or annotate why not.
+  attribute chain that crosses an object boundary.  A cross-component
+  write bypasses the owner's invariants and accounting (its counters,
+  congestion gates and wake-ups never see the change); route it through
+  the owner's API or a message, or annotate why not.
 - **SL008** module-level mutable state (``X = []`` / ``{}`` / ``set()``
   / ``deque()``) in simulation packages.  Module globals are shared
   across every simulation in the process, so mutations leak between
@@ -338,8 +338,8 @@ class _LintVisitor(ast.NodeVisitor):
         self.select = select
         self.set_attrs = set_attrs
         # SL007 never applies inside the event kernel: Simulator, Event,
-        # and the queue disciplines are one shared unit by construction
-        # (the "kernel" domain of repro.devtools.ownership).
+        # and the queue disciplines are one component whose invariants
+        # span all three, so their writes into each other are internal.
         parts = PurePath(path).parts
         self._kernel_scope = (
             "repro" in parts
@@ -592,8 +592,8 @@ class _LintVisitor(ast.NodeVisitor):
                 "SL007",
                 target,
                 f"subscript store into another component's container "
-                f"`{foreign}`; route through the owner's API or a message "
-                "(see repro.devtools.ownership)",
+                f"`{foreign}`; it bypasses the owner's invariants and "
+                "accounting, so route through the owner's API or a message",
             )
 
     def _check_sl008(self, target: ast.expr, value: ast.expr,
@@ -803,8 +803,8 @@ class _LintVisitor(ast.NodeVisitor):
                     "SL007",
                     node,
                     f"mutator .{func.attr}() on another component's container "
-                    f"`{foreign}`; route through the owner's API or a message "
-                    "(see repro.devtools.ownership)",
+                    f"`{foreign}`; it bypasses the owner's invariants and "
+                    "accounting, so route through the owner's API or a message",
                 )
         # SL002 -- wall-clock reads.
         if not self.wallclock_exempt:

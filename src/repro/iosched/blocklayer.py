@@ -105,11 +105,6 @@ class BlockLayer:
             _BlkMetrics(sim.obs.registry, name) if sim.obs.enabled else None
         )
         self._tracer = sim.obs.tracer if sim.obs.enabled else None
-        #: Dynamic simown checker (None unless armed); the owning data
-        #: server tags this layer with its LP at construction.
-        self._ownership = (
-            sim._sanitizer.ownership if sim._sanitizer is not None else None
-        )
         self._dispatcher = sim.process(
             self._dispatch_loop(), name=f"{name}-dispatch", daemon=True
         )
@@ -127,11 +122,6 @@ class BlockLayer:
         trace_id: int = 0,
     ) -> Event:
         """Queue a request; returns its completion event."""
-        if self._ownership is not None:
-            # The block layer is strictly server-LP-internal: submissions
-            # must come from this server's own service processes, never
-            # directly from a client or the metadata side.
-            self._ownership.check(self, "submit")
         completion = self.sim.event()
         req = BlockRequest(
             lbn=lbn,

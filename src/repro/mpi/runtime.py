@@ -176,7 +176,6 @@ class MpiJob:
                         op=op.op,
                         file=op.file_name,
                         bytes=op.total_bytes,
-                        lp=f"client:node{proc.node_id}",
                     ):
                         yield from engine.do_io(proc, op)
                 else:
@@ -203,16 +202,10 @@ class MpiJob:
             proc.stream = OpStream(self.workload.ops(rank, self.nprocs))
             self.procs.append(proc)
         self.engine.on_job_start()
-        san = self.sim._sanitizer
-        owncheck = san.ownership if san is not None else None
-        bodies = []
-        for p in self.procs:
-            body = self.sim.process(self._rank_body(p), name=f"{self.name}:{p.rank}")
-            if owncheck is not None:
-                # Each rank runs in its compute node's client LP; server
-                # access must flow through a Network.transfer grant.
-                owncheck.adopt(body, f"client:node{p.node_id}")
-            bodies.append(body)
+        bodies = [
+            self.sim.process(self._rank_body(p), name=f"{self.name}:{p.rank}")
+            for p in self.procs
+        ]
 
         def waiter():
             yield all_of(self.sim, bodies)

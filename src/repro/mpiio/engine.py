@@ -51,7 +51,7 @@ class IoEngine:
     # -- shared helpers ----------------------------------------------------
 
     def lookup_file(self, name: str) -> PfsFile:
-        # simown: shared[namespace read; layout immutable after create]
+        # Not charged network time: namespace lookup (DESIGN.md).
         return self.runtime.cluster.fs.lookup(name)
 
     def client_of(self, proc: "MpiProcess"):

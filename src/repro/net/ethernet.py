@@ -84,13 +84,9 @@ class Network:
             raise ValueError("nbytes must be non-negative")
         sim = self.sim
         p = self.params
-        san = sim._sanitizer
-        owncheck = san.ownership if san is not None else None
         if src == dst:
             yield sim.timeout(p.per_message_overhead_s)
             self.messages_delivered += 1
-            if owncheck is not None:
-                owncheck.on_transfer(src, dst)
             return
         src_nic, dst_nic = self.nics[src], self.nics[dst]
         wire_time = nbytes / p.bandwidth_bytes_s
@@ -121,5 +117,3 @@ class Network:
                 dst_nic.rx.release(rx_req)
             src_nic.tx.release(tx_req)
         self.messages_delivered += 1
-        if owncheck is not None:
-            owncheck.on_transfer(src, dst)

@@ -232,7 +232,6 @@ class PfsClient:
                 offset=offset,
                 length=length,
                 pieces=len(pieces),
-                lp=f"client:node{self.node_id}",
             ):
                 yield from work
         else:

@@ -147,24 +147,6 @@ class DataServer:
         self._tracer = sim.obs.tracer if sim.obs.enabled else None
         if sim._sanitizer is not None:
             sim._sanitizer.on_component_registered(f"ds{server_index}")
-        #: Dynamic simown checker (None unless REPRO_SANITIZE_OWNERSHIP=1):
-        #: this server, its block layer, device, and write-back buffer all
-        #: live in one logical process; the daemons adopt it.
-        self._ownership = (
-            sim._sanitizer.ownership if sim._sanitizer is not None else None
-        )
-        if self._ownership is not None:
-            own = self._ownership
-            lp = f"server:ds{server_index}"
-            own.tag(self, lp)
-            own.tag(block_layer, lp)
-            own.tag(device, lp)
-            own.tag(self.page_cache, lp)
-            own.map_node(node_id, lp)
-            own.adopt(block_layer._dispatcher, lp)
-            if self.writeback is not None:
-                own.tag(self.writeback, lp)
-                own.adopt(self.writeback._proc, lp)
 
     def _io_context(self, client_stream: int) -> int:
         return client_stream % self.n_io_threads
@@ -233,10 +215,6 @@ class DataServer:
             proc = self.sim.process(absorb_interrupt(gen), name=name)
             procs[proc] = None
             proc.callbacks.append(self._untrack)
-        if self._ownership is not None:
-            # Service work runs in the *server's* LP even though the
-            # spawning call arrives in a client-LP process.
-            self._ownership.adopt(proc, f"server:ds{self.server_index}")
         return proc
 
     def _untrack(self, event) -> None:
@@ -268,8 +246,6 @@ class DataServer:
         A crashed server black-holes the request: the event never fires
         and the fault-aware client's timeout/retry path takes over.
         """
-        if self._ownership is not None:
-            self._ownership.check(self, "handle")
         done = self.sim.event()
         if self.crashed:
             self.n_dropped_requests += 1
@@ -286,7 +262,7 @@ class DataServer:
         san = self.sim._sanitizer
         if san is not None:
             san.on_server_dispatch(self)
-        # simown: shared[namespace read; layout immutable after create]
+        # Not charged network time: namespace lookup (DESIGN.md).
         f = self.fs.lookup(req.file_name)
         lbn = f.lbn_of(self.server_index, req.object_offset)
         nsectors_total = -(-req.length // 512)
@@ -315,7 +291,7 @@ class DataServer:
         san = self.sim._sanitizer
         if san is not None:
             san.on_server_dispatch(self)
-        # simown: shared[namespace read; layout immutable after create]
+        # Not charged network time: namespace lookup (DESIGN.md).
         f = self.fs.lookup(req.file_name)
         lbn = f.lbn_of(self.server_index, req.object_offset)
         nsectors_total = -(-req.length // 512)
@@ -343,7 +319,7 @@ class DataServer:
         return completions
 
     def _object_bytes(self, file_name: str) -> int:
-        # simown: shared[namespace read; layout immutable after create]
+        # Not charged network time: namespace lookup (DESIGN.md).
         f = self.fs.lookup(file_name)
         return f.layout.object_size(f.size, self.server_index)
 
@@ -471,16 +447,12 @@ class DataServer:
         the service's start.  (The spawned process's own completion is
         waited on by nobody either.)  Any other caller yields
         ``sim.urgent_hop()`` first to keep the spawned form's order.
-        Under fault tracking (a crash must interrupt in-flight
-        service), on a crashed server and with the ownership checker
-        armed (service runs in the server's LP) this is ``yield
-        server.handle(req)``.
+        It falls back to ``yield server.handle(req)`` in two cases:
+        under fault tracking, where a crash must interrupt in-flight
+        service, so the service needs its own process; and on a crashed
+        server, which black-holes the request.
         """
-        if (
-            self._service_procs is not None
-            or self.crashed
-            or self._ownership is not None
-        ):
+        if self._service_procs is not None or self.crashed:
             yield self.handle(req)
             return
         yield from self._serve(req)
@@ -507,7 +479,6 @@ class DataServer:
                 op=req.op,
                 length=req.length,
                 file=req.file_name,
-                lp=f"server:ds{self.server_index}",
             ):
                 yield sim.timeout(REQUEST_CPU_S)
                 yield from self._perform_io(req)
@@ -531,8 +502,6 @@ class DataServer:
         whole batch at once -- the mechanism DualPar's CRM and collective
         aggregators rely on for deep, sortable queues.
         """
-        if self._ownership is not None:
-            self._ownership.check(self, "handle_list")
         done = self.sim.event()
         if self.crashed:
             self.n_dropped_requests += len(reqs)
@@ -552,7 +521,6 @@ class DataServer:
                 async_=True,
                 pieces=len(reqs),
                 bytes=sum(r.length for r in reqs),
-                lp=f"server:ds{self.server_index}",
             ):
                 yield from self._service_list_body(reqs)
         else:

@@ -37,21 +37,10 @@ class MetadataServer:
         #: nominally).  Clients learn server liveness through metadata,
         #: exactly as they learn the server list.
         self.health = None
-        #: Dynamic simown checker (None unless REPRO_SANITIZE_OWNERSHIP=1):
-        #: the namespace lives in the "meta" LP; clients reach it only
-        #: through these RPCs, whose inbound transfer grants access.
-        self._ownership = (
-            sim._sanitizer.ownership if sim._sanitizer is not None else None
-        )
-        if self._ownership is not None:
-            self._ownership.tag(self, "meta")
-            self._ownership.map_node(node_id, "meta")
 
     def rpc_create(self, client_node: int, name: str, size: int) -> Generator:
         """Create a file; yields until the RPC round-trip completes."""
         yield from self.network.transfer(client_node, self.node_id, METADATA_MSG_BYTES)
-        if self._ownership is not None:
-            self._ownership.check(self, "rpc_create")
         yield self.sim.timeout(METADATA_OP_CPU_S)
         f = self.fs.create(name, size)
         self.n_ops += 1
@@ -61,8 +50,6 @@ class MetadataServer:
     def rpc_open(self, client_node: int, name: str) -> Generator:
         """Look up a file; yields until the RPC round-trip completes."""
         yield from self.network.transfer(client_node, self.node_id, METADATA_MSG_BYTES)
-        if self._ownership is not None:
-            self._ownership.check(self, "rpc_open")
         yield self.sim.timeout(METADATA_OP_CPU_S)
         f = self.fs.lookup(name)
         self.n_ops += 1

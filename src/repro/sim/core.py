@@ -496,12 +496,7 @@ class Simulator:
         #: Free list of recycled Timeout objects.
         self._pool: list[Timeout] = []
         if sanitize is None:
-            # Arming the ownership checker implies sanitizing: the
-            # checker rides the sanitizer's process-creation hooks.
-            sanitize = bool(
-                os.environ.get("REPRO_SANITIZE")
-                or os.environ.get("REPRO_SANITIZE_OWNERSHIP")
-            )
+            sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         self._sanitizer: Optional["SimSanitizer"]
         if sanitize:
             # Imported lazily: devtools depends on this module.

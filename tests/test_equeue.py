@@ -29,8 +29,11 @@ keeps simulators on the heap; they skip only without a C compiler.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -461,6 +464,70 @@ def test_no_compiler_fallback_matches_c_kernel(monkeypatch, tmp_path):
     sim = Simulator()
     assert isinstance(sim._queue, HeapQueue) and sim._accel is None
     assert _cell_digest() == reference
+
+
+#: Run by each concurrent loader: build (or reuse) the accelerator of the
+#: package copy on ``sys.path``, then a tiny tie-heavy simulation.
+_LOAD_AND_RUN = """
+import json
+from repro.sim import _accel
+mod = _accel.load()
+from repro.sim import Simulator
+sim = Simulator()
+log = []
+def body(i):
+    for k in range(3):
+        yield sim.timeout(0.5 * (i % 3))
+        log.append((sim.now, i, k))
+for i in range(6):
+    sim.process(body(i))
+sim.run()
+print(json.dumps({
+    "file": _accel.__file__,
+    "api": getattr(mod, "API_VERSION", None),
+    "c_kernel": sim._accel is not None,
+    "log": log,
+}))
+"""
+
+
+def test_concurrent_first_import_builds_are_safe(tmp_path):
+    """Four interpreters importing a package copy with no built ``_cq``
+    all compile it at once: each gets a working module, the runs agree,
+    and no temporary build output is left behind."""
+    cc = os.environ.get("CC", "cc")
+    if shutil.which(cc) is None:
+        pytest.skip("no C compiler")
+    pkg = tmp_path / "repro"
+    src_pkg = os.path.dirname(os.path.dirname(_accel.__file__))
+    shutil.copytree(src_pkg, pkg, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    assert not list((pkg / "sim").glob("_cq*.so"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env.pop("REPRO_SIM_ACCEL", None)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _LOAD_AND_RUN],
+            env=env,
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(4)
+    ]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(json.loads(out))
+    for res in outs:
+        assert res["file"].startswith(str(pkg))
+        assert res["api"] == 4
+        assert res["c_kernel"]
+    assert all(res["log"] == outs[0]["log"] for res in outs)
+    assert len(outs[0]["log"]) == 18
+    assert list((pkg / "sim").glob("_cq*.so"))
+    assert not list((pkg / "sim").glob("_cq*.tmp.*"))
 
 
 def test_info_and_len(cq):

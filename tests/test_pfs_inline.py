@@ -95,16 +95,9 @@ def _patch(monkeypatch, kernel: str, reference: bool) -> None:
         monkeypatch.setattr(DataServer, "call", _reference_call)
 
 
-def _run(monkeypatch, kernel: str, reference: bool, ownership: bool = False, **kw):
-    """One tie-heavy MPI run; returns (observables, spawned process names).
-
-    ``ownership`` arms the ownership checker for the run; otherwise it
-    is off whatever the environment says."""
+def _run(monkeypatch, kernel: str, reference: bool, **kw):
+    """One tie-heavy MPI run; returns (observables, spawned process names)."""
     _patch(monkeypatch, kernel, reference)
-    if ownership:
-        monkeypatch.setenv("REPRO_SANITIZE_OWNERSHIP", "1")
-    else:
-        monkeypatch.delenv("REPRO_SANITIZE_OWNERSHIP", raising=False)
     names: list[str] = []
     spawn = Simulator.process
 
@@ -251,11 +244,4 @@ def test_fault_plan_keeps_process_per_piece_and_per_request(monkeypatch):
     )
     _, names = _run(monkeypatch, "python", reference=False, fault_plan=plan)
     assert names.count("pfs-piece") == 8 * 6
-    assert sum(n.endswith("-svc") for n in names) == 8 * 6
-
-
-def test_ownership_checker_keeps_service_processes(monkeypatch):
-    _, names = _run(monkeypatch, "python", reference=False, ownership=True)
-    # Pieces still run inline; service is adopted into the server's LP.
-    assert names.count("pfs-piece") == 8 * 2
     assert sum(n.endswith("-svc") for n in names) == 8 * 6

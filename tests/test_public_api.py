@@ -123,4 +123,4 @@ def test_env_knobs_match_readme_environment_table():
     documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
     assert used == documented
     # A new knob is a deliberate act: raise this count with the table row.
-    assert len(documented) == 4
+    assert len(documented) == 3
