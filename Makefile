@@ -102,6 +102,7 @@ ci-local: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py
 	$(MAKE) digests
+	REPRO_SIM_ACCEL=0 $(MAKE) digests
 	$(PYTHON) benchmarks/check_regression.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.

@@ -1,3 +1,5 @@
+"""``python -m repro``: the :mod:`repro.cli` command line."""
+
 from repro.cli import main
 
 if __name__ == "__main__":

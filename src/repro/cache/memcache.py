@@ -86,7 +86,7 @@ class GlobalCache:
         self.n_puts = 0
         self.n_evictions = 0
         self._metrics: Optional[_CacheMetrics] = (
-            _CacheMetrics(sim.obs.registry) if sim.obs.enabled else None
+            _CacheMetrics(sim.obs.registry) if sim.obs is not None else None
         )
 
     # ------------------------------------------------------------- placement

@@ -65,7 +65,7 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
     allocators: list[ExtentAllocator] = []
     devices = []
 
-    registry = sim.obs.registry if sim.obs.enabled else None
+    registry = sim.obs.registry if sim.obs is not None else None
     for i in range(spec.n_data_servers):
         trace = (
             BlkTrace(name=f"server{i}", registry=registry)

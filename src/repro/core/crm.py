@@ -51,7 +51,7 @@ class Crm:
         self.n_reelections = 0
         self.n_deferred_prefetch_chunks = 0
         self.n_deferred_writeback_chunks = 0
-        if self.sim.obs.enabled:
+        if self.sim.obs is not None:
             reg = self.sim.obs.registry
             pre = f"crm.{engine.job.name}"
             self._m_prefetched = reg.counter(f"{pre}.prefetched_bytes")

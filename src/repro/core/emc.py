@@ -51,7 +51,7 @@ class EmcDaemon:
         self.config = config
         self.sim = system.runtime.sim
         self.samples: list[EmcSample] = []
-        if self.sim.obs.enabled:
+        if self.sim.obs is not None:
             reg = self.sim.obs.registry
             self._ts_improvement = reg.timeseries("emc.improvement")
             self._ts_seek_dist = reg.timeseries("emc.ave_seek_dist")

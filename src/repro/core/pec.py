@@ -55,15 +55,6 @@ class Cycle:
         per_file = self.recorded.setdefault(rank, {})
         per_file.setdefault(file_name, []).extend(segments)
 
-    @property
-    def total_recorded_bytes(self) -> int:
-        return sum(
-            s.length
-            for per_file in self.recorded.values()
-            for segs in per_file.values()
-            for s in segs
-        )
-
 
 class Pec:
     """One per DualPar job."""
@@ -80,7 +71,7 @@ class Pec:
         self.n_fault_stops = 0
         #: (cycle_id, misprefetch_ratio) history
         self.misprefetch_history: list[tuple[int, float]] = []
-        if self.sim.obs.enabled:
+        if self.sim.obs is not None:
             reg = self.sim.obs.registry
             pre = f"pec.{self.job.name}"
             self._m_cycles = reg.counter(f"{pre}.cycles")

@@ -45,10 +45,10 @@ class DualParSystem:
         sim = runtime.sim
         self._transition_counter = (
             sim.obs.registry.counter("emc.mode_transitions")
-            if sim.obs.enabled
+            if sim.obs is not None
             else None
         )
-        self._tracer = sim.obs.tracer if sim.obs.enabled else None
+        self._tracer = sim.obs.tracer if sim.obs is not None else None
         #: Fault-injection attachments (None nominally): the injector and
         #: the ServerHealth map it maintains.
         self.faults = None

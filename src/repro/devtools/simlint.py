@@ -934,6 +934,7 @@ def lint_source(
 
 
 def lint_file(path: Union[str, Path], select: Optional[Iterable[str]] = None) -> list[Finding]:
+    """Lint one file; an unreadable or non-UTF-8 file yields no findings."""
     p = Path(path)
     try:
         source = p.read_text(encoding="utf-8")
@@ -1026,6 +1027,7 @@ def changed_paths(paths: Sequence[Union[str, Path]]) -> Optional[list[Path]]:
 
 
 def render_text(findings: Sequence[Finding]) -> str:
+    """One line per finding plus a count line (or a no-findings line)."""
     if not findings:
         return "simlint: no findings"
     lines = [f.render() for f in findings]
@@ -1034,6 +1036,7 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 
 def render_json(findings: Sequence[Finding]) -> str:
+    """A versioned JSON report: per-rule counts and every finding."""
     counts: dict[str, int] = {}
     for f in findings:
         counts[f.rule] = counts.get(f.rule, 0) + 1
@@ -1046,6 +1049,7 @@ def render_json(findings: Sequence[Finding]) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The ``simlint`` command line; returns 1 when there are findings."""
     parser = argparse.ArgumentParser(
         prog="simlint",
         description="determinism lint for simulation code (rules SL001-SL008)",

@@ -144,7 +144,7 @@ class DiskDrive:
         self.fault: Optional[object] = None
         #: None when unobserved so the hot path pays one identity check.
         self._metrics: Optional[_DiskMetrics] = (
-            _DiskMetrics(sim.obs.registry, name) if sim.obs.enabled else None
+            _DiskMetrics(sim.obs.registry, name) if sim.obs is not None else None
         )
 
     @property

@@ -60,12 +60,6 @@ class DriveStats:
             return 0.0
         return sum(picked) / len(picked)
 
-    def mean_service_time(self, since: float = 0.0) -> float:
-        picked = [s.service_time for s in self.recent if s.time >= since]
-        if not picked:
-            return 0.0
-        return sum(picked) / len(picked)
-
     def throughput_mb_s(self, elapsed_s: float) -> float:
         """End-to-end MB/s given total elapsed (not busy) seconds."""
         if elapsed_s <= 0:

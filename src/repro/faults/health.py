@@ -44,7 +44,7 @@ class ServerHealth:
         self._recovery: dict[int, "Event"] = {}
         #: (sim_time, server, new_state) history, always recorded.
         self.transitions: list[tuple[float, int, str]] = []
-        if sim.obs.enabled:
+        if sim.obs is not None:
             reg = sim.obs.registry
             self._gauges: Optional[list] = [
                 reg.gauge(f"faults.ds{i}.health") for i in range(n_servers)

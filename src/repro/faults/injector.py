@@ -119,7 +119,7 @@ class FaultInjector:
         self._req_counter = 0
         self._evicted: set[int] = set()
         obs = self.sim.obs
-        if obs.enabled:
+        if obs is not None:
             self._event_counter = obs.registry.counter("faults.events")
             self._event_log = obs.registry.event_log(
                 "faults.log", fields=("t", "kind", "phase", "target")

@@ -81,9 +81,6 @@ class MemoryBudget:
     def job_headroom(self, job_id: int) -> int:
         return max(self.job_cap_bytes - self.job_used(job_id), 0)
 
-    def node_headroom(self, node: int) -> int:
-        return max(self.node_cap_bytes - self.node_used(node), 0)
-
     def node_over(self, node: int) -> bool:
         return self.node_used(node) >= self.node_cap_bytes
 

@@ -236,8 +236,8 @@ class SafetyGovernor:
         self.sim = sim
         self.config = config or GuardConfig()
         obs = sim.obs
-        self.registry = obs.registry if obs.enabled else None
-        self._tracer = obs.tracer if obs.enabled else None
+        self.registry = obs.registry if obs is not None else None
+        self._tracer = obs.tracer if obs is not None else None
         self.budget = MemoryBudget(self.config, registry=self.registry)
         self.breaker = CircuitBreaker(
             sim, self.config, registry=self.registry, tracer=self._tracer

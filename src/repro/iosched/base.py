@@ -67,23 +67,3 @@ class IoScheduler(ABC):
 
     def on_complete(self, unit: IoUnit, now: float) -> None:
         """Completion notification (think-time heuristics hook)."""
-
-    # -- shared helpers -------------------------------------------------
-
-    @staticmethod
-    def _try_merge_sorted(units: list[IoUnit], req: BlockRequest, max_sectors: int) -> bool:
-        """Attempt back/front merge of ``req`` into a LBN-sorted unit list.
-
-        Returns True when merged.  Keeps the list sorted.
-        """
-        import bisect
-
-        idx = bisect.bisect_left([u.lbn for u in units], req.lbn)
-        # Predecessor may back-merge; successor may front-merge.
-        if idx > 0 and units[idx - 1].can_back_merge(req, max_sectors):
-            units[idx - 1].back_merge(req)
-            return True
-        if idx < len(units) and units[idx].can_front_merge(req, max_sectors):
-            units[idx].front_merge(req)
-            return True
-        return False

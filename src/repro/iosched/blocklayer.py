@@ -102,9 +102,9 @@ class BlockLayer:
         self._arrival: Optional[Event] = None
         self._congestion_waiters: list[Event] = []  # simlint: ignore[SL006] one event per inflight submitter; drained every un-congest
         self._metrics: Optional[_BlkMetrics] = (
-            _BlkMetrics(sim.obs.registry, name) if sim.obs.enabled else None
+            _BlkMetrics(sim.obs.registry, name) if sim.obs is not None else None
         )
-        self._tracer = sim.obs.tracer if sim.obs.enabled else None
+        self._tracer = sim.obs.tracer if sim.obs is not None else None
         self._dispatcher = sim.process(
             self._dispatch_loop(), name=f"{name}-dispatch", daemon=True
         )

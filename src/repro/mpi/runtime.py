@@ -145,7 +145,7 @@ class MpiJob:
         sim = self.sim
         stream = proc.stream
         engine = self.engine
-        tracer = sim.obs.tracer if sim.obs.enabled else None
+        tracer = sim.obs.tracer if sim.obs is not None else None
         while True:
             op = stream.next_for_run()
             if op is None:

@@ -19,14 +19,11 @@ __all__ = ["coalesce_segments", "coverage_stats", "CoverageStats"]
 def coalesce_segments(
     segments: list[Segment] | tuple[Segment, ...],
     hole_threshold: int = 0,
-    max_extent: int | None = None,
 ) -> list[Segment]:
     """Sort, merge overlapping/adjacent segments, and bridge small holes.
 
     Holes of at most ``hole_threshold`` bytes between consecutive segments
-    are absorbed into the covering segment.  ``max_extent`` caps the size
-    of any produced segment (a coalesced run is split, never a hole
-    re-opened).
+    are absorbed into the covering segment.
     """
     if hole_threshold < 0:
         raise ValueError("hole_threshold must be non-negative")
@@ -42,19 +39,6 @@ def coalesce_segments(
             out.append(Segment(cur_start, cur_end - cur_start))
             cur_start, cur_end = seg.offset, seg.end
     out.append(Segment(cur_start, cur_end - cur_start))
-    if max_extent is not None:
-        if max_extent <= 0:
-            raise ValueError("max_extent must be positive")
-        split: list[Segment] = []
-        for seg in out:
-            pos = seg.offset
-            remaining = seg.length
-            while remaining > 0:
-                take = min(max_extent, remaining)
-                split.append(Segment(pos, take))
-                pos += take
-                remaining -= take
-        out = split
     return out
 
 

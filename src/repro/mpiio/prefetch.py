@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.cache.chunk import ChunkKey, chunk_range
 from repro.cache.memcache import GlobalCache
-from repro.mpi.ops import ComputeOp, IoOp
+from repro.mpi.ops import IoOp
 from repro.mpiio.engine import IndependentEngine
 from repro.sim import Event
 
@@ -43,15 +43,10 @@ class PreexecPrefetchEngine(IndependentEngine):
         runtime: "MpiRuntime",
         job: "MpiJob",
         window_bytes: int = 1024 * 1024,
-        retain_compute: bool = False,
         **kw,
     ):
         super().__init__(runtime, job, **kw)
         self.window_bytes = window_bytes
-        #: Strategy 2 strips computation from the pre-execution ("we
-        #: remove all the computation", paper SII); True emulates a
-        #: slicing-free speculation that re-runs it.
-        self.retain_compute = retain_compute
         self.cache: GlobalCache = runtime.global_cache
         #: chunks currently being prefetched: key -> completion event
         self._inflight: dict[ChunkKey, Event] = {}
@@ -81,10 +76,8 @@ class PreexecPrefetchEngine(IndependentEngine):
                 # Runaway guard: nothing read-shaped for a very long
                 # stretch (e.g. a write-only program) -- stop speculating.
                 break
-            if isinstance(op, ComputeOp):
-                if self.retain_compute and op.seconds > 0:
-                    yield sim.timeout(op.seconds)
-                continue
+            # Computation is sliced away ("we remove all the computation
+            # from the pre-execution", paper SII): only reads are speculated.
             if not isinstance(op, IoOp) or op.op != "R":
                 continue
             for seg in op.prediction:

@@ -16,17 +16,17 @@ Usage::
     write_metrics("metrics.json", snap)
     write_chrome_trace("trace.json", chrome_trace_events(obs.tracer))
 
-Off by default and zero-overhead when disabled: a plain
-``Simulator()`` carries the shared :data:`NULL_OBS` whose registry and
-tracer are no-ops, and components that instrument hot paths hold
-``None`` instead of instruments when observability is off.  Observing a
+Off by default and zero-overhead when disabled: a plain ``Simulator()``
+has ``obs`` ``None``, and every instrumented component checks
+``sim.obs is not None`` once at construction and holds ``None`` in
+place of its instruments and tracer otherwise.  Observing a
 run never schedules events, reads wall clocks, or consumes randomness,
 so an observed run is bit-identical to a plain one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.obs.export import (
     chrome_trace_events,
@@ -36,25 +36,15 @@ from repro.obs.export import (
     write_metrics,
 )
 from repro.obs.registry import (
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
     Counter,
     EventLog,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     TimeSeries,
 )
 from repro.obs.sampling import PeriodicSampler
-from repro.obs.tracing import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-)
+from repro.obs.tracing import Span, SpanRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -65,14 +55,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
-    "NULL_OBS",
-    "NULL_REGISTRY",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullObservability",
-    "NullRegistry",
-    "NullTracer",
     "Observability",
     "PeriodicSampler",
     "Span",
@@ -96,8 +78,6 @@ class Observability:
     its instruments here.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
@@ -109,24 +89,3 @@ class Observability:
     def snapshot(self, now: float) -> dict:
         """The registry snapshot stamped with simulated time ``now``."""
         return self.registry.snapshot(now)
-
-
-class NullObservability:
-    """The disabled observability layer: shared no-op registry/tracer."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.registry = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-
-    def bind(self, sim: "Simulator") -> None:
-        pass
-
-    def snapshot(self, now: float) -> dict:
-        return {}
-
-
-#: The process-wide disabled-observability singleton every plain
-#: Simulator shares.
-NULL_OBS = NullObservability()

@@ -13,9 +13,8 @@ Four instrument kinds cover every counter the simulation keeps today:
 
 All timestamps are *simulated* seconds: nothing here reads a wall clock,
 so an observed run is a pure function of its inputs exactly like a plain
-run.  Components never branch on observability being enabled -- they are
-handed either real instruments or the shared no-op singletons from
-:data:`NULL_REGISTRY`, whose mutating methods do nothing.
+run.  Observability off means no registry at all: ``Simulator.obs`` is
+``None`` and each component holds ``None`` in place of its instruments.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
-    "NullInstrument",
-    "NullRegistry",
     "TimeSeries",
 ]
 
@@ -193,8 +188,6 @@ class MetricsRegistry:
     sharing a metric is always a bug).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
 
@@ -275,88 +268,3 @@ class MetricsRegistry:
             inst = self._instruments[name]
             out[section[inst.kind]][name] = inst.to_dict()
         return out
-
-
-class NullInstrument:
-    """The do-nothing instrument: every mutator is a no-op.
-
-    One shared instance stands in for every kind, so a disabled run
-    allocates nothing per metric and the only residual cost at a
-    recording site is a bound-method call (sites on genuinely hot paths
-    skip even that by holding ``None`` instead -- see the component
-    wiring).
-    """
-
-    __slots__ = ()
-
-    kind = "null"
-    name = "null"
-    rows: tuple = ()
-    samples: tuple = ()
-
-    def inc(self, n: float = 1) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def record(self, t: float, v: float) -> None:
-        pass
-
-    def append(self, row: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def to_dict(self) -> Any:
-        return None
-
-
-NULL_INSTRUMENT = NullInstrument()
-
-
-class NullRegistry:
-    """Registry stand-in when observability is off: hands out the shared
-    :data:`NULL_INSTRUMENT` and snapshots to an empty dict."""
-
-    enabled = False
-
-    def counter(self, name: str) -> Any:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> Any:
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS) -> Any:
-        return NULL_INSTRUMENT
-
-    def timeseries(self, name: str) -> Any:
-        return NULL_INSTRUMENT
-
-    def event_log(self, name: str, fields: Sequence[str] = ()) -> Any:
-        return NULL_INSTRUMENT
-
-    def attach(self, name: str, instrument: Any) -> None:
-        pass
-
-    def get(self, name: str) -> Optional[Any]:
-        return None
-
-    def names(self) -> list[str]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def snapshot(self, now: float) -> dict:
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()

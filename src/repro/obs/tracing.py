@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
-__all__ = ["NULL_SPAN", "NULL_TRACER", "NullSpan", "NullTracer", "Span", "SpanRecord", "Tracer"]
+__all__ = ["Span", "SpanRecord", "Tracer"]
 
 
 class SpanRecord:
@@ -64,10 +64,6 @@ class SpanRecord:
         self.args = args
         self.async_ = async_
 
-    @property
-    def duration_s(self) -> float:
-        return (self.t1 - self.t0) if self.t1 is not None else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Span {self.name} [{self.t0}..{self.t1}] track={self.track}>"
 
@@ -94,8 +90,6 @@ class Span:
 
 class Tracer:
     """Records spans and instants against one simulator's clock."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._sim: Optional["Simulator"] = None
@@ -166,54 +160,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-
-class NullSpan:
-    """Reentrant no-op context manager; one shared instance."""
-
-    __slots__ = ()
-
-    record = None
-    trace_id = 0
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        pass
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullTracer:
-    """Tracer stand-in when observability is off."""
-
-    enabled = False
-    spans: tuple = ()
-    instants: tuple = ()
-    now = 0.0
-
-    def bind(self, sim: "Simulator") -> None:
-        pass
-
-    def new_trace(self) -> int:
-        return 0
-
-    def bind_stream(self, stream_id: int, trace_id: int) -> None:
-        pass
-
-    def trace_of_stream(self, stream_id: int) -> int:
-        return 0
-
-    def span(self, name: str, **kw: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def instant(self, name: str, **kw: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_TRACER = NullTracer()

@@ -58,7 +58,7 @@ class PfsClient:
         self.n_timeouts = 0
         self.n_retries = 0
         self.n_failovers = 0
-        self._tracer = sim.obs.tracer if sim.obs.enabled else None
+        self._tracer = sim.obs.tracer if sim.obs is not None else None
 
     # -- fault-aware retry loop ------------------------------------------
 

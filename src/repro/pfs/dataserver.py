@@ -142,9 +142,9 @@ class DataServer:
         self.commit_log: Optional[list[int]] = None
         self._committed_ids: set[int] = set()
         self._metrics: Optional[_DsMetrics] = (
-            _DsMetrics(sim.obs.registry, server_index) if sim.obs.enabled else None
+            _DsMetrics(sim.obs.registry, server_index) if sim.obs is not None else None
         )
-        self._tracer = sim.obs.tracer if sim.obs.enabled else None
+        self._tracer = sim.obs.tracer if sim.obs is not None else None
         if sim._sanitizer is not None:
             sim._sanitizer.on_component_registered(f"ds{server_index}")
 
@@ -253,41 +253,13 @@ class DataServer:
         self._spawn(self._service(req, done), name=f"ds{self.server_index}-svc")
         return done
 
-    def _submit_blocks(self, req: ServerRequest, is_async: bool = False) -> list[Event]:
-        """Translate one object range to block requests; submit them all.
-
-        Does NOT honour queue congestion -- use :meth:`_submit_blocks_throttled`
-        from generator contexts that may flood the elevator.
-        """
-        san = self.sim._sanitizer
-        if san is not None:
-            san.on_server_dispatch(self)
-        # Not charged network time: namespace lookup (DESIGN.md).
-        f = self.fs.lookup(req.file_name)
-        lbn = f.lbn_of(self.server_index, req.object_offset)
-        nsectors_total = -(-req.length // 512)
-        max_sectors = self.max_io_bytes // 512
-        completions = []
-        pos = 0
-        while pos < nsectors_total:
-            take = min(max_sectors, nsectors_total - pos)
-            completions.append(
-                self.block_layer.submit(
-                    lbn + pos,
-                    take,
-                    op=req.op,
-                    stream_id=self._io_context(req.stream_id),
-                    is_async=is_async,
-                    trace_id=req.trace_id,
-                )
-            )
-            pos += take
-        return completions
-
     def _submit_blocks_throttled(self, req: ServerRequest, is_async: bool = False):
-        """Like :meth:`_submit_blocks`, but a server thread sleeping in
-        ``get_request_wait`` when the elevator queue is congested
-        (nr_requests).  Generator; returns the completion-event list."""
+        """Translate one object range to block requests and submit them.
+
+        Splits the range into ``max_io_bytes`` pieces; before each, the
+        server thread sleeps in ``get_request_wait`` while the elevator
+        queue is congested (nr_requests).  Generator; returns the
+        completion-event list."""
         san = self.sim._sanitizer
         if san is not None:
             san.on_server_dispatch(self)
@@ -575,7 +547,7 @@ class LocalityDaemon:
         #: When observed, the SeekDist series is also published.
         self._series = (
             sim.obs.registry.timeseries(f"locality.{name}.seekdist")
-            if sim.obs.enabled
+            if sim.obs is not None
             else None
         )
         self._sampler = PeriodicSampler(sim, interval_s, self._probe, name=name)

@@ -30,10 +30,6 @@ class Extent:
     start_lbn: int
     n_sectors: int
 
-    @property
-    def end_lbn(self) -> int:
-        return self.start_lbn + self.n_sectors
-
 
 class ExtentAllocator:
     """Allocates per-file extents on one server's disk."""

@@ -178,7 +178,7 @@ def run_experiment(
     if timeline_window_s is not None:
         from repro.obs.sampling import PeriodicSampler
 
-        registry = runtime.sim.obs.registry if runtime.sim.obs.enabled else None
+        registry = runtime.sim.obs.registry if runtime.sim.obs is not None else None
         timeline = ThroughputTimeline("system", registry=registry)
         state = {"last": 0}
 
@@ -218,7 +218,7 @@ def run_experiment(
         observe=observe,
         metrics=(
             observe.snapshot(runtime.sim.now)
-            if observe is not None and observe.enabled
+            if observe is not None
             else None
         ),
         faults=faults,

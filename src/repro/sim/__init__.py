@@ -14,10 +14,12 @@ Public API
 - :class:`Process` -- a running coroutine; itself an event that fires on
   completion.
 - :class:`Interrupt` -- exception thrown into an interrupted process.
-- :class:`Resource`, :class:`PriorityResource` -- capacity-limited servers.
-- :class:`Store`, :class:`FilterStore` -- producer/consumer buffers.
-- :class:`Gate`, :class:`SimBarrier`, :class:`Semaphore` -- synchronisation.
+- :class:`Resource` -- capacity-limited servers with a FIFO wait queue
+  (each NIC side of the network model).
+- :class:`Store` -- FIFO producer/consumer buffer.
+- :class:`SimBarrier` -- reusable n-party barrier (``MPI_Barrier``).
 - :func:`all_of`, :func:`any_of` -- condition events.
+- :class:`HeapQueue` -- the pure-Python event queue.
 """
 
 from repro.sim.core import (
@@ -31,24 +33,15 @@ from repro.sim.core import (
     any_of,
 )
 from repro.sim.equeue import HeapQueue
-from repro.sim.resources import (
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
-from repro.sim.sync import Gate, Semaphore, SimBarrier
+from repro.sim.resources import Resource, Store
+from repro.sim.sync import SimBarrier
 
 __all__ = [
     "Event",
-    "FilterStore",
     "HeapQueue",
-    "Gate",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
-    "Semaphore",
     "SimBarrier",
     "SimulationError",
     "Simulator",

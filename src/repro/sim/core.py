@@ -39,8 +39,9 @@ Service loops that intentionally never finish must be spawned with
 
 Observing: ``Simulator(observe=obs)`` attaches a
 :class:`repro.obs.Observability` (metrics registry + span tracer) that
-components publish into; the default is the process-wide no-op
-:data:`repro.obs.NULL_OBS`, so an unobserved simulator pays nothing.
+components publish into; by default ``Simulator.obs`` is ``None`` and
+every component holds ``None`` in place of its instruments, so an
+unobserved simulator pays one ``is not None`` test per recording site.
 The kernel itself never consults the observability layer -- only
 components (disks, schedulers, servers, caches) do -- and observation
 never schedules events, so observed runs are bit-identical to plain
@@ -54,14 +55,14 @@ from collections.abc import Generator
 from math import inf
 from sys import getrefcount
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim import _accel
 from repro.sim.equeue import EventQueue, HeapQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.sanitizer import SimSanitizer
-    from repro.obs import NullObservability, Observability
+    from repro.obs import Observability
 
 __all__ = [
     "Event",
@@ -471,8 +472,8 @@ class Simulator:
     invariant checks (see :mod:`repro.devtools.sanitizer`); the default
     ``None`` defers to the ``REPRO_SANITIZE`` environment variable.
     ``observe=`` attaches a :class:`repro.obs.Observability` layer that
-    components publish metrics and spans into; the default is the shared
-    no-op :data:`repro.obs.NULL_OBS`.
+    components publish metrics and spans into; the default leaves
+    ``obs`` ``None``.
 
     ``queue=`` is a test seam: an event-queue instance implementing the
     cohort contract documented in :mod:`repro.sim.equeue` (a
@@ -508,16 +509,9 @@ class Simulator:
         #: Stall watchdog (repro.guard.watchdog) when one is installed;
         #: None nominally, so unguarded runs pay one attribute load.
         self._watchdog = None
-        self.obs: "Union[Observability, NullObservability]"
-        if observe is not None and observe.enabled:
-            self.obs = observe
+        self.obs: Optional["Observability"] = observe
+        if observe is not None:
             observe.bind(self)
-        else:
-            # Imported lazily: obs depends on nothing in this module at
-            # runtime, but the kernel should not import it eagerly.
-            from repro.obs import NULL_OBS
-
-            self.obs = NULL_OBS
         # -- pending-event schedule ------------------------------------
         if isinstance(queue, str):
             raise SimulationError(f"queue= takes an event-queue instance, not {queue!r}")
@@ -630,12 +624,6 @@ class Simulator:
         loops so the sanitizer's leak check skips them.
         """
         return Process(self, gen, name=name, daemon=daemon)
-
-    def all_of(self, events: list[Event]) -> Event:
-        return all_of(self, events)
-
-    def any_of(self, events: list[Event]) -> Event:
-        return any_of(self, events)
 
     # -- running ----------------------------------------------------------
 
@@ -804,7 +792,7 @@ def _accel_selftest(mod: Any) -> bool:
         def contender() -> Generator:
             procs = [sim.process(holder("p")), sim.process(holder("q"))]
             sim.process(canceller())
-            got = yield sim.all_of(procs)
+            got = yield all_of(sim, procs)
             out.append((sim.now, sorted(got.values())))
             try:
                 yield sim.process(failing())

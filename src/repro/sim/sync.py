@@ -1,56 +1,14 @@
-"""Synchronisation primitives built on the event kernel.
+"""The barrier behind ``MPI_Barrier``.
 
-- :class:`Gate` -- a reusable open/close latch.  ``wait()`` returns an event
-  that fires immediately when the gate is open, or when it next opens.
-  DualPar's PEC uses gates to suspend and resume whole MPI programs.
-- :class:`SimBarrier` -- an ``n``-party reusable barrier (MPI_Barrier).
-- :class:`Semaphore` -- counting semaphore.
+:class:`SimBarrier` is an ``n``-party reusable barrier: the returned
+event of every arrival fires once all ``n`` parties have arrived.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any
-
 from repro.sim.core import Event, SimulationError, Simulator
 
-__all__ = ["Gate", "SimBarrier", "Semaphore"]
-
-
-class Gate:
-    """A reusable latch that processes can wait on.
-
-    Unlike a raw :class:`Event`, a gate can be closed and re-opened any
-    number of times; each ``open()`` releases every current waiter.
-    """
-
-    def __init__(self, sim: Simulator, opened: bool = True) -> None:
-        self.sim = sim
-        self._open = opened
-        self._waiters: deque[Event] = deque()  # simlint: ignore[SL006] one entry per waiting process
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        """Event firing when the gate is (or becomes) open."""
-        ev = Event(self.sim)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self, value: Any = None) -> None:
-        """Open the gate, releasing all waiters."""
-        self._open = True
-        while self._waiters:
-            self._waiters.popleft().succeed(value)
-
-    def close(self) -> None:
-        """Close the gate; subsequent waiters block until open()."""
-        self._open = False
+__all__ = ["SimBarrier"]
 
 
 class SimBarrier:
@@ -83,33 +41,3 @@ class SimBarrier:
             self._event = Event(self.sim)
             ev.succeed(self.generation)
         return ev
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeup."""
-
-    def __init__(self, sim: Simulator, value: int = 1) -> None:
-        if value < 0:
-            raise SimulationError("semaphore value must be >= 0")
-        self.sim = sim
-        self._value = value
-        self._waiters: deque[Event] = deque()  # simlint: ignore[SL006] one entry per waiting process
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._value += 1

@@ -39,7 +39,7 @@ class BlkTrace:
         self._log = EventLog(
             f"blktrace.{name}", fields=("time", "lbn", "nsectors", "op")
         )
-        if registry is not None and registry.enabled:
+        if registry is not None:
             registry.attach(self._log.name, self._log)
 
     @property

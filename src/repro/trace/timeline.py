@@ -21,7 +21,7 @@ class ThroughputTimeline:
     def __init__(self, name: str = "throughput", registry=None):
         self.name = name
         self._series = TimeSeries(f"timeline.{name}")
-        if registry is not None and registry.enabled:
+        if registry is not None:
             registry.attach(self._series.name, self._series)
 
     def record(self, time: float, nbytes: int) -> None:

@@ -43,7 +43,7 @@ from repro import JobSpec, MpiIoTest
 from repro.cluster import paper_spec
 from repro.runner.parallel import ExperimentSpec, _run_spec
 from repro.service import canonical_json, result_to_dict
-from repro.sim import HeapQueue, Interrupt, SimulationError, Simulator
+from repro.sim import HeapQueue, Interrupt, SimulationError, Simulator, all_of, any_of
 from repro.sim import _accel
 from repro.sim import core as sim_core
 
@@ -223,7 +223,7 @@ def _kernel_vocabulary_log(specs, **sim_kw):
                 out = None
             elif kind == "cancel":
                 req = resources[op[1]].request()
-                got = yield sim.any_of([req, sim.timeout(op[2])])
+                got = yield any_of(sim, [req, sim.timeout(op[2])])
                 resources[op[1]].release(req)
                 out = req in got
             elif kind == "pingpong":
@@ -231,7 +231,7 @@ def _kernel_vocabulary_log(specs, **sim_kw):
                 out = yield store.get()
             elif kind in ("all_of", "any_of"):
                 kids = [sim.process(child((i, j, k), d)) for k, d in enumerate(op[1])]
-                cond = sim.all_of(kids) if kind == "all_of" else sim.any_of(kids)
+                cond = all_of(sim, kids) if kind == "all_of" else any_of(sim, kids)
                 got = yield cond
                 out = sorted(got.values())
             elif kind == "join":

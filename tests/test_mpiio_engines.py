@@ -50,11 +50,6 @@ def test_coalesce_overlapping_segments():
     assert out == [Segment(0, 30)]
 
 
-def test_coalesce_max_extent_splits():
-    out = coalesce_segments([Segment(0, 100)], max_extent=30)
-    assert [s.length for s in out] == [30, 30, 30, 10]
-
-
 def test_coalesce_empty():
     assert coalesce_segments([]) == []
 
@@ -62,8 +57,9 @@ def test_coalesce_empty():
 def test_coalesce_bad_params():
     with pytest.raises(ValueError):
         coalesce_segments([Segment(0, 1)], hole_threshold=-1)
+    # Validation does not depend on the input being non-empty.
     with pytest.raises(ValueError):
-        coalesce_segments([Segment(0, 1)], max_extent=0)
+        coalesce_segments([], hole_threshold=-1)
 
 
 def test_coverage_stats_waste():

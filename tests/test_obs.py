@@ -7,9 +7,11 @@ the zero-overhead-when-disabled structure, and the CI kernel-bench
 regression gate.
 """
 
+import collections
 import dataclasses
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,13 +20,9 @@ import pytest
 from repro import JobSpec, MpiIoTest, run_experiment
 from repro.cli import main
 from repro.cluster import paper_spec
+from repro.faults import FaultEvent, FaultPlan
 from repro.obs import (
-    NULL_INSTRUMENT,
-    NULL_OBS,
-    NULL_SPAN,
     MetricsRegistry,
-    NullRegistry,
-    NullTracer,
     Observability,
     PeriodicSampler,
     Tracer,
@@ -113,15 +111,6 @@ def test_snapshot_shape_and_json_round_trip():
     assert json.loads(json.dumps(snap)) == snap
 
 
-def test_null_registry_is_inert():
-    reg = NullRegistry()
-    assert reg.counter("x") is NULL_INSTRUMENT
-    reg.counter("x").inc(5)
-    assert len(reg) == 0
-    assert "x" not in reg
-    assert reg.snapshot(1.0) == {}
-
-
 # ------------------------------------------------------------- tracing
 
 
@@ -152,17 +141,6 @@ def test_trace_context_stream_binding():
     tracer.bind_stream(7, t2)
     assert tracer.trace_of_stream(7) == t2
     assert tracer.trace_of_stream(99) == 0  # unbound = untraced
-
-
-def test_null_tracer_is_inert_and_reentrant():
-    tracer = NullTracer()
-    span = tracer.span("x", track="t")
-    assert span is NULL_SPAN
-    with span:
-        with span:
-            pass
-    assert len(tracer) == 0
-    assert tracer.new_trace() == 0
 
 
 def test_periodic_sampler_validates_interval():
@@ -285,23 +263,91 @@ def test_observed_metrics_cover_every_layer():
 # ------------------------------------------- zero-overhead when disabled
 
 
-def test_plain_simulator_shares_null_obs():
-    sim = Simulator()
-    assert sim.obs is NULL_OBS
-    assert not sim.obs.enabled
-    assert Simulator().obs is sim.obs  # one shared singleton, no per-sim cost
+def test_plain_simulator_has_no_obs():
+    assert Simulator().obs is None
+    obs = Observability()
+    assert Simulator(observe=obs).obs is obs
+
+
+_OBS_MODULES = {"repro.obs", "repro.obs.registry", "repro.obs.tracing"}
+_METRIC_BUNDLE = re.compile(r"_\w+Metrics")
+
+
+def _is_obs(value):
+    """An observability object: a registry, tracer or instrument, or a
+    component's private ``_*Metrics`` instrument bundle."""
+    if isinstance(value, list) and value:
+        return all(_is_obs(v) for v in value)
+    t = type(value)
+    return t.__module__ in _OBS_MODULES or bool(_METRIC_BUNDLE.fullmatch(t.__name__))
+
+
+def _obs_slots(root):
+    """``(class, attribute) -> values`` for every attribute of a ``repro``
+    object reachable from ``root`` that holds None or an observability
+    object."""
+    found = collections.defaultdict(list)
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+            continue
+        if isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+            stack.extend(obj)
+            continue
+        t = type(obj)
+        if not t.__module__.startswith("repro.") or _is_obs(obj):
+            continue
+        attrs = dict(getattr(obj, "__dict__", {}))
+        for klass in t.__mro__:
+            for slot in getattr(klass, "__slots__", ()):
+                if hasattr(obj, slot):
+                    attrs[slot] = getattr(obj, slot)
+        for name, value in attrs.items():
+            if value is None or _is_obs(value):
+                found[(t.__qualname__, name)].append(value)
+            else:
+                stack.append(value)
+    return found
 
 
 def test_disabled_components_hold_none_not_instruments():
-    from repro.cluster import build_cluster
+    """Every attribute that holds an instrument or tracer in an observed
+    run holds None in a plain run of the same experiment, and the
+    simulator's ``obs`` is None."""
 
-    cluster = build_cluster(small_cluster())
-    for ds in cluster.data_servers:
-        assert ds.device._metrics is None
-    run_experiment(small_spec("vanilla"), cluster_spec=small_cluster())
-    # A plain run records nothing into the shared null tracer.
-    assert len(NULL_OBS.tracer.spans) == 0
-    assert len(NULL_OBS.registry) == 0
+    def run(observe):
+        plan = FaultPlan(
+            events=(FaultEvent(kind="disk_failslow", at_s=0.0, until_s=0.01, target=0),)
+        )
+        return run_experiment(
+            small_spec("dualpar-forced"),
+            cluster_spec=small_cluster(),
+            observe=observe,
+            fault_plan=plan,
+            guard=True,
+        )
+
+    observed = _obs_slots(run(Observability()))
+    instrumented = sorted(k for k, vs in observed.items() if any(v is not None for v in vs))
+    # The walk reaches every instrumented layer, so the check is not vacuous.
+    assert {cls for cls, _ in instrumented} >= {
+        "Simulator", "DiskDrive", "BlockLayer", "DataServer", "LocalityDaemon",
+        "PfsClient", "GlobalCache", "DualParSystem", "EmcDaemon", "Pec", "Crm",
+        "FaultInjector", "ServerHealth", "SafetyGovernor", "MemoryBudget",
+        "CircuitBreaker", "StallWatchdog",
+    }
+    plain_result = run(None)
+    assert plain_result.runtime.sim.obs is None
+    plain = _obs_slots(plain_result)
+    for key in instrumented:
+        assert plain.get(key), f"{key} not reached in the plain run"
+        assert all(v is None for v in plain[key]), f"{key} holds an instrument"
 
 
 # --------------------------------------------------------- CLI wiring

@@ -2,85 +2,24 @@
 public items carry docstrings."""
 
 import importlib
+import importlib.util
 import inspect
+import pkgutil
 
 import pytest
 
-MODULES = [
-    "repro",
-    "repro.sim",
-    "repro.sim.core",
-    "repro.sim.resources",
-    "repro.sim.sync",
-    "repro.disk",
-    "repro.disk.geometry",
-    "repro.disk.seek",
-    "repro.disk.drive",
-    "repro.disk.raid",
-    "repro.disk.stats",
-    "repro.iosched",
-    "repro.iosched.base",
-    "repro.iosched.squeue",
-    "repro.iosched.request",
-    "repro.iosched.blocklayer",
-    "repro.iosched.noop",
-    "repro.iosched.deadline",
-    "repro.iosched.cfq",
-    "repro.iosched.anticipatory",
-    "repro.net",
-    "repro.net.ethernet",
-    "repro.pfs",
-    "repro.pfs.layout",
-    "repro.pfs.filesystem",
-    "repro.pfs.dataserver",
-    "repro.pfs.metaserver",
-    "repro.pfs.client",
-    "repro.pfs.pagecache",
-    "repro.pfs.writeback",
-    "repro.cache",
-    "repro.cache.chunk",
-    "repro.cache.memcache",
-    "repro.cache.quota",
-    "repro.mpi",
-    "repro.mpi.ops",
-    "repro.mpi.opstream",
-    "repro.mpi.runtime",
-    "repro.mpi.datatypes",
-    "repro.mpiio",
-    "repro.mpiio.engine",
-    "repro.mpiio.collective",
-    "repro.mpiio.prefetch",
-    "repro.mpiio.datasieve",
-    "repro.mpiio.listio",
-    "repro.core",
-    "repro.core.config",
-    "repro.core.metrics",
-    "repro.core.emc",
-    "repro.core.pec",
-    "repro.core.crm",
-    "repro.core.engine",
-    "repro.core.system",
-    "repro.workloads",
-    "repro.cluster",
-    "repro.cluster.spec",
-    "repro.cluster.builder",
-    "repro.runner",
-    "repro.runner.experiment",
-    "repro.runner.strategies",
-    "repro.runner.results",
-    "repro.runner.calibrate",
-    "repro.service",
-    "repro.service.schemas",
-    "repro.service.catalog",
-    "repro.service.worker",
-    "repro.service.coordinator",
-    "repro.service.client",
-    "repro.trace",
-    "repro.trace.blktrace",
-    "repro.trace.timeline",
-    "repro.analysis",
-    "repro.cli",
-]
+
+def _package_modules() -> list[str]:
+    """Every Python module of the ``repro`` package, found by walking it,
+    so adding or deleting a module cannot slip past these checks (the
+    compiled ``_cq`` extension is skipped)."""
+    import repro
+
+    names = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+    return [n for n in names if importlib.util.find_spec(n).origin.endswith(".py")]
+
+
+MODULES = _package_modules()
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.sim import (
-    FilterStore,
     HeapQueue,
-    PriorityResource,
     Resource,
     SimulationError,
     Simulator,
@@ -98,23 +96,6 @@ def test_resource_bad_capacity():
         Resource(sim, capacity=0)
 
 
-def test_resource_context_manager():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def user(tag):
-        with res.request() as req:
-            yield req
-            order.append(tag)
-            yield sim.timeout(1)
-
-    sim.process(user("x"))
-    sim.process(user("y"))
-    sim.run()
-    assert order == ["x", "y"]
-
-
 def _kernels():
     """Queue factories for both kernels.  On the C kernel a capacity-1
     Resource requests and releases through the accelerator."""
@@ -191,134 +172,6 @@ def test_capacity_one_takes_python_path_under_a_watchdog():
     assert id(first) in wd._granted and id(second) in wd._requested
     res.release(first)
     assert id(second) in wd._granted and id(first) not in wd._granted
-
-
-# ------------------------------------------------------- PriorityResource
-
-
-def test_priority_resource_orders_waiters():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def user(tag, prio, start):
-        yield sim.timeout(start)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(user("low", 5, 1))
-    sim.process(user("high", 1, 2))
-    sim.process(user("mid", 3, 3))
-    sim.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(5)
-        res.release(req)
-
-    def user(tag):
-        req = res.request(priority=1)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    for tag in "abc":
-        sim.process(user(tag))
-    sim.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_priority_resource_cancelled_request_never_granted():
-    # Cancellation is a lazy tombstone: the entry stays in the wait heap
-    # until it surfaces at dequeue.  It must be skipped there, the slot
-    # must go to the next live waiter, and a second release of the
-    # cancelled request must be rejected.
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def winner():
-        yield sim.timeout(1)
-        req = res.request(priority=5)
-        yield req
-        order.append("winner")
-        res.release(req)
-
-    def quitter():
-        yield sim.timeout(2)
-        req = res.request(priority=1)  # most urgent waiter...
-        yield sim.timeout(3)
-        res.release(req)  # ...retracts before ever being granted
-        with pytest.raises(SimulationError, match="unknown request"):
-            res.release(req)
-        assert not req.processed
-        yield sim.timeout(100)
-        assert not req.processed  # tombstone was skipped, never granted
-
-    sim.process(holder())
-    sim.process(winner())
-    sim.process(quitter())
-    sim.run()
-    assert order == ["winner"]
-
-
-def test_priority_resource_mass_cancel_compacts_heap():
-    # Heavy cancel churn triggers the tombstone purge; survivors are
-    # still served in (priority, arrival) order.
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=-1)
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def survivor(tag, prio):
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-
-    def churn():
-        yield sim.timeout(1)
-        doomed = [res.request(priority=0) for _ in range(300)]
-        for req in doomed:
-            res.release(req)  # cancel every one while still queued
-        assert len(res._pq) < 300  # compaction actually ran
-
-    sim.process(churn())
-    sim.process(survivor("hi", 1))
-    sim.process(survivor("lo", 2))
-    sim.run()
-    assert order == ["hi", "lo"]
 
 
 # ---------------------------------------------------------------- Store
@@ -400,63 +253,3 @@ def test_store_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
-
-
-# ------------------------------------------------------------ FilterStore
-
-
-def test_filter_store_matches_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer():
-        yield store.put(1)
-        yield store.put(3)
-        yield sim.timeout(1)
-        yield store.put(4)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_default_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    store.put("only")
-    got = []
-
-    def consumer():
-        got.append((yield store.get()))
-
-    sim.process(consumer())
-    sim.run()
-    assert got == ["only"]
-
-
-def test_filter_store_multiple_waiters_distinct_predicates():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = {}
-
-    def consumer(name, pred):
-        got[name] = yield store.get(pred)
-
-    sim.process(consumer("even", lambda x: x % 2 == 0))
-    sim.process(consumer("odd", lambda x: x % 2 == 1))
-
-    def producer():
-        yield sim.timeout(1)
-        yield store.put(7)
-        yield store.put(8)
-
-    sim.process(producer())
-    sim.run()
-    assert got == {"even": 8, "odd": 7}
