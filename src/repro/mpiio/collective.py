@@ -17,16 +17,23 @@ paper observes in Fig 4 ("the size of data domain accessed by one
 collective I/O routine does not increase with more processes, making
 collective I/O increasingly expensive because more data exchanges are
 needed").
+
+Planning is linear in the segment count: one pass over each rank's
+segments splits them into file domains (O(segments)), and each
+aggregator sorts its segments once, after which a round's exchange
+bytes per rank come from prefix sums (O(ranks · log segments) per
+round).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator
+from itertools import accumulate
+from typing import TYPE_CHECKING, Generator, Mapping
 
 from repro.mpi.ops import IoOp, Segment
-from repro.mpiio.datasieve import coalesce_segments
 from repro.mpiio.engine import IndependentEngine
 from repro.mpiio.listio import batch_io
 from repro.sim import Event, all_of
@@ -49,12 +56,104 @@ class _CollCall:
     started: bool = False
 
 
-def _clip(seg: Segment, lo: int, hi: int) -> Segment | None:
-    s = max(seg.offset, lo)
-    e = min(seg.end, hi)
-    if e <= s:
-        return None
-    return Segment(s, e - s)
+def split_domains(
+    ops: Mapping[int, IoOp], lo: int, fd_size: int, n_agg: int
+) -> list[dict[int, list[Segment]]]:
+    """Each aggregator's segments, keyed by rank: domain ``a`` is
+    ``[lo + a * fd_size, lo + (a + 1) * fd_size)``.
+
+    One pass over every rank's segments; only a segment that straddles a
+    domain boundary is cut. Ranks enter each domain's dict in ``ops``
+    order and keep their segment order, as clipping every segment
+    against every domain would. Segments must lie in
+    ``[lo, lo + n_agg * fd_size)`` and have positive length.
+    """
+    domains: list[dict[int, list[Segment]]] = [{} for _ in range(n_agg)]
+    for rank, op in ops.items():
+        mine: dict[int, list[Segment]] = {}
+        for seg in op.segments:
+            s, n = seg
+            a = (s - lo) // fd_size
+            last = (s + n - 1 - lo) // fd_size
+            if a == last:
+                lst = mine.get(a)
+                if lst is None:
+                    mine[a] = [seg]
+                else:
+                    lst.append(seg)
+                continue
+            e = s + n
+            for b in range(a, last + 1):
+                p_lo = max(s, lo + b * fd_size)
+                piece = Segment(p_lo, min(e, lo + (b + 1) * fd_size) - p_lo)
+                lst = mine.get(b)
+                if lst is None:
+                    mine[b] = [piece]
+                else:
+                    lst.append(piece)
+        for a, lst in mine.items():
+            domains[a][rank] = lst
+    return domains
+
+
+class SegmentBytes:
+    """Bytes of a segment list inside ``[lo, hi)``, overlaps counted with
+    multiplicity, in O(log n) per query.
+
+    With ``F(x) = sum(max(0, min(end, x) - offset))`` the bytes in
+    ``[lo, hi)`` are ``F(hi) - F(lo)``; sorted offsets and ends with
+    their prefix sums give ``F`` by bisection, in exact integers.
+    """
+
+    __slots__ = ("_offs", "_ends", "_off_sums", "_end_sums")
+
+    def __init__(self, segments: list[Segment]):
+        offs = [s for s, _ in segments]
+        ends = [s + n for s, n in segments]
+        offs.sort()
+        ends.sort()
+        self._offs = offs
+        self._ends = ends
+        self._off_sums = list(accumulate(offs, initial=0))
+        self._end_sums = list(accumulate(ends, initial=0))
+
+    def _upto(self, x: int) -> int:
+        # Segments starting below x contribute x - offset, less x - end
+        # for those that also end below x.
+        i = bisect_left(self._offs, x)
+        j = bisect_left(self._ends, x)
+        return (i - j) * x - self._off_sums[i] + self._end_sums[j]
+
+    def within(self, lo: int, hi: int) -> int:
+        return self._upto(hi) - self._upto(lo)
+
+
+def _coalesce_counting(
+    segments: list[Segment], hole_threshold: int
+) -> tuple[list[Segment], int]:
+    """``coalesce_segments(segments, hole_threshold)`` and the bytes
+    ``coalesce_segments(segments, 0)`` covers, from one sort."""
+    ordered = sorted(segments)  # Segment orders by (offset, length)
+    out: list[Segment] = []
+    requested = 0
+    cur_start, cur_end = ordered[0].offset, ordered[0].end
+    x_start, x_end = cur_start, cur_end
+    for s, n in ordered[1:]:
+        e = s + n
+        if s <= x_end:
+            if e > x_end:
+                x_end = e
+        else:
+            requested += x_end - x_start
+            x_start, x_end = s, e
+        if s <= cur_end + hole_threshold:
+            if e > cur_end:
+                cur_end = e
+        else:
+            out.append(Segment(cur_start, cur_end - cur_start))
+            cur_start, cur_end = s, e
+    out.append(Segment(cur_start, cur_end - cur_start))
+    return out, requested + x_end - x_start
 
 
 class CollectiveEngine(IndependentEngine):
@@ -73,6 +172,12 @@ class CollectiveEngine(IndependentEngine):
         treat_all_collective: bool = True,
         **kw,
     ):
+        if cb_buffer_bytes < 1:
+            raise ValueError(f"cb_buffer_bytes must be >= 1, got {cb_buffer_bytes}")
+        if n_aggregators is not None and n_aggregators < 1:
+            raise ValueError(f"n_aggregators must be >= 1, got {n_aggregators}")
+        if hole_threshold < 0:
+            raise ValueError(f"hole_threshold must be >= 0, got {hole_threshold}")
         super().__init__(runtime, job, **kw)
         self.cb_buffer_bytes = cb_buffer_bytes
         self.hole_threshold = hole_threshold
@@ -134,16 +239,7 @@ class CollectiveEngine(IndependentEngine):
         fd_size = -(-((hi - lo) // n_agg + 1) // unit) * unit
 
         agg_procs = []
-        for a in range(n_agg):
-            d_lo = lo + a * fd_size
-            d_hi = min(lo + (a + 1) * fd_size, hi)
-            if d_lo >= d_hi:
-                continue
-            per_rank: dict[int, list[Segment]] = {}
-            for rank, op in ops.items():
-                clipped = [c for s in op.segments if (c := _clip(s, d_lo, d_hi))]
-                if clipped:
-                    per_rank[rank] = clipped
+        for a, per_rank in enumerate(split_domains(ops, lo, fd_size, n_agg)):
             if not per_rank:
                 continue
             agg_rank = a  # aggregators are the lowest ranks, ROMIO default
@@ -171,10 +267,7 @@ class CollectiveEngine(IndependentEngine):
         net = self.runtime.cluster.network
         client = self.client_of(agg_proc)
         all_segs = [s for segs in per_rank.values() for s in segs]
-        coalesced = coalesce_segments(all_segs, hole_threshold=self.hole_threshold)
-        requested = sum(
-            s.length for s in coalesce_segments(all_segs, hole_threshold=0)
-        )
+        coalesced, requested = _coalesce_counting(all_segs, self.hole_threshold)
         covered = sum(s.length for s in coalesced)
         has_holes = covered > requested
 
@@ -186,10 +279,6 @@ class CollectiveEngine(IndependentEngine):
             remaining = seg.length
             while remaining > 0:
                 take = min(remaining, self.cb_buffer_bytes - acc)
-                if take == 0:
-                    rounds.append([])
-                    acc = 0
-                    continue
                 rounds[-1].append(Segment(pos, take))
                 pos += take
                 remaining -= take
@@ -199,15 +288,16 @@ class CollectiveEngine(IndependentEngine):
                     acc = 0
         rounds = [r for r in rounds if r]
 
+        rank_bytes = [(rank, SegmentBytes(segs)) for rank, segs in per_rank.items()]
+
         def exchange(direction: str, group: list[Segment]):
             """Move each rank's bytes within ``group`` between agg and rank."""
-            g_lo = min(s.offset for s in group)
-            g_hi = max(s.end for s in group)
+            # A round's pieces come in offset order and do not overlap.
+            g_lo = group[0].offset
+            g_hi = group[-1].end
             moves = []
-            for rank, segs in per_rank.items():
-                nbytes = sum(
-                    c.length for s in segs if (c := _clip(s, g_lo, g_hi))
-                )
+            for rank, counter in rank_bytes:
+                nbytes = counter.within(g_lo, g_hi)
                 if nbytes == 0:
                     continue
                 rank_node = self.job.procs[rank].node_id

@@ -1,12 +1,20 @@
 """Unit tests for two-phase collective I/O internals."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
-from repro.mpi.ops import Segment
+from repro.mpi.ops import IoOp, Segment
 from repro.mpi.runtime import MpiRuntime
-from repro.mpiio.collective import CollectiveEngine, _clip
+from repro.mpiio.collective import (
+    CollectiveEngine,
+    SegmentBytes,
+    _coalesce_counting,
+    split_domains,
+)
+from repro.mpiio.datasieve import coalesce_segments
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
 
@@ -21,25 +29,90 @@ def small_spec(**kw):
     return ClusterSpec(**defaults)
 
 
-# ----------------------------------------------------------------- clip
+# ------------------------------------------------------------- planning
 
 
-def test_clip_inside():
-    assert _clip(Segment(10, 20), 0, 100) == Segment(10, 20)
+def _clip(seg, lo, hi):
+    """Reference: the part of ``seg`` inside ``[lo, hi)``, or None."""
+    s = max(seg.offset, lo)
+    e = min(seg.end, hi)
+    if e <= s:
+        return None
+    return Segment(s, e - s)
 
 
-def test_clip_partial_overlap():
-    assert _clip(Segment(10, 20), 15, 100) == Segment(15, 15)
-    assert _clip(Segment(10, 20), 0, 15) == Segment(10, 5)
+def _clip_domains(ops, lo, fd_size, n_agg):
+    """Reference split: every aggregator clips every rank's segments."""
+    hi = max(s.end for op in ops.values() for s in op.segments)
+    out = []
+    for a in range(n_agg):
+        d_lo = lo + a * fd_size
+        d_hi = min(lo + (a + 1) * fd_size, hi)
+        per_rank = {}
+        if d_lo < d_hi:
+            for rank, op in ops.items():
+                clipped = [c for s in op.segments if (c := _clip(s, d_lo, d_hi))]
+                if clipped:
+                    per_rank[rank] = clipped
+        out.append(per_rank)
+    return out
 
 
-def test_clip_outside_returns_none():
-    assert _clip(Segment(10, 20), 50, 100) is None
-    assert _clip(Segment(50, 20), 0, 40) is None
+@st.composite
+def plans(draw):
+    """Rank segment lists over ``n_agg`` domains of ``fd_size`` bytes:
+    unsorted, overlapping, ending on a boundary, spanning many domains."""
+    n_agg = draw(st.integers(1, 5))
+    fd_size = draw(st.integers(1, 12))
+    lo = draw(st.integers(0, 50))
+    span = n_agg * fd_size
+    ops = {}
+    for rank in draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True)):
+        segs = []
+        for _ in range(draw(st.integers(1, 6))):
+            off = draw(st.integers(0, span - 1))
+            segs.append(Segment(lo + off, draw(st.integers(1, span - off))))
+        ops[rank] = IoOp("f", "R", tuple(segs))
+    return ops, lo, fd_size, n_agg
 
 
-def test_clip_zero_width_domain():
-    assert _clip(Segment(10, 20), 15, 15) is None
+def _ops(*rank_segs):
+    return {r: IoOp("f", "R", tuple(Segment(*s) for s in segs)) for r, segs in rank_segs}
+
+
+@example(plan=(_ops((0, [(30, 5), (0, 10), (4, 8)])), 0, 10, 4))  # unsorted, overlap, boundary end
+@example(plan=(_ops((1, [(5, 30)]), (0, [(0, 40)])), 0, 10, 4))  # 3+ domains, ranks out of order
+@example(plan=(_ops((0, [(7, 3), (3, 2)]), (1, [(3, 4)])), 3, 7, 1))  # one aggregator
+@settings(max_examples=300, deadline=None)
+@given(plan=plans())
+def test_split_domains_matches_clip_loop(plan):
+    ops, lo, fd_size, n_agg = plan
+    got = split_domains(ops, lo, fd_size, n_agg)
+    want = _clip_domains(ops, lo, fd_size, n_agg)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=plans(), bounds=st.tuples(st.integers(0, 120), st.integers(0, 120)))
+def test_segment_bytes_matches_clip_sum(plan, bounds):
+    ops, lo, fd_size, n_agg = plan
+    g_lo, g_hi = sorted(bounds)
+    for per_rank in split_domains(ops, lo, fd_size, n_agg) + [
+        {r: list(op.segments) for r, op in ops.items()}
+    ]:
+        for segs in per_rank.values():
+            want = sum(c.length for s in segs if (c := _clip(s, g_lo, g_hi)))
+            assert SegmentBytes(segs).within(g_lo, g_hi) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=plans(), hole=st.integers(0, 20))
+def test_coalesce_counting_matches_two_coalesces(plan, hole):
+    ops = plan[0]
+    segs = [s for op in ops.values() for s in op.segments]
+    coalesced, requested = _coalesce_counting(segs, hole)
+    assert coalesced == coalesce_segments(segs, hole_threshold=hole)
+    assert requested == sum(s.length for s in coalesce_segments(segs, hole_threshold=0))
 
 
 # ----------------------------------------------------------- aggregators
@@ -67,6 +140,21 @@ def test_aggregator_count_capped_by_procs():
 def test_aggregator_override():
     eng = make_engine(nprocs=4, n_aggregators=3)
     assert eng.n_aggregators == 3
+
+
+def test_zero_cb_buffer_rejected():
+    with pytest.raises(ValueError, match="cb_buffer_bytes"):
+        make_engine(cb_buffer_bytes=0)
+
+
+def test_zero_aggregators_rejected():
+    with pytest.raises(ValueError, match="n_aggregators"):
+        make_engine(n_aggregators=0)
+
+
+def test_negative_hole_threshold_rejected():
+    with pytest.raises(ValueError, match="hole_threshold"):
+        make_engine(hole_threshold=-1)
 
 
 def test_meta_cost_grows_with_procs():
