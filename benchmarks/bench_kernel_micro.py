@@ -66,7 +66,7 @@ def measure_events_per_sec(
 def measure_queue_ab(repeats: int = 3) -> dict:
     """Default-kernel-vs-heap A/B on the same workload.
 
-    ``default`` is what ``Simulator()`` picks (the C calendar queue and
+    ``default`` is what ``Simulator()`` picks (the C band heap and
     dispatch loop when the in-tree extension built); ``heap`` passes
     :class:`HeapQueue` instances, which run the pure-Python loop -- the
     kernel every simulator gets with ``REPRO_SIM_ACCEL=0``.
@@ -74,58 +74,6 @@ def measure_queue_ab(repeats: int = 3) -> dict:
     return {
         "heap": measure_events_per_sec(repeats=repeats, make_queue=HeapQueue),
         "default": measure_events_per_sec(repeats=repeats),
-    }
-
-
-def _pow2_bin(x: float) -> str:
-    from math import floor, log2
-
-    return f"2^{floor(log2(x))}" if x > 0 else "0"
-
-
-def measure_queue_histograms(n_events: int = 50_000) -> dict:
-    """Queue-depth and inter-cohort-gap histograms over a bursty,
-    heavy-tailed schedule (the traffic shape the C calendar's lazy width
-    adaptation is tuned for), run on the default kernel's queue.
-    Justifies the power-of-two sizing rule: the gap mass should sit
-    within a few bins of the final slot width.
-    """
-    from random import Random
-
-    from repro.sim.core import NORMAL
-
-    rng = Random(20260808)
-    q = Simulator()._queue
-    depth: dict[str, int] = {}
-    gaps: dict[str, int] = {}
-    now = 0.0
-    pushed = popped = 0
-    while popped < n_events:
-        while pushed < n_events and (len(q) < 32 or rng.random() < 0.6):
-            # Service times spanning microseconds to hours, in bursts.
-            dt = rng.expovariate(1.0) * 2.0 ** rng.uniform(-10.0, 8.0)
-            q.push(now + dt, NORMAL, pushed)
-            pushed += 1
-        cohort = q.pop_cohort()
-        if cohort is None:
-            continue
-        t, _prio, events = cohort
-        popped += len(events)
-        events[:] = [None] * len(events)
-        if t > now:
-            g = _pow2_bin(t - now)
-            gaps[g] = gaps.get(g, 0) + 1
-            now = t
-        d = _pow2_bin(float(len(q)))
-        depth[d] = depth.get(d, 0) + 1
-
-    def _sorted(h: dict) -> dict:
-        return dict(sorted(h.items(), key=lambda kv: float(kv[0].replace("2^", "") or 0)))
-
-    return {
-        "depth": _sorted(depth),
-        "inter_event_gap_s": _sorted(gaps),
-        "final_queue_info": q.info(),
     }
 
 
@@ -161,13 +109,11 @@ def collect() -> dict:
     mixed = measure_mixed_events_per_sec()
     cell_s = measure_cell_seconds()
     queue_ab = measure_queue_ab()
-    histograms = measure_queue_histograms()
     return {
         "events_per_sec": pooled,
         "events_per_sec_mixed": mixed,
         "queue_ab": queue_ab,
         "default_vs_heap": queue_ab["default"] / queue_ab["heap"],
-        "queue_histograms": histograms,
         "vanilla_cell_s": cell_s,
         "cells_per_sec": 1.0 / cell_s,
         "seed_baseline": SEED_BASELINE,
@@ -217,7 +163,6 @@ def test_kernel_micro(benchmark, report):
     assert data["queue_ab"]["heap"] > 100_000
     # The default kernel must never lose badly to the reference heap.
     assert data["default_vs_heap"] > 0.8
-    assert data["queue_histograms"]["inter_event_gap_s"]
 
 
 def main() -> int:

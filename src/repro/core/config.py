@@ -84,6 +84,11 @@ class DualParConfig:
             raise ValueError("t_improvement must be positive")
         if not 0 <= self.misprefetch_threshold <= 1:
             raise ValueError("misprefetch_threshold must be in [0, 1]")
+        if self.hole_threshold_bytes < 0:
+            raise ValueError("hole_threshold_bytes must be non-negative")
+        # A zero period re-arms the EMC daemon at the same instant forever.
+        if self.emc_interval_s <= 0:
+            raise ValueError("emc_interval_s must be positive")
         if self.force_mode not in (None, "normal", "datadriven"):
             raise ValueError(f"bad force_mode {self.force_mode!r}")
         if self.normal_engine not in ("vanilla", "collective"):

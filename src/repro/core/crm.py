@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.chunk import ChunkKey, chunk_range
 from repro.mpi.ops import Segment
-from repro.mpiio.datasieve import coalesce_segments
+from repro.mpiio.datasieve import coalesce_counting, coalesce_segments
 from repro.mpiio.listio import batch_io
 from repro.sim import all_of
 
@@ -315,10 +315,8 @@ class Crm:
         for file_name in sorted(per_file):
             f = fs.lookup(file_name)
             segs = per_file[file_name]
-            exact = coalesce_segments(segs, hole_threshold=0)
-            merged = coalesce_segments(segs, hole_threshold=hole)
+            merged, requested = coalesce_counting(segs, hole)
             covered = sum(s.length for s in merged)
-            requested = sum(s.length for s in exact)
             to_write = merged
             if covered > requested:
                 # Holes bridged: read-modify-write the covering extents.

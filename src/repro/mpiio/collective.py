@@ -34,6 +34,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Generator, Mapping
 
 from repro.mpi.ops import IoOp, Segment
+from repro.mpiio.datasieve import coalesce_counting
 from repro.mpiio.engine import IndependentEngine
 from repro.mpiio.listio import batch_io
 from repro.sim import Event, all_of
@@ -126,34 +127,6 @@ class SegmentBytes:
 
     def within(self, lo: int, hi: int) -> int:
         return self._upto(hi) - self._upto(lo)
-
-
-def _coalesce_counting(
-    segments: list[Segment], hole_threshold: int
-) -> tuple[list[Segment], int]:
-    """``coalesce_segments(segments, hole_threshold)`` and the bytes
-    ``coalesce_segments(segments, 0)`` covers, from one sort."""
-    ordered = sorted(segments)  # Segment orders by (offset, length)
-    out: list[Segment] = []
-    requested = 0
-    cur_start, cur_end = ordered[0].offset, ordered[0].end
-    x_start, x_end = cur_start, cur_end
-    for s, n in ordered[1:]:
-        e = s + n
-        if s <= x_end:
-            if e > x_end:
-                x_end = e
-        else:
-            requested += x_end - x_start
-            x_start, x_end = s, e
-        if s <= cur_end + hole_threshold:
-            if e > cur_end:
-                cur_end = e
-        else:
-            out.append(Segment(cur_start, cur_end - cur_start))
-            cur_start, cur_end = s, e
-    out.append(Segment(cur_start, cur_end - cur_start))
-    return out, requested + x_end - x_start
 
 
 class CollectiveEngine(IndependentEngine):
@@ -267,7 +240,7 @@ class CollectiveEngine(IndependentEngine):
         net = self.runtime.cluster.network
         client = self.client_of(agg_proc)
         all_segs = [s for segs in per_rank.values() for s in segs]
-        coalesced, requested = _coalesce_counting(all_segs, self.hole_threshold)
+        coalesced, requested = coalesce_counting(all_segs, self.hole_threshold)
         covered = sum(s.length for s in coalesced)
         has_holes = covered > requested
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.mpi.ops import Segment
 
-__all__ = ["coalesce_segments", "coverage_stats", "CoverageStats"]
+__all__ = ["coalesce_segments", "coalesce_counting", "coverage_stats", "CoverageStats"]
 
 
 def coalesce_segments(
@@ -42,6 +42,39 @@ def coalesce_segments(
     return out
 
 
+def coalesce_counting(
+    segments: list[Segment] | tuple[Segment, ...], hole_threshold: int
+) -> tuple[list[Segment], int]:
+    """``coalesce_segments(segments, hole_threshold)`` and the bytes
+    ``coalesce_segments(segments, 0)`` covers (the requested bytes, each
+    overlap counted once), from one sort."""
+    if hole_threshold < 0:
+        raise ValueError("hole_threshold must be non-negative")
+    if not segments:
+        return [], 0
+    ordered = sorted(segments)  # Segment orders by (offset, length)
+    out: list[Segment] = []
+    requested = 0
+    cur_start, cur_end = ordered[0].offset, ordered[0].end
+    x_start, x_end = cur_start, cur_end
+    for s, n in ordered[1:]:
+        e = s + n
+        if s <= x_end:
+            if e > x_end:
+                x_end = e
+        else:
+            requested += x_end - x_start
+            x_start, x_end = s, e
+        if s <= cur_end + hole_threshold:
+            if e > cur_end:
+                cur_end = e
+        else:
+            out.append(Segment(cur_start, cur_end - cur_start))
+            cur_start, cur_end = s, e
+    out.append(Segment(cur_start, cur_end - cur_start))
+    return out, requested + x_end - x_start
+
+
 @dataclass(frozen=True)
 class CoverageStats:
     """How much extra data hole-bridging pulls in."""
@@ -63,9 +96,9 @@ def coverage_stats(
 ) -> CoverageStats:
     """Compare requested vs covered bytes for a coalesced segment list."""
     # Requested bytes must de-duplicate overlaps to compare fairly.
-    dedup = coalesce_segments(segments, hole_threshold=0)
+    _, requested = coalesce_counting(segments, 0)
     return CoverageStats(
-        requested_bytes=sum(s.length for s in dedup),
+        requested_bytes=requested,
         covered_bytes=sum(s.length for s in coalesced),
         n_input_segments=len(segments),
         n_output_segments=len(coalesced),

@@ -5,9 +5,11 @@
  * on the pure-Python repro.sim.equeue.HeapQueue and the Python dispatch
  * loop in repro.sim.core):
  *
- *   - CalQ: a calendar / timing-wheel event queue with the same cohort
- *     contract as equeue.HeapQueue, producing the identical dispatch
- *     order ``(t, priority, arrival)``.
+ *   - BandHeap: the event queue, a binary heap of ``(t, priority)``
+ *     bands (each band's events in push order).  It keeps the cohort
+ *     contract of equeue.HeapQueue and produces the identical dispatch
+ *     order ``(t, priority, arrival)``; it may hand one key's arrivals
+ *     out as consecutive cohorts, which changes no order.
  *   - TimeoutFn: a callable installed as ``sim.timeout`` (and, in its
  *     hop form, as ``sim.urgent_hop``) that performs the pooled-Timeout
  *     fast path without entering the interpreter.
@@ -37,63 +39,44 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
-#include <math.h>
 
-#define FAR_T 1e300
 #define IDLE_PRIO (1L << 30)
 #define POOL_MAX 4096
-#define RESIZE_CHECK 64
-#define N0 64
 
 /* ------------------------------------------------------------------ state */
 
+/* One queued band: events of one (t, prio) key, in push order.  `seq`
+ * orders the bands of one key: pushed bands take ascending seqs, and a
+ * requeued remainder takes a descending negative one, which puts it
+ * ahead of every band of its key. */
 typedef struct {
     double t;
     long prio;
+    long long seq;
     PyObject *list; /* owned: PyList of events, push order */
 } Band;
 
 typedef struct {
-    double t;
-    long prio;
-    long long seq; /* signed: requeued entries use negative "front" seqs */
-    PyObject *ev;  /* owned */
-} HeapEnt;
-
-typedef struct {
-    HeapEnt *e;
+    Band *e;
     Py_ssize_t len, cap;
 } MiniHeap;
 
 typedef struct {
     PyObject_HEAD
-    Band **buckets; /* n growable band arrays */
-    int *blen;
-    int *bcap;
-    long n;
-    long mask;
-    double width, inv_w;
-    long long cur_k, far_k;
-    Py_ssize_t count;     /* events in buckets (not overflow/past) */
-    MiniHeap ov;          /* far-future entries, (t, prio, seq) order */
-    MiniHeap past;        /* behind-the-cursor (erroneous) entries */
-    long long oseq;       /* ascending for normal overflow pushes */
-    long long front_seq;  /* descending for requeue_front */
-    /* push-side band cache */
+    MiniHeap h;          /* queued bands, (t, prio, seq) order */
+    Py_ssize_t count;    /* queued events */
+    long long seq;       /* last ascending band seq */
+    long long front_seq; /* last descending (requeued) band seq */
+    /* push-side band cache: the newest queued band, NULL after a pop */
     double band_t;
     long band_prio;
-    PyObject *band_list; /* borrowed (owned by its bucket) */
+    PyObject *band_list; /* borrowed (owned by its heap entry) */
     /* active cohort */
     double active_t;
     long active_prio;
     PyObject *active_list; /* owned */
     double now; /* mirror of sim._now for TimeoutFn */
-    /* resize policy */
-    long pops;
-    double gap_ewma;
-    double last_t;
-    long resizes;
-} CalQ;
+} BandHeap;
 
 /* resolved at setup() */
 static Py_ssize_t off_value, off_processed, off_callbacks, off_delay,
@@ -119,21 +102,20 @@ static void slot_set(PyObject *ob, Py_ssize_t off, PyObject *v) /* steals v */
 
 /* --------------------------------------------------------------- MiniHeap */
 
-static int mh_less(const HeapEnt *a, const HeapEnt *b)
+static int mh_less(const Band *a, const Band *b)
 {
     if (a->t != b->t) return a->t < b->t;
     if (a->prio != b->prio) return a->prio < b->prio;
     return a->seq < b->seq;
 }
 
-static int mh_push(MiniHeap *h, double t, long prio, long long seq,
-                   PyObject *ev /* steals */)
+static int mh_push(MiniHeap *h, Band b /* steals b.list */)
 {
     if (h->len == h->cap) {
         Py_ssize_t nc = h->cap ? h->cap * 2 : 16;
-        HeapEnt *nv = PyMem_Realloc(h->e, (size_t)nc * sizeof(HeapEnt));
+        Band *nv = PyMem_Realloc(h->e, (size_t)nc * sizeof(Band));
         if (!nv) {
-            Py_DECREF(ev);
+            Py_DECREF(b.list);
             PyErr_NoMemory();
             return -1;
         }
@@ -141,21 +123,20 @@ static int mh_push(MiniHeap *h, double t, long prio, long long seq,
         h->cap = nc;
     }
     Py_ssize_t i = h->len++;
-    HeapEnt ent = {t, prio, seq, ev};
     while (i > 0) {
         Py_ssize_t p = (i - 1) >> 1;
-        if (!mh_less(&ent, &h->e[p])) break;
+        if (!mh_less(&b, &h->e[p])) break;
         h->e[i] = h->e[p];
         i = p;
     }
-    h->e[i] = ent;
+    h->e[i] = b;
     return 0;
 }
 
-static HeapEnt mh_pop(MiniHeap *h)
+static Band mh_pop(MiniHeap *h)
 {
-    HeapEnt top = h->e[0];
-    HeapEnt last = h->e[--h->len];
+    Band top = h->e[0];
+    Band last = h->e[--h->len];
     Py_ssize_t i = 0, n = h->len;
     for (;;) {
         Py_ssize_t c = 2 * i + 1;
@@ -169,186 +150,94 @@ static HeapEnt mh_pop(MiniHeap *h)
     return top;
 }
 
-/* ----------------------------------------------------------------- CalQ */
+/* --------------------------------------------------------------- BandHeap */
 
-static PyTypeObject CalQ_Type;
+static PyTypeObject BandHeap_Type;
 
-static PyObject *calq_alloc_tables(CalQ *q, long n)
+static PyObject *BandHeap_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    q->buckets = PyMem_Calloc((size_t)n, sizeof(Band *));
-    q->blen = PyMem_Calloc((size_t)n, sizeof(int));
-    q->bcap = PyMem_Calloc((size_t)n, sizeof(int));
-    if (!q->buckets || !q->blen || !q->bcap) return PyErr_NoMemory();
-    q->n = n;
-    q->mask = n - 1;
-    return Py_None; /* borrowed truthy sentinel */
-}
-
-static PyObject *CalQ_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    CalQ *q = (CalQ *)type->tp_alloc(type, 0);
+    BandHeap *q = (BandHeap *)type->tp_alloc(type, 0);
     if (!q) return NULL;
-    q->width = 1.0;
-    q->inv_w = 1.0;
-    if (!calq_alloc_tables(q, N0)) {
-        Py_DECREF(q);
-        return NULL;
-    }
-    q->cur_k = 0;
-    q->far_k = q->n;
-    q->band_t = -1.0;
-    q->band_prio = -1;
     q->active_t = -1.0;
     q->active_prio = IDLE_PRIO;
-    q->gap_ewma = 1.0;
     /* tp_alloc (PyType_GenericAlloc) already GC-tracks the object */
     return (PyObject *)q;
 }
 
-static void calq_free_tables(CalQ *q)
+static int BandHeap_traverse(BandHeap *q, visitproc visit, void *arg)
 {
-    for (long i = 0; i < q->n; i++) {
-        for (int j = 0; j < q->blen[i]; j++) Py_XDECREF(q->buckets[i][j].list);
-        PyMem_Free(q->buckets[i]);
-    }
-    PyMem_Free(q->buckets);
-    PyMem_Free(q->blen);
-    PyMem_Free(q->bcap);
-    q->buckets = NULL;
-    q->blen = NULL;
-    q->bcap = NULL;
-    q->n = 0;
-    q->mask = 0;
-    q->count = 0;
-}
-
-static int CalQ_traverse(CalQ *q, visitproc visit, void *arg)
-{
-    for (long i = 0; i < q->n; i++)
-        for (int j = 0; j < q->blen[i]; j++) Py_VISIT(q->buckets[i][j].list);
-    for (Py_ssize_t i = 0; i < q->ov.len; i++) Py_VISIT(q->ov.e[i].ev);
-    for (Py_ssize_t i = 0; i < q->past.len; i++) Py_VISIT(q->past.e[i].ev);
+    for (Py_ssize_t i = 0; i < q->h.len; i++) Py_VISIT(q->h.e[i].list);
     Py_VISIT(q->active_list);
     return 0;
 }
 
-static int CalQ_clear(CalQ *q)
+static int BandHeap_clear(BandHeap *q)
 {
-    calq_free_tables(q);
-    for (Py_ssize_t i = 0; i < q->ov.len; i++) Py_XDECREF(q->ov.e[i].ev);
-    for (Py_ssize_t i = 0; i < q->past.len; i++) Py_XDECREF(q->past.e[i].ev);
-    q->ov.len = 0;
-    q->past.len = 0;
-    PyMem_Free(q->ov.e);
-    PyMem_Free(q->past.e);
-    q->ov.e = NULL;
-    q->past.e = NULL;
-    q->ov.cap = q->past.cap = 0;
-    Py_CLEAR(q->active_list);
+    /* detach first: releasing an event can run Python code that pushes */
+    Band *e = q->h.e;
+    Py_ssize_t n = q->h.len;
+    q->h.e = NULL;
+    q->h.len = q->h.cap = 0;
+    q->count = 0;
     q->band_list = NULL;
+    for (Py_ssize_t i = 0; i < n; i++) Py_DECREF(e[i].list);
+    PyMem_Free(e);
+    Py_CLEAR(q->active_list);
     return 0;
 }
 
-static void CalQ_dealloc(CalQ *q)
+static void BandHeap_dealloc(BandHeap *q)
 {
     PyObject_GC_UnTrack(q);
-    CalQ_clear(q);
+    BandHeap_clear(q);
     Py_TYPE(q)->tp_free((PyObject *)q);
 }
 
-/* Slot index for t.  The raw double->long long cast is undefined once
- * t * inv_w exceeds LLONG_MAX (e.g. t = 5e299 with width 1.0 -- on x86
- * it yields LLONG_MIN, which would misfile the entry in the *past*
- * heap).  Clamp far below the limit: everything at or beyond the clamp
- * shares one distant slot, so it stays in the overflow heap until the
- * cursor gets there and degenerates gracefully (one shared bucket,
- * min-scan still picks the earliest band) if it ever does. */
-#define SLOT_CLAMP 4.5e18
-static inline long long slot_of(const CalQ *q, double t)
+/* Queue `ev` as a new band of (t, prio), the newest one. */
+static int bh_push_band(BandHeap *q, double t, long prio, PyObject *ev)
 {
-    double kd = t * q->inv_w;
-    return kd >= SLOT_CLAMP ? (long long)SLOT_CLAMP : (long long)kd;
-}
-
-static PyObject *bucket_band(CalQ *q, long b, double t, long prio)
-{
-    Band *arr = q->buckets[b];
-    int len = q->blen[b];
-    for (int i = 0; i < len; i++)
-        if (arr[i].t == t && arr[i].prio == prio) return arr[i].list;
-    if (len == q->bcap[b]) {
-        int nc = q->bcap[b] ? q->bcap[b] * 2 : 4;
-        Band *na = PyMem_Realloc(arr, (size_t)nc * sizeof(Band));
-        if (!na) return PyErr_NoMemory();
-        q->buckets[b] = arr = na;
-        q->bcap[b] = nc;
-    }
-    PyObject *list = PyList_New(0);
-    if (!list) return NULL;
-    arr[len].t = t;
-    arr[len].prio = prio;
-    arr[len].list = list;
-    q->blen[b] = len + 1;
-    return list;
-}
-
-static int calq_push_slow(CalQ *q, double t, long prio, PyObject *ev);
-
-static int calq_requeue_band(CalQ *q, double t, long prio,
-                             PyObject *events /* borrowed list, may hold None */)
-{
-    Py_ssize_t n = PyList_GET_SIZE(events);
-    Py_ssize_t nrem = 0;
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (PyList_GET_ITEM(events, i) != Py_None) nrem++;
-    if (!nrem) return 0;
-    if (t < FAR_T) {
-        long long k = slot_of(q, t);
-        if (k >= q->cur_k && k < q->far_k) {
-            long b = (long)(k & q->mask);
-            PyObject *band = bucket_band(q, b, t, prio);
-            if (!band) return -1;
-            /* prepend, preserving order, ahead of newer same-band pushes */
-            Py_ssize_t at = 0;
-            for (Py_ssize_t i = 0; i < n; i++) {
-                PyObject *e = PyList_GET_ITEM(events, i);
-                if (e == Py_None) continue;
-                if (PyList_Insert(band, at++, e) < 0) return -1;
-            }
-            q->count += nrem;
-            return 0;
-        }
-    }
-    /* past or overflow heap: negative front seqs keep these ahead */
-    MiniHeap *h;
-    if (t < FAR_T && slot_of(q, t) < q->cur_k)
-        h = &q->past;
-    else
-        h = &q->ov;
-    long long base = q->front_seq - (long long)nrem;
-    long long s = base + 1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *e = PyList_GET_ITEM(events, i);
-        if (e == Py_None) continue;
-        Py_INCREF(e);
-        if (mh_push(h, t, prio, s++, e) < 0) return -1;
-    }
-    q->front_seq = base;
+    PyObject *list = PyList_New(1);
+    if (!list) return -1;
+    PyList_SET_ITEM(list, 0, Py_NewRef(ev));
+    Band b = {t, prio, ++q->seq, list};
+    if (mh_push(&q->h, b) < 0) return -1;
+    q->count++;
+    q->band_t = t;
+    q->band_prio = prio;
+    q->band_list = list;
     return 0;
 }
 
-static int calq_preempt(CalQ *q, double t, long prio, PyObject *ev)
+/* Queue the non-None entries of `events` (borrowed) as one band of
+ * (t, prio) that runs ahead of every other band of that key. */
+static int bh_requeue_band(BandHeap *q, double t, long prio, PyObject *events)
+{
+    Py_ssize_t n = PyList_GET_SIZE(events), nrem = 0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (PyList_GET_ITEM(events, i) != Py_None) nrem++;
+    if (!nrem) return 0;
+    PyObject *list = PyList_New(nrem);
+    if (!list) return -1;
+    for (Py_ssize_t i = 0, j = 0; i < n; i++) {
+        PyObject *e = PyList_GET_ITEM(events, i);
+        if (e != Py_None) PyList_SET_ITEM(list, j++, Py_NewRef(e));
+    }
+    Band b = {t, prio, --q->front_seq, list};
+    if (mh_push(&q->h, b) < 0) return -1;
+    q->count += nrem;
+    return 0;
+}
+
+static int bh_preempt(BandHeap *q, double t, long prio, PyObject *ev)
 {
     PyObject *act = q->active_list;
     double at = q->active_t;
     long ap = q->active_prio;
     q->active_prio = IDLE_PRIO;
     q->active_list = NULL;
-    q->band_t = -1.0;
-    q->band_list = NULL;
     if (act != NULL) {
         /* own the sole reference that active_list held */
-        if (calq_requeue_band(q, at, ap, act) < 0) {
+        if (bh_requeue_band(q, at, ap, act) < 0) {
             Py_DECREF(act);
             return -1;
         }
@@ -359,292 +248,55 @@ static int calq_preempt(CalQ *q, double t, long prio, PyObject *ev)
         }
         Py_DECREF(act);
     }
-    return calq_push_slow(q, t, prio, ev);
+    return bh_push_band(q, t, prio, ev);
 }
 
-static int calq_push_slow(CalQ *q, double t, long prio, PyObject *ev)
+static int bh_push(BandHeap *q, double t, long prio, PyObject *ev /* borrowed */)
 {
-    if (t < FAR_T) {
-        long long k = slot_of(q, t);
-        if (k < q->far_k) {
-            if (k < q->cur_k) {
-                Py_INCREF(ev);
-                return mh_push(&q->past, t, prio, ++q->oseq, ev);
-            }
-            long b = (long)(k & q->mask);
-            PyObject *band = bucket_band(q, b, t, prio);
-            if (!band) return -1;
-            if (PyList_Append(band, ev) < 0) return -1;
-            q->count++;
-            q->band_t = t;
-            q->band_prio = prio;
-            q->band_list = band;
-            return 0;
-        }
-    }
-    Py_INCREF(ev);
-    return mh_push(&q->ov, t, prio, ++q->oseq, ev);
-}
-
-static int calq_push(CalQ *q, double t, long prio, PyObject *ev /* borrowed */)
-{
-    if (t == q->band_t && prio == q->band_prio) {
+    if (q->band_list != NULL && t == q->band_t && prio == q->band_prio) {
         if (PyList_Append(q->band_list, ev) < 0) return -1;
         q->count++;
         return 0;
     }
     if (prio < q->active_prio && t == q->active_t)
-        return calq_preempt(q, t, prio, ev);
-    return calq_push_slow(q, t, prio, ev);
+        return bh_preempt(q, t, prio, ev);
+    return bh_push_band(q, t, prio, ev);
 }
 
-static int calq_migrate(CalQ *q)
+/* Pop the top band as the active cohort: 1 = cohort ready (active_*
+ * filled), 0 = empty.  A second band of the same key is not merged in:
+ * it holds only later arrivals and pops right after this one, so the
+ * dispatch order is the same either way. */
+static int bh_pop_cohort(BandHeap *q)
 {
-    MiniHeap *ov = &q->ov;
-    while (ov->len) {
-        double t = ov->e[0].t;
-        if (t >= FAR_T) break;
-        long long k = slot_of(q, t);
-        if (k >= q->far_k) break;
-        HeapEnt e = mh_pop(ov);
-        long b = (long)(k & q->mask);
-        PyObject *band = bucket_band(q, b, e.t, e.prio);
-        if (!band) {
-            Py_DECREF(e.ev);
-            return -1;
-        }
-        int rc = PyList_Append(band, e.ev);
-        Py_DECREF(e.ev);
-        if (rc < 0) return -1;
-        q->count++;
-    }
-    return 0;
-}
-
-static int calq_rebuild(CalQ *q, long new_n, double new_w);
-
-static int calq_maybe_resize(CalQ *q)
-{
-    long n = q->n;
-    long new_n = n;
-    if (q->count > 2 * (Py_ssize_t)n)
-        new_n = n * 2;
-    else if (q->count < (Py_ssize_t)(n / 8) && n > N0)
-        new_n = n / 2;
-    double gap = q->gap_ewma;
-    double new_w = q->width;
-    if (gap > 0.0 && (gap > q->width * 4.0 || gap < q->width * 0.25)) {
-        double l = log2(gap);
-        new_w = pow(2.0, (double)llround(l));
-        if (new_w < 1e-9) new_w = 1e-9;
-        if (new_w > 1e9) new_w = 1e9;
-    }
-    if (new_n != n || new_w != q->width) return calq_rebuild(q, new_n, new_w);
-    return 0;
-}
-
-static int calq_rebuild(CalQ *q, long new_n, double new_w)
-{
-    Band *all = NULL;
-    Py_ssize_t nb = 0, cap = 0;
-    for (long i = 0; i < q->n; i++) {
-        for (int j = 0; j < q->blen[i]; j++) {
-            if (nb == cap) {
-                cap = cap ? cap * 2 : 64;
-                Band *na = PyMem_Realloc(all, (size_t)cap * sizeof(Band));
-                if (!na) {
-                    PyMem_Free(all);
-                    PyErr_NoMemory();
-                    return -1;
-                }
-                all = na;
-            }
-            all[nb++] = q->buckets[i][j]; /* list refs move to `all` */
-        }
-        q->blen[i] = 0;
-    }
-    calq_free_tables(q); /* band lists now owned solely by `all` */
-    if (!calq_alloc_tables(q, new_n)) {
-        for (Py_ssize_t i = 0; i < nb; i++) Py_XDECREF(all[i].list);
-        PyMem_Free(all);
-        return -1;
-    }
-    q->width = new_w;
-    q->inv_w = 1.0 / new_w;
-    q->band_t = -1.0;
     q->band_list = NULL;
-    double min_t;
-    if (nb) {
-        min_t = all[0].t;
-        for (Py_ssize_t i = 1; i < nb; i++)
-            if (all[i].t < min_t) min_t = all[i].t;
-    } else if (q->ov.len && q->ov.e[0].t < FAR_T) {
-        min_t = q->ov.e[0].t;
-    } else {
-        min_t = q->last_t;
+    if (!q->h.len) {
+        q->active_prio = IDLE_PRIO;
+        Py_CLEAR(q->active_list);
+        return 0;
     }
-    long long k0 = slot_of(q, min_t);
-    q->cur_k = k0;
-    q->far_k = k0 + new_n;
-    for (Py_ssize_t i = 0; i < nb; i++) {
-        double t = all[i].t;
-        long long k = slot_of(q, t);
-        if (k < q->far_k) {
-            long b = (long)(k & q->mask);
-            /* same t implies same k, so no existing band can collide */
-            Band *arr = q->buckets[b];
-            if (q->blen[b] == q->bcap[b]) {
-                int nc = q->bcap[b] ? q->bcap[b] * 2 : 4;
-                Band *na = PyMem_Realloc(arr, (size_t)nc * sizeof(Band));
-                if (!na) {
-                    for (Py_ssize_t j = i; j < nb; j++) Py_XDECREF(all[j].list);
-                    PyMem_Free(all);
-                    PyErr_NoMemory();
-                    return -1;
-                }
-                q->buckets[b] = arr = na;
-                q->bcap[b] = nc;
-            }
-            arr[q->blen[b]++] = all[i];
-            q->count += PyList_GET_SIZE(all[i].list);
-        } else {
-            PyObject *lst = all[i].list;
-            Py_ssize_t m = PyList_GET_SIZE(lst);
-            for (Py_ssize_t j = 0; j < m; j++) {
-                PyObject *e = PyList_GET_ITEM(lst, j);
-                Py_INCREF(e);
-                if (mh_push(&q->ov, all[i].t, all[i].prio, ++q->oseq, e) < 0) {
-                    Py_DECREF(lst);
-                    for (Py_ssize_t jj = i + 1; jj < nb; jj++)
-                        Py_XDECREF(all[jj].list);
-                    PyMem_Free(all);
-                    return -1;
-                }
-            }
-            Py_DECREF(lst);
-        }
-    }
-    PyMem_Free(all);
-    q->resizes++;
-    if (q->ov.len) return calq_migrate(q);
-    return 0;
-}
-
-/* Pop the earliest band from a MiniHeap as the active cohort. */
-static int calq_pop_heap_band(CalQ *q, MiniHeap *h)
-{
-    HeapEnt e = mh_pop(h);
-    PyObject *list = PyList_New(0);
-    if (!list) {
-        Py_DECREF(e.ev);
-        return -1;
-    }
-    int rc = PyList_Append(list, e.ev);
-    Py_DECREF(e.ev);
-    if (rc < 0) {
-        Py_DECREF(list);
-        return -1;
-    }
-    while (h->len && h->e[0].t == e.t && h->e[0].prio == e.prio) {
-        HeapEnt e2 = mh_pop(h);
-        rc = PyList_Append(list, e2.ev);
-        Py_DECREF(e2.ev);
-        if (rc < 0) {
-            Py_DECREF(list);
-            return -1;
-        }
-    }
-    q->active_t = e.t;
-    q->active_prio = e.prio;
-    Py_XSETREF(q->active_list, list);
-    q->band_t = -1.0;
-    q->band_list = NULL;
+    Band b = mh_pop(&q->h);
+    q->count -= PyList_GET_SIZE(b.list);
+    q->active_t = b.t;
+    q->active_prio = b.prio;
+    Py_XSETREF(q->active_list, b.list); /* ownership moves */
     return 1;
 }
 
-/* 1 = cohort ready (active_* filled), 0 = empty, -1 = error */
-static int calq_pop_cohort(CalQ *q)
+/* Early exit mid-cohort: restore the non-None remainder of `events`
+ * and forget the active cohort. */
+static int bh_requeue_front(BandHeap *q, double t, long prio, PyObject *events)
 {
-    if (q->past.len) return calq_pop_heap_band(q, &q->past);
-    if (!q->count) {
-        if (!q->ov.len) {
-            q->active_prio = IDLE_PRIO;
-            Py_CLEAR(q->active_list);
-            return 0;
-        }
-        double t0 = q->ov.e[0].t;
-        long long k = t0 < FAR_T ? slot_of(q, t0) : q->far_k;
-        q->cur_k = k;
-        q->far_k = k + q->n;
-        if (calq_migrate(q) < 0) return -1;
-        if (!q->count) return calq_pop_heap_band(q, &q->ov);
-    }
-    long long k = q->cur_k;
-    long mask = q->mask;
-    int bi;
-    for (;;) {
-        bi = (int)(k & mask);
-        if (q->blen[bi]) break;
-        k++;
-    }
-    q->cur_k = k;
-    long long far_k = k + q->n;
-    if (far_k > q->far_k) {
-        q->far_k = far_k;
-        if (q->ov.len && calq_migrate(q) < 0) return -1;
-    }
-    Band *arr = q->buckets[bi];
-    int len = q->blen[bi], mi = 0;
-    for (int i = 1; i < len; i++)
-        if (arr[i].t < arr[mi].t ||
-            (arr[i].t == arr[mi].t && arr[i].prio < arr[mi].prio))
-            mi = i;
-    Band band = arr[mi];
-    arr[mi] = arr[len - 1];
-    q->blen[bi] = len - 1;
-    q->count -= PyList_GET_SIZE(band.list);
-    q->active_t = band.t;
-    q->active_prio = band.prio;
-    Py_XSETREF(q->active_list, band.list); /* ownership moves */
-    q->band_t = -1.0;
-    q->band_list = NULL;
-    q->pops++;
-    if (band.t > q->last_t) {
-        q->gap_ewma += (band.t - q->last_t - q->gap_ewma) * 0.125;
-        q->last_t = band.t;
-    }
-    if (q->pops >= RESIZE_CHECK) {
-        q->pops = 0;
-        if (calq_maybe_resize(q) < 0) return -1;
-    }
-    return 1;
+    int rc = bh_requeue_band(q, t, prio, events);
+    q->active_prio = IDLE_PRIO;
+    Py_CLEAR(q->active_list);
+    return rc;
 }
 
-static double calq_peek(CalQ *q)
-{
-    if (q->past.len) return q->past.e[0].t;
-    if (q->count) {
-        long long k = q->cur_k;
-        for (;;) {
-            int bi = (int)(k & q->mask);
-            int len = q->blen[bi];
-            if (len) {
-                Band *arr = q->buckets[bi];
-                double best = arr[0].t;
-                for (int i = 1; i < len; i++)
-                    if (arr[i].t < best) best = arr[i].t;
-                return best;
-            }
-            k++;
-        }
-    }
-    if (q->ov.len) return q->ov.e[0].t;
-    return Py_HUGE_VAL;
-}
+/* -------------------------------------------- BandHeap python methods */
 
-/* ------------------------------------------------ CalQ python methods */
-
-static PyObject *CalQ_push_py(CalQ *q, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *BandHeap_push_py(BandHeap *q, PyObject *const *args,
+                                  Py_ssize_t nargs)
 {
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError, "push(t, priority, event)");
@@ -654,32 +306,18 @@ static PyObject *CalQ_push_py(CalQ *q, PyObject *const *args, Py_ssize_t nargs)
     if (t == -1.0 && PyErr_Occurred()) return NULL;
     long prio = PyLong_AsLong(args[1]);
     if (prio == -1 && PyErr_Occurred()) return NULL;
-    if (calq_push(q, t, prio, args[2]) < 0) return NULL;
+    if (bh_push(q, t, prio, args[2]) < 0) return NULL;
     Py_RETURN_NONE;
 }
 
-static PyObject *CalQ_pop_cohort_py(CalQ *q, PyObject *noarg)
+static PyObject *BandHeap_pop_cohort_py(BandHeap *q, PyObject *noarg)
 {
-    int rc = calq_pop_cohort(q);
-    if (rc < 0) return NULL;
-    if (rc == 0) Py_RETURN_NONE;
+    if (!bh_pop_cohort(q)) Py_RETURN_NONE;
     return Py_BuildValue("(dlO)", q->active_t, q->active_prio, q->active_list);
 }
 
-/* Early exit mid-cohort: restore the non-None remainder of `events`
- * and forget the active cohort. */
-static int calq_requeue_front(CalQ *q, double t, long prio, PyObject *events)
-{
-    int rc = calq_requeue_band(q, t, prio, events);
-    q->active_prio = IDLE_PRIO;
-    q->band_t = -1.0;
-    q->band_list = NULL;
-    Py_CLEAR(q->active_list);
-    return rc;
-}
-
-static PyObject *CalQ_requeue_front_py(CalQ *q, PyObject *const *args,
-                                       Py_ssize_t nargs)
+static PyObject *BandHeap_requeue_front_py(BandHeap *q, PyObject *const *args,
+                                           Py_ssize_t nargs)
 {
     if (nargs != 3 || !PyList_Check(args[2])) {
         PyErr_SetString(PyExc_TypeError, "requeue_front(t, priority, events)");
@@ -689,63 +327,61 @@ static PyObject *CalQ_requeue_front_py(CalQ *q, PyObject *const *args,
     if (t == -1.0 && PyErr_Occurred()) return NULL;
     long prio = PyLong_AsLong(args[1]);
     if (prio == -1 && PyErr_Occurred()) return NULL;
-    if (calq_requeue_front(q, t, prio, args[2]) < 0) return NULL;
+    if (bh_requeue_front(q, t, prio, args[2]) < 0) return NULL;
     Py_RETURN_NONE;
 }
 
-static PyObject *CalQ_peek_py(CalQ *q, PyObject *noarg)
+static PyObject *BandHeap_peek_py(BandHeap *q, PyObject *noarg)
 {
-    return PyFloat_FromDouble(calq_peek(q));
+    return PyFloat_FromDouble(q->h.len ? q->h.e[0].t : Py_HUGE_VAL);
 }
 
-static PyObject *CalQ_info(CalQ *q, PyObject *noarg)
+static PyObject *BandHeap_info(BandHeap *q, PyObject *noarg)
 {
-    return Py_BuildValue(
-        "{s:l,s:d,s:n,s:n,s:n,s:l}", "n", q->n, "width", q->width, "count",
-        q->count, "overflow", q->ov.len, "past", q->past.len, "resizes",
-        q->resizes);
+    return Py_BuildValue("{s:s,s:n,s:n}", "discipline", "bandheap", "count",
+                         q->count, "bands", q->h.len);
 }
 
-static Py_ssize_t CalQ_len(CalQ *q)
+static Py_ssize_t BandHeap_len(BandHeap *q)
 {
-    return q->count + q->ov.len + q->past.len;
+    return q->count;
 }
 
-static PyMethodDef CalQ_methods[] = {
-    {"push", (PyCFunction)CalQ_push_py, METH_FASTCALL,
+static PyMethodDef BandHeap_methods[] = {
+    {"push", (PyCFunction)BandHeap_push_py, METH_FASTCALL,
      "push(t, priority, event)"},
-    {"pop_cohort", (PyCFunction)CalQ_pop_cohort_py, METH_NOARGS,
+    {"pop_cohort", (PyCFunction)BandHeap_pop_cohort_py, METH_NOARGS,
      "pop the earliest (t, priority) band -> (t, priority, events) or None"},
-    {"requeue_front", (PyCFunction)CalQ_requeue_front_py, METH_FASTCALL,
+    {"requeue_front", (PyCFunction)BandHeap_requeue_front_py, METH_FASTCALL,
      "restore the non-None remainder of a cohort list"},
-    {"peek", (PyCFunction)CalQ_peek_py, METH_NOARGS,
+    {"peek", (PyCFunction)BandHeap_peek_py, METH_NOARGS,
      "time of the next event, or inf"},
-    {"info", (PyCFunction)CalQ_info, METH_NOARGS,
-     "sizing/occupancy counters (dict)"},
+    {"info", (PyCFunction)BandHeap_info, METH_NOARGS,
+     "occupancy counters (dict)"},
     {NULL, NULL, 0, NULL},
 };
 
-static PySequenceMethods CalQ_as_seq = {.sq_length = (lenfunc)CalQ_len};
+static PySequenceMethods BandHeap_as_seq = {.sq_length = (lenfunc)BandHeap_len};
 
-static PyMemberDef CalQ_members[] = {
+static PyMemberDef BandHeap_members[] = {
     /* Python drivers (sanitized runs, step()) sync this clock mirror so
      * the C timeout fast path always sees the current sim._now. */
-    {"now", T_DOUBLE, offsetof(CalQ, now), 0, "mirror of sim._now"},
+    {"now", T_DOUBLE, offsetof(BandHeap, now), 0, "mirror of sim._now"},
     {NULL, 0, 0, 0, NULL},
 };
 
-static PyTypeObject CalQ_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro.sim._cq.CalQ",
-    .tp_basicsize = sizeof(CalQ),
-    .tp_dealloc = (destructor)CalQ_dealloc,
+static PyTypeObject BandHeap_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro.sim._cq.BandHeap",
+    .tp_basicsize = sizeof(BandHeap),
+    .tp_dealloc = (destructor)BandHeap_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)CalQ_traverse,
-    .tp_clear = (inquiry)CalQ_clear,
-    .tp_methods = CalQ_methods,
-    .tp_members = CalQ_members,
-    .tp_as_sequence = &CalQ_as_seq,
-    .tp_new = CalQ_new,
-    .tp_doc = "Calendar-queue event schedule (C accelerated)",
+    .tp_traverse = (traverseproc)BandHeap_traverse,
+    .tp_clear = (inquiry)BandHeap_clear,
+    .tp_methods = BandHeap_methods,
+    .tp_members = BandHeap_members,
+    .tp_as_sequence = &BandHeap_as_seq,
+    .tp_new = BandHeap_new,
+    .tp_doc = "Binary heap of (t, priority) event bands (C accelerated)",
 };
 
 /* ------------------------------------------------------------ TimeoutFn */
@@ -753,7 +389,7 @@ static PyTypeObject CalQ_Type = {
 typedef struct {
     PyObject_HEAD
     PyObject *sim;  /* owned */
-    CalQ *q;        /* owned */
+    BandHeap *q;    /* owned */
     PyObject *pool; /* owned list, or NULL when pooling is disabled */
     int hop;        /* 1: sim.urgent_hop() -- no arguments, zero delay, URGENT */
 } TimeoutFn;
@@ -830,7 +466,7 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
         PyErr_Format(SimError, "negative timeout delay %R", delay_ob);
         return NULL;
     }
-    CalQ *q = f->q;
+    BandHeap *q = f->q;
     PyObject *pool = f->pool;
     Py_ssize_t psz;
     PyObject *ev;
@@ -859,7 +495,7 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
     slot_set(ev, off_value, value);
     Py_INCREF(Py_False);
     slot_set(ev, off_processed, Py_False);
-    if (calq_push(q, q->now + delay, prio, ev) < 0) {
+    if (bh_push(q, q->now + delay, prio, ev) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
@@ -956,14 +592,14 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
     PyObject *sim, *q, *pool;
     int hop = 0;
     if (!PyArg_ParseTuple(args, "OOO|p", &sim, &q, &pool, &hop)) return NULL;
-    if (!PyObject_TypeCheck(q, &CalQ_Type)) {
-        PyErr_SetString(PyExc_TypeError, "make_timeout() needs a CalQ");
+    if (!PyObject_TypeCheck(q, &BandHeap_Type)) {
+        PyErr_SetString(PyExc_TypeError, "make_timeout() needs a BandHeap");
         return NULL;
     }
     TimeoutFn *f = PyObject_GC_New(TimeoutFn, &TimeoutFn_Type);
     if (!f) return NULL;
     f->sim = Py_NewRef(sim);
-    f->q = (CalQ *)Py_NewRef(q);
+    f->q = (BandHeap *)Py_NewRef(q);
     f->pool = pool == Py_None ? NULL : Py_NewRef(pool);
     f->hop = hop;
     PyObject_GC_Track(f);
@@ -981,7 +617,7 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 typedef struct {
     PyObject_HEAD
     PyObject *sim;      /* owned */
-    CalQ *q;            /* owned */
+    BandHeap *q;        /* owned */
     PyObject *res;      /* owned: the Resource */
     PyObject *users;    /* owned: res.users */
     PyObject *queue;    /* owned: res.queue */
@@ -1034,7 +670,7 @@ static int grant_succeed(GrantFn *g, PyObject *req)
     slot_set(req, off_triggered, Py_NewRef(Py_True));
     slot_set(req, off_ok, Py_NewRef(Py_True));
     slot_set(req, off_value, Py_NewRef(req));
-    return calq_push(g->q, g->q->now, 1 /* NORMAL */, req);
+    return bh_push(g->q, g->q->now, 1 /* NORMAL */, req);
 }
 
 static PyObject *grant_request(GrantFn *g)
@@ -1061,7 +697,7 @@ static PyObject *grant_request(GrantFn *g)
             /* req.succeed(req), inlined: a fresh request is untriggered */
             slot_set(req, off_triggered, Py_NewRef(Py_True));
             slot_set(req, off_value, Py_NewRef(req));
-            rc = calq_push(g->q, g->q->now, 1 /* NORMAL */, req);
+            rc = bh_push(g->q, g->q->now, 1 /* NORMAL */, req);
         }
     } else {
         PyObject *r = PyObject_CallMethodOneArg(g->queue, str_append, req);
@@ -1136,12 +772,12 @@ static PyTypeObject GrantFn_Type = {
     .tp_clear = (inquiry)GrantFn_clear,
 };
 
-/* make_grant(resource, calq, request_type, python_method, release) */
+/* make_grant(resource, queue, request_type, python_method, release) */
 static PyObject *mod_make_grant(PyObject *self, PyObject *args)
 {
     PyObject *res, *q, *req_type, *py_fn;
     int release;
-    if (!PyArg_ParseTuple(args, "OO!OOp", &res, &CalQ_Type, &q, &req_type,
+    if (!PyArg_ParseTuple(args, "OO!OOp", &res, &BandHeap_Type, &q, &req_type,
                           &py_fn, &release))
         return NULL;
     if (!PyType_Check(req_type) ||
@@ -1169,7 +805,7 @@ static PyObject *mod_make_grant(PyObject *self, PyObject *args)
         return NULL;
     }
     g->sim = sim;
-    g->q = (CalQ *)Py_NewRef(q);
+    g->q = (BandHeap *)Py_NewRef(q);
     g->res = Py_NewRef(res);
     g->users = users;
     g->queue = queue;
@@ -1188,7 +824,7 @@ static PyObject *mod_make_grant(PyObject *self, PyObject *args)
 
 /* Process.succeed(value, priority=URGENT) for a process of the driven
  * simulator: its queue is `q` and its clock is q->now.  0 ok, -1 error. */
-static int proc_succeed(CalQ *q, PyObject *w, PyObject *value /* borrowed */)
+static int proc_succeed(BandHeap *q, PyObject *w, PyObject *value /* borrowed */)
 {
     if (SLOT(w, off_triggered) == Py_True) {
         /* raises SimulationError("... already triggered") */
@@ -1200,12 +836,12 @@ static int proc_succeed(CalQ *q, PyObject *w, PyObject *value /* borrowed */)
     slot_set(w, off_triggered, Py_NewRef(Py_True));
     slot_set(w, off_ok, Py_NewRef(Py_True));
     slot_set(w, off_value, Py_NewRef(value));
-    return calq_push(q, q->now, 0 /* URGENT */, w);
+    return bh_push(q, q->now, 0 /* URGENT */, w);
 }
 
 /* Process._resume(event) for a process `w` of the driven simulator,
  * including the live-event branch of _resume_tail.  0 ok, -1 error. */
-static int resume_proc(PyObject *sim, CalQ *q, PyObject *w, PyObject *event)
+static int resume_proc(PyObject *sim, BandHeap *q, PyObject *w, PyObject *event)
 {
     if (PyObject_SetAttr(sim, str_active, w) < 0) return -1;
     slot_set(w, off_target, Py_NewRef(Py_None));
@@ -1289,7 +925,7 @@ static int resume_proc(PyObject *sim, CalQ *q, PyObject *w, PyObject *event)
  * for Timeouts) plus the Timeout pool step.  Every bound Process._resume
  * callback of this simulator runs through resume_proc; any other
  * callback is called.  0 ok, -1 error. */
-static int dispatch_one(PyObject *sim, CalQ *q, PyObject *pool,
+static int dispatch_one(PyObject *sim, BandHeap *q, PyObject *pool,
                         PyObject *event /* borrowed */)
 {
     int is_timeout = Py_TYPE(event) == (PyTypeObject *)TimeoutType;
@@ -1340,7 +976,7 @@ done:
     return 0;
 }
 
-/* drive(sim, calq, pool, limit, target, budget) -> (n, drained): the
+/* drive(sim, queue, pool, limit, target, budget) -> (n, drained): the
  * loop of Simulator._drive.  Dispatches cohorts in order and stops when
  * the schedule drains (drained=True), when the next cohort lies beyond
  * `limit`, once `target` (None for no target) has been processed, or
@@ -1351,17 +987,15 @@ static PyObject *mod_drive(PyObject *self, PyObject *args)
     PyObject *sim, *qo, *pool, *target;
     double limit;
     Py_ssize_t budget;
-    if (!PyArg_ParseTuple(args, "OO!O!dOn", &sim, &CalQ_Type, &qo,
+    if (!PyArg_ParseTuple(args, "OO!O!dOn", &sim, &BandHeap_Type, &qo,
                           &PyList_Type, &pool, &limit, &target, &budget))
         return NULL;
-    CalQ *q = (CalQ *)qo;
+    BandHeap *q = (BandHeap *)qo;
     if (target == Py_None) target = NULL;
     Py_ssize_t n = 0;
     int drained = 0;
     while (target == NULL || SLOT(target, off_processed) != Py_True) {
-        int rc = calq_pop_cohort(q);
-        if (rc < 0) return NULL;
-        if (rc == 0) {
+        if (!bh_pop_cohort(q)) {
             drained = 1;
             break;
         }
@@ -1369,7 +1003,7 @@ static PyObject *mod_drive(PyObject *self, PyObject *args)
         long prio = q->active_prio;
         PyObject *events = q->active_list;
         if (t > limit) {
-            if (calq_requeue_front(q, t, prio, events) < 0) return NULL;
+            if (bh_requeue_front(q, t, prio, events) < 0) return NULL;
             break;
         }
         q->now = t;
@@ -1393,7 +1027,7 @@ static PyObject *mod_drive(PyObject *self, PyObject *args)
                 /* keep the queue consistent for a caller that catches */
                 PyObject *etype, *evalue, *etb;
                 PyErr_Fetch(&etype, &evalue, &etb);
-                calq_requeue_front(q, t, prio, events);
+                bh_requeue_front(q, t, prio, events);
                 PyErr_Restore(etype, evalue, etb);
                 Py_DECREF(events);
                 return NULL;
@@ -1403,7 +1037,7 @@ static PyObject *mod_drive(PyObject *self, PyObject *args)
             stop = (budget && n >= budget) ||
                    (target != NULL && SLOT(target, off_processed) == Py_True);
         }
-        if (stop && calq_requeue_front(q, t, prio, events) < 0) {
+        if (stop && bh_requeue_front(q, t, prio, events) < 0) {
             Py_DECREF(events);
             return NULL;
         }
@@ -1417,13 +1051,13 @@ static PyMethodDef mod_methods[] = {
     {"setup", mod_setup, METH_VARARGS,
      "setup(Event, Timeout, Process, SimulationError): resolve slot offsets"},
     {"make_timeout", mod_make_timeout, METH_VARARGS,
-     "make_timeout(sim, calq, pool_or_None, hop=False) -> fast sim.timeout "
+     "make_timeout(sim, queue, pool_or_None, hop=False) -> fast sim.timeout "
      "(or, with hop, sim.urgent_hop) callable"},
     {"make_grant", mod_make_grant, METH_VARARGS,
-     "make_grant(resource, calq, Request, python_method, release) -> fast "
+     "make_grant(resource, queue, Request, python_method, release) -> fast "
      "request() or release(req) of a capacity-1 Resource"},
     {"drive", mod_drive, METH_VARARGS,
-     "drive(sim, calq, pool, limit, target_or_None, budget) -> (n, drained)"},
+     "drive(sim, queue, pool, limit, target_or_None, budget) -> (n, drained)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1436,11 +1070,11 @@ PyMODINIT_FUNC PyInit__cq(void)
 {
     PyObject *m = PyModule_Create(&cq_module);
     if (!m) return NULL;
-    if (PyType_Ready(&CalQ_Type) < 0) return NULL;
+    if (PyType_Ready(&BandHeap_Type) < 0) return NULL;
     if (PyType_Ready(&TimeoutFn_Type) < 0) return NULL;
     if (PyType_Ready(&GrantFn_Type) < 0) return NULL;
-    Py_INCREF(&CalQ_Type);
-    if (PyModule_AddObject(m, "CalQ", (PyObject *)&CalQ_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 4) < 0) return NULL;
+    Py_INCREF(&BandHeap_Type);
+    if (PyModule_AddObject(m, "BandHeap", (PyObject *)&BandHeap_Type) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 5) < 0) return NULL;
     return m;
 }

@@ -12,18 +12,20 @@ Determinism: ties in time are broken first by an integer priority (lower
 runs first) and then by arrival order, so a simulation is a pure
 function of its inputs.
 
-The schedule is the C calendar queue of the optional accelerator
-(:mod:`repro.sim._accel`, built on first use when a C compiler is
-available) or, without it, the pure-Python binary heap
-:class:`repro.sim.equeue.HeapQueue`; set ``REPRO_SIM_ACCEL=0`` to force
-pure Python.  Both produce the same order, so every simulated result is
-identical either way.  Events are dispatched in *cohorts* -- all events
-sharing one ``(time, priority)`` band are drained in a single inner loop
-so per-event bookkeeping (stop check, sanitizer probe, clock write) is
-amortized per band.  One loop, :meth:`Simulator._drive`, serves
-``step``, ``run`` and ``run_until_event``; they differ only in when it
-stops.  The accelerator's ``drive`` is the same loop in C and runs
-whenever the sanitizer is off.
+The schedule is a binary heap on both kernels: the C ``BandHeap`` of
+the optional accelerator (:mod:`repro.sim._accel`, built on first use
+when a C compiler is available), whose entries are ``(time, priority)``
+bands, or, without it, the pure-Python
+:class:`repro.sim.equeue.HeapQueue`, whose entries are single events;
+set ``REPRO_SIM_ACCEL=0`` to force pure Python.  Both produce the same
+order, so every simulated result is identical either way.  Events are
+dispatched in *cohorts* -- the events sharing one ``(time, priority)``
+band are drained in a single inner loop so per-event bookkeeping (stop
+check, sanitizer probe, clock write) is amortized per band.  One loop,
+:meth:`Simulator._drive`, serves ``step``, ``run`` and
+``run_until_event``; they differ only in when it stops.  The
+accelerator's ``drive`` is the same loop in C and runs whenever the
+sanitizer is off.
 
 Performance: the inner loop is allocation-light.  :class:`Timeout` events
 are recycled through a per-simulator free list (see
@@ -477,10 +479,10 @@ class Simulator:
 
     ``queue=`` is a test seam: an event-queue instance implementing the
     cohort contract documented in :mod:`repro.sim.equeue` (a
-    :class:`HeapQueue` or the accelerator's ``CalQ``).  The default
-    ``None`` takes the C ``CalQ`` when the accelerator is available and a
-    :class:`HeapQueue` otherwise.  Dispatch order is bit-identical across
-    queues.
+    :class:`HeapQueue` or the accelerator's ``BandHeap``).  The default
+    ``None`` takes the C ``BandHeap`` when the accelerator is available
+    and a :class:`HeapQueue` otherwise.  Dispatch order is bit-identical
+    across queues.
     """
 
     def __init__(
@@ -516,11 +518,11 @@ class Simulator:
         if isinstance(queue, str):
             raise SimulationError(f"queue= takes an event-queue instance, not {queue!r}")
         if queue is None:
-            queue = _CQ.CalQ() if _CQ is not None else HeapQueue()
+            queue = _CQ.BandHeap() if _CQ is not None else HeapQueue()
         self._queue: EventQueue = queue
-        #: C accelerator module when the schedule is a C CalQ, else None.
+        #: C accelerator module when the schedule is a C BandHeap, else None.
         self._accel: Optional[Any] = (
-            _CQ if _CQ is not None and isinstance(queue, _CQ.CalQ) else None
+            _CQ if _CQ is not None and isinstance(queue, _CQ.BandHeap) else None
         )
         if self._accel is not None:
             # C fast path for sim.timeout(): pooled reset + push without
@@ -745,19 +747,19 @@ class Simulator:
 def _accel_selftest(mod: Any) -> bool:
     """End-to-end check of the C queue + dispatch pump before trusting it.
 
-    Exercises ordering, join (StopIteration -> URGENT succeed, which
-    preempts the draining NORMAL band), the pooled timeout and urgent-hop
-    callables, a contended capacity-1 resource grant and the release of
-    a still-queued request (a cancel), an ``all_of`` over processes, a
-    failed process caught by its joiner, and the drained return.  Any mismatch
-    or exception disables the accelerator for the process; the
-    pure-Python kernel is always safe.
+    Exercises ordering, two queued bands of one key, join (StopIteration
+    -> URGENT succeed, which preempts the draining NORMAL band), the
+    pooled timeout and urgent-hop callables, a contended capacity-1
+    resource grant and the release of a still-queued request (a cancel),
+    an ``all_of`` over processes, a failed process caught by its joiner,
+    and the drained return.  Any mismatch or exception disables the
+    accelerator for the process; the pure-Python kernel is always safe.
     """
     try:
         # Imported here: repro.sim.resources imports this module.
         from repro.sim.resources import Resource
 
-        sim = Simulator(sanitize=False, queue=mod.CalQ())
+        sim = Simulator(sanitize=False, queue=mod.BandHeap())
         if sim._accel is not mod:
             return False
         out: list[tuple[float, Any]] = []
@@ -805,14 +807,20 @@ def _accel_selftest(mod: Any) -> bool:
         # behind x's in the same NORMAL band, runs
         sim.process(joiner(sim.process(worker("x", 2.0))))
         sim.process(worker("c", 2.0))
+        # d's push comes between: e's timeout opens a second band of the
+        # (2.0, NORMAL) key, which must still run after c's
+        sim.process(worker("d", 1.0))
+        sim.process(worker("e", 2.0))
         sim.process(contender())
         end = sim.run()
         expected = [
             (0.5, ("cancelled", False)),
             (1.0, "a"),
+            (1.0, "d"),
             (2.0, "x"),
             (2.0, ("join", None)),
             (2.0, "c"),
+            (2.0, "e"),
             (2.0, [("p", 1.0), ("q", 2.0)]),
             (2.5, "caught"),
             (3.0, "b"),

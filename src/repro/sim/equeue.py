@@ -4,10 +4,12 @@
 entries: O(log n) per operation, zero tuning.  It is the reference
 discipline and the schedule of every simulator that runs without the C
 accelerator (``REPRO_SIM_ACCEL=0``, no C compiler, or a failed
-accelerator self-test).  The C calendar queue ``repro.sim._cq.CalQ`` is
-the fast path; it implements the same cohort contract and produces the
-*identical* total order ``(t, priority, arrival)``: within one ``(t,
-priority)`` band, events dispatch in push order.  The property tests in
+accelerator self-test).  The C ``repro.sim._cq.BandHeap`` is the fast
+path: the same binary heap, but of ``(t, priority, seq, events)``
+bands, so a run of pushes to one key costs one heap entry.  It
+implements the same cohort contract and produces the *identical* total
+order ``(t, priority, arrival)``: within one ``(t, priority)`` band,
+events dispatch in push order.  The property tests in
 ``tests/test_equeue.py`` verify the two stay bit-identical over
 randomized schedules including cancels and re-arms.
 
@@ -36,6 +38,13 @@ situations are handled by the queue itself:
 Same-band pushes *during* dispatch of that band go into a fresh band
 (the old one has been popped), which is dispatched next -- the same
 order the heap produces, since those entries carry newer seqs.
+
+The C queue may hand one key's arrivals out as *consecutive* cohorts:
+pushes A, B, A leave two bands of key A queued, and it pops them one
+after the other instead of merging them.  The later band holds only
+later arrivals, so this changes no order.  A requeued remainder (after
+a preemption or an early exit) becomes one band ahead of every other
+band of its key.
 
 A queue also carries a ``now`` attribute, the clock mirror the C
 accelerator's timeout fast path reads; the dispatch loop keeps it equal
@@ -138,5 +147,5 @@ class HeapQueue:
         return len(self._heap)
 
 
-#: The heap or the C-accelerated calendar, which has the same surface.
+#: The heap or the C-accelerated band heap, which has the same surface.
 EventQueue = Union[HeapQueue, Any]

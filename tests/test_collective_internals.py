@@ -11,10 +11,8 @@ from repro.mpi.runtime import MpiRuntime
 from repro.mpiio.collective import (
     CollectiveEngine,
     SegmentBytes,
-    _coalesce_counting,
     split_domains,
 )
-from repro.mpiio.datasieve import coalesce_segments
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
 
@@ -103,16 +101,6 @@ def test_segment_bytes_matches_clip_sum(plan, bounds):
         for segs in per_rank.values():
             want = sum(c.length for s in segs if (c := _clip(s, g_lo, g_hi)))
             assert SegmentBytes(segs).within(g_lo, g_hi) == want
-
-
-@settings(max_examples=300, deadline=None)
-@given(plan=plans(), hole=st.integers(0, 20))
-def test_coalesce_counting_matches_two_coalesces(plan, hole):
-    ops = plan[0]
-    segs = [s for op in ops.values() for s in op.segments]
-    coalesced, requested = _coalesce_counting(segs, hole)
-    assert coalesced == coalesce_segments(segs, hole_threshold=hole)
-    assert requested == sum(s.length for s in coalesce_segments(segs, hole_threshold=0))
 
 
 # ----------------------------------------------------------- aggregators

@@ -39,6 +39,12 @@ def test_config_validation():
         DualParConfig(force_mode="sideways")
     with pytest.raises(ValueError):
         DualParConfig(normal_engine="magic")
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="emc_interval_s"):
+            DualParConfig(emc_interval_s=bad)
+    with pytest.raises(ValueError, match="hole_threshold_bytes"):
+        DualParConfig(hole_threshold_bytes=-1)
+    DualParConfig(hole_threshold_bytes=0)  # no hole bridging is valid
 
 
 # ------------------------------------------------------------ forced mode

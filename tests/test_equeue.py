@@ -2,11 +2,13 @@
 
 The kernel's ordering contract is ``(t, priority, arrival)``: FIFO within
 one ``(t, priority)`` band, URGENT (0) before NORMAL (1) at equal times.
-The pure-Python binary heap realises that contract trivially; the C
-calendar queue (``repro.sim._cq.CalQ``) must reproduce it *exactly* --
-including under cancels (``requeue_front`` with ``None`` holes), re-arms
-(pushes made while a cohort drains), preemption (an URGENT push landing
-at the active band's timestamp) and lazy resizes.
+The pure-Python binary heap of single events realises that contract
+trivially; the C binary heap of ``(t, priority)`` bands
+(``repro.sim._cq.BandHeap``) must reproduce it *exactly* -- including
+under cancels (``requeue_front`` with ``None`` holes), re-arms (pushes
+made while a cohort drains, which open a new band), two queued bands of
+one key (pushes A, B, A) and preemption (an URGENT push landing at the
+active band's timestamp).
 
 Three layers of evidence:
 
@@ -36,7 +38,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import JobSpec, MpiIoTest
@@ -50,9 +52,9 @@ from repro.sim import core as sim_core
 NORMAL = sim_core.NORMAL
 URGENT = sim_core.URGENT
 
-# Collision-heavy time grid: duplicate timestamps, sub-width fractions,
-# values far beyond the initial wheel horizon, and past-1e300 entries
-# that must live in the overflow heap forever.
+# Collision-heavy time grid: duplicate timestamps, fractions, values
+# many orders of magnitude apart, and entries near the top of the double
+# range (5e299, 2e300).
 TIMES = [0.0, 0.25, 0.25, 0.5, 1.0, 1.0, 1.5, 3.0, 7.5, 16.0, 100.0, 1e4, 5e299, 2e300]
 #: Relative delays used by mid-dispatch pushes (0.0 = same-time re-arm).
 DELTAS = [0.0, 0.0, 0.25, 1.0, 64.0, 1e4]
@@ -138,6 +140,29 @@ script_strategy = st.tuples(
 )
 
 
+_TWO_BANDS_OF_ONE_KEY = [(1.0, NORMAL), (1.0, NORMAL), (2.0, NORMAL), (1.0, NORMAL)]
+
+
+# Reaction keys count log entries: the first dispatched event is 2.
+# A same-time, same-priority re-arm, then a stop, within one cohort: the
+# remainder must run ahead of the re-armed band.
+@example(script=(
+    [(1.0, NORMAL)] * 3,
+    {2: [("push", 0.0, NORMAL), ("stop",)], 3: [("push", 0.0, NORMAL)]},
+))
+# Pushes A, B, A queue two bands of key A; a stop in the first one must
+# requeue its remainder ahead of the second.
+@example(script=(_TWO_BANDS_OF_ONE_KEY, {2: [("stop",)]}))
+# An URGENT same-time push preempts the draining NORMAL cohort while a
+# second band of its key is still queued.
+@example(script=(_TWO_BANDS_OF_ONE_KEY, {2: [("push", 0.0, URGENT)]}))
+# The same re-arm, stop and preemption near the top of the double range.
+@example(script=(
+    [(2e300, NORMAL)] + [(5e299, NORMAL)] * 3 + [(1.0, URGENT), (5e299, NORMAL), (2e300, NORMAL)],
+    {3: [("push", 0.0, NORMAL), ("stop",)], 4: [("push", 0.0, URGENT)]},
+))
+# 4,096 distinct times drain in push order.
+@example(script=([(float(i) * 100.0, NORMAL) for i in range(4096)], {}))
 @settings(max_examples=80, deadline=None)
 @given(script=script_strategy)
 def test_disciplines_identical_over_random_schedules(cq, script):
@@ -147,7 +172,7 @@ def test_disciplines_identical_over_random_schedules(cq, script):
     # dispatched exactly once -- nothing lost, nothing duplicated.
     dispatched = [e[2] for e in reference if isinstance(e[2], int)]
     assert sorted(dispatched) == list(range(len(dispatched)))
-    assert _run_script(cq.CalQ, initial, reactions) == reference
+    assert _run_script(cq.BandHeap, initial, reactions) == reference
 
 
 #: Delays for the kernel-vocabulary workload (0.0 = same-time re-arm).
@@ -282,8 +307,8 @@ def test_simulation_identical_across_queues(cq, specs):
     assert sum(len(e) == 5 for e in reference) == sum(len(ops) for ops in specs)
     assert _kernel_vocabulary_log(specs) == reference
     assert _kernel_vocabulary_log(specs, queue=HeapQueue(), sanitize=True) == reference
-    assert _kernel_vocabulary_log(specs, queue=cq.CalQ()) == reference
-    assert _kernel_vocabulary_log(specs, queue=cq.CalQ(), sanitize=True) == reference
+    assert _kernel_vocabulary_log(specs, queue=cq.BandHeap()) == reference
+    assert _kernel_vocabulary_log(specs, queue=cq.BandHeap(), sanitize=True) == reference
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
@@ -291,7 +316,7 @@ def test_simulation_identical_across_queues(cq, specs):
 def test_unwaited_failure_raises_out_of_run(cq, kernel, sanitize):
     """A failed event nobody waits on raises out of run() on every loop;
     the schedule keeps what was still queued behind it."""
-    sim = Simulator(queue=HeapQueue() if kernel == "heap" else cq.CalQ(), sanitize=sanitize)
+    sim = Simulator(queue=HeapQueue() if kernel == "heap" else cq.BandHeap(), sanitize=sanitize)
     ev = sim.event()
     later = sim.event()
     ev.fail(KeyError("lost"))
@@ -336,7 +361,7 @@ def test_interrupt_cancel_rearm_identical_across_queues(cq):
     reference = run(HeapQueue())
     assert reference, "scenario produced no events"
     assert any(e[2] == "int" for e in reference)
-    assert run(cq.CalQ()) == reference
+    assert run(cq.BandHeap()) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +442,9 @@ def test_segmented_run_matches_single_run(cq, specs, segments):
     # ``run(until=)`` moves the clock to its cut even past the last event.
     cut = max((seg[1] for seg in segments if seg[0] == "run"), default=0.0)
     assert heap_cut[1] == max(reference[1], cut)
-    assert _segmented_log(cq.CalQ, specs, []) == reference
+    assert _segmented_log(cq.BandHeap, specs, []) == reference
     # The segment boundaries themselves agree between the two loops.
-    assert _segmented_log(cq.CalQ, specs, segments) == heap_cut
+    assert _segmented_log(cq.BandHeap, specs, segments) == heap_cut
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +455,7 @@ def test_segmented_run_matches_single_run(cq, specs, segments):
 def test_queue_selection():
     default_q = Simulator()._queue
     if sim_core._CQ is not None:
-        assert isinstance(default_q, sim_core._CQ.CalQ)
+        assert isinstance(default_q, sim_core._CQ.BandHeap)
     else:
         assert isinstance(default_q, HeapQueue)
     inst = HeapQueue()
@@ -522,7 +547,7 @@ def test_concurrent_first_import_builds_are_safe(tmp_path):
         outs.append(json.loads(out))
     for res in outs:
         assert res["file"].startswith(str(pkg))
-        assert res["api"] == 4
+        assert res["api"] == 5
         assert res["c_kernel"]
     assert all(res["log"] == outs[0]["log"] for res in outs)
     assert len(outs[0]["log"]) == 18
@@ -531,30 +556,12 @@ def test_concurrent_first_import_builds_are_safe(tmp_path):
 
 
 def test_info_and_len(cq):
-    for make in (HeapQueue, cq.CalQ):
+    for make in (HeapQueue, cq.BandHeap):
         q = make()
         assert len(q) == 0
         assert q.peek() == float("inf")
         for i in range(200):
             q.push(float(i % 7), NORMAL, i)
-        info = q.info()
         assert len(q) == 200, make
-        total = info["count"] + info.get("overflow", 0) + info.get("past", 0)
-        assert total == 200, make
+        assert q.info()["count"] == 200, make
         assert q.peek() == 0.0
-
-
-def test_calendar_resize_triggers_and_preserves_order(cq):
-    q = cq.CalQ()
-    n = 4096
-    for i in range(n):
-        q.push(float(i) * 100.0, NORMAL, i)  # gap 100 vs width 1: forces rewidth
-    out = []
-    while True:
-        c = q.pop_cohort()
-        if c is None:
-            break
-        out.extend(c[2])
-        c[2][:] = [None] * len(c[2])
-    assert out == list(range(n))
-    assert q.info()["resizes"] > 0

@@ -1,12 +1,14 @@
 """Tests for the MPI-IO layer: data sieving, list I/O, and the engines."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.mpi.ops import Segment
 from repro.mpi.runtime import MpiRuntime
-from repro.mpiio.datasieve import coalesce_segments, coverage_stats
+from repro.mpiio.datasieve import coalesce_counting, coalesce_segments, coverage_stats
 from repro.mpiio.listio import batch_io
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
@@ -55,11 +57,28 @@ def test_coalesce_empty():
 
 
 def test_coalesce_bad_params():
-    with pytest.raises(ValueError):
-        coalesce_segments([Segment(0, 1)], hole_threshold=-1)
-    # Validation does not depend on the input being non-empty.
-    with pytest.raises(ValueError):
-        coalesce_segments([], hole_threshold=-1)
+    for coalesce in (coalesce_segments, coalesce_counting):
+        with pytest.raises(ValueError):
+            coalesce([Segment(0, 1)], -1)
+        # Validation does not depend on the input being non-empty.
+        with pytest.raises(ValueError):
+            coalesce([], -1)
+
+
+#: Unsorted, overlapping and adjacent segments over a small span.
+segment_lists = st.lists(
+    st.builds(Segment, st.integers(0, 60), st.integers(1, 20)), max_size=12
+)
+
+
+@example(segs=[], hole=0)
+@example(segs=[Segment(30, 5), Segment(0, 10), Segment(4, 8), Segment(14, 3)], hole=4)
+@settings(max_examples=300, deadline=None)
+@given(segs=segment_lists, hole=st.integers(0, 20))
+def test_coalesce_counting_matches_two_coalesces(segs, hole):
+    coalesced, requested = coalesce_counting(segs, hole)
+    assert coalesced == coalesce_segments(segs, hole_threshold=hole)
+    assert requested == sum(s.length for s in coalesce_segments(segs, hole_threshold=0))
 
 
 def test_coverage_stats_waste():

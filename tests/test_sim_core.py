@@ -257,11 +257,11 @@ def test_interrupt_then_rewait():
 
 def _kernels():
     """Queue factories for both kernels: the pure-Python heap and, when
-    the accelerator is loaded, the C calendar queue (C dispatch loop)."""
+    the accelerator is loaded, the C band heap (C dispatch loop)."""
     return [
         pytest.param(HeapQueue, id="heap"),
         pytest.param(
-            lambda: sim_core._CQ.CalQ(),
+            lambda: sim_core._CQ.BandHeap(),
             id="c",
             marks=pytest.mark.skipif(sim_core._CQ is None, reason="no C accelerator"),
         ),

@@ -102,7 +102,7 @@ def _kernels():
     return [
         pytest.param(HeapQueue, id="heap"),
         pytest.param(
-            lambda: sim_core._CQ.CalQ(),
+            lambda: sim_core._CQ.BandHeap(),
             id="c",
             marks=pytest.mark.skipif(sim_core._CQ is None, reason="no C accelerator"),
         ),
