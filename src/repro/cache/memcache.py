@@ -27,18 +27,6 @@ __all__ = ["CachedChunk", "GlobalCache"]
 CACHE_OP_CPU_S = 5e-6
 
 
-class _CacheMetrics:
-    """Registry instruments for the global cache (allocated when observed)."""
-
-    __slots__ = ("gets", "hits", "puts", "evictions")
-
-    def __init__(self, registry):
-        self.gets = registry.counter("cache.gets")
-        self.hits = registry.counter("cache.hits")
-        self.puts = registry.counter("cache.puts")
-        self.evictions = registry.counter("cache.evictions")
-
-
 @dataclass
 class CachedChunk:
     key: ChunkKey
@@ -85,9 +73,12 @@ class GlobalCache:
         self.n_hits = 0
         self.n_puts = 0
         self.n_evictions = 0
-        self._metrics: Optional[_CacheMetrics] = (
-            _CacheMetrics(sim.obs.registry) if sim.obs is not None else None
-        )
+        if sim.obs is not None:
+            reg = sim.obs.registry
+            reg.view("cache.gets", "counter", lambda: self.n_gets)
+            reg.view("cache.hits", "counter", lambda: self.n_hits)
+            reg.view("cache.puts", "counter", lambda: self.n_puts)
+            reg.view("cache.evictions", "counter", lambda: self.n_evictions)
 
     # ------------------------------------------------------------- placement
 
@@ -121,8 +112,6 @@ class GlobalCache:
         for k in victims:
             self._drop(k)
         self.n_evictions += len(victims)
-        if self._metrics is not None:
-            self._metrics.evictions.inc(len(victims))
         migrated = 0
         for c in self._chunks.values():
             if c.owner_node == node:
@@ -148,8 +137,6 @@ class GlobalCache:
             # Lazy TTL expiry.
             self._drop(key)
             self.n_evictions += 1
-            if self._metrics is not None:
-                self._metrics.evictions.inc()
             return None
         return c
 
@@ -172,17 +159,12 @@ class GlobalCache:
         hit, False on miss (a miss costs one small lookup round-trip).
         """
         self.n_gets += 1
-        m = self._metrics
-        if m is not None:
-            m.gets.inc()
         yield self.sim.timeout(CACHE_OP_CPU_S)
         chunk = self.peek(key)
         if chunk is None:
             yield from self.network.transfer(from_node, self.owner_of(key), 64)
             return False
         self.n_hits += 1
-        if m is not None:
-            m.hits.inc()
         chunk.last_used = self.sim.now
         chunk.used = True
         size = self.chunk_bytes if nbytes is None else min(nbytes, self.chunk_bytes)
@@ -204,8 +186,6 @@ class GlobalCache:
         Yields until the payload lands on the owner node.
         """
         self.n_puts += 1
-        if self._metrics is not None:
-            self._metrics.puts.inc()
         yield self.sim.timeout(CACHE_OP_CPU_S)
         owner = self.owner_of(key)
         size = (
@@ -227,9 +207,6 @@ class GlobalCache:
         replies land; the generator returns {key: hit_bool}.
         """
         self.n_gets += len(wants)
-        m = self._metrics
-        if m is not None:
-            m.gets.inc(len(wants))
         yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(wants))
         result: dict[ChunkKey, bool] = {}
         by_owner: dict[int, int] = {}
@@ -241,8 +218,6 @@ class GlobalCache:
                 by_owner[self.owner_of(key)] += 8  # miss flag bytes
                 continue
             self.n_hits += 1
-            if m is not None:
-                m.hits.inc()
             chunk.last_used = self.sim.now
             chunk.used = True
             result[key] = True
@@ -274,8 +249,6 @@ class GlobalCache:
         a full prefetched chunk.
         """
         self.n_puts += len(puts)
-        if self._metrics is not None:
-            self._metrics.puts.inc(len(puts))
         yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(puts))
         by_owner: dict[int, int] = {}
         for key, dirty_range in puts:
@@ -394,8 +367,6 @@ class GlobalCache:
     def evict(self, key: ChunkKey) -> None:
         if self._drop(key) is not None:
             self.n_evictions += 1
-            if self._metrics is not None:
-                self._metrics.evictions.inc()
 
     def misprefetch_stats(self, job_id: int, cycle_id: int) -> tuple[int, int]:
         """(unused, total) prefetched chunks of a given job cycle."""
@@ -418,8 +389,6 @@ class GlobalCache:
         for k in victims:
             self._drop(k)
         self.n_evictions += len(victims)
-        if self._metrics is not None:
-            self._metrics.evictions.inc(len(victims))
         return len(victims)
 
     def purge_job(self, job_id: int) -> int:

@@ -51,20 +51,7 @@ class Crm:
         self.n_reelections = 0
         self.n_deferred_prefetch_chunks = 0
         self.n_deferred_writeback_chunks = 0
-        if self.sim.obs is not None:
-            reg = self.sim.obs.registry
-            pre = f"crm.{engine.job.name}"
-            self._m_prefetched = reg.counter(f"{pre}.prefetched_bytes")
-            self._m_writeback = reg.counter(f"{pre}.writeback_bytes")
-            self._m_pf_batches = reg.counter(f"{pre}.prefetch_batches")
-            self._m_wb_batches = reg.counter(f"{pre}.writeback_batches")
-            self._tracer = self.sim.obs.tracer
-        else:
-            self._m_prefetched = None
-            self._m_writeback = None
-            self._m_pf_batches = None
-            self._m_wb_batches = None
-            self._tracer = None
+        self._tracer = self.sim.obs.tracer if self.sim.obs is not None else None
 
     # ------------------------------------------------------------------
 
@@ -201,8 +188,6 @@ class Crm:
             )
         if node_procs:
             self.n_prefetch_batches += 1
-            if self._m_pf_batches is not None:
-                self._m_pf_batches.inc()
             yield all_of(sim, node_procs)
 
     def _prefetch_node(self, node: int, per_file: dict[str, list[int]]):
@@ -233,8 +218,6 @@ class Crm:
                 for seg in merged:
                     yield from client.io(f, seg.offset, seg.length, "R", stream_id)
             self.prefetched_bytes += total
-            if self._m_prefetched is not None:
-                self._m_prefetched.inc(total)
             # Store every covered chunk (hole-filled data is cached too):
             # one batched multiput scatters the chunks to their owners, in
             # the background -- cache inserts pipeline behind the fetch.
@@ -299,8 +282,6 @@ class Crm:
             for node, per_file in sorted(by_node.items())
         ]
         self.n_writeback_batches += 1
-        if self._m_wb_batches is not None:
-            self._m_wb_batches.inc()
         yield all_of(self.sim, node_procs)
         for chunk in dirty:
             cache.clean(chunk.key)
@@ -327,5 +308,3 @@ class Crm:
                 for seg in to_write:
                     yield from client.io(f, seg.offset, seg.length, "W", stream_id)
             self.writeback_bytes += requested
-            if self._m_writeback is not None:
-                self._m_writeback.inc(requested)

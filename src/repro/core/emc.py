@@ -53,16 +53,23 @@ class EmcDaemon:
         self.samples: list[EmcSample] = []
         if self.sim.obs is not None:
             reg = self.sim.obs.registry
-            self._ts_improvement = reg.timeseries("emc.improvement")
-            self._ts_seek_dist = reg.timeseries("emc.ave_seek_dist")
-            self._ts_req_dist = reg.timeseries("emc.ave_req_dist")
-            self._n_ticks = reg.counter("emc.ticks")
-        else:
-            self._ts_improvement = None
-            self._ts_seek_dist = None
-            self._ts_req_dist = None
-            self._n_ticks = None
+            reg.view("emc.ticks", "counter", lambda: len(self.samples))
+            for field in ("improvement", "ave_seek_dist", "ave_req_dist"):
+                reg.view(f"emc.{field}", "timeseries", self._series_reader(field))
         self._proc = self.sim.process(self._run(), name="emc", daemon=True)
+
+    def _series_reader(self, field: str):
+        """Snapshot reader of one sample field as a ``[[t, v], ...]``
+        series, skipping ticks where the field was undefined."""
+
+        def read() -> list:
+            return [
+                [s.time, v]
+                for s in self.samples
+                if (v := getattr(s, field)) is not None
+            ]
+
+        return read
 
     # ------------------------------------------------------------------
 
@@ -156,14 +163,6 @@ class EmcDaemon:
                 io_ratios=ratios,
             )
             self.samples.append(sample)
-            if self._n_ticks is not None:
-                self._n_ticks.inc()
-                if sample.improvement is not None:
-                    self._ts_improvement.record(sim.now, sample.improvement)
-                if sample.ave_seek_dist is not None:
-                    self._ts_seek_dist.record(sim.now, sample.ave_seek_dist)
-                if sample.ave_req_dist is not None:
-                    self._ts_req_dist.record(sim.now, sample.ave_req_dist)
 
     # ------------------------------------------------------------------
 

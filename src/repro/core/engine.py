@@ -32,6 +32,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DualParEngine"]
 
+#: Job-scoped counters published as views: (metric, part, attribute) reads
+#: ``engine.<part>.<attribute>`` into ``<part>.<job>.<metric>``.
+_JOB_COUNTERS = (
+    ("cycles", "pec", "n_cycles"),
+    ("deadline_stops", "pec", "n_deadline_stops"),
+    ("fault_stops", "pec", "n_fault_stops"),
+    ("prefetched_bytes", "crm", "prefetched_bytes"),
+    ("writeback_bytes", "crm", "writeback_bytes"),
+    ("prefetch_batches", "crm", "n_prefetch_batches"),
+    ("writeback_batches", "crm", "n_writeback_batches"),
+)
+
 
 class DualParEngine(IoEngine):
     """The DualPar ADIO interception layer: delegates to the normal
@@ -57,6 +69,8 @@ class DualParEngine(IoEngine):
             self.normal = IndependentEngine(runtime, job)
         self.pec = Pec(self)
         self.crm = Crm(self)
+        if self.sim.obs is not None:
+            self._register_views(self.sim.obs.registry)
         self._quotas: dict[int, QuotaTracker] = {}
         self._crm_streams: dict[int, int] = {}
         self._finished_ranks = 0
@@ -65,6 +79,26 @@ class DualParEngine(IoEngine):
         self.n_cache_hits = 0
         self.n_cache_misses = 0
         self.n_direct_fallback_bytes = 0
+
+    def _register_views(self, registry) -> None:
+        """Publish PEC's and CRM's counters.  Job names need not be
+        unique, so every DualPar job of this name shares one entry, the
+        sum over them, registered by the first such job."""
+        name = self.job.name
+        jobs = self.runtime.jobs
+        for metric, part, attr in _JOB_COUNTERS:
+            full = f"{part}.{name}.{metric}"
+            if full in registry:
+                continue
+
+            def read(part=part, attr=attr) -> int:
+                return sum(
+                    getattr(getattr(j.engine, part), attr)
+                    for j in jobs
+                    if j.name == name and isinstance(j.engine, DualParEngine)
+                )
+
+            registry.view(full, "counter", read)
 
     # ------------------------------------------------------------------
 

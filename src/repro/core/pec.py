@@ -72,17 +72,11 @@ class Pec:
         #: (cycle_id, misprefetch_ratio) history
         self.misprefetch_history: list[tuple[int, float]] = []
         if self.sim.obs is not None:
-            reg = self.sim.obs.registry
-            pre = f"pec.{self.job.name}"
-            self._m_cycles = reg.counter(f"{pre}.cycles")
-            self._m_deadline_stops = reg.counter(f"{pre}.deadline_stops")
-            self._m_fault_stops = reg.counter(f"{pre}.fault_stops")
-            self._ts_misprefetch = reg.timeseries(f"{pre}.misprefetch_ratio")
+            self._ts_misprefetch = self.sim.obs.registry.timeseries(
+                f"pec.{self.job.name}.misprefetch_ratio"
+            )
             self._tracer = self.sim.obs.tracer
         else:
-            self._m_cycles = None
-            self._m_deadline_stops = None
-            self._m_fault_stops = None
             self._ts_misprefetch = None
             self._tracer = None
 
@@ -127,8 +121,6 @@ class Pec:
         self._account_previous_cycle()
         self._cycle_counter += 1
         self.n_cycles += 1
-        if self._m_cycles is not None:
-            self._m_cycles.inc()
         cyc = Cycle(
             cycle_id=self._cycle_counter,
             resume_event=self.sim.event(),
@@ -219,12 +211,8 @@ class Pec:
         except Interrupt as exc:
             if exc.cause == "server-fault":
                 self.n_fault_stops += 1
-                if self._m_fault_stops is not None:
-                    self._m_fault_stops.inc()
             else:
                 self.n_deadline_stops += 1
-                if self._m_deadline_stops is not None:
-                    self._m_deadline_stops.inc()
 
     def _controller(self, cyc: Cycle):
         tr = self._tracer

@@ -43,11 +43,10 @@ class DualParSystem:
         #: (time, job name, new mode) transitions, for Fig-7 style analysis.
         self.transitions: list[tuple[float, str, str]] = []
         sim = runtime.sim
-        self._transition_counter = (
-            sim.obs.registry.counter("emc.mode_transitions")
-            if sim.obs is not None
-            else None
-        )
+        if sim.obs is not None:
+            sim.obs.registry.view(
+                "emc.mode_transitions", "counter", lambda: len(self.transitions)
+            )
         self._tracer = sim.obs.tracer if sim.obs is not None else None
         #: Fault-injection attachments (None nominally): the injector and
         #: the ServerHealth map it maintains.
@@ -116,8 +115,7 @@ class DualParSystem:
 
     def log_transition(self, job: "MpiJob", mode: str) -> None:
         self.transitions.append((self.runtime.sim.now, job.name, mode))
-        if self._transition_counter is not None:
-            self._transition_counter.inc()
+        if self._tracer is not None:
             self._tracer.instant(
                 "emc.mode_transition", track="emc", cat="dualpar",
                 job=job.name, mode=mode,

@@ -28,7 +28,7 @@ from typing import Callable, Generator, Optional, Protocol
 
 from repro.disk.geometry import SECTOR_BYTES, DiskGeometry
 from repro.disk.seek import SeekModel
-from repro.disk.stats import DriveStats, SeekSample
+from repro.disk.stats import DriveStats
 from repro.sim import Simulator
 
 __all__ = ["BlockDevice", "DiskDrive", "DiskParams"]
@@ -66,10 +66,6 @@ class DiskParams:
     track_to_track_s: float = 0.0008
     average_seek_s: float = 0.008
     full_stroke_s: float = 0.016
-    #: Recording zones (1 = fixed geometry); with >1, inner zones hold
-    #: inner_track_ratio x the outer zone's sectors per track (ZBR).
-    n_zones: int = 1
-    inner_track_ratio: float = 0.5
 
     @property
     def revolution_s(self) -> float:
@@ -77,7 +73,7 @@ class DiskParams:
 
     @property
     def media_rate_bytes_s(self) -> float:
-        """Sustained transfer rate streaming an OUTER-zone track."""
+        """Sustained transfer rate streaming one track per revolution."""
         return self.sectors_per_track * SECTOR_BYTES / self.revolution_s
 
 
@@ -122,8 +118,6 @@ class DiskDrive:
             self.params.capacity_bytes,
             sectors_per_track=self.params.sectors_per_track,
             heads=self.params.heads,
-            n_zones=self.params.n_zones,
-            inner_track_ratio=self.params.inner_track_ratio,
         )
         self.seek_model = SeekModel(
             n_cylinders=self.geometry.n_cylinders,
@@ -164,10 +158,8 @@ class DiskDrive:
                 f"request [{lbn}, {lbn + nsectors}) beyond disk end {geo.total_sectors}"
             )
         rev = self.params.revolution_s
-        # Media rate depends on the zone: a track passes under the head
-        # once per revolution regardless of how many sectors it holds.
-        spt_here = geo.sectors_per_track_at(lbn)
-        transfer = nsectors / spt_here * rev
+        # One track passes under the head per revolution.
+        transfer = nsectors / geo.sectors_per_track * rev
         fault = self.fault
         if fault is not None:
             # Fail-slow: the media streams slower (retried sector reads).
@@ -232,16 +224,7 @@ class DiskDrive:
             last = lbn + nsectors - 1
             self.head_cylinder = self.geometry.cylinder_of(last)
             self._next_sequential_lbn = lbn + nsectors
-            self.stats.record(
-                SeekSample(
-                    time=start,
-                    lbn=lbn,
-                    nsectors=nsectors,
-                    seek_sectors=seek_sectors,
-                    service_time=duration,
-                    op=op,
-                )
-            )
+            self.stats.record(nsectors, seek_sectors, duration)
         finally:
             self._busy = False
 

@@ -1,17 +1,12 @@
 """Disk geometry: LBN to cylinder / rotational-position mapping.
 
-The default model is fixed-geometry (every track holds the same number of
-sectors): none of the paper's effects depend on zoning, and a fixed
-geometry keeps the model analytically checkable.  An optional *zoned*
-geometry (``n_zones > 1``) models ZBR: outer zones hold more sectors per
-track, so the sustained transfer rate falls from the outer diameter to
-the inner one (typically ~2x), and LBN-to-cylinder mapping becomes
-piecewise.
+The model is fixed-geometry: every track holds the same number of
+sectors.  None of the paper's effects depend on zoning, and a fixed
+geometry keeps the model analytically checkable.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 __all__ = ["DiskGeometry", "SECTOR_BYTES"]
@@ -22,72 +17,32 @@ SECTOR_BYTES = 512
 
 @dataclass(frozen=True)
 class DiskGeometry:
-    """Disk geometry, fixed or zoned.
+    """Fixed disk geometry.
 
     Parameters
     ----------
     total_sectors:
         Capacity of the drive in 512-byte sectors.
     sectors_per_track:
-        Sectors per revolution in the OUTERMOST zone (cylinder 0 side).
+        Sectors per revolution.
     heads:
         Tracks per cylinder (number of platter surfaces).
-    n_zones:
-        Number of recording zones.  1 (default) = fixed geometry.
-    inner_track_ratio:
-        sectors-per-track of the innermost zone relative to the
-        outermost (ZBR drives: ~0.5).
     """
 
     total_sectors: int
     sectors_per_track: int = 1200
     heads: int = 4
-    n_zones: int = 1
-    inner_track_ratio: float = 0.5
     sectors_per_cylinder: int = field(init=False)
     n_cylinders: int = field(init=False)
-    #: Per zone: (first_lbn, first_cylinder, sectors_per_track, n_cylinders)
-    _zones: tuple = field(init=False)
-    _zone_starts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         if self.total_sectors <= 0:
             raise ValueError("total_sectors must be positive")
         if self.sectors_per_track <= 0 or self.heads <= 0:
             raise ValueError("sectors_per_track and heads must be positive")
-        if self.n_zones < 1:
-            raise ValueError("n_zones must be >= 1")
-        if not 0 < self.inner_track_ratio <= 1:
-            raise ValueError("inner_track_ratio must be in (0, 1]")
-        # Zone sectors-per-track interpolate linearly outer -> inner.
-        spts = []
-        for z in range(self.n_zones):
-            frac = z / max(self.n_zones - 1, 1)
-            spt = round(
-                self.sectors_per_track
-                * (1.0 - frac * (1.0 - self.inner_track_ratio))
-            )
-            spts.append(max(spt, 1))
-        # Capacity split evenly by sectors across zones; cylinders follow.
-        per_zone = self.total_sectors // self.n_zones
-        zones = []
-        lbn = 0
-        cyl = 0
-        for z, spt in enumerate(spts):
-            zone_sectors = (
-                self.total_sectors - lbn if z == self.n_zones - 1 else per_zone
-            )
-            spc = spt * self.heads
-            n_cyl = -(-zone_sectors // spc)
-            zones.append((lbn, cyl, spt, n_cyl))
-            lbn += zone_sectors
-            cyl += n_cyl
-        object.__setattr__(self, "_zones", tuple(zones))
-        object.__setattr__(self, "_zone_starts", tuple(z[0] for z in zones))
-        object.__setattr__(
-            self, "sectors_per_cylinder", self.sectors_per_track * self.heads
-        )
-        object.__setattr__(self, "n_cylinders", cyl)
+        spc = self.sectors_per_track * self.heads
+        object.__setattr__(self, "sectors_per_cylinder", spc)
+        object.__setattr__(self, "n_cylinders", -(-self.total_sectors // spc))
 
     @classmethod
     def from_capacity(
@@ -95,46 +50,27 @@ class DiskGeometry:
         capacity_bytes: int,
         sectors_per_track: int = 1200,
         heads: int = 4,
-        n_zones: int = 1,
-        inner_track_ratio: float = 0.5,
     ) -> "DiskGeometry":
         """Build a geometry holding at least ``capacity_bytes``."""
         return cls(
             total_sectors=-(-capacity_bytes // SECTOR_BYTES),
             sectors_per_track=sectors_per_track,
             heads=heads,
-            n_zones=n_zones,
-            inner_track_ratio=inner_track_ratio,
         )
 
     @property
     def capacity_bytes(self) -> int:
         return self.total_sectors * SECTOR_BYTES
 
-    def _zone_of(self, lbn: int) -> tuple:
-        idx = bisect.bisect_right(self._zone_starts, lbn) - 1
-        return self._zones[idx]
-
-    def sectors_per_track_at(self, lbn: int) -> int:
-        """Track capacity at ``lbn`` (varies across zones)."""
-        self._check(lbn)
-        return self._zone_of(lbn)[2]
-
     def cylinder_of(self, lbn: int) -> int:
         """Cylinder containing ``lbn``."""
         self._check(lbn)
-        if self.n_zones == 1:
-            return lbn // self.sectors_per_cylinder
-        z_lbn, z_cyl, spt, _ = self._zone_of(lbn)
-        return z_cyl + (lbn - z_lbn) // (spt * self.heads)
+        return lbn // self.sectors_per_cylinder
 
     def angle_of(self, lbn: int) -> float:
         """Rotational position of ``lbn`` on its track, in [0, 1)."""
         self._check(lbn)
-        if self.n_zones == 1:
-            return (lbn % self.sectors_per_track) / self.sectors_per_track
-        z_lbn, _, spt, _ = self._zone_of(lbn)
-        return ((lbn - z_lbn) % spt) / spt
+        return (lbn % self.sectors_per_track) / self.sectors_per_track
 
     def _check(self, lbn: int) -> None:
         if not 0 <= lbn < self.total_sectors:

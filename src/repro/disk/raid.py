@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Generator, Optional, Sequence
 
 from repro.disk.drive import DiskDrive
-from repro.disk.stats import DriveStats, SeekSample
+from repro.disk.stats import DriveStats
 from repro.sim import Process, Simulator, all_of
 
 __all__ = ["RaidArray"]
@@ -166,16 +166,7 @@ class RaidArray:
                 for m, mlbn, n in pieces
             ]
         yield all_of(self.sim, procs)
-        self.stats.record(
-            SeekSample(
-                time=start,
-                lbn=lbn,
-                nsectors=nsectors,
-                seek_sectors=0,
-                service_time=self.sim.now - start,
-                op=op,
-            )
-        )
+        self.stats.record(nsectors, 0, self.sim.now - start)
 
     # -- mirror faults (RAID-1) -----------------------------------------
 

@@ -10,14 +10,15 @@ recovery event instead of burning its retry budget against a black hole.
 
 State changes are instantaneous metadata (no simulated RPC) -- the paper
 stack already models metadata traffic separately and the interesting
-dynamics live in the data path.  When observability is on, each server
-publishes a ``faults.ds{i}.health`` gauge (1 up / 0.5 slow / 0 down).
+dynamics live in the data path.  When observability is on, each server's
+state is readable as a ``faults.ds{i}.health`` gauge (1 up / 0.5 slow /
+0 down).
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Event, Simulator
@@ -45,14 +46,12 @@ class ServerHealth:
         #: (sim_time, server, new_state) history, always recorded.
         self.transitions: list[tuple[float, int, str]] = []
         if sim.obs is not None:
-            reg = sim.obs.registry
-            self._gauges: Optional[list] = [
-                reg.gauge(f"faults.ds{i}.health") for i in range(n_servers)
-            ]
-            for g in self._gauges:
-                g.set(1.0)
-        else:
-            self._gauges = None
+            for i in range(n_servers):
+                sim.obs.registry.view(
+                    f"faults.ds{i}.health",
+                    "gauge",
+                    lambda i=i: _GAUGE_VALUE[self._state[i]],
+                )
 
     def state_of(self, server: int) -> str:
         return self._state[server]
@@ -74,8 +73,6 @@ class ServerHealth:
             return
         self._state[server] = state
         self.transitions.append((self.sim.now, server, state))
-        if self._gauges is not None:
-            self._gauges[server].set(_GAUGE_VALUE[state])
         if old == "down":
             ev = self._recovery.pop(server, None)
             if ev is not None:

@@ -120,14 +120,15 @@ class FaultInjector:
         self._evicted: set[int] = set()
         obs = self.sim.obs
         if obs is not None:
-            self._event_counter = obs.registry.counter("faults.events")
-            self._event_log = obs.registry.event_log(
-                "faults.log", fields=("t", "kind", "phase", "target")
+            reg = obs.registry
+            reg.view("faults.events", "counter", lambda: len(self.log))
+            reg.view(
+                "faults.log",
+                "event_log",
+                lambda: {"fields": ["t", "kind", "phase", "target"], "n": len(self.log)},
             )
             self._tracer = obs.tracer
         else:
-            self._event_counter = None
-            self._event_log = None
             self._tracer = None
         #: event index -> open async span for windowed faults.
         self._spans: dict[int, Any] = {}
@@ -236,9 +237,6 @@ class FaultInjector:
     def _record(self, ev: FaultEvent, phase: str, idx: int) -> None:
         now = self.sim.now
         self.log.append((now, ev.kind, phase, ev.target))
-        if self._event_counter is not None:
-            self._event_counter.inc()
-            self._event_log.append((now, ev.kind, phase, ev.target))
         if self._tracer is not None:
             if phase == "apply" and ev.until_s is not None:
                 span = self._tracer.span(

@@ -61,11 +61,10 @@ class CircuitBreaker:
         self.transitions: list[tuple[float, str]] = []
         self._tracer = tracer
         if registry is not None:
-            self._c_trips = registry.counter("guard.breaker.trips")
-            self._g_state = registry.gauge("guard.breaker.state")
-        else:
-            self._c_trips = None
-            self._g_state = None
+            registry.view("guard.breaker.trips", "counter", lambda: self.n_trips)
+            registry.view(
+                "guard.breaker.state", "gauge", lambda: _STATE_LEVEL[self.state]
+            )
 
     # ------------------------------------------------------------------
 
@@ -74,8 +73,6 @@ class CircuitBreaker:
             return
         self.state = state
         self.transitions.append((self.sim.now, state))
-        if self._g_state is not None:
-            self._g_state.set(_STATE_LEVEL[state])
         if self._tracer is not None:
             self._tracer.instant(
                 "guard.breaker", track="guard", cat="guard", state=state
@@ -83,8 +80,6 @@ class CircuitBreaker:
 
     def _trip(self) -> None:
         self.n_trips += 1
-        if self._c_trips is not None:
-            self._c_trips.inc()
         self.opened_at = self.sim.now
         self.consecutive_failures = 0
         self._probe_inflight = False

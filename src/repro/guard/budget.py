@@ -53,19 +53,13 @@ class MemoryBudget:
         #: Early writeback flushes forced by the node cap.
         self.n_paced = 0
         if registry is not None:
-            self._g_bytes = registry.gauge("guard.budget.bytes")
-            self._g_peak = registry.gauge("guard.budget.peak_bytes")
-            self._c_shed_store = registry.counter("guard.budget.shed_store")
-            self._c_shed_plan = registry.counter("guard.budget.shed_plan")
-            self._c_blocked = registry.counter("guard.budget.blocked")
-            self._c_paced = registry.counter("guard.budget.paced")
-        else:
-            self._g_bytes = None
-            self._g_peak = None
-            self._c_shed_store = None
-            self._c_shed_plan = None
-            self._c_blocked = None
-            self._c_paced = None
+            pre = "guard.budget"
+            registry.view(f"{pre}.bytes", "gauge", lambda: self.total_bytes)
+            registry.view(f"{pre}.peak_bytes", "gauge", lambda: self.peak_bytes)
+            registry.view(f"{pre}.shed_store", "counter", lambda: self.n_shed_store)
+            registry.view(f"{pre}.shed_plan", "counter", lambda: self.n_shed_plan)
+            registry.view(f"{pre}.blocked", "counter", lambda: self.n_blocked)
+            registry.view(f"{pre}.paced", "counter", lambda: self.n_paced)
 
     # -- queries ---------------------------------------------------------
 
@@ -97,9 +91,6 @@ class MemoryBudget:
                 self._job_peak[job_id] = used
         if node is not None:
             self._by_node[node] = self._by_node.get(node, 0) + nbytes
-        if self._g_bytes is not None:
-            self._g_bytes.set(self.total_bytes)
-            self._g_peak.set(self.peak_bytes)
 
     def charge(
         self, nbytes: int, job_id: Optional[int] = None, node: Optional[int] = None
@@ -142,23 +133,15 @@ class MemoryBudget:
 
     def record_shed_store(self, n: int = 1) -> None:
         self.n_shed_store += n
-        if self._c_shed_store is not None:
-            self._c_shed_store.inc(n)
 
     def record_shed_plan(self, n: int = 1) -> None:
         self.n_shed_plan += n
-        if self._c_shed_plan is not None:
-            self._c_shed_plan.inc(n)
 
     def record_blocked(self, n: int = 1) -> None:
         self.n_blocked += n
-        if self._c_blocked is not None:
-            self._c_blocked.inc(n)
 
     def record_paced(self, n: int = 1) -> None:
         self.n_paced += n
-        if self._c_paced is not None:
-            self._c_paced.inc(n)
 
     def summary(self) -> dict:
         return {

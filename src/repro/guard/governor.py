@@ -259,13 +259,17 @@ class SafetyGovernor:
         self.transitions: list[tuple[float, str, str, str]] = []
         self.n_degrades = 0
         if self.registry is not None:
-            self._c_transitions = self.registry.counter("guard.transitions")
-            self._log = self.registry.event_log(
-                "guard.log", fields=("t", "job", "state", "reason")
+            self.registry.view(
+                "guard.transitions", "counter", lambda: len(self.transitions)
             )
-        else:
-            self._c_transitions = None
-            self._log = None
+            self.registry.view(
+                "guard.log",
+                "event_log",
+                lambda: {
+                    "fields": ["t", "job", "state", "reason"],
+                    "n": len(self.transitions),
+                },
+            )
 
     # -- wiring ----------------------------------------------------------
 
@@ -317,9 +321,6 @@ class SafetyGovernor:
     def log_state(self, job_name: str, state: str, reason: str) -> None:
         now = self.sim.now
         self.transitions.append((now, job_name, state, reason))
-        if self._c_transitions is not None:
-            self._c_transitions.inc()
-            self._log.append((now, job_name, state, reason))
         if self._tracer is not None:
             self._tracer.instant(
                 "guard.transition",

@@ -112,11 +112,10 @@ class StallWatchdog:
         self._last_sig: Optional[tuple] = None
         self._tracer = tracer
         if registry is not None:
-            self._c_reports = registry.counter("guard.watchdog.reports")
-            self._c_deadlocks = registry.counter("guard.watchdog.deadlocks")
-        else:
-            self._c_reports = None
-            self._c_deadlocks = None
+            registry.view("guard.watchdog.reports", "counter", lambda: len(self.reports))
+            registry.view(
+                "guard.watchdog.deadlocks", "counter", lambda: len(self.deadlocks)
+            )
         sim._watchdog = self
         self._proc = sim.process(self._run(), name="guard-watchdog", daemon=True)
 
@@ -220,10 +219,6 @@ class StallWatchdog:
         )
         report = WatchdogReport(time=now, kind=kind, blocked=blocked)
         self.reports.append(report)
-        if self._c_reports is not None:
-            self._c_reports.inc()
-            if kind == "deadlock":
-                self._c_deadlocks.inc()
         if self._tracer is not None:
             self._tracer.instant(
                 "guard.watchdog",

@@ -24,15 +24,12 @@ __all__ = ["BlockLayer", "BlockLayerStats"]
 
 
 class _BlkMetrics:
-    """Registry instruments for one block layer (allocated when observed)."""
+    """Recorded instruments for one block layer (allocated when observed)."""
 
-    __slots__ = ("submitted", "units", "merged", "queue_depth", "unit_sectors",
-                 "start_delay_s")
+    __slots__ = ("merged", "queue_depth", "unit_sectors", "start_delay_s")
 
     def __init__(self, registry, name: str):
         pre = f"blk.{name}"
-        self.submitted = registry.counter(f"{pre}.submitted")
-        self.units = registry.counter(f"{pre}.units_served")
         #: Requests absorbed into another unit by front/back merging.
         self.merged = registry.counter(f"{pre}.merged")
         self.queue_depth = registry.histogram(
@@ -52,7 +49,6 @@ class BlockLayerStats:
     n_submitted: int = 0
     n_units_served: int = 0
     depth_samples: list = field(default_factory=list)
-    service_start_delays: list = field(default_factory=list)
 
     @property
     def mean_queue_depth(self) -> float:
@@ -101,9 +97,17 @@ class BlockLayer:
         self._head_lbn = 0
         self._arrival: Optional[Event] = None
         self._congestion_waiters: list[Event] = []  # simlint: ignore[SL006] one event per inflight submitter; drained every un-congest
-        self._metrics: Optional[_BlkMetrics] = (
-            _BlkMetrics(sim.obs.registry, name) if sim.obs is not None else None
-        )
+        self._metrics: Optional[_BlkMetrics] = None
+        if sim.obs is not None:
+            reg = sim.obs.registry
+            stats = self.stats
+            reg.view(f"blk.{name}.submitted", "counter", lambda: stats.n_submitted)
+            # Units dispatched to the disk (one depth sample each); a unit
+            # still in service counts here but not in n_units_served.
+            reg.view(
+                f"blk.{name}.units_served", "counter", lambda: len(stats.depth_samples)
+            )
+            self._metrics = _BlkMetrics(reg, name)
         self._tracer = sim.obs.tracer if sim.obs is not None else None
         self._dispatcher = sim.process(
             self._dispatch_loop(), name=f"{name}-dispatch", daemon=True
@@ -136,8 +140,6 @@ class BlockLayer:
         )
         self.scheduler.add(req, self.sim.now)
         self.stats.n_submitted += 1
-        if self._metrics is not None:
-            self._metrics.submitted.inc()
         if self._arrival is not None and not self._arrival.triggered:
             self._arrival.succeed()
         return completion
@@ -182,13 +184,10 @@ class BlockLayer:
             unit = decision.unit
             stats = self.stats
             stats.depth_samples.append(len(self.scheduler) + 1)
-            for part in unit.parts:
-                stats.service_start_delays.append(sim.now - part.submit_time)
             m = self._metrics
             if m is not None:
                 m.queue_depth.observe(len(self.scheduler) + 1)
                 m.unit_sectors.observe(unit.nsectors)
-                m.units.inc()
                 if len(unit.parts) > 1:
                     m.merged.inc(len(unit.parts) - 1)
                 for part in unit.parts:

@@ -143,7 +143,6 @@ class CollectiveEngine(IndependentEngine):
         hole_threshold: int = 64 * 1024,
         n_aggregators: int | None = None,
         treat_all_collective: bool = True,
-        **kw,
     ):
         if cb_buffer_bytes < 1:
             raise ValueError(f"cb_buffer_bytes must be >= 1, got {cb_buffer_bytes}")
@@ -151,7 +150,7 @@ class CollectiveEngine(IndependentEngine):
             raise ValueError(f"n_aggregators must be >= 1, got {n_aggregators}")
         if hole_threshold < 0:
             raise ValueError(f"hole_threshold must be >= 0, got {hole_threshold}")
-        super().__init__(runtime, job, **kw)
+        super().__init__(runtime, job)
         self.cb_buffer_bytes = cb_buffer_bytes
         self.hole_threshold = hole_threshold
         self._n_aggregators = n_aggregators

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.mpi.ops import IoOp, Segment
+from repro.mpi.ops import IoOp
 from repro.mpiio.datasieve import coalesce_segments
 from repro.pfs.filesystem import PfsFile
 
@@ -65,35 +65,14 @@ class IndependentEngine(IoEngine):
     read requests one at a time and there is no overlap between
     computation and data access" -- Strategy 1, the evaluation baseline.
 
-    ``data_sieving_reads`` optionally enables ROMIO's independent-path
-    read sieving (one covering read per strided call when holes are small
-    and the extent fits the sieve buffer).  Off by default to match the
-    paper's vanilla baseline behaviour on PVFS2.
+    A strided call is issued as its coalesced pieces, one at a time, with
+    no read sieving: the paper's vanilla baseline on PVFS2.
     """
 
     name = "vanilla"
 
-    def __init__(
-        self,
-        runtime: "MpiRuntime",
-        job: "MpiJob",
-        data_sieving_reads: bool = False,
-        sieve_buffer_bytes: int = 4 * 1024 * 1024,
-    ):
-        super().__init__(runtime, job)
-        self.data_sieving_reads = data_sieving_reads
-        self.sieve_buffer_bytes = sieve_buffer_bytes
-
     def do_io(self, proc: "MpiProcess", op: IoOp) -> Generator:
         f = self.lookup_file(op.file_name)
         client = self.client_of(proc)
-        segments = op.segments
-        if op.op == "R" and self.data_sieving_reads and len(segments) > 1:
-            lo = min(s.offset for s in segments)
-            hi = max(s.end for s in segments)
-            if hi - lo <= self.sieve_buffer_bytes:
-                # One covering read; holes discarded in memory.
-                yield from client.io(f, lo, hi - lo, "R", proc.stream_id)
-                return
-        for seg in coalesce_segments(segments, hole_threshold=0):
+        for seg in coalesce_segments(op.segments, hole_threshold=0):
             yield from client.io(f, seg.offset, seg.length, op.op, proc.stream_id)

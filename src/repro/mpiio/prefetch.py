@@ -43,9 +43,8 @@ class PreexecPrefetchEngine(IndependentEngine):
         runtime: "MpiRuntime",
         job: "MpiJob",
         window_bytes: int = 1024 * 1024,
-        **kw,
     ):
-        super().__init__(runtime, job, **kw)
+        super().__init__(runtime, job)
         self.window_bytes = window_bytes
         self.cache: GlobalCache = runtime.global_cache
         #: chunks currently being prefetched: key -> completion event

@@ -1,10 +1,11 @@
 """Unified observability: metrics, span tracing, and trace export.
 
 The simulation-native measurement substrate (think Darshan for the
-simulated cluster): components publish counters, gauges, histograms, and
-time series into one :class:`MetricsRegistry`, and request flows are
-recorded as spans by one :class:`Tracer` -- all stamped with *simulated*
-time, never wall time.
+simulated cluster): components register views of the counters they
+already keep, and record the few quantities they do not keep (disk
+timing sums, histograms, some time series), in one
+:class:`MetricsRegistry`; request flows are recorded as spans by one
+:class:`Tracer` -- all stamped with *simulated* time, never wall time.
 
 Usage::
 
@@ -18,10 +19,13 @@ Usage::
 
 Off by default and zero-overhead when disabled: a plain ``Simulator()``
 has ``obs`` ``None``, and every instrumented component checks
-``sim.obs is not None`` once at construction and holds ``None`` in
-place of its instruments and tracer otherwise.  Observing a
-run never schedules events, reads wall clocks, or consumes randomness,
-so an observed run is bit-identical to a plain one.
+``sim.obs is not None`` once at construction: when observed it
+registers its views and creates its recorded instruments; otherwise it
+registers nothing and holds ``None`` in place of its instruments and
+tracer.  Views are read only at snapshot time, so they cost nothing per
+event in either case.  Observing a run never schedules events, reads
+wall clocks, or consumes randomness, so an observed run is
+bit-identical to a plain one.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from repro.obs.export import (
 from repro.obs.registry import (
     Counter,
     EventLog,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -52,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Counter",
     "EventLog",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Observability",
@@ -75,7 +77,7 @@ class Observability:
     Pass an instance as ``Simulator(observe=...)`` -- or, higher up,
     ``run_experiment(..., observe=...)`` / ``build_cluster(spec,
     observe=...)`` -- and every component of that simulation registers
-    its instruments here.
+    its views and instruments here.
     """
 
     def __init__(self) -> None:

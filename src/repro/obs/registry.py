@@ -1,34 +1,41 @@
 """Metric instruments and the registry components publish into.
 
-Four instrument kinds cover every counter the simulation keeps today:
+A registry entry is one of two things:
 
-- :class:`Counter` -- monotonically increasing totals (bytes served,
-  cache hits, prefetch cycles);
-- :class:`Gauge` -- last-written values (resident cache bytes);
-- :class:`Histogram` -- fixed-bucket distributions (seek distance,
-  elevator queue depth at dispatch);
-- :class:`TimeSeries` -- ``(sim_time, value)`` samples (EMC improvement
-  estimate, windowed throughput);
-- :class:`EventLog` -- append-only record streams (blktrace accesses).
+- a **view** (:meth:`MetricsRegistry.view`) of a value a component
+  already keeps -- ``GlobalCache.n_hits``, ``EmcDaemon.samples``, a
+  budget's byte total -- read once, when the snapshot is taken.  Views
+  cost nothing per event, and there is no second copy to keep in step;
+- a **recorded instrument**, for quantities no component keeps:
+
+  - :class:`Counter` -- monotonically increasing totals (disk seek
+    seconds, merged block requests);
+  - :class:`Histogram` -- fixed-bucket distributions (seek distance,
+    elevator queue depth at dispatch);
+  - :class:`TimeSeries` -- ``(sim_time, value)`` samples (mis-prefetch
+    ratio, windowed throughput);
+  - :class:`EventLog` -- append-only record streams (blktrace accesses).
 
 All timestamps are *simulated* seconds: nothing here reads a wall clock,
 so an observed run is a pure function of its inputs exactly like a plain
 run.  Observability off means no registry at all: ``Simulator.obs`` is
-``None`` and each component holds ``None`` in place of its instruments.
+``None``, no view is registered, and each component holds ``None`` in
+place of its recorded instruments.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 __all__ = [
     "DEFAULT_BOUNDS",
     "Counter",
     "EventLog",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TimeSeries",
+    "View",
 ]
 
 #: Default histogram bucket boundaries: powers of two up to 1 Mi.
@@ -48,24 +55,6 @@ class Counter:
 
     def inc(self, n: float = 1) -> None:
         self.value += n
-
-    def to_dict(self) -> Any:
-        return self.value
-
-
-class Gauge:
-    """A last-written value."""
-
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def set(self, v: float) -> None:
-        self.value = v
 
     def to_dict(self) -> Any:
         return self.value
@@ -176,16 +165,48 @@ class EventLog:
         return {"fields": list(self.fields), "n": len(self.rows)}
 
 
-_Instrument = Any  # Counter | Gauge | Histogram | TimeSeries | EventLog
+class View:
+    """A snapshot-time read of state a component already keeps.
+
+    ``read()`` returns the entry's JSON-ready value in the form its
+    kind's recorded instrument would snapshot to (a number for counters
+    and gauges, ``[[t, v], ...]`` for a time series, ``{"fields": [...],
+    "n": count}`` for an event log).
+    """
+
+    __slots__ = ("name", "kind", "read")
+
+    def __init__(self, name: str, kind: str, read: Callable[[], Any]) -> None:
+        self.name = name
+        self.kind = kind
+        self.read = read
+
+    def to_dict(self) -> Any:
+        return self.read()
+
+
+_Instrument = Any  # Counter | Histogram | TimeSeries | EventLog | View
+
+#: Snapshot section per entry kind.
+_SECTION: Mapping[str, str] = MappingProxyType(
+    {
+        "counter": "counters",
+        "gauge": "gauges",
+        "histogram": "histograms",
+        "timeseries": "timeseries",
+        "event_log": "event_logs",
+    }
+)
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named instruments.
+    """Registry of named views and recorded instruments.
 
     Names are dotted paths (``disk.disk0.seek_s``); asking twice for the
-    same name returns the same instrument, and asking for an existing
-    name with a different kind is an error (two components silently
-    sharing a metric is always a bug).
+    same recorded instrument returns the same object, and asking for an
+    existing name with a different kind is an error (two components
+    silently sharing a metric is always a bug).  A view or an attached
+    instrument may not take a name that is already registered.
     """
 
     def __init__(self) -> None:
@@ -208,9 +229,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, "counter", lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, "gauge", lambda: Gauge(name))
-
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
     ) -> Histogram:
@@ -219,15 +237,20 @@ class MetricsRegistry:
     def timeseries(self, name: str) -> TimeSeries:
         return self._get_or_create(name, "timeseries", lambda: TimeSeries(name))
 
-    def event_log(self, name: str, fields: Sequence[str] = ()) -> EventLog:
-        return self._get_or_create(name, "event_log", lambda: EventLog(name, fields))
-
     def attach(self, name: str, instrument: _Instrument) -> None:
         """Register an externally constructed instrument under ``name``."""
         existing = self._instruments.get(name)
         if existing is not None and existing is not instrument:
             raise ValueError(f"metric {name!r} already registered")
         self._instruments[name] = instrument
+
+    def view(self, name: str, kind: str, read: Callable[[], Any]) -> None:
+        """Register ``read()`` as the snapshot value of ``name``, filed
+        under ``kind``'s section.  ``read`` runs only when a snapshot is
+        taken."""
+        if kind not in _SECTION:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        self.attach(name, View(name, kind, read))
 
     # -- queries --------------------------------------------------------
 
@@ -249,22 +272,10 @@ class MetricsRegistry:
         Instruments are grouped by kind and sorted by name, so two
         identical runs produce byte-identical snapshots.
         """
-        out: dict[str, Any] = {
-            "sim_time_s": now,
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "timeseries": {},
-            "event_logs": {},
-        }
-        section = {
-            "counter": "counters",
-            "gauge": "gauges",
-            "histogram": "histograms",
-            "timeseries": "timeseries",
-            "event_log": "event_logs",
-        }
+        out: dict[str, Any] = {"sim_time_s": now}
+        for section in _SECTION.values():
+            out[section] = {}
         for name in sorted(self._instruments):
             inst = self._instruments[name]
-            out[section[inst.kind]][name] = inst.to_dict()
+            out[_SECTION[inst.kind]][name] = inst.to_dict()
         return out

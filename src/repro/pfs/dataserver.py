@@ -70,18 +70,6 @@ class ServerRequest:
     req_id: Optional[int] = None
 
 
-class _DsMetrics:
-    """Registry instruments for one data server (allocated when observed)."""
-
-    __slots__ = ("requests", "bytes_read", "bytes_written")
-
-    def __init__(self, registry, server_index: int):
-        pre = f"pfs.ds{server_index}"
-        self.requests = registry.counter(f"{pre}.requests")
-        self.bytes_read = registry.counter(f"{pre}.bytes_read")
-        self.bytes_written = registry.counter(f"{pre}.bytes_written")
-
-
 class DataServer:
     """One PVFS2 data server."""
 
@@ -127,7 +115,8 @@ class DataServer:
         #: MPI ranks.  Client streams are folded onto the pool.
         self.n_io_threads = n_io_threads
         self.n_requests = 0
-        self.bytes_served = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
         # Fault state (inert until enable_fault_tracking()).
         self.crashed = False
         self.n_dropped_requests = 0
@@ -141,12 +130,20 @@ class DataServer:
         #: fault injection (the exactly-once property's observable).
         self.commit_log: Optional[list[int]] = None
         self._committed_ids: set[int] = set()
-        self._metrics: Optional[_DsMetrics] = (
-            _DsMetrics(sim.obs.registry, server_index) if sim.obs is not None else None
-        )
+        if sim.obs is not None:
+            reg = sim.obs.registry
+            pre = f"pfs.ds{server_index}"
+            reg.view(f"{pre}.requests", "counter", lambda: self.n_requests)
+            reg.view(f"{pre}.bytes_read", "counter", lambda: self.bytes_read)
+            reg.view(f"{pre}.bytes_written", "counter", lambda: self.bytes_written)
         self._tracer = sim.obs.tracer if sim.obs is not None else None
         if sim._sanitizer is not None:
             sim._sanitizer.on_component_registered(f"ds{server_index}")
+
+    @property
+    def bytes_served(self) -> int:
+        """Bytes of every serviced request, reads and writes."""
+        return self.bytes_read + self.bytes_written
 
     def _io_context(self, client_stream: int) -> int:
         return client_stream % self.n_io_threads
@@ -459,11 +456,10 @@ class DataServer:
             yield from self._perform_io(req)
         self._commit(req)
         self.n_requests += 1
-        self.bytes_served += req.length
-        m = self._metrics
-        if m is not None:
-            m.requests.inc()
-            (m.bytes_read if req.op == "R" else m.bytes_written).inc(req.length)
+        if req.op == "R":
+            self.bytes_read += req.length
+        else:
+            self.bytes_written += req.length
 
     # ------------------------------------------------------------------
 
@@ -499,14 +495,11 @@ class DataServer:
             yield from self._service_list_body(reqs)
         for r in reqs:
             self._commit(r)
+            if r.op == "R":
+                self.bytes_read += r.length
+            else:
+                self.bytes_written += r.length
         self.n_requests += len(reqs)
-        total = sum(r.length for r in reqs)
-        self.bytes_served += total
-        m = self._metrics
-        if m is not None:
-            m.requests.inc(len(reqs))
-            for r in reqs:
-                (m.bytes_read if r.op == "R" else m.bytes_written).inc(r.length)
         done.succeed(sim.now)
 
     def _service_list_body(self, reqs: list[ServerRequest]):
@@ -544,12 +537,12 @@ class LocalityDaemon:
         self.samples: list[tuple[float, float, int]] = []
         self._last_n = 0
         self._last_seek = 0
-        #: When observed, the SeekDist series is also published.
-        self._series = (
-            sim.obs.registry.timeseries(f"locality.{name}.seekdist")
-            if sim.obs is not None
-            else None
-        )
+        if sim.obs is not None:
+            sim.obs.registry.view(
+                f"locality.{name}.seekdist",
+                "timeseries",
+                lambda: [[t, mean] for t, mean, _ in self.samples],
+            )
         self._sampler = PeriodicSampler(sim, interval_s, self._probe, name=name)
         self._proc = self._sampler._proc
 
@@ -559,8 +552,6 @@ class LocalityDaemon:
         dseek = stats.total_seek_sectors - self._last_seek
         mean = (dseek / dn) if dn > 0 else 0.0
         self.samples.append((now, mean, dn))
-        if self._series is not None:
-            self._series.record(now, mean)
         self._last_n = stats.n_requests
         self._last_seek = stats.total_seek_sectors
 

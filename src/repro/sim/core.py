@@ -41,9 +41,12 @@ Service loops that intentionally never finish must be spawned with
 
 Observing: ``Simulator(observe=obs)`` attaches a
 :class:`repro.obs.Observability` (metrics registry + span tracer) that
-components publish into; by default ``Simulator.obs`` is ``None`` and
-every component holds ``None`` in place of its instruments, so an
-unobserved simulator pays one ``is not None`` test per recording site.
+components publish into; by default ``Simulator.obs`` is ``None``, no
+component registers anything, and each holds ``None`` in place of its
+recorded instruments and tracer.  Most metrics are views that the
+registry reads from component state at snapshot time, so they cost
+nothing per event; a recorded instrument's site pays one ``is not None``
+test in an unobserved run.
 The kernel itself never consults the observability layer -- only
 components (disks, schedulers, servers, caches) do -- and observation
 never schedules events, so observed runs are bit-identical to plain

@@ -1,104 +1,15 @@
-"""Tests for zoned (ZBR) disk geometry."""
+"""The disk is a single zone: every track holds the same number of sectors."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.disk import DiskDrive, DiskGeometry, DiskParams
-from repro.sim import Simulator
+from repro.disk import DiskGeometry
 
 
 def test_single_zone_unchanged():
     geo = DiskGeometry(total_sectors=9600, sectors_per_track=1200, heads=4)
-    assert geo.n_zones == 1
-    assert geo.sectors_per_track_at(0) == 1200
-    assert geo.sectors_per_track_at(9599) == 1200
-
-
-def test_zoned_outer_denser_than_inner():
-    geo = DiskGeometry(
-        total_sectors=1_000_000, sectors_per_track=1200, heads=4,
-        n_zones=4, inner_track_ratio=0.5,
-    )
-    assert geo.sectors_per_track_at(0) == 1200
-    assert geo.sectors_per_track_at(999_999) == 600
-    # Monotone non-increasing across zones.
-    spts = [geo.sectors_per_track_at(lbn) for lbn in range(0, 1_000_000, 100_000)]
-    assert all(b <= a for a, b in zip(spts, spts[1:]))
-
-
-def test_zoned_cylinder_mapping_monotone():
-    geo = DiskGeometry(
-        total_sectors=1_000_000, sectors_per_track=1000, heads=2,
-        n_zones=3, inner_track_ratio=0.5,
-    )
-    cyls = [geo.cylinder_of(lbn) for lbn in range(0, 1_000_000, 50_000)]
-    assert all(b >= a for a, b in zip(cyls, cyls[1:]))
-    assert geo.cylinder_of(0) == 0
-    assert geo.cylinder_of(999_999) <= geo.n_cylinders - 1
-
-
-def test_inner_zone_has_more_cylinders_per_sector():
-    """Same capacity on inner tracks spans more cylinders."""
-    geo = DiskGeometry(
-        total_sectors=900_000, sectors_per_track=1200, heads=2,
-        n_zones=3, inner_track_ratio=0.5,
-    )
-    span = 100_000
-    outer_cyls = geo.cylinder_of(span) - geo.cylinder_of(0)
-    inner_cyls = geo.cylinder_of(899_999) - geo.cylinder_of(899_999 - span)
-    assert inner_cyls > outer_cyls
-
-
-def test_zoned_angle_in_range():
-    geo = DiskGeometry(
-        total_sectors=500_000, sectors_per_track=1000, heads=2,
-        n_zones=4, inner_track_ratio=0.6,
-    )
-    for lbn in range(0, 500_000, 33_333):
-        assert 0.0 <= geo.angle_of(lbn) < 1.0
-
-
-def test_zoned_validation():
-    with pytest.raises(ValueError):
-        DiskGeometry(total_sectors=1000, n_zones=0)
-    with pytest.raises(ValueError):
-        DiskGeometry(total_sectors=1000, inner_track_ratio=0.0)
-    with pytest.raises(ValueError):
-        DiskGeometry(total_sectors=1000, inner_track_ratio=1.5)
-
-
-def test_zoned_drive_outer_streams_faster():
-    def stream_time(lbn):
-        sim = Simulator()
-        drive = DiskDrive(
-            sim,
-            DiskParams(capacity_bytes=2 * 10**9, n_zones=4, inner_track_ratio=0.5),
-        )
-
-        def proc():
-            pos = lbn
-            for _ in range(32):
-                yield from drive.service(pos, 256)
-                pos += 256
-
-        sim.run_until_event(sim.process(proc()))
-        return sim.now
-
-    outer = stream_time(0)
-    inner = stream_time(3_500_000)
-    assert inner > outer * 1.5  # ~2x slower at half the track density
-
-
-@given(lbn=st.integers(min_value=0, max_value=999_999))
-@settings(max_examples=100, deadline=None)
-def test_zone_lookup_consistency_property(lbn):
-    """Every LBN maps into exactly the zone whose range contains it."""
-    geo = DiskGeometry(
-        total_sectors=1_000_000, sectors_per_track=1200, heads=4,
-        n_zones=5, inner_track_ratio=0.5,
-    )
-    spt = geo.sectors_per_track_at(lbn)
-    assert 600 <= spt <= 1200
-    cyl = geo.cylinder_of(lbn)
-    assert 0 <= cyl < geo.n_cylinders
+    assert geo.sectors_per_track == 1200
+    # The last track holds as many sectors as the first, so the last LBN
+    # sits at the last rotational slot of the last cylinder.
+    assert geo.cylinder_of(9599) == geo.n_cylinders - 1 == 1
+    assert geo.angle_of(1199) == pytest.approx(1199 / 1200)
+    assert geo.angle_of(9599) == pytest.approx(1199 / 1200)

@@ -12,10 +12,17 @@ from repro.iosched import (
     make_scheduler,
 )
 from repro.sim import Simulator
+from repro.trace import BlkTrace
 
 
-def make_layer(sim, sched, capacity_mb=256):
-    drive = DiskDrive(sim, DiskParams(capacity_bytes=capacity_mb * 1024 * 1024))
+def make_layer(sim, sched, capacity_mb=256, trace=None):
+    """A block layer over a fresh drive; ``trace`` (a :class:`BlkTrace`)
+    records the drive's accesses in service order."""
+    drive = DiskDrive(
+        sim,
+        DiskParams(capacity_bytes=capacity_mb * 1024 * 1024),
+        on_access=trace.hook if trace is not None else None,
+    )
     return BlockLayer(sim, drive, sched), drive
 
 
@@ -42,7 +49,8 @@ def test_make_scheduler_unknown_name():
 
 def test_noop_serves_fifo():
     sim = Simulator()
-    layer, drive = make_layer(sim, NoopScheduler())
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, NoopScheduler(), trace=trace)
     order = []
 
     def client():
@@ -55,7 +63,7 @@ def test_noop_serves_fifo():
 
     sim.run_until_event(sim.process(client()))
     # FIFO service: completion order equals submission order.
-    lbns = [s.lbn for s in drive.stats.recent]
+    lbns = [r.lbn for r in trace.records]
     assert lbns == [5000, 100, 9000]
 
 
@@ -80,7 +88,8 @@ def test_noop_merges_sequential_tail():
 def test_deadline_sorts_batch():
     """A burst of scattered requests is served in ascending LBN order."""
     sim = Simulator()
-    layer, drive = make_layer(sim, DeadlineScheduler())
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, DeadlineScheduler(), trace=trace)
     lbns = [90_000, 100, 50_000, 20_000, 70_000]
 
     def client():
@@ -89,7 +98,7 @@ def test_deadline_sorts_batch():
             yield ev
 
     sim.run_until_event(sim.process(client()))
-    served = [s.lbn for s in drive.stats.recent]
+    served = [r.lbn for r in trace.records]
     assert served == sorted(lbns)
 
 
@@ -124,7 +133,8 @@ def test_deadline_expired_read_preempts():
 def test_deadline_write_not_starved():
     sim = Simulator()
     sched = DeadlineScheduler(writes_starved=1)
-    layer, drive = make_layer(sim, sched)
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, sched, trace=trace)
 
     def client():
         w = layer.submit(200_000, 8, op="W")
@@ -134,7 +144,7 @@ def test_deadline_write_not_starved():
             yield ev
 
     sim.run_until_event(sim.process(client()))
-    ops = [s.op for s in drive.stats.recent]
+    ops = [r.op for r in trace.records]
     assert "W" in ops[:40]
 
 
@@ -145,7 +155,8 @@ def test_cfq_round_robins_streams():
     """Two streams in distinct regions each get contiguous service runs."""
     sim = Simulator()
     sched = CfqScheduler(slice_sync_s=0.05, slice_idle_s=0.002)
-    layer, drive = make_layer(sim, sched)
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, sched, trace=trace)
 
     def client():
         evs = []
@@ -156,7 +167,7 @@ def test_cfq_round_robins_streams():
             yield ev
 
     sim.run_until_event(sim.process(client()))
-    served = [s.lbn for s in drive.stats.recent]
+    served = [r.lbn for r in trace.records]
     # Service alternates between region runs, not per-request ping-pong:
     # count transitions between the two regions.
     regions = [0 if lbn < 150_000 else 1 for lbn in served]
@@ -201,7 +212,8 @@ def test_cfq_idles_for_active_stream():
 def test_cfq_slice_expiry_rotates():
     sim = Simulator()
     sched = CfqScheduler(slice_sync_s=0.02, slice_idle_s=0.001)
-    layer, drive = make_layer(sim, sched)
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, sched, trace=trace)
 
     def client():
         evs = []
@@ -213,7 +225,7 @@ def test_cfq_slice_expiry_rotates():
             yield ev
 
     sim.run_until_event(sim.process(client()))
-    served = [s.lbn for s in drive.stats.recent]
+    served = [r.lbn for r in trace.records]
     first_s2 = next(i for i, lbn in enumerate(served) if lbn >= 150_000)
     # Stream 2 is not starved until all 50 stream-1 requests are done.
     assert first_s2 < 50

@@ -218,14 +218,3 @@ def test_prefetch_engine_handles_writes_directly():
         cluster_spec=small_spec(),
     )
     assert res.jobs[0].bytes_written == 1024 * 1024
-
-
-def test_data_sieving_read_option():
-    res = run_experiment(
-        [JobSpec("ds", 2, Noncontig(elmtcount=16, n_rows=32).with_ncols_hint(2),
-                 strategy="vanilla",
-                 engine_kwargs=dict(data_sieving_reads=True))],
-        cluster_spec=small_spec(),
-    )
-    # Sieving reads the covering extent; servers served more than requested.
-    assert res.cluster.total_bytes_served() >= res.jobs[0].bytes_read

@@ -63,7 +63,7 @@ def test_registry_kind_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(ValueError, match="already registered as counter"):
-        reg.gauge("x")
+        reg.histogram("x")
 
 
 def test_registry_attach_conflict_raises():
@@ -75,6 +75,51 @@ def test_registry_attach_conflict_raises():
     reg.attach("blktrace.s0", log)  # same object: idempotent
     with pytest.raises(ValueError):
         reg.attach("blktrace.s0", EventLog("blktrace.s0"))
+
+
+def test_view_lands_in_its_kind_section():
+    reg = MetricsRegistry()
+    reg.view("c", "counter", lambda: 3)
+    reg.view("g", "gauge", lambda: 0.5)
+    reg.view("t", "timeseries", lambda: [[1.0, 2.0]])
+    reg.view("e", "event_log", lambda: {"fields": ["a"], "n": 4})
+    snap = reg.snapshot(now=0.0)
+    assert snap["counters"] == {"c": 3}
+    assert snap["gauges"] == {"g": 0.5}
+    assert snap["timeseries"] == {"t": [[1.0, 2.0]]}
+    assert snap["event_logs"] == {"e": {"fields": ["a"], "n": 4}}
+    with pytest.raises(ValueError, match="unknown metric kind"):
+        reg.view("x", "meter", lambda: 0)
+
+
+def test_view_reads_at_snapshot_time_not_registration():
+    reg = MetricsRegistry()
+    state = {"n": 0}
+    calls = []
+
+    def read():
+        calls.append(state["n"])
+        return state["n"]
+
+    reg.view("n", "counter", read)
+    assert calls == []  # registration does not read
+    state["n"] = 5
+    assert reg.snapshot(now=1.0)["counters"]["n"] == 5
+    state["n"] = 7
+    assert reg.snapshot(now=2.0)["counters"]["n"] == 7
+    assert calls == [5, 7]
+
+
+def test_view_name_clash_raises():
+    reg = MetricsRegistry()
+    reg.counter("a")
+    with pytest.raises(ValueError, match="already registered"):
+        reg.view("a", "counter", lambda: 0)
+    reg.view("b", "gauge", lambda: 0)
+    with pytest.raises(ValueError, match="already registered"):
+        reg.view("b", "gauge", lambda: 1)
+    with pytest.raises(ValueError, match="already registered as gauge"):
+        reg.counter("b")
 
 
 def test_histogram_buckets_and_stats():
@@ -94,12 +139,16 @@ def test_histogram_rejects_bad_bounds():
 
 
 def test_snapshot_shape_and_json_round_trip():
+    from repro.obs import EventLog
+
     reg = MetricsRegistry()
     reg.counter("c").inc()
-    reg.gauge("g").set(7)
+    reg.view("g", "gauge", lambda: 7)
     reg.histogram("h", bounds=[1.0]).observe(2.0)
     reg.timeseries("t").record(1.0, 2.0)
-    reg.event_log("e", fields=("a",)).append((1,))
+    log = EventLog("e", fields=("a",))
+    log.append((1,))
+    reg.attach("e", log)
     snap = reg.snapshot(now=42.0)
     assert snap["sim_time_s"] == 42.0
     assert snap["counters"] == {"c": 1}
@@ -109,6 +158,39 @@ def test_snapshot_shape_and_json_round_trip():
     # Event logs snapshot to a count, never a dump.
     assert snap["event_logs"]["e"] == {"fields": ["a"], "n": 1}
     assert json.loads(json.dumps(snap)) == snap
+
+
+def test_units_served_counts_units_at_dispatch():
+    """``blk.*.units_served`` counts a unit when it is dispatched, so a
+    snapshot taken mid-service includes the unit on the platter."""
+    from repro.disk import DiskDrive, DiskParams
+    from repro.iosched import BlockLayer, NoopScheduler
+
+    obs = Observability()
+    sim = Simulator(observe=obs)
+    layer = BlockLayer(sim, DiskDrive(sim, DiskParams(capacity_bytes=2 * 10**9)), NoopScheduler())
+    layer.submit(1_000_000, 8)
+    sim.run(until=1e-6)
+    assert layer.stats.n_units_served == 0  # still in service
+    assert obs.snapshot(sim.now)["counters"]["blk.blk0.units_served"] == 1
+    sim.run()
+    assert obs.snapshot(sim.now)["counters"]["blk.blk0.units_served"] == 1
+
+
+def test_same_named_dualpar_jobs_share_summed_counters():
+    """Job names need not be unique: the jobs' PEC/CRM counters share one
+    entry holding their sum."""
+    jobs = [
+        JobSpec("a", 4, MpiIoTest(file_size=2 * 1024 * 1024), strategy="dualpar-forced")
+        for _ in range(2)
+    ]
+    res = run_experiment(jobs, cluster_spec=small_cluster(), observe=Observability())
+    engines = [j.engine for j in res.mpi_jobs]
+    counters = res.metrics["counters"]
+    assert counters["pec.a.cycles"] == sum(e.pec.n_cycles for e in engines) > 0
+    assert counters["crm.a.prefetched_bytes"] == sum(
+        e.crm.prefetched_bytes for e in engines
+    )
 
 
 # ------------------------------------------------------------- tracing
@@ -333,15 +415,30 @@ def test_disabled_components_hold_none_not_instruments():
             guard=True,
         )
 
-    observed = _obs_slots(run(Observability()))
+    obs = Observability()
+    observed_result = run(obs)
+    observed = _obs_slots(observed_result)
     instrumented = sorted(k for k, vs in observed.items() if any(v is not None for v in vs))
     # The walk reaches every instrumented layer, so the check is not vacuous.
     assert {cls for cls, _ in instrumented} >= {
-        "Simulator", "DiskDrive", "BlockLayer", "DataServer", "LocalityDaemon",
-        "PfsClient", "GlobalCache", "DualParSystem", "EmcDaemon", "Pec", "Crm",
-        "FaultInjector", "ServerHealth", "SafetyGovernor", "MemoryBudget",
+        "Simulator", "DiskDrive", "BlockLayer", "DataServer", "PfsClient",
+        "DualParSystem", "Pec", "Crm", "FaultInjector", "SafetyGovernor",
         "CircuitBreaker", "StallWatchdog",
     }
+    # Components whose every metric is a view of their own state hold
+    # no instrument at all; their metrics are still in the snapshot.
+    from repro.obs.registry import View
+
+    snap = observed_result.metrics
+    for name, section in (
+        ("cache.gets", "counters"),                  # GlobalCache
+        ("locality.loc0.seekdist", "timeseries"),    # LocalityDaemon
+        ("emc.ticks", "counters"),                   # EmcDaemon
+        ("faults.ds0.health", "gauges"),             # ServerHealth
+        ("guard.budget.bytes", "gauges"),            # MemoryBudget
+    ):
+        assert isinstance(obs.registry.get(name), View), name
+        assert name in snap[section], name
     plain_result = run(None)
     assert plain_result.runtime.sim.obs is None
     plain = _obs_slots(plain_result)

@@ -5,10 +5,15 @@ import pytest
 from repro.disk import DiskDrive, DiskParams
 from repro.iosched import BlockLayer, CfqScheduler, DeadlineScheduler, make_scheduler
 from repro.sim import SimulationError, Simulator
+from repro.trace import BlkTrace
 
 
-def make_layer(sim, sched):
-    drive = DiskDrive(sim, DiskParams(capacity_bytes=2 * 10**9))
+def make_layer(sim, sched, trace=None):
+    drive = DiskDrive(
+        sim,
+        DiskParams(capacity_bytes=2 * 10**9),
+        on_access=trace.hook if trace is not None else None,
+    )
     return BlockLayer(sim, drive, sched), drive
 
 
@@ -97,7 +102,8 @@ def test_cfq_think_time_disables_idling():
 
 def test_deadline_pure_write_workload():
     sim = Simulator()
-    layer, drive = make_layer(sim, DeadlineScheduler())
+    trace = BlkTrace()
+    layer, drive = make_layer(sim, DeadlineScheduler(), trace=trace)
 
     def client():
         evs = [layer.submit(i * 5000, 64, op="W") for i in range(20)]
@@ -105,7 +111,7 @@ def test_deadline_pure_write_workload():
             yield ev
 
     sim.run_until_event(sim.process(client()))
-    assert all(s.op == "W" for s in drive.stats.recent)
+    assert all(r.op == "W" for r in trace.records)
 
 
 def test_anticipatory_write_does_not_anticipate():
