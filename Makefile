@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
+.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests proc-counts soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -65,6 +65,11 @@ chaos:
 # `$(PYTHON) benchmarks/cell_digests.py --write`.
 digests:
 	PYTHONPATH=src $(PYTHON) benchmarks/cell_digests.py
+
+# Simulation processes built per seed-0 pass of each cell workload,
+# grouped by name: the per-event overhead ROADMAP targets are written in.
+proc-counts:
+	PYTHONPATH=src $(PYTHON) benchmarks/process_counts.py
 
 # Long randomized-chaos soak at a pinned seed: guard + watchdog +
 # sanitizer armed; fails on watchdog deadlock or sanitizer finding.

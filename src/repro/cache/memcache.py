@@ -224,16 +224,11 @@ class GlobalCache:
             size = min(nbytes, self.chunk_bytes)
             by_owner.setdefault(chunk.owner_node, 0)
             by_owner[chunk.owner_node] += size
-        moves = [
-            self.sim.process(
-                self.network.transfer(owner, from_node, 64 + nbytes), name="mc-get"
+        if by_owner:
+            yield self.network.transfer_all(
+                [(owner, from_node, 64 + nbytes) for owner, nbytes in sorted(by_owner.items())],
+                name="mc-get",
             )
-            for owner, nbytes in sorted(by_owner.items())
-        ]
-        if moves:
-            from repro.sim import all_of
-
-            yield all_of(self.sim, moves)
         return result
 
     def multiput(
@@ -259,16 +254,11 @@ class GlobalCache:
                 else max(dirty_range[1] - dirty_range[0], 1)
             )
             by_owner[owner] = by_owner.get(owner, 0) + size
-        moves = [
-            self.sim.process(
-                self.network.transfer(from_node, owner, 64 + nbytes), name="mc-put"
+        if by_owner:
+            yield self.network.transfer_all(
+                [(from_node, owner, 64 + nbytes) for owner, nbytes in sorted(by_owner.items())],
+                name="mc-put",
             )
-            for owner, nbytes in sorted(by_owner.items())
-        ]
-        if moves:
-            from repro.sim import all_of
-
-            yield all_of(self.sim, moves)
         for key, dirty_range in puts:
             self._store(key, cycle_id, job_id, dirty_range)
 

@@ -235,7 +235,6 @@ class CollectiveEngine(IndependentEngine):
         agg_proc: "MpiProcess",
         per_rank: dict[int, list[Segment]],
     ):
-        sim = self.sim
         net = self.runtime.cluster.network
         client = self.client_of(agg_proc)
         all_segs = [s for segs in per_rank.values() for s in segs]
@@ -278,11 +277,9 @@ class CollectiveEngine(IndependentEngine):
                 else:
                     src, dst = rank_node, agg_proc.node_id
                 self.exchange_bytes += nbytes
-                moves.append(
-                    sim.process(net.transfer(src, dst, nbytes), name="coll-xchg")
-                )
+                moves.append((src, dst, nbytes))
             if moves:
-                yield all_of(sim, moves)
+                yield net.transfer_all(moves, name="coll-xchg")
 
         for group in rounds:
             if io_kind == "R":

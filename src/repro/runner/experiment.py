@@ -85,10 +85,18 @@ class ExperimentResult:
         return sum(j.io_time_s for j in self.jobs)
 
     def job(self, name: str) -> JobResult:
-        for j in self.jobs:
-            if j.name == name:
-                return j
-        raise KeyError(name)
+        return job_named(self.jobs, name)
+
+
+def job_named(jobs: list[JobResult], name: str) -> JobResult:
+    """The one job called ``name``.  Several jobs may share a name, but
+    then the name picks none of them: ``KeyError`` in both cases."""
+    found = [j for j in jobs if j.name == name]
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise KeyError(f"{len(found)} jobs are named {name!r}; look them up by position")
+    raise KeyError(name)
 
 
 def _create_files(cluster, specs: list[JobSpec]) -> None:

@@ -36,6 +36,7 @@ from repro.runner.experiment import (
     ExperimentResult,
     JobResult,
     JobSpec,
+    job_named,
     run_experiment,
 )
 
@@ -121,10 +122,7 @@ class SlimExperimentResult:
         return sum(j.io_time_s for j in self.jobs)
 
     def job(self, name: str) -> JobResult:
-        for j in self.jobs:
-            if j.name == name:
-                return j
-        raise KeyError(name)
+        return job_named(self.jobs, name)
 
     @classmethod
     def from_full(cls, res: ExperimentResult) -> "SlimExperimentResult":

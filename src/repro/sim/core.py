@@ -601,7 +601,9 @@ class Simulator:
         at this point would first run, or where the joiners of a process
         ending here would be woken.  Code run inline in the caller keeps
         the dispatch order of the process it replaces by yielding a hop
-        at each such point (``sim.timeout(0)`` is the NORMAL hop).
+        at each such point (``sim.timeout(0)`` is the NORMAL hop); a
+        callback chain that replaces processes
+        (``Network.transfer_all``) hangs its first step on one instead.
         Recycled through the timeout pool like :meth:`timeout`.
         """
         pool = self._pool

@@ -1,0 +1,287 @@
+"""Concurrent network moves without a process per move.
+
+Nominally :meth:`Network.transfer_all` runs each ``(src, dst, nbytes)``
+move as a fixed callback chain (TX request, RX request, wire timeout,
+release both), started by one urgent hop and finished by one ``done``
+event.  These tests hold it against the form it replaced, kept here as
+the reference: one :meth:`Network.transfer` process per move joined by
+``all_of``.  The scenarios are hand-driven and tie-heavy -- actors on
+four nodes are released together at t=0, send messages of equal size
+and nap for exactly one message time -- and every actor notes the time
+and the delivered-message count after each step, so any push that
+leaves its ``(time, priority, arrival)`` slot shows up as a different
+log.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from repro.faults.injector import NetFault
+from repro.guard import StallWatchdog
+from repro.net.ethernet import Network, NetworkParams
+from repro.sim import HeapQueue, Simulator, all_of
+from repro.sim import core as sim_core
+
+NODES = 4
+_P = NetworkParams()
+SMALL, LARGE = 64, 64 + 4096
+#: Wire time of a small / a large message, as Network.transfer sums it.
+D_SMALL, D_LARGE = (
+    _P.per_message_overhead_s + _P.latency_s + n / _P.bandwidth_bytes_s
+    for n in (SMALL, LARGE)
+)
+NAPS = [0.0, _P.per_message_overhead_s, D_SMALL, D_LARGE]
+
+
+def _reference_transfer_all(self, moves, name="transfer"):
+    """Network.transfer_all in its process-per-move form."""
+    sim = self.sim
+    return all_of(sim, [sim.process(self.transfer(*m), name=name) for m in moves])
+
+
+def _simulator(kernel: str) -> Simulator:
+    """A nominal simulator (no sanitizer) on the given kernel."""
+    if kernel == "python":
+        return Simulator(sanitize=False, queue=HeapQueue())
+    if sim_core._CQ is None:
+        pytest.skip("no C accelerator")
+    return Simulator(sanitize=False)
+
+
+def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
+    """Run ``plans`` (``(node, actions)`` per actor; an int seeds
+    :func:`_random_plans`); returns the log and the counters.
+
+    Actions: ``("fan", moves)`` yields ``transfer_all(moves)``;
+    ``("send", dst, n)`` runs a transfer in the actor's process;
+    ``("spawn", dst, n)`` starts one in a process of its own, which
+    notes its landing, and goes on at once; ``("hold", side)`` takes the
+    node's ``"tx"`` or ``"rx"`` slot for one small-message time;
+    ``("hop",)`` yields an urgent hop; ``("nap", s)`` sleeps."""
+    if reference:
+        monkeypatch.setattr(Network, "transfer_all", _reference_transfer_all)
+    if isinstance(plans, int):
+        plans = _random_plans(plans)
+    sim = _simulator(kernel)
+    net = Network(sim, NODES)
+    gate = sim.event()
+    log: list[tuple] = []
+
+    def note(*tag):
+        log.append((sim.now, net.messages_delivered, *tag))
+
+    def sender(src, dst, nbytes, tag):
+        yield from net.transfer(src, dst, nbytes)
+        note(tag)
+
+    def actor(tag, node, plan):
+        yield gate
+        for i, (kind, *args) in enumerate(plan):
+            if kind == "fan":
+                yield net.transfer_all(args[0])
+            elif kind == "send":
+                yield from net.transfer(node, *args)
+            elif kind == "spawn":
+                sim.process(sender(node, *args, (tag, i)))
+            elif kind == "hold":
+                slot = getattr(net.nics[node], args[0])
+                req = slot.request()
+                yield req
+                note(tag, i, "held")
+                yield sim.timeout(D_SMALL)
+                slot.release(req)
+            elif kind == "hop":
+                yield sim.urgent_hop()
+            else:
+                yield sim.timeout(*args)
+            note(tag, i)
+
+    for tag, (node, plan) in enumerate(plans):
+        sim.process(actor(tag, node, plan))
+    gate.succeed()
+    sim.run()
+    monkeypatch.undo()
+    return log, [(n.bytes_sent, n.bytes_received) for n in net.nics], net.messages_delivered
+
+
+def _random_plans(seed: int) -> list[tuple]:
+    """Two or three actors per node, six actions each; fans of one to
+    four moves to any node, loopback and zero-byte moves included."""
+    rng = random.Random(seed)
+    sizes = [SMALL, SMALL, LARGE, 0]
+    plans = []
+    for node in range(NODES):
+        for _ in range(rng.choice([2, 3])):
+            plan: list[tuple] = []
+            for _ in range(6):
+                kind = rng.choice(["fan", "fan", "fan", "send", "spawn", "hold", "hop", "nap"])
+                if kind == "fan":
+                    moves = [
+                        (rng.choice([node, node, rng.randrange(NODES)]),
+                         rng.randrange(NODES), rng.choice(sizes))
+                        for _ in range(rng.randint(1, 4))
+                    ]
+                    plan.append((kind, moves))
+                elif kind in ("send", "spawn"):
+                    plan.append((kind, rng.randrange(NODES), rng.choice(sizes)))
+                elif kind == "hold":
+                    plan.append((kind, rng.choice(["tx", "rx"])))
+                elif kind == "hop":
+                    plan.append((kind,))
+                else:
+                    plan.append((kind, rng.choice(NAPS)))
+            plans.append((node, plan))
+    return plans
+
+
+#: Equal-time moves that share a TX (node 0's) and an RX (node 1's and
+#: node 2's), from two fans and a plain transfer released together.
+SHARED_NIC = [
+    (0, [("fan", [(0, 1, SMALL), (0, 2, SMALL), (3, 1, SMALL)])]),
+    (0, [("fan", [(0, 1, SMALL), (3, 2, LARGE)])]),
+    (3, [("send", 1, SMALL)]),
+]
+#: A move queued behind another process's transfer on the same TX.
+QUEUED_BEHIND = [
+    (0, [("send", 1, LARGE), ("fan", [(0, 2, SMALL)])]),
+    (0, [("fan", [(0, 2, SMALL), (0, 3, SMALL)]), ("nap", 0.0)]),
+]
+#: Loopback and zero-byte moves, alone and mixed with wire moves.
+LOOPBACK_ZERO = [
+    (1, [("fan", [(1, 1, SMALL), (0, 1, 0), (2, 2, 0), (1, 1, 0)])]),
+    (0, [("fan", [(0, 0, 0)]), ("fan", [(0, 1, 0), (0, 1, SMALL)])]),
+]
+#: A fan issued right after a spawn, whose URGENT start is still
+#: pending: the spawned transfer must take node 0's TX first.  Without
+#: the urgent hop the fan's move would take it.
+URGENT_PENDING = [
+    (0, [("spawn", 1, SMALL), ("fan", [(0, 2, SMALL)])]),
+    (2, [("hop",), ("fan", [(2, 3, SMALL)]), ("hop",), ("spawn", 3, SMALL)]),
+]
+#: A holder queued on node 0's TX behind a fan's only move: the
+#: release grants it before the fan's ``done`` is pushed, so the holder
+#: notes its grant before the fan's actor resumes.
+DONE_AFTER_RELEASE = [
+    (0, [("fan", [(0, 1, SMALL)])]),
+    (0, [("hop",), ("hold", "tx")]),
+]
+
+CASES = {
+    "shared-nic": [SHARED_NIC],
+    "queued-behind": [QUEUED_BEHIND],
+    "loopback-zero": [LOOPBACK_ZERO],
+    "urgent-pending": [URGENT_PENDING],
+    "done-after-release": [DONE_AFTER_RELEASE],
+    "random": range(60),
+}
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_transfer_all_matches_process_per_move_reference(monkeypatch, kernel, case):
+    for plans in CASES[case]:
+        chain = _scenario(monkeypatch, kernel, False, plans)
+        assert chain == _scenario(monkeypatch, kernel, True, plans), f"plans {plans}"
+
+
+def test_hand_cases_exercise_the_ties_they_name(monkeypatch):
+    log, _, _ = _scenario(monkeypatch, "python", False, URGENT_PENDING)
+    # The spawned transfer (0 -> 1) lands first; the fan's move (0 -> 2)
+    # waited for node 0's TX.
+    landed = [e for e in log if e[2:] in (((0, 0),), (0, 1))]
+    assert [e[2:] for e in landed] == [((0, 0),), (0, 1)]
+    assert [e[0] for e in landed] == pytest.approx([D_SMALL, 2 * D_SMALL])
+    log, _, _ = _scenario(monkeypatch, "python", False, DONE_AFTER_RELEASE)
+    # The holder's grant and the fan's end share a time; the grant is first.
+    assert [e[2:] for e in log[1:3]] == [(1, 1, "held"), (0, 0)]
+    assert log[1][0] == log[2][0] == pytest.approx(D_SMALL)
+    _, nics, messages = _scenario(monkeypatch, "python", False, LOOPBACK_ZERO)
+    # Loopback moves count as delivered but move no NIC bytes.
+    assert messages == 7 and nics[1] == (0, SMALL)
+
+
+def _spawned_names(monkeypatch, sim: Simulator, net: Network) -> list[str]:
+    names: list[str] = []
+    spawn = Simulator.process
+
+    def counting(sim, gen, name=None, daemon=False):
+        names.append(name or "")
+        return spawn(sim, gen, name=name, daemon=daemon)
+
+    monkeypatch.setattr(Simulator, "process", counting)
+    done = net.transfer_all([(0, 1, SMALL), (0, 2, SMALL), (3, 3, 0)], name="fan")
+    monkeypatch.undo()
+    sim.run(until=1.0)
+    assert done.processed and net.messages_delivered == 3
+    assert [n.bytes_sent for n in net.nics] == [2 * SMALL, 0, 0, 0]
+    return names
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_nominal_fan_builds_no_process(monkeypatch, kernel):
+    sim = _simulator(kernel)
+    assert _spawned_names(monkeypatch, sim, Network(sim, NODES)) == []
+
+
+@pytest.mark.parametrize("setup", ["net-fault", "sanitizer", "watchdog"])
+def test_fallback_spawns_one_process_per_move(monkeypatch, setup):
+    sim = Simulator(sanitize=setup == "sanitizer")
+    net = Network(sim, NODES)
+    if setup == "net-fault":
+        net.fault = NetFault(sim, random.Random(0))
+    elif setup == "watchdog":
+        StallWatchdog(sim)
+    assert _spawned_names(monkeypatch, sim, net) == ["fan"] * 3
+
+
+def test_fallback_keeps_the_fault_gate():
+    sim = Simulator()
+    net = Network(sim, NODES)
+    net.fault = NetFault(sim, random.Random(0))
+    net.fault.extra_latency_s = 1e-3
+    done = net.transfer_all([(0, 1, SMALL), (2, 1, SMALL)])
+    sim.run()
+    assert done.processed and net.fault.n_delayed == 2
+    assert sim.now == pytest.approx(1e-3 + 2 * D_SMALL)
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_negative_move_rejected_at_the_call(sanitize):
+    sim = Simulator(sanitize=sanitize)
+    with pytest.raises(ValueError):
+        Network(sim, NODES).transfer_all([(0, 1, SMALL), (0, 2, -1)])
+
+
+def _load_process_counts():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "process_counts.py"
+    spec = importlib.util.spec_from_file_location("_process_counts", path)
+    assert spec is not None and spec.loader is not None
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize(
+    "workload, sites",
+    [("dualpar-cells", {"mc-get", "mc-put"}), ("collective-cells", {"coll-xchg"})],
+)
+def test_cells_fan_out_without_a_process_per_move(monkeypatch, workload, sites):
+    """The memcache batches and the collective exchange go through
+    transfer_all on the smoke cells and build no process per message."""
+    fanned: set[str] = set()
+    fan = Network.transfer_all
+
+    def noting(self, moves, name="transfer"):
+        fanned.add(name)
+        return fan(self, moves, name)
+
+    monkeypatch.setattr(Network, "transfer_all", noting)
+    counts = _load_process_counts().count_processes(workload, smoke=True)
+    assert fanned == sites
+    assert sum(counts.values()) > 0
+    assert not sites & set(counts)
