@@ -134,7 +134,7 @@ def test_ablation_hole_filling(benchmark, report):
     def run():
         # Regions spaced so that whole cache chunks fall in the holes
         # (holes smaller than a chunk are bridged by chunk alignment
-        # regardless of the flag).
+        # regardless of the threshold).
         cells = [
             ExperimentSpec(
                 [JobSpec("h", NPROCS,
@@ -143,7 +143,7 @@ def test_ablation_hole_filling(benchmark, report):
                          strategy="dualpar-forced")],
                 cluster_spec=paper_spec(),
                 dualpar_config=DualParConfig(
-                    fill_holes=fill, hole_threshold_bytes=128 * 1024
+                    hole_threshold_bytes=128 * 1024 if fill else 0
                 ),
                 label=f"fill={fill}",
             )
@@ -191,7 +191,7 @@ def test_ablation_list_io(benchmark, report):
                                           pattern="random"),
                          strategy="dualpar-forced")],
                 cluster_spec=paper_spec(),
-                dualpar_config=DualParConfig(use_list_io=use, fill_holes=False),
+                dualpar_config=DualParConfig(use_list_io=use, hole_threshold_bytes=0),
                 label=f"list_io={use}",
             )
             for use in (True, False)

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 
 from repro.cluster import ClusterSpec, paper_spec
 from repro.core.config import DualParConfig
+from repro.iosched import SCHEDULERS
 from repro.runner import (
     ExperimentSpec,
     JobSpec,
@@ -573,7 +574,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-servers", type=int, default=9)
     p.add_argument(
         "--elevator",
-        choices=["cfq", "deadline", "noop", "anticipatory"],
+        choices=sorted(SCHEDULERS),
         default="cfq",
     )
     p.add_argument(

@@ -70,9 +70,6 @@ class DualParConfig:
     #: Use list I/O for batched CRM issue (ablation knob).
     use_list_io: bool = True
 
-    #: Fill holes when merging recorded requests (ablation knob).
-    fill_holes: bool = True
-
     def __post_init__(self) -> None:
         if self.quota_bytes < 0:
             raise ValueError("quota_bytes must be non-negative")

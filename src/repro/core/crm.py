@@ -197,7 +197,7 @@ class Crm:
         fs = self.engine.runtime.cluster.fs
         client = self.engine.runtime.cluster.clients[node]
         stream_id = self.engine.crm_stream_id(node)
-        hole = self.config.hole_threshold_bytes if self.config.fill_holes else 0
+        hole = self.config.hole_threshold_bytes
         pending = []
         for file_name in sorted(per_file):
             indices = sorted(set(per_file[file_name]))
@@ -292,7 +292,7 @@ class Crm:
         fs = self.engine.runtime.cluster.fs
         client = self.engine.runtime.cluster.clients[node]
         stream_id = self.engine.crm_stream_id(node)
-        hole = self.config.hole_threshold_bytes if self.config.fill_holes else 0
+        hole = self.config.hole_threshold_bytes
         for file_name in sorted(per_file):
             f = fs.lookup(file_name)
             segs = per_file[file_name]

@@ -105,8 +105,9 @@ class EmcDaemon:
         return sum(vals) / len(vals)
 
     def improvement(self) -> Optional[float]:
-        seek = self.ave_seek_dist()
-        req = self.ave_req_dist()
+        return self._improvement(self.ave_seek_dist(), self.ave_req_dist())
+
+    def _improvement(self, seek: Optional[float], req: Optional[float]) -> Optional[float]:
         if seek is None or req is None:
             return None
         # A perfectly sorted stream has ReqDist ~0; floor it at one stripe
@@ -121,7 +122,8 @@ class EmcDaemon:
         sim = self.sim
         while True:
             yield sim.timeout(cfg.emc_interval_s)
-            imp = self.improvement()
+            seek, req = self.ave_seek_dist(), self.ave_req_dist()
+            imp = self._improvement(seek, req)
             guard = self.system.guard
             ratios = {}
             for engine in list(self.system.engines.values()):
@@ -157,8 +159,8 @@ class EmcDaemon:
                         engine.set_mode("normal")
             sample = EmcSample(
                 time=sim.now,
-                ave_seek_dist=self.ave_seek_dist(),
-                ave_req_dist=self.ave_req_dist(),
+                ave_seek_dist=seek,
+                ave_req_dist=req,
                 improvement=imp,
                 io_ratios=ratios,
             )

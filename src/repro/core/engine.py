@@ -81,24 +81,14 @@ class DualParEngine(IoEngine):
         self.n_direct_fallback_bytes = 0
 
     def _register_views(self, registry) -> None:
-        """Publish PEC's and CRM's counters.  Job names need not be
-        unique, so every DualPar job of this name shares one entry, the
-        sum over them, registered by the first such job."""
+        """Publish PEC's and CRM's counters under this job's (unique) name."""
         name = self.job.name
-        jobs = self.runtime.jobs
         for metric, part, attr in _JOB_COUNTERS:
-            full = f"{part}.{name}.{metric}"
-            if full in registry:
-                continue
-
-            def read(part=part, attr=attr) -> int:
-                return sum(
-                    getattr(getattr(j.engine, part), attr)
-                    for j in jobs
-                    if j.name == name and isinstance(j.engine, DualParEngine)
-                )
-
-            registry.view(full, "counter", read)
+            registry.view(
+                f"{part}.{name}.{metric}",
+                "counter",
+                lambda part=part, attr=attr: getattr(getattr(self, part), attr),
+            )
 
     # ------------------------------------------------------------------
 

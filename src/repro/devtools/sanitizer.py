@@ -18,7 +18,7 @@ or the ``--sanitize`` CLI flag.  Checks:
   schedule drains are leaks (deadlocked or forgotten); reported with
   their names;
 - **resource ownership** -- every granted :class:`~repro.sim.resources.
-  Resource` slot is tracked with its owning process; a double release or
+  Resource` slot is attributed to its owning process; a double release or
   a slot still held at drain time is reported *with attribution* (who
   acquired it, when, and who released it first);
 - **fault-injection lifecycle** -- components (e.g. crashed data
@@ -29,18 +29,22 @@ or the ``--sanitize`` CLI flag.  Checks:
 All violations raise :class:`SanitizerError` (a
 :class:`~repro.sim.core.SimulationError`), so an unsanitized run and a
 sanitized run of a correct simulation produce identical results -- the
-sanitizer only observes, it never perturbs scheduling.
+sanitizer only observes, it never perturbs scheduling.  The process and
+request bookkeeping behind the lifecycle checks is the kernel's ledger
+(:mod:`repro.sim.ledger`), which the sanitizer attaches and reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.core import SimulationError
+from repro.sim.ledger import ledger_of
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.core import Event, Process, Simulator
+    from repro.sim.core import Event, Simulator
+    from repro.sim.ledger import RequestRecord
 
 __all__ = ["SanitizerError", "SimSanitizer"]
 
@@ -52,27 +56,21 @@ class SanitizerError(SimulationError):
     """A simulation invariant was violated (only raised when sanitizing)."""
 
 
-@dataclass
-class _RequestRecord:
-    """Lifecycle of one resource request, for attribution."""
+def _describe(rec: "RequestRecord") -> str:
+    owner = rec.owner
+    who = owner.name if owner is not None else "<no active process>"
+    when = (
+        f"granted at t={rec.granted_at:.6g}"
+        if rec.granted_at is not None
+        else f"requested at t={rec.requested_at:.6g}"
+    )
+    return f"{_describe_resource(rec.resource)} held by {who!r} ({when})"
 
-    resource: str
-    owner: Optional[str]
-    owner_daemon: bool
-    requested_at: float
-    state: str = "pending"  # pending -> granted -> released | cancelled
-    granted_at: Optional[float] = None
-    released_at: Optional[float] = None
-    released_by: Optional[str] = None
 
-    def describe(self) -> str:
-        who = self.owner if self.owner is not None else "<no active process>"
-        when = (
-            f"granted at t={self.granted_at:.6g}"
-            if self.granted_at is not None
-            else f"requested at t={self.requested_at:.6g}"
-        )
-        return f"{self.resource} held by {who!r} ({when})"
+def _describe_resource(resource: Any) -> str:
+    cap = getattr(resource, "capacity", None)
+    name = type(resource).__name__
+    return f"{name}(capacity={cap})" if cap is not None else name
 
 
 @dataclass
@@ -81,8 +79,6 @@ class SanitizerStats:
 
     n_events: int = 0
     n_ties: int = 0
-    n_requests: int = 0
-    n_releases: int = 0
     leaked_processes: list[str] = field(default_factory=list)
     leaked_requests: list[str] = field(default_factory=list)
 
@@ -91,8 +87,8 @@ class SimSanitizer:
     """Runtime checker attached to one :class:`Simulator`.
 
     The simulator calls :meth:`on_dispatch` for every event it pops and
-    :meth:`on_quiescent` when the schedule drains; the resource classes
-    call the acquire/release hooks.  The sanitizer holds no references to
+    :meth:`on_quiescent` when the schedule drains; the kernel's ledger
+    calls :meth:`double_release`.  The sanitizer holds no references to
     events (so the Timeout free list keeps recycling) and never mutates
     simulation state.
     """
@@ -101,10 +97,7 @@ class SimSanitizer:
         self.sim = sim
         self.stats = SanitizerStats()
         self._last_key: tuple[float, int, int] = (float("-inf"), -(2**62), -(2**62))
-        #: insertion-ordered map of live non-daemon processes (removed on exit)
-        self._live: dict["Process", None] = {}
-        #: request object -> lifecycle record (insertion-ordered)
-        self._requests: dict[Any, _RequestRecord] = {}
+        self.ledger = ledger_of(sim)
         #: registered fault-aware components (key -> registration time)
         self._components: dict[str, float] = {}
 
@@ -153,14 +146,15 @@ class SimSanitizer:
     def on_quiescent(self, now: float) -> None:
         """Schedule drained: report still-alive processes and held slots."""
 
-        leaked_procs = [p for p in self._live if p.is_alive and not p.daemon]
+        ledger = self.ledger
+        leaked_procs = [p for p in ledger.procs if p.is_alive and not p.daemon]
         leaked_reqs = [
             rec
-            for rec in self._requests.values()
-            if rec.state == "granted" and not rec.owner_daemon
+            for rec in ledger.requests.values()
+            if rec.state == "granted" and not (rec.owner is not None and rec.owner.daemon)
         ]
         self.stats.leaked_processes = [p.name for p in leaked_procs]
-        self.stats.leaked_requests = [r.describe() for r in leaked_reqs]
+        self.stats.leaked_requests = [_describe(r) for r in leaked_reqs]
         problems: list[str] = []
         if leaked_procs:
             names = ", ".join(repr(p.name) for p in leaked_procs[:_REPORT_LIMIT])
@@ -173,7 +167,7 @@ class SimSanitizer:
                 "loops with daemon=True)"
             )
         if leaked_reqs:
-            held = "; ".join(r.describe() for r in leaked_reqs[:_REPORT_LIMIT])
+            held = "; ".join(_describe(r) for r in leaked_reqs[:_REPORT_LIMIT])
             extra = len(leaked_reqs) - _REPORT_LIMIT
             if extra > 0:
                 held += f"; ... {extra} more"
@@ -183,71 +177,20 @@ class SimSanitizer:
         if problems:
             raise SanitizerError("; ".join(problems))
 
-    # -- process lifecycle ---------------------------------------------
-
-    def on_process_created(self, proc: "Process") -> None:
-        if proc.daemon:
-            return
-        self._live[proc] = None
-        # A Process *is* its completion event; drop it from the live map
-        # when that event is processed.  Appending a callback does not
-        # change scheduling, only observation.
-        callbacks = proc.callbacks
-        if callbacks is not None:
-            callbacks.append(self._process_done)
-
-    def _process_done(self, event: "Event") -> None:
-        self._live.pop(event, None)  # type: ignore[call-overload]
-
     # -- resource ownership --------------------------------------------
 
-    def on_request(self, resource: Any, request: Any) -> None:
-        """A request was created (may be queued before being granted)."""
+    def double_release(self, rec: "RequestRecord") -> None:
+        """The ledger saw a second release of the request ``rec`` tracks."""
 
-        owner = self.sim.active_process
-        self.stats.n_requests += 1
-        self._requests[request] = _RequestRecord(
-            resource=self._describe_resource(resource),
-            owner=None if owner is None else owner.name,
-            owner_daemon=bool(owner is not None and owner.daemon),
-            requested_at=self.sim.now,
-        )
-
-    def on_acquire(self, resource: Any, request: Any) -> None:
-        """A request was granted a slot (immediately or from the queue)."""
-
-        rec = self._requests.get(request)
-        if rec is None:  # request predates the sanitizer; ignore
-            return
-        rec.state = "granted"
-        rec.granted_at = self.sim.now
-
-    def on_release(self, resource: Any, request: Any) -> None:
-        """A request is being released; raises on double release."""
-
-        rec = self._requests.get(request)
-        if rec is None:
-            return
         releaser = self.sim.active_process
-        releaser_name = None if releaser is None else releaser.name
-        if rec.state in ("released", "cancelled"):
-            first = (
-                f"first released at t={rec.released_at:.6g} by "
-                f"{rec.released_by!r}"
-                if rec.released_at is not None
-                else "cancelled while queued"
-            )
-            raise SanitizerError(
-                f"double release of {rec.resource} slot acquired by "
-                f"{rec.owner!r} (granted at t="
-                f"{rec.granted_at if rec.granted_at is not None else rec.requested_at:.6g}); "
-                f"{first}; released again at t={self.sim.now:.6g} by "
-                f"{releaser_name!r}"
-            )
-        rec.state = "released" if rec.state == "granted" else "cancelled"
-        rec.released_at = self.sim.now
-        rec.released_by = releaser_name
-        self.stats.n_releases += 1
+        granted = rec.granted_at if rec.granted_at is not None else rec.requested_at
+        raise SanitizerError(
+            f"double release of {_describe_resource(rec.resource)} slot acquired by "
+            f"{rec.owner.name if rec.owner is not None else None!r} (granted at t="
+            f"{granted:.6g}); first released at t={rec.released_at:.6g} by "
+            f"{rec.released_by!r}; released again at t={self.sim.now:.6g} by "
+            f"{None if releaser is None else releaser.name!r}"
+        )
 
     # -- fault-injection lifecycle --------------------------------------
 
@@ -289,24 +232,17 @@ class SimSanitizer:
                 f"t={self.sim.now:.6g}; crash() must sever all service paths"
             )
 
-    @staticmethod
-    def _describe_resource(resource: Any) -> str:
-        cap = getattr(resource, "capacity", None)
-        name = type(resource).__name__
-        return f"{name}(capacity={cap})" if cap is not None else name
-
     # -- introspection --------------------------------------------------
 
     def summary(self) -> dict[str, Any]:
         """Snapshot of counters plus currently-open state."""
 
-        open_reqs = sum(1 for r in self._requests.values() if r.state == "granted")
+        ledger = self.ledger
+        open_reqs = sum(1 for r in ledger.requests.values() if r.state == "granted")
         return {
             "n_events": self.stats.n_events,
             "n_ties": self.stats.n_ties,
-            "n_requests": self.stats.n_requests,
-            "n_releases": self.stats.n_releases,
-            "live_processes": sum(1 for p in self._live if p.is_alive),
+            "live_processes": sum(1 for p in ledger.procs if p.is_alive and not p.daemon),
             "open_requests": open_reqs,
             "registered_components": len(self._components),
         }

@@ -18,11 +18,11 @@ appends :class:`WatchdogReport` objects (with a rendered diagnostic
 table naming blocked processes, the events they wait on, and the
 resources they hold) to :attr:`StallWatchdog.reports`.
 
-Process and resource tracking piggybacks on the same hook points the
-sanitizer uses (``Process.__init__``, resource request/acquire/release),
-all gated on ``sim._watchdog is not None`` so unguarded runs pay one
-attribute load.  Only processes created *after* installation are
-tracked.
+The alive list and the "holds" column come from the kernel's lifecycle
+ledger (:mod:`repro.sim.ledger`), the one the sanitizer reads too.  Only
+processes created *after* installation are watched, whether the watchdog
+attaches the ledger or finds the sanitizer's; their held slots are
+requests they made, hence made after installation too.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.sim import Process, Simulator, Timeout
+from repro.sim.ledger import ledger_of
 
 __all__ = ["BlockedProcess", "StallWatchdog", "WatchdogReport"]
 
@@ -80,7 +81,7 @@ class WatchdogReport:
 
 
 class StallWatchdog:
-    """The detector daemon; installs itself as ``sim._watchdog``."""
+    """The detector daemon; installs itself as ``sim.watchdog``."""
 
     def __init__(
         self,
@@ -92,20 +93,16 @@ class StallWatchdog:
     ) -> None:
         if interval_s <= 0 or stall_window_s <= 0:
             raise ValueError("watchdog windows must be positive")
-        if sim._watchdog is not None:
+        if sim.watchdog is not None:
             raise ValueError("simulator already has a watchdog")
         self.sim = sim
+        self.ledger = ledger_of(sim)
         self.interval_s = interval_s
         self.stall_window_s = stall_window_s
         self.reports: list[WatchdogReport] = []
         self.n_ticks = 0
-        self._procs: list[Process] = []
-        #: id(proc) -> (target event, first time it was seen as target)
-        self._since: dict[int, tuple[Any, float]] = {}
-        #: id(request) -> (resource, requesting process, request) while queued
-        self._requested: dict[int, tuple[Any, Optional[Process], Any]] = {}
-        #: id(request) -> (resource, owning process, request) while granted
-        self._granted: dict[int, tuple[Any, Optional[Process], Any]] = {}
+        #: waiting process -> (target event, first time it was seen as target)
+        self._since: dict[Process, tuple[Any, float]] = {}
         #: id(resource) -> (stable index, resource) for naming
         self._res_index: dict[int, tuple[int, Any]] = {}
         #: Signature of the last report, to avoid re-reporting each tick.
@@ -116,25 +113,10 @@ class StallWatchdog:
             registry.view(
                 "guard.watchdog.deadlocks", "counter", lambda: len(self.deadlocks)
             )
-        sim._watchdog = self
+        sim.watchdog = self
+        # Spawned last: the ledger lists processes in creation order, and
+        # the ones after this daemon are those the watchdog watches.
         self._proc = sim.process(self._run(), name="guard-watchdog", daemon=True)
-
-    # -- kernel hooks ----------------------------------------------------
-
-    def on_process_created(self, proc: Process) -> None:
-        self._procs.append(proc)
-
-    def on_request(self, resource: Any, request: Any) -> None:
-        self._requested[id(request)] = (resource, self.sim.active_process, request)
-
-    def on_acquire(self, resource: Any, request: Any) -> None:
-        entry = self._requested.pop(id(request), None)
-        owner = entry[1] if entry is not None else self.sim.active_process
-        self._granted[id(request)] = (resource, owner, request)
-
-    def on_release(self, resource: Any, request: Any) -> None:
-        self._requested.pop(id(request), None)
-        self._granted.pop(id(request), None)
 
     # -- description helpers ---------------------------------------------
 
@@ -152,11 +134,11 @@ class StallWatchdog:
         return type(ev).__name__
 
     def _held_by(self, proc: Process) -> tuple[str, ...]:
-        held = []
-        for _rid, (resource, owner, _req) in self._granted.items():
-            if owner is proc:
-                held.append(self._resource_name(resource))
-        return tuple(held)
+        return tuple(
+            self._resource_name(rec.resource)
+            for rec in self.ledger.requests.values()
+            if rec.state == "granted" and rec.owner is proc
+        )
 
     # -- the detector -----------------------------------------------------
 
@@ -169,31 +151,31 @@ class StallWatchdog:
     def _tick(self) -> None:
         now = self.sim.now
         self.n_ticks += 1
-        alive = []
-        for p in self._procs:
-            if p.is_alive:
-                alive.append(p)
-            else:
-                self._since.pop(id(p), None)
-        self._procs = alive
+        # Processes created before installation (cluster daemons spawned
+        # before a sanitizer's ledger met this watchdog) are not watched;
+        # this daemon is alive, hence in the ledger, while it ticks.
+        procs = iter(self.ledger.procs)
+        for p in procs:
+            if p is self._proc:
+                break
+        alive = [p for p in procs if p.is_alive]
+        since: dict[Process, tuple[Any, float]] = {}
         stalled: list[tuple[Process, Any, float]] = []
         for p in alive:
-            if p is self._proc:
-                continue
             tgt = p._target
             if tgt is None or isinstance(tgt, Timeout) or tgt.triggered:
-                self._since.pop(id(p), None)
                 continue
-            prev = self._since.get(id(p))
+            prev = self._since.get(p)
             if prev is None or prev[0] is not tgt:
-                self._since[id(p)] = (tgt, now)
-                continue
+                prev = (tgt, now)
+            since[p] = prev
             if now - prev[1] >= self.stall_window_s:
                 stalled.append((p, tgt, prev[1]))
+        self._since = since
         if not stalled:
             self._last_sig = None
             return
-        live_foreground = [p for p in alive if not p.daemon and p is not self._proc]
+        live_foreground = [p for p in alive if not p.daemon]
         stalled_foreground = [s for s in stalled if not s[0].daemon]
         # Deadlock: every foreground process waits on an event that only
         # another waiter could ever trigger -- nothing time-driven remains

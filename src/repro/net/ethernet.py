@@ -143,18 +143,17 @@ class Network:
           trigger, which ``done.succeed()`` in the last wire callback,
           after both releases, reproduces.
 
-        Under a network fault (the gate is a generator step), the
-        sanitizer or a stall watchdog (both attribute NIC slots to the
-        process that holds them) the moves run as ``name``-d
-        :meth:`transfer` processes joined by ``all_of``.  Callers pass at
-        least one move; an empty list returns an already-triggered event.
+        Under a network fault (the gate is a generator step) or a
+        lifecycle ledger (the sanitizer and the stall watchdog read it to
+        attribute NIC slots to the process that holds them) the moves run
+        as ``name``-d :meth:`transfer` processes joined by ``all_of``.
+        Callers pass at least one move; an empty list returns an
+        already-triggered event.
         """
         if any(m[2] < 0 for m in moves):
             raise ValueError("nbytes must be non-negative")
         sim = self.sim
-        if not moves or self.fault is not None or sim._sanitizer is not None or (
-            sim._watchdog is not None
-        ):
+        if not moves or self.fault is not None or sim._ledger is not None:
             return all_of(sim, [sim.process(self.transfer(*m), name=name) for m in moves])
         p = self.params
         nics = self.nics

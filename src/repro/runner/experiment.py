@@ -89,13 +89,11 @@ class ExperimentResult:
 
 
 def job_named(jobs: list[JobResult], name: str) -> JobResult:
-    """The one job called ``name``.  Several jobs may share a name, but
-    then the name picks none of them: ``KeyError`` in both cases."""
-    found = [j for j in jobs if j.name == name]
-    if len(found) == 1:
-        return found[0]
-    if found:
-        raise KeyError(f"{len(found)} jobs are named {name!r}; look them up by position")
+    """The job called ``name`` (:func:`run_experiment` refuses a run in
+    which two jobs share a name); ``KeyError`` when there is none."""
+    for j in jobs:
+        if j.name == name:
+            return j
     raise KeyError(name)
 
 
@@ -142,6 +140,10 @@ def run_experiment(
     """
     if not specs:
         raise ValueError("need at least one job spec")
+    # Results, governors and the per-job metric series key on the name.
+    names = [s.name for s in specs]
+    if len(set(names)) < len(names):
+        raise ValueError(f"job names must be unique, got {names}")
     cluster = build_cluster(cluster_spec, observe=observe)
     runtime = MpiRuntime(cluster)
     _create_files(cluster, specs)

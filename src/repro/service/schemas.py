@@ -28,6 +28,7 @@ from typing import Any, Mapping, Optional
 
 from repro.faults import FaultPlan
 from repro.guard import GuardConfig
+from repro.iosched import SCHEDULERS
 from repro.workloads.base import normalize_op
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
 #: The one submission shape this coordinator understands.
 SCHEMA_VERSION = 1
 
-_IO_SCHEDULERS = ("cfq", "deadline", "noop", "anticipatory")
 
 
 def _reject_unknown(raw: Mapping[str, Any], known: frozenset, what: str) -> None:
@@ -121,9 +121,9 @@ class ClusterSubmission:
     def __post_init__(self) -> None:
         if self.compute_nodes <= 0 or self.data_servers <= 0:
             raise ValueError("compute_nodes/data_servers must be positive")
-        if self.io_scheduler not in _IO_SCHEDULERS:
+        if self.io_scheduler not in SCHEDULERS:
             raise ValueError(
-                f"unknown io_scheduler {self.io_scheduler!r} (know {_IO_SCHEDULERS})"
+                f"unknown io_scheduler {self.io_scheduler!r} (know {sorted(SCHEDULERS)})"
             )
         if self.stripe_unit <= 0:
             raise ValueError("stripe_unit must be positive")
@@ -157,6 +157,9 @@ class ExperimentSubmission:
             object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
             raise ValueError("a submission needs at least one job")
+        names = [j.name for j in self.jobs]
+        if len(set(names)) < len(names):
+            raise ValueError(f"job names must be unique, got {names}")
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
         if self.quota_kb is not None and self.quota_kb <= 0:

@@ -14,8 +14,8 @@
  *     hop form, as ``sim.urgent_hop``) that performs the pooled-Timeout
  *     fast path without entering the interpreter.
  *   - GrantFn: ``request`` / ``release`` of a ``Resource(capacity=1)``
- *     (the NIC sides), installed per instance when the simulator does
- *     not sanitize.
+ *     (the NIC sides), installed per instance when no lifecycle ledger
+ *     (repro.sim.ledger) is attached.
  *   - drive(): the dispatch loop of Simulator._drive.  It runs
  *     Event._process for every event kind, and every bound
  *     Process._resume callback runs in C around ``generator.send`` /
@@ -31,10 +31,10 @@
  * Slot access uses member-descriptor offsets resolved at setup() time,
  * so the Python class layout remains the single source of truth.
  *
- * drive() and GrantFn are only used when the sanitizer is off (the
- * sanitizer needs a per-event Python hook); the Python loop in core.py
- * drives this queue through its visible pop_cohort / requeue_front
- * methods in that case.
+ * drive() is only used when the sanitizer is off (the sanitizer needs a
+ * per-event Python hook); the Python loop in core.py drives this queue
+ * through its visible pop_cohort / requeue_front methods in that case.
+ * GrantFn is only used while ``sim._ledger`` is None.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -89,7 +89,7 @@ static PyObject *process_func = NULL; /* Event._process (plain function) */
 static PyObject *long_urgent = NULL; /* int(0) */
 static PyObject *str_process, *str_resume_tail, *str_succeed, *str_fail,
     *str_now, *str_active, *str_append, *str_popleft, *str_remove,
-    *str_watchdog;
+    *str_ledger;
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -578,11 +578,11 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     str_append = PyUnicode_InternFromString("append");
     str_popleft = PyUnicode_InternFromString("popleft");
     str_remove = PyUnicode_InternFromString("remove");
-    str_watchdog = PyUnicode_InternFromString("_watchdog");
+    str_ledger = PyUnicode_InternFromString("_ledger");
     Py_XSETREF(float_zero, PyFloat_FromDouble(0.0));
     if (!long_urgent || !str_process || !str_resume_tail || !str_succeed ||
         !str_fail || !str_now || !str_active || !str_append || !str_popleft ||
-        !str_remove || !str_watchdog || !float_zero)
+        !str_remove || !str_ledger || !float_zero)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -609,10 +609,10 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 /* -------------------------------------------------------------- GrantFn */
 
 /* request() / release(req) of one Resource(capacity=1): the bodies of
- * Resource.request and Resource.release with the sanitizer and watchdog
- * hooks absent.  Installed on the instance only when the simulator does
- * not sanitize; a watchdog attached later sends every call back to the
- * Python methods.  The `users` list and `queue` deque are the Python
+ * Resource.request and Resource.release without the ledger call.
+ * Installed on the instance only while the simulator has no ledger; a
+ * ledger attached later (by a stall watchdog) sends every call back to
+ * the Python methods.  The `users` list and `queue` deque are the Python
  * object's own, so both paths see one state. */
 typedef struct {
     PyObject_HEAD
@@ -750,11 +750,11 @@ static PyObject *GrantFn_call(GrantFn *g, PyObject *args, PyObject *kw)
                                                     : "request() takes no arguments");
         return NULL;
     }
-    PyObject *wd = PyObject_GetAttr(g->sim, str_watchdog);
-    if (!wd) return NULL;
-    Py_DECREF(wd);
-    if (wd != Py_None) {
-        /* a watchdog tracks every request: take the Python method */
+    PyObject *ledger = PyObject_GetAttr(g->sim, str_ledger);
+    if (!ledger) return NULL;
+    Py_DECREF(ledger);
+    if (ledger != Py_None) {
+        /* the ledger enters every request: take the Python method */
         PyObject *argv[2] = {g->res, na ? PyTuple_GET_ITEM(args, 0) : NULL};
         return PyObject_Vectorcall(g->py_fn, argv, 1 + na, NULL);
     }

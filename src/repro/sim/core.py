@@ -35,7 +35,8 @@ check so an event that any other code still holds is never reused.
 Sanitizing: ``Simulator(sanitize=True)`` (or ``REPRO_SANITIZE=1``)
 attaches a :class:`repro.devtools.sanitizer.SimSanitizer` that validates
 dispatch-time invariants (clock monotonicity, strict schedule-key
-ordering, no double dispatch) and tracks process/resource lifecycle.
+ordering, no double dispatch) and reads process/resource lifecycle from
+the kernel's ledger (:mod:`repro.sim.ledger`).
 Service loops that intentionally never finish must be spawned with
 ``daemon=True`` so the sanitizer's leak check skips them.
 
@@ -68,6 +69,7 @@ from repro.sim.equeue import EventQueue, HeapQueue
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.sanitizer import SimSanitizer
     from repro.obs import Observability
+    from repro.sim.ledger import Ledger
 
 __all__ = [
     "Event",
@@ -279,10 +281,8 @@ class Process(Event):
         self._resume_cb = resume = self._resume
         self._send = gen.send
         self._throw = gen.throw
-        if sim._sanitizer is not None:
-            sim._sanitizer.on_process_created(self)
-        if sim._watchdog is not None:
-            sim._watchdog.on_process_created(self)
+        if sim._ledger is not None:
+            sim._ledger.spawn(self)
         # The _Initialize that starts the body: triggered, queued URGENT
         # at the current time.
         init = _new(_Initialize)
@@ -503,6 +503,13 @@ class Simulator:
         self._pool: list[Timeout] = []
         if sanitize is None:
             sanitize = bool(os.environ.get("REPRO_SANITIZE"))
+        #: Lifecycle ledger (repro.sim.ledger) read by the sanitizer and
+        #: the stall watchdog; None nominally, so unobserved runs pay one
+        #: attribute load per process and request.
+        self._ledger: Optional["Ledger"] = None
+        #: The installed stall watchdog (repro.guard), for introspection
+        #: only: the kernel never reads it.
+        self.watchdog: Optional[Any] = None
         self._sanitizer: Optional["SimSanitizer"]
         if sanitize:
             # Imported lazily: devtools depends on this module.
@@ -511,9 +518,6 @@ class Simulator:
             self._sanitizer = SimSanitizer(self)
         else:
             self._sanitizer = None
-        #: Stall watchdog (repro.guard.watchdog) when one is installed;
-        #: None nominally, so unguarded runs pay one attribute load.
-        self._watchdog = None
         self.obs: Optional["Observability"] = observe
         if observe is not None:
             observe.bind(self)
@@ -555,11 +559,6 @@ class Simulator:
     def sanitizer(self) -> Optional["SimSanitizer"]:
         """The attached runtime sanitizer, or None when not sanitizing."""
         return self._sanitizer
-
-    @property
-    def watchdog(self):
-        """The attached stall watchdog, or None when none is installed."""
-        return self._watchdog
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

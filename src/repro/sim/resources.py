@@ -7,14 +7,13 @@
 - :class:`Store` -- unbounded-or-bounded FIFO buffer of items with ``put``
   and ``get`` events.
 
-When the owning simulator sanitizes (``REPRO_SANITIZE=1`` /
-``Simulator(sanitize=True)``), every request/grant/release is reported
-to the :class:`~repro.devtools.sanitizer.SimSanitizer`, which attributes
-leaked and double-released slots to the process that acquired them.
-Otherwise, on the C kernel, a ``Resource(capacity=1)`` -- a NIC side --
-requests and releases through the accelerator: the same steps, grant
-order and pushes as the methods here, which it defers to while a stall
-watchdog is attached.
+When a sanitizer or a stall watchdog observes the simulator, every
+request, grant and release is entered in its lifecycle ledger
+(:mod:`repro.sim.ledger`), which attributes each slot to the process
+that requested it.  Otherwise, on the C kernel, a
+``Resource(capacity=1)`` -- a NIC side -- requests and releases through
+the accelerator: the same steps, grant order and pushes as the methods
+here, which it defers to while a ledger is attached.
 """
 from __future__ import annotations
 
@@ -29,7 +28,8 @@ __all__ = ["Resource", "Store"]
 class _Request(Event):
     """Event granted when the resource slot is acquired."""
 
-    __slots__ = ("resource",)
+    #: ``record`` is set only while a ledger tracks the request.
+    __slots__ = ("resource", "record")
 
     def __init__(self, resource: "Resource") -> None:
         # Event.__init__, with the slots set directly: every network
@@ -55,9 +55,9 @@ class Resource:
         self.users: list[_Request] = []
         self.queue: deque[_Request] = deque()  # simlint: ignore[SL006] one entry per waiting process
         accel = sim._accel
-        if accel is not None and sim._sanitizer is None and capacity == 1:
+        if accel is not None and sim._ledger is None and capacity == 1:
             # C request/release (a NIC side makes one of each per message);
-            # they defer to the methods below while a watchdog is attached.
+            # they defer to the methods below while a ledger is attached.
             q = sim._queue
             self.request = accel.make_grant(  # type: ignore[method-assign]
                 self, q, _Request, Resource.request, False
@@ -74,51 +74,43 @@ class Resource:
     def request(self) -> _Request:
         sim = self.sim
         req = _Request(self)
-        san = sim._sanitizer
-        wd = sim._watchdog
-        if san is not None:
-            san.on_request(self, req)
-        if wd is not None:
-            wd.on_request(self, req)
         if len(self.users) < self.capacity:
             self.users.append(req)
-            if san is not None:
-                san.on_acquire(self, req)
-            if wd is not None:
-                wd.on_acquire(self, req)
             # req.succeed(req), inlined: a fresh request is never triggered.
             req._triggered = True
             req._value = req
             sim._queue.push(sim._now, NORMAL, req)
         else:
             self.queue.append(req)
+        ledger = sim._ledger
+        if ledger is not None:
+            ledger.request(self, req)
         return req
 
     def release(self, request: _Request) -> None:
-        san = self.sim._sanitizer
-        wd = self.sim._watchdog
-        if san is not None:
-            # Raises with owning-process attribution on a double release.
-            san.on_release(self, request)
-        if wd is not None:
-            wd.on_release(self, request)
+        ledger = self.sim._ledger
+        nxt = None
         try:
             self.users.remove(request)
         except ValueError:
             # Releasing a queued (never-granted) request cancels it.
             try:
                 self.queue.remove(request)
-                return
             except ValueError:
+                if ledger is not None:
+                    # Raises with owning-process attribution on a double
+                    # release when sanitizing.
+                    ledger.release(request, None)
                 raise SimulationError("release() of unknown request") from None
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.users.append(nxt)
-            if san is not None:
-                san.on_acquire(self, nxt)
-            if wd is not None:
-                wd.on_acquire(self, nxt)
-            nxt.succeed(nxt)
+        else:
+            # A request queues only while every slot is taken, so the
+            # freed slot goes to the head of the queue.
+            if self.queue:
+                nxt = self.queue.popleft()
+                self.users.append(nxt)
+                nxt.succeed(nxt)
+        if ledger is not None:
+            ledger.release(request, nxt)
 
 
 class Store:

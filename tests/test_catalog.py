@@ -122,6 +122,11 @@ def test_submission_validation_rejects_bad_values():
         _submission(quota_kb=0)
 
 
+def test_submission_rejects_duplicate_job_names():
+    with pytest.raises(ValueError, match="job names must be unique"):
+        _submission(jobs=(JobSubmission("j", "random"), JobSubmission("j", "hpio")))
+
+
 def test_op_aliases_normalise_to_one_canonical_form():
     a = _submission(jobs=(JobSubmission("j", "random", op="read"),))
     b = _submission(jobs=(JobSubmission("j", "random", op="R"),))
@@ -174,7 +179,7 @@ def test_fingerprint_matches_lowered_spec_and_separates_knobs():
 _jobs_st = st.lists(
     st.builds(
         JobSubmission,
-        name=st.sampled_from(["alpha", "beta"]),
+        name=st.sampled_from(["alpha", "beta", "gamma"]),
         workload=st.sampled_from(["mpi-io-test", "random", "hpio"]),
         nprocs=st.integers(1, 16),
         size_mb=st.integers(1, 8),
@@ -184,6 +189,7 @@ _jobs_st = st.lists(
     ),
     min_size=1,
     max_size=3,
+    unique_by=lambda job: job.name,
 )
 
 _submissions_st = st.builds(

@@ -177,20 +177,19 @@ def test_units_served_counts_units_at_dispatch():
     assert obs.snapshot(sim.now)["counters"]["blk.blk0.units_served"] == 1
 
 
-def test_same_named_dualpar_jobs_share_summed_counters():
-    """Job names need not be unique: the jobs' PEC/CRM counters share one
-    entry holding their sum."""
+def test_dualpar_job_counters_read_their_own_engine():
+    """Each DualPar job publishes its own PEC/CRM counters under its name."""
     jobs = [
-        JobSpec("a", 4, MpiIoTest(file_size=2 * 1024 * 1024), strategy="dualpar-forced")
-        for _ in range(2)
+        JobSpec(name, 4, MpiIoTest(file_name=f"{name}.dat", file_size=2 * 1024 * 1024),
+                strategy="dualpar-forced")
+        for name in ("a", "b")
     ]
     res = run_experiment(jobs, cluster_spec=small_cluster(), observe=Observability())
-    engines = [j.engine for j in res.mpi_jobs]
     counters = res.metrics["counters"]
-    assert counters["pec.a.cycles"] == sum(e.pec.n_cycles for e in engines) > 0
-    assert counters["crm.a.prefetched_bytes"] == sum(
-        e.crm.prefetched_bytes for e in engines
-    )
+    for job in res.mpi_jobs:
+        engine = job.engine
+        assert counters[f"pec.{job.name}.cycles"] == engine.pec.n_cycles > 0
+        assert counters[f"crm.{job.name}.prefetched_bytes"] == engine.crm.prefetched_bytes
 
 
 # ------------------------------------------------------------- tracing

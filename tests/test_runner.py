@@ -83,24 +83,18 @@ def test_run_experiment_concurrent_jobs():
 
 
 def test_job_lookup_refuses_an_ambiguous_name():
-    from repro.runner.parallel import SlimExperimentResult
-
-    res = run_experiment(
-        [
-            JobSpec("a", 2, SyntheticPattern(file_name="fa.dat", file_size=1024 * 1024),
-                    strategy="dualpar-forced"),
-            JobSpec("a", 2, SyntheticPattern(file_name="fb.dat", file_size=1024 * 1024),
-                    strategy="vanilla"),
-        ],
-        cluster_spec=small_spec(),
-    )
-    # Both jobs ran; the name picks neither.
-    assert [j.bytes_read for j in res.jobs] == [1024 * 1024] * 2
-    for result in (res, SlimExperimentResult.from_full(res)):
-        with pytest.raises(KeyError, match="2 jobs are named 'a'"):
-            result.job("a")
-        with pytest.raises(KeyError):
-            result.job("b")
+    # Two jobs sharing a name are refused before anything runs: the
+    # result lookup, the governor and the per-job series key on it.
+    with pytest.raises(ValueError, match="job names must be unique"):
+        run_experiment(
+            [
+                JobSpec("a", 2, SyntheticPattern(file_name="fa.dat", file_size=1024 * 1024),
+                        strategy="dualpar-forced"),
+                JobSpec("a", 2, SyntheticPattern(file_name="fb.dat", file_size=1024 * 1024),
+                        strategy="vanilla"),
+            ],
+            cluster_spec=small_spec(),
+        )
 
 
 def test_run_experiment_delayed_start():

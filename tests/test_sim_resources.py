@@ -167,11 +167,14 @@ def test_capacity_one_takes_python_path_under_a_watchdog():
 
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    wd = StallWatchdog(sim)
+    ledger = StallWatchdog(sim).ledger
     first, second = res.request(), res.request()
-    assert id(first) in wd._granted and id(second) in wd._requested
+    assert [r.state for r in ledger.requests.values()] == ["granted", "pending"]
+    assert list(ledger.requests) == [first, second]
     res.release(first)
-    assert id(second) in wd._granted and id(first) not in wd._granted
+    assert list(ledger.requests) == [second]
+    assert ledger.requests[second].state == "granted"
+    assert first.record.state == "released"
 
 
 # ---------------------------------------------------------------- Store
