@@ -183,12 +183,20 @@ class SimSanitizer:
         """The ledger saw a second release of the request ``rec`` tracks."""
 
         releaser = self.sim.active_process
-        granted = rec.granted_at if rec.granted_at is not None else rec.requested_at
+        owner = rec.owner.name if rec.owner is not None else None
+        if rec.state == "cancelled":
+            first = (
+                f"requested by {owner!r} at t={rec.requested_at:.6g}; cancelled "
+                f"while queued at t={rec.released_at:.6g} by {rec.released_by!r}"
+            )
+        else:
+            first = (
+                f"acquired by {owner!r} (granted at t={rec.granted_at:.6g}); first "
+                f"released at t={rec.released_at:.6g} by {rec.released_by!r}"
+            )
         raise SanitizerError(
-            f"double release of {_describe_resource(rec.resource)} slot acquired by "
-            f"{rec.owner.name if rec.owner is not None else None!r} (granted at t="
-            f"{granted:.6g}); first released at t={rec.released_at:.6g} by "
-            f"{rec.released_by!r}; released again at t={self.sim.now:.6g} by "
+            f"double release of {_describe_resource(rec.resource)} slot {first}; "
+            f"released again at t={self.sim.now:.6g} by "
             f"{None if releaser is None else releaser.name!r}"
         )
 

@@ -21,7 +21,9 @@ processes drops from 23.8x to 4.0x for collective/vanilla and from
 
 Concurrent messages (a multi-get's replies, a collective round's
 exchange) go through :meth:`Network.transfer_all`, which runs each one
-as a fixed callback chain instead of a process per message.
+as a fixed callback chain instead of a process per message.  On the C
+kernel both entry points run that chain in C (docs/performance.md,
+Layer 6).
 """
 
 from __future__ import annotations
@@ -73,6 +75,16 @@ class Network:
         #: Degradation state installed by the fault injector (None
         #: nominally; see repro.faults.injector.NetFault).
         self.fault = None
+        #: The C transfer chain's constants (repro.sim._cq.move); None on
+        #: the pure-Python kernel or when a ledger made the NICs Python ones.
+        self._chain = None
+        if sim._accel is not None and sim._ledger is None:
+            p = self.params
+            nodes = tuple((n, n.tx.request, n.tx.release, n.rx.request, n.rx.release)
+                          for n in self.nics)
+            fixed = p.per_message_overhead_s + p.latency_s
+            self._chain = (sim, sim._queue, sim._pool, self, nodes, fixed,
+                           p.per_message_overhead_s, p.bandwidth_bytes_s)
 
     def n_nodes(self) -> int:
         return len(self.nics)
@@ -92,10 +104,23 @@ class Network:
             yield sim.timeout(p.per_message_overhead_s)
             self.messages_delivered += 1
             return
+        fault = self.fault
+        if self._chain is not None and fault is None and sim._ledger is None:
+            # The C chain: the steps and pushes below with one resume of
+            # the caller instead of three.  Its releases are the landed
+            # event's first callback, so they run before the caller
+            # resumes, where the ``finally`` below runs; abort() stands in
+            # for that ``finally`` on an interrupt.
+            move = sim._accel.move(self._chain, src, dst, nbytes)  # type: ignore[union-attr]
+            try:
+                yield move.landed
+            except BaseException:
+                move.abort()
+                raise
+            return
         src_nic, dst_nic = self.nics[src], self.nics[dst]
         wire_time = nbytes / p.bandwidth_bytes_s
 
-        fault = self.fault
         if fault is not None:
             # Partition wait + injected latency/jitter, before any NIC is
             # held so a cut never pins resources.
@@ -143,6 +168,10 @@ class Network:
           trigger, which ``done.succeed()`` in the last wire callback,
           after both releases, reproduces.
 
+        On the C kernel the hop's callback is the accelerator's fan
+        launcher, which runs the same chain in C; the Python chain below
+        is its reference.
+
         Under a network fault (the gate is a generator step) or a
         lifecycle ledger (the sanitizer and the stall watchdog read it to
         attribute NIC slots to the process that holds them) the moves run
@@ -155,13 +184,17 @@ class Network:
         sim = self.sim
         if not moves or self.fault is not None or sim._ledger is not None:
             return all_of(sim, [sim.process(self.transfer(*m), name=name) for m in moves])
+        done = Event(sim)
+        if self._chain is not None:
+            fan = sim._accel.fan(self._chain, moves, done)  # type: ignore[union-attr]
+            sim.urgent_hop().callbacks.append(fan)  # type: ignore[union-attr]
+            return done
         p = self.params
         nics = self.nics
         timeout = sim.timeout
         overhead = p.per_message_overhead_s
         fixed = overhead + p.latency_s
         bw = p.bandwidth_bytes_s
-        done = Event(sim)
         left = len(moves)
 
         def landed(_ev):

@@ -1,6 +1,6 @@
 /* C accelerator for the repro.sim event kernel.
  *
- * Four pieces, all optional (repro.sim._accel builds this module on
+ * Five pieces, all optional (repro.sim._accel builds this module on
  * first use when a C compiler is available; without it the kernel runs
  * on the pure-Python repro.sim.equeue.HeapQueue and the Python dispatch
  * loop in repro.sim.core):
@@ -16,11 +16,13 @@
  *   - GrantFn: ``request`` / ``release`` of a ``Resource(capacity=1)``
  *     (the NIC sides), installed per instance when no lifecycle ledger
  *     (repro.sim.ledger) is attached.
+ *   - Move: one message of repro.net.ethernet.Network as a state
+ *     machine of event callbacks, with no process to resume.
  *   - drive(): the dispatch loop of Simulator._drive.  It runs
  *     Event._process for every event kind, and every bound
  *     Process._resume callback runs in C around ``generator.send`` /
  *     ``throw`` (a generator's return becomes an inlined URGENT
- *     ``succeed``).
+ *     ``succeed``); a Move callback steps its move in C.
  *
  * All simulation *semantics* stay in the Python classes -- this file
  * only mirrors the exact hot-path steps of Simulator._drive,
@@ -34,7 +36,7 @@
  * drive() is only used when the sanitizer is off (the sanitizer needs a
  * per-event Python hook); the Python loop in core.py drives this queue
  * through its visible pop_cohort / requeue_front methods in that case.
- * GrantFn is only used while ``sim._ledger`` is None.
+ * GrantFn is only used while ``sim._ledger`` is None, and so is Move.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -87,9 +89,10 @@ static PyObject *EventType = NULL, *TimeoutType = NULL, *ProcessType = NULL,
 static PyObject *resume_func = NULL;  /* Process._resume (plain function) */
 static PyObject *process_func = NULL; /* Event._process (plain function) */
 static PyObject *long_urgent = NULL; /* int(0) */
+static PyObject *long_one = NULL;    /* int(1) */
 static PyObject *str_process, *str_resume_tail, *str_succeed, *str_fail,
     *str_now, *str_active, *str_append, *str_popleft, *str_remove,
-    *str_ledger;
+    *str_ledger, *str_bytes_sent, *str_bytes_received, *str_messages;
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -433,6 +436,38 @@ static PyObject *new_timeout(PyObject *sim)
     return ev;
 }
 
+/* A Timeout of `sim` for `delay_ob`, not yet queued: one popped from
+ * `pool` (NULL: pooling disabled) or a new one, with the per-use fields
+ * reset as Simulator.timeout resets them (a pooled Timeout keeps its
+ * invariant flags _triggered, _ok, _defused). */
+static PyObject *pooled_timeout(PyObject *sim, PyObject *pool,
+                                PyObject *delay_ob, PyObject *value)
+{
+    Py_ssize_t psz;
+    PyObject *ev;
+    if (pool == NULL || (psz = PyList_GET_SIZE(pool)) == 0) {
+        ev = new_timeout(sim);
+        if (!ev) return NULL;
+    } else {
+        ev = PyList_GET_ITEM(pool, psz - 1);
+        Py_INCREF(ev);
+        if (PyList_SetSlice(pool, psz - 1, psz, NULL) < 0) {
+            Py_DECREF(ev);
+            return NULL;
+        }
+    }
+    PyObject *cbs = PyList_New(0);
+    if (!cbs) {
+        Py_DECREF(ev);
+        return NULL;
+    }
+    slot_set(ev, off_callbacks, cbs);
+    slot_set(ev, off_delay, Py_NewRef(delay_ob));
+    slot_set(ev, off_value, Py_NewRef(value));
+    slot_set(ev, off_processed, Py_NewRef(Py_False));
+    return ev;
+}
+
 static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
 {
     Py_ssize_t na = PyTuple_GET_SIZE(args);
@@ -466,36 +501,9 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
         PyErr_Format(SimError, "negative timeout delay %R", delay_ob);
         return NULL;
     }
-    BandHeap *q = f->q;
-    PyObject *pool = f->pool;
-    Py_ssize_t psz;
-    PyObject *ev;
-    if (pool == NULL || (psz = PyList_GET_SIZE(pool)) == 0) {
-        ev = new_timeout(f->sim);
-        if (!ev) return NULL;
-    } else {
-        ev = PyList_GET_ITEM(pool, psz - 1);
-        Py_INCREF(ev);
-        if (PyList_SetSlice(pool, psz - 1, psz, NULL) < 0) {
-            Py_DECREF(ev);
-            return NULL;
-        }
-    }
-    /* mirror of Simulator.timeout's pooled reset: a pooled Timeout keeps
-     * its invariant flags (_triggered, _ok, _defused) */
-    PyObject *cbs = PyList_New(0);
-    if (!cbs) {
-        Py_DECREF(ev);
-        return NULL;
-    }
-    slot_set(ev, off_callbacks, cbs);
-    Py_INCREF(delay_ob);
-    slot_set(ev, off_delay, delay_ob);
-    Py_INCREF(value);
-    slot_set(ev, off_value, value);
-    Py_INCREF(Py_False);
-    slot_set(ev, off_processed, Py_False);
-    if (bh_push(q, q->now + delay, prio, ev) < 0) {
+    PyObject *ev = pooled_timeout(f->sim, f->pool, delay_ob, value);
+    if (!ev) return NULL;
+    if (bh_push(f->q, f->q->now + delay, prio, ev) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
@@ -580,9 +588,14 @@ static PyObject *mod_setup(PyObject *self, PyObject *args)
     str_remove = PyUnicode_InternFromString("remove");
     str_ledger = PyUnicode_InternFromString("_ledger");
     Py_XSETREF(float_zero, PyFloat_FromDouble(0.0));
+    Py_XSETREF(long_one, PyLong_FromLong(1));
+    str_bytes_sent = PyUnicode_InternFromString("bytes_sent");
+    str_bytes_received = PyUnicode_InternFromString("bytes_received");
+    str_messages = PyUnicode_InternFromString("messages_delivered");
     if (!long_urgent || !str_process || !str_resume_tail || !str_succeed ||
         !str_fail || !str_now || !str_active || !str_append || !str_popleft ||
-        !str_remove || !str_ledger || !float_zero)
+        !str_remove || !str_ledger || !float_zero || !long_one ||
+        !str_bytes_sent || !str_bytes_received || !str_messages)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -604,6 +617,25 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
     f->hop = hop;
     PyObject_GC_Track(f);
     return (PyObject *)f;
+}
+
+/* ev.succeed(value, priority) for an event of the simulator whose queue
+ * is `q` (its clock is q->now).  0 ok, -1 error. */
+static int ev_succeed(BandHeap *q, PyObject *ev, PyObject *value, long prio)
+{
+    if (SLOT(ev, off_triggered) == Py_True) {
+        /* raises SimulationError("... already triggered") */
+        PyObject *p = PyLong_FromLong(prio);
+        PyObject *r = p ? PyObject_CallMethodObjArgs(ev, str_succeed, value, p, NULL)
+                        : NULL;
+        Py_XDECREF(p);
+        Py_XDECREF(r);
+        return r ? 0 : -1;
+    }
+    slot_set(ev, off_triggered, Py_NewRef(Py_True));
+    slot_set(ev, off_ok, Py_NewRef(Py_True));
+    slot_set(ev, off_value, Py_NewRef(value));
+    return bh_push(q, q->now, prio, ev);
 }
 
 /* -------------------------------------------------------------- GrantFn */
@@ -656,21 +688,6 @@ static void GrantFn_dealloc(GrantFn *g)
     PyObject_GC_UnTrack(g);
     GrantFn_clear(g);
     Py_TYPE(g)->tp_free((PyObject *)g);
-}
-
-/* req.succeed(req) for a granted request: NORMAL at the current time. */
-static int grant_succeed(GrantFn *g, PyObject *req)
-{
-    if (SLOT(req, off_triggered) == Py_True) {
-        /* raises SimulationError("... already triggered") */
-        PyObject *r = PyObject_CallMethodOneArg(req, str_succeed, req);
-        Py_XDECREF(r);
-        return r ? 0 : -1;
-    }
-    slot_set(req, off_triggered, Py_NewRef(Py_True));
-    slot_set(req, off_ok, Py_NewRef(Py_True));
-    slot_set(req, off_value, Py_NewRef(req));
-    return bh_push(g->q, g->q->now, 1 /* NORMAL */, req);
 }
 
 static PyObject *grant_request(GrantFn *g)
@@ -735,11 +752,26 @@ static PyObject *grant_release(GrantFn *g, PyObject *req)
         PyObject *nxt = PyObject_CallMethodNoArgs(g->queue, str_popleft);
         if (!nxt) return NULL;
         int rc = PyList_Append(users, nxt);
-        if (rc == 0) rc = grant_succeed(g, nxt);
+        if (rc == 0) rc = ev_succeed(g->q, nxt, nxt, 1 /* NORMAL */);
         Py_DECREF(nxt);
         if (rc < 0) return NULL;
     }
     Py_RETURN_NONE;
+}
+
+/* request() (req NULL) or release(req), with the ledger test made on
+ * every call. */
+static PyObject *grant_call(GrantFn *g, PyObject *req)
+{
+    PyObject *ledger = PyObject_GetAttr(g->sim, str_ledger);
+    if (!ledger) return NULL;
+    Py_DECREF(ledger);
+    if (ledger != Py_None) {
+        /* the ledger enters every request: take the Python method */
+        PyObject *argv[2] = {g->res, req};
+        return PyObject_Vectorcall(g->py_fn, argv, req ? 2 : 1, NULL);
+    }
+    return req ? grant_release(g, req) : grant_request(g);
 }
 
 static PyObject *GrantFn_call(GrantFn *g, PyObject *args, PyObject *kw)
@@ -750,16 +782,7 @@ static PyObject *GrantFn_call(GrantFn *g, PyObject *args, PyObject *kw)
                                                     : "request() takes no arguments");
         return NULL;
     }
-    PyObject *ledger = PyObject_GetAttr(g->sim, str_ledger);
-    if (!ledger) return NULL;
-    Py_DECREF(ledger);
-    if (ledger != Py_None) {
-        /* the ledger enters every request: take the Python method */
-        PyObject *argv[2] = {g->res, na ? PyTuple_GET_ITEM(args, 0) : NULL};
-        return PyObject_Vectorcall(g->py_fn, argv, 1 + na, NULL);
-    }
-    return g->release ? grant_release(g, PyTuple_GET_ITEM(args, 0))
-                      : grant_request(g);
+    return grant_call(g, na ? PyTuple_GET_ITEM(args, 0) : NULL);
 }
 
 static PyTypeObject GrantFn_Type = {
@@ -817,27 +840,314 @@ static PyObject *mod_make_grant(PyObject *self, PyObject *args)
     return (PyObject *)g;
 }
 
+/* ----------------------------------------------------------------- Move */
+
+/* The transfer chain of repro.net.ethernet.Network: a Move runs one
+ * message as a state machine of event callbacks, with no process to
+ * resume.  It is the one callback of its TX request, then of its RX
+ * request, then the first one of its `landed` Timeout:
+ *   1. TX granted: request RX.
+ *   2. RX granted: push `landed` at now + (fixed + nbytes / bw), NORMAL.
+ *   3. Landed: add nbytes to the NICs' byte counters, release RX, then
+ *      TX, and add 1 to messages_delivered; in a fan, count down, the
+ *      last move pushing `done` NORMAL at now.
+ * These are the steps and pushes of the Network.transfer generator and
+ * of transfer_all's Python chain.  A waiter on `landed` resumes after
+ * step 3, where the generator's `finally` ran; abort() stands in for
+ * that `finally` on an interrupt.  Requests and releases go through the
+ * NIC sides' GrantFns, whose ledger test runs on every call.  A fan is
+ * a Move too, the callback of transfer_all's urgent hop: it starts its
+ * moves in order (a loopback move is `landed` on the overhead timeout)
+ * and holds their countdown. */
+
+/* a network's chain constants (`net`): */
+enum { C_SIM, C_Q, C_POOL, C_NET, C_NODES, C_FIXED, C_OVERHEAD, C_BW, C_LEN };
+/* a node: (nic, tx.request, tx.release, rx.request, rx.release) */
+enum { N_NIC, N_TXQ, N_TXR, N_RXQ, N_RXR, N_LEN };
+#define ITEM(t, i) PyTuple_GET_ITEM(t, i)
+#define GRANT(node, k) ((GrantFn *)ITEM(node, k))
+
+enum { MV_TX, MV_RX, MV_WIRE, MV_OVER, MV_FAN };
+
+typedef struct Move {
+    PyObject_HEAD
+    PyObject *net;    /* owned: the chain constants */
+    struct Move *fan; /* owned: the fan this move belongs to, or NULL */
+    PyObject *s, *d, *nbytes, *tx_req, *rx_req, *landed; /* owned */
+    PyObject *moves, *done; /* owned, a fan's: moves (until started), done */
+    Py_ssize_t left;        /* a fan's: moves not landed yet */
+    double delay;
+    int state;
+} Move;
+
+static PyTypeObject Move_Type;
+
+static int net_ok(PyObject *net)
+{
+    int ok = PyTuple_CheckExact(net) && PyTuple_GET_SIZE(net) == C_LEN &&
+             Py_IS_TYPE(ITEM(net, C_Q), &BandHeap_Type) &&
+             PyList_CheckExact(ITEM(net, C_POOL)) && PyTuple_CheckExact(ITEM(net, C_NODES));
+    for (int i = C_FIXED; ok && i <= C_BW; i++) ok = PyFloat_CheckExact(ITEM(net, i));
+    if (!ok)
+        PyErr_SetString(PyExc_TypeError, "net is (sim, queue, pool, network, nodes, "
+                                         "fixed, overhead, bw)");
+    return ok;
+}
+
+static int node_ok(PyObject *t)
+{
+    int ok = t != NULL && PyTuple_CheckExact(t) && PyTuple_GET_SIZE(t) == N_LEN;
+    for (int k = N_TXQ; ok && k <= N_RXR; k++)
+        ok = Py_IS_TYPE(ITEM(t, k), &GrantFn_Type) &&
+             GRANT(t, k)->release == (k == N_TXR || k == N_RXR);
+    if (!ok && !PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "a node is (nic, tx.request, tx.release, "
+                                         "rx.request, rx.release), each a GrantFn");
+    return ok;
+}
+
+/* ob.<name> += n */
+static int add_attr(PyObject *ob, PyObject *name, PyObject *n)
+{
+    PyObject *v = PyObject_GetAttr(ob, name);
+    PyObject *s = v ? PyNumber_InPlaceAdd(v, n) : NULL;
+    Py_XDECREF(v);
+    int rc = s ? PyObject_SetAttr(ob, name, s) : -1;
+    Py_XDECREF(s);
+    return rc;
+}
+
+static int event_ok(PyObject *ev)
+{
+    if (ev == NULL || PyObject_TypeCheck(ev, (PyTypeObject *)EventType)) return ev != NULL;
+    PyErr_Format(PyExc_TypeError, "expected an Event, got %R", ev);
+    return 0;
+}
+
+static int move_wait(Move *m, PyObject *ev)
+{
+    return event_ok(ev) ? PyList_Append(SLOT(ev, off_callbacks), (PyObject *)m) : -1;
+}
+
+/* Release RX (if requested), then TX. */
+static int move_release(Move *m)
+{
+    PyObject *r = Py_NewRef(Py_None);
+    if (m->rx_req != NULL) Py_SETREF(r, grant_call(GRANT(m->d, N_RXR), m->rx_req));
+    Py_CLEAR(m->rx_req);
+    if (r != NULL && m->tx_req != NULL)
+        Py_SETREF(r, grant_call(GRANT(m->s, N_TXR), m->tx_req));
+    Py_CLEAR(m->tx_req);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
+}
+
+static Move *move_new(PyObject *net, Move *fan, int state)
+{
+    /* tp_alloc (PyType_GenericAlloc) zeroes and GC-tracks the object */
+    Move *m = (Move *)Move_Type.tp_alloc(&Move_Type, 0);
+    if (!m) return NULL;
+    m->net = Py_NewRef(net);
+    m->fan = (Move *)Py_XNewRef(fan);
+    m->state = state;
+    return m;
+}
+
+/* The move src -> dst of nbytes, started: its TX request issued, or,
+ * for a loopback move, `landed` pushed. */
+static Move *move_start(PyObject *net, Move *fan, PyObject *src, PyObject *dst,
+                        PyObject *nbytes)
+{
+    double nb = PyFloat_AsDouble(nbytes);
+    if (nb == -1.0 && PyErr_Occurred()) return NULL;
+    Move *m = move_new(net, fan, MV_OVER);
+    if (!m) return NULL;
+    BandHeap *q = (BandHeap *)ITEM(net, C_Q);
+    m->nbytes = Py_NewRef(nbytes);
+    /* nodes[src], as nics[src]: negative indexes, IndexError */
+    m->s = PyObject_GetItem(ITEM(net, C_NODES), src);
+    m->d = node_ok(m->s) ? PyObject_GetItem(ITEM(net, C_NODES), dst) : NULL;
+    int rc = -1;
+    if (node_ok(m->d)) {
+        m->delay = m->s == m->d ? PyFloat_AS_DOUBLE(ITEM(net, C_OVERHEAD))
+                                : PyFloat_AS_DOUBLE(ITEM(net, C_FIXED)) +
+                                      nb / PyFloat_AS_DOUBLE(ITEM(net, C_BW));
+        PyObject *delay = PyFloat_FromDouble(m->delay);
+        if (delay)
+            m->landed = pooled_timeout(ITEM(net, C_SIM), ITEM(net, C_POOL), delay, Py_None);
+        Py_XDECREF(delay);
+    }
+    if (move_wait(m, m->landed) == 0) {
+        if (m->s == m->d) {
+            m->state = MV_WIRE;
+            rc = bh_push(q, q->now + m->delay, 1 /* NORMAL */, m->landed);
+        } else {
+            m->state = MV_TX;
+            m->tx_req = grant_call(GRANT(m->s, N_TXQ), NULL);
+            rc = move_wait(m, m->tx_req);
+        }
+    }
+    if (rc < 0) {
+        m->state = MV_OVER;
+        Py_CLEAR(m);
+    }
+    return m;
+}
+
+/* Run the step of the event just processed.  0 ok, -1 error. */
+static int move_step(Move *m)
+{
+    if (m->state == MV_OVER) return 0; /* landed or aborted: inert */
+    BandHeap *q = (BandHeap *)ITEM(m->net, C_Q);
+    switch (m->state) {
+    case MV_TX:
+        m->state = MV_RX;
+        m->rx_req = grant_call(GRANT(m->d, N_RXQ), NULL);
+        return move_wait(m, m->rx_req);
+    case MV_RX:
+        m->state = MV_WIRE;
+        return bh_push(q, q->now + m->delay, 1 /* NORMAL */, m->landed);
+    case MV_WIRE: {
+        m->state = MV_OVER;
+        Py_CLEAR(m->landed); /* the dispatch loop holds it */
+        if (m->s != m->d &&
+            (add_attr(ITEM(m->s, N_NIC), str_bytes_sent, m->nbytes) < 0 ||
+             add_attr(ITEM(m->d, N_NIC), str_bytes_received, m->nbytes) < 0 ||
+             move_release(m) < 0))
+            return -1;
+        if (add_attr(ITEM(m->net, C_NET), str_messages, long_one) < 0) return -1;
+        Move *f = m->fan;
+        m->fan = NULL;
+        int rc = f && f->done && --f->left == 0 ? ev_succeed(q, f->done, Py_None, 1 /* NORMAL */) : 0;
+        Py_XDECREF(f);
+        return rc;
+    }
+    case MV_FAN: {
+        PyObject *seq = PySequence_Fast(m->moves, "moves must be a sequence"), *src, *dst, *nb;
+        m->state = MV_OVER;
+        Py_CLEAR(m->moves);
+        if (!seq) return -1;
+        Py_ssize_t n = m->left = PySequence_Fast_GET_SIZE(seq);
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *t = PySequence_Fast_GET_ITEM(seq, i);
+            Move *x = NULL;
+            if (!PyTuple_Check(t))
+                PyErr_SetString(PyExc_TypeError, "a move is a (src, dst, nbytes) tuple");
+            else if (PyArg_ParseTuple(t, "OOO", &src, &dst, &nb))
+                x = move_start(m->net, m, src, dst, nb);
+            if (!x) {
+                Py_DECREF(seq);
+                return -1;
+            }
+            Py_DECREF(x);
+        }
+        Py_DECREF(seq);
+        return 0;
+    }
+    }
+    return 0;
+}
+
+static int Move_traverse(Move *m, visitproc visit, void *arg)
+{
+    Py_VISIT(m->net);
+    Py_VISIT((PyObject *)m->fan);
+    Py_VISIT(m->s);
+    Py_VISIT(m->d);
+    Py_VISIT(m->nbytes);
+    Py_VISIT(m->tx_req);
+    Py_VISIT(m->rx_req);
+    Py_VISIT(m->landed);
+    Py_VISIT(m->moves);
+    Py_VISIT(m->done);
+    return 0;
+}
+
+static int Move_clear(Move *m)
+{
+    m->state = MV_OVER;
+    Py_CLEAR(m->net);
+    Py_CLEAR(m->fan);
+    Py_CLEAR(m->s);
+    Py_CLEAR(m->d);
+    Py_CLEAR(m->nbytes);
+    Py_CLEAR(m->tx_req);
+    Py_CLEAR(m->rx_req);
+    Py_CLEAR(m->landed);
+    Py_CLEAR(m->moves);
+    Py_CLEAR(m->done);
+    return 0;
+}
+
+static void Move_dealloc(Move *m)
+{
+    PyObject_GC_UnTrack(m);
+    Move_clear(m);
+    Py_TYPE(m)->tp_free((PyObject *)m);
+}
+
+/* abort(): release RX, then TX (cancelling a queued request); inert after */
+static PyObject *Move_abort(Move *m, PyObject *noarg)
+{
+    if (m->state != MV_OVER && m->state != MV_FAN) {
+        m->state = MV_OVER;
+        Py_CLEAR(m->landed);
+        Py_CLEAR(m->fan);
+        if (move_release(m) < 0) return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef Move_methods[] = {
+    {"abort", (PyCFunction)Move_abort, METH_NOARGS, "release RX, then TX; go inert"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Move_members[] = {
+    {"landed", T_OBJECT, offsetof(Move, landed), READONLY, "processed once landed"},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject Move_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "repro.sim._cq.Move",
+    .tp_basicsize = sizeof(Move),
+    .tp_dealloc = (destructor)Move_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_traverse = (traverseproc)Move_traverse,
+    .tp_clear = (inquiry)Move_clear,
+    .tp_methods = Move_methods,
+    .tp_members = Move_members,
+};
+
+/* move(net, src, dst, nbytes) -> a started Move */
+static PyObject *mod_move(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4 || !net_ok(args[0])) {
+        if (!PyErr_Occurred()) PyErr_SetString(PyExc_TypeError, "move(net, src, dst, nbytes)");
+        return NULL;
+    }
+    return (PyObject *)move_start(args[0], NULL, args[1], args[2], args[3]);
+}
+
+/* fan(net, moves, done) -> the callback of transfer_all's urgent hop */
+static PyObject *mod_fan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3 || !net_ok(args[0]) || !event_ok(args[2])) {
+        if (!PyErr_Occurred()) PyErr_SetString(PyExc_TypeError, "fan(net, moves, done)");
+        return NULL;
+    }
+    Move *f = move_new(args[0], NULL, MV_FAN);
+    if (f) {
+        f->moves = Py_NewRef(args[1]);
+        f->done = Py_NewRef(args[2]);
+    }
+    return (PyObject *)f;
+}
+
 /* --------------------------------------------------------------- drivers */
 
 /* The kernel's flag slots (_ok, _triggered, _processed, _defused) only
  * ever hold True or False, so `if flag:` is a pointer compare here. */
-
-/* Process.succeed(value, priority=URGENT) for a process of the driven
- * simulator: its queue is `q` and its clock is q->now.  0 ok, -1 error. */
-static int proc_succeed(BandHeap *q, PyObject *w, PyObject *value /* borrowed */)
-{
-    if (SLOT(w, off_triggered) == Py_True) {
-        /* raises SimulationError("... already triggered") */
-        PyObject *r =
-            PyObject_CallMethodObjArgs(w, str_succeed, value, long_urgent, NULL);
-        Py_XDECREF(r);
-        return r ? 0 : -1;
-    }
-    slot_set(w, off_triggered, Py_NewRef(Py_True));
-    slot_set(w, off_ok, Py_NewRef(Py_True));
-    slot_set(w, off_value, Py_NewRef(value));
-    return bh_push(q, q->now, 0 /* URGENT */, w);
-}
 
 /* Process._resume(event) for a process `w` of the driven simulator,
  * including the live-event branch of _resume_tail.  0 ok, -1 error. */
@@ -877,7 +1187,7 @@ static int resume_proc(PyObject *sim, BandHeap *q, PyObject *w, PyObject *event)
     }
     int rc;
     if (st == PYGEN_RETURN) {
-        rc = proc_succeed(q, w, result);
+        rc = ev_succeed(q, w, result, 0 /* URGENT */);
         Py_DECREF(result);
         return rc;
     }
@@ -885,7 +1195,7 @@ static int resume_proc(PyObject *sim, BandHeap *q, PyObject *w, PyObject *event)
         PyErr_NormalizeException(&etype, &evalue, &etb);
         if (PyErr_GivenExceptionMatches(etype, PyExc_StopIteration)) {
             PyObject *retval = PyObject_GetAttrString(evalue, "value");
-            rc = retval ? proc_succeed(q, w, retval) : -1;
+            rc = retval ? ev_succeed(q, w, retval, 0 /* URGENT */) : -1;
             Py_XDECREF(retval);
         } else {
             /* mirror `except BaseException: self.fail(exc, URGENT)` */
@@ -950,6 +1260,8 @@ static int dispatch_one(PyObject *sim, BandHeap *q, PyObject *pool,
                                (PyTypeObject *)ProcessType) &&
             SLOT(w, off_sim) == sim) {
             rc = resume_proc(sim, q, w, event);
+        } else if (Py_TYPE(cb) == &Move_Type) {
+            rc = move_step((Move *)cb);
         } else {
             PyObject *r = PyObject_CallOneArg(cb, event);
             rc = r ? 0 : -1;
@@ -1056,6 +1368,10 @@ static PyMethodDef mod_methods[] = {
     {"make_grant", mod_make_grant, METH_VARARGS,
      "make_grant(resource, queue, Request, python_method, release) -> fast "
      "request() or release(req) of a capacity-1 Resource"},
+    {"move", (PyCFunction)(void (*)(void))mod_move, METH_FASTCALL,
+     "move(net, src, dst, nbytes) -> Move: one message, its TX request issued"},
+    {"fan", (PyCFunction)(void (*)(void))mod_fan, METH_FASTCALL,
+     "fan(net, moves, done) -> callback that starts the moves in order"},
     {"drive", mod_drive, METH_VARARGS,
      "drive(sim, queue, pool, limit, target_or_None, budget) -> (n, drained)"},
     {NULL, NULL, 0, NULL},
@@ -1073,8 +1389,9 @@ PyMODINIT_FUNC PyInit__cq(void)
     if (PyType_Ready(&BandHeap_Type) < 0) return NULL;
     if (PyType_Ready(&TimeoutFn_Type) < 0) return NULL;
     if (PyType_Ready(&GrantFn_Type) < 0) return NULL;
+    if (PyType_Ready(&Move_Type) < 0) return NULL;
     Py_INCREF(&BandHeap_Type);
     if (PyModule_AddObject(m, "BandHeap", (PyObject *)&BandHeap_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 5) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 6) < 0) return NULL;
     return m;
 }

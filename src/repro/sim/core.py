@@ -756,7 +756,8 @@ def _accel_selftest(mod: Any) -> bool:
     pooled timeout and urgent-hop callables, a contended capacity-1
     resource grant and the release of a still-queued request (a cancel),
     an ``all_of`` over processes, a failed process caught by its joiner,
-    and the drained return.  Any mismatch or exception disables the
+    and the drained return, then the network transfer chain
+    (:func:`_chain_selftest`).  Any mismatch or exception disables the
     accelerator for the process; the pure-Python kernel is always safe.
     """
     try:
@@ -829,9 +830,66 @@ def _accel_selftest(mod: Any) -> bool:
             (2.5, "caught"),
             (3.0, "b"),
         ]
-        return bool(out == expected and end == 3.0 and len(sim._queue) == 0)
+        if not (out == expected and end == 3.0 and len(sim._queue) == 0):
+            return False
+        return _chain_selftest(mod)
     except Exception:  # noqa: BLE001 - any failure disables the accelerator
         return False
+
+
+def _chain_selftest(mod: Any) -> bool:
+    """The C transfer chain (``move``, ``fan``) on three stand-in nodes
+    with wire time ``1 + nbytes``: A and B start together on node 0's
+    TX, C queues on node 1's RX behind A, D is interrupted on the wire
+    and E, queued on D's TX, gets it, and F's fan holds a loopback and a
+    zero-byte move.  The times and counters are those of the
+    Network.transfer generator."""
+    from types import SimpleNamespace as Nic
+
+    from repro.sim.resources import Resource
+
+    sim = Simulator(sanitize=False, queue=mod.BandHeap())
+    nics = [
+        Nic(tx=Resource(sim, 1), rx=Resource(sim, 1), bytes_sent=0, bytes_received=0)
+        for _ in range(3)
+    ]
+    net = Nic(messages_delivered=0)
+    nodes = tuple((n, n.tx.request, n.tx.release, n.rx.request, n.rx.release) for n in nics)
+    chain = (sim, sim._queue, sim._pool, net, nodes, 1.0, 0.25, 1.0)
+    out: list[tuple[float, str]] = []
+
+    def send(tag: str, src: int, dst: int, nbytes: int, victim: Any = None) -> Generator:
+        if victim is not None:
+            yield sim.timeout(1.0)
+            victim.interrupt()
+        move = mod.move(chain, src, dst, nbytes)  # as Network.transfer does
+        try:
+            yield move.landed
+        except Interrupt:
+            move.abort()
+            tag += " interrupted"
+        out.append((sim.now, tag))
+
+    def fan() -> Generator:
+        yield sim.timeout(5.0)
+        done = Event(sim)
+        sim.urgent_hop().callbacks.append(  # type: ignore[union-attr]
+            mod.fan(chain, [(1, 1, 3), (0, 2, 0)], done)
+        )
+        yield done
+        out.append((sim.now, "F"))
+
+    for args in [("A", 0, 1, 1), ("B", 0, 2, 1), ("C", 2, 1, 0)]:
+        sim.process(send(*args))
+    sim.process(send("E", 1, 0, 0, sim.process(send("D", 1, 0, 8))))
+    sim.process(fan())
+    end = sim.run()
+    expected = [(1.0, "D interrupted"), (2.0, "A"), (2.0, "E"), (3.0, "C"), (4.0, "B"), (6.0, "F")]
+    return bool(
+        out == expected and end == 9.0 and len(sim._queue) == 0 and net.messages_delivered == 6
+        and [(n.bytes_sent, n.bytes_received) for n in nics] == [(2, 0), (0, 1), (0, 1)]
+        and not any(r.users or r.queue for n in nics for r in (n.tx, n.rx))
+    )
 
 
 def _load_accel() -> Optional[Any]:

@@ -177,3 +177,32 @@ def test_ledger_is_empty_after_sanitized_smoke_cells(monkeypatch):
     golden = digests.load_golden()
     if digests.skip_reason(golden) is None:
         assert digests.diff(golden["smoke"], got) == []
+
+
+def test_double_release_of_a_cancelled_request_says_it_was_never_granted():
+    """A request cancelled while queued and then released again is
+    reported as requested and cancelled, not as acquired and released."""
+    sim = Simulator(sanitize=True)
+    res = Resource(sim)
+
+    def holder():
+        req = res.request()
+        yield req
+        yield sim.timeout(1.0)
+        res.release(req)
+
+    def canceller():
+        req = res.request()  # queued behind the holder
+        yield sim.timeout(0.2)
+        res.release(req)  # cancels it
+        res.release(req)
+
+    sim.process(holder(), name="holder")
+    sim.process(canceller(), name="canceller")
+    with pytest.raises(SanitizerError) as exc:
+        sim.run()
+    assert str(exc.value) == (
+        "double release of Resource(capacity=1) slot requested by 'canceller' "
+        "at t=0; cancelled while queued at t=0.2 by 'canceller'; "
+        "released again at t=0.2 by 'canceller'"
+    )

@@ -1,30 +1,34 @@
-"""Concurrent network moves without a process per move.
+"""Network messages without a process per message.
 
 Nominally :meth:`Network.transfer_all` runs each ``(src, dst, nbytes)``
 move as a fixed callback chain (TX request, RX request, wire timeout,
 release both), started by one urgent hop and finished by one ``done``
-event.  These tests hold it against the form it replaced, kept here as
-the reference: one :meth:`Network.transfer` process per move joined by
-``all_of``.  The scenarios are hand-driven and tie-heavy -- actors on
-four nodes are released together at t=0, send messages of equal size
-and nap for exactly one message time -- and every actor notes the time
-and the delivered-message count after each step, so any push that
-leaves its ``(time, priority, arrival)`` slot shows up as a different
-log.
+event, and on the C kernel :meth:`Network.transfer` runs one message as
+the same chain in C, resuming its caller once.  These tests hold both
+against the forms they replaced, kept here as the reference: the
+three-yield ``transfer`` generator, and one process per move running
+it, joined by ``all_of``.  The scenarios are hand-driven and tie-heavy
+-- actors on four nodes are released together at t=0, send messages of
+equal size and nap for exactly one message time -- and every actor
+notes the time and the delivered-message count after each step, so any
+push that leaves its ``(time, priority, arrival)`` slot shows up as a
+different log.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.faults.injector import NetFault
 from repro.guard import StallWatchdog
 from repro.net.ethernet import Network, NetworkParams
-from repro.sim import HeapQueue, Simulator, all_of
+from repro.sim import HeapQueue, Interrupt, Simulator, all_of
 from repro.sim import core as sim_core
 
 NODES = 4
@@ -38,10 +42,46 @@ D_SMALL, D_LARGE = (
 NAPS = [0.0, _P.per_message_overhead_s, D_SMALL, D_LARGE]
 
 
+def _reference_transfer(self, src, dst, nbytes):
+    """Network.transfer as a generator that yields on the TX grant, the
+    RX grant and the wire timeout, releasing both NICs in ``finally``."""
+    if nbytes < 0:
+        raise ValueError("nbytes must be non-negative")
+    sim = self.sim
+    p = self.params
+    if src == dst:
+        yield sim.timeout(p.per_message_overhead_s)
+        self.messages_delivered += 1
+        return
+    src_nic, dst_nic = self.nics[src], self.nics[dst]
+    wire_time = nbytes / p.bandwidth_bytes_s
+    if self.fault is not None:
+        yield from self.fault.gate(src, dst)
+    tx_req = src_nic.tx.request()
+    rx_req = None
+    try:
+        yield tx_req
+        rx_req = dst_nic.rx.request()
+        yield rx_req
+        yield sim.timeout(p.per_message_overhead_s + p.latency_s + wire_time)
+        src_nic.bytes_sent += nbytes
+        dst_nic.bytes_received += nbytes
+    finally:
+        if rx_req is not None:
+            dst_nic.rx.release(rx_req)
+        src_nic.tx.release(tx_req)
+    self.messages_delivered += 1
+
+
 def _reference_transfer_all(self, moves, name="transfer"):
     """Network.transfer_all in its process-per-move form."""
     sim = self.sim
-    return all_of(sim, [sim.process(self.transfer(*m), name=name) for m in moves])
+    return all_of(sim, [sim.process(_reference_transfer(self, *m), name=name) for m in moves])
+
+
+def _use_reference(monkeypatch) -> None:
+    monkeypatch.setattr(Network, "transfer", _reference_transfer)
+    monkeypatch.setattr(Network, "transfer_all", _reference_transfer_all)
 
 
 def _simulator(kernel: str) -> Simulator:
@@ -64,7 +104,7 @@ def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
     node's ``"tx"`` or ``"rx"`` slot for one small-message time;
     ``("hop",)`` yields an urgent hop; ``("nap", s)`` sleeps."""
     if reference:
-        monkeypatch.setattr(Network, "transfer_all", _reference_transfer_all)
+        _use_reference(monkeypatch)
     if isinstance(plans, int):
         plans = _random_plans(plans)
     sim = _simulator(kernel)
@@ -171,7 +211,28 @@ DONE_AFTER_RELEASE = [
     (0, [("hop",), ("hold", "tx")]),
 ]
 
+#: Single transfers only: two equal-time sends sharing node 0's TX, one
+#: queued on node 1's busy RX, a send waiting behind a NIC holder, and
+#: spawned sends landing while their spawners send on.
+SINGLE_SENDS = [
+    (0, [("send", 1, SMALL), ("send", 2, LARGE)]),
+    (0, [("send", 3, SMALL), ("spawn", 1, 0)]),
+    (2, [("send", 1, LARGE), ("nap", D_SMALL), ("send", 0, SMALL)]),
+    (1, [("hold", "rx"), ("send", 0, SMALL)]),
+    (3, [("spawn", 1, SMALL), ("spawn", 0, LARGE), ("send", 0, 0)]),
+]
+
+#: A landing message frees node 1's RX, then node 0's TX, each with a
+#: holder queued on it: the holders are granted in release order.
+RELEASE_ORDER = [
+    (0, [("send", 1, SMALL)]),
+    (0, [("nap", _P.per_message_overhead_s), ("hold", "tx")]),
+    (1, [("nap", _P.per_message_overhead_s), ("hold", "rx")]),
+]
+
 CASES = {
+    "single-sends": [SINGLE_SENDS],
+    "release-order": [RELEASE_ORDER],
     "shared-nic": [SHARED_NIC],
     "queued-behind": [QUEUED_BEHIND],
     "loopback-zero": [LOOPBACK_ZERO],
@@ -187,6 +248,183 @@ def test_transfer_all_matches_process_per_move_reference(monkeypatch, kernel, ca
     for plans in CASES[case]:
         chain = _scenario(monkeypatch, kernel, False, plans)
         assert chain == _scenario(monkeypatch, kernel, True, plans), f"plans {plans}"
+
+
+def _nic_state(net: Network) -> list[tuple[int, ...]]:
+    return [
+        (len(n.tx.users), len(n.tx.queue), len(n.rx.users), len(n.rx.queue)) for n in net.nics
+    ]
+
+
+def _interrupted_send(monkeypatch, kernel: str, reference: bool, phase: str) -> tuple:
+    """Node 0's SMALL message to node 1, interrupted halfway through a
+    small-message time while it waits on node 0's TX (busy with a LARGE
+    message to node 2), on node 1's RX (busy with one from node 2) or
+    while it is on the wire; then four sends start.  Returns the log,
+    the NIC states before and after the interrupt, and the counters."""
+    if reference:
+        _use_reference(monkeypatch)
+    sim = _simulator(kernel)
+    net = Network(sim, NODES)
+    log: list[tuple] = []
+    states = []
+
+    def send(tag, src, dst, nbytes):
+        try:
+            yield from net.transfer(src, dst, nbytes)
+        except Interrupt:
+            log.append((sim.now, tag, "interrupted"))
+            return
+        log.append((sim.now, tag, net.messages_delivered))
+
+    if phase == "tx":
+        sim.process(send("blocker", 0, 2, LARGE))
+    elif phase == "rx":
+        sim.process(send("blocker", 2, 1, LARGE))
+    victim = sim.process(send("victim", 0, 1, SMALL))
+
+    def interrupter():
+        yield sim.timeout(D_SMALL / 2)
+        states.append(_nic_state(net))
+        victim.interrupt("request-timeout")
+        yield sim.urgent_hop()  # behind the interrupt's delivery
+        states.append(_nic_state(net))
+        for i, (src, dst) in enumerate([(0, 1), (3, 1), (0, 3), (2, 0)]):
+            sim.process(send(i, src, dst, SMALL))
+
+    sim.process(interrupter())
+    sim.run()
+    monkeypatch.undo()
+    counters = [(n.bytes_sent, n.bytes_received) for n in net.nics], net.messages_delivered
+    return log, states, _nic_state(net), counters
+
+
+#: Node 0's TX / node 1's RX as (users, queue) before the interrupt, per
+#: phase; afterwards the victim holds and queues for nothing.
+_VICTIM_WAITS = {"tx": ((1, 1), (0, 0)), "rx": ((1, 0), (1, 1)), "wire": ((1, 0), (1, 0))}
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("phase", ["tx", "rx", "wire"])
+def test_interrupted_transfer_matches_the_generator(monkeypatch, kernel, phase):
+    chain = _interrupted_send(monkeypatch, kernel, False, phase)
+    assert chain == _interrupted_send(monkeypatch, kernel, True, phase)
+    log, (before, after), end, _ = chain
+    tx0, rx1 = _VICTIM_WAITS[phase]
+    assert (before[0][:2], before[1][2:]) == (tx0, rx1)
+    blocker_tx = 1 if phase == "tx" else 0
+    blocker_rx = 1 if phase == "rx" else 0
+    assert (after[0][:2], after[1][2:]) == ((blocker_tx, 0), (blocker_rx, 0))
+    assert ("victim" in [e[1] for e in log]) and (D_SMALL / 2, "victim", "interrupted") in log
+    assert end == [(0, 0, 0, 0)] * NODES
+
+
+def _live_moves() -> int:
+    return sum(
+        type(o).__name__ == "Move" and type(o).__module__ == "repro.sim._cq"
+        for o in gc.get_objects()
+    )
+
+
+def test_stopped_run_leaves_no_move_alive():
+    """A Move forms reference cycles with its events until it lands, so
+    the collector must see it.  Closing a stopped transfer aborts its
+    move, whose releases grant queued requests (as the generator's
+    ``finally`` does), so part of the garbage outlives the first pass
+    and the test collects until a pass finds nothing."""
+    sim = _simulator("c")
+    net = Network(sim, NODES)
+
+    def sender(src, dst, nbytes):
+        yield from net.transfer(src, dst, nbytes)
+
+    def fanner():
+        yield net.transfer_all([(0, 1, SMALL), (2, 1, LARGE), (3, 3, SMALL)])
+
+    for src, dst in [(0, 1), (0, 2), (2, 1), (3, 1), (1, 0)]:
+        sim.process(sender(src, dst, LARGE))
+    sim.process(fanner())
+    sim.run(until=D_LARGE * 1.5)  # on the wire, granted and queued moves
+    assert _live_moves() > 0
+    del sim, net
+    while gc.collect():
+        pass
+    assert _live_moves() == 0
+
+
+@pytest.mark.parametrize("setup", ["net-fault", "sanitizer", "watchdog"])
+def test_faulted_or_observed_transfer_takes_the_generator(monkeypatch, setup):
+    sim = Simulator(sanitize=setup == "sanitizer")
+    if setup == "net-fault" and sim._accel is None:
+        pytest.skip("no C accelerator")
+    net = Network(sim, NODES)
+    calls = []
+    if sim._accel is not None:
+        move = sim._accel.move
+        monkeypatch.setattr(sim._accel, "move", lambda *a: calls.append(a[1:]) or move(*a))
+    if setup == "net-fault":
+        net.fault = NetFault(sim, random.Random(0))
+    elif setup == "watchdog":
+        StallWatchdog(sim)
+
+    def sender():
+        yield from net.transfer(0, 1, SMALL)
+        yield from net.transfer(1, 2, SMALL)
+
+    sim.run_until_event(sim.process(sender()))
+    assert net.messages_delivered == 2 and calls == []
+    if setup == "net-fault":
+        net.fault = None
+        sim.run_until_event(sim.process(sender()))
+        assert net.messages_delivered == 4 and calls == [(0, 1, SMALL), (1, 2, SMALL)]
+
+
+def test_watchdog_created_mid_transfer_sees_the_chains_later_requests():
+    """The chain's requests and releases test for the ledger on every
+    call, so a watchdog installed while a message waits on its TX sees
+    that message's RX request and its release."""
+    sim = _simulator("c")
+    net = Network(sim, NODES)
+
+    def sender(dst, nbytes):
+        yield from net.transfer(0, dst, nbytes)
+
+    sim.process(sender(2, LARGE))
+    sim.process(sender(1, SMALL))  # queues on node 0's TX
+    sim.run(until=D_LARGE / 2)
+    StallWatchdog(sim)
+    ledger = sim._ledger
+    assert ledger is not None and not ledger.requests
+    sim.run(until=D_LARGE + D_SMALL / 2)  # the SMALL message is on the wire
+    records = list(ledger.requests.values())
+    assert [(r.resource, r.state, r.owner) for r in records] == [
+        (net.nics[1].rx, "granted", None)
+    ]
+    sim.run(until=D_LARGE + 2 * D_SMALL)
+    assert not ledger.requests and records[0].state == "released"
+    assert net.messages_delivered == 2
+
+
+class _BrokenAbort:
+    """The accelerator with a chain whose abort() releases nothing."""
+
+    def __init__(self, mod):
+        self._mod = mod
+
+    def __getattr__(self, name):
+        return getattr(self._mod, name)
+
+    def move(self, *args):
+        return SimpleNamespace(landed=self._mod.move(*args).landed, abort=lambda: None)
+
+
+def test_broken_chain_disables_the_accelerator(monkeypatch):
+    if sim_core._CQ is None:
+        pytest.skip("no C accelerator")
+    assert sim_core._chain_selftest(sim_core._CQ)
+    assert not sim_core._chain_selftest(_BrokenAbort(sim_core._CQ))
+    monkeypatch.setattr(sim_core, "_chain_selftest", lambda mod: False)
+    assert not sim_core._accel_selftest(sim_core._CQ)
 
 
 def test_hand_cases_exercise_the_ties_they_name(monkeypatch):
