@@ -4,9 +4,19 @@ Every cell the suite runs (``benchmarks/suite/cells.py``) is a pure
 function of its spec, so its :func:`cell_digest` -- the sha256 of the
 canonical JSON of its whole result -- pins every simulated observable.
 ``benchmarks/results/cells.digests.json`` holds the seed-0 digest of
-each distinct cell, full size and smoke size.  A change meant to leave
-simulated results alone must leave them all equal; a deliberate model
-change re-pins the file (``--write``) and names every cell it changed.
+each distinct cell, full size and smoke size, and of every smoke cell
+under each fault plan in ``examples/faultplans/`` (the ``faulted``
+section: crashes, timeouts, retries and exactly-once write commits,
+which no nominal cell reaches).  The faulted section adds two striped
+cells, since no suite cell makes a call that spans stripes: a vanilla
+IOR whose 256 KB calls each split into four stripe pieces, read and
+write; under ``crash_recover`` they time out and retry, as the DualPar
+cells' list batches do.  A faulted digest also covers what the
+result does not record itself: each client's timeout, retry and
+failover counts and each server's request and dropped-request counts
+and write commit log.  A change meant to leave simulated results alone
+must leave them all equal; a deliberate model change re-pins the file
+(``--write``) and names every cell it changed.
 
 The digests hash result floats bit for bit, and the model's float
 arithmetic can round differently across interpreter versions (from
@@ -15,8 +25,8 @@ the Python major.minor it was pinned with and is checked only under
 that version; any other interpreter skips the check and says so.
 
     python benchmarks/cell_digests.py            # check all cells (make digests)
-    python benchmarks/cell_digests.py --smoke    # check the smoke cells only
-    python benchmarks/cell_digests.py --write    # re-pin the file (both sizes)
+    python benchmarks/cell_digests.py --smoke    # smoke and faulted cells only
+    python benchmarks/cell_digests.py --write    # re-pin the file (all sections)
 
 Exit status 0 when every checked digest matches or the check is skipped,
 1 otherwise.
@@ -25,6 +35,7 @@ Exit status 0 when every checked digest matches or the check is skipped,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import sys
@@ -35,11 +46,16 @@ from types import ModuleType
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "benchmarks" / "results" / "cells.digests.json"
 CELLS_PY = ROOT / "benchmarks" / "suite" / "cells.py"
+PLANS = ROOT / "examples" / "faultplans"
 
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 import repro  # noqa: E402
+from repro import ExperimentSpec, IorMpiIo, JobSpec  # noqa: E402
+from repro.cluster import paper_spec  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
+from repro.service.catalog import canonical_json  # noqa: E402
 
 
 def load_cells() -> ModuleType:
@@ -62,7 +78,43 @@ def distinct_cells(cells: ModuleType, smoke: bool) -> list:
     return list(seen.values())
 
 
-def cell_digest_of(cells: ModuleType, cell) -> str:
+def striped_cells(cells: ModuleType) -> list:
+    """Smoke-size vanilla IOR cells whose every call spans four stripes."""
+    return [
+        cells.Cell(
+            f"striped/ior-mpi-io-256KB/{op}",
+            "vanilla",
+            op,
+            ExperimentSpec(
+                (
+                    JobSpec(
+                        "ior-mpi-io",
+                        8,
+                        IorMpiIo(file_size=4 * cells.MB, request_bytes=256 * 1024, op=op),
+                        strategy="vanilla",
+                    ),
+                ),
+                cluster_spec=paper_spec(n_compute_nodes=4),
+                label=f"striped/{op}",
+            ),
+        )
+        for op in "RW"
+    ]
+
+
+def fault_counters(result) -> dict:
+    """The fault-path observables a result does not record itself."""
+    cluster = result.cluster
+    return {
+        "clients": [[c.n_timeouts, c.n_retries, c.n_failovers] for c in cluster.clients],
+        "servers": [
+            [ds.n_requests, ds.n_dropped_requests, ds.commit_log]
+            for ds in cluster.data_servers
+        ],
+    }
+
+
+def cell_digest_of(cells: ModuleType, cell, fault_plan=None) -> str:
     spec = cell.spec
     result = repro.run_experiment(
         list(spec.specs),
@@ -70,25 +122,58 @@ def cell_digest_of(cells: ModuleType, cell) -> str:
         dualpar_config=spec.dualpar_config,
         timeline_window_s=spec.timeline_window_s,
         limit_s=spec.limit_s,
+        fault_plan=fault_plan,
     )
-    return cells.cell_digest(result)
+    digest = cells.cell_digest(result)
+    if fault_plan is None:
+        return digest
+    payload = canonical_json({"cell": digest, "faults": fault_counters(result)})
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def fault_plans() -> dict[str, FaultPlan]:
+    """``{plan file stem: plan}`` for every plan in examples/faultplans/."""
+    return {p.stem: FaultPlan.load(p) for p in sorted(PLANS.glob("*.json"))}
 
 
 def compute(smoke: bool, verbose: bool = False) -> dict[str, str]:
     """``{cell key: digest}`` for every distinct cell at one size."""
     cells = load_cells()
+    return _digests(
+        [(cell.key, cell, None) for cell in distinct_cells(cells, smoke)], cells, verbose
+    )
+
+
+def compute_faulted(verbose: bool = False) -> dict[str, str]:
+    """``{plan/cell key: digest}`` for every smoke cell and striped cell
+    under every plan."""
+    cells = load_cells()
+    faulted = distinct_cells(cells, smoke=True) + striped_cells(cells)
+    return _digests(
+        [
+            (f"{name}/{cell.key}", cell, plan)
+            for name, plan in fault_plans().items()
+            for cell in faulted
+        ],
+        cells,
+        verbose,
+    )
+
+
+def _digests(runs: list, cells: ModuleType, verbose: bool) -> dict[str, str]:
     out = {}
-    for cell in distinct_cells(cells, smoke):
+    for key, cell, plan in runs:
         t0 = time.perf_counter()
-        out[cell.key] = cell_digest_of(cells, cell)
+        out[key] = cell_digest_of(cells, cell, plan)
         if verbose:
-            print(f"  {cell.key:40s} {out[cell.key][:16]}  "
+            print(f"  {key:56s} {out[key][:16]}  "
                   f"{time.perf_counter() - t0:6.2f} s", flush=True)
     return out
 
 
 def load_golden() -> dict:
-    """``{"python": "3.11", "smoke": {key: digest}, "full": {...}}``."""
+    """``{"python": "3.11", "smoke": {key: digest}, "full": {...},
+    "faulted": {plan/key: digest}}``."""
     return json.loads(GOLDEN.read_text())
 
 
@@ -116,9 +201,10 @@ def diff(want: dict[str, str], got: dict[str, str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--smoke", action="store_true", help="smoke cells only")
+    ap.add_argument("--smoke", action="store_true",
+                    help="smoke and faulted cells only")
     ap.add_argument("--write", action="store_true",
-                    help="re-pin the golden file (both sizes)")
+                    help="re-pin the golden file (all sections)")
     args = ap.parse_args(argv)
     if not args.write:
         golden = load_golden()
@@ -126,11 +212,17 @@ def main(argv: list[str] | None = None) -> int:
         if reason is not None:
             print(f"SKIPPED: {reason}")
             return 0
-    sizes = ["smoke"] if args.smoke and not args.write else ["smoke", "full"]
+    sizes = ["smoke", "faulted"]
+    if args.write or not args.smoke:
+        sizes.insert(1, "full")
     got = {}
     for size in sizes:
         print(f"{size} cells:", flush=True)
-        got[size] = compute(size == "smoke", verbose=True)
+        got[size] = (
+            compute_faulted(verbose=True)
+            if size == "faulted"
+            else compute(size == "smoke", verbose=True)
+        )
     if args.write:
         pinned = {"python": python_version(), **got}
         GOLDEN.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

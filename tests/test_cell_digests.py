@@ -2,8 +2,10 @@
 
 ``benchmarks/results/cells.digests.json`` pins the seed-0 digest of
 every benchmark-suite cell; this test recomputes the smoke-size cells
-(under a second) and requires each to match.  ``make digests`` checks
-the full-size cells too.  A deliberate model change re-pins the file
+(under a second) and every faulted cell (each smoke cell and two
+striped cells under each ``examples/faultplans`` plan, about 2 s), and
+requires each to match.  ``make digests`` checks the full-size cells
+too.  A deliberate model change re-pins the file
 with ``python benchmarks/cell_digests.py --write``.  The file is pinned
 on one Python major.minor (float results may round differently on
 another), so the digest comparison skips on any other interpreter.
@@ -41,6 +43,17 @@ def test_smoke_cell_digests_match_golden():
     assert digests.diff(golden["smoke"], got) == []
 
 
+def test_faulted_cell_digests_match_golden():
+    digests = _load_digests_module()
+    golden = digests.load_golden()
+    reason = digests.skip_reason(golden)
+    if reason is not None:
+        pytest.skip(reason)
+    got = digests.compute_faulted()
+    assert len(got) == 3 * 24
+    assert digests.diff(golden["faulted"], got) == []
+
+
 def test_golden_file_covers_every_full_cell():
     digests = _load_digests_module()
     golden = digests.load_golden()
@@ -48,3 +61,32 @@ def test_golden_file_covers_every_full_cell():
     keys = {c.key for c in digests.distinct_cells(cells, smoke=False)}
     assert set(golden["full"]) == keys
     assert set(golden["smoke"]) == keys
+    faulted = keys | {c.key for c in digests.striped_cells(cells)}
+    assert set(golden["faulted"]) == {
+        f"{plan}/{key}" for plan in digests.fault_plans() for key in faulted
+    }
+
+
+@pytest.mark.parametrize(
+    "key", ["striped/ior-mpi-io-256KB/W/vanilla", "fig3/mpi-io-test/W/dualpar-forced"]
+)
+def test_faulted_cells_reach_the_retry_path(key):
+    """The crash_recover pins cover a timed-out and retried request, both
+    on a multi-piece striped call and on a list-I/O batch."""
+    import repro
+
+    digests = _load_digests_module()
+    cells = digests.load_cells()
+    by_key = {
+        c.key: c
+        for c in digests.distinct_cells(cells, smoke=True) + digests.striped_cells(cells)
+    }
+    spec = by_key[key].spec
+    result = repro.run_experiment(
+        list(spec.specs),
+        cluster_spec=spec.cluster_spec,
+        fault_plan=digests.fault_plans()["crash_recover"],
+    )
+    clients = digests.fault_counters(result)["clients"]
+    assert sum(c[0] for c in clients) > 0  # timeouts
+    assert sum(c[1] for c in clients) > 0  # retries
