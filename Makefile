@@ -57,9 +57,10 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -q --hypothesis-seed=0 \
 		tests/test_faults.py tests/test_chaos_scenarios.py tests/test_sanitizer.py
 
-# Seed-0 digests of every benchmark-suite cell, smoke and full size (about
-# 30 s), against benchmarks/results/cells.digests.json: any change to a
-# simulated result fails.  The file is pinned on one Python major.minor
+# Seed-0 digests of every benchmark-suite cell, smoke and full size, and of
+# every smoke cell plus two striped cells under each examples/faultplans
+# plan (about 30 s), against benchmarks/results/cells.digests.json: any
+# change to a simulated result fails.  The file is pinned on one Python major.minor
 # (recorded in it); other interpreters skip the check and say so.  A
 # deliberate model change re-pins the file with
 # `$(PYTHON) benchmarks/cell_digests.py --write`.

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cluster import ClusterSpec, paper_spec
 from repro.core.config import DualParConfig
@@ -45,89 +45,9 @@ from repro.runner import (
     run_experiments,
 )
 from repro.runner.strategies import STRATEGY_NAMES
-from repro.workloads import (
-    Btio,
-    Demo,
-    DependentReads,
-    Hpio,
-    IorMpiIo,
-    MpiIoTest,
-    Noncontig,
-    S3asim,
-    SyntheticPattern,
-    Workload,
-)
+from repro.workloads import WORKLOADS, build_workload
 
 __all__ = ["main", "build_workload", "WORKLOADS"]
-
-
-def _mb(n: float) -> int:
-    return int(n * 1024 * 1024)
-
-
-#: name -> (description, builder(size_mb, op, nprocs) -> Workload)
-WORKLOADS: dict[str, tuple[str, Callable[[int, str, int], Workload]]] = {
-    "mpi-io-test": (
-        "globally sequential 16 KB segments, frequent barriers (PVFS2 suite)",
-        lambda size_mb, op, nprocs: MpiIoTest(file_size=_mb(size_mb), op=op),
-    ),
-    "hpio": (
-        "regioned access, 32 KB regions (Northwestern/Sandia)",
-        lambda size_mb, op, nprocs: Hpio(
-            region_count=max(_mb(size_mb) // (32 * 1024), 1),
-            region_bytes=32 * 1024,
-            op=op,
-        ),
-    ),
-    "ior-mpi-io": (
-        "each rank streams its own 1/P of the file (ASCI Purple)",
-        lambda size_mb, op, nprocs: IorMpiIo(file_size=_mb(size_mb), op=op),
-    ),
-    "noncontig": (
-        "column access of a 2D array via vector datatype (ANL)",
-        lambda size_mb, op, nprocs: Noncontig(
-            elmtcount=256,
-            n_rows=max(_mb(size_mb) // (64 * 1024), 64),
-            op=op,
-        ).with_ncols_hint(max(nprocs, 64)),
-    ),
-    "s3asim": (
-        "fragmented sequence-database search, mixed read/write",
-        lambda size_mb, op, nprocs: S3asim(db_bytes=_mb(size_mb)),
-    ),
-    "btio": (
-        "NAS BT-IO checkpointing; request size shrinks with process count",
-        lambda size_mb, op, nprocs: Btio(
-            total_bytes=_mb(size_mb), n_steps=2, cell_scale=16384, op="W"
-        ),
-    ),
-    "demo": (
-        "the paper's Section-II motivating synthetic (16-segment vector reads)",
-        lambda size_mb, op, nprocs: Demo(file_size=_mb(size_mb), nprocs_hint=nprocs),
-    ),
-    "dependent": (
-        "Table-III adversary: addresses depend on previously read data",
-        lambda size_mb, op, nprocs: DependentReads(file_size=_mb(size_mb)),
-    ),
-    "random": (
-        "seeded random 16 KB blocks per rank (synthetic)",
-        lambda size_mb, op, nprocs: SyntheticPattern(
-            file_size=_mb(size_mb), pattern="random", op=op
-        ),
-    ),
-}
-
-
-def build_workload(name: str, size_mb: int, op: str, nprocs: int) -> Workload:
-    """Construct a named workload scaled to size_mb/op/nprocs."""
-
-    try:
-        _, builder = WORKLOADS[name]
-    except KeyError:
-        raise SystemExit(
-            f"unknown workload {name!r}; see `python -m repro list-workloads`"
-        ) from None
-    return builder(size_mb, op, nprocs)
 
 
 def _cluster_from_args(args) -> ClusterSpec:

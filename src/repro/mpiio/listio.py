@@ -5,17 +5,21 @@ of the requested data's offsets in the files to improve disk efficiency"
 (paper SIV-D).  Semantically: the caller provides sorted segments; each
 data server receives a single request message naming every piece it owns
 and submits them to its block layer together.
+
+The conversation with each server is the client's one request/reply
+exchange (:meth:`PfsClient._exchange`) with a header of one descriptor
+per run, and the per-server units run through the client's one
+fault-aware fan-out (:meth:`PfsClient._fan_out`), as stripe pieces do.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
 from repro.mpi.ops import Segment
 from repro.pfs.client import CONTROL_MSG_BYTES, PfsClient
 from repro.pfs.dataserver import ServerRequest
 from repro.pfs.filesystem import PfsFile
-from repro.sim import all_of
 
 __all__ = ["batch_io", "PER_PIECE_HEADER_BYTES"]
 
@@ -40,7 +44,6 @@ def batch_io(
         raise ValueError(f"op must be 'R' or 'W', got {op!r}")
     if not segments:
         return
-    sim = client.sim
     layout = client.layout
     by_server: dict[int, list] = {}
     total_by_server: dict[int, int] = {}
@@ -51,14 +54,7 @@ def batch_io(
             runs = by_server.setdefault(piece.server, [])
             # Coalesce per-server object-contiguous runs across segments.
             if runs and runs[-1].object_offset + runs[-1].length == piece.object_offset:
-                prev = runs[-1]
-                runs[-1] = ServerRequest(
-                    file_name=f.name,
-                    object_offset=prev.object_offset,
-                    length=prev.length + piece.length,
-                    op=op,
-                    stream_id=stream_id,
-                )
+                runs[-1].length += piece.length
             else:
                 runs.append(
                     ServerRequest(
@@ -71,52 +67,33 @@ def batch_io(
                 )
             total_by_server[piece.server] = total_by_server.get(piece.server, 0) + piece.length
 
+    units = sorted(by_server.items())
     faults = client.faults
     if faults is not None and op == "W":
         # Ids are stamped once, before any attempt: a timed-out batch is
         # re-sent with the same ids so the server commits each run once.
-        for s in sorted(by_server):
-            for req in by_server[s]:
+        for _, reqs in units:
+            for req in reqs:
                 req.req_id = faults.next_request_id()
 
-    def per_server(server_idx: int, reqs: list[ServerRequest]):
-        server = client.servers[server_idx]
-        nbytes = total_by_server[server_idx]
-        header = CONTROL_MSG_BYTES + PER_PIECE_HEADER_BYTES * len(reqs)
-        if op == "W":
-            yield from client.network.transfer(
-                client.node_id, server.node_id, header + nbytes
-            )
-        else:
-            yield from client.network.transfer(client.node_id, server.node_id, header)
-        yield server.handle_list(reqs)
-        if op == "R":
-            yield from client.network.transfer(
-                server.node_id, client.node_id, CONTROL_MSG_BYTES + nbytes
-            )
-        else:
-            yield from client.network.transfer(
-                server.node_id, client.node_id, CONTROL_MSG_BYTES
-            )
-
-    if faults is None:
-        procs = [
-            sim.process(per_server(s, reqs), name=f"listio-s{s}")
-            for s, reqs in sorted(by_server.items())
-        ]
-    else:
-        procs = [
-            sim.process(
-                client.robust_call(
-                    lambda s=s, reqs=reqs: per_server(s, reqs),
-                    s,
-                    nbytes=total_by_server[s],
+    servers = client.servers
+    yield client._fan_out(
+        [
+            (
+                s,
+                total_by_server[s],
+                lambda s=s, reqs=reqs: client._exchange(
+                    servers[s],
+                    op,
+                    CONTROL_MSG_BYTES + PER_PIECE_HEADER_BYTES * len(reqs),
+                    total_by_server[s],
+                    reqs,
                 ),
-                name=f"listio-s{s}",
             )
-            for s, reqs in sorted(by_server.items())
-        ]
-    yield all_of(sim, procs)
+            for s, reqs in units
+        ],
+        "listio-s{}",
+    )
     total = sum(total_by_server.values())
     if op == "R":
         client.bytes_read += total

@@ -6,17 +6,22 @@ returns.  A write moves the payload with the request.  Pieces proceed in
 parallel; the call completes when the last piece does -- exactly the
 synchronous MPI-IO semantics DualPar's vanilla baseline exhibits.
 
-Each piece of a multi-piece call runs in a process of its own; a call
-that splits into one piece (every request of the vanilla baseline's
-small-request patterns) runs it in the caller's process, with hops that
-keep the event schedule of the spawned form (see :meth:`_do_piece`).
+One method, :meth:`PfsClient._exchange`, carries the request/reply
+conversation of a stripe piece and of a list-I/O batch
+(:func:`repro.mpiio.listio.batch_io`) alike; one method,
+:meth:`PfsClient._fan_out`, runs such units in parallel.  Each piece of
+a multi-piece call runs in a process of its own; a call that splits into
+one piece (every request of the vanilla baseline's small-request
+patterns) runs it in the caller's process, with hops that keep the event
+schedule of the spawned form (see :meth:`_exchange`).
 
 Under fault injection (``client.faults`` set by the installer) every
-piece runs through :meth:`PfsClient.robust_call`: requests to servers
-the metadata server reports down park on the recovery event; live
-requests race a size-aware timeout and retry with exponential backoff,
-re-sending the same ``req_id`` so the server can commit a write exactly
-once.  Nominally ``faults`` is None and none of this code runs.
+piece and every list batch runs through :meth:`PfsClient.robust_call`:
+requests to servers the metadata server reports down park on the
+recovery event; live requests race a size-aware timeout and retry with
+exponential backoff, re-sending the same ``req_id`` so the server can
+commit a write exactly once.  Nominally ``faults`` is None and none of
+this code runs.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile
 from repro.pfs.layout import StripeLayout, StripePiece
 from repro.net.ethernet import Network
-from repro.sim import Process, Simulator, all_of, any_of
+from repro.sim import Event, Process, Simulator, all_of, any_of
 
 __all__ = ["PfsClient"]
 
@@ -99,6 +104,50 @@ class PfsClient:
 
     # ------------------------------------------------------------------
 
+    def _exchange(
+        self,
+        server: DataServer,
+        op: str,
+        header: int,
+        nbytes: int,
+        request: ServerRequest | list[ServerRequest],
+        inline: bool = False,
+    ) -> Generator:
+        """One request/reply conversation with ``server``, the path of a
+        stripe piece and of a list-I/O batch alike.
+
+        The request carries ``header`` bytes, plus the ``nbytes`` payload
+        for a write; then the server serves ``request`` -- one
+        :class:`ServerRequest` inside this process (:meth:`DataServer.call`)
+        or a list of them in a list service (:meth:`DataServer.handle_list`);
+        then the reply carries a control message, plus the payload for a
+        read.
+
+        ``inline=True`` runs a single stripe piece inside the caller's
+        process instead of the piece process :meth:`_fan_out` would spawn
+        and join.  Hops stand in for that process: an URGENT one where its
+        ``_Initialize`` would run and a NORMAL one where the ``all_of``
+        over it would fire.  Every other event keeps its ``(time,
+        priority, arrival)`` slot, so results are bit-identical to the
+        spawned form.  The piece process's own (URGENT) completion needs
+        no hop: the piece ends on the reply transfer's wire timeout,
+        which has this piece as its one waiter, so nothing can be queued
+        or dispatched between that completion and the ``all_of`` push.
+        """
+        net = self.network
+        node, peer = self.node_id, server.node_id
+        if inline:
+            yield self.sim.urgent_hop()
+        yield from net.transfer(node, peer, header + nbytes if op == "W" else header)
+        if type(request) is list:
+            yield server.handle_list(request)
+        else:
+            yield from server.call(request)
+        reply = CONTROL_MSG_BYTES + nbytes if op == "R" else CONTROL_MSG_BYTES
+        yield from net.transfer(peer, node, reply)
+        if inline:
+            yield self.sim.timeout(0)
+
     def _do_piece(
         self,
         f: PfsFile,
@@ -109,83 +158,57 @@ class PfsClient:
         req_id: Optional[int] = None,
         inline: bool = False,
     ) -> Generator:
-        """Move one stripe piece: request out, server service, reply back.
+        """The :meth:`_exchange` that moves one stripe piece."""
+        req = ServerRequest(
+            file_name=f.name,
+            object_offset=piece.object_offset,
+            length=piece.length,
+            op=op,
+            stream_id=stream_id,
+            trace_id=trace_id,
+            req_id=req_id,
+        )
+        return self._exchange(
+            self.servers[piece.server], op, CONTROL_MSG_BYTES, piece.length, req, inline
+        )
 
-        ``inline=True`` runs the piece inside the caller's process instead
-        of the piece process :meth:`_join_pieces` would spawn and join.
-        Hops stand in for that process: an URGENT one where its
-        ``_Initialize`` would run and a NORMAL one where the ``all_of``
-        over it would fire.  Every other event keeps its ``(time,
-        priority, arrival)`` slot, so results are bit-identical to the
-        spawned form.  The piece process's own (URGENT) completion needs
-        no hop: the piece ends on the reply transfer's wire timeout,
-        which has this piece as its one waiter, so nothing can be queued
-        or dispatched between that completion and the ``all_of`` push.
+    def _fan_out(self, units: list, name: str) -> Event:
+        """Run ``(server index, nbytes, make_attempt)`` units in parallel,
+        one process each named ``name.format(server index)``; returns the
+        ``all_of`` event that fires when every unit is done.
+
+        ``make_attempt()`` returns a fresh exchange generator.  Nominally
+        each unit runs it once; under fault injection each unit runs it
+        through :meth:`robust_call`, which calls it again per retry.
         """
         sim = self.sim
-        server = self.servers[piece.server]
-        net = self.network
-        if inline:
-            yield sim.urgent_hop()
-        if op == "W":
-            # Request + payload travel together.
-            yield from net.transfer(
-                self.node_id, server.node_id, CONTROL_MSG_BYTES + piece.length
-            )
+        if self.faults is None:
+            procs = [sim.process(make(), name=name.format(s)) for s, _, make in units]
         else:
-            yield from net.transfer(self.node_id, server.node_id, CONTROL_MSG_BYTES)
-        yield from server.call(
-            ServerRequest(
-                file_name=f.name,
-                object_offset=piece.object_offset,
-                length=piece.length,
-                op=op,
-                stream_id=stream_id,
-                trace_id=trace_id,
-                req_id=req_id,
-            )
-        )
-        if op == "R":
-            yield from net.transfer(
-                server.node_id, self.node_id, CONTROL_MSG_BYTES + piece.length
-            )
-        else:
-            yield from net.transfer(server.node_id, self.node_id, CONTROL_MSG_BYTES)
-        if inline:
-            yield sim.timeout(0)
+            procs = [
+                sim.process(self.robust_call(make, s, nbytes=n), name=name.format(s))
+                for s, n, make in units
+            ]
+        return all_of(sim, procs)
 
     def _join_pieces(
         self, f: PfsFile, pieces: list[StripePiece], op: str, stream_id: int, trace_id: int
     ) -> Generator:
-        """One process per stripe piece, joined; under fault injection
-        each piece runs through :meth:`robust_call`."""
-        sim = self.sim
+        """One process per stripe piece (see :meth:`_fan_out`), joined."""
         faults = self.faults
-        if faults is None:
-            procs = [
-                sim.process(self._do_piece(f, p, op, stream_id, trace_id), name="pfs-piece")
-                for p in pieces
-            ]
-        else:
+        units = []
+        for p in pieces:
             # Write ids are assigned once per piece, before any attempt,
             # so every retry re-sends the same id (exactly-once commit).
-            with_ids = [
-                (p, faults.next_request_id() if op == "W" else None) for p in pieces
-            ]
-            procs = [
-                sim.process(
-                    self.robust_call(
-                        lambda p=p, rid=rid: self._do_piece(
-                            f, p, op, stream_id, trace_id, req_id=rid
-                        ),
-                        p.server,
-                        nbytes=p.length,
-                    ),
-                    name="pfs-piece",
+            rid = faults.next_request_id() if faults is not None and op == "W" else None
+            units.append(
+                (
+                    p.server,
+                    p.length,
+                    lambda p=p, rid=rid: self._do_piece(f, p, op, stream_id, trace_id, rid),
                 )
-                for p, rid in with_ids
-            ]
-        yield all_of(sim, procs)
+            )
+        yield self._fan_out(units, "pfs-piece")
 
     def io(
         self,
@@ -194,13 +217,10 @@ class PfsClient:
         length: int,
         op: str,
         stream_id: int,
-        coalesce: bool = False,
     ) -> Generator:
-        """Perform one contiguous file read/write; yield until complete.
-
-        ``coalesce=True`` merges object-contiguous stripe pieces into large
-        per-server requests -- the batched-issuer path used by collective
-        aggregators and DualPar's CRM.
+        """Perform one contiguous file read/write; yield until complete:
+        one request per stripe piece (list I/O, which packs many ranges
+        into one request per server, is :func:`repro.mpiio.listio.batch_io`).
         """
         if op not in ("R", "W"):
             raise ValueError(f"op must be 'R' or 'W', got {op!r}")
@@ -210,8 +230,7 @@ class PfsClient:
             )
         if length == 0:
             return
-        split = self.layout.split_coalesced if coalesce else self.layout.split
-        pieces = split(offset, length)
+        pieces = self.layout.split(offset, length)
         tr = self._tracer
         trace_id = tr.trace_of_stream(stream_id) if tr is not None else 0
         faults = self.faults
@@ -248,15 +267,6 @@ class PfsClient:
         length: int,
         op: str,
         stream_id: int,
-        coalesce: bool = False,
     ) -> Process:
         """Fire-and-track variant returning the in-flight process."""
-        return self.sim.process(
-            self.io(f, offset, length, op, stream_id, coalesce), name="pfs-io"
-        )
-
-    def read(self, f: PfsFile, offset: int, length: int, stream_id: int, **kw) -> Generator:
-        yield from self.io(f, offset, length, "R", stream_id, **kw)
-
-    def write(self, f: PfsFile, offset: int, length: int, stream_id: int, **kw) -> Generator:
-        yield from self.io(f, offset, length, "W", stream_id, **kw)
+        return self.sim.process(self.io(f, offset, length, op, stream_id), name="pfs-io")

@@ -219,18 +219,6 @@ class DataServer:
         if procs is not None:
             procs.pop(event, None)
 
-    def _commit(self, req: ServerRequest) -> None:
-        """Record a durably serviced write exactly once per req_id.
-
-        Runs atomically (no yields) with the ``done`` notification, so a
-        request is committed iff its client observes success.
-        """
-        log = self.commit_log
-        if log is not None and req.op == "W" and req.req_id is not None:
-            if req.req_id not in self._committed_ids:
-                self._committed_ids.add(req.req_id)
-                log.append(req.req_id)
-
     # ------------------------------------------------------------------
 
     def handle(self, req: ServerRequest) -> Event:
@@ -243,12 +231,36 @@ class DataServer:
         A crashed server black-holes the request: the event never fires
         and the fault-aware client's timeout/retry path takes over.
         """
+        return self._start(self._service, req, 1, "svc")
+
+    def _start(self, service, request, n_requests: int, kind: str) -> Event:
+        """The start step of every client request, one range or a list:
+        the ``done`` event ``service(request, done)`` fires, run in a
+        (tracked) service process named ``ds{i}-{kind}``.  A crashed
+        server counts ``n_requests`` dropped and never fires ``done``."""
         done = self.sim.event()
         if self.crashed:
-            self.n_dropped_requests += 1
+            self.n_dropped_requests += n_requests
             return done
-        self._spawn(self._service(req, done), name=f"ds{self.server_index}-svc")
+        self._spawn(service(request, done), name=f"ds{self.server_index}-{kind}")
         return done
+
+    def _account(self, req: ServerRequest) -> None:
+        """The end step of every serviced range: count it, and under
+        fault tracking record a write's req_id in the commit log exactly
+        once.  Runs atomically (no yields) with the ``done``
+        notification, so a request is committed iff its client observes
+        success."""
+        log = self.commit_log
+        if log is not None and req.op == "W" and req.req_id is not None:
+            if req.req_id not in self._committed_ids:
+                self._committed_ids.add(req.req_id)
+                log.append(req.req_id)
+        self.n_requests += 1
+        if req.op == "R":
+            self.bytes_read += req.length
+        else:
+            self.bytes_written += req.length
 
     def _submit_blocks_throttled(self, req: ServerRequest, is_async: bool = False):
         """Translate one object range to block requests and submit them.
@@ -454,12 +466,7 @@ class DataServer:
         else:
             yield sim.timeout(REQUEST_CPU_S)
             yield from self._perform_io(req)
-        self._commit(req)
-        self.n_requests += 1
-        if req.op == "R":
-            self.bytes_read += req.length
-        else:
-            self.bytes_written += req.length
+        self._account(req)
 
     # ------------------------------------------------------------------
 
@@ -470,12 +477,7 @@ class DataServer:
         whole batch at once -- the mechanism DualPar's CRM and collective
         aggregators rely on for deep, sortable queues.
         """
-        done = self.sim.event()
-        if self.crashed:
-            self.n_dropped_requests += len(reqs)
-            return done
-        self._spawn(self._service_list(reqs, done), name=f"ds{self.server_index}-list")
-        return done
+        return self._start(self._service_list, reqs, len(reqs), "list")
 
     def _service_list(self, reqs: list[ServerRequest], done: Event):
         sim = self.sim
@@ -494,12 +496,7 @@ class DataServer:
         else:
             yield from self._service_list_body(reqs)
         for r in reqs:
-            self._commit(r)
-            if r.op == "R":
-                self.bytes_read += r.length
-            else:
-                self.bytes_written += r.length
-        self.n_requests += len(reqs)
+            self._account(r)
         done.succeed(sim.now)
 
     def _service_list_body(self, reqs: list[ServerRequest]):

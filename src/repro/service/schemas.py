@@ -29,7 +29,7 @@ from typing import Any, Mapping, Optional
 from repro.faults import FaultPlan
 from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
-from repro.workloads.base import normalize_op
+from repro.workloads import WORKLOADS, build_workload, normalize_op
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -98,10 +98,7 @@ class JobSubmission:
         object.__setattr__(self, "op", normalize_op(self.op))
         # Validate the workload name eagerly: a queued submission must
         # never explode in a worker over a typo the coordinator could
-        # have rejected at submit time.  (Late import: repro.cli owns
-        # the builder table and itself imports the runner.)
-        from repro.cli import WORKLOADS
-
+        # have rejected at submit time.
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r} "
@@ -241,7 +238,6 @@ class ExperimentSubmission:
         """Lower to the :class:`repro.runner.ExperimentSpec` this
         submission denotes -- the exact cell a direct
         ``run_experiment`` call with the same knobs would execute."""
-        from repro.cli import build_workload
         from repro.cluster import paper_spec
         from repro.core.config import DualParConfig
         from repro.runner import ExperimentSpec, JobSpec

@@ -377,7 +377,7 @@ def test_writes_are_exactly_once_under_crash_schedules(schedule):
 
     def writer():
         for i in range(16):
-            yield from client.write(f, i * 64 * 1024, 64 * 1024, stream_id=1)
+            yield from client.io(f, i * 64 * 1024, 64 * 1024, "W", stream_id=1)
 
     proc = sim.process(writer())
     sim.run_until_event(proc, limit=1e4)

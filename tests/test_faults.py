@@ -268,7 +268,7 @@ def _one_read(cluster, nbytes=512 * 1024):
     client = cluster.clients[0]
 
     def proc():
-        yield from client.read(f, 0, nbytes, stream_id=1)
+        yield from client.io(f, 0, nbytes, "R", stream_id=1)
 
     t0 = sim.now
     sim.run_until_event(sim.process(proc()))
@@ -437,10 +437,36 @@ def test_server_crash_drops_requests_and_recover_restores():
     assert ds.n_crashes == 1 and ds.n_recoveries == 1
 
     def proc():
-        yield from client.read(f, 0, 64 * 1024, stream_id=1)
+        yield from client.io(f, 0, 64 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     assert client.bytes_read == 64 * 1024
+
+
+def test_crashed_server_drops_single_and_list_requests_alike():
+    """A crashed server counts one dropped request per range, whether the
+    ranges came one per message or packed in one list message, spawns
+    no service for either, and fires neither completion event."""
+    cluster = build_cluster(small_spec())
+    sim = cluster.sim
+    ds = cluster.data_servers[0]
+    ds.enable_fault_tracking()
+    cluster.fs.create("c.dat", 4 * 1024 * 1024)
+    from repro.pfs.dataserver import ServerRequest
+
+    def req(i):
+        return ServerRequest(file_name="c.dat", object_offset=i * 4096, length=4096,
+                             op="W", stream_id=1, req_id=i)
+
+    ds.crash()
+    single = [ds.handle(req(i)) for i in range(3)]
+    assert ds.n_dropped_requests == 3
+    batch = ds.handle_list([req(i) for i in range(3, 8)])
+    assert ds.n_dropped_requests == 3 + 5
+    assert ds._service_procs == {}
+    sim.run(until=1.0)
+    assert not any(ev.triggered for ev in single + [batch])
+    assert ds.n_requests == 0 and ds.commit_log == []
 
 
 def test_server_crash_interrupts_inflight_service():

@@ -43,7 +43,7 @@ def test_read_round_trip():
     client = cluster.clients[0]
 
     def proc():
-        yield from client.read(f, 0, 256 * 1024, stream_id=1)
+        yield from client.io(f, 0, 256 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     assert client.bytes_read == 256 * 1024
@@ -58,7 +58,7 @@ def test_write_round_trip():
     client = cluster.clients[1]
 
     def proc():
-        yield from client.write(f, 0, 512 * 1024, stream_id=2)
+        yield from client.io(f, 0, 512 * 1024, "W", stream_id=2)
 
     sim.run_until_event(sim.process(proc()))
     assert client.bytes_written == 512 * 1024
@@ -71,7 +71,7 @@ def test_read_out_of_range_rejected():
     f = cluster.fs.create("small.dat", 64 * 1024)
     client = cluster.clients[0]
     with pytest.raises(ValueError):
-        list(client.read(f, 0, 128 * 1024, stream_id=0))
+        list(client.io(f, 0, 128 * 1024, "R", stream_id=0))
 
 
 def test_large_read_faster_than_scattered_small_reads():
@@ -86,7 +86,7 @@ def test_large_read_faster_than_scattered_small_reads():
     client = cluster.clients[0]
 
     def contiguous():
-        yield from client.read(files[0], 0, 1024 * 1024, stream_id=1, coalesce=True)
+        yield from client.io(files[0], 0, 1024 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(contiguous()))
     t_contig = sim.now
@@ -101,7 +101,7 @@ def test_large_read_faster_than_scattered_small_reads():
         for k in range(16):
             f = files2[int(rng.integers(0, 8))]
             off = int(rng.integers(0, (f.size - 65536) // 65536)) * 65536
-            yield from client2.read(f, off, 65536, stream_id=1)
+            yield from client2.io(f, off, 65536, "R", stream_id=1)
 
     sim2.run_until_event(sim2.process(scattered()))
     assert t_contig < sim2.now
@@ -133,7 +133,7 @@ def test_locality_daemon_samples():
 
     def proc():
         for i in range(8):
-            yield from client.read(f, i * 256 * 1024, 256 * 1024, stream_id=1)
+            yield from client.io(f, i * 256 * 1024, 256 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     sim.run(until=sim.now + 0.5)
@@ -150,7 +150,7 @@ def test_traced_cluster_records_accesses():
     client = cluster.clients[0]
 
     def proc():
-        yield from client.read(f, 0, 512 * 1024, stream_id=1)
+        yield from client.io(f, 0, 512 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     assert any(len(t) > 0 for t in cluster.traces)
@@ -163,7 +163,7 @@ def test_raid_cluster_builds_and_serves():
     client = cluster.clients[0]
 
     def proc():
-        yield from client.read(f, 0, 256 * 1024, stream_id=1)
+        yield from client.io(f, 0, 256 * 1024, "R", stream_id=1)
 
     sim.run_until_event(sim.process(proc()))
     assert cluster.total_bytes_served() == 256 * 1024
@@ -183,8 +183,8 @@ def test_concurrent_clients_interfere():
 
             def stream(i=i):
                 for k in range(16):
-                    yield from cluster.clients[i].read(
-                        files[i], k * 512 * 1024, 512 * 1024, stream_id=i
+                    yield from cluster.clients[i].io(
+                        files[i], k * 512 * 1024, 512 * 1024, "R", stream_id=i
                     )
 
             procs.append(sim.process(stream()))

@@ -63,10 +63,9 @@ def _spec() -> ClusterSpec:
     )
 
 
-def _reference_io(self, f, offset, length, op, stream_id, coalesce=False):
+def _reference_io(self, f, offset, length, op, stream_id):
     """PfsClient.io in its process-per-piece form (no faults, untraced)."""
-    split = self.layout.split_coalesced if coalesce else self.layout.split
-    pieces = split(offset, length)
+    pieces = self.layout.split(offset, length)
     procs = [
         self.sim.process(self._do_piece(f, p, op, stream_id), name="pfs-piece")
         for p in pieces
