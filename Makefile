@@ -57,10 +57,12 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -q --hypothesis-seed=0 \
 		tests/test_faults.py tests/test_chaos_scenarios.py tests/test_sanitizer.py
 
-# Seed-0 digests of every benchmark-suite cell, smoke and full size, and of
+# Seed-0 digests of every benchmark-suite cell, smoke and full size, of
 # every smoke cell plus two striped cells under each examples/faultplans
-# plan (about 30 s), against benchmarks/results/cells.digests.json: any
-# change to a simulated result fails.  The file is pinned on one Python major.minor
+# plan, and of the smoke-size figure cells (write-back, mis-prefetch
+# lockout, prefetch strategy) (about 30 s), against
+# benchmarks/results/cells.digests.json: any change to a simulated
+# result fails.  The file is pinned on one Python major.minor
 # (recorded in it); other interpreters skip the check and say so.  A
 # deliberate model change re-pins the file with
 # `$(PYTHON) benchmarks/cell_digests.py --write`.
@@ -109,6 +111,7 @@ ci-local: lint
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py
 	$(MAKE) digests
 	REPRO_SIM_ACCEL=0 $(MAKE) digests
+	REPRO_SANITIZE=1 $(MAKE) digests
 	$(PYTHON) benchmarks/check_regression.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.

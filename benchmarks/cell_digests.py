@@ -14,9 +14,13 @@ write; under ``crash_recover`` they time out and retry, as the DualPar
 cells' list batches do.  A faulted digest also covers what the
 result does not record itself: each client's timeout, retry and
 failover counts and each server's request and dropped-request counts
-and write commit log.  A change meant to leave simulated results alone
-must leave them all equal; a deliberate model change re-pins the file
-(``--write``) and names every cell it changed.
+and write commit log.  The ``figures`` section pins smoke-size cells of
+the paper artifacts outside the suite whose paths no suite cell takes:
+server write-back (the write-back ablation), the mis-prefetch lockout
+(Table III) and the ``prefetch`` strategy (Fig 1).  A change meant to
+leave simulated results alone must leave them all equal; a deliberate
+model change re-pins the file (``--write``) and names every cell it
+changed.
 
 The digests hash result floats bit for bit, and the model's float
 arithmetic can round differently across interpreter versions (from
@@ -25,7 +29,7 @@ the Python major.minor it was pinned with and is checked only under
 that version; any other interpreter skips the check and says so.
 
     python benchmarks/cell_digests.py            # check all cells (make digests)
-    python benchmarks/cell_digests.py --smoke    # smoke and faulted cells only
+    python benchmarks/cell_digests.py --smoke    # smoke, faulted and figure cells only
     python benchmarks/cell_digests.py --write    # re-pin the file (all sections)
 
 Exit status 0 when every checked digest matches or the check is skipped,
@@ -52,7 +56,15 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 import repro  # noqa: E402
-from repro import ExperimentSpec, IorMpiIo, JobSpec  # noqa: E402
+from repro import (  # noqa: E402
+    Demo,
+    DependentReads,
+    DualParConfig,
+    ExperimentSpec,
+    IorMpiIo,
+    JobSpec,
+    MpiIoTest,
+)
 from repro.cluster import paper_spec  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.service.catalog import canonical_json  # noqa: E402
@@ -102,6 +114,53 @@ def striped_cells(cells: ModuleType) -> list:
     ]
 
 
+def figure_cells(cells: ModuleType) -> list:
+    """Smoke-size cells of the paper artifacts outside the suite, one per
+    path no suite cell takes."""
+    MB = cells.MB
+    cluster = paper_spec(n_compute_nodes=4)
+
+    def cell(pattern, strategy, workload, cluster=cluster, engine_kwargs=None, **spec_kw):
+        job = JobSpec(pattern.split("/")[1], 8, workload, strategy=strategy,
+                      engine_kwargs=engine_kwargs or {})
+        spec = ExperimentSpec((job,), cluster_spec=cluster, label=pattern, **spec_kw)
+        return cells.Cell(pattern, strategy, pattern[-1], spec)
+
+    return [
+        # bench_ablations.py::test_ablation_server_writeback: the flusher
+        # kicked early by a small dirty cap.
+        cell(
+            "ablation/server-writeback/W",
+            "vanilla",
+            MpiIoTest(file_size=4 * MB, op="W", barrier_every=4),
+            cluster=paper_spec(
+                n_compute_nodes=4,
+                server_writeback_interval_s=1.0,
+                server_writeback_max_dirty=256 * 1024,
+            ),
+        ),
+        # bench_table3_misprefetch.py: every prediction wrong, so the EMC
+        # locks the data-driven mode out.
+        cell(
+            "table3/dependent/R",
+            "dualpar",
+            DependentReads(file_size=64 * MB, request_bytes=64 * 1024),
+            engine_kwargs=dict(force_mode=None),
+            dualpar_config=DualParConfig(
+                io_ratio_enter=0.0, io_ratio_exit=0.0,
+                t_improvement=1e-9, emc_interval_s=0.1,
+            ),
+        ),
+        # bench_fig1_motivation.py: Strategy 2, pre-execution prefetching.
+        cell(
+            "fig1/demo/R",
+            "prefetch",
+            Demo(file_size=2 * MB, segment_bytes=4096, segments_per_call=16,
+                 compute_per_call=0.002, nprocs_hint=8),
+        ),
+    ]
+
+
 def fault_counters(result) -> dict:
     """The fault-path observables a result does not record itself."""
     cluster = result.cluster
@@ -144,6 +203,12 @@ def compute(smoke: bool, verbose: bool = False) -> dict[str, str]:
     )
 
 
+def compute_figures(verbose: bool = False) -> dict[str, str]:
+    """``{cell key: digest}`` for every figure cell."""
+    cells = load_cells()
+    return _digests([(cell.key, cell, None) for cell in figure_cells(cells)], cells, verbose)
+
+
 def compute_faulted(verbose: bool = False) -> dict[str, str]:
     """``{plan/cell key: digest}`` for every smoke cell and striped cell
     under every plan."""
@@ -173,7 +238,7 @@ def _digests(runs: list, cells: ModuleType, verbose: bool) -> dict[str, str]:
 
 def load_golden() -> dict:
     """``{"python": "3.11", "smoke": {key: digest}, "full": {...},
-    "faulted": {plan/key: digest}}``."""
+    "faulted": {plan/key: digest}, "figures": {key: digest}}``."""
     return json.loads(GOLDEN.read_text())
 
 
@@ -202,7 +267,7 @@ def diff(want: dict[str, str], got: dict[str, str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="smoke and faulted cells only")
+                    help="smoke, faulted and figure cells only")
     ap.add_argument("--write", action="store_true",
                     help="re-pin the golden file (all sections)")
     args = ap.parse_args(argv)
@@ -212,17 +277,19 @@ def main(argv: list[str] | None = None) -> int:
         if reason is not None:
             print(f"SKIPPED: {reason}")
             return 0
-    sizes = ["smoke", "faulted"]
-    if args.write or not args.smoke:
-        sizes.insert(1, "full")
+    compute_section = {
+        "smoke": lambda: compute(True, verbose=True),
+        "full": lambda: compute(False, verbose=True),
+        "faulted": lambda: compute_faulted(verbose=True),
+        "figures": lambda: compute_figures(verbose=True),
+    }
+    sizes = list(compute_section)
+    if args.smoke and not args.write:
+        sizes.remove("full")
     got = {}
     for size in sizes:
         print(f"{size} cells:", flush=True)
-        got[size] = (
-            compute_faulted(verbose=True)
-            if size == "faulted"
-            else compute(size == "smoke", verbose=True)
-        )
+        got[size] = compute_section[size]()
     if args.write:
         pinned = {"python": python_version(), **got}
         GOLDEN.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

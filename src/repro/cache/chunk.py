@@ -19,9 +19,6 @@ class ChunkKey(NamedTuple):
     file_name: str
     index: int
 
-    def byte_range(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> tuple[int, int]:
-        return self.index * chunk_bytes, (self.index + 1) * chunk_bytes
-
 
 def chunk_range(offset: int, length: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> range:
     """Chunk indices overlapping the byte range [offset, offset+length)."""

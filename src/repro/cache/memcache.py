@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional
 
 from repro.cache.chunk import DEFAULT_CHUNK_BYTES, ChunkKey
+from repro.extents import Segment, coalesce_segments
 from repro.net.ethernet import Network
 from repro.sim import Simulator
 
@@ -36,8 +37,8 @@ class CachedChunk:
     cycle_id: int
     used: bool = False
     dirty: bool = False
-    #: Dirty byte ranges within the chunk, merged, as (start, end) file offsets.
-    dirty_ranges: list[tuple[int, int]] = field(default_factory=list)
+    #: Dirty byte ranges within the chunk, as file segments.
+    dirty_ranges: list[Segment] = field(default_factory=list)
     job_id: Optional[int] = None
 
 
@@ -316,28 +317,14 @@ class GlobalCache:
             chunk.job_id = job_id
         if dirty_range is not None:
             chunk.dirty = True
-            self._merge_dirty(chunk, dirty_range)
-
-    @staticmethod
-    def _merge_dirty(chunk: CachedChunk, new: tuple[int, int]) -> None:
-        # Append is O(1); BTIO-style programs write thousands of tiny
-        # ranges per chunk, so full merging on every insert would go
-        # quadratic.  Compact periodically; writeback coalesces anyway.
-        chunk.dirty_ranges.append(new)  # simlint: ignore[SL007] cache-owned payload
-        if len(chunk.dirty_ranges) >= 512:
-            chunk.dirty_ranges = GlobalCache._compact(chunk.dirty_ranges)
-
-    @staticmethod
-    def _compact(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Sort and merge overlapping/adjacent (start, end) ranges."""
-        ranges = sorted(ranges)
-        merged = [ranges[0]]
-        for s, e in ranges[1:]:
-            if s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        return merged
+            # Append is O(1); BTIO-style programs write thousands of tiny
+            # ranges per chunk, so merging on every insert would go
+            # quadratic.  Compact periodically; writeback coalesces anyway.
+            start, end = dirty_range
+            seg = Segment(start, end - start)
+            chunk.dirty_ranges.append(seg)  # simlint: ignore[SL007] cache-owned payload
+            if len(chunk.dirty_ranges) >= 512:
+                chunk.dirty_ranges = coalesce_segments(chunk.dirty_ranges)
 
     # ------------------------------------------------------------- lifecycle
 

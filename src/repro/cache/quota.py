@@ -8,43 +8,23 @@ DEFAULT_QUOTA_BYTES = 1024 * 1024
 
 
 class QuotaTracker:
-    """Tracks one process's cache-space consumption within a cycle.
-
-    Two pools share the quota: planned prefetch bytes (accumulated by the
-    ghost) and dirty write bytes (accumulated by the normal process).
-    """
+    """Tracks one process's dirty write bytes in the cache within a cycle;
+    a full quota blocks the process until the next cycle writes back."""
 
     def __init__(self, quota_bytes: int = DEFAULT_QUOTA_BYTES):
         if quota_bytes < 0:
             raise ValueError("quota must be non-negative")
         self.quota_bytes = quota_bytes
-        self.prefetch_bytes = 0
         self.dirty_bytes = 0
 
     @property
-    def used_bytes(self) -> int:
-        return self.prefetch_bytes + self.dirty_bytes
-
-    @property
-    def remaining_bytes(self) -> int:
-        return max(self.quota_bytes - self.used_bytes, 0)
-
-    @property
     def full(self) -> bool:
-        return self.used_bytes >= self.quota_bytes
-
-    def add_prefetch(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.prefetch_bytes += nbytes
+        return self.dirty_bytes >= self.quota_bytes
 
     def add_dirty(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.dirty_bytes += nbytes
-
-    def reset_prefetch(self) -> None:
-        self.prefetch_bytes = 0
 
     def reset_dirty(self) -> None:
         self.dirty_bytes = 0

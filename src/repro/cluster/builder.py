@@ -14,7 +14,6 @@ from repro.pfs.client import PfsClient
 from repro.pfs.dataserver import DataServer, LocalityDaemon
 from repro.pfs.filesystem import ExtentAllocator, FileSystem
 from repro.pfs.layout import StripeLayout
-from repro.pfs.metaserver import MetadataServer
 from repro.sim import Simulator
 from repro.trace.blktrace import BlkTrace
 
@@ -30,13 +29,9 @@ class Cluster:
     network: Network
     fs: FileSystem
     data_servers: list[DataServer]
-    metadata_server: MetadataServer
     clients: list[PfsClient]
     locality_daemons: list[LocalityDaemon]
     traces: list[Optional[BlkTrace]] = field(default_factory=list)
-
-    def client_for_node(self, node_id: int) -> PfsClient:
-        return self.clients[node_id]
 
     def total_bytes_served(self) -> int:
         return sum(ds.bytes_served for ds in self.data_servers)
@@ -112,8 +107,6 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
             LocalityDaemon(sim, device, interval_s=spec.locality_interval_s, name=f"loc{i}")
         )
 
-    mds = MetadataServer(sim, spec.metadata_node_id, network, fs)
-
     clients = [
         PfsClient(
             sim,
@@ -131,7 +124,6 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
         network=network,
         fs=fs,
         data_servers=data_servers,
-        metadata_server=mds,
         clients=clients,
         locality_daemons=daemons,
         traces=traces,

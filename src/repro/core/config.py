@@ -33,11 +33,6 @@ class DualParConfig:
     #: default in the prototype").
     misprefetch_threshold: float = 0.20
 
-    #: Once disabled by mis-prefetching, stay disabled ("a large
-    #: mis-prefetching miss ratio will turn off the data-driven mode. So
-    #: this is a one-time overhead").
-    misprefetch_lockout: bool = True
-
     #: Holes up to this many bytes between sorted requests are absorbed
     #: (reads: fetched too; writes: read-modify-write).
     hole_threshold_bytes: int = 64 * 1024

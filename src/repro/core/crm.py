@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.chunk import ChunkKey, chunk_range
-from repro.mpi.ops import Segment
-from repro.mpiio.datasieve import coalesce_counting, coalesce_segments
+from repro.extents import Segment, coalesce_counting, coalesce_segments
 from repro.mpiio.listio import batch_io
 from repro.sim import all_of
 
@@ -93,7 +92,7 @@ class Crm:
 
     def _spans_dead_server(self, f, offset: int, length: int, live: frozenset) -> bool:
         """Does [offset, offset+length) of ``f`` touch a down server?"""
-        return any(p.server not in live for p in f.layout.split_coalesced(offset, length))
+        return any(p.server not in live for p in f.layout.split(offset, length))
 
     # ------------------------------------------------------------------
 
@@ -272,9 +271,7 @@ class Crm:
         by_node: dict[int, dict[str, list[Segment]]] = {}
         for chunk in dirty:
             per_file = by_node.setdefault(chunk.owner_node, {})
-            segs = per_file.setdefault(chunk.key.file_name, [])
-            for s, e in chunk.dirty_ranges:
-                segs.append(Segment(s, e - s))
+            per_file.setdefault(chunk.key.file_name, []).extend(chunk.dirty_ranges)
         node_procs = [
             self.sim.process(
                 self._writeback_node(node, per_file), name=f"crm-wb-n{node}"

@@ -12,8 +12,8 @@ A program enters data-driven mode when its I/O ratio exceeds
 ``io_ratio_enter`` (80 %) *and* the potential improvement
 ``aveSeekDist / aveReqDist`` exceeds ``T_improvement`` (3).  It reverts
 when its I/O ratio falls below ``io_ratio_exit``, or immediately -- and
-permanently, with the default lockout -- when its mis-prefetch ratio
-exceeds 20 %.
+permanently, unless a safety governor runs -- when its mis-prefetch
+ratio exceeds 20 %.
 """
 
 from __future__ import annotations
@@ -176,9 +176,11 @@ class EmcDaemon:
             guard.governor_for(engine).report_misprefetch(ratio)
             return
         if ratio > self.config.misprefetch_threshold:
-            if self.config.misprefetch_lockout:
-                # Not charged network time: EMC mode-control message (DESIGN.md).
-                engine.locked_out = True
+            # Once disabled by mis-prefetching, stay disabled ("a large
+            # mis-prefetching miss ratio will turn off the data-driven
+            # mode. So this is a one-time overhead").
+            # Not charged network time: EMC mode-control message (DESIGN.md).
+            engine.locked_out = True
             if engine.job.mode == "datadriven" and engine.config.force_mode is None:
                 # Not charged network time: EMC mode-control message (DESIGN.md).
                 engine.set_mode("normal")

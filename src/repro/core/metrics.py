@@ -42,13 +42,17 @@ class JobIoSampler:
         return d_io / total
 
 
+#: Most requests a :class:`RequestRecorder` keeps (oldest dropped first).
+MAX_RECORDS = 50_000
+
+
 class RequestRecorder:
     """Per-compute-node log of file requests for ReqDist computation."""
 
-    def __init__(self, node_id: int, window_s: float = 2.0, max_records: int = 50_000):
+    def __init__(self, node_id: int, window_s: float = 2.0):
         self.node_id = node_id
         self.window_s = window_s
-        self._records: deque[tuple[float, str, int, int]] = deque(maxlen=max_records)
+        self._records: deque[tuple[float, str, int, int]] = deque(maxlen=MAX_RECORDS)
 
     def record(self, time: float, file_name: str, offset: int, length: int) -> None:
         self._records.append((time, file_name, offset, length))

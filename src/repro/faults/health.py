@@ -1,15 +1,14 @@
-"""Metadata-server-driven data-server health state.
+"""Data-server health state, held by the fault injector.
 
 PVFS2 clients learn which servers exist from the metadata server; here
 the same channel carries liveness.  The injector marks servers
-``up``/``slow``/``down`` as it applies and reverts faults, the
-:class:`~repro.pfs.metaserver.MetadataServer` exposes the map (its
-``health`` attribute), and fault-aware PFS clients consult it before
-dispatching: a request to a ``down`` server parks on that server's
+``up``/``slow``/``down`` as it applies and reverts faults, holds the
+map (its ``health`` attribute), and fault-aware PFS clients consult it
+before dispatching: a request to a ``down`` server parks on that server's
 recovery event instead of burning its retry budget against a black hole.
 
-State changes are instantaneous metadata (no simulated RPC) -- the paper
-stack already models metadata traffic separately and the interesting
+State changes are instantaneous (no simulated RPC; like namespace
+lookups, health queries are not charged, DESIGN.md) -- the interesting
 dynamics live in the data path.  When observability is on, each server's
 state is readable as a ``faults.ds{i}.health`` gauge (1 up / 0.5 slow /
 0 down).

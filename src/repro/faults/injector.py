@@ -206,7 +206,6 @@ class FaultInjector:
         if not self.plan.events:
             return
         self.health = ServerHealth(self.sim, len(self.cluster.data_servers))
-        self.cluster.metadata_server.health = self.health
         self.net_fault = NetFault(self.sim, self.rng)
         self.cluster.network.fault = self.net_fault
         for client in self.cluster.clients:

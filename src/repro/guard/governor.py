@@ -19,7 +19,7 @@ replacing EMC's single-threshold decision when a guard is installed:
   escalating cooldown (doubling per degrade, capped), *even for jobs
   with* ``force_mode="datadriven"`` -- the guard outranks the pin, which
   is exactly what keeps a forced misbehaving job within reach of the
-  vanilla baseline.  Unlike EMC's ``misprefetch_lockout`` the degrade is
+  vanilla baseline.  Unlike EMC's mis-prefetch lockout the degrade is
   never permanent: after the cooldown the job may probe again.
 
 :class:`SafetyGovernor` owns the per-job governors plus the three other

@@ -77,12 +77,3 @@ class SortedUnitQueue:
         self._keys.pop(idx)
         unit.queued = False
         return unit
-
-    def pop_front(self) -> Optional[IoUnit]:
-        """Lowest-LBN unit (one-way elevator restart)."""
-        if not self._units:
-            return None
-        self._keys.pop(0)
-        unit = self._units.pop(0)
-        unit.queued = False
-        return unit

@@ -12,20 +12,11 @@ affecting the correctness of normal execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
+
+from repro.extents import Segment
 
 __all__ = ["BarrierOp", "ComputeOp", "IoOp", "Op", "Segment"]
-
-
-class Segment(NamedTuple):
-    """One contiguous byte range of a file."""
-
-    offset: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
 
 
 @dataclass(frozen=True)
@@ -77,10 +68,6 @@ class IoOp:
     def prediction(self) -> tuple[Segment, ...]:
         """Segments a pre-execution would record for this call."""
         return self.predicted_segments if self.predicted_segments is not None else self.segments
-
-    @property
-    def predictable(self) -> bool:
-        return self.predicted_segments is None or self.predicted_segments == self.segments
 
 
 Op = Union[ComputeOp, BarrierOp, IoOp]

@@ -124,10 +124,6 @@ class MpiJob:
         el = self.elapsed_s
         return self.total_io_bytes() / 1e6 / el if el > 0 else 0.0
 
-    def mean_io_ratio(self) -> float:
-        ratios = [p.metrics.io_ratio for p in self.procs]
-        return sum(ratios) / len(ratios) if ratios else 0.0
-
     # ------------------------------------------------------------------
 
     #: Per-hop software cost of an MPI message over TCP/GigE (stack
@@ -220,7 +216,7 @@ class MpiRuntime:
     """Launches jobs against one cluster; owns the shared stream-id space
     and the cluster-wide global cache (the Memcached infrastructure)."""
 
-    def __init__(self, cluster: Cluster, cache_ttl_s: float = 30.0):
+    def __init__(self, cluster: Cluster):
         from repro.cache.memcache import GlobalCache
 
         self.cluster = cluster
@@ -236,7 +232,6 @@ class MpiRuntime:
             cluster.network,
             compute_nodes,
             chunk_bytes=cluster.spec.stripe_unit,
-            ttl_s=cache_ttl_s,
         )
 
     def _next_stream_id(self) -> int:

@@ -12,14 +12,13 @@ Execution engines interpret a job's I/O operations:
   to hide I/O behind computation (Chen et al. SC'08 style).
 - DualPar itself lives in :mod:`repro.core.engine`, built on this layer.
 
-Shared machinery: :mod:`repro.mpiio.datasieve` (coalescing with hole
-bridging) and :mod:`repro.mpiio.listio` (batched per-server requests).
+Shared machinery: :mod:`repro.mpiio.listio` (batched per-server
+requests); coalescing with hole bridging is :mod:`repro.extents`.
 """
 
 from repro.mpiio.engine import IndependentEngine, IoEngine
 from repro.mpiio.collective import CollectiveEngine
 from repro.mpiio.prefetch import PreexecPrefetchEngine
-from repro.mpiio.datasieve import coalesce_segments, coverage_stats
 from repro.mpiio.listio import batch_io
 
 __all__ = [
@@ -28,6 +27,4 @@ __all__ = [
     "IoEngine",
     "PreexecPrefetchEngine",
     "batch_io",
-    "coalesce_segments",
-    "coverage_stats",
 ]

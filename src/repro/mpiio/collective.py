@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Generator, Mapping
 
-from repro.mpi.ops import IoOp, Segment
-from repro.mpiio.datasieve import coalesce_counting
+from repro.extents import Segment, coalesce_counting
+from repro.mpi.ops import IoOp
 from repro.mpiio.engine import IndependentEngine
 from repro.mpiio.listio import batch_io
 from repro.sim import Event, all_of

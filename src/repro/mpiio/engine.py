@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.extents import coalesce_segments
 from repro.mpi.ops import IoOp
-from repro.mpiio.datasieve import coalesce_segments
 from repro.pfs.filesystem import PfsFile
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.mpi.ops import Segment
+from repro.extents import Segment
 from repro.pfs.client import CONTROL_MSG_BYTES, PfsClient
 from repro.pfs.dataserver import ServerRequest
 from repro.pfs.filesystem import PfsFile
@@ -45,12 +45,14 @@ def batch_io(
     if not segments:
         return
     layout = client.layout
+    tracer = client._tracer
+    trace_id = tracer.trace_of_stream(stream_id) if tracer is not None else 0
     by_server: dict[int, list] = {}
     total_by_server: dict[int, int] = {}
     for seg in segments:
         if seg.offset < 0 or seg.end > f.size:
             raise ValueError(f"segment {seg} outside file {f.name} of {f.size} bytes")
-        for piece in layout.split_coalesced(seg.offset, seg.length):
+        for piece in layout.split(seg.offset, seg.length):
             runs = by_server.setdefault(piece.server, [])
             # Coalesce per-server object-contiguous runs across segments.
             if runs and runs[-1].object_offset + runs[-1].length == piece.object_offset:
@@ -63,6 +65,7 @@ def batch_io(
                         length=piece.length,
                         op=op,
                         stream_id=stream_id,
+                        trace_id=trace_id,
                     )
                 )
             total_by_server[piece.server] = total_by_server.get(piece.server, 0) + piece.length

@@ -16,7 +16,6 @@ Components:
 - :class:`DataServer` -- receives requests over the network, translates to
   LBNs, and drives its block layer; hosts the locality daemon that feeds
   DualPar's EMC.
-- :class:`MetadataServer` -- namespace RPCs (open/create/stat).
 - :class:`PfsClient` -- the compute-node side: splits file requests into
   striped server requests.
 """
@@ -24,7 +23,6 @@ Components:
 from repro.pfs.layout import StripePiece, StripeLayout
 from repro.pfs.filesystem import ExtentAllocator, FileSystem, PfsFile
 from repro.pfs.dataserver import DataServer, LocalityDaemon
-from repro.pfs.metaserver import MetadataServer
 from repro.pfs.client import PfsClient
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "ExtentAllocator",
     "FileSystem",
     "LocalityDaemon",
-    "MetadataServer",
     "PfsClient",
     "PfsFile",
     "StripeLayout",

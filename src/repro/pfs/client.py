@@ -17,7 +17,7 @@ schedule of the spawned form (see :meth:`_exchange`).
 
 Under fault injection (``client.faults`` set by the installer) every
 piece and every list batch runs through :meth:`PfsClient.robust_call`:
-requests to servers the metadata server reports down park on the
+requests to servers the injector's health map reports down park on the
 recovery event; live requests race a size-aware timeout and retry with
 exponential backoff, re-sending the same ``req_id`` so the server can
 commit a write exactly once.  Nominally ``faults`` is None and none of
@@ -78,7 +78,7 @@ class PfsClient:
         attempt = 0
         while True:
             if not health.is_up(server_index):
-                # Down per metadata: don't burn the retry budget against
+                # Reported down: don't burn the retry budget against
                 # a black hole -- park until the server returns.
                 self.n_failovers += 1
                 yield health.recovery_event(server_index)

@@ -2,7 +2,7 @@
 
 Each incoming request names a file, a byte range *within the server's
 object* for that file, and the issuing stream.  The server translates to
-LBNs using the file's extent, splits into <= ``max_io_bytes`` block
+LBNs using the file's extent, splits into <= ``MAX_IO_BYTES`` block
 requests, submits them all at once (so the elevator sees the full batch),
 and replies when the last completes.
 
@@ -25,7 +25,12 @@ from repro.sim import Event, Interrupt, Simulator, all_of
 __all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt"]
 
 #: Largest single block-layer submission; matches the 512 KB kernel cap.
-DEFAULT_MAX_IO_BYTES = 512 * 1024
+MAX_IO_BYTES = 512 * 1024
+
+#: The PVFS2 server performs disk I/O from a small pool of worker
+#: threads; the kernel elevator sees THOSE contexts, not the remote MPI
+#: ranks.  Client streams are folded onto the pool.
+N_IO_THREADS = 4
 
 #: Fixed CPU cost to parse/dispatch one request at the server.
 REQUEST_CPU_S = 20e-6
@@ -82,8 +87,6 @@ class DataServer:
         fs: FileSystem,
         device: BlockDevice,
         block_layer: BlockLayer,
-        max_io_bytes: int = DEFAULT_MAX_IO_BYTES,
-        n_io_threads: int = 4,
         page_cache: Optional["ServerPageCache"] = None,
         writeback_interval_s: Optional[float] = None,
     ):
@@ -96,7 +99,6 @@ class DataServer:
         self.fs = fs
         self.device = device
         self.block_layer = block_layer
-        self.max_io_bytes = max_io_bytes
         self.page_cache = page_cache if page_cache is not None else ServerPageCache()
         #: Optional kernel-flusher-style write-back buffer (the paper's
         #: servers force dirty writeback every second).
@@ -110,10 +112,6 @@ class DataServer:
             self.writeback = None
         #: In-flight reads per file: (start, end, completion event).
         self._inflight: dict[str, list] = {}
-        #: The PVFS2 server performs disk I/O from a small pool of worker
-        #: threads; the kernel elevator sees THOSE contexts, not the remote
-        #: MPI ranks.  Client streams are folded onto the pool.
-        self.n_io_threads = n_io_threads
         self.n_requests = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -146,7 +144,7 @@ class DataServer:
         return self.bytes_read + self.bytes_written
 
     def _io_context(self, client_stream: int) -> int:
-        return client_stream % self.n_io_threads
+        return client_stream % N_IO_THREADS
 
     # -- fault lifecycle -------------------------------------------------
 
@@ -265,7 +263,7 @@ class DataServer:
     def _submit_blocks_throttled(self, req: ServerRequest, is_async: bool = False):
         """Translate one object range to block requests and submit them.
 
-        Splits the range into ``max_io_bytes`` pieces; before each, the
+        Splits the range into ``MAX_IO_BYTES`` pieces; before each, the
         server thread sleeps in ``get_request_wait`` while the elevator
         queue is congested (nr_requests).  Generator; returns the
         completion-event list."""
@@ -276,7 +274,7 @@ class DataServer:
         f = self.fs.lookup(req.file_name)
         lbn = f.lbn_of(self.server_index, req.object_offset)
         nsectors_total = -(-req.length // 512)
-        max_sectors = self.max_io_bytes // 512
+        max_sectors = MAX_IO_BYTES // 512
         completions = []
         pos = 0
         while pos < nsectors_total:

@@ -101,9 +101,9 @@ class PfsFile:
 class FileSystem:
     """The PVFS2 namespace: file creation and lookup.
 
-    One instance is shared by the metadata server (which answers RPCs
-    about it) and the data servers (which consult extents directly --
-    modelling their local Berkeley-DB object maps).
+    One instance is shared by every client and data server (the data
+    servers consult extents directly, modelling their local Berkeley-DB
+    object maps); lookups are not charged simulated time (DESIGN.md).
     """
 
     def __init__(self, layout: StripeLayout, allocators: list[ExtentAllocator]):

@@ -84,27 +84,3 @@ class StripeLayout:
             pos += take
             remaining -= take
         return pieces
-
-    def split_coalesced(self, offset: int, length: int) -> list[StripePiece]:
-        """Like :meth:`split` but merges object-contiguous pieces per server.
-
-        Used by batched issuers (DualPar's CRM, collective aggregators)
-        that present large sorted requests.
-        """
-        pieces = self.split(offset, length)
-        by_server: dict[int, list[StripePiece]] = {}
-        for p in pieces:
-            runs = by_server.setdefault(p.server, [])
-            if runs and runs[-1].object_offset + runs[-1].length == p.object_offset:
-                last = runs[-1]
-                runs[-1] = StripePiece(
-                    server=last.server,
-                    object_offset=last.object_offset,
-                    file_offset=last.file_offset,
-                    length=last.length + p.length,
-                )
-            else:
-                runs.append(p)
-        out = [p for runs in by_server.values() for p in runs]
-        out.sort(key=lambda p: p.file_offset)
-        return out

@@ -14,8 +14,8 @@ Model (per served file object):
   window; a read starting within ``slack`` of the last end is sequential
   and doubles the window (``ra_start`` up to ``ra_max``), anything else
   resets it;
-- a *cached-extent* map: byte intervals already resident; fully-cached
-  reads skip the disk.
+- a *cached-extent* map (:class:`~repro.extents.ExtentMap`) per file:
+  byte intervals already resident; fully-cached reads skip the disk.
 
 Capacity is a FIFO over inserted extents (real page reclaim is LRU over
 pages; at our granularity FIFO-over-extents is equivalent in effect).
@@ -23,9 +23,10 @@ pages; at our granularity FIFO-over-extents is equivalent in effect).
 
 from __future__ import annotations
 
-import bisect
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+
+from repro.extents import ExtentMap
 
 __all__ = ["ServerPageCache"]
 
@@ -53,8 +54,8 @@ class ServerPageCache:
         self.ra_start = ra_start
         self.ra_max = ra_max
         self.slack = slack
-        #: file -> sorted, disjoint [start, end) extents
-        self._extents: dict[str, list[tuple[int, int]]] = {}
+        #: file -> resident [start, end) extents
+        self._extents: dict[str, ExtentMap] = {}
         #: readahead state is per (file, io context) -- the kernel keeps it
         #: per struct file, i.e. per server I/O thread, so interleaved
         #: access from many contexts thrashes detection exactly as it does
@@ -69,16 +70,10 @@ class ServerPageCache:
 
     def contains(self, file_name: str, offset: int, length: int) -> bool:
         """Is [offset, offset+length) fully resident?"""
-        if length <= 0:
-            return True
         ivs = self._extents.get(file_name)
-        if not ivs:
-            return False
-        idx = bisect.bisect_right(ivs, (offset, float("inf"))) - 1
-        if idx < 0:
-            return False
-        s, e = ivs[idx]
-        return s <= offset and offset + length <= e
+        if ivs is None:
+            return length <= 0
+        return ivs.covers(offset, offset + length)
 
     def record_access(
         self, file_name: str, offset: int, length: int, context: int = 0
@@ -130,53 +125,23 @@ class ServerPageCache:
     def insert(self, file_name: str, offset: int, length: int) -> None:
         if length <= 0:
             return
-        ivs = self._extents.setdefault(file_name, [])
-        s, e = offset, offset + length
-        # Merge with overlapping/adjacent neighbours.
-        idx = bisect.bisect_left(ivs, (s, s))
-        lo = idx
-        while lo > 0 and ivs[lo - 1][1] >= s:
-            lo -= 1
-        hi = idx
-        while hi < len(ivs) and ivs[hi][0] <= e:
-            hi += 1
-        removed = 0
-        for i in range(lo, hi):
-            removed += ivs[i][1] - ivs[i][0]
-            s = min(s, ivs[i][0])
-            e = max(e, ivs[i][1])
-        ivs[lo:hi] = [(s, e)]
-        self.resident_bytes += (e - s) - removed
+        ivs = self._extents.get(file_name)
+        if ivs is None:
+            ivs = self._extents[file_name] = ExtentMap()
+        s, e, added = ivs.add(offset, offset + length)
+        self.resident_bytes += added
         self._fifo.append((file_name, s, e))
         self._evict()
 
     def invalidate(self, file_name: str, offset: int, length: int) -> None:
         """Drop any cached bytes overlapping a written range."""
         ivs = self._extents.get(file_name)
-        if not ivs or length <= 0:
-            return
-        s, e = offset, offset + length
-        out = []
-        for a, b in ivs:
-            if b <= s or a >= e:
-                out.append((a, b))
-                continue
-            self.resident_bytes -= min(b, e) - max(a, s)
-            if a < s:
-                out.append((a, s))
-            if b > e:
-                out.append((e, b))
-        self._extents[file_name] = out
+        if ivs:
+            self.resident_bytes -= ivs.subtract(offset, offset + length)
 
     def _evict(self) -> None:
         while self.resident_bytes > self.capacity_bytes and self._fifo:
             fname, s, e = self._fifo.popleft()
-            ivs = self._extents.get(fname)
-            if not ivs:
-                continue
             # The recorded extent may have been merged/split since; drop
             # whatever of it is still resident.
-            before = self.resident_bytes
             self.invalidate(fname, s, e - s)
-            if self.resident_bytes == before:
-                continue  # already gone; keep evicting

@@ -14,9 +14,9 @@ quantifies what the kernel flusher changes.
 
 from __future__ import annotations
 
-import bisect
 from typing import TYPE_CHECKING
 
+from repro.extents import ExtentMap
 from repro.sim import Simulator, all_of
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,8 @@ class WritebackBuffer:
         self.server = server
         self.flush_interval_s = flush_interval_s
         self.max_dirty_bytes = max_dirty_bytes
-        #: file -> sorted disjoint dirty [start, end) object ranges
-        self._dirty: dict[str, list[tuple[int, int]]] = {}
+        #: file -> dirty [start, end) object ranges
+        self._dirty: dict[str, ExtentMap] = {}
         self.dirty_bytes = 0
         self.n_flushes = 0
         self.flushed_bytes = 0
@@ -64,22 +64,10 @@ class WritebackBuffer:
         """Record a dirty object range (the write has landed in RAM)."""
         if length <= 0:
             return
-        ivs = self._dirty.setdefault(file_name, [])
-        s, e = offset, offset + length
-        idx = bisect.bisect_left(ivs, (s, s))
-        lo = idx
-        while lo > 0 and ivs[lo - 1][1] >= s:
-            lo -= 1
-        hi = idx
-        while hi < len(ivs) and ivs[hi][0] <= e:
-            hi += 1
-        removed = 0
-        for i in range(lo, hi):
-            removed += ivs[i][1] - ivs[i][0]
-            s = min(s, ivs[i][0])
-            e = max(e, ivs[i][1])
-        ivs[lo:hi] = [(s, e)]
-        delta = (e - s) - removed
+        ivs = self._dirty.get(file_name)
+        if ivs is None:
+            ivs = self._dirty[file_name] = ExtentMap()
+        delta = ivs.add(offset, offset + length)[2]
         self.dirty_bytes += delta
         budget = self.budget
         if budget is not None and delta > 0:
@@ -111,16 +99,10 @@ class WritebackBuffer:
 
     def covers(self, file_name: str, offset: int, length: int) -> bool:
         """Is [offset, offset+length) fully dirty (servable from RAM)?"""
-        if length <= 0:
-            return True
         ivs = self._dirty.get(file_name)
-        if not ivs:
-            return False
-        idx = bisect.bisect_right(ivs, (offset, float("inf"))) - 1
-        if idx < 0:
-            return False
-        s, e = ivs[idx]
-        return s <= offset and offset + length <= e
+        if ivs is None:
+            return length <= 0
+        return ivs.covers(offset, offset + length)
 
     # ------------------------------------------------------------------
 

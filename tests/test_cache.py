@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ChunkKey, GlobalCache, QuotaTracker, chunk_range, chunks_of
+from repro.extents import Segment, coalesce_segments
 from repro.net import Network
 from repro.sim import Simulator
 
@@ -44,10 +45,6 @@ def test_chunk_range_rejects_negative():
 def test_chunks_of_keys():
     keys = list(chunks_of("f", 0, 128 * 1024, 64 * 1024))
     assert keys == [ChunkKey("f", 0), ChunkKey("f", 1)]
-
-
-def test_chunk_key_byte_range():
-    assert ChunkKey("f", 2).byte_range(64 * 1024) == (2 * 64 * 1024, 3 * 64 * 1024)
 
 
 @given(
@@ -126,7 +123,13 @@ def test_dirty_ranges_merge():
     run(sim, body())
     chunk = cache.peek(key)
     assert chunk.dirty
-    assert GlobalCache._compact(chunk.dirty_ranges) == [(0, 200), (500, 600)]
+    assert coalesce_segments(chunk.dirty_ranges) == [Segment(0, 200), Segment(500, 100)]
+
+    # The 512th range compacts the list to its merge.
+    key = ChunkKey("f", 1)
+    ranges = [(10 * i, 10 * i + 10) for i in reversed(range(512))]
+    run(sim, cache.multiput([(key, r) for r in ranges], from_node=0))
+    assert cache.peek(key).dirty_ranges == [Segment(0, 5120)]
 
 
 def test_clean_clears_dirty():
@@ -252,7 +255,7 @@ def test_multiput_dirty_ranges():
         )
 
     run(sim, body())
-    assert cache.peek(ChunkKey("f", 0)).dirty_ranges == [(10, 20)]
+    assert cache.peek(ChunkKey("f", 0)).dirty_ranges == [Segment(10, 10)]
 
 
 # ---------------------------------------------------------------- quota
@@ -260,24 +263,20 @@ def test_multiput_dirty_ranges():
 
 def test_quota_accounting():
     q = QuotaTracker(quota_bytes=100)
-    q.add_prefetch(40)
     q.add_dirty(30)
-    assert q.used_bytes == 70
-    assert q.remaining_bytes == 30
+    assert q.dirty_bytes == 30
     assert not q.full
-    q.add_dirty(40)
+    q.add_dirty(70)
     assert q.full
-    assert q.remaining_bytes == 0
 
 
 def test_quota_resets():
     q = QuotaTracker(quota_bytes=100)
-    q.add_prefetch(60)
-    q.add_dirty(60)
-    q.reset_prefetch()
-    assert q.used_bytes == 60
+    q.add_dirty(100)
+    assert q.full
     q.reset_dirty()
-    assert q.used_bytes == 0
+    assert q.dirty_bytes == 0
+    assert not q.full
 
 
 def test_quota_rejects_negative():
@@ -286,5 +285,3 @@ def test_quota_rejects_negative():
     q = QuotaTracker(10)
     with pytest.raises(ValueError):
         q.add_dirty(-5)
-    with pytest.raises(ValueError):
-        q.add_prefetch(-5)

@@ -550,7 +550,7 @@ def test_injector_empty_plan_installs_nothing():
     inj = FaultInjector(cluster, FaultPlan(seed=5))
     inj.install()
     assert cluster.network.fault is None
-    assert cluster.metadata_server.health is None
+    assert inj.health is None
     assert all(c.faults is None for c in cluster.clients)
     assert all(ds.commit_log is None for ds in cluster.data_servers)
     with pytest.raises(FaultError):

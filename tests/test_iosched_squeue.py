@@ -75,7 +75,7 @@ def test_pop_next_clook_behaviour():
 def test_pop_clears_queued_flag():
     q = SortedUnitQueue(max_sectors=1024)
     q.add(mkreq(100, 8))
-    unit = q.pop_front()
+    unit = q.pop_next(head_lbn=0)
     assert unit.queued is False
 
 

@@ -75,22 +75,6 @@ def test_client_rejects_bad_op():
         list(cluster.clients[0].io(f, 0, 1024, "Z", stream_id=0))
 
 
-def test_metadata_open_missing_file_raises():
-    cluster = small_cluster()
-    sim = cluster.sim
-
-    def proc():
-        yield from cluster.metadata_server.rpc_open(0, "ghost.dat")
-
-    with pytest.raises(FileNotFoundError):
-        sim.run_until_event(sim.process(proc()))
-
-
-def test_cluster_client_for_node():
-    cluster = small_cluster()
-    assert cluster.client_for_node(1) is cluster.clients[1]
-
-
 def test_prefetch_window_bounds_runahead():
     """A tiny speculation window forces the Strategy-2 engine to throttle
     instead of racing through the whole stream."""

@@ -41,7 +41,6 @@ def test_io_op_total_bytes():
 def test_io_op_prediction_defaults_to_actual():
     op = rd(0)
     assert op.prediction == op.segments
-    assert op.predictable
 
 
 def test_io_op_mispredicted():
@@ -52,7 +51,6 @@ def test_io_op_mispredicted():
         predicted_segments=(Segment(100, 10),),
     )
     assert op.prediction == (Segment(100, 10),)
-    assert not op.predictable
 
 
 # ---------------------------------------------------------------- stream

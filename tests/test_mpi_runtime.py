@@ -65,7 +65,7 @@ def test_job_throughput_and_io_ratio():
     job = launch(rt, SyntheticPattern(file_size=512 * 1024, compute_per_call=0.001))
     rt.run_to_completion()
     assert job.throughput_mb_s() > 0
-    assert 0 < job.mean_io_ratio() < 1
+    assert all(0 < p.metrics.io_ratio < 1 for p in job.procs)
 
 
 def test_compute_op_advances_clock_exactly():

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
-from repro.mpi.ops import Segment
+from repro.extents import Segment, coalesce_counting, coalesce_segments
 from repro.mpi.runtime import MpiRuntime
-from repro.mpiio.datasieve import coalesce_counting, coalesce_segments, coverage_stats
 from repro.mpiio.listio import batch_io
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
@@ -81,15 +80,6 @@ def test_coalesce_counting_matches_two_coalesces(segs, hole):
     assert requested == sum(s.length for s in coalesce_segments(segs, hole_threshold=0))
 
 
-def test_coverage_stats_waste():
-    segs = [Segment(0, 10), Segment(20, 10)]
-    cov = coalesce_segments(segs, hole_threshold=100)
-    stats = coverage_stats(segs, cov)
-    assert stats.requested_bytes == 20
-    assert stats.covered_bytes == 30
-    assert stats.waste_ratio == pytest.approx(1 / 3)
-
-
 # ---------------------------------------------------------------- list io
 
 
@@ -125,6 +115,23 @@ def test_batch_io_one_message_per_server():
     # pieces, and each server got exactly 2 of the 6 stripes.
     after = [ds.n_requests - b for ds, b in zip(cluster.data_servers, before)]
     assert sorted(after) == [1, 1, 1]  # coalesced per server into one run
+
+
+def test_batch_io_merges_same_server_runs_of_one_segment():
+    cluster = build_cluster(small_spec())
+    sim = cluster.sim
+    f = cluster.fs.create("l.dat", 4 * 1024 * 1024)
+    client = cluster.clients[0]
+    servers = cluster.data_servers
+    # 6 stripe units: servers 0,1,2,0,1,2; object-contiguous per server.
+    seg = Segment(0, 6 * 64 * 1024)
+
+    def body():
+        yield from batch_io(client, f, [seg], "R", stream_id=1)
+
+    sim.run_until_event(sim.process(body()))
+    assert [ds.n_requests for ds in servers] == [1, 1, 1]
+    assert [ds.bytes_read for ds in servers] == [2 * 64 * 1024] * 3
 
 
 def test_batch_io_write():

@@ -263,6 +263,24 @@ def test_spans_propagate_across_pfs_read():
     assert all(r.t0 >= mpi.t0 and r.t1 <= mpi.t1 for r in disk)
 
 
+def test_spans_propagate_across_list_io():
+    """A collective read reaches the servers as list I/O: each
+    ``pfs.server_list`` span carries the trace id of a rank's call."""
+    from repro import IorMpiIo
+
+    obs = Observability()
+    run_experiment(
+        [JobSpec("ior", 8, IorMpiIo(file_size=2 * 1024 * 1024, op="R"),
+                 strategy="collective")],
+        cluster_spec=paper_spec(n_compute_nodes=4),
+        observe=obs,
+    )
+    rank_traces = {r.trace_id for r in obs.tracer.spans if r.name == "mpi.io"}
+    lists = [r for r in obs.tracer.spans if r.name == "pfs.server_list"]
+    assert lists
+    assert all(r.trace_id > 0 and r.trace_id in rank_traces for r in lists)
+
+
 # ------------------------------------------------------- chrome export
 
 

@@ -107,24 +107,6 @@ def test_large_read_faster_than_scattered_small_reads():
     assert t_contig < sim2.now
 
 
-def test_metadata_rpcs():
-    cluster = build_cluster(small_spec())
-    sim = cluster.sim
-    mds = cluster.metadata_server
-    results = []
-
-    def proc():
-        f = yield from mds.rpc_create(0, "meta.dat", 128 * 1024)
-        results.append(f.name)
-        g = yield from mds.rpc_open(1, "meta.dat")
-        results.append(g.size)
-
-    sim.run_until_event(sim.process(proc()))
-    assert results == ["meta.dat", 128 * 1024]
-    assert mds.n_ops == 2
-    assert sim.now > 0
-
-
 def test_locality_daemon_samples():
     cluster = build_cluster(small_spec(locality_interval_s=0.1))
     sim = cluster.sim

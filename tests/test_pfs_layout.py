@@ -39,14 +39,6 @@ def test_split_spans_units():
     assert [(p.server, p.length) for p in pieces] == [(0, 100), (1, 100)]
 
 
-def test_split_coalesced_merges_same_server_runs():
-    lay = StripeLayout(n_servers=2, stripe_unit=UNIT)
-    # 4 units: servers 0,1,0,1; object-contiguous per server.
-    pieces = lay.split_coalesced(0, 4 * UNIT)
-    assert len(pieces) == 2
-    assert sorted((p.server, p.length) for p in pieces) == [(0, 2 * UNIT), (1, 2 * UNIT)]
-
-
 def test_object_size_distribution():
     lay = StripeLayout(n_servers=3, stripe_unit=UNIT)
     size = 7 * UNIT + 123

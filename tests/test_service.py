@@ -605,8 +605,15 @@ def test_serve_subprocess_sigterm_drains_cleanly(tmp_path):
         client = wait_until_ready("127.0.0.1", port)
 
         subs = [_submission(label=f"s{i}", size_mb=2 + i) for i in range(2)]
+        # The coordinator keys records by the code version it read at
+        # start; this process cached its own earlier in the test run, and
+        # the two differ if the source tree changed in between.  So look
+        # records up by the fingerprint the coordinator answers with.
+        fingerprints = []
         for sub in subs:
-            assert client.submit(sub)["ok"]  # queued, not waited on
+            response = client.submit(sub)
+            assert response["ok"]  # queued, not waited on
+            fingerprints.append(response["fingerprint"])
         # SIGTERM lands while jobs are in flight: the coordinator must
         # drain them into the catalog, then exit 0.
         proc.send_signal(signal.SIGTERM)
@@ -615,8 +622,8 @@ def test_serve_subprocess_sigterm_drains_cleanly(tmp_path):
         assert "drained:" in out
         catalog = ResultCatalog(catalog_dir)
         assert len(catalog) == 2
-        for sub in subs:
-            record = catalog.get(sub.fingerprint())
+        for sub, fingerprint in zip(subs, fingerprints):
+            record = catalog.get(fingerprint)
             assert record is not None
             direct = result_to_dict(_run_spec(sub.to_experiment_spec()))
             assert canonical_json(record.result) == canonical_json(direct)
