@@ -51,7 +51,7 @@ def test_faulted_cell_digests_match_golden():
     if reason is not None:
         pytest.skip(reason)
     got = digests.compute_faulted()
-    assert len(got) == 4 * 24
+    assert len(got) == 5 * 24
     assert digests.diff(golden["faulted"], got) == []
 
 
@@ -139,3 +139,15 @@ def test_faulted_cells_reach_the_retry_path(plan, key):
         assert sum(ds.n_dropped_requests for ds in result.cluster.data_servers) > 0
     committed = [i for ds in result.cluster.data_servers for i in ds.commit_log]
     assert sorted(committed) == list(range(1, result.faults._req_counter + 1))
+
+
+def test_every_cell_logs_an_early_mix_fault_event():
+    """``early_mix`` starts its faults within the first 2 ms, so unlike
+    the plans whose first event is at 0.05 s it reaches every faulted
+    cell, the short collective and forced smoke cells included."""
+    digests = _load_digests_module()
+    cells = digests.load_cells()
+    plan = digests.fault_plans()["early_mix"]
+    for cell in digests.distinct_cells(cells, smoke=True) + digests.striped_cells(cells):
+        result = _run_cell(digests, cell, plan)
+        assert result.faults.log, cell.key
