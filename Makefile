@@ -103,9 +103,10 @@ bench-kernel:
 bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
 
-# Replay the CI gates locally: lint legs, tier-1 tests, the determinism
-# jobs' suites and cell digests, and the kernel bench gate.
+# Replay the CI gates locally: lint legs, the examples, tier-1 tests, the
+# determinism jobs' suites and cell digests, and the kernel bench gate.
 ci-local: lint
+	$(MAKE) examples
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py
@@ -119,8 +120,10 @@ results:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# Run every example script; the first one that fails stops the target.
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
+	@set -e; for f in examples/*.py; do \
+		echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f; done
 
 clean:
 	rm -rf .pytest_cache .benchmarks soak-out serve-smoke-out \

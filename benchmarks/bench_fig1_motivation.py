@@ -33,9 +33,9 @@ NPROCS = 8
 FILE_MB = 48
 
 STRATEGIES = [
-    ("strategy1", "vanilla", {}),
-    ("strategy2", "prefetch", {}),
-    ("strategy3", "dualpar-forced", {}),
+    ("strategy1", "vanilla"),
+    ("strategy2", "prefetch"),
+    ("strategy3", "dualpar-forced"),
 ]
 
 
@@ -49,9 +49,9 @@ def demo_workload(segment_kb: int, compute_per_call: float) -> Demo:
     )
 
 
-def run_strategy(workload: Demo, strategy: str, **kw):
+def run_strategy(workload: Demo, strategy: str):
     return run_experiment(
-        [JobSpec("demo", NPROCS, workload, strategy=strategy, engine_kwargs=kw)],
+        [JobSpec("demo", NPROCS, workload, strategy=strategy)],
         cluster_spec=paper_spec(n_compute_nodes=8),
     )
 
@@ -73,8 +73,8 @@ def test_fig1a_io_ratio_sweep(benchmark, report):
                 )
             )
             row = [f"{ratio:.0%}"]
-            for _, strategy, kw in STRATEGIES:
-                res = run_strategy(builder(cpc), strategy, **kw)
+            for _, strategy in STRATEGIES:
+                res = run_strategy(builder(cpc), strategy)
                 row.append(res.jobs[0].elapsed_s)
             rows.append(row)
         return rows
@@ -110,8 +110,8 @@ def test_fig1b_segment_size_sweep(benchmark, report):
                 builder, 0.9, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
             )
             row = [f"{kb} KB"]
-            for _, strategy, kw in STRATEGIES:
-                res = run_strategy(builder(cpc), strategy, **kw)
+            for _, strategy in STRATEGIES:
+                res = run_strategy(builder(cpc), strategy)
                 row.append(res.jobs[0].elapsed_s)
             rows.append(row)
         return rows
@@ -189,11 +189,10 @@ def test_table1_strategy_characteristics(benchmark, report):
         )
         rows = []
         baseline_io = None
-        for name, strategy, kw in STRATEGIES:
+        for name, strategy in STRATEGIES:
             spec = paper_spec(n_compute_nodes=8, trace_disks=True)
             res = run_experiment(
-                [JobSpec("demo", NPROCS, builder(cpc), strategy=strategy,
-                         engine_kwargs=kw)],
+                [JobSpec("demo", NPROCS, builder(cpc), strategy=strategy)],
                 cluster_spec=spec,
             )
             j = res.jobs[0]

@@ -33,8 +33,7 @@ def test_table3_misprefetch_overhead(benchmark, report):
         rows = [["no DualPar", t_vanilla, 0.0]]
         for kb in QUOTAS_KB:
             res = run_experiment(
-                [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar",
-                         engine_kwargs=dict(force_mode=None))],
+                [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar")],
                 cluster_spec=paper_spec(n_compute_nodes=16),
                 dualpar_config=DualParConfig(
                     quota_bytes=kb * 1024,
@@ -71,8 +70,7 @@ def test_table3_mode_disabled_after_detection(benchmark, report):
 
     def run():
         res = run_experiment(
-            [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar",
-                     engine_kwargs=dict(force_mode=None))],
+            [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar")],
             cluster_spec=paper_spec(n_compute_nodes=16),
             dualpar_config=DualParConfig(
                 io_ratio_enter=0.0, io_ratio_exit=0.0,

@@ -120,9 +120,8 @@ def figure_cells(cells: ModuleType) -> list:
     MB = cells.MB
     cluster = paper_spec(n_compute_nodes=4)
 
-    def cell(pattern, strategy, workload, cluster=cluster, engine_kwargs=None, **spec_kw):
-        job = JobSpec(pattern.split("/")[1], 8, workload, strategy=strategy,
-                      engine_kwargs=engine_kwargs or {})
+    def cell(pattern, strategy, workload, cluster=cluster, **spec_kw):
+        job = JobSpec(pattern.split("/")[1], 8, workload, strategy=strategy)
         spec = ExperimentSpec((job,), cluster_spec=cluster, label=pattern, **spec_kw)
         return cells.Cell(pattern, strategy, pattern[-1], spec)
 
@@ -145,7 +144,6 @@ def figure_cells(cells: ModuleType) -> list:
             "table3/dependent/R",
             "dualpar",
             DependentReads(file_size=64 * MB, request_bytes=64 * 1024),
-            engine_kwargs=dict(force_mode=None),
             dualpar_config=DualParConfig(
                 io_ratio_enter=0.0, io_ratio_exit=0.0,
                 t_improvement=1e-9, emc_interval_s=0.1,

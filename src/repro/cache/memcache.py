@@ -27,12 +27,14 @@ __all__ = ["CachedChunk", "GlobalCache"]
 #: CPU cost of one memcached get/set.
 CACHE_OP_CPU_S = 5e-6
 
+#: A chunk not used for this long is expired at its next lookup.
+TTL_S = 30.0
+
 
 @dataclass
 class CachedChunk:
     key: ChunkKey
     owner_node: int
-    stored_at: float
     last_used: float
     cycle_id: int
     used: bool = False
@@ -51,7 +53,6 @@ class GlobalCache:
         network: Network,
         compute_node_ids: list[int],
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        ttl_s: float = 30.0,
     ):
         if not compute_node_ids:
             raise ValueError("need at least one compute node")
@@ -59,7 +60,6 @@ class GlobalCache:
         self.network = network
         self.compute_node_ids = list(compute_node_ids)
         self.chunk_bytes = chunk_bytes
-        self.ttl_s = ttl_s
         #: Live placement ring: compute_node_ids minus evicted nodes.
         self._ring = list(compute_node_ids)
         self._failed_nodes: set[int] = set()
@@ -86,6 +86,11 @@ class GlobalCache:
     def owner_of(self, key: ChunkKey) -> int:
         """Round-robin chunk placement across the live cache nodes."""
         return self._ring[key.index % len(self._ring)]
+
+    def live_nodes(self) -> list[int]:
+        """The cache nodes in the ring (every compute node but the
+        evicted ones), in id order."""
+        return list(self._ring)
 
     def fail_node(self, node: int) -> tuple[int, int]:
         """Evict a cache node from the ring (fault-injector entry point).
@@ -134,7 +139,7 @@ class GlobalCache:
     def peek(self, key: ChunkKey) -> Optional[CachedChunk]:
         """Metadata lookup without cost or use-marking (internal/tests)."""
         c = self._chunks.get(key)
-        if c is not None and self.sim.now - c.last_used > self.ttl_s:
+        if c is not None and self.sim.now - c.last_used > TTL_S:
             # Lazy TTL expiry.
             self._drop(key)
             self.n_evictions += 1
@@ -297,7 +302,6 @@ class GlobalCache:
             chunk = CachedChunk(
                 key=key,
                 owner_node=self.owner_of(key),
-                stored_at=self.sim.now,
                 last_used=self.sim.now,
                 cycle_id=cycle_id,
                 job_id=job_id,
@@ -340,10 +344,6 @@ class GlobalCache:
         if c is not None:
             c.dirty = False
             c.dirty_ranges = []
-
-    def evict(self, key: ChunkKey) -> None:
-        if self._drop(key) is not None:
-            self.n_evictions += 1
 
     def misprefetch_stats(self, job_id: int, cycle_id: int) -> tuple[int, int]:
         """(unused, total) prefetched chunks of a given job cycle."""

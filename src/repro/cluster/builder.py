@@ -99,9 +99,8 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
             device=device,
             block_layer=blk,
             writeback_interval_s=spec.server_writeback_interval_s,
+            writeback_max_dirty=spec.server_writeback_max_dirty,
         )
-        if ds.writeback is not None:
-            ds.writeback.max_dirty_bytes = spec.server_writeback_max_dirty
         data_servers.append(ds)
         daemons.append(
             LocalityDaemon(sim, device, interval_s=spec.locality_interval_s, name=f"loc{i}")

@@ -1,11 +1,16 @@
-"""DualPar configuration: every threshold the paper names, one knob each."""
+"""DualPar configuration: the thresholds the paper names, and the mode
+rule they make."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["DualParConfig"]
+__all__ = ["DualParConfig", "MISPREFETCH_THRESHOLD"]
+
+#: Mis-prefetch ratio above which the mode is disabled ("20% by default
+#: in the prototype").
+MISPREFETCH_THRESHOLD = 0.20
 
 
 @dataclass(frozen=True)
@@ -29,19 +34,9 @@ class DualParConfig:
     #: the exit test uses the I/O ratio with hysteresis -- see DESIGN.md.)
     io_ratio_exit: float = 0.70
 
-    #: Mis-prefetch ratio above which the mode is disabled ("20% by
-    #: default in the prototype").
-    misprefetch_threshold: float = 0.20
-
     #: Holes up to this many bytes between sorted requests are absorbed
     #: (reads: fetched too; writes: read-modify-write).
     hole_threshold_bytes: int = 64 * 1024
-
-    #: Ghost pre-executions are stopped this factor past the expected
-    #: cache-fill time.
-    deadline_factor: float = 2.0
-    deadline_min_s: float = 0.05
-    deadline_max_s: float = 10.0
 
     #: EMC evaluation period.
     emc_interval_s: float = 1.0
@@ -59,9 +54,6 @@ class DualParConfig:
     #: mode" in SV-B).
     force_mode: Optional[str] = None
 
-    #: Engine used while in normal (computation-driven) mode.
-    normal_engine: str = "vanilla"  # 'vanilla' | 'collective'
-
     #: Use list I/O for batched CRM issue (ablation knob).
     use_list_io: bool = True
 
@@ -74,8 +66,6 @@ class DualParConfig:
             raise ValueError("exit threshold must not exceed enter threshold")
         if self.t_improvement <= 0:
             raise ValueError("t_improvement must be positive")
-        if not 0 <= self.misprefetch_threshold <= 1:
-            raise ValueError("misprefetch_threshold must be in [0, 1]")
         if self.hole_threshold_bytes < 0:
             raise ValueError("hole_threshold_bytes must be non-negative")
         # A zero period re-arms the EMC daemon at the same instant forever.
@@ -83,5 +73,28 @@ class DualParConfig:
             raise ValueError("emc_interval_s must be positive")
         if self.force_mode not in (None, "normal", "datadriven"):
             raise ValueError(f"bad force_mode {self.force_mode!r}")
-        if self.normal_engine not in ("vanilla", "collective"):
-            raise ValueError(f"bad normal_engine {self.normal_engine!r}")
+
+    # -- the mode rule (EMC and the guard's per-job governor) -------------
+
+    def should_enter(
+        self, io_ratio: Optional[float], improvement: Optional[float]
+    ) -> bool:
+        """A normal-mode program switches to data-driven mode: its I/O
+        ratio is above ``io_ratio_enter`` and the potential improvement
+        above ``t_improvement``."""
+        return (
+            io_ratio is not None
+            and io_ratio > self.io_ratio_enter
+            and improvement is not None
+            and improvement > self.t_improvement
+        )
+
+    def should_exit(self, io_ratio: Optional[float]) -> bool:
+        """A data-driven program reverts: its I/O ratio fell below
+        ``io_ratio_exit``."""
+        return io_ratio is not None and io_ratio < self.io_ratio_exit
+
+    @staticmethod
+    def misprefetched(ratio: float) -> bool:
+        """A mis-prefetch ratio high enough to turn the mode off."""
+        return ratio > MISPREFETCH_THRESHOLD

@@ -57,17 +57,11 @@ class Crm:
     def _live_nodes(self) -> list[int]:
         """Compute nodes available for CRM batch work, coordinator first.
 
-        Nominally every node, in id order (the coordinator is node 0, so
-        the order -- and therefore every batch plan -- is unchanged from
-        the pre-fault code).  Under cache-node eviction the evicted nodes
-        drop out.
+        The global cache's ring, in id order: nominally every node, with
+        the coordinator (node 0) already first; under cache-node eviction
+        the evicted nodes drop out.
         """
-        spec = self.engine.runtime.cluster.spec
-        nodes = [spec.compute_node_id(i) for i in range(spec.n_compute_nodes)]
-        faults = self.engine.system.faults
-        if faults is not None:
-            live = faults.live_compute_nodes()
-            nodes = [n for n in nodes if n in live]
+        nodes = self.engine.cache.live_nodes()
         if self.coordinator_node in nodes and nodes[0] != self.coordinator_node:
             nodes.remove(self.coordinator_node)
             nodes.insert(0, self.coordinator_node)

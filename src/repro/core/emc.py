@@ -145,18 +145,12 @@ class EmcDaemon:
                 if engine.locked_out:
                     continue
                 if job.mode == "normal":
-                    if (
-                        ratio is not None
-                        and ratio > cfg.io_ratio_enter
-                        and imp is not None
-                        and imp > cfg.t_improvement
-                    ):
+                    if cfg.should_enter(ratio, imp):
                         # Not charged network time: EMC mode-control message (DESIGN.md).
                         engine.set_mode("datadriven")
-                else:
-                    if ratio is not None and ratio < cfg.io_ratio_exit:
-                        # Not charged network time: EMC mode-control message (DESIGN.md).
-                        engine.set_mode("normal")
+                elif cfg.should_exit(ratio):
+                    # Not charged network time: EMC mode-control message (DESIGN.md).
+                    engine.set_mode("normal")
             sample = EmcSample(
                 time=sim.now,
                 ave_seek_dist=seek,
@@ -175,7 +169,7 @@ class EmcDaemon:
             # Escalating-cooldown degrade instead of the permanent lockout.
             guard.governor_for(engine).report_misprefetch(ratio)
             return
-        if ratio > self.config.misprefetch_threshold:
+        if self.config.misprefetched(ratio):
             # Once disabled by mis-prefetching, stay disabled ("a large
             # mis-prefetching miss ratio will turn off the data-driven
             # mode. So this is a one-time overhead").

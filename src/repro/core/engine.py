@@ -1,7 +1,7 @@
 """The DualPar ADIO interception engine.
 
 In *normal* (computation-driven) mode every call is delegated to the
-configured baseline engine (vanilla or collective) -- DualPar "is
+vanilla independent engine -- DualPar "is
 minimally intrusive to a well-behaved system".  In *data-driven* mode:
 
 - reads are served from the global cache; a miss blocks the call and
@@ -23,7 +23,6 @@ from repro.core.config import DualParConfig
 from repro.core.crm import Crm
 from repro.core.pec import Pec
 from repro.mpi.ops import IoOp, Segment
-from repro.mpiio.collective import CollectiveEngine
 from repro.mpiio.engine import IndependentEngine, IoEngine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +45,7 @@ _JOB_COUNTERS = (
 
 
 class DualParEngine(IoEngine):
-    """The DualPar ADIO interception layer: delegates to the normal
+    """The DualPar ADIO interception layer: delegates to the vanilla
     engine in computation-driven mode; serves reads from the global cache
     and buffers writes in data-driven mode."""
 
@@ -63,10 +62,7 @@ class DualParEngine(IoEngine):
         self.system = system
         self.config = config
         self.cache: GlobalCache = runtime.global_cache
-        if config.normal_engine == "collective":
-            self.normal: IoEngine = CollectiveEngine(runtime, job)
-        else:
-            self.normal = IndependentEngine(runtime, job)
+        self.normal = IndependentEngine(runtime, job)
         self.pec = Pec(self)
         self.crm = Crm(self)
         if self.sim.obs is not None:

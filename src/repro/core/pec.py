@@ -38,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Cycle", "Pec"]
 
+#: Ghost pre-executions are stopped this factor past the expected
+#: cache-fill time, clamped to [DEADLINE_MIN_S, DEADLINE_MAX_S].
+DEADLINE_FACTOR = 2.0
+DEADLINE_MIN_S = 0.05
+DEADLINE_MAX_S = 10.0
+
 
 @dataclass
 class Cycle:
@@ -155,7 +161,7 @@ class Pec:
                 self._ts_misprefetch.record(self.sim.now, ratio)
             # Not charged network time: report to the MDS job registry (DESIGN.md).
             self.engine.system.report_misprefetch(self.engine, ratio)
-            if ratio > self.config.misprefetch_threshold:
+            if self.config.misprefetched(ratio):
                 # Only demonstrably wrong data is evicted; TTL ages out
                 # the long tail.
                 cache.purge_unused(self.job.job_id, target)
@@ -172,7 +178,7 @@ class Pec:
         )
         per_rank_rate = max(per_rank_rate, 1e6)  # floor: 1 MB/s
         expected = cfg.quota_bytes / per_rank_rate
-        return min(max(cfg.deadline_factor * expected, cfg.deadline_min_s), cfg.deadline_max_s)
+        return min(max(DEADLINE_FACTOR * expected, DEADLINE_MIN_S), DEADLINE_MAX_S)
 
     # ------------------------------------------------------------------
 

@@ -75,14 +75,17 @@ class DualParSystem:
 
     # ------------------------------------------------------------------
 
-    def engine_factory(self, **overrides) -> Callable:
+    def engine_factory(self, forced: bool = False) -> Callable:
         """A factory suitable for ``MpiRuntime.launch(engine_factory=...)``.
 
-        Keyword overrides replace fields of this system's base config for
-        the launched job only (e.g. ``force_mode="datadriven"``).
+        ``forced`` pins the launched job in data-driven mode (strategy
+        ``dualpar-forced``); otherwise the job runs under this system's
+        config.
         """
         config = (
-            dataclasses.replace(self.config, **overrides) if overrides else self.config
+            dataclasses.replace(self.config, force_mode="datadriven")
+            if forced
+            else self.config
         )
 
         def factory(runtime: "MpiRuntime", job: "MpiJob"):

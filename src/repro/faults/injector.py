@@ -117,7 +117,6 @@ class FaultInjector:
         self.n_timeouts = 0
         self._installed = False
         self._req_counter = 0
-        self._evicted: set[int] = set()
         obs = self.sim.obs
         if obs is not None:
             reg = obs.registry
@@ -185,15 +184,6 @@ class FaultInjector:
             self._tracer.instant(
                 "faults.timeout", track="faults", cat="fault", server=server_index
             )
-
-    def live_compute_nodes(self) -> frozenset[int]:
-        """Compute nodes currently holding cache ring membership."""
-        spec = self.cluster.spec
-        return frozenset(
-            spec.compute_node_id(i)
-            for i in range(spec.n_compute_nodes)
-            if spec.compute_node_id(i) not in self._evicted
-        )
 
     # -- installation -----------------------------------------------------
 
@@ -341,9 +331,7 @@ class FaultInjector:
         for node in ev.evicted_nodes:
             if apply:
                 cache.fail_node(node)
-                self._evicted.add(node)
                 if self.dualpar is not None:
                     self.dualpar.on_compute_node_fault(node)
             else:
                 cache.restore_node(node)
-                self._evicted.discard(node)

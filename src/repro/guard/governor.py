@@ -131,7 +131,7 @@ class JobGovernor:
         cfg = self.config
         if (
             self.misprefetch_ewma is not None
-            and self.misprefetch_ewma > self.engine.config.misprefetch_threshold
+            and self.engine.config.misprefetched(self.misprefetch_ewma)
         ):
             return "misprefetch"
         if self.hit_rate_ewma is not None and self.hit_rate_ewma < cfg.min_hit_rate:
@@ -181,7 +181,7 @@ class JobGovernor:
     def report_misprefetch(self, ratio: float) -> None:
         """Per-cycle mis-prefetch ratio from PEC accounting."""
         self.misprefetch_ewma = self._ewma(self.misprefetch_ewma, ratio)
-        if ratio > self.engine.config.misprefetch_threshold and self.state in (
+        if self.engine.config.misprefetched(ratio) and self.state in (
             PROBING,
             DATADRIVEN,
         ):
@@ -200,11 +200,8 @@ class JobGovernor:
         if self.state == NORMAL:
             if now < self.cooldown_until or dcfg.force_mode == "normal":
                 return
-            want = dcfg.force_mode == "datadriven" or (
-                io_ratio is not None
-                and io_ratio > dcfg.io_ratio_enter
-                and improvement is not None
-                and improvement > dcfg.t_improvement
+            want = dcfg.force_mode == "datadriven" or dcfg.should_enter(
+                io_ratio, improvement
             )
             if want:
                 self._start_probe("enter")
@@ -219,11 +216,7 @@ class JobGovernor:
                 self._to(DATADRIVEN, "probe-ok")
             return
         # datadriven: EMC's exit threshold still applies to unforced jobs.
-        if (
-            dcfg.force_mode is None
-            and io_ratio is not None
-            and io_ratio < dcfg.io_ratio_exit
-        ):
+        if dcfg.force_mode is None and dcfg.should_exit(io_ratio):
             self._to(NORMAL, "io-ratio-exit")
             if eng.job.mode != "normal":
                 eng.set_mode("normal")

@@ -50,10 +50,10 @@ SCHEDULERS: Mapping[str, type[IoScheduler]] = MappingProxyType(
 )
 
 
-def make_scheduler(name: str, **kwargs) -> IoScheduler:
+def make_scheduler(name: str) -> IoScheduler:
     """Instantiate a scheduler by its Linux elevator name."""
     try:
         cls = SCHEDULERS[name]
     except KeyError:
         raise ValueError(f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}") from None
-    return cls(**kwargs)
+    return cls()

@@ -2,7 +2,7 @@
 
 One global sorted queue served in C-LOOK order, plus the anticipation
 heuristic: after completing a read for stream S, if S has no further
-request queued, hold the disk idle for ``antic_expire`` before moving to
+request queued, hold the disk idle for ``ANTIC_EXPIRE_S`` before moving to
 another stream's (possibly distant) request -- synchronous readers almost
 always issue a nearby follow-up just after their previous read completes
 ("deceptive idleness", Iyer & Druschel SOSP'01, cited by the paper).
@@ -10,21 +10,23 @@ always issue a nearby follow-up just after their previous read completes
 
 from __future__ import annotations
 
-from repro.iosched.base import DEFAULT_MAX_SECTORS, IoScheduler, SchedDecision
+from repro.iosched.base import IoScheduler, SchedDecision
 from repro.iosched.request import BlockRequest
 from repro.iosched.squeue import SortedUnitQueue
 
 __all__ = ["AnticipatoryScheduler"]
+
+#: Anticipation window after a read (Linux AS ``antic_expire``).
+ANTIC_EXPIRE_S = 0.006
 
 
 class AnticipatoryScheduler(IoScheduler):
     """Simplified Linux AS: C-LOOK over one queue plus a short
     anticipation window after each read for the same stream's follow-up."""
 
-    def __init__(self, max_sectors: int = DEFAULT_MAX_SECTORS, antic_expire_s: float = 0.006):
-        super().__init__(max_sectors)
-        self.antic_expire_s = antic_expire_s
-        self._queue = SortedUnitQueue(max_sectors)
+    def __init__(self) -> None:
+        super().__init__()
+        self._queue = SortedUnitQueue()
         self._last_stream: int | None = None
         self._antic_deadline: float | None = None
 
@@ -55,7 +57,7 @@ class AnticipatoryScheduler(IoScheduler):
         ):
             # Anticipate a follow-up from the last-served reader.
             if self._antic_deadline is None:
-                self._antic_deadline = now + self.antic_expire_s
+                self._antic_deadline = now + ANTIC_EXPIRE_S
             if now < self._antic_deadline:
                 return SchedDecision.idle(self._antic_deadline - now)
         self._antic_deadline = None

@@ -20,10 +20,6 @@ from repro.iosched.request import BlockRequest, IoUnit
 
 __all__ = ["IoScheduler", "SchedDecision"]
 
-#: Default cap on merged unit size: 1024 sectors = 512 KB, the common
-#: Linux ``max_sectors_kb`` default of the era.
-DEFAULT_MAX_SECTORS = 1024
-
 
 @dataclass(frozen=True)
 class SchedDecision:
@@ -47,10 +43,7 @@ class SchedDecision:
 class IoScheduler(ABC):
     """Base class for elevator algorithms."""
 
-    def __init__(self, max_sectors: int = DEFAULT_MAX_SECTORS):
-        if max_sectors <= 0:
-            raise ValueError("max_sectors must be positive")
-        self.max_sectors = max_sectors
+    def __init__(self) -> None:
         self.n_merges = 0
 
     @abstractmethod

@@ -22,6 +22,10 @@ from repro.sim import Event, Simulator, any_of
 
 __all__ = ["BlockLayer", "BlockLayerStats"]
 
+#: Queue-depth cap (Linux ``nr_requests``): submitters that can block
+#: wait in :meth:`BlockLayer.throttle` while this many units are queued.
+NR_REQUESTS = 128
+
 
 class _BlkMetrics:
     """Recorded instruments for one block layer (allocated when observed)."""
@@ -72,7 +76,7 @@ class BlockLayerStats:
 class BlockLayer:
     """Owns one block device and schedules requests onto it.
 
-    ``nr_requests`` mirrors the Linux queue-depth cap (default 128): when
+    ``NR_REQUESTS`` mirrors the Linux queue-depth cap (128): when
     the queue is congested, submitters that can block should ``yield
     from throttle()`` before calling :meth:`submit` -- exactly what a
     server thread sleeping in ``get_request_wait`` does.
@@ -84,15 +88,11 @@ class BlockLayer:
         device: BlockDevice,
         scheduler: IoScheduler,
         name: str = "blk0",
-        nr_requests: int = 128,
     ):
-        if nr_requests < 1:
-            raise ValueError("nr_requests must be >= 1")
         self.sim = sim
         self.device = device
         self.scheduler = scheduler
         self.name = name
-        self.nr_requests = nr_requests
         self.stats = BlockLayerStats()
         self._head_lbn = 0
         self._arrival: Optional[Event] = None
@@ -150,10 +150,10 @@ class BlockLayer:
 
     @property
     def congested(self) -> bool:
-        return len(self.scheduler) >= self.nr_requests
+        return len(self.scheduler) >= NR_REQUESTS
 
     def throttle(self):
-        """Generator: wait while the queue is over ``nr_requests``."""
+        """Generator: wait while the queue is over ``NR_REQUESTS``."""
         while self.congested:
             ev = self.sim.event()
             self._congestion_waiters.append(ev)

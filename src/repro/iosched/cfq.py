@@ -9,9 +9,9 @@ paper's effects require:
   background writeback), served only when no sync work is queued and
   never idled on -- Linux CFQ's sync-over-async priority;
 - sync streams are served round-robin, each receiving a time slice
-  (``slice_sync``, default 100 ms), dispatching in C-LOOK order;
+  (``SLICE_SYNC_S``, 100 ms), dispatching in C-LOOK order;
 - when the active sync stream's queue runs dry mid-slice, CFQ *idles*
-  the disk for ``slice_idle`` (default 8 ms) hoping the stream issues a
+  the disk for ``SLICE_IDLE_S`` (8 ms) hoping the stream issues a
   nearby request -- but only for streams whose measured *think time*
   (gap from a request's completion to the stream's next submission) is
   short, reproducing ``cfq_update_idle_window``: idling on a process
@@ -28,18 +28,23 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.iosched.base import DEFAULT_MAX_SECTORS, IoScheduler, SchedDecision
+from repro.iosched.base import IoScheduler, SchedDecision
 from repro.iosched.request import BlockRequest, IoUnit
 from repro.iosched.squeue import SortedUnitQueue
 
 __all__ = ["CfqScheduler"]
 
+#: Linux CFQ defaults: a sync stream's time slice, and how long the disk
+#: idles for a stream whose queue ran dry mid-slice.
+SLICE_SYNC_S = 0.100
+SLICE_IDLE_S = 0.008
+
 
 class _StreamState:
     __slots__ = ("queue", "last_completion", "ttime_mean", "n_inflight")
 
-    def __init__(self, max_sectors: int):
-        self.queue = SortedUnitQueue(max_sectors)
+    def __init__(self) -> None:
+        self.queue = SortedUnitQueue()
         self.last_completion: float | None = None
         #: EMA of think time (completion -> next submission), seconds.
         self.ttime_mean = 0.0
@@ -50,18 +55,11 @@ class CfqScheduler(IoScheduler):
     """Linux CFQ: per-stream sorted queues served round-robin in time
     slices, think-time-gated idling, background class for async I/O."""
 
-    def __init__(
-        self,
-        max_sectors: int = DEFAULT_MAX_SECTORS,
-        slice_sync_s: float = 0.100,
-        slice_idle_s: float = 0.008,
-    ):
-        super().__init__(max_sectors)
-        self.slice_sync_s = slice_sync_s
-        self.slice_idle_s = slice_idle_s
+    def __init__(self) -> None:
+        super().__init__()
         #: stream_id -> sync state; OrderedDict gives stable round-robin.
         self._streams: "OrderedDict[int, _StreamState]" = OrderedDict()
-        self._async = SortedUnitQueue(max_sectors)
+        self._async = SortedUnitQueue()
         self._active: int | None = None
         self._slice_start = 0.0
         self._idle_deadline: float | None = None
@@ -72,7 +70,7 @@ class CfqScheduler(IoScheduler):
     def _state(self, stream_id: int) -> _StreamState:
         st = self._streams.get(stream_id)
         if st is None:
-            st = _StreamState(self.max_sectors)
+            st = _StreamState()
             self._streams[stream_id] = st
         return st
 
@@ -112,7 +110,7 @@ class CfqScheduler(IoScheduler):
         st = self._streams.get(stream_id)
         if st is None:
             return False
-        return st.ttime_mean <= self.slice_idle_s
+        return st.ttime_mean <= SLICE_IDLE_S
 
     def _rotate_active(self) -> None:
         if self._active is not None and self._active in self._streams:
@@ -154,7 +152,7 @@ class CfqScheduler(IoScheduler):
 
         if self._active is not None:
             st = self._streams.get(self._active)
-            slice_expired = now - self._slice_start >= self.slice_sync_s
+            slice_expired = now - self._slice_start >= SLICE_SYNC_S
             if st is not None and len(st.queue) > 0 and not slice_expired:
                 return self._serve_sync(self._active, head_lbn)
             if (
@@ -164,7 +162,7 @@ class CfqScheduler(IoScheduler):
                 and self._idle_worthwhile(self._active)
             ):
                 if self._idle_deadline is None:
-                    self._idle_deadline = now + self.slice_idle_s
+                    self._idle_deadline = now + SLICE_IDLE_S
                 if now < self._idle_deadline:
                     return SchedDecision.idle(self._idle_deadline - now)
             self._rotate_active()

@@ -2,40 +2,36 @@
 
 Follows the Linux deadline scheduler's structure: two sorted queues (reads
 and writes), two FIFO queues carrying deadlines (reads 500 ms, writes 5 s),
-batched dispatch from the sorted order (``fifo_batch`` units per batch),
+batched dispatch from the sorted order (``FIFO_BATCH`` units per batch),
 jumping to the FIFO head when its deadline has expired, and a bias toward
-reads (writes are serviced after ``writes_starved`` read batches).
+reads (writes are serviced after ``WRITES_STARVED`` read batches).
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.iosched.base import DEFAULT_MAX_SECTORS, IoScheduler, SchedDecision
+from repro.iosched.base import IoScheduler, SchedDecision
 from repro.iosched.request import BlockRequest, IoUnit
 from repro.iosched.squeue import SortedUnitQueue
 
 __all__ = ["DeadlineScheduler"]
+
+#: Linux deadline defaults: read and write expiry, units per sorted
+#: batch, and read batches served before pending writes get one.
+READ_EXPIRE_S = 0.5
+WRITE_EXPIRE_S = 5.0
+FIFO_BATCH = 16
+WRITES_STARVED = 2
 
 
 class DeadlineScheduler(IoScheduler):
     """Linux deadline elevator: sector-sorted batches, per-op expiry
     FIFOs, reads preferred with bounded write starvation."""
 
-    def __init__(
-        self,
-        max_sectors: int = DEFAULT_MAX_SECTORS,
-        read_expire_s: float = 0.5,
-        write_expire_s: float = 5.0,
-        fifo_batch: int = 16,
-        writes_starved: int = 2,
-    ):
-        super().__init__(max_sectors)
-        self.read_expire_s = read_expire_s
-        self.write_expire_s = write_expire_s
-        self.fifo_batch = fifo_batch
-        self.writes_starved = writes_starved
-        self._sorted = {"R": SortedUnitQueue(max_sectors), "W": SortedUnitQueue(max_sectors)}
+    def __init__(self) -> None:
+        super().__init__()
+        self._sorted = {"R": SortedUnitQueue(), "W": SortedUnitQueue()}
         # FIFO of (deadline, unit).  Entries whose unit is no longer queued
         # (dispatched, or absorbed by a merge) are skipped lazily.
         self._fifo: dict[str, deque[tuple[float, IoUnit]]] = {"R": deque(), "W": deque()}  # simlint: ignore[SL006] bounded by queued units (nr_requests analogue upstream)
@@ -51,7 +47,7 @@ class DeadlineScheduler(IoScheduler):
         if q.n_merges == merges_before and len(q) == n_before + 1:
             # Genuinely new unit: give it a deadline entry.
             unit = self._unit_containing(q, req.lbn)
-            expire = self.read_expire_s if req.op == "R" else self.write_expire_s
+            expire = READ_EXPIRE_S if req.op == "R" else WRITE_EXPIRE_S
             self._fifo[req.op].append((now + expire, unit))
         self.n_merges = self._sorted["R"].n_merges + self._sorted["W"].n_merges
 
@@ -86,7 +82,7 @@ class DeadlineScheduler(IoScheduler):
             return SchedDecision.serve(unit)
 
         # Pick the op for the next batch: reads preferred unless writes starve.
-        if nr > 0 and (nw == 0 or self._starved < self.writes_starved):
+        if nr > 0 and (nw == 0 or self._starved < WRITES_STARVED):
             op = "R"
             if nw > 0:
                 self._starved += 1
@@ -101,7 +97,7 @@ class DeadlineScheduler(IoScheduler):
         while fifo and not fifo[0][1].queued:
             fifo.popleft()
         self._batch_op = op
-        self._batch_left = self.fifo_batch - 1
+        self._batch_left = FIFO_BATCH - 1
         if fifo and fifo[0][0] <= now:
             _deadline, unit = fifo.popleft()
             self._remove_sorted(op, unit)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.iosched.base import DEFAULT_MAX_SECTORS, IoScheduler, SchedDecision
+from repro.iosched.base import IoScheduler, SchedDecision
 from repro.iosched.request import BlockRequest, IoUnit
 
 __all__ = ["NoopScheduler"]
@@ -19,18 +19,18 @@ class NoopScheduler(IoScheduler):
     arrival performs terribly.
     """
 
-    def __init__(self, max_sectors: int = DEFAULT_MAX_SECTORS):
-        super().__init__(max_sectors)
+    def __init__(self) -> None:
+        super().__init__()
         self._fifo: deque[IoUnit] = deque()  # simlint: ignore[SL006] bounded by queued units (nr_requests analogue upstream)
 
     def add(self, req: BlockRequest, now: float) -> None:
         if self._fifo:
             last = self._fifo[-1]
-            if last.can_back_merge(req, self.max_sectors):
+            if last.can_back_merge(req):
                 last.back_merge(req)
                 self.n_merges += 1
                 return
-            if last.can_front_merge(req, self.max_sectors):
+            if last.can_front_merge(req):
                 last.front_merge(req)
                 self.n_merges += 1
                 return

@@ -7,7 +7,12 @@ from typing import Optional
 
 from repro.sim import Event
 
-__all__ = ["BlockRequest", "IoUnit"]
+__all__ = ["BlockRequest", "IoUnit", "MAX_SECTORS"]
+
+#: Cap on one disk request: 1024 sectors = 512 KB, the common Linux
+#: ``max_sectors_kb`` default of the era.  The block layer merges units
+#: up to it and the data server splits its block I/O into pieces of it.
+MAX_SECTORS = 1024
 
 
 @dataclass
@@ -66,20 +71,21 @@ class IoUnit:
     def end(self) -> int:
         return self.lbn + self.nsectors
 
-    def can_back_merge(self, req: BlockRequest, max_sectors: int) -> bool:
-        """Can ``req`` be appended directly after this unit?"""
+    def can_back_merge(self, req: "BlockRequest | IoUnit") -> bool:
+        """Can ``req`` (a request, or a queued neighbour unit) be appended
+        directly after this unit?"""
         return (
             req.op == self.op
             and req.lbn == self.end
-            and self.nsectors + req.nsectors <= max_sectors
+            and self.nsectors + req.nsectors <= MAX_SECTORS
         )
 
-    def can_front_merge(self, req: BlockRequest, max_sectors: int) -> bool:
+    def can_front_merge(self, req: BlockRequest) -> bool:
         """Can ``req`` be prepended directly before this unit?"""
         return (
             req.op == self.op
             and req.end == self.lbn
-            and self.nsectors + req.nsectors <= max_sectors
+            and self.nsectors + req.nsectors <= MAX_SECTORS
         )
 
     def back_merge(self, req: BlockRequest) -> None:

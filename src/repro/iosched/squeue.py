@@ -18,8 +18,7 @@ __all__ = ["SortedUnitQueue"]
 class SortedUnitQueue:
     """LBN-sorted unit queue with adjacent-merge on insert."""
 
-    def __init__(self, max_sectors: int):
-        self.max_sectors = max_sectors
+    def __init__(self) -> None:
         self._units: list[IoUnit] = []
         self._keys: list[int] = []
         self.n_merges = 0
@@ -37,12 +36,12 @@ class SortedUnitQueue:
     def add(self, req: BlockRequest) -> None:
         """Insert, back/front-merging into a neighbour when contiguous."""
         idx = bisect.bisect_left(self._keys, req.lbn)
-        if idx > 0 and self._units[idx - 1].can_back_merge(req, self.max_sectors):
+        if idx > 0 and self._units[idx - 1].can_back_merge(req):
             self._units[idx - 1].back_merge(req)
             self.n_merges += 1
             self._coalesce_at(idx - 1)
             return
-        if idx < len(self._units) and self._units[idx].can_front_merge(req, self.max_sectors):
+        if idx < len(self._units) and self._units[idx].can_front_merge(req):
             unit = self._units[idx]
             unit.front_merge(req)
             self._keys[idx] = unit.lbn
@@ -58,7 +57,7 @@ class SortedUnitQueue:
         if idx + 1 >= len(self._units):
             return
         a, b = self._units[idx], self._units[idx + 1]
-        if a.op == b.op and a.end == b.lbn and a.nsectors + b.nsectors <= self.max_sectors:
+        if a.can_back_merge(b):
             a.nsectors += b.nsectors
             a.parts.extend(b.parts)
             b.queued = False

@@ -39,16 +39,18 @@ class BarrierOp:
 class IoOp:
     """One MPI-IO call: a set of segments of one file, read or write.
 
-    ``collective`` marks calls the program makes through the collective
-    API (MPI_File_read_all etc.); engines that do not implement collective
-    I/O treat them as independent strided calls, mirroring how the paper
-    runs each benchmark "with or without collective I/O".
+    Whether a call is collective is the engine's choice, not the call's:
+    the paper runs each benchmark "with or without collective I/O", so
+    the ``collective`` strategy runs every call of a program through
+    two-phase I/O (MPI_File_read_all etc.) and every other engine treats
+    it as an independent strided call.  ``predicted_segments`` is what a
+    pre-execution records for the call when it differs from what the
+    call reads (a data-dependent access).
     """
 
     file_name: str
     op: str  # 'R' | 'W'
     segments: tuple[Segment, ...]
-    collective: bool = False
     predicted_segments: Optional[tuple[Segment, ...]] = None
 
     def __post_init__(self) -> None:

@@ -49,6 +49,14 @@ __all__ = ["CollectiveEngine"]
 #: TCP-era clusters, growing linearly with the process count).
 META_EXCHANGE_PER_PROC_S = 50e-6
 
+#: Collective buffer per aggregator (ROMIO's ``cb_buffer_size``): an
+#: aggregator moves its file domain in rounds of at most this many bytes.
+CB_BUFFER_BYTES = 4 * 1024 * 1024
+
+#: Holes up to this many bytes between an aggregator's segments are
+#: bridged (data sieving within the collective buffer).
+HOLE_THRESHOLD = 64 * 1024
+
 
 @dataclass
 class _CollCall:
@@ -135,30 +143,8 @@ class CollectiveEngine(IndependentEngine):
 
     name = "collective"
 
-    def __init__(
-        self,
-        runtime: "MpiRuntime",
-        job: "MpiJob",
-        cb_buffer_bytes: int = 4 * 1024 * 1024,
-        hole_threshold: int = 64 * 1024,
-        n_aggregators: int | None = None,
-        treat_all_collective: bool = True,
-    ):
-        if cb_buffer_bytes < 1:
-            raise ValueError(f"cb_buffer_bytes must be >= 1, got {cb_buffer_bytes}")
-        if n_aggregators is not None and n_aggregators < 1:
-            raise ValueError(f"n_aggregators must be >= 1, got {n_aggregators}")
-        if hole_threshold < 0:
-            raise ValueError(f"hole_threshold must be >= 0, got {hole_threshold}")
+    def __init__(self, runtime: "MpiRuntime", job: "MpiJob"):
         super().__init__(runtime, job)
-        self.cb_buffer_bytes = cb_buffer_bytes
-        self.hole_threshold = hole_threshold
-        self._n_aggregators = n_aggregators
-        #: Running a benchmark "with collective I/O" means its I/O calls
-        #: are the _all variants; with this flag (default) every op takes
-        #: the two-phase path regardless of the workload's own marking.
-        #: Requires all ranks to make the same sequence of I/O calls.
-        self.treat_all_collective = treat_all_collective
         self._calls: dict[int, _CollCall] = {}
         self._rank_call_idx: dict[int, int] = {}
         self.n_collective_calls = 0
@@ -168,8 +154,7 @@ class CollectiveEngine(IndependentEngine):
 
     @property
     def n_aggregators(self) -> int:
-        if self._n_aggregators is not None:
-            return min(self._n_aggregators, self.job.nprocs)
+        """One aggregator per compute node (ROMIO's default)."""
         return min(self.runtime.cluster.spec.n_compute_nodes, self.job.nprocs)
 
     def _meta_cost_s(self) -> float:
@@ -178,9 +163,9 @@ class CollectiveEngine(IndependentEngine):
         return 2 * math.ceil(math.log2(max(p, 2))) * lat + p * META_EXCHANGE_PER_PROC_S
 
     def do_io(self, proc: "MpiProcess", op: IoOp) -> Generator:
-        if not op.collective and not self.treat_all_collective:
-            yield from super().do_io(proc, op)
-            return
+        # Running a benchmark "with collective I/O" means its I/O calls
+        # are the _all variants: every op takes the two-phase path, so all
+        # ranks must make the same sequence of I/O calls.
         idx = self._rank_call_idx.get(proc.rank, 0)
         self._rank_call_idx[proc.rank] = idx + 1
         call = self._calls.setdefault(idx, _CollCall(event=self.sim.event()))
@@ -238,23 +223,24 @@ class CollectiveEngine(IndependentEngine):
         net = self.runtime.cluster.network
         client = self.client_of(agg_proc)
         all_segs = [s for segs in per_rank.values() for s in segs]
-        coalesced, requested = coalesce_counting(all_segs, self.hole_threshold)
+        coalesced, requested = coalesce_counting(all_segs, HOLE_THRESHOLD)
         covered = sum(s.length for s in coalesced)
         has_holes = covered > requested
 
         # Split the coalesced ranges into <= cb_buffer rounds.
+        cb_buffer = CB_BUFFER_BYTES
         rounds: list[list[Segment]] = [[]]
         acc = 0
         for seg in coalesced:
             pos = seg.offset
             remaining = seg.length
             while remaining > 0:
-                take = min(remaining, self.cb_buffer_bytes - acc)
+                take = min(remaining, cb_buffer - acc)
                 rounds[-1].append(Segment(pos, take))
                 pos += take
                 remaining -= take
                 acc += take
-                if acc >= self.cb_buffer_bytes:
+                if acc >= cb_buffer:
                     rounds.append([])
                     acc = 0
         rounds = [r for r in rounds if r]

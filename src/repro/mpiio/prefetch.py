@@ -31,6 +31,10 @@ __all__ = ["PreexecPrefetchEngine"]
 #: CPU cost for the speculative thread to generate one request.
 SPECULATION_OP_CPU_S = 5e-6
 
+#: Bytes one rank's speculative thread may run ahead of the program
+#: (prefetches in flight plus prefetched chunks not yet consumed).
+WINDOW_BYTES = 1024 * 1024
+
 
 class PreexecPrefetchEngine(IndependentEngine):
     """Strategy 2: a per-rank speculative thread runs ahead (computation
@@ -38,14 +42,8 @@ class PreexecPrefetchEngine(IndependentEngine):
 
     name = "preexec-prefetch"
 
-    def __init__(
-        self,
-        runtime: "MpiRuntime",
-        job: "MpiJob",
-        window_bytes: int = 1024 * 1024,
-    ):
+    def __init__(self, runtime: "MpiRuntime", job: "MpiJob"):
         super().__init__(runtime, job)
-        self.window_bytes = window_bytes
         self.cache: GlobalCache = runtime.global_cache
         #: chunks currently being prefetched: key -> completion event
         self._inflight: dict[ChunkKey, Event] = {}
@@ -85,7 +83,7 @@ class PreexecPrefetchEngine(IndependentEngine):
                     if key in self._inflight or self.cache.contains(key):
                         continue
                     # Respect the speculation window (bounded run-ahead).
-                    while self._window_used.get(proc.rank, 0) + cb > self.window_bytes:
+                    while self._window_used.get(proc.rank, 0) + cb > WINDOW_BYTES:
                         ev = self.sim.event()
                         self._window_wakeup[proc.rank] = ev
                         yield ev

@@ -24,6 +24,10 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from repro.obs.tracing import SpanRecord, Tracer
 
+#: The one process a Chrome trace of a simulation shows.
+TRACE_PID = 1
+TRACE_PROCESS_NAME = "repro-sim"
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner.experiment import ExperimentResult
 
@@ -126,10 +130,7 @@ def _track_ids(spans: Iterable[SpanRecord]) -> dict[str, int]:
 
 
 def chrome_trace_events(
-    tracer: Tracer,
-    pid: int = 1,
-    process_name: str = "repro-sim",
-    registry_snapshot: Optional[dict] = None,
+    tracer: Tracer, registry_snapshot: Optional[dict] = None
 ) -> list[dict]:
     """Convert recorded spans to Chrome ``trace_event`` dicts.
 
@@ -139,6 +140,7 @@ def chrome_trace_events(
     its timeseries are emitted as ``"C"`` counter events so queue depths
     and throughput ride along in the same timeline.
     """
+    pid = TRACE_PID
     spans = list(tracer.spans)
     tids = _track_ids(spans)
     events: list[dict] = [
@@ -147,7 +149,7 @@ def chrome_trace_events(
             "pid": pid,
             "tid": 0,
             "name": "process_name",
-            "args": {"name": process_name},
+            "args": {"name": TRACE_PROCESS_NAME},
         }
     ]
     for track, tid in tids.items():

@@ -2,9 +2,9 @@
 
 Each incoming request names a file, a byte range *within the server's
 object* for that file, and the issuing stream.  The server translates to
-LBNs using the file's extent, splits into <= ``MAX_IO_BYTES`` block
-requests, submits them all at once (so the elevator sees the full batch),
-and replies when the last completes.
+LBNs using the file's extent, splits into block requests of at most
+``MAX_SECTORS`` (the kernel's 512 KB cap), submits them all at once (so
+the elevator sees the full batch), and replies when the last completes.
 
 The :class:`LocalityDaemon` is DualPar's per-server agent: every
 ``interval`` it snapshots the mean head seek distance over the elapsed
@@ -17,15 +17,13 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.disk.drive import BlockDevice
+from repro.iosched import request as blkreq
 from repro.iosched.blocklayer import BlockLayer
 from repro.net.ethernet import Network
 from repro.pfs.filesystem import FileSystem
 from repro.sim import Event, Interrupt, Simulator, all_of
 
 __all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt"]
-
-#: Largest single block-layer submission; matches the 512 KB kernel cap.
-MAX_IO_BYTES = 512 * 1024
 
 #: The PVFS2 server performs disk I/O from a small pool of worker
 #: threads; the kernel elevator sees THOSE contexts, not the remote MPI
@@ -40,6 +38,9 @@ LIST_PIECE_CPU_S = 2e-6
 
 #: Memory-copy bandwidth charged when a write lands in the server's RAM.
 MEMCPY_BYTES_S = 3e9
+
+#: Active locality slots the SeekDist average EMC reads spans.
+RECENT_SLOTS = 3
 
 
 def absorb_interrupt(gen: Generator) -> Generator:
@@ -87,8 +88,8 @@ class DataServer:
         fs: FileSystem,
         device: BlockDevice,
         block_layer: BlockLayer,
-        page_cache: Optional["ServerPageCache"] = None,
         writeback_interval_s: Optional[float] = None,
+        writeback_max_dirty: int = 64 * 1024 * 1024,
     ):
         from repro.pfs.pagecache import ServerPageCache
 
@@ -99,14 +100,17 @@ class DataServer:
         self.fs = fs
         self.device = device
         self.block_layer = block_layer
-        self.page_cache = page_cache if page_cache is not None else ServerPageCache()
+        self.page_cache = ServerPageCache()
         #: Optional kernel-flusher-style write-back buffer (the paper's
         #: servers force dirty writeback every second).
         if writeback_interval_s is not None:
             from repro.pfs.writeback import WritebackBuffer
 
             self.writeback: Optional["WritebackBuffer"] = WritebackBuffer(
-                sim, self, flush_interval_s=writeback_interval_s
+                sim,
+                self,
+                flush_interval_s=writeback_interval_s,
+                max_dirty_bytes=writeback_max_dirty,
             )
         else:
             self.writeback = None
@@ -263,9 +267,9 @@ class DataServer:
     def _submit_blocks_throttled(self, req: ServerRequest, is_async: bool = False):
         """Translate one object range to block requests and submit them.
 
-        Splits the range into ``MAX_IO_BYTES`` pieces; before each, the
+        Splits the range into ``MAX_SECTORS`` pieces; before each, the
         server thread sleeps in ``get_request_wait`` while the elevator
-        queue is congested (nr_requests).  Generator; returns the
+        queue is congested (``NR_REQUESTS``).  Generator; returns the
         completion-event list."""
         san = self.sim._sanitizer
         if san is not None:
@@ -274,7 +278,7 @@ class DataServer:
         f = self.fs.lookup(req.file_name)
         lbn = f.lbn_of(self.server_index, req.object_offset)
         nsectors_total = -(-req.length // 512)
-        max_sectors = MAX_IO_BYTES // 512
+        max_sectors = blkreq.MAX_SECTORS
         completions = []
         pos = 0
         while pos < nsectors_total:
@@ -550,12 +554,12 @@ class LocalityDaemon:
         self._last_n = stats.n_requests
         self._last_seek = stats.total_seek_sectors
 
-    def recent_seek_dist(self, n_slots: int = 3) -> Optional[float]:
-        """Average SeekDist over the last ``n_slots`` active slots."""
-        active = [(t, m, n) for t, m, n in self.samples[-8 * n_slots :] if n > 0]
+    def recent_seek_dist(self) -> Optional[float]:
+        """Average SeekDist over the last ``RECENT_SLOTS`` active slots."""
+        active = [(t, m, n) for t, m, n in self.samples[-8 * RECENT_SLOTS :] if n > 0]
         if not active:
             return None
-        tail = active[-n_slots:]
+        tail = active[-RECENT_SLOTS:]
         total_req = sum(n for _, _, n in tail)
         if total_req == 0:
             return None

@@ -9,7 +9,7 @@ server's disk.  The allocator can place extents two ways:
     then typically far apart, producing the long inter-file seeks of
     Fig 6.
 ``packed``
-    Extents allocated back-to-back (plus a configurable gap) from the
+    Extents allocated back-to-back (plus a ``GAP_SECTORS`` gap) from the
     start of the disk -- useful for controlled unit tests.
 """
 
@@ -21,6 +21,12 @@ from repro.disk.geometry import SECTOR_BYTES
 from repro.pfs.layout import StripeLayout
 
 __all__ = ["ExtentAllocator", "FileSystem", "PfsFile"]
+
+#: Allocation groups a ``spread`` disk is divided into.
+N_GROUPS = 16
+
+#: Free sectors left after each extent (1 MB).
+GAP_SECTORS = 2048
 
 
 @dataclass(frozen=True)
@@ -34,22 +40,14 @@ class Extent:
 class ExtentAllocator:
     """Allocates per-file extents on one server's disk."""
 
-    def __init__(
-        self,
-        total_sectors: int,
-        placement: str = "spread",
-        n_groups: int = 16,
-        gap_sectors: int = 2048,
-    ):
+    def __init__(self, total_sectors: int, placement: str = "spread"):
         if placement not in ("spread", "packed"):
             raise ValueError(f"unknown placement {placement!r}")
         self.total_sectors = total_sectors
         self.placement = placement
-        self.n_groups = n_groups
-        self.gap_sectors = gap_sectors
         self._next_group = 0
         self._group_cursor = [
-            (total_sectors // n_groups) * g for g in range(n_groups)
+            (total_sectors // N_GROUPS) * g for g in range(N_GROUPS)
         ]
         self._packed_cursor = 0
 
@@ -60,20 +58,21 @@ class ExtentAllocator:
             start = self._packed_cursor
             if start + n_sectors > self.total_sectors:
                 raise RuntimeError("server disk full (packed)")
-            self._packed_cursor = start + n_sectors + self.gap_sectors
+            self._packed_cursor = start + n_sectors + GAP_SECTORS
             return Extent(start, n_sectors)
         # spread: round-robin across allocation groups
-        for _ in range(self.n_groups):
+        n_groups = len(self._group_cursor)
+        for _ in range(n_groups):
             g = self._next_group
-            self._next_group = (self._next_group + 1) % self.n_groups
+            self._next_group = (self._next_group + 1) % n_groups
             start = self._group_cursor[g]
             limit = (
                 self.total_sectors
-                if g == self.n_groups - 1
-                else (self.total_sectors // self.n_groups) * (g + 1)
+                if g == n_groups - 1
+                else (self.total_sectors // n_groups) * (g + 1)
             )
             if start + n_sectors <= limit:
-                self._group_cursor[g] = start + n_sectors + self.gap_sectors
+                self._group_cursor[g] = start + n_sectors + GAP_SECTORS
                 return Extent(start, n_sectors)
         raise RuntimeError("server disk full (spread)")
 

@@ -11,13 +11,13 @@ absurdly slow, which it is not (115 MB/s in Fig 3).
 Model (per served file object):
 
 - a *readahead state*: the end offset of the last read and the current
-  window; a read starting within ``slack`` of the last end is sequential
-  and doubles the window (``ra_start`` up to ``ra_max``), anything else
-  resets it;
+  window; a read starting within ``RA_SLACK`` of the last end is
+  sequential and doubles the window (``RA_START`` up to ``RA_MAX``),
+  anything else resets it;
 - a *cached-extent* map (:class:`~repro.extents.ExtentMap`) per file:
   byte intervals already resident; fully-cached reads skip the disk.
 
-Capacity is a FIFO over inserted extents (real page reclaim is LRU over
+Capacity (``CAPACITY_BYTES``) is a FIFO over inserted extents (real page reclaim is LRU over
 pages; at our granularity FIFO-over-extents is equivalent in effect).
 """
 
@@ -30,6 +30,15 @@ from repro.extents import ExtentMap
 
 __all__ = ["ServerPageCache"]
 
+#: Page-cache size per data server.
+CAPACITY_BYTES = 256 * 1024 * 1024
+
+#: Readahead window: first window, largest window, and how far from the
+#: last read's end a read may start and still count as sequential.
+RA_START = 32 * 1024
+RA_MAX = 128 * 1024
+RA_SLACK = 48 * 1024
+
 
 @dataclass
 class _RaState:
@@ -41,19 +50,7 @@ class ServerPageCache:
     """Per-server page cache: resident-extent map plus per-(file, context)
     readahead state with hit-triggered async windows."""
 
-    def __init__(
-        self,
-        capacity_bytes: int = 256 * 1024 * 1024,
-        ra_start: int = 32 * 1024,
-        ra_max: int = 128 * 1024,
-        slack: int = 48 * 1024,
-    ):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.ra_start = ra_start
-        self.ra_max = ra_max
-        self.slack = slack
+    def __init__(self) -> None:
         #: file -> resident [start, end) extents
         self._extents: dict[str, ExtentMap] = {}
         #: readahead state is per (file, io context) -- the kernel keeps it
@@ -61,7 +58,7 @@ class ServerPageCache:
         #: access from many contexts thrashes detection exactly as it does
         #: on a real data server.
         self._ra: dict[tuple[str, int], _RaState] = {}
-        self._fifo: deque[tuple[str, int, int]] = deque()  # simlint: ignore[SL006] eviction order over resident pages; bounded by capacity_bytes
+        self._fifo: deque[tuple[str, int, int]] = deque()  # simlint: ignore[SL006] eviction order over resident pages; bounded by CAPACITY_BYTES
         self.resident_bytes = 0
         self.n_hits = 0
         self.n_misses = 0
@@ -90,8 +87,8 @@ class ServerPageCache:
             st = _RaState()
             self._ra[ra_key] = st
         gap = offset - st.last_end if st.last_end >= 0 else None
-        if gap is not None and -self.slack <= gap <= self.slack:
-            st.window = min(max(st.window * 2, self.ra_start), self.ra_max)
+        if gap is not None and -RA_SLACK <= gap <= RA_SLACK:
+            st.window = min(max(st.window * 2, RA_START), RA_MAX)
         else:
             st.window = 0
         st.last_end = offset + length + st.window
@@ -113,9 +110,9 @@ class ServerPageCache:
             # Not yet into the final scheduled window (the PG_readahead
             # marker page sits at the start of the last window).
             return None
-        if end > st.last_end + self.slack:
+        if end > st.last_end + RA_SLACK:
             return None  # not this stream (random far access)
-        st.window = min(max(st.window * 2, self.ra_start), self.ra_max)
+        st.window = min(max(st.window * 2, RA_START), RA_MAX)
         start = st.last_end
         st.last_end = start + st.window
         return (start, st.window)
@@ -140,7 +137,7 @@ class ServerPageCache:
             self.resident_bytes -= ivs.subtract(offset, offset + length)
 
     def _evict(self) -> None:
-        while self.resident_bytes > self.capacity_bytes and self._fifo:
+        while self.resident_bytes > CAPACITY_BYTES and self._fifo:
             fname, s, e = self._fifo.popleft()
             # The recorded extent may have been merged/split since; drop
             # whatever of it is still resident.

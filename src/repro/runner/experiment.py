@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.cluster import ClusterSpec, build_cluster
@@ -24,7 +24,6 @@ class JobSpec:
     strategy: str = "vanilla"
     #: Launch this many simulated seconds after the experiment starts.
     delay_s: float = 0.0
-    engine_kwargs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -171,7 +170,7 @@ def run_experiment(
     jobs: list[MpiJob] = []
     for spec in specs:
         spec.workload.validate(spec.nprocs)
-        factory = resolve_strategy(spec.strategy, dualpar, **spec.engine_kwargs)
+        factory = resolve_strategy(spec.strategy, dualpar)
         job = runtime.launch(
             spec.name, spec.nprocs, spec.workload, factory, start=spec.delay_s == 0
         )

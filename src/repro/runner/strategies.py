@@ -29,22 +29,17 @@ STRATEGY_NAMES = ("vanilla", "collective", "prefetch", "dualpar", "dualpar-force
 
 
 def resolve_strategy(
-    name: str,
-    dualpar_system: Optional["DualParSystem"] = None,
-    **engine_kwargs,
+    name: str, dualpar_system: Optional["DualParSystem"] = None
 ) -> Callable:
     """Return an engine factory for ``MpiRuntime.launch``."""
     if name == "vanilla":
-        return lambda rt, job: IndependentEngine(rt, job, **engine_kwargs)
+        return IndependentEngine
     if name == "collective":
-        return lambda rt, job: CollectiveEngine(rt, job, **engine_kwargs)
+        return CollectiveEngine
     if name == "prefetch":
-        return lambda rt, job: PreexecPrefetchEngine(rt, job, **engine_kwargs)
+        return PreexecPrefetchEngine
     if name in ("dualpar", "dualpar-forced"):
         if dualpar_system is None:
             raise ValueError(f"strategy {name!r} needs a DualParSystem")
-        overrides = dict(engine_kwargs)
-        if name == "dualpar-forced":
-            overrides.setdefault("force_mode", "datadriven")
-        return dualpar_system.engine_factory(**overrides)
+        return dualpar_system.engine_factory(forced=name == "dualpar-forced")
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

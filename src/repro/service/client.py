@@ -17,6 +17,10 @@ from repro.service.schemas import ExperimentSubmission
 
 __all__ = ["ServiceClient", "ServiceError", "wait_until_ready"]
 
+#: How often and for how long :func:`wait_until_ready` pings.
+POLL_S = 0.05
+READY_DEADLINE_S = 30.0
+
 
 class ServiceError(RuntimeError):
     """The coordinator was unreachable or answered garbage."""
@@ -96,12 +100,11 @@ class ServiceClient:
         return self.request({"op": "shutdown", "drain": drain})
 
 
-def wait_until_ready(
-    host: str, port: int, deadline_s: float = 30.0, poll_s: float = 0.05
-) -> ServiceClient:
-    """Poll until a coordinator answers ``ping``; returns a client."""
+def wait_until_ready(host: str, port: int) -> ServiceClient:
+    """Poll until a coordinator answers ``ping`` (every ``POLL_S``, for at
+    most ``READY_DEADLINE_S``); returns a client."""
     client = ServiceClient(host, port)
-    deadline = time.monotonic() + deadline_s
+    deadline = time.monotonic() + READY_DEADLINE_S
     last: Optional[BaseException] = None
     while time.monotonic() < deadline:
         try:
@@ -109,7 +112,7 @@ def wait_until_ready(
             return client
         except ServiceError as exc:
             last = exc
-            time.sleep(poll_s)
+            time.sleep(POLL_S)
     raise ServiceError(
-        f"coordinator at {host}:{port} not ready after {deadline_s}s: {last}"
+        f"coordinator at {host}:{port} not ready after {READY_DEADLINE_S}s: {last}"
     )

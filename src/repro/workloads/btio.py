@@ -38,7 +38,6 @@ class Btio(Workload):
         cell_scale: int = 4096,
         op: str = "W",
         compute_per_step: float = 0.001,
-        collective: bool = False,
         segments_per_call: int = 64,
         verify_read: bool = False,
     ):
@@ -50,7 +49,6 @@ class Btio(Workload):
         self.cell_scale = cell_scale
         self.op = normalize_op(op)
         self.compute_per_step = compute_per_step
-        self.collective = collective
         self.segments_per_call = segments_per_call
         self.verify_read = verify_read
 
@@ -80,7 +78,6 @@ class Btio(Workload):
                     file_name=self.file_name,
                     op=self.op,
                     segments=segments,
-                    collective=self.collective,
                 )
         if self.verify_read:
             cell = self.cell_bytes(size)
@@ -94,5 +91,4 @@ class Btio(Workload):
                     file_name=self.file_name,
                     op="R",
                     segments=segments,
-                    collective=self.collective,
                 )

@@ -33,7 +33,6 @@ class Hpio(Workload):
         region_spacing: int = 0,
         op: str = "R",
         compute_per_call: float = 0.0,
-        collective: bool = False,
     ):
         if region_count <= 0 or region_bytes <= 0 or region_spacing < 0:
             raise ValueError("bad hpio geometry")
@@ -43,7 +42,6 @@ class Hpio(Workload):
         self.region_spacing = region_spacing
         self.op = normalize_op(op)
         self.compute_per_call = compute_per_call
-        self.collective = collective
 
     @property
     def file_size(self) -> int:
@@ -63,5 +61,4 @@ class Hpio(Workload):
                 file_name=self.file_name,
                 op=self.op,
                 segments=(Segment(g * pitch, self.region_bytes),),
-                collective=self.collective,
             )

@@ -30,14 +30,12 @@ class IorMpiIo(Workload):
         request_bytes: int = 32 * 1024,
         op: str = "R",
         compute_per_call: float = 0.0,
-        collective: bool = False,
     ):
         self.file_name = file_name
         self.file_size = file_size
         self.request_bytes = request_bytes
         self.op = normalize_op(op)
         self.compute_per_call = compute_per_call
-        self.collective = collective
 
     def files(self) -> list[FileSpec]:
         return [FileSpec(self.file_name, self.file_size)]
@@ -58,5 +56,4 @@ class IorMpiIo(Workload):
                 file_name=self.file_name,
                 op=self.op,
                 segments=(Segment(base + k * self.request_bytes, self.request_bytes),),
-                collective=self.collective,
             )

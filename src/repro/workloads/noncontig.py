@@ -36,7 +36,6 @@ class Noncontig(Workload):
         bytes_per_call: int = 4 * 1024 * 1024,
         op: str = "R",
         compute_per_call: float = 0.0,
-        collective: bool = True,
     ):
         if elmtcount <= 0 or n_rows <= 0:
             raise ValueError("bad noncontig geometry")
@@ -46,7 +45,6 @@ class Noncontig(Workload):
         self.bytes_per_call = bytes_per_call
         self.op = normalize_op(op)
         self.compute_per_call = compute_per_call
-        self.collective = collective
 
     @property
     def column_width(self) -> int:
@@ -91,6 +89,5 @@ class Noncontig(Workload):
                 file_name=self.file_name,
                 op=self.op,
                 segments=tuple(vector.flatten(row * row_bytes + rank * width, 1)),
-                collective=self.collective,
             )
             row += take

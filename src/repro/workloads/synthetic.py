@@ -39,7 +39,6 @@ class SyntheticPattern(Workload):
         op: str = "R",
         compute_per_call: float = 0.0,
         barrier_every: int = 0,
-        collective: bool = False,
         seed: int = 1234,
     ):
         if pattern not in ("sequential", "partitioned", "random"):
@@ -53,7 +52,6 @@ class SyntheticPattern(Workload):
         self.op = normalize_op(op)
         self.compute_per_call = compute_per_call
         self.barrier_every = barrier_every
-        self.collective = collective
         self.seed = seed
         self.name = f"synthetic-{pattern}"
 
@@ -81,7 +79,6 @@ class SyntheticPattern(Workload):
                 file_name=self.file_name,
                 op=self.op,
                 segments=(Segment(int(b) * self.request_bytes, self.request_bytes),),
-                collective=self.collective,
             )
             if self.barrier_every and (i + 1) % self.barrier_every == 0:
                 yield BarrierOp()

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ChunkKey, GlobalCache, QuotaTracker, chunk_range, chunks_of
+from repro.cache import ChunkKey, GlobalCache, QuotaTracker, chunk_range, chunks_of, memcache
 from repro.extents import Segment, coalesce_segments
 from repro.net import Network
 from repro.sim import Simulator
 
 
-def make_cache(n_nodes=4, ttl=30.0):
+def make_cache(n_nodes=4):
     sim = Simulator()
     net = Network(sim, n_nodes)
-    cache = GlobalCache(sim, net, list(range(n_nodes)), chunk_bytes=64 * 1024, ttl_s=ttl)
+    cache = GlobalCache(sim, net, list(range(n_nodes)), chunk_bytes=64 * 1024)
     return sim, cache
 
 
@@ -99,12 +99,12 @@ def test_owner_round_robin():
 
 
 def test_ttl_expiry():
-    sim, cache = make_cache(ttl=1.0)
+    sim, cache = make_cache()
     key = ChunkKey("f", 0)
 
     def body():
         yield from cache.put(key, from_node=0)
-        yield sim.timeout(2.0)
+        yield sim.timeout(memcache.TTL_S + 1.0)
         return (yield from cache.get(key, from_node=0))
 
     assert run(sim, body()) is False

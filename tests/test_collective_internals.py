@@ -1,6 +1,5 @@
 """Unit tests for two-phase collective I/O internals."""
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +7,7 @@ from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.mpi.ops import IoOp, Segment
 from repro.mpi.runtime import MpiRuntime
+from repro.mpiio import collective
 from repro.mpiio.collective import (
     CollectiveEngine,
     SegmentBytes,
@@ -106,12 +106,12 @@ def test_segment_bytes_matches_clip_sum(plan, bounds):
 # ----------------------------------------------------------- aggregators
 
 
-def make_engine(nprocs=4, **kw):
+def make_engine(nprocs=4):
     cluster = build_cluster(small_spec())
     rt = MpiRuntime(cluster)
     from repro.mpi.runtime import MpiJob
 
-    job = MpiJob(rt, "c", nprocs, SyntheticPattern(), lambda r, j: CollectiveEngine(r, j, **kw))
+    job = MpiJob(rt, "c", nprocs, SyntheticPattern(), CollectiveEngine)
     return job.engine
 
 
@@ -123,26 +123,6 @@ def test_default_aggregator_count_is_node_count():
 def test_aggregator_count_capped_by_procs():
     eng = make_engine(nprocs=1)
     assert eng.n_aggregators == 1
-
-
-def test_aggregator_override():
-    eng = make_engine(nprocs=4, n_aggregators=3)
-    assert eng.n_aggregators == 3
-
-
-def test_zero_cb_buffer_rejected():
-    with pytest.raises(ValueError, match="cb_buffer_bytes"):
-        make_engine(cb_buffer_bytes=0)
-
-
-def test_zero_aggregators_rejected():
-    with pytest.raises(ValueError, match="n_aggregators"):
-        make_engine(n_aggregators=0)
-
-
-def test_negative_hole_threshold_rejected():
-    with pytest.raises(ValueError, match="hole_threshold"):
-        make_engine(hole_threshold=-1)
 
 
 def test_meta_cost_grows_with_procs():
@@ -170,8 +150,7 @@ def test_collective_write_rmw_on_holey_pattern():
 
     # 1 KB regions spaced 1 KB apart: 50% of every aggregator domain is
     # holes, bridged by the 64 KB hole threshold -> RMW.
-    w = Hpio(region_count=256, region_bytes=1024, region_spacing=1024,
-             op="W", collective=True)
+    w = Hpio(region_count=256, region_bytes=1024, region_spacing=1024, op="W")
     res = run_experiment(
         [JobSpec("c", 4, w, strategy="collective")],
         cluster_spec=small_spec(),
@@ -181,26 +160,36 @@ def test_collective_write_rmw_on_holey_pattern():
     assert res.cluster.total_bytes_served() > written
 
 
-def test_collective_rounds_respect_cb_buffer():
-    """A domain bigger than cb_buffer is processed in multiple rounds;
-    the data still arrives exactly once."""
-    res = run_experiment(
-        [JobSpec("c", 4, MpiIoTest(file_size=4 * 1024 * 1024), strategy="collective",
-                 engine_kwargs=dict(cb_buffer_bytes=256 * 1024))],
-        cluster_spec=small_spec(),
-    )
+def test_collective_rounds_respect_cb_buffer(monkeypatch):
+    """A domain bigger than the collective buffer is processed in several
+    rounds, each its own server requests; the data still arrives exactly
+    once."""
+
+    def run():
+        res = run_experiment(
+            [JobSpec("c", 4, MpiIoTest(file_size=4 * 1024 * 1024), strategy="collective")],
+            cluster_spec=small_spec(),
+        )
+        return res, sum(ds.n_requests for ds in res.cluster.data_servers)
+
+    _, one_round = run()
+    # Each call moves 4 ranks x 16 KB; a 16 KB buffer splits it.
+    monkeypatch.setattr(collective, "CB_BUFFER_BYTES", 16 * 1024)
+    res, rounds = run()
+    assert rounds > one_round
     assert res.jobs[0].bytes_read == 4 * 1024 * 1024
 
 
-def test_non_collective_ops_fall_through():
+def test_every_op_takes_the_two_phase_path():
+    """Running a program "with collective I/O" makes every call the _all
+    variant: an independent strided pattern goes through the aggregators
+    too."""
     res = run_experiment(
-        [JobSpec("c", 4, SyntheticPattern(file_size=1024 * 1024),
-                 strategy="collective",
-                 engine_kwargs=dict(treat_all_collective=False))],
+        [JobSpec("c", 4, SyntheticPattern(file_size=1024 * 1024), strategy="collective")],
         cluster_spec=small_spec(),
     )
     eng = res.mpi_jobs[0].engine
-    assert eng.n_collective_calls == 0
+    assert eng.n_collective_calls > 0
     assert res.jobs[0].bytes_read == 1024 * 1024
 
 

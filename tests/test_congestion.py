@@ -1,20 +1,19 @@
-"""Tests for block-layer congestion control (nr_requests)."""
-
-import pytest
+"""Tests for block-layer congestion control (``NR_REQUESTS``)."""
 
 from repro.disk import DiskDrive, DiskParams
-from repro.iosched import BlockLayer, NoopScheduler
+from repro.iosched import BlockLayer, NoopScheduler, blocklayer
 from repro.sim import Simulator
 
 
-def make_layer(sim, nr=8):
+def make_layer(sim):
     drive = DiskDrive(sim, DiskParams(capacity_bytes=2 * 10**9))
-    return BlockLayer(sim, drive, NoopScheduler(), nr_requests=nr)
+    return BlockLayer(sim, drive, NoopScheduler())
 
 
-def test_congested_flag():
+def test_congested_flag(monkeypatch):
+    monkeypatch.setattr(blocklayer, "NR_REQUESTS", 2)
     sim = Simulator()
-    layer = make_layer(sim, nr=2)
+    layer = make_layer(sim)
     layer.submit(0, 8)
     assert not layer.congested
     layer.submit(10_000, 8)
@@ -22,9 +21,10 @@ def test_congested_flag():
     assert layer.congested
 
 
-def test_throttle_waits_until_drain():
+def test_throttle_waits_until_drain(monkeypatch):
+    monkeypatch.setattr(blocklayer, "NR_REQUESTS", 4)
     sim = Simulator()
-    layer = make_layer(sim, nr=4)
+    layer = make_layer(sim)
     log = []
 
     def flooder():
@@ -42,7 +42,7 @@ def test_throttle_waits_until_drain():
 
 def test_throttle_noop_when_uncongested():
     sim = Simulator()
-    layer = make_layer(sim, nr=100)
+    layer = make_layer(sim)
 
     def proc():
         yield from layer.throttle()
@@ -53,16 +53,9 @@ def test_throttle_noop_when_uncongested():
     assert list(gen) == []
 
 
-def test_nr_requests_validation():
-    sim = Simulator()
-    drive = DiskDrive(sim, DiskParams(capacity_bytes=10**9))
-    with pytest.raises(ValueError):
-        BlockLayer(sim, drive, NoopScheduler(), nr_requests=0)
-
-
 def test_server_batch_respects_cap():
     """A DualPar-sized list batch never drives the elevator queue far
-    beyond nr_requests."""
+    beyond ``NR_REQUESTS``."""
     from repro.cluster import ClusterSpec, build_cluster
     from repro.pfs.dataserver import ServerRequest
 
@@ -76,7 +69,7 @@ def test_server_batch_respects_cap():
     )
     ds = cluster.data_servers[0]
     cluster.fs.create("big.dat", 256 * 1024 * 1024)
-    # 512 pieces of 256 KB -> 128 MB, far beyond nr_requests=128 units.
+    # 512 pieces of 256 KB -> 128 MB, far beyond NR_REQUESTS = 128 units.
     reqs = [
         ServerRequest(file_name="big.dat", object_offset=i * 256 * 1024,
                       length=256 * 1024, op="R", stream_id=i)
@@ -89,4 +82,4 @@ def test_server_batch_respects_cap():
         sim.step()
         max_depth = max(max_depth, ds.block_layer.queue_depth)
     # Small transient overshoot allowed (one piece per in-flight handler).
-    assert max_depth <= ds.block_layer.nr_requests + 64
+    assert max_depth <= blocklayer.NR_REQUESTS + 64

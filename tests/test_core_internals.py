@@ -4,7 +4,7 @@ EMC metric computation."""
 import pytest
 
 from repro.cluster import ClusterSpec, build_cluster
-from repro.core import DualParConfig, DualParSystem
+from repro.core import DualParConfig, DualParSystem, pec
 from repro.core.metrics import JobIoSampler, RequestRecorder
 from repro.disk.drive import DiskParams
 from repro.mpi.ops import ComputeOp, IoOp, Segment
@@ -119,13 +119,13 @@ class ComputeThenReads(Workload):
         return [FileSpec("g.dat", 64 * 1024 * 1024)]
 
 
-def test_ghost_deadline_interrupts_slow_preexecution():
+def test_ghost_deadline_interrupts_slow_preexecution(monkeypatch):
     """Ghosts re-executing a long computation are stopped at the expected
     cache-fill deadline instead of stalling the cycle."""
+    monkeypatch.setattr(pec, "DEADLINE_MAX_S", 0.2)
     res = run_experiment(
         [JobSpec("g", 4, ComputeThenReads(compute_s=5.0), strategy="dualpar-forced")],
         cluster_spec=small_spec(),
-        dualpar_config=DualParConfig(deadline_max_s=0.2, deadline_min_s=0.05),
     )
     eng = res.mpi_jobs[0].engine
     assert eng.pec.n_deadline_stops > 0
@@ -197,9 +197,9 @@ def test_emc_improvement_none_without_data():
 
 def test_engine_set_mode_validates():
     res = run_experiment(
-        [JobSpec("m", 2, SyntheticPattern(file_size=256 * 1024),
-                 strategy="dualpar", engine_kwargs=dict(force_mode="normal"))],
+        [JobSpec("m", 2, SyntheticPattern(file_size=256 * 1024), strategy="dualpar")],
         cluster_spec=small_spec(),
+        dualpar_config=DualParConfig(force_mode="normal"),
     )
     eng = res.mpi_jobs[0].engine
     with pytest.raises(ValueError):

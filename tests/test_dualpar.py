@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import DualParConfig
+from repro.core.config import MISPREFETCH_THRESHOLD
 from repro.disk.drive import DiskParams
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import DependentReads, Hpio, MpiIoTest, SyntheticPattern
@@ -27,7 +28,7 @@ def test_config_defaults_match_paper():
     assert cfg.quota_bytes == 1024 * 1024
     assert cfg.t_improvement == 3.0
     assert cfg.io_ratio_enter == 0.80
-    assert cfg.misprefetch_threshold == 0.20
+    assert MISPREFETCH_THRESHOLD == 0.20
 
 
 def test_config_validation():
@@ -37,8 +38,6 @@ def test_config_validation():
         DualParConfig(t_improvement=0)
     with pytest.raises(ValueError):
         DualParConfig(force_mode="sideways")
-    with pytest.raises(ValueError):
-        DualParConfig(normal_engine="magic")
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="emc_interval_s"):
             DualParConfig(emc_interval_s=bad)
@@ -98,22 +97,12 @@ def test_dualpar_batches_requests_deeply():
 
 def test_normal_mode_delegates_to_vanilla():
     res = run_experiment(
-        [JobSpec("n", 4, SyntheticPattern(file_size=1024 * 1024),
-                 strategy="dualpar", engine_kwargs=dict(force_mode="normal"))],
+        [JobSpec("n", 4, SyntheticPattern(file_size=1024 * 1024), strategy="dualpar")],
         cluster_spec=small_spec(),
+        dualpar_config=DualParConfig(force_mode="normal"),
     )
     eng = res.mpi_jobs[0].engine
     assert eng.pec.n_cycles == 0
-    assert res.jobs[0].bytes_read == 1024 * 1024
-
-
-def test_normal_engine_collective_option():
-    res = run_experiment(
-        [JobSpec("nc", 4, SyntheticPattern(file_size=1024 * 1024),
-                 strategy="dualpar",
-                 engine_kwargs=dict(force_mode="normal", normal_engine="collective"))],
-        cluster_spec=small_spec(),
-    )
     assert res.jobs[0].bytes_read == 1024 * 1024
 
 
@@ -125,7 +114,7 @@ def test_dependent_workload_triggers_lockout():
     wrong; EMC detects the mis-prefetch ratio and disables the mode."""
     res = run_experiment(
         [JobSpec("dep", 4, DependentReads(file_size=4 * 1024 * 1024),
-                 strategy="dualpar", engine_kwargs=dict(force_mode=None))],
+                 strategy="dualpar")],
         cluster_spec=small_spec(),
         dualpar_config=DualParConfig(
             # Pin entry so the test exercises the exit path deterministically.
@@ -148,8 +137,7 @@ def test_dependent_workload_overhead_is_bounded():
     r_v = run_experiment([JobSpec("v", 4, w(), strategy="vanilla")],
                          cluster_spec=small_spec())
     r_d = run_experiment(
-        [JobSpec("d", 4, w(), strategy="dualpar",
-                 engine_kwargs=dict(force_mode=None))],
+        [JobSpec("d", 4, w(), strategy="dualpar")],
         cluster_spec=small_spec(),
         dualpar_config=DualParConfig(io_ratio_enter=0.0, io_ratio_exit=0.0, t_improvement=1e-9,
                                      emc_interval_s=0.05),
@@ -204,7 +192,7 @@ def test_emc_respects_force_mode():
 def test_emc_mode_transition_logged_on_misprefetch_exit():
     res = run_experiment(
         [JobSpec("dep", 4, DependentReads(file_size=4 * 1024 * 1024),
-                 strategy="dualpar", engine_kwargs=dict(force_mode=None))],
+                 strategy="dualpar")],
         cluster_spec=small_spec(),
         dualpar_config=DualParConfig(io_ratio_enter=0.0, io_ratio_exit=0.0, t_improvement=1e-9,
                                      emc_interval_s=0.05),

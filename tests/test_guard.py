@@ -318,7 +318,7 @@ class TestJobGovernor:
         forced.job.mode = "datadriven"
         gov2 = guard.governor_for(forced)
         assert gov2.state == "probing"
-        gov2.report_misprefetch(0.9)  # way over misprefetch_threshold
+        gov2.report_misprefetch(0.9)  # way over MISPREFETCH_THRESHOLD
         assert gov2.state == "degraded"
         assert forced.job.mode == "normal"  # guard outranks the pin
 

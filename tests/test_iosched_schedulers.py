@@ -9,6 +9,9 @@ from repro.iosched import (
     CfqScheduler,
     DeadlineScheduler,
     NoopScheduler,
+    anticipatory,
+    cfq,
+    deadline,
     make_scheduler,
 )
 from repro.sim import Simulator
@@ -102,10 +105,12 @@ def test_deadline_sorts_batch():
     assert served == sorted(lbns)
 
 
-def test_deadline_expired_read_preempts():
+def test_deadline_expired_read_preempts(monkeypatch):
     """A request whose deadline passed is served before sorted order."""
+    monkeypatch.setattr(deadline, "READ_EXPIRE_S", 0.05)
+    monkeypatch.setattr(deadline, "FIFO_BATCH", 1)
     sim = Simulator()
-    sched = DeadlineScheduler(read_expire_s=0.05, fifo_batch=1)
+    sched = DeadlineScheduler()
     layer, drive = make_layer(sim, sched)
     done = []
 
@@ -130,9 +135,10 @@ def test_deadline_expired_read_preempts():
     assert done and done[0][1] < 0.3  # served well before the near stream drains
 
 
-def test_deadline_write_not_starved():
+def test_deadline_write_not_starved(monkeypatch):
+    monkeypatch.setattr(deadline, "WRITES_STARVED", 1)
     sim = Simulator()
-    sched = DeadlineScheduler(writes_starved=1)
+    sched = DeadlineScheduler()
     trace = BlkTrace()
     layer, drive = make_layer(sim, sched, trace=trace)
 
@@ -151,10 +157,12 @@ def test_deadline_write_not_starved():
 # ---------------------------------------------------------------------- cfq
 
 
-def test_cfq_round_robins_streams():
+def test_cfq_round_robins_streams(monkeypatch):
     """Two streams in distinct regions each get contiguous service runs."""
+    monkeypatch.setattr(cfq, "SLICE_SYNC_S", 0.05)
+    monkeypatch.setattr(cfq, "SLICE_IDLE_S", 0.002)
     sim = Simulator()
-    sched = CfqScheduler(slice_sync_s=0.05, slice_idle_s=0.002)
+    sched = CfqScheduler()
     trace = BlkTrace()
     layer, drive = make_layer(sim, sched, trace=trace)
 
@@ -175,11 +183,13 @@ def test_cfq_round_robins_streams():
     assert transitions < len(served) / 2
 
 
-def test_cfq_idles_for_active_stream():
-    """CFQ waits slice_idle for the active stream's next synchronous request
-    instead of immediately seeking to another stream."""
+def test_cfq_idles_for_active_stream(monkeypatch):
+    """CFQ waits SLICE_IDLE_S for the active stream's next synchronous
+    request instead of immediately seeking to another stream."""
+    monkeypatch.setattr(cfq, "SLICE_SYNC_S", 0.5)
+    monkeypatch.setattr(cfq, "SLICE_IDLE_S", 0.01)
     sim = Simulator()
-    sched = CfqScheduler(slice_sync_s=0.5, slice_idle_s=0.01)
+    sched = CfqScheduler()
     layer, drive = make_layer(sim, sched)
     order = []
 
@@ -209,9 +219,11 @@ def test_cfq_idles_for_active_stream():
     assert s1_positions == [0, 1, 2, 3, 4]
 
 
-def test_cfq_slice_expiry_rotates():
+def test_cfq_slice_expiry_rotates(monkeypatch):
+    monkeypatch.setattr(cfq, "SLICE_SYNC_S", 0.02)
+    monkeypatch.setattr(cfq, "SLICE_IDLE_S", 0.001)
     sim = Simulator()
-    sched = CfqScheduler(slice_sync_s=0.02, slice_idle_s=0.001)
+    sched = CfqScheduler()
     trace = BlkTrace()
     layer, drive = make_layer(sim, sched, trace=trace)
 
@@ -234,9 +246,10 @@ def test_cfq_slice_expiry_rotates():
 # -------------------------------------------------------------- anticipatory
 
 
-def test_anticipatory_waits_for_sequential_reader():
+def test_anticipatory_waits_for_sequential_reader(monkeypatch):
+    monkeypatch.setattr(anticipatory, "ANTIC_EXPIRE_S", 0.01)
     sim = Simulator()
-    sched = AnticipatoryScheduler(antic_expire_s=0.01)
+    sched = AnticipatoryScheduler()
     layer, drive = make_layer(sim, sched)
     order = []
 

@@ -1,8 +1,11 @@
 """Unit & property tests for the sorted unit queue (merging core)."""
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.iosched import request
 from repro.iosched.request import BlockRequest
 from repro.iosched.squeue import SortedUnitQueue
 from repro.sim import Simulator
@@ -16,14 +19,14 @@ def mkreq(lbn, n, op="R", stream=0):
 
 
 def test_insert_keeps_sorted():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     for lbn in (500, 100, 300):
         q.add(mkreq(lbn, 8))
     assert [u.lbn for u in q.units] == [100, 300, 500]
 
 
 def test_back_merge():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8))
     q.add(mkreq(108, 8))
     assert len(q) == 1
@@ -32,7 +35,7 @@ def test_back_merge():
 
 
 def test_front_merge():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(108, 8))
     q.add(mkreq(100, 8))
     assert len(q) == 1
@@ -40,7 +43,7 @@ def test_front_merge():
 
 
 def test_merge_bridges_gap_coalesces_three():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8))
     q.add(mkreq(116, 8))
     q.add(mkreq(108, 8))  # fills the hole: all three coalesce
@@ -49,21 +52,22 @@ def test_merge_bridges_gap_coalesces_three():
 
 
 def test_no_merge_across_ops():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8, op="R"))
     q.add(mkreq(108, 8, op="W"))
     assert len(q) == 2
 
 
-def test_merge_respects_max_sectors():
-    q = SortedUnitQueue(max_sectors=12)
+def test_merge_respects_max_sectors(monkeypatch):
+    monkeypatch.setattr(request, "MAX_SECTORS", 12)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8))
     q.add(mkreq(108, 8))  # would make 16 > 12
     assert len(q) == 2
 
 
 def test_pop_next_clook_behaviour():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     for lbn in (100, 300, 500):
         q.add(mkreq(lbn, 8))
     assert q.pop_next(head_lbn=250).lbn == 300
@@ -73,14 +77,14 @@ def test_pop_next_clook_behaviour():
 
 
 def test_pop_clears_queued_flag():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8))
     unit = q.pop_next(head_lbn=0)
     assert unit.queued is False
 
 
 def test_absorbed_unit_flagged_unqueued():
-    q = SortedUnitQueue(max_sectors=1024)
+    q = SortedUnitQueue()
     q.add(mkreq(100, 8))
     q.add(mkreq(116, 8))
     absorbed = q.units[1]
@@ -98,12 +102,13 @@ def test_absorbed_unit_flagged_unqueued():
 @settings(max_examples=100, deadline=None)
 def test_queue_conserves_sectors_property(reqs):
     """Total sectors in = total sectors queued; keys stay sorted; no unit
-    exceeds max_sectors."""
-    q = SortedUnitQueue(max_sectors=256)
+    exceeds MAX_SECTORS."""
+    q = SortedUnitQueue()
     total = 0
-    for lbn, n in reqs:
-        q.add(mkreq(lbn, n))
-        total += n
+    with mock.patch.object(request, "MAX_SECTORS", 256):
+        for lbn, n in reqs:
+            q.add(mkreq(lbn, n))
+            total += n
     assert sum(u.nsectors for u in q.units) == total
     keys = [u.lbn for u in q.units]
     assert keys == sorted(keys)

@@ -148,8 +148,7 @@ def test_mini_table3_bounded_overhead():
     res_v = run_experiment([JobSpec("v", NPROCS, w(), strategy="vanilla")],
                            cluster_spec=mini_spec())
     res_d = run_experiment(
-        [JobSpec("d", NPROCS, w(), strategy="dualpar",
-                 engine_kwargs=dict(force_mode=None))],
+        [JobSpec("d", NPROCS, w(), strategy="dualpar")],
         cluster_spec=mini_spec(),
         dualpar_config=DualParConfig(io_ratio_enter=0.0, io_ratio_exit=0.0,
                                      t_improvement=1e-9, emc_interval_s=0.05),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, build_cluster, paper_spec
 from repro.disk.drive import DiskParams
+from repro.mpiio import prefetch
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import SyntheticPattern
 
@@ -75,14 +76,14 @@ def test_client_rejects_bad_op():
         list(cluster.clients[0].io(f, 0, 1024, "Z", stream_id=0))
 
 
-def test_prefetch_window_bounds_runahead():
+def test_prefetch_window_bounds_runahead(monkeypatch):
     """A tiny speculation window forces the Strategy-2 engine to throttle
     instead of racing through the whole stream."""
+    monkeypatch.setattr(prefetch, "WINDOW_BYTES", 128 * 1024)
     res = run_experiment(
         [JobSpec("p", 2, SyntheticPattern(file_size=4 * 1024 * 1024,
                                           request_bytes=64 * 1024),
-                 strategy="prefetch",
-                 engine_kwargs=dict(window_bytes=128 * 1024))],
+                 strategy="prefetch")],
         cluster_spec=ClusterSpec(
             n_compute_nodes=2,
             n_data_servers=3,
@@ -91,6 +92,9 @@ def test_prefetch_window_bounds_runahead():
     )
     eng = res.mpi_jobs[0].engine
     assert eng.n_prefetches > 0
+    # Throttled: the speculator did not get ahead to every 64 KB chunk
+    # (the default 1 MB window lets it prefetch all 64).
+    assert eng.n_prefetches < 64
     assert res.jobs[0].bytes_read == 4 * 1024 * 1024
 
 

@@ -177,7 +177,7 @@ def test_vanilla_engine_runs_strided_workload():
 
 def test_collective_engine_aggregates():
     res = run_experiment(
-        [JobSpec("c", 4, Noncontig(elmtcount=16, n_rows=64, collective=True)
+        [JobSpec("c", 4, Noncontig(elmtcount=16, n_rows=64)
                  .with_ncols_hint(4), strategy="collective")],
         cluster_spec=small_spec(),
     )

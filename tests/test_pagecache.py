@@ -1,9 +1,9 @@
 """Unit & property tests for the server page cache and readahead."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pfs import pagecache
 from repro.pfs.pagecache import ServerPageCache
 
 
@@ -59,19 +59,15 @@ def test_invalidate_other_file_noop():
     assert pc.contains("f", 0, 100)
 
 
-def test_capacity_eviction():
-    pc = ServerPageCache(capacity_bytes=1000)
+def test_capacity_eviction(monkeypatch):
+    monkeypatch.setattr(pagecache, "CAPACITY_BYTES", 1000)
+    pc = ServerPageCache()
     pc.insert("f", 0, 600)
     pc.insert("f", 10_000, 600)
     assert pc.resident_bytes <= 1000
     # The oldest extent went first.
     assert not pc.contains("f", 0, 600)
     assert pc.contains("f", 10_000, 600)
-
-
-def test_bad_capacity():
-    with pytest.raises(ValueError):
-        ServerPageCache(capacity_bytes=0)
 
 
 # ------------------------------------------------------------- readahead
@@ -83,7 +79,7 @@ def test_first_access_no_readahead():
 
 
 def test_sequential_accesses_grow_window():
-    pc = ServerPageCache(ra_start=32 * 1024, ra_max=128 * 1024, slack=48 * 1024)
+    pc = ServerPageCache()
     w0 = pc.record_access("f", 0, 16 * 1024)
     assert w0 == 0
     # Next access lands at the previous scheduled end.
@@ -93,8 +89,10 @@ def test_sequential_accesses_grow_window():
     assert w2 == 64 * 1024
 
 
-def test_window_caps_at_ra_max():
-    pc = ServerPageCache(ra_start=32 * 1024, ra_max=64 * 1024, slack=1 << 30)
+def test_window_caps_at_ra_max(monkeypatch):
+    monkeypatch.setattr(pagecache, "RA_MAX", 64 * 1024)
+    monkeypatch.setattr(pagecache, "RA_SLACK", 1 << 30)
+    pc = ServerPageCache()
     pos = 0
     w = 0
     for _ in range(6):
@@ -104,7 +102,7 @@ def test_window_caps_at_ra_max():
 
 
 def test_random_access_resets_window():
-    pc = ServerPageCache(slack=48 * 1024)
+    pc = ServerPageCache()
     pc.record_access("f", 0, 16 * 1024)
     pc.record_access("f", 16 * 1024, 16 * 1024)  # grows
     w = pc.record_access("f", 100 * 1024 * 1024, 16 * 1024)  # far jump
@@ -112,7 +110,7 @@ def test_random_access_resets_window():
 
 
 def test_readahead_state_is_per_context():
-    pc = ServerPageCache(slack=48 * 1024)
+    pc = ServerPageCache()
     pc.record_access("f", 0, 16 * 1024, context=0)
     # Context 1 sees the same offsets but has its own cold state.
     assert pc.record_access("f", 16 * 1024, 16 * 1024, context=1) == 0
@@ -120,8 +118,9 @@ def test_readahead_state_is_per_context():
     assert pc.record_access("f", 16 * 1024, 16 * 1024, context=0) > 0
 
 
-def test_on_hit_triggers_next_window():
-    pc = ServerPageCache(ra_start=32 * 1024, ra_max=64 * 1024, slack=48 * 1024)
+def test_on_hit_triggers_next_window(monkeypatch):
+    monkeypatch.setattr(pagecache, "RA_MAX", 64 * 1024)
+    pc = ServerPageCache()
     pc.record_access("f", 0, 16 * 1024)
     w = pc.record_access("f", 16 * 1024, 16 * 1024)  # window scheduled
     last_end = 32 * 1024 + w
@@ -133,8 +132,9 @@ def test_on_hit_triggers_next_window():
     assert length > 0
 
 
-def test_on_hit_far_from_edge_no_trigger():
-    pc = ServerPageCache(ra_start=32 * 1024, ra_max=256 * 1024, slack=48 * 1024)
+def test_on_hit_far_from_edge_no_trigger(monkeypatch):
+    monkeypatch.setattr(pagecache, "RA_MAX", 256 * 1024)
+    pc = ServerPageCache()
     pc.record_access("f", 0, 16 * 1024)
     pc.record_access("f", 16 * 1024, 16 * 1024)
     assert pc.on_hit("f", 0, 1024) is None
@@ -158,8 +158,9 @@ def test_on_hit_unknown_file_none():
 )
 @settings(max_examples=100, deadline=None)
 def test_extents_invariants_property(ops):
-    """Extents stay sorted, disjoint, and resident_bytes consistent."""
-    pc = ServerPageCache(capacity_bytes=1 << 30)
+    """Extents stay sorted, disjoint, and resident_bytes consistent (the
+    inserts stay far below CAPACITY_BYTES, so nothing is evicted)."""
+    pc = ServerPageCache()
     for off, ln, kind in ops:
         if kind == "ins":
             pc.insert("f", off, ln)

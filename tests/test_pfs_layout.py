@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pfs import filesystem
 from repro.pfs.filesystem import ExtentAllocator, FileSystem
 from repro.pfs.layout import StripeLayout
 
@@ -94,8 +95,9 @@ def test_layout_rejects_bad_params():
 # ----------------------------------------------------------- allocator/fs
 
 
-def test_packed_allocator_sequential_with_gap():
-    alloc = ExtentAllocator(1_000_000, placement="packed", gap_sectors=100)
+def test_packed_allocator_sequential_with_gap(monkeypatch):
+    monkeypatch.setattr(filesystem, "GAP_SECTORS", 100)
+    alloc = ExtentAllocator(1_000_000, placement="packed")
     a = alloc.allocate(500)
     b = alloc.allocate(500)
     assert a.start_lbn == 0
@@ -103,14 +105,15 @@ def test_packed_allocator_sequential_with_gap():
 
 
 def test_spread_allocator_uses_distant_groups():
-    alloc = ExtentAllocator(1_600_000, placement="spread", n_groups=16)
+    alloc = ExtentAllocator(1_600_000, placement="spread")
     a = alloc.allocate(1000)
     b = alloc.allocate(1000)
     assert abs(b.start_lbn - a.start_lbn) >= 1_600_000 // 16 - 1
 
 
-def test_allocator_full_raises():
-    alloc = ExtentAllocator(1000, placement="packed", gap_sectors=0)
+def test_allocator_full_raises(monkeypatch):
+    monkeypatch.setattr(filesystem, "GAP_SECTORS", 0)
+    alloc = ExtentAllocator(1000, placement="packed")
     alloc.allocate(900)
     with pytest.raises(RuntimeError):
         alloc.allocate(200)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec, build_cluster
-from repro.core import DualParConfig
+from repro.core import pec
 from repro.disk.drive import DiskParams
 from repro.disk.seek import SeekModel
 from repro.mpi.ops import ComputeOp, IoOp, Segment
@@ -159,11 +159,11 @@ class StragglerWorkload(Workload):
         return [FileSpec("st.dat", 64 * 1024 * 1024)]
 
 
-def test_straggler_rank_does_not_deadlock_dualpar():
+def test_straggler_rank_does_not_deadlock_dualpar(monkeypatch):
+    monkeypatch.setattr(pec, "DEADLINE_MAX_S", 0.5)
     res = run_experiment(
         [JobSpec("st", 8, StragglerWorkload(), strategy="dualpar-forced")],
         cluster_spec=small_spec(),
-        dualpar_config=DualParConfig(deadline_max_s=0.5),
     )
     assert res.jobs[0].bytes_read == 8 * 8 * 64 * 1024
 

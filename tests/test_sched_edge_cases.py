@@ -3,7 +3,7 @@
 import pytest
 
 from repro.disk import DiskDrive, DiskParams
-from repro.iosched import BlockLayer, CfqScheduler, DeadlineScheduler, make_scheduler
+from repro.iosched import BlockLayer, CfqScheduler, DeadlineScheduler, cfq, make_scheduler
 from repro.sim import SimulationError, Simulator
 from repro.trace import BlkTrace
 
@@ -73,7 +73,7 @@ def test_cfq_sync_preempts_queued_async():
 
 def test_cfq_think_time_disables_idling():
     """A slow-thinking stream does not earn idle windows."""
-    sched = CfqScheduler(slice_idle_s=0.008)
+    sched = CfqScheduler()
     sim = Simulator()
     layer, drive = make_layer(sim, sched)
 
@@ -82,7 +82,7 @@ def test_cfq_think_time_disables_idling():
         for _ in range(5):
             ev = layer.submit(pos, 8, stream_id=1)
             yield ev
-            yield sim.timeout(0.1)  # thinks far longer than slice_idle
+            yield sim.timeout(0.1)  # thinks far longer than SLICE_IDLE_S
             pos += 10_000
 
     def other():
@@ -97,7 +97,7 @@ def test_cfq_think_time_disables_idling():
     sim.run_until_event(p1)
     sim.run_until_event(p2)
     st = sched._streams[1]
-    assert st.ttime_mean > sched.slice_idle_s  # heuristic saw the gap
+    assert st.ttime_mean > cfq.SLICE_IDLE_S  # heuristic saw the gap
 
 
 def test_deadline_pure_write_workload():

@@ -197,11 +197,6 @@ def test_noncontig_column_access():
     assert seg1.offset - seg0.offset == 4 * width
 
 
-def test_noncontig_collective_flag():
-    w = Noncontig(elmtcount=16, n_rows=32, collective=True).with_ncols_hint(4)
-    assert all(op.collective for op in io_ops(w, 0, 4))
-
-
 def test_noncontig_validate():
     w = Noncontig(elmtcount=16, n_rows=32).with_ncols_hint(4)
     with pytest.raises(ValueError):

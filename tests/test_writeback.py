@@ -80,10 +80,12 @@ def test_read_after_write_served_from_ram():
 
 
 def test_memory_pressure_forces_early_flush():
-    cluster = wb_cluster(server_writeback_interval_s=60.0)
+    cluster = wb_cluster(
+        server_writeback_interval_s=60.0, server_writeback_max_dirty=1024 * 1024
+    )
     cluster.fs.create("f.dat", 64 * 1024 * 1024)
     ds = cluster.data_servers[0]
-    ds.writeback.max_dirty_bytes = 1024 * 1024
+    assert ds.writeback.max_dirty_bytes == 1024 * 1024
     for i in range(5):
         done = ds.handle(wr("f.dat", i * 256 * 1024, 256 * 1024))
         cluster.sim.run_until_event(done)
