@@ -16,8 +16,6 @@ gains are attributed to:
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import (
     Demo,
@@ -26,7 +24,6 @@ from repro import (
     Hpio,
     JobSpec,
     MpiIoTest,
-    Noncontig,
     format_table,
     run_experiment,
     run_experiments,

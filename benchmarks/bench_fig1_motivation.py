@@ -17,8 +17,6 @@ the paper does); (b) execution time vs segment size at I/O ratio 0.9;
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import (
     Demo,
@@ -62,7 +60,8 @@ def test_fig1a_io_ratio_sweep(benchmark, report):
     ratios = [0.2, 0.43, 0.72, 0.9, 1.0]
 
     def run():
-        builder = lambda cpc: demo_workload(4, cpc)
+        def builder(cpc):
+            return demo_workload(4, cpc)
         rows = []
         for ratio in ratios:
             cpc = (
@@ -105,7 +104,8 @@ def test_fig1b_segment_size_sweep(benchmark, report):
     def run():
         rows = []
         for kb in sizes_kb:
-            builder = lambda cpc, kb=kb: demo_workload(kb, cpc)
+            def builder(cpc, kb=kb):
+                return demo_workload(kb, cpc)
             cpc = calibrate_compute_for_ratio(
                 builder, 0.9, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
             )
@@ -183,7 +183,8 @@ def test_table1_strategy_characteristics(benchmark, report):
     correlation between computation order and I/O service order."""
 
     def run():
-        builder = lambda cpc: demo_workload(4, cpc)
+        def builder(cpc):
+            return demo_workload(4, cpc)
         cpc = calibrate_compute_for_ratio(
             builder, 0.3, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
         )

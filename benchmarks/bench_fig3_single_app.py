@@ -16,8 +16,6 @@ collective loses its advantage, DualPar +150%):
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import (
     ExperimentSpec,

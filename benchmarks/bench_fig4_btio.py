@@ -12,8 +12,6 @@ better.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import Btio, ExperimentSpec, JobSpec, format_table, run_experiments
 from repro.cluster import paper_spec

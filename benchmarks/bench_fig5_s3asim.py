@@ -8,8 +8,6 @@ than vanilla/collective by up to ~25%, ~17% on average.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import JobSpec, S3asim, format_table, run_experiment
 from repro.cluster import paper_spec

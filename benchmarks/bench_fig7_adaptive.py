@@ -13,8 +13,6 @@ Scaled: hpio joins at t=1.5 s instead of t=50 s; 0.5 s sampling windows.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import DualParConfig, Hpio, JobSpec, MpiIoTest, format_table, run_experiment
 from repro.cluster import paper_spec

@@ -9,8 +9,6 @@ diminish beyond a few hundred KB.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import (
     Btio,

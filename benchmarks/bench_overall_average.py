@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from conftest import run_once
 from repro import (
     ExperimentSpec,

@@ -12,8 +12,6 @@ reports DualPar cutting the average seek distance by up to 10x.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import JobSpec, MpiIoTest, format_table, run_experiment
 from repro.cluster import paper_spec

@@ -9,8 +9,6 @@ only 7.2% slower at a 4 MB cache).
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import run_once
 from repro import DependentReads, DualParConfig, JobSpec, format_table, run_experiment
 from repro.cluster import paper_spec

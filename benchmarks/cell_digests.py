@@ -39,6 +39,7 @@ Exit status 0 when every checked digest matches or the check is skipped,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -55,7 +56,6 @@ PLANS = ROOT / "examples" / "faultplans"
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-import repro  # noqa: E402
 from repro import (  # noqa: E402
     Demo,
     DependentReads,
@@ -67,6 +67,7 @@ from repro import (  # noqa: E402
 )
 from repro.cluster import paper_spec  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
+from repro.runner import run_spec  # noqa: E402
 from repro.service.catalog import canonical_json  # noqa: E402
 
 
@@ -172,15 +173,7 @@ def fault_counters(result) -> dict:
 
 
 def cell_digest_of(cells: ModuleType, cell, fault_plan=None) -> str:
-    spec = cell.spec
-    result = repro.run_experiment(
-        list(spec.specs),
-        cluster_spec=spec.cluster_spec,
-        dualpar_config=spec.dualpar_config,
-        timeline_window_s=spec.timeline_window_s,
-        limit_s=spec.limit_s,
-        fault_plan=fault_plan,
-    )
+    result = run_spec(dataclasses.replace(cell.spec, fault_plan=fault_plan))
     digest = cells.cell_digest(result)
     if fault_plan is None:
         return digest

@@ -15,7 +15,7 @@ Accounting supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional
+from typing import Generator, Optional
 
 from repro.cache.chunk import DEFAULT_CHUNK_BYTES, ChunkKey
 from repro.extents import Segment, coalesce_segments

@@ -34,15 +34,17 @@ import os
 import sys
 from typing import Optional
 
-from repro.cluster import ClusterSpec, paper_spec
+from repro.cluster import paper_spec
 from repro.core.config import DualParConfig
+from repro.faults import FaultPlan
+from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
 from repro.runner import (
     ExperimentSpec,
     JobSpec,
     format_table,
-    run_experiment,
     run_experiments,
+    run_spec,
 )
 from repro.runner.strategies import STRATEGY_NAMES
 from repro.workloads import WORKLOADS, build_workload
@@ -50,18 +52,35 @@ from repro.workloads import WORKLOADS, build_workload
 __all__ = ["main", "build_workload", "WORKLOADS"]
 
 
-def _cluster_from_args(args) -> ClusterSpec:
-    return paper_spec(
-        n_compute_nodes=args.compute_nodes,
-        n_data_servers=args.data_servers,
-        io_scheduler=args.elevator,
+def _spec_from_args(args, strategy: str, observe: bool) -> ExperimentSpec:
+    """The one-job cell the common flags describe, run under ``strategy``.
+
+    ``--faults`` replays a plan file; ``--guard`` attaches a default
+    :class:`~repro.guard.GuardConfig` (guard-off runs stay bit-identical).
+    """
+    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
+    return ExperimentSpec(
+        (JobSpec(args.workload, args.nprocs, workload, strategy=strategy),),
+        cluster_spec=paper_spec(
+            n_compute_nodes=args.compute_nodes,
+            n_data_servers=args.data_servers,
+            io_scheduler=args.elevator,
+        ),
+        dualpar_config=(
+            None if args.quota_kb is None else DualParConfig(quota_bytes=args.quota_kb * 1024)
+        ),
+        observe=observe,
+        fault_plan=FaultPlan.load(args.faults) if args.faults else None,
+        guard=GuardConfig() if args.guard else None,
+        label=strategy,
     )
 
 
-def _dualpar_from_args(args) -> Optional[DualParConfig]:
-    if args.quota_kb is None:
-        return None
-    return DualParConfig(quota_bytes=args.quota_kb * 1024)
+def _run_one(args):
+    """The ``run``/``report`` cell, observed when ``--metrics`` or
+    ``--trace-out`` asks for a file."""
+    _apply_sanitize(args)
+    return run_spec(_spec_from_args(args, args.strategy, bool(args.metrics or args.trace_out)))
 
 
 def _job_rows(result) -> list[list]:
@@ -76,26 +95,6 @@ def _job_rows(result) -> list[list]:
         ]
         for j in result.jobs
     ]
-
-
-def _faults_from_args(args):
-    """A :class:`~repro.faults.FaultPlan` loaded from ``--faults``, or None."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.load(path)
-
-
-def _guard_from_args(args):
-    """A default :class:`~repro.guard.GuardConfig` when ``--guard`` was
-    given, else None (guard-off runs stay bit-identical)."""
-    if not getattr(args, "guard", False):
-        return None
-    from repro.guard import GuardConfig
-
-    return GuardConfig()
 
 
 def _print_guard_summary(result) -> None:
@@ -129,16 +128,6 @@ def _print_fault_summary(result) -> None:
         print(f"  t={t:10.3f}s  {phase:<7}{kind:<14}target={target}")
     if faults.n_timeouts:
         print(f"  client request timeouts: {faults.n_timeouts}")
-
-
-def _observe_from_args(args):
-    """An :class:`~repro.obs.Observability` when ``--metrics`` or
-    ``--trace-out`` was given, else None (zero-overhead plain run)."""
-    if getattr(args, "metrics", None) or getattr(args, "trace_out", None):
-        from repro.obs import Observability
-
-        return Observability()
-    return None
 
 
 def _export_obs(args, result) -> None:
@@ -180,16 +169,7 @@ def _apply_sanitize(args) -> None:
 
 
 def cmd_run(args) -> int:
-    _apply_sanitize(args)
-    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    result = run_experiment(
-        [JobSpec(args.workload, args.nprocs, workload, strategy=args.strategy)],
-        cluster_spec=_cluster_from_args(args),
-        dualpar_config=_dualpar_from_args(args),
-        observe=_observe_from_args(args),
-        fault_plan=_faults_from_args(args),
-        guard=_guard_from_args(args),
-    )
+    result = _run_one(args)
     print(
         format_table(
             ["job", "strategy", "ranks", "time (s)", "MB/s", "I/O ratio"],
@@ -221,25 +201,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     _apply_sanitize(args)
-    specs = [
-        ExperimentSpec(
-            [
-                JobSpec(
-                    args.workload,
-                    args.nprocs,
-                    build_workload(args.workload, args.size_mb, args.op, args.nprocs),
-                    strategy=strategy,
-                )
-            ],
-            cluster_spec=_cluster_from_args(args),
-            dualpar_config=_dualpar_from_args(args),
-            observe=bool(args.metrics),
-            fault_plan=_faults_from_args(args),
-            guard=_guard_from_args(args),
-            label=strategy,
-        )
-        for strategy in args.strategies
-    ]
+    specs = [_spec_from_args(args, s, observe=bool(args.metrics)) for s in args.strategies]
     results = run_experiments(specs, jobs=args.jobs, cache=not args.no_cache)
     rows = []
     for strategy, result in zip(args.strategies, results):
@@ -277,16 +239,7 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     from repro.analysis import summarize
 
-    _apply_sanitize(args)
-    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    result = run_experiment(
-        [JobSpec(args.workload, args.nprocs, workload, strategy=args.strategy)],
-        cluster_spec=_cluster_from_args(args),
-        dualpar_config=_dualpar_from_args(args),
-        observe=_observe_from_args(args),
-        fault_plan=_faults_from_args(args),
-        guard=_guard_from_args(args),
-    )
+    result = _run_one(args)
     print(summarize(result))
     _print_fault_summary(result)
     _print_guard_summary(result)

@@ -18,7 +18,7 @@ dirty chunks are written back from their owner nodes and marked clean.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.cache.chunk import ChunkKey, chunk_range
 from repro.extents import Segment, coalesce_counting, coalesce_segments
@@ -166,9 +166,6 @@ class Crm:
 
     def _prefetch(self, cyc: "Cycle"):
         sim = self.sim
-        cache = self.engine.cache
-        cb = cache.chunk_bytes
-        fs = self.engine.runtime.cluster.fs
         needed = self._chunks_needed(cyc)
         node_procs = []
         for node, per_file in sorted(needed.items()):

@@ -130,7 +130,7 @@ class EmcDaemon:
                 job = engine.job
                 if job.finished:
                     continue
-                ratio = engine_sampler = self.system.sampler_of(engine).sample()
+                ratio = self.system.sampler_of(engine).sample()
                 if ratio is not None:
                     ratios[job.name] = ratio
                 if guard is not None:

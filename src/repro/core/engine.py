@@ -22,7 +22,7 @@ from repro.cache.quota import QuotaTracker
 from repro.core.config import DualParConfig
 from repro.core.crm import Crm
 from repro.core.pec import Pec
-from repro.mpi.ops import IoOp, Segment
+from repro.mpi.ops import IoOp
 from repro.mpiio.engine import IndependentEngine, IoEngine
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -26,10 +26,11 @@ sender (e.g. compute-node cache traffic) forever.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro.codec import JsonRecord
 
 __all__ = ["FAULT_KINDS", "DiskFault", "FaultEvent", "FaultPlan", "RetryPolicy"]
 
@@ -202,62 +203,20 @@ class FaultEvent:
         return self.nodes if self.nodes else (self.target,)
 
 
-_EVENT_FIELDS = frozenset(f.name for f in fields(FaultEvent))
-_POLICY_FIELDS = frozenset(f.name for f in fields(RetryPolicy))
-
-
 @dataclass(frozen=True)
-class FaultPlan:
-    """A seeded schedule of fault events plus the client retry policy."""
+class FaultPlan(JsonRecord):
+    """A seeded schedule of fault events plus the client retry policy.
+
+    Plan files are read and written by :mod:`repro.codec`.
+    """
 
     seed: int = 0
     events: tuple[FaultEvent, ...] = ()
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "events", tuple(self.events))
-
-    # -- JSON round-trip -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "events": [asdict(ev) for ev in self.events],
-            "retry": asdict(self.retry),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultPlan":
-        events = []
-        for raw in d.get("events", ()):
-            unknown = set(raw) - _EVENT_FIELDS
-            if unknown:
-                raise ValueError(f"unknown FaultEvent fields: {sorted(unknown)}")
-            ev = dict(raw)
-            if "nodes" in ev:
-                ev["nodes"] = tuple(ev["nodes"])
-            events.append(FaultEvent(**ev))
-        raw_retry = d.get("retry", {})
-        unknown = set(raw_retry) - _POLICY_FIELDS
-        if unknown:
-            raise ValueError(f"unknown RetryPolicy fields: {sorted(unknown)}")
-        return cls(
-            seed=int(d.get("seed", 0)),
-            events=tuple(events),
-            retry=RetryPolicy(**raw_retry),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: Any) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def dump(self, path: Any) -> None:
         with open(path, "w", encoding="utf-8") as fh:

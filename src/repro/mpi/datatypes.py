@@ -18,7 +18,6 @@ physical file segments -- what ``ADIOI_*_ReadStrided`` actually computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.mpi.ops import Segment
 
@@ -128,10 +127,10 @@ class IndexedType(Datatype):
 
     @property
     def extent(self) -> int:  # type: ignore[override]
-        return max(d + l for d, l in self.blocks)
+        return max(d + n for d, n in self.blocks)
 
     def _template(self) -> list[Segment]:
-        return [Segment(d, l) for d, l in sorted(self.blocks)]
+        return [Segment(d, n) for d, n in sorted(self.blocks)]
 
 
 @dataclass(frozen=True)

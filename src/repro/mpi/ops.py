@@ -11,7 +11,7 @@ affecting the correctness of normal execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.extents import Segment

@@ -15,7 +15,7 @@ Each rank interprets its op stream:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.builder import Cluster

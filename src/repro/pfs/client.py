@@ -26,7 +26,7 @@ this code runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import Generator, Optional
 
 from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile

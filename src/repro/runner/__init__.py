@@ -18,6 +18,7 @@ from repro.runner.parallel import (
     SlimExperimentResult,
     WorkerCellError,
     run_experiments,
+    run_spec,
 )
 from repro.runner.results import format_table
 from repro.runner.strategies import STRATEGY_NAMES, resolve_strategy
@@ -36,4 +37,5 @@ __all__ = [
     "resolve_strategy",
     "run_experiment",
     "run_experiments",
+    "run_spec",
 ]

@@ -12,6 +12,7 @@ result.  This module provides:
   (per-job measurements plus a few cluster/DualPar summaries);
 - :func:`experiment_fingerprint` -- the content address of one cell
   (workloads, cluster spec, strategy, config, code version);
+- :func:`run_spec` -- evaluate one cell in this process;
 - :func:`run_experiments` -- evaluate many cells.  A cell already in the
   result catalog (:mod:`repro.service.catalog`, the store ``repro serve``
   writes too) is served from its record; the rest run inline or on a
@@ -47,6 +48,7 @@ __all__ = [
     "WorkerCellError",
     "experiment_fingerprint",
     "run_experiments",
+    "run_spec",
 ]
 
 
@@ -234,14 +236,14 @@ def experiment_fingerprint(spec: ExperimentSpec) -> str:
 # -- execution ----------------------------------------------------------
 
 
-def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
-    """Worker entry point: evaluate one cell from scratch."""
+def run_spec(spec: ExperimentSpec) -> ExperimentResult:
+    """Evaluate one cell from scratch in this process."""
     observe = None
     if spec.observe:
         from repro.obs import Observability
 
         observe = Observability()
-    res = run_experiment(
+    return run_experiment(
         list(spec.specs),
         cluster_spec=spec.cluster_spec,
         dualpar_config=spec.dualpar_config,
@@ -251,7 +253,11 @@ def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
         fault_plan=spec.fault_plan,
         guard=spec.guard,
     )
-    return SlimExperimentResult.from_full(res)
+
+
+def _run_spec(spec: ExperimentSpec) -> SlimExperimentResult:
+    """Worker entry point: evaluate one cell, keep its catalogued view."""
+    return SlimExperimentResult.from_full(run_spec(spec))
 
 
 def _run_pooled(specs: list[ExperimentSpec], jobs: int) -> list[tuple]:

@@ -33,10 +33,11 @@ import dataclasses
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.codec import decode, encode
 from repro.runner.experiment import JobResult
 from repro.runner.parallel import SlimExperimentResult
 
@@ -100,16 +101,16 @@ def result_from_dict(d: Mapping[str, Any]) -> SlimExperimentResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CatalogRecord:
     """One catalogued experiment: content address, payloads, provenance."""
 
+    record_version: int = RECORD_VERSION
     fingerprint: str
     code_version: str
     submission: dict
     result: dict
     provenance: dict
-    record_version: int = RECORD_VERSION
 
     def __post_init__(self) -> None:
         if self.record_version != RECORD_VERSION:
@@ -121,23 +122,13 @@ class CatalogRecord:
             raise ValueError("fingerprint must be non-empty")
 
     def to_dict(self) -> dict:
-        return {
-            "record_version": self.record_version,
-            "fingerprint": self.fingerprint,
-            "code_version": self.code_version,
-            "submission": self.submission,
-            "result": self.result,
-            "provenance": self.provenance,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "CatalogRecord":
         if "record_version" not in d:
             raise ValueError("catalog record is missing record_version")
-        unknown = set(d) - _RECORD_FIELDS
-        if unknown:
-            raise ValueError(f"unknown CatalogRecord fields: {sorted(unknown)}")
-        return cls(**d)
+        return decode(cls, d)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -145,9 +136,6 @@ class CatalogRecord:
     @classmethod
     def from_json(cls, text: str) -> "CatalogRecord":
         return cls.from_dict(json.loads(text))
-
-
-_RECORD_FIELDS = frozenset(f.name for f in fields(CatalogRecord))
 
 
 class ResultCatalog:

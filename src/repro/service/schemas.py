@@ -4,8 +4,9 @@ An :class:`ExperimentSubmission` is the JSON shape a tenant sends to the
 coordinator: the experiment described in *catalogued* terms (workload by
 name, cluster knobs, strategy, optional fault plan / guard config)
 rather than as live Python objects, so every submission round-trips
-through JSON, rejects unknown fields (like :class:`repro.faults.FaultPlan`
-does), and fingerprints deterministically.
+through JSON by :mod:`repro.codec` (which rejects unknown fields at every
+level, as for :class:`repro.faults.FaultPlan`), and fingerprints
+deterministically.
 
 ``to_experiment_spec()`` lowers a submission onto the existing harness:
 the same workload builders the CLI uses, :func:`repro.cluster.paper_spec`,
@@ -22,10 +23,10 @@ never guess at half-understood fields).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from repro.codec import JsonRecord, decode, encode
 from repro.faults import FaultPlan
 from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
@@ -44,25 +45,14 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-
-def _reject_unknown(raw: Mapping[str, Any], known: frozenset, what: str) -> None:
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-
-
 def guard_to_dict(guard: GuardConfig) -> dict:
     """A :class:`~repro.guard.GuardConfig` as a plain JSON-able dict."""
-    return asdict(guard)
+    return encode(guard)
 
 
 def guard_from_dict(raw: Mapping[str, Any]) -> GuardConfig:
     """Parse a guard config, rejecting unknown fields."""
-    _reject_unknown(raw, _GUARD_FIELDS, "GuardConfig")
-    return GuardConfig(**raw)
-
-
-_GUARD_FIELDS = frozenset(f.name for f in fields(GuardConfig))
+    return decode(GuardConfig, raw)
 
 
 @dataclass(frozen=True)
@@ -126,14 +116,17 @@ class ClusterSubmission:
             raise ValueError("stripe_unit must be positive")
 
 
-@dataclass(frozen=True)
-class ExperimentSubmission:
-    """A complete, validated experiment submission (wire schema v1)."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSubmission(JsonRecord):
+    """A complete, validated experiment submission (wire schema v1).
 
-    jobs: tuple[JobSubmission, ...]
+    Fields are declared in wire order: ``to_json`` writes them so.
+    """
+
     schema_version: int = SCHEMA_VERSION
     tenant: str = "default"
     label: str = ""
+    jobs: tuple[JobSubmission, ...] = ()
     cluster: ClusterSubmission = field(default_factory=ClusterSubmission)
     #: DualPar per-process cache quota (KB) -> DualParConfig, or None.
     quota_kb: Optional[int] = None
@@ -164,67 +157,15 @@ class ExperimentSubmission:
         if self.limit_s <= 0:
             raise ValueError("limit_s must be positive")
 
-    # -- JSON round-trip -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        payload = {
-            "schema_version": self.schema_version,
-            "tenant": self.tenant,
-            "label": self.label,
-            "jobs": [asdict(j) for j in self.jobs],
-            "cluster": asdict(self.cluster),
-            "quota_kb": self.quota_kb,
-            "limit_s": self.limit_s,
-            "observe": self.observe,
-            "fault_plan": self.fault_plan.to_dict() if self.fault_plan else None,
-            "guard": guard_to_dict(self.guard) if self.guard else None,
-        }
-        # JSON-normal form (tuples become lists) so the dict a catalog
-        # record stores compares equal whether it lived in memory or went
-        # through the wire and the disk.
-        return json.loads(json.dumps(payload))
-
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExperimentSubmission":
         if "schema_version" not in d:
             raise ValueError("submission is missing schema_version")
-        _reject_unknown(d, _SUBMISSION_FIELDS, "ExperimentSubmission")
-        jobs = []
-        for raw in d.get("jobs", ()):
-            _reject_unknown(raw, _JOB_FIELDS, "JobSubmission")
-            jobs.append(JobSubmission(**raw))
-        raw_cluster = d.get("cluster") or {}
-        _reject_unknown(raw_cluster, _CLUSTER_FIELDS, "ClusterSubmission")
-        raw_plan = d.get("fault_plan")
-        if raw_plan:
-            # FaultPlan.from_dict polices event/retry fields but tolerates
-            # stray top-level keys; the service wire schema does not.
-            _reject_unknown(raw_plan, _PLAN_FIELDS, "FaultPlan")
-        raw_guard = d.get("guard")
-        return cls(
-            schema_version=d["schema_version"],
-            tenant=d.get("tenant", "default"),
-            label=d.get("label", ""),
-            jobs=tuple(jobs),
-            cluster=ClusterSubmission(**raw_cluster),
-            quota_kb=d.get("quota_kb"),
-            limit_s=d.get("limit_s", 1e6),
-            observe=bool(d.get("observe", False)),
-            fault_plan=FaultPlan.from_dict(raw_plan) if raw_plan else None,
-            guard=guard_from_dict(raw_guard) if raw_guard else None,
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSubmission":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: Any) -> "ExperimentSubmission":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        # A null or empty cluster, fault plan or guard means the default.
+        raw = {k: v for k, v in d.items() if v or k not in ("cluster", "fault_plan", "guard")}
+        if "observe" in raw:
+            raw["observe"] = bool(raw["observe"])
+        return decode(cls, raw)
 
     # -- lowering onto the harness ---------------------------------------
 
@@ -278,9 +219,3 @@ class ExperimentSubmission:
         from repro.runner.parallel import experiment_fingerprint
 
         return experiment_fingerprint(self.to_experiment_spec())
-
-
-_SUBMISSION_FIELDS = frozenset(f.name for f in fields(ExperimentSubmission))
-_PLAN_FIELDS = frozenset(f.name for f in fields(FaultPlan))
-_JOB_FIELDS = frozenset(f.name for f in fields(JobSubmission))
-_CLUSTER_FIELDS = frozenset(f.name for f in fields(ClusterSubmission))

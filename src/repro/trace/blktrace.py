@@ -104,9 +104,9 @@ class BlkTrace:
         tspan = max(tmax - tmin, 1e-12)
         lspan = max(lmax - lmin, 1)
         grid = [[" "] * width for _ in range(height)]
-        for t, l in zip(times, lbns):
+        for t, lbn in zip(times, lbns):
             x = min(int((t - tmin) / tspan * (width - 1)), width - 1)
-            y = min(int((l - lmin) / lspan * (height - 1)), height - 1)
+            y = min(int((lbn - lmin) / lspan * (height - 1)), height - 1)
             grid[height - 1 - y][x] = "*"
         lines = ["".join(row) for row in grid]
         header = f"LBN {lmin}..{lmax} over t={t0:.3f}..{t1:.3f}s ({len(times)} accesses)"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.mpi.ops import ComputeOp, IoOp, Op, Segment
+from repro.mpi.ops import ComputeOp, IoOp, Op
 from repro.workloads.base import FileSpec, Workload
 
 __all__ = ["Demo"]

@@ -1,7 +1,5 @@
 """Tests for the analysis/reporting module."""
 
-import pytest
-
 from repro.analysis import analyze_cache, analyze_disks, analyze_network, summarize
 from repro.cluster import ClusterSpec
 from repro.disk.drive import DiskParams

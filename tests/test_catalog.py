@@ -9,7 +9,9 @@ corruption-reads-as-miss semantics.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -139,6 +141,64 @@ def test_guard_config_roundtrip_and_unknown_field_rejection():
     assert guard_from_dict(guard_to_dict(guard)) == guard
     with pytest.raises(ValueError, match="unknown GuardConfig"):
         guard_from_dict({"min_hit_rate": 0.1, "surprise": True})
+
+
+_MINIMAL = {"schema_version": 1, "jobs": [{"name": "j0", "workload": "mpi-io-test"}]}
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ({}, {}),
+        ({"cluster": None}, {}),
+        ({"fault_plan": None}, {}),
+        ({"fault_plan": {}}, {}),
+        ({"guard": {}}, {}),
+        ({"observe": 1}, {"observe": True}),
+        ({"limit_s": 5}, {"limit_s": 5}),
+        ({"fault_plan": {"seed": "3"}}, {"fault_plan": FaultPlan(seed=3)}),
+        (
+            {"fault_plan": {"events": [
+                {"kind": "net_partition", "at_s": 0, "until_s": 1, "nodes": [0, 2]}
+            ]}},
+            {"fault_plan": FaultPlan(events=(
+                FaultEvent(kind="net_partition", at_s=0, until_s=1, nodes=(0, 2)),
+            ))},
+        ),
+    ],
+)
+def test_submission_decoding_is_pinned(extra, expected):
+    decoded = ExperimentSubmission.from_dict({**_MINIMAL, **extra})
+    # repr, not ==: 1 == True and 5 == 5.0, but the fingerprint hashes reprs.
+    want = ExperimentSubmission(jobs=(JobSubmission("j0", "mpi-io-test"),), **expected)
+    assert repr(decoded) == repr(want)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_to_json_bytes_are_pinned():
+    docs = Path(__file__).resolve().parent.parent / "docs" / "service.md"
+    example = docs.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```")[0]
+    sub = ExperimentSubmission.from_json(example)
+    assert _sha256(sub.to_json()) == (
+        "13d98513f88c74eb86c728c991f55bd457d613caa12e5d6b776474dc7478b50f"
+    )
+    assert _sha256(sub.to_json(indent=None)) == (
+        "ac76f02a90e364acb49873a6292ba1e81d94477f4ebe1496faf8c14445efaea3"
+    )
+    guarded = _submission(quota_kb=256, guard=GuardConfig(min_hit_rate=0.5))
+    assert _sha256(guarded.to_json()) == (
+        "818a2e161c0379afc18560bd6e520119f0668e12d63d722fab54ae44bcdc291a"
+    )
+    assert _sha256(_record().to_json()) == (
+        "19521decc978194a7e51e1669cca4d64be3fd81a9d0910c177d4730331f71177"
+    )
+    # The coordinator sends record.to_dict() unsorted in its replies.
+    assert _sha256(json.dumps(_record().to_dict())) == (
+        "da9bf9567be6414e64db7cc820fffa5420c512d600b952ff12ef38d04a8a38a8"
+    )
 
 
 def test_declared_bytes_sums_job_sizes():

@@ -14,7 +14,7 @@ from repro.mpiio.collective import (
     split_domains,
 )
 from repro.runner import JobSpec, run_experiment
-from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
+from repro.workloads import MpiIoTest, SyntheticPattern
 
 
 def small_spec(**kw):

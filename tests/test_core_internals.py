@@ -1,6 +1,8 @@
 """Unit tests for DualPar internals: PEC ghosts/deadlines, CRM batching,
 EMC metric computation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import ClusterSpec, build_cluster
@@ -131,6 +133,28 @@ def test_ghost_deadline_interrupts_slow_preexecution(monkeypatch):
     assert eng.pec.n_deadline_stops > 0
     # The job still completes correctly.
     assert res.jobs[0].bytes_read == 4 * (1 + 8) * 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "quota_bytes, expected_s",
+    [
+        # 64 MB at the 1 MB/s rate floor: 134 s expected, capped.
+        (64 * 1024 * 1024, pec.DEADLINE_MAX_S),
+        # 1 KB: 2 ms expected, raised to the floor.
+        (1024, pec.DEADLINE_MIN_S),
+        # 1 MB: 2.1 s, inside the clamp.
+        (1024 * 1024, pec.DEADLINE_FACTOR * 1024 * 1024 / 1e6),
+    ],
+)
+def test_fill_deadline_is_clamped(quota_bytes, expected_s):
+    """The ghost deadline is the expected quota fill time, within
+    [DEADLINE_MIN_S, DEADLINE_MAX_S]; ranks that did no I/O yet count at
+    the 1 MB/s rate floor."""
+    stub = SimpleNamespace(
+        config=DualParConfig(quota_bytes=quota_bytes),
+        job=SimpleNamespace(procs=[], nprocs=4),
+    )
+    assert pec.Pec._fill_deadline_s(stub) == expected_s
 
 
 def test_ghost_budget_limits_recording():

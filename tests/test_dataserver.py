@@ -1,8 +1,6 @@
 """Tests for data-server internals: page cache integration, readahead,
 list I/O, I/O-context folding."""
 
-import pytest
-
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.pfs.dataserver import ServerRequest

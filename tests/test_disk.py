@@ -1,7 +1,5 @@
 """Unit & property tests for the disk model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,7 +138,7 @@ def test_random_reads_much_slower_than_sequential():
     n = 200
     chunk = 32  # 16 KB
     lbns = rng.integers(0, drive.total_sectors - chunk, size=n)
-    elapsed_rand = run_service(sim, drive, [(int(l), chunk) for l in lbns])
+    elapsed_rand = run_service(sim, drive, [(int(lbn), chunk) for lbn in lbns])
     rand_rate = n * chunk * SECTOR_BYTES / elapsed_rand
 
     sim2 = Simulator()
@@ -162,13 +160,13 @@ def test_sorted_nearby_faster_than_scattered():
 
     sim = Simulator()
     drive = DiskDrive(sim, small_params(capacity_bytes=4 * 10**9))
-    t_sorted = run_service(sim, drive, [(l, chunk) for l in lbns])
+    t_sorted = run_service(sim, drive, [(lbn, chunk) for lbn in lbns])
 
     shuffled = list(lbns)
     rng.shuffle(shuffled)
     sim2 = Simulator()
     drive2 = DiskDrive(sim2, small_params(capacity_bytes=4 * 10**9))
-    t_shuffled = run_service(sim2, drive2, [(l, chunk) for l in shuffled])
+    t_shuffled = run_service(sim2, drive2, [(lbn, chunk) for lbn in shuffled])
 
     assert t_sorted < t_shuffled * 0.6
 

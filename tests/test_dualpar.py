@@ -63,7 +63,8 @@ def test_forced_datadriven_runs_cycles():
 
 
 def test_forced_datadriven_beats_vanilla_on_io_bound_read():
-    w = lambda: MpiIoTest(file_size=8 * 1024 * 1024)
+    def w():
+        return MpiIoTest(file_size=8 * 1024 * 1024)
     r_v = run_experiment([JobSpec("v", 8, w(), strategy="vanilla")],
                          cluster_spec=small_spec())
     r_d = run_experiment([JobSpec("d", 8, w(), strategy="dualpar-forced")],
@@ -87,7 +88,8 @@ def test_dualpar_write_buffering_and_writeback():
 
 def test_dualpar_batches_requests_deeply():
     """The defining mechanism: DualPar's servers see far deeper queues."""
-    w = lambda: MpiIoTest(file_size=8 * 1024 * 1024)
+    def w():
+        return MpiIoTest(file_size=8 * 1024 * 1024)
     r_v = run_experiment([JobSpec("v", 8, w(), strategy="vanilla")],
                          cluster_spec=small_spec())
     r_d = run_experiment([JobSpec("d", 8, w(), strategy="dualpar-forced")],
@@ -133,7 +135,8 @@ def test_dependent_workload_triggers_lockout():
 
 def test_dependent_workload_overhead_is_bounded():
     """Table III's headline: worst-case slowdown stays small."""
-    w = lambda: DependentReads(file_size=4 * 1024 * 1024)
+    def w():
+        return DependentReads(file_size=4 * 1024 * 1024)
     r_v = run_experiment([JobSpec("v", 4, w(), strategy="vanilla")],
                          cluster_spec=small_spec())
     r_d = run_experiment(

@@ -50,7 +50,6 @@ def test_all_requests_complete_exactly_once(sched_name, reqs):
     assert len(completions) == len(reqs)
     # Bytes conserved: the drive serviced at least every submitted sector
     # (merged units may cover several requests at once, never fewer).
-    submitted = sum(n for _, n, *_ in reqs)
     assert drive.stats.total_bytes >= 0
     assert layer.stats.n_submitted == len(reqs)
     # Every completion timestamp is sane.

@@ -1,11 +1,14 @@
 """Unit tests for the deterministic fault-injection layer (repro.faults)."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.cache.chunk import ChunkKey
 from repro.cache.memcache import GlobalCache
+from repro.cli import main
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.faults import (
@@ -19,7 +22,7 @@ from repro.faults import (
     RetryPolicy,
     ServerHealth,
 )
-from repro.net.ethernet import Network, NetworkParams
+from repro.net.ethernet import Network
 from repro.sim import SimulationError, Simulator
 
 
@@ -101,6 +104,56 @@ def test_plan_from_dict_rejects_unknown_fields():
         )
     with pytest.raises(ValueError, match="unknown RetryPolicy"):
         FaultPlan.from_dict({"retry": {"jitterbug": 1}})
+
+
+def test_plan_file_with_unknown_top_level_key_is_rejected(tmp_path):
+    # A misspelt "events" must not load as an empty plan and run nominally.
+    path = tmp_path / "typo.json"
+    path.write_text('{"seed": 1, "evnts": [{"kind": "server_crash", "at_s": 0.0}]}')
+    with pytest.raises(ValueError, match=r"unknown FaultPlan fields: \['evnts'\]"):
+        FaultPlan.load(path)
+    with pytest.raises(ValueError, match="FaultPlan"):
+        main(["run", "--workload", "mpi-io-test", "--nprocs", "2", "--size-mb", "1",
+              "--compute-nodes", "2", "--data-servers", "2", "--faults", str(path)])
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ({}, FaultPlan()),
+        ({"seed": "3"}, FaultPlan(seed=3)),
+        (
+            {"events": [{"kind": "cache_evict", "at_s": 1, "nodes": [0, 2]}]},
+            FaultPlan(events=(FaultEvent(kind="cache_evict", at_s=1, nodes=(0, 2)),)),
+        ),
+        (
+            {"retry": {"base_timeout_s": 1, "max_retries": 3}},
+            FaultPlan(retry=RetryPolicy(base_timeout_s=1, max_retries=3)),
+        ),
+    ],
+)
+def test_plan_decoding_is_pinned(raw, expected):
+    # repr, not ==: 1 == 1.0, but the experiment fingerprint hashes reprs,
+    # so an int where a float is declared must stay an int.
+    assert repr(FaultPlan.from_dict(raw)) == repr(expected)
+
+
+#: sha256 of ``FaultPlan.load(p).to_json()`` for every example plan.
+_EXAMPLE_PLAN_JSON_SHA256 = {
+    "crash_in_flight": "492b24b21b541def2a0987fefea6ea974dd8ab1292e2caadb21dae94a5a6d6e3",
+    "crash_recover": "1a49638075f3331638ee6690471544dbd85243258a4ea64143ffa21479398a81",
+    "early_mix": "05e0c2b49ed027b7c349ac224e00c52dcc6fa756cadb74033b1cbc0a1f1795da",
+    "failslow": "16e15f162e7c15827b2633a04f02221cd1a04c25a3baaa1ede38fc1cf69fe724",
+    "partition_evict": "40239f3f35258341efa87a469a7eb086aa3bc5024070387f39791e47f1a605cc",
+}
+
+
+def test_example_plan_json_bytes_are_pinned():
+    plans = Path(__file__).resolve().parent.parent / "examples" / "faultplans"
+    assert {
+        p.stem: hashlib.sha256(FaultPlan.load(p).to_json().encode()).hexdigest()
+        for p in sorted(plans.glob("*.json"))
+    } == _EXAMPLE_PLAN_JSON_SHA256
 
 
 # --------------------------------------------------------------- RetryPolicy

@@ -49,10 +49,12 @@ def thpt(workload, strategy, **kw):
 
 
 def test_mini_fig1_crossover():
-    compute_rich = lambda: Demo(file_size=8 * 1024 * 1024, segment_bytes=4096,
-                                compute_per_call=0.02, nprocs_hint=NPROCS)
-    io_bound = lambda: Demo(file_size=8 * 1024 * 1024, segment_bytes=4096,
-                            compute_per_call=0.0, nprocs_hint=NPROCS)
+    def compute_rich():
+        return Demo(file_size=8 * 1024 * 1024, segment_bytes=4096,
+                    compute_per_call=0.02, nprocs_hint=NPROCS)
+    def io_bound():
+        return Demo(file_size=8 * 1024 * 1024, segment_bytes=4096,
+                    compute_per_call=0.0, nprocs_hint=NPROCS)
     # Compute-rich: prefetching (S2) at least matches DualPar (S3 pays
     # redundant ghost computation).
     s2 = thpt(compute_rich(), "prefetch")
@@ -86,8 +88,9 @@ def test_mini_fig3_dualpar_beats_vanilla(workload_factory):
 
 
 def test_mini_fig4_btio_orderings():
-    w = lambda: Btio(total_bytes=2 * 1024 * 1024, n_steps=1, cell_scale=16384,
-                     op="W", segments_per_call=64)
+    def w():
+        return Btio(total_bytes=2 * 1024 * 1024, n_steps=1, cell_scale=16384,
+                    op="W", segments_per_call=64)
     v = thpt(w(), "vanilla")
     c = thpt(w(), "collective")
     d = thpt(w(), "dualpar-forced")
@@ -99,9 +102,10 @@ def test_mini_fig4_btio_orderings():
 
 
 def test_mini_fig5_s3asim_dualpar_leads():
-    w = lambda: S3asim(n_queries=6, db_bytes=16 * 1024 * 1024,
-                       min_seq_bytes=64 * 1024, max_seq_bytes=256 * 1024,
-                       out_region_bytes=1024 * 1024)
+    def w():
+        return S3asim(n_queries=6, db_bytes=16 * 1024 * 1024,
+                      min_seq_bytes=64 * 1024, max_seq_bytes=256 * 1024,
+                      out_region_bytes=1024 * 1024)
     v = thpt(w(), "vanilla")
     d = thpt(w(), "dualpar-forced")
     assert d > v
@@ -131,8 +135,9 @@ def test_mini_table2_concurrent_instances():
 
 
 def test_mini_fig8_more_cache_not_worse():
-    w = lambda: Btio(total_bytes=2 * 1024 * 1024, n_steps=1, cell_scale=16384,
-                     op="W", segments_per_call=64)
+    def w():
+        return Btio(total_bytes=2 * 1024 * 1024, n_steps=1, cell_scale=16384,
+                    op="W", segments_per_call=64)
     small = thpt(w(), "dualpar-forced",
                  dualpar_config=DualParConfig(quota_bytes=64 * 1024))
     big = thpt(w(), "dualpar-forced",
@@ -144,7 +149,8 @@ def test_mini_fig8_more_cache_not_worse():
 
 
 def test_mini_table3_bounded_overhead():
-    w = lambda: DependentReads(file_size=8 * 1024 * 1024)
+    def w():
+        return DependentReads(file_size=8 * 1024 * 1024)
     res_v = run_experiment([JobSpec("v", NPROCS, w(), strategy="vanilla")],
                            cluster_spec=mini_spec())
     res_d = run_experiment(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec, build_cluster
 from repro.disk.drive import DiskParams
 from repro.extents import Segment, coalesce_counting, coalesce_segments
-from repro.mpi.runtime import MpiRuntime
 from repro.mpiio.listio import batch_io
 from repro.runner import JobSpec, run_experiment
 from repro.workloads import MpiIoTest, Noncontig, SyntheticPattern
@@ -188,7 +187,8 @@ def test_collective_engine_aggregates():
 
 
 def test_collective_faster_than_vanilla_on_noncontig():
-    w = lambda: Noncontig(elmtcount=16, n_rows=256, bytes_per_call=64 * 1024).with_ncols_hint(4)
+    def w():
+        return Noncontig(elmtcount=16, n_rows=256, bytes_per_call=64 * 1024).with_ncols_hint(4)
     r_v = run_experiment([JobSpec("v", 4, w(), strategy="vanilla")], cluster_spec=small_spec())
     r_c = run_experiment([JobSpec("c", 4, w(), strategy="collective")], cluster_spec=small_spec())
     assert r_c.jobs[0].elapsed_s < r_v.jobs[0].elapsed_s
@@ -206,9 +206,10 @@ def test_collective_write_round_trip():
 def test_prefetch_engine_hides_io_when_compute_bound():
     """Strategy 2's reason to exist: with plenty of compute, prefetching
     hides I/O almost entirely."""
-    w = lambda cpc: SyntheticPattern(
-        file_size=2 * 1024 * 1024, request_bytes=64 * 1024, compute_per_call=cpc
-    )
+    def w(cpc):
+        return SyntheticPattern(
+            file_size=2 * 1024 * 1024, request_bytes=64 * 1024, compute_per_call=cpc
+        )
     r_v = run_experiment([JobSpec("v", 2, w(0.01), strategy="vanilla")],
                          cluster_spec=small_spec())
     r_p = run_experiment([JobSpec("p", 2, w(0.01), strategy="prefetch")],

@@ -8,7 +8,7 @@ from repro.disk.drive import DiskParams
 from repro.disk.seek import SeekModel
 from repro.mpi.ops import ComputeOp, IoOp, Segment
 from repro.runner import JobSpec, run_experiment
-from repro.workloads import DependentReads, MpiIoTest, S3asim, SyntheticPattern
+from repro.workloads import DependentReads, MpiIoTest, SyntheticPattern
 from repro.workloads.base import FileSpec, Workload
 
 

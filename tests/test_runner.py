@@ -160,9 +160,10 @@ def test_job_result_io_ratio_definition():
 
 
 def test_calibrate_compute_for_ratio():
-    builder = lambda cpc: Demo(
-        file_size=4 * 1024 * 1024, segment_bytes=16 * 1024, compute_per_call=cpc
-    )
+    def builder(cpc):
+        return Demo(
+            file_size=4 * 1024 * 1024, segment_bytes=16 * 1024, compute_per_call=cpc
+        )
     cpc = calibrate_compute_for_ratio(builder, 0.5, nprocs=4,
                                       cluster_spec=small_spec())
     assert cpc > 0
@@ -173,7 +174,8 @@ def test_calibrate_compute_for_ratio():
 
 
 def test_calibrate_ratio_one_means_zero_compute():
-    builder = lambda cpc: Demo(file_size=2 * 1024 * 1024, compute_per_call=cpc)
+    def builder(cpc):
+        return Demo(file_size=2 * 1024 * 1024, compute_per_call=cpc)
     assert calibrate_compute_for_ratio(builder, 1.0, nprocs=4,
                                        cluster_spec=small_spec()) == 0.0
 
