@@ -53,18 +53,12 @@ GOLDEN = ROOT / "benchmarks" / "results" / "cells.digests.json"
 CELLS_PY = ROOT / "benchmarks" / "suite" / "cells.py"
 PLANS = ROOT / "examples" / "faultplans"
 
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for _path in (ROOT / "src", ROOT / "benchmarks"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
-from repro import (  # noqa: E402
-    Demo,
-    DependentReads,
-    DualParConfig,
-    ExperimentSpec,
-    IorMpiIo,
-    JobSpec,
-    MpiIoTest,
-)
+import paper_cells  # noqa: E402
+from repro import ExperimentSpec, IorMpiIo, JobSpec  # noqa: E402
 from repro.cluster import paper_spec  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.runner import run_spec  # noqa: E402
@@ -115,51 +109,6 @@ def striped_cells(cells: ModuleType) -> list:
     ]
 
 
-def figure_cells(cells: ModuleType) -> list:
-    """Smoke-size cells of the paper artifacts outside the suite, one per
-    path no suite cell takes."""
-    MB = cells.MB
-    cluster = paper_spec(n_compute_nodes=4)
-
-    def cell(pattern, strategy, workload, cluster=cluster, **spec_kw):
-        job = JobSpec(pattern.split("/")[1], 8, workload, strategy=strategy)
-        spec = ExperimentSpec((job,), cluster_spec=cluster, label=pattern, **spec_kw)
-        return cells.Cell(pattern, strategy, pattern[-1], spec)
-
-    return [
-        # bench_ablations.py::test_ablation_server_writeback: the flusher
-        # kicked early by a small dirty cap.
-        cell(
-            "ablation/server-writeback/W",
-            "vanilla",
-            MpiIoTest(file_size=4 * MB, op="W", barrier_every=4),
-            cluster=paper_spec(
-                n_compute_nodes=4,
-                server_writeback_interval_s=1.0,
-                server_writeback_max_dirty=256 * 1024,
-            ),
-        ),
-        # bench_table3_misprefetch.py: every prediction wrong, so the EMC
-        # locks the data-driven mode out.
-        cell(
-            "table3/dependent/R",
-            "dualpar",
-            DependentReads(file_size=64 * MB, request_bytes=64 * 1024),
-            dualpar_config=DualParConfig(
-                io_ratio_enter=0.0, io_ratio_exit=0.0,
-                t_improvement=1e-9, emc_interval_s=0.1,
-            ),
-        ),
-        # bench_fig1_motivation.py: Strategy 2, pre-execution prefetching.
-        cell(
-            "fig1/demo/R",
-            "prefetch",
-            Demo(file_size=2 * MB, segment_bytes=4096, segments_per_call=16,
-                 compute_per_call=0.002, nprocs_hint=8),
-        ),
-    ]
-
-
 def fault_counters(result) -> dict:
     """The fault-path observables a result does not record itself."""
     cluster = result.cluster
@@ -172,8 +121,8 @@ def fault_counters(result) -> dict:
     }
 
 
-def cell_digest_of(cells: ModuleType, cell, fault_plan=None) -> str:
-    result = run_spec(dataclasses.replace(cell.spec, fault_plan=fault_plan))
+def cell_digest_of(cells: ModuleType, spec: ExperimentSpec, fault_plan=None) -> str:
+    result = run_spec(dataclasses.replace(spec, fault_plan=fault_plan))
     digest = cells.cell_digest(result)
     if fault_plan is None:
         return digest
@@ -190,14 +139,16 @@ def compute(smoke: bool, verbose: bool = False) -> dict[str, str]:
     """``{cell key: digest}`` for every distinct cell at one size."""
     cells = load_cells()
     return _digests(
-        [(cell.key, cell, None) for cell in distinct_cells(cells, smoke)], cells, verbose
+        [(cell.key, cell.spec, None) for cell in distinct_cells(cells, smoke)], cells, verbose
     )
 
 
 def compute_figures(verbose: bool = False) -> dict[str, str]:
-    """``{cell key: digest}`` for every figure cell."""
-    cells = load_cells()
-    return _digests([(cell.key, cell, None) for cell in figure_cells(cells)], cells, verbose)
+    """``{row key: digest}`` for every row of the paper-cell table at
+    smoke scale."""
+    runs = [(key, paper_cells.spec(key, paper_cells.SMOKE), None)
+            for key in paper_cells.BY_KEY]
+    return _digests(runs, load_cells(), verbose)
 
 
 def compute_faulted(verbose: bool = False) -> dict[str, str]:
@@ -207,7 +158,7 @@ def compute_faulted(verbose: bool = False) -> dict[str, str]:
     faulted = distinct_cells(cells, smoke=True) + striped_cells(cells)
     return _digests(
         [
-            (f"{name}/{cell.key}", cell, plan)
+            (f"{name}/{cell.key}", cell.spec, plan)
             for name, plan in fault_plans().items()
             for cell in faulted
         ],
@@ -218,9 +169,9 @@ def compute_faulted(verbose: bool = False) -> dict[str, str]:
 
 def _digests(runs: list, cells: ModuleType, verbose: bool) -> dict[str, str]:
     out = {}
-    for key, cell, plan in runs:
+    for key, spec, plan in runs:
         t0 = time.perf_counter()
-        out[key] = cell_digest_of(cells, cell, plan)
+        out[key] = cell_digest_of(cells, spec, plan)
         if verbose:
             print(f"  {key:56s} {out[key][:16]}  "
                   f"{time.perf_counter() - t0:6.2f} s", flush=True)

@@ -3,10 +3,10 @@
 ``benchmarks/results/cells.digests.json`` pins the seed-0 digest of
 every benchmark-suite cell; this test recomputes the smoke-size cells
 (under a second), every faulted cell (each smoke cell and two striped
-cells under each ``examples/faultplans`` plan, about 3 s) and the
-figure cells (write-back, mis-prefetch lockout and ``prefetch``
-strategy paths), and requires each to match.  ``make digests`` checks the full-size cells
-too.  A deliberate model change re-pins the file
+cells under each ``examples/faultplans`` plan, about 3 s) and every
+figure, table and ablation cell of ``benchmarks/paper_cells.py`` at
+smoke scale (about 3 s), and requires each to match.  ``make digests``
+checks the full-size cells too.  A deliberate model change re-pins the file
 with ``python benchmarks/cell_digests.py --write``.  The file is pinned
 on one Python major.minor (float results may round differently on
 another), so the digest comparison skips on any other interpreter.
@@ -62,7 +62,7 @@ def test_figure_cell_digests_match_golden():
     if reason is not None:
         pytest.skip(reason)
     got = digests.compute_figures()
-    assert len(got) == 3
+    assert len(got) == 113
     assert digests.diff(golden["figures"], got) == []
 
 
@@ -77,13 +77,27 @@ def test_golden_file_covers_every_full_cell():
     assert set(golden["faulted"]) == {
         f"{plan}/{key}" for plan in digests.fault_plans() for key in faulted
     }
-    assert set(golden["figures"]) == {c.key for c in digests.figure_cells(cells)}
+    assert set(golden["figures"]) == set(digests.paper_cells.BY_KEY)
 
 
-def _run_cell(digests, cell, fault_plan=None):
+def test_every_paper_cell_builds_at_bench_scale():
+    """Every row of the paper-cell table builds its bench-scale spec (a
+    ratio row with zero compute, skipping its calibration run) without
+    running it, and no two rows share a key."""
+    from repro.runner.parallel import experiment_fingerprint
+
+    table = _load_digests_module().paper_cells
+    assert len(table.BY_KEY) == len(table.ROWS)
+    for row in table.ROWS:
+        spec = row.make(False, 0.0)
+        names = [job.name for job in spec.specs]
+        assert len(set(names)) == len(names), row.key
+        assert experiment_fingerprint(spec), row.key
+
+
+def _run_cell(digests, spec, fault_plan=None):
     import repro
 
-    spec = cell.spec
     return repro.run_experiment(
         list(spec.specs),
         cluster_spec=spec.cluster_spec,
@@ -96,12 +110,15 @@ def test_figure_cells_reach_their_paths():
     """Each figure cell takes the path it pins: server write-back
     flushes, the EMC's mis-prefetch lockout, prefetch-strategy hits."""
     digests = _load_digests_module()
-    by_key = {c.key: c for c in digests.figure_cells(digests.load_cells())}
-    res = _run_cell(digests, by_key["ablation/server-writeback/W/vanilla"])
+
+    def smoke(key):
+        return digests.paper_cells.spec(key, digests.paper_cells.SMOKE)
+
+    res = _run_cell(digests, smoke("ablation/server-writeback/W/vanilla"))
     assert sum(ds.writeback.n_flushes for ds in res.cluster.data_servers) > 0
-    res = _run_cell(digests, by_key["table3/dependent/R/dualpar"])
+    res = _run_cell(digests, smoke("table3/dependent/R/dualpar"))
     assert res.mpi_jobs[0].engine.locked_out
-    res = _run_cell(digests, by_key["fig1/demo/R/prefetch"])
+    res = _run_cell(digests, smoke("fig1/demo/R/prefetch"))
     assert res.mpi_jobs[0].engine.n_prefetch_hits > 0
 
 
@@ -131,7 +148,7 @@ def test_faulted_cells_reach_the_retry_path(plan, key):
         c.key: c
         for c in digests.distinct_cells(cells, smoke=True) + digests.striped_cells(cells)
     }
-    result = _run_cell(digests, by_key[key], digests.fault_plans()[plan])
+    result = _run_cell(digests, by_key[key].spec, digests.fault_plans()[plan])
     clients = digests.fault_counters(result)["clients"]
     assert sum(c[0] for c in clients) > 0  # timeouts
     assert sum(c[1] for c in clients) > 0  # retries
@@ -149,5 +166,5 @@ def test_every_cell_logs_an_early_mix_fault_event():
     cells = digests.load_cells()
     plan = digests.fault_plans()["early_mix"]
     for cell in digests.distinct_cells(cells, smoke=True) + digests.striped_cells(cells):
-        result = _run_cell(digests, cell, plan)
+        result = _run_cell(digests, cell.spec, plan)
         assert result.faults.log, cell.key
