@@ -59,8 +59,8 @@ chaos:
 
 # Seed-0 digests of every benchmark-suite cell, smoke and full size, of
 # every smoke cell plus two striped cells under each examples/faultplans
-# plan, and of the smoke-size figure cells (write-back, mis-prefetch
-# lockout, prefetch strategy) (about 30 s), against
+# plan, and of every figure, table and ablation cell of
+# benchmarks/paper_cells.py at smoke scale (about 30 s), against
 # benchmarks/results/cells.digests.json: any change to a simulated
 # result fails.  The file is pinned on one Python major.minor
 # (recorded in it); other interpreters skip the check and say so.  A

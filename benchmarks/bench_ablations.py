@@ -16,46 +16,21 @@ gains are attributed to:
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import (
-    Demo,
-    DualParConfig,
-    ExperimentSpec,
-    Hpio,
-    JobSpec,
-    MpiIoTest,
-    format_table,
-    run_experiment,
-    run_experiments,
-)
-from repro.cluster import paper_spec
-
-NPROCS = 32
+from repro import format_table
 
 
 def test_ablation_io_scheduler(benchmark, report):
     def run():
-        scheds = ("cfq", "deadline", "noop", "anticipatory")
         strategies = ("vanilla", "dualpar-forced")
-        cells = [
-            ExperimentSpec(
-                [JobSpec("m", NPROCS,
-                         MpiIoTest(file_size=48 * 1024 * 1024, barrier_every=4),
-                         strategy=strategy)],
-                cluster_spec=paper_spec(io_scheduler=sched),
-                label=f"{sched}/{strategy}",
-            )
-            for sched in scheds
-            for strategy in strategies
+        keys = [f"ablation/io-scheduler-{e}/R/{s}" for e in cells.IO_SCHEDULERS for s in strategies]
+        res = cells.run(keys)
+        return [
+            [e] + [res[f"ablation/io-scheduler-{e}/R/{s}"].jobs[0].throughput_mb_s
+                   for s in strategies]
+            for e in cells.IO_SCHEDULERS
         ]
-        results = run_experiments(cells)
-        rows = []
-        for i, sched in enumerate(scheds):
-            row = [sched]
-            for si in range(len(strategies)):
-                row.append(results[i * len(strategies) + si].jobs[0].throughput_mb_s)
-            rows.append(row)
-        return rows
 
     rows = run_once(benchmark, run)
     report(
@@ -79,33 +54,12 @@ def test_ablation_io_scheduler(benchmark, report):
 def test_ablation_t_improvement(benchmark, report):
     """Mode switching lands the same way across a wide threshold range."""
 
-    def scenario(t_improvement):
-        spec = paper_spec(n_compute_nodes=16, locality_interval_s=0.25)
-        cfg = DualParConfig(
-            emc_interval_s=0.25, metric_window_s=1.0, t_improvement=t_improvement
-        )
-        specs = [
-            JobSpec("seq", NPROCS,
-                    MpiIoTest(file_name="a.dat", file_size=192 * 1024 * 1024,
-                              barrier_every=0),
-                    strategy="dualpar"),
-            JobSpec("hpio", NPROCS,
-                    Hpio(file_name="b.dat", region_count=4096, region_bytes=16 * 1024),
-                    strategy="dualpar", delay_s=1.0),
-        ]
-        return ExperimentSpec(
-            specs, cluster_spec=spec, dualpar_config=cfg, label=f"T={t_improvement}"
-        )
-
     def run():
-        thresholds = (1.0, 3.0, 10.0, 30.0)
-        results = run_experiments([scenario(t) for t in thresholds])
+        res = cells.run(f"ablation/t-improvement-T{t:g}/R/dualpar" for t in cells.T_IMPROVEMENTS)
         rows = []
-        for t, res in zip(thresholds, results):
-            switched = len(
-                {n for _, n, m in res.dualpar_transitions if m == "datadriven"}
-            )
-            rows.append([t, res.system_throughput_mb_s, switched])
+        for t, r in zip(cells.T_IMPROVEMENTS, res.values()):
+            switched = len({n for _, n, m in r.dualpar_transitions if m == "datadriven"})
+            rows.append([t, r.system_throughput_mb_s, switched])
         return rows
 
     rows = run_once(benchmark, run)
@@ -129,28 +83,11 @@ def test_ablation_hole_filling(benchmark, report):
     sequential requests at the cost of extra data moved."""
 
     def run():
-        # Regions spaced so that whole cache chunks fall in the holes
-        # (holes smaller than a chunk are bridged by chunk alignment
-        # regardless of the threshold).
-        cells = [
-            ExperimentSpec(
-                [JobSpec("h", NPROCS,
-                         Hpio(region_count=1536, region_bytes=16 * 1024,
-                              region_spacing=112 * 1024),
-                         strategy="dualpar-forced")],
-                cluster_spec=paper_spec(),
-                dualpar_config=DualParConfig(
-                    hole_threshold_bytes=128 * 1024 if fill else 0
-                ),
-                label=f"fill={fill}",
-            )
-            for fill in (True, False)
-        ]
-        results = run_experiments(cells)
+        res = cells.run(f"ablation/hole-filling-{f}/R/dualpar-forced" for f in ("on", "off"))
         rows = []
-        for fill, res in zip((True, False), results):
-            extra = res.total_bytes_served / max(res.jobs[0].bytes_read, 1)
-            rows.append(["on" if fill else "off", res.jobs[0].throughput_mb_s, extra])
+        for fill, r in zip(("on", "off"), res.values()):
+            extra = r.total_bytes_served / max(r.jobs[0].bytes_read, 1)
+            rows.append([fill, r.jobs[0].throughput_mb_s, extra])
         return rows
 
     rows = run_once(benchmark, run)
@@ -175,29 +112,8 @@ def test_ablation_hole_filling(benchmark, report):
 
 def test_ablation_list_io(benchmark, report):
     def run():
-        from repro import SyntheticPattern
-
-        # A random access order leaves the CRM's per-cycle chunk set
-        # scattered: with list I/O each server gets ONE multi-range
-        # message, without it every extent is its own RPC.
-        cells = [
-            ExperimentSpec(
-                [JobSpec("r", NPROCS,
-                         SyntheticPattern(file_size=64 * 1024 * 1024,
-                                          request_bytes=16 * 1024,
-                                          pattern="random"),
-                         strategy="dualpar-forced")],
-                cluster_spec=paper_spec(),
-                dualpar_config=DualParConfig(use_list_io=use, hole_threshold_bytes=0),
-                label=f"list_io={use}",
-            )
-            for use in (True, False)
-        ]
-        results = run_experiments(cells)
-        return [
-            ["on" if use else "off", res.jobs[0].throughput_mb_s]
-            for use, res in zip((True, False), results)
-        ]
+        res = cells.run(f"ablation/list-io-{use}/R/dualpar-forced" for use in ("on", "off"))
+        return [[use, r.jobs[0].throughput_mb_s] for use, r in zip(("on", "off"), res.values())]
 
     rows = run_once(benchmark, run)
     report(
@@ -239,21 +155,10 @@ def test_ablation_server_writeback(benchmark, report):
 
     def run():
         rows = []
-        for wb, label in ((None, "write-through"), (1.0, "write-back 1s")):
+        for cache, label in (("writethrough", "write-through"), ("writeback", "write-back 1s")):
             row = [label]
             for strategy in ("vanilla", "dualpar-forced"):
-                res = run_experiment(
-                    [JobSpec("w", NPROCS,
-                             MpiIoTest(file_size=48 * 1024 * 1024, op="W",
-                                       barrier_every=4),
-                             strategy=strategy)],
-                    cluster_spec=paper_spec(
-                        server_writeback_interval_s=wb,
-                        # Small dirty cap: emulate sustained writes that
-                        # cannot hide in server RAM.
-                        server_writeback_max_dirty=2 * 1024 * 1024,
-                    ),
-                )
+                res = cells.run_live(f"ablation/server-{cache}/W/{strategy}")
                 row.append(res.jobs[0].throughput_mb_s)
                 row.append(sustained_mb_s(res))
             rows.append(row)
@@ -287,23 +192,8 @@ def test_ablation_ghost_compute(benchmark, report):
     slicing in the real world (DualPar retains it on purpose)."""
 
     def run():
-        cells = [
-            ExperimentSpec(
-                [JobSpec("d", 8,
-                         Demo(file_size=24 * 1024 * 1024, segment_bytes=4096,
-                              compute_per_call=0.002, nprocs_hint=8),
-                         strategy="dualpar-forced")],
-                cluster_spec=paper_spec(n_compute_nodes=8),
-                dualpar_config=DualParConfig(ghost_compute_factor=factor),
-                label=f"ghost={factor:.0%}",
-            )
-            for factor in (1.0, 0.0)
-        ]
-        results = run_experiments(cells)
-        return [
-            [f"{factor:.0%}", res.jobs[0].elapsed_s]
-            for factor, res in zip((1.0, 0.0), results)
-        ]
+        res = cells.run(f"ablation/ghost-compute-{p}/R/dualpar-forced" for p in (100, 0))
+        return [[f"{p}%", r.jobs[0].elapsed_s] for p, r in zip((100, 0), res.values())]
 
     rows = run_once(benchmark, run)
     report(

@@ -17,68 +17,31 @@ the paper does); (b) execution time vs segment size at I/O ratio 0.9;
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import (
-    Demo,
-    JobSpec,
-    calibrate_compute_for_ratio,
-    format_table,
-    run_experiment,
-)
-from repro.cluster import paper_spec
-
-NPROCS = 8
-FILE_MB = 48
-
-STRATEGIES = [
-    ("strategy1", "vanilla"),
-    ("strategy2", "prefetch"),
-    ("strategy3", "dualpar-forced"),
-]
+from repro import format_table
 
 
-def demo_workload(segment_kb: int, compute_per_call: float) -> Demo:
-    return Demo(
-        file_size=FILE_MB * 1024 * 1024,
-        segment_bytes=segment_kb * 1024,
-        segments_per_call=16,
-        compute_per_call=compute_per_call,
-        nprocs_hint=NPROCS,
-    )
-
-
-def run_strategy(workload: Demo, strategy: str):
-    return run_experiment(
-        [JobSpec("demo", NPROCS, workload, strategy=strategy)],
-        cluster_spec=paper_spec(n_compute_nodes=8),
-    )
+def demo_rows(points, label):
+    """``[label(kb, ratio), strategy 1-3 execution times]`` per point."""
+    keys = {
+        (point, s): f"{cells.fig1_pattern(*point)}/{s}"
+        for point in points
+        for s in cells.STRATEGIES
+    }
+    res = cells.run(keys.values())
+    return [
+        [label(*point)] + [res[keys[point, s]].jobs[0].elapsed_s for s in cells.STRATEGIES]
+        for point in points
+    ]
 
 
 def test_fig1a_io_ratio_sweep(benchmark, report):
     """Fig 1(a): strategy 2 wins at low I/O ratio, strategy 3 at high."""
 
-    ratios = [0.2, 0.43, 0.72, 0.9, 1.0]
-
-    def run():
-        def builder(cpc):
-            return demo_workload(4, cpc)
-        rows = []
-        for ratio in ratios:
-            cpc = (
-                0.0
-                if ratio >= 1.0
-                else calibrate_compute_for_ratio(
-                    builder, ratio, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
-                )
-            )
-            row = [f"{ratio:.0%}"]
-            for _, strategy in STRATEGIES:
-                res = run_strategy(builder(cpc), strategy)
-                row.append(res.jobs[0].elapsed_s)
-            rows.append(row)
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = run_once(benchmark, lambda: demo_rows(
+        [(4, ratio) for ratio in cells.FIG1_RATIOS], lambda kb, ratio: f"{ratio:.0%}"
+    ))
     report(
         "fig1a_io_ratio_sweep",
         format_table(
@@ -99,24 +62,9 @@ def test_fig1a_io_ratio_sweep(benchmark, report):
 def test_fig1b_segment_size_sweep(benchmark, report):
     """Fig 1(b): S3's edge is large for small segments, fades beyond 32 KB."""
 
-    sizes_kb = [4, 8, 16, 32, 64, 128]
-
-    def run():
-        rows = []
-        for kb in sizes_kb:
-            def builder(cpc, kb=kb):
-                return demo_workload(kb, cpc)
-            cpc = calibrate_compute_for_ratio(
-                builder, 0.9, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
-            )
-            row = [f"{kb} KB"]
-            for _, strategy in STRATEGIES:
-                res = run_strategy(builder(cpc), strategy)
-                row.append(res.jobs[0].elapsed_s)
-            rows.append(row)
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = run_once(benchmark, lambda: demo_rows(
+        [(kb, 0.9) for kb in cells.FIG1_SEGMENTS_KB], lambda kb, ratio: f"{kb} KB"
+    ))
     report(
         "fig1b_segment_size_sweep",
         format_table(
@@ -141,11 +89,7 @@ def test_fig1cd_disk_access_order(benchmark, report):
     def run():
         out = {}
         for label, strategy in (("c_strategy2", "prefetch"), ("d_strategy3", "dualpar-forced")):
-            spec = paper_spec(n_compute_nodes=8, trace_disks=True)
-            res = run_experiment(
-                [JobSpec("demo", NPROCS, demo_workload(4, 0.0), strategy=strategy)],
-                cluster_spec=spec,
-            )
+            res = cells.run_live(f"fig1/demo/R/{strategy}")
             trace = res.cluster.traces[0]
             st = res.cluster.data_servers[0].block_layer.stats
             t1 = res.jobs[0].end_s
@@ -183,19 +127,10 @@ def test_table1_strategy_characteristics(benchmark, report):
     correlation between computation order and I/O service order."""
 
     def run():
-        def builder(cpc):
-            return demo_workload(4, cpc)
-        cpc = calibrate_compute_for_ratio(
-            builder, 0.3, NPROCS, cluster_spec=paper_spec(n_compute_nodes=8)
-        )
         rows = []
         baseline_io = None
-        for name, strategy in STRATEGIES:
-            spec = paper_spec(n_compute_nodes=8, trace_disks=True)
-            res = run_experiment(
-                [JobSpec("demo", NPROCS, builder(cpc), strategy=strategy)],
-                cluster_spec=spec,
-            )
+        for name, strategy in zip(("strategy1", "strategy2", "strategy3"), cells.STRATEGIES):
+            res = cells.run_live(f"table1/demo-4KB-io30/R/{strategy}")
             j = res.jobs[0]
             if baseline_io is None:
                 baseline_io = j.io_time_s

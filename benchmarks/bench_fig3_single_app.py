@@ -16,48 +16,18 @@ collective loses its advantage, DualPar +150%):
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import (
-    ExperimentSpec,
-    IorMpiIo,
-    JobSpec,
-    MpiIoTest,
-    Noncontig,
-    format_table,
-    run_experiments,
-)
-from repro.cluster import paper_spec
-
-NPROCS = 64
-SCHEMES = ["vanilla", "collective", "dualpar-forced"]
-
-
-def workloads(op: str):
-    return [
-        ("mpi-io-test", lambda: MpiIoTest(file_size=64 * 1024 * 1024, op=op)),
-        ("noncontig", lambda: Noncontig(elmtcount=256, n_rows=4096, op=op)),
-        ("ior-mpi-io", lambda: IorMpiIo(file_size=128 * 1024 * 1024, op=op)),
-    ]
+from repro import format_table
 
 
 def run_grid(op: str):
-    cells = [
-        ExperimentSpec(
-            [JobSpec(wname, NPROCS, build(), strategy=scheme)],
-            cluster_spec=paper_spec(),
-            label=f"{wname}/{scheme}",
-        )
-        for wname, build in workloads(op)
-        for scheme in SCHEMES
+    keys = [f"fig3/{w}/{op}/{s}" for w in cells.FIG3_WORKLOADS for s in cells.SCHEMES]
+    res = cells.run(keys)
+    return [
+        [w] + [res[f"fig3/{w}/{op}/{s}"].jobs[0].throughput_mb_s for s in cells.SCHEMES]
+        for w in cells.FIG3_WORKLOADS
     ]
-    results = run_experiments(cells)
-    rows = []
-    for wi, (wname, _build) in enumerate(workloads(op)):
-        row = [wname]
-        for si in range(len(SCHEMES)):
-            row.append(results[wi * len(SCHEMES) + si].jobs[0].throughput_mb_s)
-        rows.append(row)
-    return rows
 
 
 def check_shapes(rows):

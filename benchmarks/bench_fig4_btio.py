@@ -12,56 +12,18 @@ better.
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import Btio, ExperimentSpec, JobSpec, format_table, run_experiments
-from repro.cluster import paper_spec
-
-N_INSTANCES = 3
-#: Scaled solution size per instance (paper: 6.8 GB; see DESIGN.md).
-TOTAL_BYTES = 6 * 1024 * 1024
-SCHEMES = ["vanilla", "collective", "dualpar-forced"]
-NPROCS_SWEEP = [16, 64, 256]
-
-
-def make_specs(nprocs: int, scheme: str):
-    return [
-        JobSpec(
-            f"btio{i}",
-            nprocs,
-            Btio(
-                file_name=f"btio{i}.dat",
-                total_bytes=TOTAL_BYTES,
-                n_steps=2,
-                cell_scale=16384,
-                op="W",
-                compute_per_step=0.002,
-                segments_per_call=64,
-            ),
-            strategy=scheme,
-        )
-        for i in range(N_INSTANCES)
-    ]
+from repro import format_table
 
 
 def test_fig4_btio_scaling(benchmark, report):
     def run():
-        cells = [
-            ExperimentSpec(
-                make_specs(nprocs, scheme),
-                cluster_spec=paper_spec(),
-                label=f"P={nprocs}/{scheme}",
-            )
-            for nprocs in NPROCS_SWEEP
-            for scheme in SCHEMES
+        res = cells.run(f"fig4/btio-P{p}/W/{s}" for p in cells.FIG4_NPROCS for s in cells.SCHEMES)
+        return [
+            [p] + [res[f"fig4/btio-P{p}/W/{s}"].system_throughput_mb_s for s in cells.SCHEMES]
+            for p in cells.FIG4_NPROCS
         ]
-        results = run_experiments(cells)
-        rows = []
-        for pi, nprocs in enumerate(NPROCS_SWEEP):
-            row = [nprocs]
-            for si in range(len(SCHEMES)):
-                row.append(results[pi * len(SCHEMES) + si].system_throughput_mb_s)
-            rows.append(row)
-        return rows
 
     rows = run_once(benchmark, run)
     report(
@@ -71,7 +33,7 @@ def test_fig4_btio_scaling(benchmark, report):
             rows,
             title=(
                 "Fig 4: system throughput, 3 concurrent BTIO instances (MB/s)\n"
-                f"(scaled: {TOTAL_BYTES // 2**20} MB/instance, cell = 16384//P bytes)"
+                "(scaled: 6 MB/instance, cell = 16384//P bytes)"
             ),
         ),
     )

@@ -8,51 +8,21 @@ than vanilla/collective by up to ~25%, ~17% on average.
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import JobSpec, S3asim, format_table, run_experiment
-from repro.cluster import paper_spec
-
-N_INSTANCES = 3
-NPROCS = 32
-SCHEMES = ["vanilla", "collective", "dualpar-forced"]
-QUERY_SWEEP = [16, 24, 32]
-
-
-def make_specs(n_queries: int, scheme: str):
-    return [
-        JobSpec(
-            f"s3asim{i}",
-            NPROCS,
-            S3asim(
-                db_file=f"s3adb{i}.dat",
-                out_file=f"s3aout{i}.dat",
-                n_fragments=16,
-                n_queries=n_queries,
-                db_bytes=48 * 1024 * 1024,
-                min_seq_bytes=64 * 1024,
-                max_seq_bytes=384 * 1024,
-                result_bytes=32 * 1024,
-                compute_per_query=0.002,
-                out_region_bytes=2 * 1024 * 1024,
-                seed=11 + i,
-            ),
-            strategy=scheme,
-        )
-        for i in range(N_INSTANCES)
-    ]
+from repro import format_table
 
 
 def test_fig5_s3asim_io_times(benchmark, report):
     def run():
-        rows = []
-        for nq in QUERY_SWEEP:
-            row = [nq]
-            for scheme in SCHEMES:
-                res = run_experiment(make_specs(nq, scheme), cluster_spec=paper_spec())
-                # The paper reports the programs' total I/O times.
-                row.append(res.makespan_s)
-            rows.append(row)
-        return rows
+        res = cells.run(
+            f"fig5/s3asim-q{q}/RW/{s}" for q in cells.FIG5_QUERIES for s in cells.SCHEMES
+        )
+        # The paper reports the programs' total I/O times.
+        return [
+            [q] + [res[f"fig5/s3asim-q{q}/RW/{s}"].makespan_s for s in cells.SCHEMES]
+            for q in cells.FIG5_QUERIES
+        ]
 
     rows = run_once(benchmark, run)
     report(

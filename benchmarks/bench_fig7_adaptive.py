@@ -13,43 +13,19 @@ Scaled: hpio joins at t=1.5 s instead of t=50 s; 0.5 s sampling windows.
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import DualParConfig, Hpio, JobSpec, MpiIoTest, format_table, run_experiment
-from repro.cluster import paper_spec
+from repro import format_table
 
-NPROCS = 32
-JOIN_AT_S = 1.5
-WINDOW_S = 0.5
-
-
-def scenario(strategy: str):
-    spec = paper_spec(n_compute_nodes=16, trace_disks=True, locality_interval_s=0.25)
-    cfg = DualParConfig(emc_interval_s=0.25, metric_window_s=1.0)
-    specs = [
-        JobSpec(
-            "mpi-io-test",
-            NPROCS,
-            MpiIoTest(file_name="a.dat", file_size=384 * 1024 * 1024, barrier_every=0),
-            strategy=strategy,
-        ),
-        JobSpec(
-            "hpio",
-            NPROCS,
-            Hpio(file_name="b.dat", region_count=8192, region_bytes=16 * 1024),
-            strategy=strategy,
-            delay_s=JOIN_AT_S,
-        ),
-    ]
-    return run_experiment(
-        specs, cluster_spec=spec, dualpar_config=cfg, timeline_window_s=WINDOW_S
-    )
+JOIN_AT_S = cells.FIG7_JOIN_AT_S
+WINDOW_S = cells.FIG7_WINDOW_S
 
 
 def test_fig7_adaptive_mode_switching(benchmark, report):
     def run():
         out = {}
         for strategy in ("vanilla", "dualpar"):
-            res = scenario(strategy)
+            res = cells.run_live(f"fig7/adaptive/R/{strategy}")
             series = res.timeline.series(WINDOW_S, t_end=res.makespan_s)
             seek_series = [
                 (t, m)

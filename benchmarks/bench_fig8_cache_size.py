@@ -9,57 +9,18 @@ diminish beyond a few hundred KB.
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import (
-    Btio,
-    DualParConfig,
-    ExperimentSpec,
-    JobSpec,
-    format_table,
-    run_experiments,
-)
-from repro.cluster import paper_spec
-
-NPROCS = 64
-QUOTAS_KB = [0, 64, 128, 256, 512, 1024]
-
-
-def make_workload():
-    return Btio(
-        total_bytes=8 * 1024 * 1024,
-        n_steps=2,
-        cell_scale=16384,
-        op="W",
-        compute_per_step=0.002,
-        segments_per_call=64,
-    )
+from repro import format_table
 
 
 def test_fig8_cache_size_sweep(benchmark, report):
     def run():
-        cells = [
-            ExperimentSpec(
-                [JobSpec("btio", NPROCS, make_workload(), strategy="dualpar-forced")],
-                cluster_spec=paper_spec(),
-                dualpar_config=DualParConfig(quota_bytes=kb * 1024),
-                label=f"{kb} KB",
-            )
-            for kb in QUOTAS_KB
-        ]
+        labels = {f"fig8/btio-{kb}KB/W/dualpar-forced": f"{kb} KB" for kb in cells.FIG8_QUOTAS_KB}
         # Vanilla reference (the paper's 0 KB equivalence claim).
-        cells.append(
-            ExperimentSpec(
-                [JobSpec("btio", NPROCS, make_workload(), strategy="vanilla")],
-                cluster_spec=paper_spec(),
-                label="vanilla",
-            )
-        )
-        results = run_experiments(cells)
-        labels = [f"{kb} KB" for kb in QUOTAS_KB] + ["vanilla"]
-        return [
-            [label, res.jobs[0].throughput_mb_s]
-            for label, res in zip(labels, results)
-        ]
+        labels["fig8/btio/W/vanilla"] = "vanilla"
+        res = cells.run(labels)
+        return [[label, res[key].jobs[0].throughput_mb_s] for key, label in labels.items()]
 
     rows = run_once(benchmark, run)
     report(
@@ -76,6 +37,6 @@ def test_fig8_cache_size_sweep(benchmark, report):
     # ...with diminishing returns after: doubling 512->1024 gains < 50%.
     assert by["1024 KB"] < by["512 KB"] * 1.5
     # Throughput is non-decreasing in cache size (within 25% tolerance).
-    vals = [by[f"{kb} KB"] for kb in QUOTAS_KB]
+    vals = [by[f"{kb} KB"] for kb in cells.FIG8_QUOTAS_KB]
     for a, b in zip(vals, vals[1:]):
         assert b > a * 0.75

@@ -14,63 +14,28 @@ from __future__ import annotations
 
 import math
 
+import paper_cells as cells
 from conftest import run_once
-from repro import (
-    ExperimentSpec,
-    IorMpiIo,
-    JobSpec,
-    MpiIoTest,
-    Noncontig,
-    format_table,
-    run_experiments,
-)
-from repro.cluster import paper_spec
+from repro import format_table
 
-NPROCS = 64
-
-
-def grid():
-    """(row name, job name, workload).  The job names and specs are the
-    ones ``bench_fig3_single_app`` submits, so every cell here is a
-    result-catalog hit once Fig 3 has run."""
-    return [
-        ("mpi-io-test R", "mpi-io-test", MpiIoTest(file_size=64 * 1024 * 1024, op="R")),
-        ("mpi-io-test W", "mpi-io-test", MpiIoTest(file_size=64 * 1024 * 1024, op="W")),
-        ("noncontig R", "noncontig", Noncontig(elmtcount=256, n_rows=4096, op="R")),
-        ("ior-mpi-io R", "ior-mpi-io", IorMpiIo(file_size=128 * 1024 * 1024, op="R")),
-        ("ior-mpi-io W", "ior-mpi-io", IorMpiIo(file_size=128 * 1024 * 1024, op="W")),
-    ]
+#: The Fig 3 patterns, read by key (catalog hits once Fig 3 has run).
+PATTERNS = [
+    ("mpi-io-test R", "fig3/mpi-io-test/R"),
+    ("mpi-io-test W", "fig3/mpi-io-test/W"),
+    ("noncontig R", "fig3/noncontig/R"),
+    ("ior-mpi-io R", "fig3/ior-mpi-io/R"),
+    ("ior-mpi-io W", "fig3/ior-mpi-io/W"),
+]
 
 
 def test_overall_average_improvement(benchmark, report):
     def run():
-        schemes = ("vanilla", "collective", "dualpar-forced")
-        specs = [
-            ExperimentSpec(
-                [JobSpec(job, NPROCS, workload, strategy=scheme)],
-                cluster_spec=paper_spec(),
-                label=f"{job}/{scheme}",
-            )
-            for _name, job, workload in grid()
-            for scheme in schemes
-        ]
-        results = run_experiments(specs)
+        res = cells.run(f"{p}/{s}" for _name, p in PATTERNS for s in cells.SCHEMES)
         rows = []
-        for wi, (name, _job, _workload) in enumerate(grid()):
-            cells = {
-                scheme: results[wi * len(schemes) + si].jobs[0].throughput_mb_s
-                for si, scheme in enumerate(schemes)
-            }
-            best_base = max(cells["vanilla"], cells["collective"])
-            rows.append(
-                [
-                    name,
-                    cells["vanilla"],
-                    cells["collective"],
-                    cells["dualpar-forced"],
-                    (cells["dualpar-forced"] / best_base - 1.0) * 100.0,
-                ]
-            )
+        for name, pattern in PATTERNS:
+            van, coll, dp = (res[f"{pattern}/{s}"].jobs[0].throughput_mb_s
+                             for s in cells.SCHEMES)
+            rows.append([name, van, coll, dp, (dp / max(van, coll) - 1.0) * 100.0])
         return rows
 
     rows = run_once(benchmark, run)

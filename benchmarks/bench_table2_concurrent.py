@@ -12,48 +12,19 @@ reports DualPar cutting the average seek distance by up to 10x.
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import JobSpec, MpiIoTest, format_table, run_experiment
-from repro.cluster import paper_spec
-
-NPROCS = 32
-FILE_MB = 96
-SCHEMES = ["vanilla", "collective", "dualpar-forced"]
-
-
-def make_specs(op: str, scheme: str):
-    return [
-        JobSpec(
-            f"mpi-io-test-{i}",
-            NPROCS,
-            MpiIoTest(
-                file_name=f"miot{i}.dat",
-                file_size=FILE_MB * 1024 * 1024,
-                request_bytes=16 * 1024,
-                op=op,
-                barrier_every=4,
-            ),
-            strategy=scheme,
-        )
-        for i in range(2)
-    ]
-
-
-def run_cell(op: str, scheme: str, trace: bool = False):
-    spec = paper_spec(trace_disks=trace)
-    return run_experiment(make_specs(op, scheme), cluster_spec=spec)
+from repro import format_table
 
 
 def test_table2_concurrent_throughput(benchmark, report):
     def run():
-        rows = []
-        for op, label in (("R", "Read"), ("W", "Write")):
-            row = [label]
-            for scheme in SCHEMES:
-                res = run_cell(op, scheme)
-                row.append(res.system_throughput_mb_s)
-            rows.append(row)
-        return rows
+        res = cells.run(f"table2/mpi-io-test-x2/{op}/{s}" for op in "RW" for s in cells.SCHEMES)
+        return [
+            [label] + [res[f"table2/mpi-io-test-x2/{op}/{s}"].system_throughput_mb_s
+                       for s in cells.SCHEMES]
+            for op, label in (("R", "Read"), ("W", "Write"))
+        ]
 
     rows = run_once(benchmark, run)
     report(
@@ -75,7 +46,7 @@ def test_fig6_interference_traces(benchmark, report):
     def run():
         out = {}
         for scheme in ("vanilla", "dualpar-forced"):
-            res = run_cell("R", scheme, trace=True)
+            res = cells.run_live(f"table2/mpi-io-test-x2/R/{scheme}")
             trace = res.cluster.traces[0]
             t1 = min(j.end_s for j in res.jobs)
             mid0, mid1 = t1 * 0.3, min(t1 * 0.3 + 1.0, t1)

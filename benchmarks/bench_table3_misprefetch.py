@@ -9,45 +9,25 @@ only 7.2% slower at a 4 MB cache).
 
 from __future__ import annotations
 
+import paper_cells as cells
 from conftest import run_once
-from repro import DependentReads, DualParConfig, JobSpec, format_table, run_experiment
-from repro.cluster import paper_spec
-
-NPROCS = 16
-QUOTAS_KB = [512, 1024, 2048, 4096]
-
-
-def make_workload():
-    return DependentReads(file_size=96 * 1024 * 1024, request_bytes=64 * 1024)
+from repro import format_table
 
 
 def test_table3_misprefetch_overhead(benchmark, report):
     def run():
-        base = run_experiment(
-            [JobSpec("dep", NPROCS, make_workload(), strategy="vanilla")],
-            cluster_spec=paper_spec(n_compute_nodes=16),
-        )
-        t_vanilla = base.jobs[0].elapsed_s
-        rows = [["no DualPar", t_vanilla, 0.0]]
-        for kb in QUOTAS_KB:
-            res = run_experiment(
-                [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar")],
-                cluster_spec=paper_spec(n_compute_nodes=16),
-                dualpar_config=DualParConfig(
-                    quota_bytes=kb * 1024,
-                    # Entry pinned open so the adversary actually tricks
-                    # DualPar into a wasted cycle, as in the paper's setup.
-                    io_ratio_enter=0.0,
-                    io_ratio_exit=0.0,
-                    t_improvement=1e-9,
-                    emc_interval_s=0.1,
-                ),
-            )
-            t = res.jobs[0].elapsed_s
-            rows.append([f"{kb} KB", t, (t / t_vanilla - 1.0) * 100.0])
-        return rows, t_vanilla
+        keys = {"no DualPar": "table3/dependent/R/vanilla"}
+        for kb in cells.TABLE3_QUOTAS_KB:
+            keys[f"{kb} KB"] = f"{cells.table3_pattern(kb)}/dualpar"
+        res = cells.run(keys.values())
+        t_vanilla = res[keys["no DualPar"]].jobs[0].elapsed_s
+        rows = []
+        for label, key in keys.items():
+            t = res[key].jobs[0].elapsed_s
+            rows.append([label, t, (t / t_vanilla - 1.0) * 100.0])
+        return rows
 
-    rows, t_vanilla = run_once(benchmark, run)
+    rows = run_once(benchmark, run)
     report(
         "table3_misprefetch_overhead",
         format_table(
@@ -67,14 +47,7 @@ def test_table3_mode_disabled_after_detection(benchmark, report):
     """The 'one-time overhead' claim: DualPar locks the mode out."""
 
     def run():
-        res = run_experiment(
-            [JobSpec("dep", NPROCS, make_workload(), strategy="dualpar")],
-            cluster_spec=paper_spec(n_compute_nodes=16),
-            dualpar_config=DualParConfig(
-                io_ratio_enter=0.0, io_ratio_exit=0.0,
-                t_improvement=1e-9, emc_interval_s=0.1,
-            ),
-        )
+        res = cells.run_live("table3/dependent/R/dualpar")
         eng = res.mpi_jobs[0].engine
         return {
             "cycles": eng.pec.n_cycles,

@@ -14,13 +14,13 @@ write; under ``crash_recover`` they time out and retry, as the DualPar
 cells' list batches do.  A faulted digest also covers what the
 result does not record itself: each client's timeout, retry and
 failover counts and each server's request and dropped-request counts
-and write commit log.  The ``figures`` section pins smoke-size cells of
-the paper artifacts outside the suite whose paths no suite cell takes:
-server write-back (the write-back ablation), the mis-prefetch lockout
-(Table III) and the ``prefetch`` strategy (Fig 1).  A change meant to
-leave simulated results alone must leave them all equal; a deliberate
-model change re-pins the file (``--write``) and names every cell it
-changed.
+and write commit log.  The ``figures`` section pins every figure, table
+and ablation cell of the paper-cell table (``benchmarks/paper_cells.py``)
+at smoke scale, among them the paths no suite cell takes: the
+``prefetch`` strategy (Fig 1), server write-back and the mis-prefetch
+lockout (Table III).  A change meant to leave simulated results alone
+must leave them all equal; a deliberate model change re-pins the file
+(``--write``) and names every cell it changed.
 
 The digests hash result floats bit for bit, and the model's float
 arithmetic can round differently across interpreter versions (from
@@ -146,8 +146,7 @@ def compute(smoke: bool, verbose: bool = False) -> dict[str, str]:
 def compute_figures(verbose: bool = False) -> dict[str, str]:
     """``{row key: digest}`` for every row of the paper-cell table at
     smoke scale."""
-    runs = [(key, paper_cells.spec(key, paper_cells.SMOKE), None)
-            for key in paper_cells.BY_KEY]
+    runs = [(key, paper_cells.spec(key, smoke=True), None) for key in paper_cells.BY_KEY]
     return _digests(runs, load_cells(), verbose)
 
 

@@ -16,8 +16,7 @@ their demo program's inter-call compute at each scale, as the paper
 tunes it.  A cell several artifacts read is one row: the overall
 average reads Fig 3's rows, Fig 1(a) and (b) share their 4 KB / 90 %
 cells, and Fig 6 traces Table II's read rows.  Disk traces are recorded
-at bench scale only, where a bench reads them (a trace observes the disk
-and changes no result).
+at bench scale only (a trace observes the disks and changes no result).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro import (
 from repro.cluster import ClusterSpec, paper_spec
 from repro.runner import run_spec
 
-BENCH, SMOKE = "bench", "smoke"
 KB = 1024
 MB = 1024 * KB
 
@@ -59,7 +57,6 @@ SCHEMES = ("vanilla", "collective", "dualpar-forced")
 STRATEGIES = ("vanilla", "prefetch", "dualpar-forced")
 FIG1_RATIOS = (0.2, 0.43, 0.72, 0.9, 1.0)  # Fig 1(a), 4 KB segments
 FIG1_SEGMENTS_KB = (4, 8, 16, 32, 64, 128)  # Fig 1(b), I/O ratio 0.9
-TABLE1_RATIO = 0.3
 FIG3_WORKLOADS = ("mpi-io-test", "noncontig", "ior-mpi-io")
 FIG4_NPROCS = (16, 64, 256)
 FIG5_QUERIES = (16, 24, 32)
@@ -79,8 +76,9 @@ class Row:
     artifact: str
     pattern: str
     strategy: str
-    #: ``make(smoke, compute_per_call)`` -> the row's spec at one scale.
-    make: Callable[[bool, float], ExperimentSpec]
+    #: ``make(strategy, smoke, compute_per_call)`` -> the row's spec at
+    #: one scale.
+    make: Callable[[str, bool, float], ExperimentSpec]
     #: Target I/O ratio the demo's compute is calibrated to (or None).
     ratio: Optional[float] = None
 
@@ -106,8 +104,9 @@ def table3_pattern(quota_kb: int) -> str:
     return f"table3/dependent-{quota_kb}KB/R"
 
 
-def _cluster(smoke: bool, nodes: int = 32, **kw) -> ClusterSpec:
-    return paper_spec(n_compute_nodes=4 if smoke else nodes, **kw)
+def _cluster(smoke: bool, nodes: int = 32, traced: bool = False, **kw) -> ClusterSpec:
+    return paper_spec(n_compute_nodes=4 if smoke else nodes,
+                      trace_disks=traced and not smoke, **kw)
 
 
 def _one(name, nprocs, workload, strategy, cluster, **kw) -> ExperimentSpec:
@@ -115,20 +114,19 @@ def _one(name, nprocs, workload, strategy, cluster, **kw) -> ExperimentSpec:
                           cluster_spec=cluster, **kw)
 
 
-def _demo(segment_kb, strategy, traced, smoke, compute):
+def _demo(segment_kb, traced, strategy, smoke, compute):
     seg = segment_kb * KB
     # Two calls per rank at least, so a 128 KB smoke row still does I/O.
     size = max(2 * MB, 2 * 16 * 8 * seg) if smoke else 48 * MB
     demo = Demo(file_size=size, segment_bytes=seg, segments_per_call=16,
                 compute_per_call=compute, nprocs_hint=8)
-    return _one("demo", 8, demo, strategy,
-                _cluster(smoke, 8, trace_disks=traced and not smoke))
+    return _one("demo", 8, demo, strategy, _cluster(smoke, 8, traced))
 
 
 def _fig1cd(strategy, smoke, _compute):
     # Fully I/O bound at bench scale; the smoke row computes between calls
     # so that the prefetches have time to land and be hit.
-    return _demo(4, strategy, True, smoke, 0.002 if smoke else 0.0)
+    return _demo(4, True, strategy, smoke, 0.002 if smoke else 0.0)
 
 
 def _fig3(name, op, strategy, smoke, _compute):
@@ -184,7 +182,7 @@ def _table2(op, strategy, smoke, _compute):
         )
         for i in range(2)
     ]
-    return ExperimentSpec(tuple(miot), cluster_spec=_cluster(smoke, trace_disks=not smoke))
+    return ExperimentSpec(tuple(miot), cluster_spec=_cluster(smoke, traced=True))
 
 
 def _fig7(strategy, smoke, _compute):
@@ -201,7 +199,7 @@ def _fig7(strategy, smoke, _compute):
     )
     return ExperimentSpec(
         jobs,
-        cluster_spec=_cluster(smoke, 16, trace_disks=True, locality_interval_s=0.25),
+        cluster_spec=_cluster(smoke, 16, traced=True, locality_interval_s=0.25),
         dualpar_config=DualParConfig(emc_interval_s=0.25, metric_window_s=1.0),
         timeline_window_s=FIG7_WINDOW_S,
     )
@@ -291,60 +289,54 @@ def _ghost_compute(factor, strategy, smoke, _compute):
 
 
 def _rows() -> Iterable[Row]:
-    demo = {
-        (kb, ratio)
-        for kb, ratio in [(4, r) for r in FIG1_RATIOS] + [(kb, 0.9) for kb in FIG1_SEGMENTS_KB]
-    }
+    demo = {(4, r) for r in FIG1_RATIOS} | {(kb, 0.9) for kb in FIG1_SEGMENTS_KB}
     for kb, ratio in sorted(demo):
         for s in STRATEGIES:
-            yield Row("Fig 1", fig1_pattern(kb, ratio), s,
-                      partial(_demo, kb, s, False), ratio)
+            yield Row("Fig 1", fig1_pattern(kb, ratio), s, partial(_demo, kb, False), ratio)
     for s in ("prefetch", "dualpar-forced"):
-        yield Row("Fig 1", "fig1/demo/R", s, partial(_fig1cd, s))
+        yield Row("Fig 1", "fig1/demo/R", s, _fig1cd)
     for s in STRATEGIES:
-        yield Row("Table I", f"table1/demo-4KB-io{round(TABLE1_RATIO * 100)}/R", s,
-                  partial(_demo, 4, s, True), TABLE1_RATIO)
+        yield Row("Table I", "table1/demo-4KB-io30/R", s, partial(_demo, 4, True), 0.3)
     for op in "RW":
         for name in FIG3_WORKLOADS:
             for s in SCHEMES:
-                yield Row("Fig 3", f"fig3/{name}/{op}", s, partial(_fig3, name, op, s))
+                yield Row("Fig 3", f"fig3/{name}/{op}", s, partial(_fig3, name, op))
     for p in FIG4_NPROCS:
         for s in SCHEMES:
-            yield Row("Fig 4", f"fig4/btio-P{p}/W", s, partial(_fig4, p, s))
+            yield Row("Fig 4", f"fig4/btio-P{p}/W", s, partial(_fig4, p))
     for q in FIG5_QUERIES:
         for s in SCHEMES:
-            yield Row("Fig 5", f"fig5/s3asim-q{q}/RW", s, partial(_fig5, q, s))
+            yield Row("Fig 5", f"fig5/s3asim-q{q}/RW", s, partial(_fig5, q))
     for op in "RW":
         for s in SCHEMES:
-            yield Row("Table II", f"table2/mpi-io-test-x2/{op}", s, partial(_table2, op, s))
+            yield Row("Table II", f"table2/mpi-io-test-x2/{op}", s, partial(_table2, op))
     for s in ("vanilla", "dualpar"):
-        yield Row("Fig 7", "fig7/adaptive/R", s, partial(_fig7, s))
+        yield Row("Fig 7", "fig7/adaptive/R", s, _fig7)
     for kb in FIG8_QUOTAS_KB:
-        yield Row("Fig 8", f"fig8/btio-{kb}KB/W", "dualpar-forced",
-                  partial(_fig8, kb, "dualpar-forced"))
-    yield Row("Fig 8", "fig8/btio/W", "vanilla", partial(_fig8, None, "vanilla"))
-    yield Row("Table III", "table3/dependent/R", "vanilla", partial(_table3, None, "vanilla"))
+        yield Row("Fig 8", f"fig8/btio-{kb}KB/W", "dualpar-forced", partial(_fig8, kb))
+    yield Row("Fig 8", "fig8/btio/W", "vanilla", partial(_fig8, None))
+    yield Row("Table III", "table3/dependent/R", "vanilla", partial(_table3, None))
     for kb in TABLE3_QUOTAS_KB:
-        yield Row("Table III", table3_pattern(kb), "dualpar", partial(_table3, kb, "dualpar"))
+        yield Row("Table III", table3_pattern(kb), "dualpar", partial(_table3, kb))
     for elevator in IO_SCHEDULERS:
         for s in ("vanilla", "dualpar-forced"):
             yield Row("Ablations", f"ablation/io-scheduler-{elevator}/R", s,
-                      partial(_io_scheduler, elevator, s))
+                      partial(_io_scheduler, elevator))
     for t in T_IMPROVEMENTS:
         yield Row("Ablations", f"ablation/t-improvement-T{t:g}/R", "dualpar",
-                  partial(_t_improvement, t, "dualpar"))
+                  partial(_t_improvement, t))
     for ablation, maker in (("hole-filling", _hole_filling), ("list-io", _list_io)):
         for on in (True, False):
             yield Row("Ablations", f"ablation/{ablation}-{'on' if on else 'off'}/R",
-                      "dualpar-forced", partial(maker, on, "dualpar-forced"))
+                      "dualpar-forced", partial(maker, on))
     for writeback in (False, True):
         for s in ("vanilla", "dualpar-forced"):
             cache = "writeback" if writeback else "writethrough"
             yield Row("Ablations", f"ablation/server-{cache}/W", s,
-                      partial(_server_cache, writeback, s))
+                      partial(_server_cache, writeback))
     for factor in (1.0, 0.0):
-        yield Row("Ablations", f"ablation/ghost-compute-{round(factor * 100)}/R", "dualpar-forced",
-                  partial(_ghost_compute, factor, "dualpar-forced"))
+        yield Row("Ablations", f"ablation/ghost-compute-{round(factor * 100)}/R",
+                  "dualpar-forced", partial(_ghost_compute, factor))
 
 
 ROWS: list[Row] = list(_rows())
@@ -358,9 +350,9 @@ def _compute_per_call(row: Row, smoke: bool) -> float:
     if row.ratio is None or row.ratio >= 1.0:
         return 0.0
     if (row.pattern, smoke) not in _calibrated:
-        probe = row.make(smoke, 0.0)
+        probe = row.make(row.strategy, smoke, 0.0)
         _calibrated[row.pattern, smoke] = calibrate_compute_for_ratio(
-            lambda compute: row.make(smoke, compute).specs[0].workload,
+            lambda compute: row.make(row.strategy, smoke, compute).specs[0].workload,
             row.ratio,
             probe.specs[0].nprocs,
             cluster_spec=probe.cluster_spec,
@@ -368,11 +360,11 @@ def _compute_per_call(row: Row, smoke: bool) -> float:
     return _calibrated[row.pattern, smoke]
 
 
-def spec(key: str, scale: str = BENCH) -> ExperimentSpec:
-    """The spec of row ``key`` at ``scale`` (calibrating its I/O ratio)."""
+def spec(key: str, smoke: bool = False) -> ExperimentSpec:
+    """The spec of row ``key`` at bench or smoke scale, its I/O ratio
+    calibrated."""
     row = BY_KEY[key]
-    smoke = {BENCH: False, SMOKE: True}[scale]
-    made = row.make(smoke, _compute_per_call(row, smoke))
+    made = row.make(row.strategy, smoke, _compute_per_call(row, smoke))
     return dataclasses.replace(made, label=key)
 
 

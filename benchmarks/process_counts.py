@@ -44,7 +44,7 @@ def count_processes(workload: str, smoke: bool = False) -> Counter:
     Simulator.process = counting  # type: ignore[method-assign]
     try:
         for cell in cells.workload_cells(workload, 0, smoke):
-            cell_digest_of(cells, cell)
+            cell_digest_of(cells, cell.spec)
     finally:
         Simulator.process = spawn  # type: ignore[method-assign]
     return counts

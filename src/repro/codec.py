@@ -56,6 +56,15 @@ def decode(cls: type[T], raw: Any) -> T:
     unknown = set(raw) - types.keys()
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in dataclasses.fields(cls)  # type: ignore[arg-type]
+        if f.name not in raw
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} fields: {missing}")
     return cls(**{k: _decode(types[k], v) for k, v in raw.items()})
 
 

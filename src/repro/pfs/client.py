@@ -32,7 +32,7 @@ from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile
 from repro.pfs.layout import StripeLayout, StripePiece
 from repro.net.ethernet import Network
-from repro.sim import Event, Process, Simulator, all_of, any_of
+from repro.sim import Event, Simulator, all_of, any_of
 
 __all__ = ["PfsClient"]
 
@@ -259,14 +259,3 @@ class PfsClient:
             self.bytes_read += length
         else:
             self.bytes_written += length
-
-    def io_async(
-        self,
-        f: PfsFile,
-        offset: int,
-        length: int,
-        op: str,
-        stream_id: int,
-    ) -> Process:
-        """Fire-and-track variant returning the in-flight process."""
-        return self.sim.process(self.io(f, offset, length, op, stream_id), name="pfs-io")

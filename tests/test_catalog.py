@@ -87,6 +87,13 @@ def test_unknown_fields_rejected_at_every_level():
             ExperimentSubmission.from_dict(raw)
 
 
+def test_missing_required_fields_rejected():
+    raw = _submission().to_dict()
+    del raw["jobs"][0]["name"]
+    with pytest.raises(ValueError, match=r"missing JobSubmission fields: \['name'\]"):
+        ExperimentSubmission.from_dict(raw)
+
+
 def test_missing_schema_version_rejected():
     raw = _submission().to_dict()
     del raw["schema_version"]

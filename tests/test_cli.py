@@ -100,3 +100,14 @@ def test_run_with_elevator_option(capsys):
         ]
     )
     assert rc == 0
+
+
+def test_submit_without_job_name_is_a_bad_submission(tmp_path, capsys):
+    """A job missing a required field is reported, not a traceback; the
+    spec fails to load before any coordinator is contacted."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"schema_version": 1, "jobs": [{"workload": "mpi-io-test"}]}')
+    assert main(["submit", str(spec), "--port", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "bad submission" in err
+    assert "missing JobSubmission fields: ['name']" in err

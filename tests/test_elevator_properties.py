@@ -48,9 +48,13 @@ def test_all_requests_complete_exactly_once(sched_name, reqs):
     p = sim.process(submitter())
     sim.run_until_event(p, limit=600.0)
     assert len(completions) == len(reqs)
-    # Bytes conserved: the drive serviced at least every submitted sector
-    # (merged units may cover several requests at once, never fewer).
-    assert drive.stats.total_bytes >= 0
+    # Bytes conserved: the drive serviced every submitted sector (at least
+    # their union) and none twice (at most their sum; a merged unit covers
+    # overlapping requests once).
+    union = set()
+    for lbn, n, *_ in reqs:
+        union.update(range(lbn, lbn + n))
+    assert 512 * len(union) <= drive.stats.total_bytes <= 512 * sum(r[1] for r in reqs)
     assert layer.stats.n_submitted == len(reqs)
     # Every completion timestamp is sane.
     assert all(t >= 0 for _, _, t in completions)

@@ -46,8 +46,8 @@ def test_client_io_async_overlaps_correctly():
     f = cluster.fs.create("p.dat", 8 * 1024 * 1024)
     client = cluster.clients[0]
 
-    p1 = client.io_async(f, 0, 1024 * 1024, "R", stream_id=1)
-    p2 = client.io_async(f, 4 * 1024 * 1024, 1024 * 1024, "R", stream_id=2)
+    p1 = sim.process(client.io(f, 0, 1024 * 1024, "R", stream_id=1))
+    p2 = sim.process(client.io(f, 4 * 1024 * 1024, 1024 * 1024, "R", stream_id=2))
     sim.run_until_event(p1)
     sim.run_until_event(p2)
     t_parallel = sim.now
