@@ -6,9 +6,9 @@ the chunk's address in the file (paper SIV-D).
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-__all__ = ["ChunkKey", "chunk_range", "chunks_of", "DEFAULT_CHUNK_BYTES"]
+__all__ = ["ChunkKey", "chunk_range", "DEFAULT_CHUNK_BYTES"]
 
 #: Chunk size = PVFS2 stripe unit, "so that a chunk can be efficiently
 #: accessed by touching only one server".
@@ -29,11 +29,3 @@ def chunk_range(offset: int, length: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
     first = offset // chunk_bytes
     last = (offset + length - 1) // chunk_bytes
     return range(first, last + 1)
-
-
-def chunks_of(
-    file_name: str, offset: int, length: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-) -> Iterator[ChunkKey]:
-    """Keys of all chunks overlapping the byte range."""
-    for idx in chunk_range(offset, length, chunk_bytes):
-        yield ChunkKey(file_name, idx)

@@ -1,9 +1,11 @@
 """The global chunked cache (Memcached stand-in).
 
-Chunk metadata lives in one registry (the simulation does not move real
-bytes); *access costs* are charged as network transfers between the
-requesting compute node and the chunk's owner node, plus a small
-per-operation CPU cost -- which is what Memcached costs in practice.
+Chunk metadata lives in one registry, per file and keyed by chunk index
+(the simulation does not move real bytes); *access costs* are charged as
+network transfers between the requesting compute node and the chunk's
+owner node, plus a small per-operation CPU cost -- which is what
+Memcached costs in practice.  The batched operations take byte ranges of
+one file: each range is a run of consecutive chunk indices.
 
 Accounting supported:
 
@@ -15,7 +17,7 @@ Accounting supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 from repro.cache.chunk import DEFAULT_CHUNK_BYTES, ChunkKey
 from repro.extents import Segment, coalesce_segments
@@ -31,9 +33,10 @@ CACHE_OP_CPU_S = 5e-6
 TTL_S = 30.0
 
 
-@dataclass
+@dataclass(slots=True)
 class CachedChunk:
-    key: ChunkKey
+    file_name: str
+    index: int
     owner_node: int
     last_used: float
     cycle_id: int
@@ -64,7 +67,8 @@ class GlobalCache:
         self._ring = list(compute_node_ids)
         self._failed_nodes: set[int] = set()
         self.n_node_failures = 0
-        self._chunks: dict[ChunkKey, CachedChunk] = {}
+        #: Resident chunks: file name -> chunk index -> chunk.
+        self._files: dict[str, dict[int, CachedChunk]] = {}
         #: Guard memory budget (repro.guard.MemoryBudget) when a safety
         #: governor is attached; None nominally.  Every resident chunk is
         #: charged against its job and owner node; prefetched chunks that
@@ -112,20 +116,16 @@ class GlobalCache:
         self._failed_nodes.add(node)
         self._ring = ring
         self.n_node_failures += 1
-        victims = [
-            k for k, c in self._chunks.items() if c.owner_node == node and not c.dirty
-        ]
-        for k in victims:
-            self._drop(k)
-        self.n_evictions += len(victims)
+        evicted = self._drop_where(lambda c: c.owner_node == node and not c.dirty)
+        self.n_evictions += evicted
         migrated = 0
-        for c in self._chunks.values():
+        for c in self._resident():
             if c.owner_node == node:
-                c.owner_node = self.owner_of(c.key)
+                c.owner_node = ring[c.index % len(ring)]
                 if self.budget is not None:
                     self.budget.transfer_node(self.chunk_bytes, node, c.owner_node)
                 migrated += 1
-        return len(victims), migrated
+        return evicted, migrated
 
     def restore_node(self, node: int) -> None:
         """Return an evicted node to the ring (empty, like a restart)."""
@@ -136,25 +136,36 @@ class GlobalCache:
 
     # ------------------------------------------------------------- queries
 
-    def peek(self, key: ChunkKey) -> Optional[CachedChunk]:
-        """Metadata lookup without cost or use-marking (internal/tests)."""
-        c = self._chunks.get(key)
+    def _live(self, chunks: dict[int, CachedChunk], index: int) -> Optional[CachedChunk]:
+        """The resident chunk at ``index``, or None; a chunk unused for
+        over ``TTL_S`` is expired here (lazy TTL eviction)."""
+        c = chunks.get(index)
         if c is not None and self.sim.now - c.last_used > TTL_S:
-            # Lazy TTL expiry.
-            self._drop(key)
+            self._drop(chunks, index)
             self.n_evictions += 1
             return None
         return c
 
+    def peek(self, key: ChunkKey) -> Optional[CachedChunk]:
+        """Metadata lookup without cost or use-marking (internal/tests)."""
+        return self._live(self._files.get(key.file_name, {}), key.index)
+
     def contains(self, key: ChunkKey) -> bool:
         return self.peek(key) is not None
 
+    def missing_chunks(self, file_name: str, lo: int, hi: int) -> list[int]:
+        """Indices, in order, of the chunks covering bytes [lo, hi) of a
+        file that are not resident (stale ones expire, as in :meth:`peek`)."""
+        chunks = self._files.get(file_name, {})
+        return [i for i, _, _ in self._pieces([(lo, hi)]) if self._live(chunks, i) is None]
+
+    def _resident(self) -> Iterator[CachedChunk]:
+        for chunks in self._files.values():
+            yield from chunks.values()
+
     def resident_bytes(self, job_id: Optional[int] = None) -> int:
-        return sum(
-            self.chunk_bytes
-            for c in self._chunks.values()
-            if job_id is None or c.job_id == job_id
-        )
+        n = sum(1 for c in self._resident() if job_id is None or c.job_id == job_id)
+        return n * self.chunk_bytes
 
     # ------------------------------------------------------------- costed ops
 
@@ -200,147 +211,180 @@ class GlobalCache:
             else max(dirty_range[1] - dirty_range[0], 1)
         )
         yield from self.network.transfer(from_node, owner, size)
-        self._store(key, cycle_id, job_id, dirty_range)
+        piece = (key.index, 0, 0) if dirty_range is None else (key.index, *dirty_range)
+        self._store(key.file_name, [piece], cycle_id, job_id, dirty_range is not None)
 
     # ------------------------------------------------------ batched ops
 
-    def multiget(
-        self, wants: list[tuple[ChunkKey, int]], from_node: int
-    ) -> Generator:
-        """Batched get (memcached multi-get): one message per owner node.
-
-        ``wants`` is [(key, bytes_needed), ...].  Yields until all owner
-        replies land; the generator returns {key: hit_bool}.
-        """
-        self.n_gets += len(wants)
-        yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(wants))
-        result: dict[ChunkKey, bool] = {}
-        by_owner: dict[int, int] = {}
-        for key, nbytes in wants:
-            chunk = self.peek(key)
-            if chunk is None:
-                result[key] = False
-                by_owner.setdefault(self.owner_of(key), 0)
-                by_owner[self.owner_of(key)] += 8  # miss flag bytes
+    def _pieces(self, ranges) -> list[tuple[int, int, int]]:
+        """``(index, lo, hi)`` of every chunk piece of the byte ranges
+        ``[(lo, hi), ...]``, in range order, then chunk order.  A range
+        is a run of chunks ``lo // cb .. (hi - 1) // cb``; only its first
+        and last piece can be partial."""
+        cb = self.chunk_bytes
+        pieces = []
+        for lo, hi in ranges:
+            if hi <= lo:
                 continue
-            self.n_hits += 1
-            chunk.last_used = self.sim.now
-            chunk.used = True
-            result[key] = True
-            size = min(nbytes, self.chunk_bytes)
-            by_owner.setdefault(chunk.owner_node, 0)
-            by_owner[chunk.owner_node] += size
+            for idx in range(lo // cb, (hi - 1) // cb + 1):
+                base = idx * cb
+                end = base + cb
+                pieces.append((idx, lo if lo > base else base, hi if hi < end else end))
+        return pieces
+
+    def multiget(
+        self, file_name: str, ranges: list[tuple[int, int]], from_node: int
+    ) -> Generator:
+        """Batched get of byte ranges of one file (memcached multi-get):
+        one message per owner node.
+
+        ``ranges`` is [(lo, hi), ...].  Yields until all owner replies
+        land; the generator returns ``(missing, n_hits)``: the
+        ``(lo, hi)`` piece of every chunk that missed, in range order,
+        then chunk order, and the number of pieces that hit.
+        """
+        pieces = self._pieces(ranges)
+        self.n_gets += len(pieces)
+        yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(pieces))
+        now = self.sim.now
+        chunks = self._files.get(file_name, {})
+        ring = self._ring
+        live = self._live
+        missing: list[tuple[int, int]] = []
+        by_owner: dict[int, int] = {}
+        for idx, lo, hi in pieces:
+            chunk = live(chunks, idx)
+            if chunk is None:
+                missing.append((lo, hi))
+                owner = ring[idx % len(ring)]
+                by_owner[owner] = by_owner.get(owner, 0) + 8  # miss flag bytes
+            else:
+                chunk.last_used = now
+                chunk.used = True
+                owner = chunk.owner_node
+                by_owner[owner] = by_owner.get(owner, 0) + hi - lo
+        n_hits = len(pieces) - len(missing)
+        self.n_hits += n_hits
         if by_owner:
             yield self.network.transfer_all(
                 [(owner, from_node, 64 + nbytes) for owner, nbytes in sorted(by_owner.items())],
                 name="mc-get",
             )
-        return result
+        return missing, n_hits
 
     def multiput(
         self,
-        puts: list[tuple[ChunkKey, Optional[tuple[int, int]]]],
+        file_name: str,
+        segments,
         from_node: int,
         cycle_id: int = 0,
         job_id: Optional[int] = None,
+        dirty: bool = False,
     ) -> Generator:
-        """Batched put: one payload message per owner node.
+        """Batched put of byte segments of one file: one payload message
+        per owner node.
 
-        ``puts`` is [(key, dirty_range_or_None), ...]; a None range means
-        a full prefetched chunk.
+        ``segments`` is [(offset, length), ...].  With ``dirty`` each
+        chunk piece is write data, marked dirty with its byte extent;
+        otherwise every covered chunk is stored whole (prefetched data).
         """
-        self.n_puts += len(puts)
-        yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(puts))
+        pieces = self._pieces((off, off + n) for off, n in segments)
+        self.n_puts += len(pieces)
+        yield self.sim.timeout(CACHE_OP_CPU_S + 1e-6 * len(pieces))
+        cb = self.chunk_bytes
+        ring = self._ring
         by_owner: dict[int, int] = {}
-        for key, dirty_range in puts:
-            owner = self.owner_of(key)
-            size = (
-                self.chunk_bytes
-                if dirty_range is None
-                else max(dirty_range[1] - dirty_range[0], 1)
-            )
-            by_owner[owner] = by_owner.get(owner, 0) + size
+        for idx, lo, hi in pieces:
+            owner = ring[idx % len(ring)]
+            by_owner[owner] = by_owner.get(owner, 0) + (hi - lo if dirty else cb)
         if by_owner:
             yield self.network.transfer_all(
                 [(from_node, owner, 64 + nbytes) for owner, nbytes in sorted(by_owner.items())],
                 name="mc-put",
             )
-        for key, dirty_range in puts:
-            self._store(key, cycle_id, job_id, dirty_range)
+        self._store(file_name, pieces, cycle_id, job_id, dirty)
 
-    def _drop(self, key: ChunkKey) -> Optional[CachedChunk]:
-        """Remove a chunk, releasing its budget charge; None if absent."""
-        chunk = self._chunks.pop(key, None)
-        if chunk is not None and self.budget is not None:
+    def _drop(self, chunks: dict[int, CachedChunk], index: int) -> None:
+        """Remove a resident chunk, releasing its budget charge."""
+        chunk = chunks.pop(index)
+        if self.budget is not None:
             self.budget.release(
                 self.chunk_bytes, job_id=chunk.job_id, node=chunk.owner_node
             )
-        return chunk
+
+    def _drop_where(self, doomed: Callable[[CachedChunk], bool]) -> int:
+        """Drop every resident chunk ``doomed`` selects; returns the count."""
+        victims = [
+            (chunks, idx)
+            for chunks in self._files.values()
+            for idx, c in chunks.items()
+            if doomed(c)
+        ]
+        for chunks, idx in victims:
+            self._drop(chunks, idx)
+        return len(victims)
 
     def _store(
         self,
-        key: ChunkKey,
+        file_name: str,
+        pieces: list[tuple[int, int, int]],
         cycle_id: int,
         job_id: Optional[int],
-        dirty_range: Optional[tuple[int, int]],
+        dirty: bool,
     ) -> None:
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            if self.budget is not None:
-                owner = self.owner_of(key)
-                if dirty_range is None:
-                    # Speculative prefetch: shed at the cap rather than
-                    # growing without bound.
-                    if not self.budget.try_charge(
-                        self.chunk_bytes, job_id=job_id, node=owner
-                    ):
-                        return
-                else:
-                    # Dirty data is never refused -- dropping it would
-                    # silently lose committed application writes.
-                    self.budget.charge(self.chunk_bytes, job_id=job_id, node=owner)
-            chunk = CachedChunk(
-                key=key,
-                owner_node=self.owner_of(key),
-                last_used=self.sim.now,
-                cycle_id=cycle_id,
-                job_id=job_id,
-            )
-            self._chunks[key] = chunk
-        chunk.last_used = self.sim.now
-        chunk.cycle_id = cycle_id
-        if job_id is not None:
-            if (
-                self.budget is not None
-                and chunk.job_id is not None
-                and chunk.job_id != job_id
-            ):
-                # Ownership handover: move the charge between job ledgers.
-                self.budget.release(self.chunk_bytes, job_id=chunk.job_id)
-                self.budget.charge(self.chunk_bytes, job_id=job_id)
-            chunk.job_id = job_id
-        if dirty_range is not None:
-            chunk.dirty = True
-            # Append is O(1); BTIO-style programs write thousands of tiny
-            # ranges per chunk, so merging on every insert would go
-            # quadratic.  Compact periodically; writeback coalesces anyway.
-            start, end = dirty_range
-            seg = Segment(start, end - start)
-            chunk.dirty_ranges.append(seg)  # simlint: ignore[SL007] cache-owned payload
-            if len(chunk.dirty_ranges) >= 512:
-                chunk.dirty_ranges = coalesce_segments(chunk.dirty_ranges)
+        """Insert or refresh each piece's chunk, placed on the ring as it
+        is now; with ``dirty`` the piece's ``(lo, hi)`` is a dirty extent."""
+        chunks = self._files.setdefault(file_name, {})
+        ring = self._ring
+        budget = self.budget
+        cb = self.chunk_bytes
+        now = self.sim.now
+        for idx, lo, hi in pieces:
+            chunk = chunks.get(idx)
+            if chunk is None:
+                owner = ring[idx % len(ring)]
+                if budget is not None:
+                    if not dirty:
+                        # Speculative prefetch: shed at the cap rather than
+                        # growing without bound.
+                        if not budget.try_charge(cb, job_id=job_id, node=owner):
+                            continue
+                    else:
+                        # Dirty data is never refused -- dropping it would
+                        # silently lose committed application writes.
+                        budget.charge(cb, job_id=job_id, node=owner)
+                chunk = CachedChunk(file_name, idx, owner, now, cycle_id, job_id=job_id)
+                chunks[idx] = chunk
+            else:
+                chunk.last_used = now
+                chunk.cycle_id = cycle_id
+            if job_id is not None:
+                if budget is not None and chunk.job_id is not None and chunk.job_id != job_id:
+                    # Ownership handover: move the charge between job ledgers.
+                    budget.release(cb, job_id=chunk.job_id)
+                    budget.charge(cb, job_id=job_id)
+                chunk.job_id = job_id
+            if dirty:
+                chunk.dirty = True
+                # Append is O(1); BTIO-style programs write thousands of tiny
+                # ranges per chunk, so merging on every insert would go
+                # quadratic.  Compact periodically; writeback coalesces anyway.
+                ranges = chunk.dirty_ranges
+                ranges.append(Segment(lo, hi - lo))  # simlint: ignore[SL007] cache-owned payload
+                if len(ranges) >= 512:
+                    chunk.dirty_ranges = coalesce_segments(ranges)
 
     # ------------------------------------------------------------- lifecycle
 
     def dirty_chunks(self, job_id: Optional[int] = None) -> list[CachedChunk]:
         return [
             c
-            for c in self._chunks.values()
+            for c in self._resident()
             if c.dirty and (job_id is None or c.job_id == job_id)
         ]
 
-    def clean(self, key: ChunkKey) -> None:
-        c = self._chunks.get(key)
+    def clean(self, file_name: str, index: int) -> None:
+        c = self._files.get(file_name, {}).get(index)
         if c is not None:
             c.dirty = False
             c.dirty_ranges = []
@@ -349,7 +393,7 @@ class GlobalCache:
         """(unused, total) prefetched chunks of a given job cycle."""
         total = 0
         unused = 0
-        for c in self._chunks.values():
+        for c in self._resident():
             if c.job_id == job_id and c.cycle_id == cycle_id and not c.dirty:
                 total += 1
                 if not c.used:
@@ -358,21 +402,14 @@ class GlobalCache:
 
     def purge_unused(self, job_id: int, cycle_id: int) -> int:
         """Evict unused prefetched chunks of a finished cycle; returns count."""
-        victims = [
-            k
-            for k, c in self._chunks.items()
-            if c.job_id == job_id and c.cycle_id == cycle_id and not c.used and not c.dirty
-        ]
-        for k in victims:
-            self._drop(k)
-        self.n_evictions += len(victims)
-        return len(victims)
+        n = self._drop_where(
+            lambda c: c.job_id == job_id and c.cycle_id == cycle_id and not (c.used or c.dirty)
+        )
+        self.n_evictions += n
+        return n
 
     def purge_job(self, job_id: int) -> int:
-        victims = [k for k, c in self._chunks.items() if c.job_id == job_id]
-        for k in victims:
-            self._drop(k)
-        return len(victims)
+        return self._drop_where(lambda c: c.job_id == job_id)
 
     @property
     def hit_ratio(self) -> float:

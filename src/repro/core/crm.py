@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cache.chunk import ChunkKey, chunk_range
 from repro.extents import Segment, coalesce_counting, coalesce_segments
 from repro.mpiio.listio import batch_io
 from repro.sim import all_of
@@ -114,68 +113,61 @@ class Crm:
         nodes = self._live_nodes()
         # Not charged network time: server-health query to the MDS (DESIGN.md).
         live_servers = self.engine.system.emc.live_servers()
-        wanted: dict[str, set[int]] = {}
+        recorded: dict[str, list[Segment]] = {}
         for per_file in cyc.recorded.values():
             for file_name, segs in per_file.items():
-                try:
-                    f = fs.lookup(file_name)
-                except FileNotFoundError:
-                    continue  # a mis-predicted file name
-                bucket = wanted.setdefault(file_name, set())
-                for seg in segs:
-                    end = min(seg.end, f.size)
-                    if seg.offset >= end:
-                        continue
-                    for idx in chunk_range(seg.offset, end - seg.offset, cb):
-                        if cache.contains(ChunkKey(file_name, idx)):
-                            continue
-                        if live_servers is not None:
-                            lo = idx * cb
-                            ln = min(lo + cb, f.size) - lo
-                            if self._spans_dead_server(f, lo, ln, live_servers):
-                                # Striped on a dead server: defer; the
-                                # blocked rank falls back to a direct
-                                # (retrying) read after the cycle.
-                                self.n_deferred_prefetch_chunks += 1
-                                continue
-                        bucket.add(idx)
+                recorded.setdefault(file_name, []).extend(segs)
+        wanted: dict[str, list[int]] = {}
+        for file_name, segs in recorded.items():
+            try:
+                f = fs.lookup(file_name)
+            except FileNotFoundError:
+                continue  # a mis-predicted file name
+            indices = wanted[file_name] = []
+            # Ranges less than a chunk apart are merged, so no chunk lies
+            # in two ranges: each is tested once, in index order.
+            for seg in coalesce_segments(segs, hole_threshold=cb - 1):
+                end = min(seg.end, f.size)
+                for idx in cache.missing_chunks(file_name, seg.offset, end):
+                    lo = idx * cb
+                    if live_servers is not None and self._spans_dead_server(
+                        f, lo, min(lo + cb, f.size) - lo, live_servers
+                    ):
+                        # Striped on a dead server: defer; the blocked
+                        # rank falls back to a direct (retrying) read
+                        # after the cycle.
+                        self.n_deferred_prefetch_chunks += 1
+                    else:
+                        indices.append(idx)
         guard = self.engine.system.guard
         if guard is not None:
             # Budget backpressure: cap the plan at the job's remaining
             # headroom, shedding the highest chunk indices (the furthest-
             # ahead, lowest-priority predictions) file by file.
             allow = guard.budget.job_headroom(self.engine.job.job_id) // cb
-            for file_name in list(wanted):
-                indices = sorted(wanted[file_name])
+            for indices in wanted.values():
                 if len(indices) > allow:
                     guard.budget.record_shed_plan(len(indices) - allow)
-                    indices = indices[:allow]
-                    wanted[file_name] = set(indices)
+                    del indices[allow:]
                 allow -= len(indices)
         out: dict[int, dict[str, list[int]]] = {}
-        for file_name, idx_set in wanted.items():
-            indices = sorted(idx_set)
+        for file_name, indices in wanted.items():
             if not indices:
                 continue
             span = -(-len(indices) // len(nodes))
             for i, node in enumerate(nodes):
                 part = indices[i * span : (i + 1) * span]
                 if part:
-                    out.setdefault(node, {}).setdefault(file_name, []).extend(part)
+                    out.setdefault(node, {})[file_name] = part
         return out
 
     def _prefetch(self, cyc: "Cycle"):
         sim = self.sim
         needed = self._chunks_needed(cyc)
-        node_procs = []
-        for node, per_file in sorted(needed.items()):
-            if not any(per_file.values()):
-                continue
-            node_procs.append(
-                sim.process(
-                    self._prefetch_node(node, per_file), name=f"crm-pf-n{node}"
-                )
-            )
+        node_procs = [
+            sim.process(self._prefetch_node(node, per_file), name=f"crm-pf-n{node}")
+            for node, per_file in sorted(needed.items())
+        ]
         if node_procs:
             self.n_prefetch_batches += 1
             yield all_of(sim, node_procs)
@@ -190,16 +182,10 @@ class Crm:
         hole = self.config.hole_threshold_bytes
         pending = []
         for file_name in sorted(per_file):
-            indices = sorted(set(per_file[file_name]))
-            if not indices:
-                continue
+            indices = per_file[file_name]
             f = fs.lookup(file_name)
-            segs = []
-            for idx in indices:
-                lo = idx * cb
-                hi = min(lo + cb, f.size)
-                if hi > lo:
-                    segs.append(Segment(lo, hi - lo))
+            # Every planned chunk starts below the file's end.
+            segs = [Segment(i * cb, min(i * cb + cb, f.size) - i * cb) for i in indices]
             merged = coalesce_segments(segs, hole_threshold=hole)
             total = sum(s.length for s in merged)
             if self.config.use_list_io:
@@ -209,17 +195,15 @@ class Crm:
                     yield from client.io(f, seg.offset, seg.length, "R", stream_id)
             self.prefetched_bytes += total
             # Store every covered chunk (hole-filled data is cached too):
-            # one batched multiput scatters the chunks to their owners, in
-            # the background -- cache inserts pipeline behind the fetch.
-            puts = []
-            for seg in merged:
-                for idx in chunk_range(seg.offset, seg.length, cb):
-                    puts.append((ChunkKey(file_name, idx), None))
-            if puts:
+            # one batched multiput scatters each merged segment's run of
+            # chunks to their owners, in the background -- cache inserts
+            # pipeline behind the fetch.
+            if merged:
                 pending.append(
                     self.sim.process(
                         cache.multiput(
-                            puts,
+                            file_name,
+                            merged,
                             from_node=node,
                             cycle_id=self.engine.pec.current_cycle_id,
                             job_id=self.engine.job.job_id,
@@ -244,11 +228,11 @@ class Crm:
             writable = []
             for chunk in dirty:
                 try:
-                    f = fs.lookup(chunk.key.file_name)
+                    f = fs.lookup(chunk.file_name)
                 except FileNotFoundError:
                     writable.append(chunk)
                     continue
-                lo = chunk.key.index * cb
+                lo = chunk.index * cb
                 ln = max(min(lo + cb, f.size) - lo, 1)
                 if self._spans_dead_server(f, lo, ln, live_servers):
                     # Stays dirty in the cache until the server returns;
@@ -262,7 +246,7 @@ class Crm:
         by_node: dict[int, dict[str, list[Segment]]] = {}
         for chunk in dirty:
             per_file = by_node.setdefault(chunk.owner_node, {})
-            per_file.setdefault(chunk.key.file_name, []).extend(chunk.dirty_ranges)
+            per_file.setdefault(chunk.file_name, []).extend(chunk.dirty_ranges)
         node_procs = [
             self.sim.process(
                 self._writeback_node(node, per_file), name=f"crm-wb-n{node}"
@@ -272,7 +256,7 @@ class Crm:
         self.n_writeback_batches += 1
         yield all_of(self.sim, node_procs)
         for chunk in dirty:
-            cache.clean(chunk.key)
+            cache.clean(chunk.file_name, chunk.index)
         for rank in range(self.engine.job.nprocs):
             self.engine.quota_of(rank).reset_dirty()
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.cache.chunk import ChunkKey, chunk_range
 from repro.cache.memcache import GlobalCache
 from repro.cache.quota import QuotaTracker
 from repro.core.config import DualParConfig
@@ -160,34 +159,20 @@ class DualParEngine(IoEngine):
     # ------------------------------------------------------------- reads
 
     def _consume(self, proc: "MpiProcess", file_name: str, ranges) -> Generator:
-        """Serve byte ranges from the cache; generator returns the misses.
+        """Serve byte ranges from the cache; generator returns the missing
+        chunk pieces.
 
         One multi-get covers the whole MPI-IO call (the instrumented
         library fetches all the call's chunks from Memcached in a batch).
         """
-        cb = self.cache.chunk_bytes
-        wants: list[tuple[ChunkKey, int]] = []
-        spans: list[tuple[ChunkKey, int, int]] = []
-        for lo, hi in ranges:
-            for idx in chunk_range(lo, hi - lo, cb):
-                c_lo = max(lo, idx * cb)
-                c_hi = min(hi, (idx + 1) * cb)
-                key = ChunkKey(file_name, idx)
-                wants.append((key, c_hi - c_lo))
-                spans.append((key, c_lo, c_hi))
         guard = self.system.guard
         started_at = self.sim.now
-        hits = yield from self.cache.multiget(wants, proc.node_id)
+        missing, n_hits = yield from self.cache.multiget(file_name, ranges, proc.node_id)
         if guard is not None:
             # The breaker scores every batched multi-get by its latency.
             guard.record_cache_op(self.sim.now - started_at)
-        missing: list[tuple[int, int]] = []
-        for key, c_lo, c_hi in spans:
-            if hits.get(key):
-                self.n_cache_hits += 1
-            else:
-                self.n_cache_misses += 1
-                missing.append((c_lo, c_hi))
+        self.n_cache_hits += n_hits
+        self.n_cache_misses += len(missing)
         return missing
 
     def _dd_read(self, proc: "MpiProcess", op: IoOp) -> Generator:
@@ -214,20 +199,15 @@ class DualParEngine(IoEngine):
     # ------------------------------------------------------------- writes
 
     def _dd_write(self, proc: "MpiProcess", op: IoOp) -> Generator:
-        cb = self.cache.chunk_bytes
         quota = self.quota_of(proc.rank)
-        puts = []
-        for seg in op.segments:
-            for idx in chunk_range(seg.offset, seg.length, cb):
-                c_lo = max(seg.offset, idx * cb)
-                c_hi = min(seg.end, (idx + 1) * cb)
-                puts.append((ChunkKey(op.file_name, idx), (c_lo, c_hi)))
-            quota.add_dirty(seg.length)
+        quota.add_dirty(op.total_bytes)
         yield from self.cache.multiput(
-            puts,
+            op.file_name,
+            op.segments,
             from_node=proc.node_id,
             cycle_id=self.pec.current_cycle_id,
             job_id=self.job.job_id,
+            dirty=True,
         )
         if quota.full:
             yield self.pec.block_on_quota(proc)

@@ -55,7 +55,11 @@ class RequestRecorder:
         self._records: deque[tuple[float, str, int, int]] = deque(maxlen=MAX_RECORDS)
 
     def record(self, time: float, file_name: str, offset: int, length: int) -> None:
-        self._records.append((time, file_name, offset, length))
+        self.record_segments(time, file_name, ((offset, length),))
+
+    def record_segments(self, time: float, file_name: str, segments) -> None:
+        """Record one request per ``(offset, length)`` segment, in order."""
+        self._records.extend([(time, file_name, off, n) for off, n in segments])
 
     def recent_req_dist(self, now: float) -> Optional[float]:
         """Mean sorted-adjacent gap (in 512-byte sectors) over the window.

@@ -112,9 +112,7 @@ class DualParSystem:
         rec = self.recorders.get(proc.node_id)
         if rec is None:
             return
-        now = self.runtime.sim.now
-        for seg in op.segments:
-            rec.record(now, op.file_name, seg.offset, seg.length)
+        rec.record_segments(self.runtime.sim.now, op.file_name, op.segments)
 
     def log_transition(self, job: "MpiJob", mode: str) -> None:
         self.transitions.append((self.runtime.sim.now, job.name, mode))
