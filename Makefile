@@ -103,10 +103,18 @@ bench-kernel:
 bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
 
-# Replay the CI gates locally: lint legs, the examples, tier-1 tests, the
-# determinism jobs' suites and cell digests, and the kernel bench gate.
+# Replay the CI gates locally: lint legs, the examples, the C
+# accelerator's -Wall build and self-test, tier-1 tests, the determinism
+# jobs' suites and cell digests, and the kernel bench gate.  A _cq.c that
+# fails to build or to self-test would otherwise leave every later step on
+# the pure-Python kernel without a word.
 ci-local: lint
 	$(MAKE) examples
+	cc -Wall -Werror -fsyntax-only \
+		-I"$$($(PYTHON) -c 'import sysconfig; print(sysconfig.get_path("include"))')" \
+		src/repro/sim/_cq.c
+	PYTHONPATH=src $(PYTHON) -c "import repro.sim.core as core; \
+		assert core._CQ is not None, 'C accelerator failed to build or self-test'"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_parallel_runner.py
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_determinism.py tests/test_sanitizer.py

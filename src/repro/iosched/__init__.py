@@ -19,7 +19,7 @@ that machinery:
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.iosched.base import IoScheduler, SchedDecision
+from repro.iosched.base import Decision, IoScheduler
 from repro.iosched.blocklayer import BlockLayer, BlockLayerStats
 from repro.iosched.cfq import CfqScheduler
 from repro.iosched.deadline import DeadlineScheduler
@@ -33,11 +33,11 @@ __all__ = [
     "BlockLayerStats",
     "BlockRequest",
     "CfqScheduler",
+    "Decision",
     "DeadlineScheduler",
     "IoScheduler",
     "IoUnit",
     "NoopScheduler",
-    "SchedDecision",
 ]
 
 SCHEDULERS: Mapping[str, type[IoScheduler]] = MappingProxyType(

@@ -10,7 +10,7 @@ always issue a nearby follow-up just after their previous read completes
 
 from __future__ import annotations
 
-from repro.iosched.base import IoScheduler, SchedDecision
+from repro.iosched.base import Decision, IoScheduler
 from repro.iosched.request import BlockRequest
 from repro.iosched.squeue import SortedUnitQueue
 
@@ -44,12 +44,12 @@ class AnticipatoryScheduler(IoScheduler):
             any(p.stream_id == stream_id for p in unit.parts) for unit in self._queue.units
         )
 
-    def decide(self, now: float, head_lbn: int) -> SchedDecision:
+    def decide(self, now: float, head_lbn: int) -> Decision:
         if len(self._queue) == 0:
             if self._antic_deadline is not None and now < self._antic_deadline:
-                return SchedDecision.idle(self._antic_deadline - now)
+                return self._antic_deadline - now
             self._antic_deadline = None
-            return SchedDecision.empty()
+            return None
 
         if (
             self._last_stream is not None
@@ -59,7 +59,7 @@ class AnticipatoryScheduler(IoScheduler):
             if self._antic_deadline is None:
                 self._antic_deadline = now + ANTIC_EXPIRE_S
             if now < self._antic_deadline:
-                return SchedDecision.idle(self._antic_deadline - now)
+                return self._antic_deadline - now
         self._antic_deadline = None
 
         unit = self._queue.pop_next(head_lbn)
@@ -67,7 +67,7 @@ class AnticipatoryScheduler(IoScheduler):
             self._last_stream = unit.parts[-1].stream_id
         else:
             self._last_stream = None
-        return SchedDecision.serve(unit)
+        return unit
 
     def __len__(self) -> int:
         return len(self._queue)

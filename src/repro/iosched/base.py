@@ -1,43 +1,31 @@
 """Scheduler interface and the decision protocol with the block layer.
 
 A scheduler owns the queue of pending :class:`IoUnit` objects.  The block
-layer's dispatch loop repeatedly asks ``decide(now, head_lbn)``:
+layer's dispatch loop repeatedly asks ``decide(now, head_lbn)``, which
+returns one of:
 
-- ``SchedDecision.serve(unit)`` -- service this unit now;
-- ``SchedDecision.idle(seconds)`` -- the scheduler *chooses* to keep the
+- an :class:`IoUnit` -- service this unit now;
+- a ``float`` number of seconds -- the scheduler *chooses* to keep the
   disk idle briefly (CFQ/anticipatory idling), hoping a better request
   arrives; the loop re-asks after the window or on a new arrival;
-- ``SchedDecision.empty()`` -- nothing queued; sleep until an arrival.
+- ``None`` -- nothing queued; sleep until an arrival.
+
+Plain values rather than a decision object: the loop asks once per
+dispatched unit, hundreds of thousands of times in a paper cell.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.iosched.request import BlockRequest, IoUnit
 
-__all__ = ["IoScheduler", "SchedDecision"]
+__all__ = ["Decision", "IoScheduler"]
 
-
-@dataclass(frozen=True)
-class SchedDecision:
-    kind: str  # 'serve' | 'idle' | 'empty'
-    unit: Optional[IoUnit] = None
-    idle_s: float = 0.0
-
-    @classmethod
-    def serve(cls, unit: IoUnit) -> "SchedDecision":
-        return cls(kind="serve", unit=unit)
-
-    @classmethod
-    def idle(cls, seconds: float) -> "SchedDecision":
-        return cls(kind="idle", idle_s=seconds)
-
-    @classmethod
-    def empty(cls) -> "SchedDecision":
-        return cls(kind="empty")
+#: What :meth:`IoScheduler.decide` returns: a unit to serve, seconds to
+#: idle, or None when nothing is queued.
+Decision = Optional[Union[IoUnit, float]]
 
 
 class IoScheduler(ABC):
@@ -51,8 +39,8 @@ class IoScheduler(ABC):
         """Queue a new request (merging it if possible)."""
 
     @abstractmethod
-    def decide(self, now: float, head_lbn: int) -> SchedDecision:
-        """Choose the next action for the dispatch loop."""
+    def decide(self, now: float, head_lbn: int) -> Decision:
+        """Choose the next action for the dispatch loop (module docstring)."""
 
     @abstractmethod
     def __len__(self) -> int:

@@ -53,6 +53,7 @@ class BlockLayerStats:
     n_submitted: int = 0
     n_units_served: int = 0
     depth_samples: list = field(default_factory=list)
+    total_unit_sectors: int = 0
 
     @property
     def mean_queue_depth(self) -> float:
@@ -62,15 +63,9 @@ class BlockLayerStats:
 
     @property
     def mean_unit_sectors(self) -> float:
-        return self._mean_unit_sectors
-
-    _mean_unit_sectors: float = 0.0
-    _total_unit_sectors: int = 0
-
-    def record_unit(self, nsectors: int) -> None:
-        self.n_units_served += 1
-        self._total_unit_sectors += nsectors
-        self._mean_unit_sectors = self._total_unit_sectors / self.n_units_served
+        if not self.n_units_served:
+            return 0.0
+        return self.total_unit_sectors / self.n_units_served
 
 
 class BlockLayer:
@@ -168,25 +163,25 @@ class BlockLayer:
 
     def _dispatch_loop(self):
         sim = self.sim
+        scheduler = self.scheduler
+        stats = self.stats
         while True:
-            decision = self.scheduler.decide(sim.now, self._head_lbn)
-            if decision.kind == "empty":
+            unit = scheduler.decide(sim.now, self._head_lbn)
+            if unit is None:
                 yield from self._wait_arrival()
                 continue
-            if decision.kind == "idle":
+            if unit.__class__ is float:
                 # Idle until the window ends or a new request arrives.
                 self._arrival = sim.event()
-                yield any_of(sim, [self._arrival, sim.timeout(decision.idle_s)])
+                yield any_of(sim, [self._arrival, sim.timeout(unit)])
                 # Whether the timer or an arrival won, drop the arrival
                 # event; an untriggered orphan is harmless garbage.
                 self._arrival = None
                 continue
-            unit = decision.unit
-            stats = self.stats
-            stats.depth_samples.append(len(self.scheduler) + 1)
+            stats.depth_samples.append(len(scheduler) + 1)
             m = self._metrics
             if m is not None:
-                m.queue_depth.observe(len(self.scheduler) + 1)
+                m.queue_depth.observe(len(scheduler) + 1)
                 m.unit_sectors.observe(unit.nsectors)
                 if len(unit.parts) > 1:
                     m.merged.inc(len(unit.parts) - 1)
@@ -207,9 +202,10 @@ class BlockLayer:
             else:
                 yield from self.device.service(unit.lbn, unit.nsectors, unit.op)
             self._head_lbn = unit.end
-            self.stats.record_unit(unit.nsectors)
+            stats.n_units_served += 1
+            stats.total_unit_sectors += unit.nsectors
             done_at = sim.now
-            self.scheduler.on_complete(unit, done_at)
+            scheduler.on_complete(unit, done_at)
             for part in unit.parts:
                 part.completion.succeed(done_at)
             if self._congestion_waiters and not self.congested:

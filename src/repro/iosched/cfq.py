@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.iosched.base import IoScheduler, SchedDecision
+from repro.iosched.base import Decision, IoScheduler
 from repro.iosched.request import BlockRequest, IoUnit
 from repro.iosched.squeue import SortedUnitQueue
 
@@ -63,7 +63,9 @@ class CfqScheduler(IoScheduler):
         self._active: int | None = None
         self._slice_start = 0.0
         self._idle_deadline: float | None = None
+        #: Running unit counts of the sync queues and of the async queue.
         self._n_sync_queued = 0
+        self._n_async_queued = 0
 
     # ------------------------------------------------------------------
 
@@ -76,21 +78,19 @@ class CfqScheduler(IoScheduler):
 
     def add(self, req: BlockRequest, now: float) -> None:
         if req.is_async:
-            self._async.add(req)
+            added = self._async.add(req)
+            self._n_async_queued += added
         else:
             st = self._state(req.stream_id)
+            queue = st.queue
             # Think-time sample: completion of the stream's previous
             # request to this submission, when the stream had gone idle.
-            if st.last_completion is not None and st.n_inflight == 0 and len(st.queue) == 0:
+            if st.last_completion is not None and st.n_inflight == 0 and not queue.units:
                 sample = max(now - st.last_completion, 0.0)
                 st.ttime_mean = 0.7 * st.ttime_mean + 0.3 * sample
-            before = len(st.queue)
-            st.queue.add(req)
-            self._n_sync_queued += len(st.queue) - before
-            st.n_inflight += 0  # inflight counted at dispatch
-        self.n_merges = self._async.n_merges + sum(
-            s.queue.n_merges for s in self._streams.values()
-        )
+            added = queue.add(req)
+            self._n_sync_queued += added
+        self.n_merges += 1 - added
 
     def on_complete(self, unit: IoUnit, now: float) -> None:
         for part in unit.parts:
@@ -102,7 +102,7 @@ class CfqScheduler(IoScheduler):
                 st.n_inflight = max(st.n_inflight - 1, 0)
 
     def __len__(self) -> int:
-        return self._n_sync_queued + len(self._async)
+        return self._n_sync_queued + self._n_async_queued
 
     # ------------------------------------------------------------------
 
@@ -127,15 +127,15 @@ class CfqScheduler(IoScheduler):
                 return sid
         return None
 
-    def _serve_sync(self, sid: int, head_lbn: int) -> SchedDecision:
+    def _serve_sync(self, sid: int, head_lbn: int) -> Decision:
         st = self._streams[sid]
         unit = st.queue.pop_next(head_lbn)
         self._n_sync_queued -= 1
         st.n_inflight += 1
         self._idle_deadline = None
-        return SchedDecision.serve(unit)
+        return unit
 
-    def decide(self, now: float, head_lbn: int) -> SchedDecision:
+    def decide(self, now: float, head_lbn: int) -> Decision:
         if self._n_sync_queued == 0:
             # Honour an armed idle window for the active stream before
             # surrendering the disk to background work.
@@ -144,11 +144,12 @@ class CfqScheduler(IoScheduler):
                 and self._idle_deadline is not None
                 and now < self._idle_deadline
             ):
-                return SchedDecision.idle(self._idle_deadline - now)
-            if len(self._async) > 0:
-                return SchedDecision.serve(self._async.pop_next(head_lbn))
+                return self._idle_deadline - now
+            if self._n_async_queued:
+                self._n_async_queued -= 1
+                return self._async.pop_next(head_lbn)
             self._rotate_active()
-            return SchedDecision.empty()
+            return None
 
         if self._active is not None:
             st = self._streams.get(self._active)
@@ -164,10 +165,10 @@ class CfqScheduler(IoScheduler):
                 if self._idle_deadline is None:
                     self._idle_deadline = now + SLICE_IDLE_S
                 if now < self._idle_deadline:
-                    return SchedDecision.idle(self._idle_deadline - now)
+                    return self._idle_deadline - now
             self._rotate_active()
 
         sid = self._elect(now)
         if sid is None:  # pragma: no cover - guarded by _n_sync_queued
-            return SchedDecision.empty()
+            return None
         return self._serve_sync(sid, head_lbn)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.iosched.base import IoScheduler, SchedDecision
+from repro.iosched.base import Decision, IoScheduler
 from repro.iosched.request import BlockRequest, IoUnit
 from repro.iosched.squeue import SortedUnitQueue
 
@@ -41,10 +41,7 @@ class DeadlineScheduler(IoScheduler):
 
     def add(self, req: BlockRequest, now: float) -> None:
         q = self._sorted[req.op]
-        n_before = len(q)
-        merges_before = q.n_merges
-        q.add(req)
-        if q.n_merges == merges_before and len(q) == n_before + 1:
+        if q.add(req) == 1:
             # Genuinely new unit: give it a deadline entry.
             unit = self._unit_containing(q, req.lbn)
             expire = READ_EXPIRE_S if req.op == "R" else WRITE_EXPIRE_S
@@ -70,16 +67,16 @@ class DeadlineScheduler(IoScheduler):
             del q._keys[idx]
         unit.queued = False
 
-    def decide(self, now: float, head_lbn: int) -> SchedDecision:
+    def decide(self, now: float, head_lbn: int) -> Decision:
         nr, nw = len(self._sorted["R"]), len(self._sorted["W"])
         if nr == 0 and nw == 0:
-            return SchedDecision.empty()
+            return None
 
         # Continue the current batch while quota and requests remain.
         if self._batch_left > 0 and len(self._sorted[self._batch_op]) > 0:
             unit = self._sorted[self._batch_op].pop_next(head_lbn)
             self._batch_left -= 1
-            return SchedDecision.serve(unit)
+            return unit
 
         # Pick the op for the next batch: reads preferred unless writes starve.
         if nr > 0 and (nw == 0 or self._starved < WRITES_STARVED):
@@ -101,9 +98,9 @@ class DeadlineScheduler(IoScheduler):
         if fifo and fifo[0][0] <= now:
             _deadline, unit = fifo.popleft()
             self._remove_sorted(op, unit)
-            return SchedDecision.serve(unit)
+            return unit
 
-        return SchedDecision.serve(self._sorted[op].pop_next(head_lbn))
+        return self._sorted[op].pop_next(head_lbn)
 
     def __len__(self) -> int:
         return len(self._sorted["R"]) + len(self._sorted["W"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.iosched.base import IoScheduler, SchedDecision
+from repro.iosched.base import Decision, IoScheduler
 from repro.iosched.request import BlockRequest, IoUnit
 
 __all__ = ["NoopScheduler"]
@@ -36,10 +36,10 @@ class NoopScheduler(IoScheduler):
                 return
         self._fifo.append(IoUnit.from_request(req))
 
-    def decide(self, now: float, head_lbn: int) -> SchedDecision:
+    def decide(self, now: float, head_lbn: int) -> Decision:
         if not self._fifo:
-            return SchedDecision.empty()
-        return SchedDecision.serve(self._fifo.popleft())
+            return None
+        return self._fifo.popleft()
 
     def __len__(self) -> int:
         return len(self._fifo)

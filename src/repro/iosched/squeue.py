@@ -33,29 +33,34 @@ class SortedUnitQueue:
     def units(self) -> list[IoUnit]:
         return self._units
 
-    def add(self, req: BlockRequest) -> None:
-        """Insert, back/front-merging into a neighbour when contiguous."""
+    def add(self, req: BlockRequest) -> int:
+        """Insert, back/front-merging into a neighbour when contiguous.
+
+        Returns the change in queued units: 1 for a new unit, 0 for a
+        merge, -1 for a merge that also joined two units.  Each add makes
+        ``1 - change`` merges, so a caller can keep both counts running."""
+        units = self._units
         idx = bisect.bisect_left(self._keys, req.lbn)
-        if idx > 0 and self._units[idx - 1].can_back_merge(req):
-            self._units[idx - 1].back_merge(req)
+        if idx > 0 and units[idx - 1].can_back_merge(req):
+            units[idx - 1].back_merge(req)
             self.n_merges += 1
-            self._coalesce_at(idx - 1)
-            return
-        if idx < len(self._units) and self._units[idx].can_front_merge(req):
-            unit = self._units[idx]
+            return -self._coalesce_at(idx - 1)
+        if idx < len(units) and units[idx].can_front_merge(req):
+            unit = units[idx]
             unit.front_merge(req)
             self._keys[idx] = unit.lbn
             self.n_merges += 1
-            self._coalesce_at(idx)
-            return
+            return -self._coalesce_at(idx)
         unit = IoUnit.from_request(req)
-        self._units.insert(idx, unit)
+        units.insert(idx, unit)
         self._keys.insert(idx, unit.lbn)
+        return 1
 
-    def _coalesce_at(self, idx: int) -> None:
-        """After a merge grew unit ``idx``, it may now abut its successor."""
+    def _coalesce_at(self, idx: int) -> int:
+        """After a merge grew unit ``idx``, it may now abut its successor:
+        join them; returns the number of units joined away (0 or 1)."""
         if idx + 1 >= len(self._units):
-            return
+            return 0
         a, b = self._units[idx], self._units[idx + 1]
         if a.can_back_merge(b):
             a.nsectors += b.nsectors
@@ -64,6 +69,8 @@ class SortedUnitQueue:
             del self._units[idx + 1]
             del self._keys[idx + 1]
             self.n_merges += 1
+            return 1
+        return 0
 
     def pop_next(self, head_lbn: int) -> Optional[IoUnit]:
         """C-LOOK: next unit at or beyond the head, wrapping to the start."""

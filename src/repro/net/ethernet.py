@@ -29,9 +29,10 @@ Layer 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.sim import Event, Resource, Simulator, all_of
+from repro.sim.core import URGENT
 
 __all__ = ["Network", "NetworkParams", "Nic"]
 
@@ -89,63 +90,74 @@ class Network:
     def n_nodes(self) -> int:
         return len(self.nics)
 
-    def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
+    def transfer(
+        self, src: int, dst: int, nbytes: int, start: Optional[int] = None, end: bool = False
+    ) -> Generator:
         """Move ``nbytes`` from node ``src`` to node ``dst``.
 
         A generator to ``yield from`` inside the caller's process; returns
         when the last byte lands.  Loopback (src == dst) costs only the
         per-message overhead (shared memory).
+
+        ``start`` (``URGENT`` or ``NORMAL``) first yields a zero-delay hop
+        of that priority, and ``end=True`` a NORMAL one after the landing:
+        the hops of ``PfsClient._exchange``, which on the C chain the move
+        pushes itself (docs/performance.md, Layer 8).
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         sim = self.sim
-        p = self.params
-        if src == dst:
-            yield sim.timeout(p.per_message_overhead_s)
-            self.messages_delivered += 1
-            return
         fault = self.fault
         if self._chain is not None and fault is None and sim._ledger is None:
             # The C chain: the steps and pushes below with one resume of
-            # the caller instead of three.  Its releases are the landed
-            # event's first callback, so they run before the caller
+            # the caller instead of up to five.  Its releases are the
+            # landed event's first callback, so they run before the caller
             # resumes, where the ``finally`` below runs; abort() stands in
             # for that ``finally`` on an interrupt.
-            move = sim._accel.move(self._chain, src, dst, nbytes)  # type: ignore[union-attr]
+            move = sim._accel.move(  # type: ignore[union-attr]
+                self._chain, src, dst, nbytes, start, end
+            )
             try:
-                yield move.landed
+                yield move.done if end else move.landed
             except BaseException:
                 move.abort()
                 raise
             return
-        src_nic, dst_nic = self.nics[src], self.nics[dst]
-        wire_time = nbytes / p.bandwidth_bytes_s
-
-        if fault is not None:
-            # Partition wait + injected latency/jitter, before any NIC is
-            # held so a cut never pins resources.
-            yield from fault.gate(src, dst)
-
-        # Hold TX and RX simultaneously over a single wire occupation so
-        # transfer time is charged once while both endpoints serialise.
-        # Acquisition order (own TX, then destination RX) is cycle-free.
-        # Both waits sit inside the ``try``: an interrupted transfer
-        # (a client request timeout) releases what it holds and cancels
-        # what it still queues for, so no NIC is pinned by a dead process.
-        tx_req = src_nic.tx.request()
-        rx_req = None
-        try:
-            yield tx_req
-            rx_req = dst_nic.rx.request()
-            yield rx_req
-            yield sim.timeout(p.per_message_overhead_s + p.latency_s + wire_time)
-            src_nic.bytes_sent += nbytes
-            dst_nic.bytes_received += nbytes
-        finally:
-            if rx_req is not None:
-                dst_nic.rx.release(rx_req)
-            src_nic.tx.release(tx_req)
+        p = self.params
+        if start is not None:
+            yield sim.urgent_hop() if start == URGENT else sim.timeout(0)
+        if src == dst:
+            yield sim.timeout(p.per_message_overhead_s)
+        else:
+            src_nic, dst_nic = self.nics[src], self.nics[dst]
+            if fault is not None:
+                # Partition wait + injected latency/jitter, before any NIC
+                # is held so a cut never pins resources.
+                yield from fault.gate(src, dst)
+            # Hold TX and RX simultaneously over a single wire occupation
+            # so transfer time is charged once while both endpoints
+            # serialise.  Acquisition order (own TX, then destination RX)
+            # is cycle-free.  Both waits sit inside the ``try``: an
+            # interrupted transfer (a client request timeout) releases
+            # what it holds and cancels what it still queues for, so no
+            # NIC is pinned by a dead process.
+            tx_req = src_nic.tx.request()
+            rx_req = None
+            try:
+                yield tx_req
+                rx_req = dst_nic.rx.request()
+                yield rx_req
+                wire_s = p.per_message_overhead_s + p.latency_s + nbytes / p.bandwidth_bytes_s
+                yield sim.timeout(wire_s)
+                src_nic.bytes_sent += nbytes
+                dst_nic.bytes_received += nbytes
+            finally:
+                if rx_req is not None:
+                    dst_nic.rx.release(rx_req)
+                src_nic.tx.release(tx_req)
         self.messages_delivered += 1
+        if end:
+            yield sim.timeout(0)
 
     def transfer_all(self, moves: list[tuple[int, int, int]], name: str = "transfer") -> Event:
         """Run the ``(src, dst, nbytes)`` moves concurrently.

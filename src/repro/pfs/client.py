@@ -26,13 +26,14 @@ this code runs.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile
 from repro.pfs.layout import StripeLayout, StripePiece
 from repro.net.ethernet import Network
 from repro.sim import Event, Simulator, all_of, any_of
+from repro.sim.core import NORMAL, URGENT
 
 __all__ = ["PfsClient"]
 
@@ -118,10 +119,9 @@ class PfsClient:
 
         The request carries ``header`` bytes, plus the ``nbytes`` payload
         for a write; then the server serves ``request`` -- one
-        :class:`ServerRequest` inside this process (:meth:`DataServer.call`)
-        or a list of them in a list service (:meth:`DataServer.handle_list`);
-        then the reply carries a control message, plus the payload for a
-        read.
+        :class:`ServerRequest` or a list-I/O batch of them -- through
+        :meth:`DataServer.call`; then the reply carries a control
+        message, plus the payload for a read.
 
         ``inline=True`` runs a single stripe piece inside the caller's
         process instead of the piece process :meth:`_fan_out` would spawn
@@ -133,44 +133,20 @@ class PfsClient:
         no hop: the piece ends on the reply transfer's wire timeout,
         which has this piece as its one waiter, so nothing can be queued
         or dispatched between that completion and the ``all_of`` push.
+        When :meth:`DataServer.call` served the request inline, a NORMAL
+        hop stands in for the ``done`` event of the service process it
+        replaced.  The transfers take all three hops (``start`` and
+        ``end`` of :meth:`Network.transfer`), so on the C chain none of
+        them resumes this process.
         """
         net = self.network
         node, peer = self.node_id, server.node_id
-        if inline:
-            yield self.sim.urgent_hop()
-        yield from net.transfer(node, peer, header + nbytes if op == "W" else header)
-        if type(request) is list:
-            yield server.handle_list(request)
-        else:
-            yield from server.call(request)
+        yield from net.transfer(
+            node, peer, header + nbytes if op == "W" else header, URGENT if inline else None
+        )
+        served_inline = yield from server.call(request)
         reply = CONTROL_MSG_BYTES + nbytes if op == "R" else CONTROL_MSG_BYTES
-        yield from net.transfer(peer, node, reply)
-        if inline:
-            yield self.sim.timeout(0)
-
-    def _do_piece(
-        self,
-        f: PfsFile,
-        piece: StripePiece,
-        op: str,
-        stream_id: int,
-        trace_id: int = 0,
-        req_id: Optional[int] = None,
-        inline: bool = False,
-    ) -> Generator:
-        """The :meth:`_exchange` that moves one stripe piece."""
-        req = ServerRequest(
-            file_name=f.name,
-            object_offset=piece.object_offset,
-            length=piece.length,
-            op=op,
-            stream_id=stream_id,
-            trace_id=trace_id,
-            req_id=req_id,
-        )
-        return self._exchange(
-            self.servers[piece.server], op, CONTROL_MSG_BYTES, piece.length, req, inline
-        )
+        yield from net.transfer(peer, node, reply, NORMAL if served_inline else None, inline)
 
     def _fan_out(self, units: list, name: str) -> Event:
         """Run ``(server index, nbytes, make_attempt)`` units in parallel,
@@ -205,7 +181,15 @@ class PfsClient:
                 (
                     p.server,
                     p.length,
-                    lambda p=p, rid=rid: self._do_piece(f, p, op, stream_id, trace_id, rid),
+                    lambda p=p, rid=rid: self._exchange(
+                        self.servers[p.server],
+                        op,
+                        CONTROL_MSG_BYTES,
+                        p.length,
+                        ServerRequest(
+                            f.name, p.object_offset, p.length, op, stream_id, trace_id, rid
+                        ),
+                    ),
                 )
             )
         yield self._fan_out(units, "pfs-piece")
@@ -224,19 +208,32 @@ class PfsClient:
         """
         if op not in ("R", "W"):
             raise ValueError(f"op must be 'R' or 'W', got {op!r}")
-        if offset < 0 or offset + length > f.size:
+        if offset < 0 or length < 0 or offset + length > f.size:
             raise ValueError(
                 f"range [{offset}, {offset + length}) outside file {f.name} of {f.size} bytes"
             )
         if length == 0:
             return
-        pieces = self.layout.split(offset, length)
         tr = self._tracer
         trace_id = tr.trace_of_stream(stream_id) if tr is not None else 0
-        faults = self.faults
-        if faults is None and len(pieces) == 1:
-            work = self._do_piece(f, pieces[0], op, stream_id, trace_id, inline=True)
+        layout = self.layout
+        unit = layout.stripe_unit
+        stripe = offset // unit
+        if self.faults is None and stripe == (offset + length - 1) // unit:
+            # One stripe piece (every request of the vanilla baseline's
+            # small-request patterns): StripeLayout's arithmetic, and the
+            # piece inline in this process.
+            n = layout.n_servers
+            req = ServerRequest(
+                f.name, stripe // n * unit + offset % unit, length, op, stream_id, trace_id
+            )
+            n_pieces = 1
+            work = self._exchange(
+                self.servers[stripe % n], op, CONTROL_MSG_BYTES, length, req, inline=True
+            )
         else:
+            pieces = layout.split(offset, length)
+            n_pieces = len(pieces)
             work = self._join_pieces(f, pieces, op, stream_id, trace_id)
         if tr is not None:
             # Async span: one client node can have overlapping I/O calls.
@@ -250,7 +247,7 @@ class PfsClient:
                 op=op,
                 offset=offset,
                 length=length,
-                pieces=len(pieces),
+                pieces=n_pieces,
             ):
                 yield from work
         else:

@@ -23,7 +23,7 @@ from repro.net.ethernet import Network
 from repro.pfs.filesystem import FileSystem
 from repro.sim import Event, Interrupt, Simulator, all_of
 
-__all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt"]
+__all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt", "wait_all"]
 
 #: The PVFS2 server performs disk I/O from a small pool of worker
 #: threads; the kernel elevator sees THOSE contexts, not the remote MPI
@@ -58,7 +58,16 @@ def absorb_interrupt(gen: Generator) -> Generator:
         return
 
 
-@dataclass
+def wait_all(sim: Simulator, events: list[Event]) -> Event:
+    """``all_of(sim, events)`` over pending events that never fail (block
+    completions, in-flight reads), with no condition event for one: its
+    :meth:`Simulator.hop_after` hop resumes the waiter in the same slot."""
+    if len(events) == 1:
+        return sim.hop_after(events[0])
+    return all_of(sim, events)
+
+
+@dataclass(slots=True)
 class ServerRequest:
     """One object-range request as received from a client."""
 
@@ -233,19 +242,23 @@ class DataServer:
         A crashed server black-holes the request: the event never fires
         and the fault-aware client's timeout/retry path takes over.
         """
-        return self._start(self._service, req, 1, "svc")
+        return self._start(self._serve, req, 1, "svc")
 
-    def _start(self, service, request, n_requests: int, kind: str) -> Event:
+    def _start(self, serve, request, n_requests: int, kind: str) -> Event:
         """The start step of every client request, one range or a list:
-        the ``done`` event ``service(request, done)`` fires, run in a
+        the ``done`` event fired after ``serve(request)``, run in a
         (tracked) service process named ``ds{i}-{kind}``.  A crashed
         server counts ``n_requests`` dropped and never fires ``done``."""
         done = self.sim.event()
         if self.crashed:
             self.n_dropped_requests += n_requests
             return done
-        self._spawn(service(request, done), name=f"ds{self.server_index}-{kind}")
+        self._spawn(self._service(serve, request, done), name=f"ds{self.server_index}-{kind}")
         return done
+
+    def _service(self, serve, request, done: Event):
+        yield from serve(request)
+        done.succeed(self.sim.now)
 
     def _account(self, req: ServerRequest) -> None:
         """The end step of every serviced range: count it, and under
@@ -281,15 +294,17 @@ class DataServer:
         max_sectors = blkreq.MAX_SECTORS
         completions = []
         pos = 0
+        block_layer = self.block_layer
         while pos < nsectors_total:
-            yield from self.block_layer.throttle()
+            if block_layer.congested:
+                yield from block_layer.throttle()
             if self.crashed:
                 # The server died while this thread slept in the throttle
                 # gate (e.g. the writeback flusher): abandon the rest.
                 return completions
             take = min(max_sectors, nsectors_total - pos)
             completions.append(
-                self.block_layer.submit(
+                block_layer.submit(
                     lbn + pos,
                     take,
                     op=req.op,
@@ -326,7 +341,7 @@ class DataServer:
                 yield sim.timeout(req.length / MEMCPY_BYTES_S)
                 return
             completions = yield from self._submit_blocks_throttled(req)
-            yield all_of(sim, completions)
+            yield wait_all(sim, completions)
             return
         start, end = req.object_offset, req.object_offset + req.length
         if self.writeback is not None and self.writeback.covers(
@@ -362,7 +377,7 @@ class DataServer:
                     )
             waits = self._overlapping_inflight(req.file_name, start, end)
             if waits:
-                yield all_of(sim, waits)
+                yield wait_all(sim, waits)
             return
         pc.n_misses += 1
         extra = pc.record_access(req.file_name, start, req.length, self._io_context(req.stream_id))
@@ -406,7 +421,7 @@ class DataServer:
             completions = yield from self._submit_blocks_throttled(
                 disk_req, is_async=is_async
             )
-            yield all_of(sim, completions)
+            yield wait_all(sim, completions)
         finally:
             # A crash interrupt can unwind this frame after crash() has
             # replaced the inflight map; only remove what is still there.
@@ -415,35 +430,37 @@ class DataServer:
                 entries.remove(entry)
             inflight_ev.succeed()
 
-    def call(self, req: ServerRequest) -> Generator:
-        """Service ``req`` inside the caller's process: ``yield from
-        server.call(req)`` returns exactly when :meth:`handle`'s event
-        would have woken the caller.
+    def call(self, request: ServerRequest | list[ServerRequest]) -> Generator:
+        """Service ``request`` (one range, or a list batch) inside the
+        caller's process: ``yield from server.call(request)`` returns where
+        the service process of :meth:`handle` or :meth:`handle_list` would
+        fire its ``done`` event, True if it served inline, False if it fell
+        back to that process and waited for ``done``.
 
-        Nominally no service process is spawned.  A NORMAL hop where
-        ``done`` would fire stands in for the one :meth:`handle` would
-        spawn, so every other event keeps its ``(time, priority,
+        Inline, the caller's next step belongs on a NORMAL hop where
+        ``done`` would fire (:meth:`PfsClient._exchange` starts its reply
+        on one), so every other event keeps its ``(time, priority,
         arrival)`` slot.  The spawned process's URGENT ``_Initialize``
         needs no hop: a piece calls this right after its request
-        transfer's wire timeout, which has the piece as its one waiter,
-        so nothing can be queued or dispatched between that timeout and
-        the service's start.  (The spawned process's own completion is
-        waited on by nobody either.)  Any other caller yields
-        ``sim.urgent_hop()`` first to keep the spawned form's order.
-        It falls back to ``yield server.handle(req)`` in two cases:
-        under fault tracking, where a crash must interrupt in-flight
-        service, so the service needs its own process; and on a crashed
-        server, which black-holes the request.
+        transfer's wire timeout, which has it as its one waiter, so
+        nothing can be queued or dispatched in between; any other caller
+        yields ``sim.urgent_hop()`` first.  A batch of several ranges
+        keeps its process, and so does every request under fault
+        tracking (a crash must interrupt in-flight service) and on a
+        crashed server (which black-holes it).
         """
-        if self._service_procs is not None or self.crashed:
-            yield self.handle(req)
-            return
-        yield from self._serve(req)
-        yield self.sim.timeout(0)
-
-    def _service(self, req: ServerRequest, done: Event):
-        yield from self._serve(req)
-        done.succeed(self.sim.now)
+        if self._service_procs is None and not self.crashed:
+            if type(request) is not list:
+                yield from self._serve(request)
+                return True
+            if len(request) == 1:
+                yield from self._serve_list(request, inline=True)
+                return True
+        if type(request) is list:
+            yield self.handle_list(request)
+        else:
+            yield self.handle(request)
+        return False
 
     def _serve(self, req: ServerRequest):
         """The work of one request: parse CPU, disk/cache I/O, commit
@@ -479,10 +496,10 @@ class DataServer:
         whole batch at once -- the mechanism DualPar's CRM and collective
         aggregators rely on for deep, sortable queues.
         """
-        return self._start(self._service_list, reqs, len(reqs), "list")
+        return self._start(self._serve_list, reqs, len(reqs), "list")
 
-    def _service_list(self, reqs: list[ServerRequest], done: Event):
-        sim = self.sim
+    def _serve_list(self, reqs: list[ServerRequest], inline: bool = False):
+        """The work of one list batch, as :meth:`_serve` for one range."""
         tr = self._tracer
         if tr is not None:
             with tr.span(
@@ -494,16 +511,23 @@ class DataServer:
                 pieces=len(reqs),
                 bytes=sum(r.length for r in reqs),
             ):
-                yield from self._service_list_body(reqs)
+                yield from self._service_list_body(reqs, inline)
         else:
-            yield from self._service_list_body(reqs)
+            yield from self._service_list_body(reqs, inline)
         for r in reqs:
             self._account(r)
-        done.succeed(sim.now)
 
-    def _service_list_body(self, reqs: list[ServerRequest]):
+    def _service_list_body(self, reqs: list[ServerRequest], inline: bool):
         sim = self.sim
         yield sim.timeout(REQUEST_CPU_S + LIST_PIECE_CPU_S * len(reqs))
+        if inline:
+            # The one range's piece process, run here.  Its _Initialize
+            # needs no hop: the CPU timeout has this process as its one
+            # waiter.  Where it would end, an URGENT hop, and where the
+            # all_of over it would fire, a NORMAL one queued by that hop.
+            yield from self._perform_io(reqs[0])
+            yield sim.hop_after(sim.urgent_hop())
+            return
         pieces = [
             self._spawn(self._perform_io(req), name=f"ds{self.server_index}-piece")
             for req in reqs

@@ -24,7 +24,7 @@ import sysconfig
 from types import ModuleType
 from typing import Optional
 
-_API_VERSION = 6
+_API_VERSION = 7
 _cached: Optional[ModuleType] = None
 _attempted = False
 

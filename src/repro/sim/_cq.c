@@ -11,8 +11,9 @@
  *     order ``(t, priority, arrival)``; it may hand one key's arrivals
  *     out as consecutive cohorts, which changes no order.
  *   - TimeoutFn: a callable installed as ``sim.timeout`` (and, in its
- *     hop form, as ``sim.urgent_hop``) that performs the pooled-Timeout
- *     fast path without entering the interpreter.
+ *     hop forms, as ``sim.urgent_hop`` and ``sim.hop_after``) that
+ *     performs the pooled-Timeout fast path without entering the
+ *     interpreter.
  *   - GrantFn: ``request`` / ``release`` of a ``Resource(capacity=1)``
  *     (the NIC sides), installed per instance when no lifecycle ledger
  *     (repro.sim.ledger) is attached.
@@ -22,7 +23,8 @@
  *     Event._process for every event kind, and every bound
  *     Process._resume callback runs in C around ``generator.send`` /
  *     ``throw`` (a generator's return becomes an inlined URGENT
- *     ``succeed``); a Move callback steps its move in C.
+ *     ``succeed``); a Move callback steps its move in C, and a Timeout
+ *     callback (``hop_after``) is pushed as ``Timeout.__call__`` does.
  *
  * All simulation *semantics* stay in the Python classes -- this file
  * only mirrors the exact hot-path steps of Simulator._drive,
@@ -394,7 +396,9 @@ typedef struct {
     PyObject *sim;  /* owned */
     BandHeap *q;    /* owned */
     PyObject *pool; /* owned list, or NULL when pooling is disabled */
-    int hop;        /* 1: sim.urgent_hop() -- no arguments, zero delay, URGENT */
+    int hop;        /* 1: sim.urgent_hop() -- no arguments, zero delay, URGENT;
+                     * 2: sim.hop_after(event) -- zero delay, NORMAL, queued
+                     *    when `event` is processed (its callback) */
 } TimeoutFn;
 
 static PyObject *float_zero = NULL; /* 0.0, the delay of every hop */
@@ -474,6 +478,17 @@ static PyObject *TimeoutFn_call(TimeoutFn *f, PyObject *args, PyObject *kw)
     PyObject *delay_ob;
     PyObject *value = Py_None;
     long prio = 1; /* NORMAL */
+    if (f->hop == 2) { /* Simulator.hop_after */
+        PyObject *target = na == 1 ? PyTuple_GET_ITEM(args, 0) : NULL, *ev;
+        if (!target || (kw && PyDict_GET_SIZE(kw)) ||
+            !PyObject_TypeCheck(target, (PyTypeObject *)EventType))
+            return PyErr_Format(PyExc_TypeError, "hop_after(event)");
+        if (!PyList_CheckExact(SLOT(target, off_callbacks)))
+            return PyErr_Format(SimError, "hop_after() of processed %R", target);
+        ev = pooled_timeout(f->sim, f->pool, float_zero, Py_None);
+        if (ev && PyList_Append(SLOT(target, off_callbacks), ev) < 0) Py_CLEAR(ev);
+        return ev;
+    }
     if (f->hop) {
         if (na != 0 || (kw != NULL && PyDict_GET_SIZE(kw) != 0)) {
             PyErr_SetString(PyExc_TypeError, "urgent_hop() takes no arguments");
@@ -604,7 +619,7 @@ static PyObject *mod_make_timeout(PyObject *self, PyObject *args)
 {
     PyObject *sim, *q, *pool;
     int hop = 0;
-    if (!PyArg_ParseTuple(args, "OOO|p", &sim, &q, &pool, &hop)) return NULL;
+    if (!PyArg_ParseTuple(args, "OOO|i", &sim, &q, &pool, &hop)) return NULL;
     if (!PyObject_TypeCheck(q, &BandHeap_Type)) {
         PyErr_SetString(PyExc_TypeError, "make_timeout() needs a BandHeap");
         return NULL;
@@ -844,21 +859,26 @@ static PyObject *mod_make_grant(PyObject *self, PyObject *args)
 
 /* The transfer chain of repro.net.ethernet.Network: a Move runs one
  * message as a state machine of event callbacks, with no process to
- * resume.  It is the one callback of its TX request, then of its RX
- * request, then the first one of its `landed` Timeout:
- *   1. TX granted: request RX.
- *   2. RX granted: push `landed` at now + (fixed + nbytes / bw), NORMAL.
- *   3. Landed: add nbytes to the NICs' byte counters, release RX, then
+ * resume.  It is the one callback of its start hop (if any), then of its
+ * TX request, then of its RX request, then the first one of its `landed`
+ * Timeout:
+ *   0. Start hop (a pooled zero-delay Timeout, URGENT or NORMAL, pushed
+ *      at move()): go on with 1.
+ *   1. Request TX (a loopback move pushes `landed` instead).
+ *   2. TX granted: request RX.
+ *   3. RX granted: push `landed` at now + (fixed + nbytes / bw), NORMAL.
+ *   4. Landed: add nbytes to the NICs' byte counters, release RX, then
  *      TX, and add 1 to messages_delivered; in a fan, count down, the
- *      last move pushing `done` NORMAL at now.
- * These are the steps and pushes of the Network.transfer generator and
- * of transfer_all's Python chain.  A waiter on `landed` resumes after
- * step 3, where the generator's `finally` ran; abort() stands in for
- * that `finally` on an interrupt.  Requests and releases go through the
- * NIC sides' GrantFns, whose ledger test runs on every call.  A fan is
- * a Move too, the callback of transfer_all's urgent hop: it starts its
- * moves in order (a loopback move is `landed` on the overhead timeout)
- * and holds their countdown. */
+ *      last move pushing `done` NORMAL at now; a single move with an
+ *      end hop pushes its pooled `done` Timeout NORMAL at now.
+ * These are the steps and pushes of the Network.transfer generator
+ * (start hop, three waits, end hop) and of transfer_all's Python chain.
+ * A waiter on `landed` resumes after step 4, where the generator's
+ * `finally` ran; abort() stands in for that `finally` on an interrupt.
+ * Requests and releases go through the NIC sides' GrantFns, whose ledger
+ * test runs on every call.  A fan is a Move too, the callback of
+ * transfer_all's urgent hop: it starts its moves in order and holds
+ * their countdown. */
 
 /* a network's chain constants (`net`): */
 enum { C_SIM, C_Q, C_POOL, C_NET, C_NODES, C_FIXED, C_OVERHEAD, C_BW, C_LEN };
@@ -867,14 +887,15 @@ enum { N_NIC, N_TXQ, N_TXR, N_RXQ, N_RXR, N_LEN };
 #define ITEM(t, i) PyTuple_GET_ITEM(t, i)
 #define GRANT(node, k) ((GrantFn *)ITEM(node, k))
 
-enum { MV_TX, MV_RX, MV_WIRE, MV_OVER, MV_FAN };
+enum { MV_HOP, MV_TX, MV_RX, MV_WIRE, MV_OVER, MV_FAN };
 
 typedef struct Move {
     PyObject_HEAD
     PyObject *net;    /* owned: the chain constants */
     struct Move *fan; /* owned: the fan this move belongs to, or NULL */
     PyObject *s, *d, *nbytes, *tx_req, *rx_req, *landed; /* owned */
-    PyObject *moves, *done; /* owned, a fan's: moves (until started), done */
+    PyObject *moves; /* owned, a fan's: moves (until started) */
+    PyObject *done;  /* owned: a fan's done Event, or a move's end-hop Timeout */
     Py_ssize_t left;        /* a fan's: moves not landed yet */
     double delay;
     int state;
@@ -953,16 +974,30 @@ static Move *move_new(PyObject *net, Move *fan, int state)
     return m;
 }
 
-/* The move src -> dst of nbytes, started: its TX request issued, or,
- * for a loopback move, `landed` pushed. */
+/* Step 1: issue the TX request, or, for a loopback move, push `landed`. */
+static int move_launch(Move *m)
+{
+    BandHeap *q = (BandHeap *)ITEM(m->net, C_Q);
+    if (m->s == m->d) {
+        m->state = MV_WIRE;
+        return bh_push(q, q->now + m->delay, 1 /* NORMAL */, m->landed);
+    }
+    m->state = MV_TX;
+    m->tx_req = grant_call(GRANT(m->s, N_TXQ), NULL);
+    return move_wait(m, m->tx_req);
+}
+
+/* The move src -> dst of nbytes: started, or, with a start hop (`hop`
+ * 0 URGENT or 1 NORMAL; -1 for none), its hop pushed.  With `end` it
+ * holds the pooled `done` Timeout that step 4 pushes. */
 static Move *move_start(PyObject *net, Move *fan, PyObject *src, PyObject *dst,
-                        PyObject *nbytes)
+                        PyObject *nbytes, long hop, int end)
 {
     double nb = PyFloat_AsDouble(nbytes);
     if (nb == -1.0 && PyErr_Occurred()) return NULL;
     Move *m = move_new(net, fan, MV_OVER);
     if (!m) return NULL;
-    BandHeap *q = (BandHeap *)ITEM(net, C_Q);
+    PyObject *sim = ITEM(net, C_SIM), *pool = ITEM(net, C_POOL);
     m->nbytes = Py_NewRef(nbytes);
     /* nodes[src], as nics[src]: negative indexes, IndexError */
     m->s = PyObject_GetItem(ITEM(net, C_NODES), src);
@@ -973,18 +1008,19 @@ static Move *move_start(PyObject *net, Move *fan, PyObject *src, PyObject *dst,
                                 : PyFloat_AS_DOUBLE(ITEM(net, C_FIXED)) +
                                       nb / PyFloat_AS_DOUBLE(ITEM(net, C_BW));
         PyObject *delay = PyFloat_FromDouble(m->delay);
-        if (delay)
-            m->landed = pooled_timeout(ITEM(net, C_SIM), ITEM(net, C_POOL), delay, Py_None);
+        if (delay) m->landed = pooled_timeout(sim, pool, delay, Py_None);
         Py_XDECREF(delay);
     }
-    if (move_wait(m, m->landed) == 0) {
-        if (m->s == m->d) {
-            m->state = MV_WIRE;
-            rc = bh_push(q, q->now + m->delay, 1 /* NORMAL */, m->landed);
+    if (end && m->landed) m->done = pooled_timeout(sim, pool, float_zero, Py_None);
+    if ((!end || m->done) && move_wait(m, m->landed) == 0) {
+        if (hop < 0) {
+            rc = move_launch(m);
         } else {
-            m->state = MV_TX;
-            m->tx_req = grant_call(GRANT(m->s, N_TXQ), NULL);
-            rc = move_wait(m, m->tx_req);
+            BandHeap *q = (BandHeap *)ITEM(net, C_Q);
+            PyObject *ev = pooled_timeout(sim, pool, float_zero, Py_None);
+            m->state = MV_HOP;
+            rc = ev && move_wait(m, ev) == 0 ? bh_push(q, q->now, hop, ev) : -1;
+            Py_XDECREF(ev);
         }
     }
     if (rc < 0) {
@@ -1000,6 +1036,8 @@ static int move_step(Move *m)
     if (m->state == MV_OVER) return 0; /* landed or aborted: inert */
     BandHeap *q = (BandHeap *)ITEM(m->net, C_Q);
     switch (m->state) {
+    case MV_HOP:
+        return move_launch(m);
     case MV_TX:
         m->state = MV_RX;
         m->rx_req = grant_call(GRANT(m->d, N_RXQ), NULL);
@@ -1020,6 +1058,10 @@ static int move_step(Move *m)
         m->fan = NULL;
         int rc = f && f->done && --f->left == 0 ? ev_succeed(q, f->done, Py_None, 1 /* NORMAL */) : 0;
         Py_XDECREF(f);
+        if (rc == 0 && m->done != NULL) {
+            rc = bh_push(q, q->now, 1 /* NORMAL */, m->done);
+            Py_CLEAR(m->done); /* the queue and its waiter hold it */
+        }
         return rc;
     }
     case MV_FAN: {
@@ -1034,7 +1076,7 @@ static int move_step(Move *m)
             if (!PyTuple_Check(t))
                 PyErr_SetString(PyExc_TypeError, "a move is a (src, dst, nbytes) tuple");
             else if (PyArg_ParseTuple(t, "OOO", &src, &dst, &nb))
-                x = move_start(m->net, m, src, dst, nb);
+                x = move_start(m->net, m, src, dst, nb, -1, 0);
             if (!x) {
                 Py_DECREF(seq);
                 return -1;
@@ -1086,13 +1128,16 @@ static void Move_dealloc(Move *m)
     Py_TYPE(m)->tp_free((PyObject *)m);
 }
 
-/* abort(): release RX, then TX (cancelling a queued request); inert after */
+/* abort(): release RX, then TX (cancelling a queued request); inert
+ * after, so a pending start hop starts nothing and `done` is never
+ * pushed.  Once landed (`done` pushed, if any) it does nothing. */
 static PyObject *Move_abort(Move *m, PyObject *noarg)
 {
     if (m->state != MV_OVER && m->state != MV_FAN) {
         m->state = MV_OVER;
         Py_CLEAR(m->landed);
         Py_CLEAR(m->fan);
+        Py_CLEAR(m->done);
         if (move_release(m) < 0) return NULL;
     }
     Py_RETURN_NONE;
@@ -1105,6 +1150,8 @@ static PyMethodDef Move_methods[] = {
 
 static PyMemberDef Move_members[] = {
     {"landed", T_OBJECT, offsetof(Move, landed), READONLY, "processed once landed"},
+    {"done", T_OBJECT, offsetof(Move, done), READONLY,
+     "the end hop, processed after landing (None without one)"},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -1119,14 +1166,23 @@ static PyTypeObject Move_Type = {
     .tp_members = Move_members,
 };
 
-/* move(net, src, dst, nbytes) -> a started Move */
+/* move(net, src, dst, nbytes, start, end) -> a started Move, or one whose
+ * start hop (start: None, URGENT 0 or NORMAL 1) is pushed */
 static PyObject *mod_move(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 4 || !net_ok(args[0])) {
-        if (!PyErr_Occurred()) PyErr_SetString(PyExc_TypeError, "move(net, src, dst, nbytes)");
+    if (nargs != 6 || !net_ok(args[0])) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "move(net, src, dst, nbytes, start, end)");
         return NULL;
     }
-    return (PyObject *)move_start(args[0], NULL, args[1], args[2], args[3]);
+    long hop = args[4] == Py_None ? -1 : PyLong_AsLong(args[4]);
+    int end = PyObject_IsTrue(args[5]);
+    if ((hop == -1 && PyErr_Occurred()) || end < 0) return NULL;
+    if (hop < -1 || hop > 1) {
+        PyErr_SetString(PyExc_ValueError, "start is None, URGENT (0) or NORMAL (1)");
+        return NULL;
+    }
+    return (PyObject *)move_start(args[0], NULL, args[1], args[2], args[3], hop, end);
 }
 
 /* fan(net, moves, done) -> the callback of transfer_all's urgent hop */
@@ -1262,6 +1318,8 @@ static int dispatch_one(PyObject *sim, BandHeap *q, PyObject *pool,
             rc = resume_proc(sim, q, w, event);
         } else if (Py_TYPE(cb) == &Move_Type) {
             rc = move_step((Move *)cb);
+        } else if (Py_TYPE(cb) == (PyTypeObject *)TimeoutType) {
+            rc = bh_push(q, q->now, 1 /* NORMAL */, cb); /* Timeout.__call__ */
         } else {
             PyObject *r = PyObject_CallOneArg(cb, event);
             rc = r ? 0 : -1;
@@ -1363,13 +1421,14 @@ static PyMethodDef mod_methods[] = {
     {"setup", mod_setup, METH_VARARGS,
      "setup(Event, Timeout, Process, SimulationError): resolve slot offsets"},
     {"make_timeout", mod_make_timeout, METH_VARARGS,
-     "make_timeout(sim, queue, pool_or_None, hop=False) -> fast sim.timeout "
-     "(or, with hop, sim.urgent_hop) callable"},
+     "make_timeout(sim, queue, pool_or_None, hop=0) -> fast sim.timeout "
+     "(hop 1: sim.urgent_hop; hop 2: sim.hop_after) callable"},
     {"make_grant", mod_make_grant, METH_VARARGS,
      "make_grant(resource, queue, Request, python_method, release) -> fast "
      "request() or release(req) of a capacity-1 Resource"},
     {"move", (PyCFunction)(void (*)(void))mod_move, METH_FASTCALL,
-     "move(net, src, dst, nbytes) -> Move: one message, its TX request issued"},
+     "move(net, src, dst, nbytes, start, end) -> Move: one message, its TX "
+     "request issued or its start hop pushed"},
     {"fan", (PyCFunction)(void (*)(void))mod_fan, METH_FASTCALL,
      "fan(net, moves, done) -> callback that starts the moves in order"},
     {"drive", mod_drive, METH_VARARGS,
@@ -1392,6 +1451,6 @@ PyMODINIT_FUNC PyInit__cq(void)
     if (PyType_Ready(&Move_Type) < 0) return NULL;
     Py_INCREF(&BandHeap_Type);
     if (PyModule_AddObject(m, "BandHeap", (PyObject *)&BandHeap_Type) < 0) return NULL;
-    if (PyModule_AddIntConstant(m, "API_VERSION", 6) < 0) return NULL;
+    if (PyModule_AddIntConstant(m, "API_VERSION", 7) < 0) return NULL;
     return m;
 }

@@ -223,6 +223,12 @@ class Timeout(Event):
         self._value = value
         sim._queue.push(sim._now + delay, NORMAL, self)
 
+    def __call__(self, _event: Event) -> None:
+        """As a callback of another event (:meth:`Simulator.hop_after`),
+        queue this zero-delay timeout NORMAL at the current time."""
+        sim = self.sim
+        sim._queue.push(sim._now, NORMAL, self)
+
 
 class _Initialize(Event):
     """Internal event used to start a process at creation time.
@@ -540,7 +546,10 @@ class Simulator:
                 self, self._queue, self._pool
             )
             self.urgent_hop = self._accel.make_timeout(  # type: ignore[method-assign]
-                self, self._queue, self._pool, True
+                self, self._queue, self._pool, 1
+            )
+            self.hop_after = self._accel.make_timeout(  # type: ignore[method-assign]
+                self, self._queue, self._pool, 2
             )
 
     # -- clock & introspection ------------------------------------------
@@ -605,6 +614,24 @@ class Simulator:
         (``Network.transfer_all``) hangs its first step on one instead.
         Recycled through the timeout pool like :meth:`timeout`.
         """
+        ev = self._hop()
+        self._queue.push(self._now, URGENT, ev)
+        return ev
+
+    def hop_after(self, event: Event) -> Timeout:
+        """A zero-delay timeout queued NORMAL when ``event`` is processed,
+        from its place in ``event``'s callbacks, where
+        ``all_of(sim, [event])`` pushes its trigger: yielding it resumes
+        the caller where yielding that ``all_of`` would (for an event
+        that does not fail), without the condition event."""
+        if event.callbacks is None:
+            raise SimulationError(f"hop_after() of processed {event!r}")
+        ev = self._hop()
+        event.callbacks.append(ev)
+        return ev
+
+    def _hop(self) -> Timeout:
+        """A zero-delay Timeout, not yet queued, from the pool if it can."""
         pool = self._pool
         if pool:
             ev = pool.pop()
@@ -618,7 +645,6 @@ class Simulator:
         ev.delay = 0.0
         ev._value = None
         ev._processed = False
-        self._queue.push(self._now, URGENT, ev)
         return ev
 
     def process(
@@ -753,7 +779,7 @@ def _accel_selftest(mod: Any) -> bool:
 
     Exercises ordering, two queued bands of one key, join (StopIteration
     -> URGENT succeed, which preempts the draining NORMAL band), the
-    pooled timeout and urgent-hop callables, a contended capacity-1
+    pooled timeout, urgent-hop and hop-after callables, a contended capacity-1
     resource grant and the release of a still-queued request (a cancel),
     an ``all_of`` over processes, a failed process caught by its joiner,
     and the drained return, then the network transfer chain
@@ -817,6 +843,22 @@ def _accel_selftest(mod: Any) -> bool:
         sim.process(worker("d", 1.0))
         sim.process(worker("e", 2.0))
         sim.process(contender())
+        # hop_after: queued when `flag` is processed, behind the hop
+        # that flag's setter pushed first
+        flag = sim.event()
+
+        def setter() -> Generator:
+            yield sim.timeout(4.0)
+            flag.succeed()
+            yield sim.timeout(0)
+            out.append((sim.now, "set"))
+
+        def after() -> Generator:
+            yield sim.hop_after(flag)
+            out.append((sim.now, "after"))
+
+        sim.process(setter())
+        sim.process(after())
         end = sim.run()
         expected = [
             (0.5, ("cancelled", False)),
@@ -829,8 +871,10 @@ def _accel_selftest(mod: Any) -> bool:
             (2.0, [("p", 1.0), ("q", 2.0)]),
             (2.5, "caught"),
             (3.0, "b"),
+            (4.0, "set"),
+            (4.0, "after"),
         ]
-        if not (out == expected and end == 3.0 and len(sim._queue) == 0):
+        if not (out == expected and end == 4.0 and len(sim._queue) == 0):
             return False
         return _chain_selftest(mod)
     except Exception:  # noqa: BLE001 - any failure disables the accelerator
@@ -842,8 +886,12 @@ def _chain_selftest(mod: Any) -> bool:
     with wire time ``1 + nbytes``: A and B start together on node 0's
     TX, C queues on node 1's RX behind A, D is interrupted on the wire
     and E, queued on D's TX, gets it, and F's fan holds a loopback and a
-    zero-byte move.  The times and counters are those of the
-    Network.transfer generator."""
+    zero-byte move.  Then the hops: G's URGENT start hop takes node 0's
+    TX ahead of holder g, woken with G at 10; h, woken with H at 13,
+    takes it ahead of H's NORMAL start hop; and k, queued on the TX
+    behind H, is granted by H's release before H's end hop wakes H.
+    The times and counters are those of the Network.transfer
+    generator."""
     from types import SimpleNamespace as Nic
 
     from repro.sim.resources import Resource
@@ -862,7 +910,7 @@ def _chain_selftest(mod: Any) -> bool:
         if victim is not None:
             yield sim.timeout(1.0)
             victim.interrupt()
-        move = mod.move(chain, src, dst, nbytes)  # as Network.transfer does
+        move = mod.move(chain, src, dst, nbytes, None, False)  # as Network.transfer does
         try:
             yield move.landed
         except Interrupt:
@@ -879,14 +927,33 @@ def _chain_selftest(mod: Any) -> bool:
         yield done
         out.append((sim.now, "F"))
 
+    def hopped(tag: str, at: float, start: int, end: bool) -> Generator:
+        yield sim.timeout(at)
+        move = mod.move(chain, 0, 1, 0, start, end)
+        yield move.done if end else move.landed
+        out.append((sim.now, tag))
+
+    def holder(tag: str, at: float) -> Generator:  # node 0's TX for 1.0
+        yield sim.timeout(at)
+        yield (req := nics[0].tx.request())
+        out.append((sim.now, tag))
+        yield sim.timeout(1.0)
+        nics[0].tx.release(req)
+
     for args in [("A", 0, 1, 1), ("B", 0, 2, 1), ("C", 2, 1, 0)]:
         sim.process(send(*args))
     sim.process(send("E", 1, 0, 0, sim.process(send("D", 1, 0, 8))))
     sim.process(fan())
+    for proc in [hopped("G", 10.0, URGENT, False), holder("g", 10.0),
+                 hopped("H", 13.0, NORMAL, True), holder("h", 13.0), holder("k", 14.5)]:
+        sim.process(proc)
     end = sim.run()
-    expected = [(1.0, "D interrupted"), (2.0, "A"), (2.0, "E"), (3.0, "C"), (4.0, "B"), (6.0, "F")]
+    expected = [
+        (1.0, "D interrupted"), (2.0, "A"), (2.0, "E"), (3.0, "C"), (4.0, "B"), (6.0, "F"),
+        (11.0, "G"), (11.0, "g"), (13.0, "h"), (15.0, "k"), (15.0, "H"),
+    ]
     return bool(
-        out == expected and end == 9.0 and len(sim._queue) == 0 and net.messages_delivered == 6
+        out == expected and end == 16.0 and len(sim._queue) == 0 and net.messages_delivered == 8
         and [(n.bytes_sent, n.bytes_received) for n in nics] == [(2, 0), (0, 1), (0, 1)]
         and not any(r.users or r.queue for n in nics for r in (n.tx, n.rx))
     )

@@ -13,11 +13,14 @@ SCHEDULERS = ["noop", "deadline", "cfq", "anticipatory"]
 
 request_list = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=400_000),  # lbn
-        st.integers(min_value=1, max_value=512),      # nsectors
+        # lbn and nsectors; one request in two on a 64-sector grid, so
+        # that requests abut and merge, and units join (coalesce)
+        st.one_of(st.integers(min_value=0, max_value=400_000), st.sampled_from(range(0, 640, 64))),
+        st.one_of(st.integers(min_value=1, max_value=512), st.just(64)),
         st.sampled_from(["R", "W"]),
         st.integers(min_value=0, max_value=5),        # stream
-        st.floats(min_value=0.0, max_value=0.05),     # arrival offset
+        st.one_of(st.floats(min_value=0.0, max_value=0.05), st.just(0.0)),  # arrival
+        st.booleans(),                                # background (async)
     ),
     min_size=1,
     max_size=40,
@@ -36,11 +39,11 @@ def test_all_requests_complete_exactly_once(sched_name, reqs):
     def submitter():
         t0 = sim.now
         events = []
-        for lbn, n, op, stream, dt in sorted(reqs, key=lambda r: r[-1]):
+        for lbn, n, op, stream, dt, bg in sorted(reqs, key=lambda r: r[-2]):
             target = t0 + dt
             if target > sim.now:
                 yield sim.timeout(target - sim.now)
-            events.append((lbn, n, layer.submit(lbn, n, op=op, stream_id=stream)))
+            events.append((lbn, n, layer.submit(lbn, n, op=op, stream_id=stream, is_async=bg)))
         for lbn, n, ev in events:
             t = yield ev
             completions.append((lbn, n, t))
@@ -56,6 +59,10 @@ def test_all_requests_complete_exactly_once(sched_name, reqs):
         union.update(range(lbn, lbn + n))
     assert 512 * len(union) <= drive.stats.total_bytes <= 512 * sum(r[1] for r in reqs)
     assert layer.stats.n_submitted == len(reqs)
+    # The queue drained, and every request either opened a unit or was
+    # merged into one (the merge count a scheduler keeps as it goes).
+    assert len(layer.scheduler) == 0
+    assert layer.scheduler.n_merges == len(reqs) - layer.stats.n_units_served
     # Every completion timestamp is sane.
     assert all(t >= 0 for _, _, t in completions)
 
@@ -76,8 +83,8 @@ def test_served_sectors_cover_submissions(sched_name, reqs):
 
     def submitter():
         events = [
-            layer.submit(lbn, n, op=op, stream_id=stream)
-            for lbn, n, op, stream, _ in reqs
+            layer.submit(lbn, n, op=op, stream_id=stream, is_async=bg)
+            for lbn, n, op, stream, _, bg in reqs
         ]
         for ev in events:
             yield ev
@@ -98,5 +105,5 @@ def test_served_sectors_cover_submissions(sched_name, reqs):
                     return True
         return pos >= hi
 
-    for lbn, n, op, _, _ in reqs:
+    for lbn, n, op, _, _, _ in reqs:
         assert is_covered(lbn, lbn + n), f"range [{lbn},{lbn+n}) not serviced"

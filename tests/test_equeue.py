@@ -547,7 +547,7 @@ def test_concurrent_first_import_builds_are_safe(tmp_path):
         outs.append(json.loads(out))
     for res in outs:
         assert res["file"].startswith(str(pkg))
-        assert res["api"] == 6
+        assert res["api"] == _accel._API_VERSION
         assert res["c_kernel"]
     assert all(res["log"] == outs[0]["log"] for res in outs)
     assert len(outs[0]["log"]) == 18

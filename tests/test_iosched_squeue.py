@@ -44,11 +44,13 @@ def test_front_merge():
 
 def test_merge_bridges_gap_coalesces_three():
     q = SortedUnitQueue()
-    q.add(mkreq(100, 8))
-    q.add(mkreq(116, 8))
-    q.add(mkreq(108, 8))  # fills the hole: all three coalesce
+    # add() returns the change in queued units
+    assert q.add(mkreq(100, 8)) == 1
+    assert q.add(mkreq(116, 8)) == 1
+    assert q.add(mkreq(108, 8)) == -1  # fills the hole: all three coalesce
     assert len(q) == 1
     assert q.units[0].nsectors == 24
+    assert q.n_merges == 2
 
 
 def test_no_merge_across_ops():
@@ -105,10 +107,14 @@ def test_queue_conserves_sectors_property(reqs):
     exceeds MAX_SECTORS."""
     q = SortedUnitQueue()
     total = 0
+    units = 0
     with mock.patch.object(request, "MAX_SECTORS", 256):
         for lbn, n in reqs:
-            q.add(mkreq(lbn, n))
+            units += q.add(mkreq(lbn, n))
             total += n
+    # The returned unit changes sum to the queue's length, and every add
+    # that opened no unit merged (1 - change merges each).
+    assert units == len(q) and q.n_merges == len(reqs) - len(q)
     assert sum(u.nsectors for u in q.units) == total
     keys = [u.lbn for u in q.units]
     assert keys == sorted(keys)

@@ -30,6 +30,7 @@ from repro.guard import StallWatchdog
 from repro.net.ethernet import Network, NetworkParams
 from repro.sim import HeapQueue, Interrupt, Simulator, all_of
 from repro.sim import core as sim_core
+from repro.sim.core import NORMAL, URGENT
 
 NODES = 4
 _P = NetworkParams()
@@ -42,11 +43,22 @@ D_SMALL, D_LARGE = (
 NAPS = [0.0, _P.per_message_overhead_s, D_SMALL, D_LARGE]
 
 
-def _reference_transfer(self, src, dst, nbytes):
-    """Network.transfer as a generator that yields on the TX grant, the
-    RX grant and the wire timeout, releasing both NICs in ``finally``."""
+def _reference_transfer(self, src, dst, nbytes, start=None, end=False):
+    """Network.transfer as a generator that yields on its start hop, the
+    TX grant, the RX grant, the wire timeout and its end hop, releasing
+    both NICs in ``finally``."""
     if nbytes < 0:
         raise ValueError("nbytes must be non-negative")
+    sim = self.sim
+    p = self.params
+    if start is not None:
+        yield sim.urgent_hop() if start == URGENT else sim.timeout(0)
+    yield from _reference_body(self, src, dst, nbytes)
+    if end:
+        yield sim.timeout(0)
+
+
+def _reference_body(self, src, dst, nbytes):
     sim = self.sim
     p = self.params
     if src == dst:
@@ -98,7 +110,8 @@ def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
     :func:`_random_plans`); returns the log and the counters.
 
     Actions: ``("fan", moves)`` yields ``transfer_all(moves)``;
-    ``("send", dst, n)`` runs a transfer in the actor's process;
+    ``("send", dst, n[, start, end])`` runs a transfer in the actor's
+    process, with the given start hop and end hop;
     ``("spawn", dst, n)`` starts one in a process of its own, which
     notes its landing, and goes on at once; ``("hold", side)`` takes the
     node's ``"tx"`` or ``"rx"`` slot for one small-message time;
@@ -151,8 +164,11 @@ def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
 
 def _random_plans(seed: int) -> list[tuple]:
     """Two or three actors per node, six actions each; fans of one to
-    four moves to any node, loopback and zero-byte moves included."""
+    four moves to any node, loopback and zero-byte moves included.  A
+    send's start and end hops are drawn from a second generator, so the
+    plans are otherwise those drawn before sends took hops."""
     rng = random.Random(seed)
+    hops = random.Random(-1 - seed)
     sizes = [SMALL, SMALL, LARGE, 0]
     plans = []
     for node in range(NODES):
@@ -167,7 +183,10 @@ def _random_plans(seed: int) -> list[tuple]:
                         for _ in range(rng.randint(1, 4))
                     ]
                     plan.append((kind, moves))
-                elif kind in ("send", "spawn"):
+                elif kind == "send":
+                    plan.append((kind, rng.randrange(NODES), rng.choice(sizes),
+                                 hops.choice([None, URGENT, NORMAL]), hops.random() < 0.5))
+                elif kind == "spawn":
                     plan.append((kind, rng.randrange(NODES), rng.choice(sizes)))
                 elif kind == "hold":
                     plan.append((kind, rng.choice(["tx", "rx"])))
@@ -230,8 +249,41 @@ RELEASE_ORDER = [
     (1, [("nap", _P.per_message_overhead_s), ("hold", "rx")]),
 ]
 
+#: Start hops queued behind pending URGENT events of their time: a
+#: spawned transfer's start, and an actor's own urgent hop, each ahead
+#: of an URGENT-started send on the same TX.
+HOP_BEHIND_URGENT = [
+    (0, [("spawn", 1, SMALL), ("send", 2, SMALL, URGENT, False)]),
+    (0, [("hop",), ("send", 3, SMALL, URGENT, True), ("send", 1, 0, URGENT, False)]),
+    (3, [("send", 0, SMALL, URGENT, True), ("hop",), ("send", 0, LARGE, NORMAL, True)]),
+]
+#: A NORMAL-started send at the time node 0's TX passes from one holder
+#: to a queued one: the grant's push precedes the hop's, so the send
+#: queues behind the new holder.
+NORMAL_BEHIND_GRANT = [
+    (0, [("hold", "tx")]),
+    (0, [("hold", "tx")]),
+    (0, [("nap", D_SMALL), ("send", 1, SMALL, NORMAL, False)]),
+]
+#: A landing that frees node 1's RX and node 0's TX, each with a queued
+#: holder, ends its send on the end hop after both grants.
+END_AFTER_RELEASES = [
+    (0, [("send", 1, SMALL, None, True), ("nap", 0.0)]),
+    (0, [("nap", _P.per_message_overhead_s), ("hold", "tx")]),
+    (1, [("nap", _P.per_message_overhead_s), ("hold", "rx")]),
+]
+#: Loopback sends with start and end hops, beside wire sends.
+LOOPBACK_HOPS = [
+    (1, [("send", 1, SMALL, URGENT, True), ("send", 1, 0, NORMAL, False)]),
+    (1, [("send", 0, SMALL, NORMAL, True), ("send", 1, SMALL, None, True)]),
+]
+
 CASES = {
     "single-sends": [SINGLE_SENDS],
+    "hop-behind-urgent": [HOP_BEHIND_URGENT],
+    "normal-behind-grant": [NORMAL_BEHIND_GRANT],
+    "end-after-releases": [END_AFTER_RELEASES],
+    "loopback-hops": [LOOPBACK_HOPS],
     "release-order": [RELEASE_ORDER],
     "shared-nic": [SHARED_NIC],
     "queued-behind": [QUEUED_BEHIND],
@@ -256,22 +308,38 @@ def _nic_state(net: Network) -> list[tuple[int, ...]]:
     ]
 
 
+#: Per phase: when the victim starts its send, its start hop and end
+#: hop, and when it is interrupted (the "done" interrupter first yields
+#: a NORMAL hop, so it runs after the landing's callbacks).
+_PHASES = {
+    "hop": (D_SMALL / 2, NORMAL, False, D_SMALL / 2),
+    "tx": (0.0, None, False, D_SMALL / 2),
+    "rx": (0.0, None, False, D_SMALL / 2),
+    "wire": (0.0, None, False, D_SMALL / 2),
+    "done": (0.0, URGENT, True, D_SMALL),
+}
+
+
 def _interrupted_send(monkeypatch, kernel: str, reference: bool, phase: str) -> tuple:
-    """Node 0's SMALL message to node 1, interrupted halfway through a
-    small-message time while it waits on node 0's TX (busy with a LARGE
-    message to node 2), on node 1's RX (busy with one from node 2) or
-    while it is on the wire; then four sends start.  Returns the log,
-    the NIC states before and after the interrupt, and the counters."""
+    """Node 0's SMALL message to node 1, interrupted while it waits on
+    its start hop, on node 0's TX (busy with a LARGE message to node 2),
+    on node 1's RX (busy with one from node 2), while it is on the wire,
+    or between its landing and its end hop (:data:`_PHASES`); then four
+    sends start.  Returns the log, the NIC states before and after the
+    interrupt, and the counters."""
     if reference:
         _use_reference(monkeypatch)
     sim = _simulator(kernel)
     net = Network(sim, NODES)
     log: list[tuple] = []
     states = []
+    starts_at, start, end, interrupt_at = _PHASES[phase]
 
-    def send(tag, src, dst, nbytes):
+    def send(tag, src, dst, nbytes, at=0.0, start=None, end=False):
+        if at:
+            yield sim.timeout(at)
         try:
-            yield from net.transfer(src, dst, nbytes)
+            yield from net.transfer(src, dst, nbytes, start, end)
         except Interrupt:
             log.append((sim.now, tag, "interrupted"))
             return
@@ -281,10 +349,12 @@ def _interrupted_send(monkeypatch, kernel: str, reference: bool, phase: str) -> 
         sim.process(send("blocker", 0, 2, LARGE))
     elif phase == "rx":
         sim.process(send("blocker", 2, 1, LARGE))
-    victim = sim.process(send("victim", 0, 1, SMALL))
+    victim = sim.process(send("victim", 0, 1, SMALL, starts_at, start, end))
 
     def interrupter():
-        yield sim.timeout(D_SMALL / 2)
+        yield sim.timeout(interrupt_at)
+        if phase == "done":
+            yield sim.timeout(0)
         states.append(_nic_state(net))
         victim.interrupt("request-timeout")
         yield sim.urgent_hop()  # behind the interrupt's delivery
@@ -301,22 +371,30 @@ def _interrupted_send(monkeypatch, kernel: str, reference: bool, phase: str) -> 
 
 #: Node 0's TX / node 1's RX as (users, queue) before the interrupt, per
 #: phase; afterwards the victim holds and queues for nothing.
-_VICTIM_WAITS = {"tx": ((1, 1), (0, 0)), "rx": ((1, 0), (1, 1)), "wire": ((1, 0), (1, 0))}
+_VICTIM_WAITS = {
+    "hop": ((0, 0), (0, 0)),
+    "tx": ((1, 1), (0, 0)),
+    "rx": ((1, 0), (1, 1)),
+    "wire": ((1, 0), (1, 0)),
+    "done": ((0, 0), (0, 0)),
+}
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])
-@pytest.mark.parametrize("phase", ["tx", "rx", "wire"])
+@pytest.mark.parametrize("phase", list(_PHASES))
 def test_interrupted_transfer_matches_the_generator(monkeypatch, kernel, phase):
     chain = _interrupted_send(monkeypatch, kernel, False, phase)
     assert chain == _interrupted_send(monkeypatch, kernel, True, phase)
-    log, (before, after), end, _ = chain
+    log, (before, after), end, (_, messages) = chain
     tx0, rx1 = _VICTIM_WAITS[phase]
     assert (before[0][:2], before[1][2:]) == (tx0, rx1)
     blocker_tx = 1 if phase == "tx" else 0
     blocker_rx = 1 if phase == "rx" else 0
     assert (after[0][:2], after[1][2:]) == ((blocker_tx, 0), (blocker_rx, 0))
-    assert ("victim" in [e[1] for e in log]) and (D_SMALL / 2, "victim", "interrupted") in log
+    assert (_PHASES[phase][3], "victim", "interrupted") in log
     assert end == [(0, 0, 0, 0)] * NODES
+    # Only a message interrupted after its landing was delivered.
+    assert messages == 4 + (phase in ("tx", "rx")) + (phase == "done")
 
 
 def _live_moves() -> int:
@@ -361,7 +439,7 @@ def test_faulted_or_observed_transfer_takes_the_generator(monkeypatch, setup):
     calls = []
     if sim._accel is not None:
         move = sim._accel.move
-        monkeypatch.setattr(sim._accel, "move", lambda *a: calls.append(a[1:]) or move(*a))
+        monkeypatch.setattr(sim._accel, "move", lambda *a: calls.append(a[1:4]) or move(*a))
     if setup == "net-fault":
         net.fault = NetFault(sim, random.Random(0))
     elif setup == "watchdog":
@@ -415,7 +493,8 @@ class _BrokenAbort:
         return getattr(self._mod, name)
 
     def move(self, *args):
-        return SimpleNamespace(landed=self._mod.move(*args).landed, abort=lambda: None)
+        move = self._mod.move(*args)
+        return SimpleNamespace(landed=move.landed, done=move.done, abort=lambda: None)
 
 
 def test_broken_chain_disables_the_accelerator(monkeypatch):

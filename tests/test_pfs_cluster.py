@@ -74,6 +74,17 @@ def test_read_out_of_range_rejected():
         list(client.io(f, 0, 128 * 1024, "R", stream_id=0))
 
 
+@pytest.mark.parametrize("offset, length", [(4096, -1), (4096, -4096), (0, -1)])
+def test_negative_length_rejected_by_io(offset, length):
+    """``io`` checks the length itself: a single-piece call never reaches
+    ``StripeLayout.split``, and ``offset + length`` stays inside the file."""
+    cluster = build_cluster(small_spec())
+    f = cluster.fs.create("small.dat", 64 * 1024)
+    with pytest.raises(ValueError, match="outside file"):
+        list(cluster.clients[0].io(f, offset, length, "R", stream_id=0))
+    assert cluster.total_bytes_served() == 0
+
+
 def test_large_read_faster_than_scattered_small_reads():
     """One striped 1 MB read beats 16 scattered 64 KB reads of the same
     total -- the disk-efficiency premise end to end."""

@@ -24,9 +24,11 @@ from repro.cluster import ClusterSpec, builder
 from repro.disk.drive import DiskParams
 from repro.faults import FaultEvent, FaultPlan
 from repro.mpi.ops import IoOp, Segment
+from repro.mpiio.listio import PER_PIECE_HEADER_BYTES, batch_io
 from repro.net.ethernet import NetworkParams
+from repro.pfs import dataserver
 from repro.pfs.client import CONTROL_MSG_BYTES, PfsClient
-from repro.pfs.dataserver import REQUEST_CPU_S, DataServer
+from repro.pfs.dataserver import LIST_PIECE_CPU_S, REQUEST_CPU_S, DataServer, ServerRequest
 from repro.runner.parallel import SlimExperimentResult
 from repro.service.catalog import canonical_json, result_to_dict
 from repro.sim import HeapQueue, Simulator, all_of
@@ -67,7 +69,13 @@ def _reference_io(self, f, offset, length, op, stream_id):
     """PfsClient.io in its process-per-piece form (no faults, untraced)."""
     pieces = self.layout.split(offset, length)
     procs = [
-        self.sim.process(self._do_piece(f, p, op, stream_id), name="pfs-piece")
+        self.sim.process(
+            self._exchange(
+                self.servers[p.server], op, CONTROL_MSG_BYTES, p.length,
+                ServerRequest(f.name, p.object_offset, p.length, op, stream_id),
+            ),
+            name="pfs-piece",
+        )
         for p in pieces
     ]
     yield all_of(self.sim, procs)
@@ -77,9 +85,17 @@ def _reference_io(self, f, offset, length, op, stream_id):
         self.bytes_written += length
 
 
-def _reference_call(self, req):
-    """DataServer.call in its process-per-request form."""
-    yield self.handle(req)
+def _reference_call(self, request):
+    """DataServer.call in its process-per-request form (one range or a
+    list batch): the caller resumes on the service's ``done`` event, so
+    no hop follows."""
+    yield self.handle_list(request) if type(request) is list else self.handle(request)
+    return False
+
+
+def _reference_wait_all(sim, events):
+    """dataserver.wait_all as the ``all_of`` it stands in for."""
+    return all_of(sim, events)
 
 
 def _patch(monkeypatch, kernel: str, reference: bool) -> None:
@@ -92,6 +108,7 @@ def _patch(monkeypatch, kernel: str, reference: bool) -> None:
     if reference:
         monkeypatch.setattr(PfsClient, "io", _reference_io)
         monkeypatch.setattr(DataServer, "call", _reference_call)
+        monkeypatch.setattr(dataserver, "wait_all", _reference_wait_all)
 
 
 def _run(monkeypatch, kernel: str, reference: bool, **kw):
@@ -117,19 +134,26 @@ def _run(monkeypatch, kernel: str, reference: bool, **kw):
 
 
 _P = NetworkParams()
-#: Wire time of a request / a 4 KB reply message, as Network.transfer sums it.
-D_CTRL, D_DATA = (
+#: Wire time of a request / a 4 KB reply / a one-range list request
+#: message, as Network.transfer sums it.
+D_CTRL, D_DATA, D_LIST = (
     _P.per_message_overhead_s + _P.latency_s + n / _P.bandwidth_bytes_s
-    for n in (CONTROL_MSG_BYTES, CONTROL_MSG_BYTES + 4096)
+    for n in (
+        CONTROL_MSG_BYTES, CONTROL_MSG_BYTES + 4096, CONTROL_MSG_BYTES + PER_PIECE_HEADER_BYTES
+    )
 )
 NAPS = [0.0, REQUEST_CPU_S, D_CTRL, D_DATA]
 
 
-def _random_plans(seed: int, n_clients: int, n_nodes: int) -> list[tuple]:
+def _random_plans(seed: int, n_clients: int, n_nodes: int, lists: bool = False) -> list[tuple]:
     """``(node, actions)`` per actor: three on each client node, two on
     each server node.  Messages are as large as PFS messages and naps as
-    long as one or as a request's CPU time, so events tie at every turn."""
+    long as one or as a request's CPU time, so events tie at every turn.
+    With ``lists``, a second generator turns some calls into list-I/O
+    batches of one range or of two (one or two servers); the plans are
+    otherwise those drawn without it."""
     rng = random.Random(seed)
+    batches = random.Random(-1 - seed)
     plans = []
     for node in range(n_nodes):
         on_client = node < n_clients
@@ -140,7 +164,13 @@ def _random_plans(seed: int, n_clients: int, n_nodes: int) -> list[tuple]:
                 kind = rng.choice(kinds)
                 if kind == "io":
                     offset = rng.choice([0, 0, UNIT, 2 * UNIT, UNIT - 2048, 5 * UNIT])
-                    plan.append((kind, rng.choice("RRW"), offset, 4096))
+                    op = rng.choice("RRW")
+                    if lists and batches.random() < 0.6:
+                        more = batches.choice([[], [], [8192], [3 * UNIT + 8192]])
+                        segments = [(offset, 4096)] + [(offset + d, 4096) for d in more]
+                        plan.append(("list", op, segments))
+                    else:
+                        plan.append((kind, op, offset, 4096))
                 elif kind == "nap":
                     plan.append((kind, rng.choice(NAPS)))
                 else:
@@ -163,6 +193,8 @@ def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
         ds.page_cache.insert("t.dat", 0, 4096)
     if isinstance(plans, int):
         plans = _random_plans(plans, len(cluster.clients), net.n_nodes())
+    elif isinstance(plans, tuple):  # ("lists", seed)
+        plans = _random_plans(plans[1], len(cluster.clients), net.n_nodes(), lists=True)
     gate = sim.event()
     log: list[tuple] = []
 
@@ -176,6 +208,9 @@ def _scenario(monkeypatch, kernel: str, reference: bool, plans) -> tuple:
             if kind == "io":
                 op, offset, length = args
                 yield from cluster.clients[node].io(f, offset, length, op, stream_id=tag)
+            elif kind == "list":
+                segments = [Segment(offset, length) for offset, length in args[1]]
+                yield from batch_io(cluster.clients[node], f, segments, args[0], stream_id=tag)
             elif kind == "send":
                 yield from net.transfer(node, *args)
             elif kind == "spawn":
@@ -197,6 +232,7 @@ def _counters(cluster) -> dict:
         "nics": [(n.bytes_sent, n.bytes_received) for n in cluster.network.nics],
         "messages": cluster.network.messages_delivered,
         "servers": [(ds.n_requests, ds.bytes_served) for ds in cluster.data_servers],
+        "merges": [ds.block_layer.scheduler.n_merges for ds in cluster.data_servers],
     }
 
 
@@ -212,13 +248,79 @@ DONE_TIE = [
 ]
 
 
+#: Ties on block completions, for the single-completion wait
+#: (``dataserver.wait_all``): three actors per client node write
+#: adjacent 4 KB ranges of ds0's stripe and read them back past the page
+#: cache, so requests of one server I/O thread (stream ids 0 and 4, 1
+#: and 5) merge into one unit whose parts complete at one instant, and
+#: each completion's waiter pushes its hop before the next part's.
+MERGED_DISK = [
+    (tag // 3, [("io", "W", 4096 * (2 * (tag % 4) + tag // 4), 4096),
+                ("io", "R", 4096 * (2 * (tag % 4) + tag // 4) + 8 * 4096, 4096)])
+    for tag in range(6)
+]
+
+
+#: DONE_TIE for a list batch of one range: its request carries one
+#: descriptor more and its service charges one piece's CPU time more.
+LIST_DONE_TIE = [
+    (0, [("list", "R", [(0, 4096)])]),
+    (2, [("nap", D_LIST), ("nap", 0.0), ("nap", REQUEST_CPU_S + LIST_PIECE_CPU_S),
+         ("send", 1, CONTROL_MSG_BYTES + 4096)]),
+]
+#: Every rank of both client nodes reads ds0's cached 4 KB as a batch
+#: of one range at t=0, then ds1's uncached one (a readahead spawn on
+#: the piece's path), with a send from ds0 at each service's end.
+LIST_TIES = [
+    (node, [("list", "R", [(0, 4096)]), ("list", "R", [(UNIT, 4096)]), ("list", "W", [(0, 4096)])])
+    for node in (0, 0, 1, 1)
+] + [(2, [("nap", D_LIST + REQUEST_CPU_S + LIST_PIECE_CPU_S), ("send", 0, CONTROL_MSG_BYTES)])]
+
+
 @pytest.mark.parametrize("kernel", ["c", "python"])
-@pytest.mark.parametrize("cases", [[DONE_TIE], range(40)], ids=["done-tie", "random"])
+@pytest.mark.parametrize(
+    "cases",
+    [[DONE_TIE], [MERGED_DISK], [LIST_DONE_TIE, LIST_TIES], range(40),
+     [("lists", seed) for seed in range(40)]],
+    ids=["done-tie", "merged-disk", "list-ties", "random", "random-lists"],
+)
 def test_inline_matches_reference_on_hand_driven_ties(monkeypatch, kernel, cases):
     for case in cases:
         assert _scenario(monkeypatch, kernel, False, case) == _scenario(
             monkeypatch, kernel, True, case
         ), f"case {case}"
+
+
+def test_merged_disk_case_merges(monkeypatch):
+    _, counters = _scenario(monkeypatch, "python", False, MERGED_DISK)
+    assert counters["merges"][0] > 0
+
+
+def test_cached_single_piece_read_resumes_the_rank_three_times(monkeypatch):
+    """One nominal single-piece page-cache-hit read on the C kernel
+    resumes the calling rank once per wait that costs time: the request
+    landing, the server's CPU timeout and the reply's end hop.  Its
+    start hop, ``done`` hop and the reply's start ride the C chain."""
+    _patch(monkeypatch, "c", False)
+    cluster = builder.build_cluster(_spec())
+    sim = cluster.sim
+    f = cluster.fs.create("t.dat", 64 * UNIT)
+    cluster.data_servers[0].page_cache.insert("t.dat", 0, 4096)
+    resumes = []
+
+    def counted(gen):
+        n = 0
+        try:
+            event = next(gen)
+            while True:
+                n += 1
+                event = gen.send((yield event))
+        except StopIteration:
+            resumes.append(n)
+
+    sim.run_until_event(sim.process(counted(cluster.clients[0].io(f, 0, 4096, "R", 0))))
+    assert cluster.data_servers[0].page_cache.n_hits == 1
+    assert resumes == [3]
 
 
 @pytest.mark.parametrize("kernel", ["c", "python"])

@@ -557,3 +557,40 @@ def test_urgent_hop_preempts_the_normal_band(make_queue):
         assert sim.now == 1.0
     with pytest.raises(TypeError):
         sim.urgent_hop(1.0)
+
+
+@pytest.mark.parametrize("make_queue", _kernels())
+def test_hop_after_resumes_where_all_of_one_event_would(make_queue):
+    """``sim.hop_after(ev)`` resumes its waiter in the slot of
+    ``all_of(sim, [ev])``: behind what ``ev``'s earlier callbacks and
+    its setter queued at that time, ahead of what its later ones queued."""
+    logs = []
+    for wait in (lambda sim, ev: all_of(sim, [ev]), lambda sim, ev: sim.hop_after(ev)):
+        sim = Simulator(queue=make_queue())
+        ev = sim.event()
+        log = []
+
+        def waiter(tag):
+            yield ev
+            yield sim.timeout(0)
+            log.append(tag)
+
+        def setter():
+            yield sim.timeout(1.0)
+            ev.succeed()
+            yield sim.timeout(0)
+            log.append("setter")
+
+        def joiner():
+            yield wait(sim, ev)
+            log.append(("joined", sim.now))
+
+        sim.process(waiter("before"))
+        sim.process(setter())
+        sim.process(joiner())
+        sim.process(waiter("after"))
+        sim.run()
+        logs.append(log)
+    assert logs[0] == logs[1] == ["setter", "before", ("joined", 1.0), "after"]
+    with pytest.raises(SimulationError):
+        sim.hop_after(ev)  # already processed
