@@ -121,7 +121,7 @@ ci-local: lint
 	$(MAKE) digests
 	REPRO_SIM_ACCEL=0 $(MAKE) digests
 	REPRO_SANITIZE=1 $(MAKE) digests
-	$(PYTHON) benchmarks/check_regression.py
+	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.
 results:
