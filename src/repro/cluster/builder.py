@@ -7,7 +7,6 @@ from typing import Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.disk.drive import DiskDrive
-from repro.disk.raid import RaidArray
 from repro.iosched import BlockLayer, make_scheduler
 from repro.net.ethernet import Network
 from repro.pfs.client import PfsClient
@@ -70,14 +69,7 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
         # NB: BlkTrace defines __len__, so an empty trace is falsy --
         # compare against None explicitly.
         hook = trace.hook if trace is not None else None
-        if spec.raid_members == 1:
-            device = DiskDrive(sim, spec.disk, name=f"disk{i}", on_access=hook)
-        else:
-            members = [
-                DiskDrive(sim, spec.disk, name=f"disk{i}.{m}", on_access=hook if m == 0 else None)
-                for m in range(spec.raid_members)
-            ]
-            device = RaidArray(sim, members, level=spec.raid_level, name=f"raid{i}")
+        device = DiskDrive(sim, spec.disk, name=f"disk{i}", on_access=hook)
         devices.append(device)
         traces.append(trace)
         allocators.append(

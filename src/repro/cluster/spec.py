@@ -26,7 +26,7 @@ class ClusterSpec:
     """A scaled-down Darwin-like testbed.
 
     The paper's cluster: 120 nodes, 9 PVFS2 data servers (one doubling as
-    metadata server), two-disk RAID per server, GigE, CFQ, 64 KB stripes.
+    metadata server), GigE, CFQ, 64 KB stripes.
     Simulation defaults keep that shape with fewer compute nodes; every
     knob the experiments sweep is explicit here.
     """
@@ -39,9 +39,6 @@ class ClusterSpec:
     stripe_unit: int = 64 * 1024
     #: Extent placement on server disks ('spread' | 'packed').
     placement: str = "spread"
-    #: RAID members per data server (1 = plain disk, 2 = the Darwin pair).
-    raid_members: int = 1
-    raid_level: int = 0
     #: Attach a BlkTrace to every data-server disk.
     trace_disks: bool = False
     #: Locality-daemon sampling interval (paper: constant time slots).
@@ -58,8 +55,6 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_compute_nodes < 1 or self.n_data_servers < 1:
             raise ValueError("need at least one compute node and one data server")
-        if self.raid_members < 1:
-            raise ValueError("raid_members must be >= 1")
 
     # -- node-id layout -------------------------------------------------
 

@@ -12,15 +12,12 @@ consecutively-serviced requests.  This package models exactly that:
 - :class:`DiskDrive` -- serves one request at a time: seek + rotational
   latency + media transfer; tracks head position and per-request seek
   distance in sectors (the paper's ``SeekDist`` metric).
-- :class:`RaidArray` -- RAID-0/1 of member drives (the Darwin nodes used a
-  two-drive hardware RAID).
 - :class:`DriveStats` -- seek-distance and utilisation accounting used by
   DualPar's data-server locality daemon.
 """
 
 from repro.disk.drive import BlockDevice, DiskDrive, DiskParams
 from repro.disk.geometry import DiskGeometry
-from repro.disk.raid import RaidArray
 from repro.disk.seek import SeekModel
 from repro.disk.stats import DriveStats
 
@@ -30,6 +27,5 @@ __all__ = [
     "DiskGeometry",
     "DiskParams",
     "DriveStats",
-    "RaidArray",
     "SeekModel",
 ]

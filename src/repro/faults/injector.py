@@ -4,12 +4,10 @@ One daemon process walks the plan's events in ``(at_s, index)`` order and
 flips the matching component state on apply/revert:
 
 - ``disk_failslow``  -- installs a :class:`~repro.faults.plan.DiskFault`
-  on the server's drive (every member, for RAID devices);
+  on the server's drive;
 - ``server_crash``   -- :meth:`DataServer.crash` (drops in-flight work,
   loses page cache and dirty writeback state) and later
   :meth:`DataServer.recover`;
-- ``mirror_fail``    -- fails one RAID-1 member; on revert the member is
-  repaired and a paced rebuild copies from a surviving mirror;
 - ``net_degrade``    -- extra Ethernet latency plus seeded jitter on
   every non-loopback transfer;
 - ``net_partition``  -- transfers crossing the cut wait on the heal
@@ -139,23 +137,11 @@ class FaultInjector:
         spec = self.cluster.spec
         n_ds = len(self.cluster.data_servers)
         for ev in self.plan.events:
-            if ev.kind in ("disk_failslow", "server_crash", "mirror_fail"):
+            if ev.kind in ("disk_failslow", "server_crash"):
                 if ev.target >= n_ds:
                     raise FaultError(
                         f"{ev.kind} targets server {ev.target} but the cluster "
                         f"has {n_ds} data servers"
-                    )
-            if ev.kind == "mirror_fail":
-                device = self.cluster.data_servers[ev.target].device
-                if getattr(device, "level", None) != 1:
-                    raise FaultError(
-                        f"mirror_fail on server {ev.target} needs a RAID-1 "
-                        f"device (have {type(device).__name__})"
-                    )
-                if ev.member >= len(device.members):
-                    raise FaultError(
-                        f"mirror_fail member {ev.member} out of range for "
-                        f"{len(device.members)}-way mirror"
                     )
             if ev.kind == "cache_evict":
                 for node in ev.evicted_nodes:
@@ -252,8 +238,6 @@ class FaultInjector:
             self._disk_failslow(ev, apply)
         elif ev.kind == "server_crash":
             self._server_crash(ev, apply)
-        elif ev.kind == "mirror_fail":
-            self._mirror_fail(ev, apply)
         elif ev.kind == "net_degrade":
             self._net_degrade(ev, apply)
         elif ev.kind == "net_partition":
@@ -269,18 +253,13 @@ class FaultInjector:
 
     # -- per-kind transitions ---------------------------------------------
 
-    def _drives_of(self, server_index: int) -> list:
-        device = self.cluster.data_servers[server_index].device
-        return list(getattr(device, "members", None) or [device])
-
     def _disk_failslow(self, ev: FaultEvent, apply: bool) -> None:
         fault = (
             DiskFault(transfer_factor=ev.transfer_factor, extra_seek_s=ev.extra_seek_s)
             if apply
             else None
         )
-        for drive in self._drives_of(ev.target):
-            drive.fault = fault
+        self.cluster.data_servers[ev.target].device.fault = fault
         assert self.health is not None
         self.health.mark(ev.target, "slow" if apply else "up")
 
@@ -294,20 +273,6 @@ class FaultInjector:
                 self.dualpar.on_server_fault(ev.target)
         else:
             ds.recover()
-            self.health.mark(ev.target, "up")
-
-    def _mirror_fail(self, ev: FaultEvent, apply: bool) -> None:
-        device = self.cluster.data_servers[ev.target].device
-        assert self.health is not None
-        if apply:
-            device.fail_member(ev.member)
-            self.health.mark(ev.target, "slow")
-        else:
-            device.repair_member(
-                ev.member,
-                rebuild_rate_bytes_s=ev.rebuild_rate_bytes_s,
-                rebuild_bytes=ev.rebuild_bytes,
-            )
             self.health.mark(ev.target, "up")
 
     def _net_degrade(self, ev: FaultEvent, apply: bool) -> None:

@@ -12,7 +12,6 @@ Fault taxonomy (see ``docs/fault_injection.md`` for semantics):
 
 - ``disk_failslow``   -- scale a disk's transfer time / add seek penalty;
 - ``server_crash``    -- a data server drops requests and loses RAM state;
-- ``mirror_fail``     -- fail one RAID-1 member, rebuild on repair;
 - ``net_degrade``     -- extra Ethernet latency plus seeded jitter;
 - ``net_partition``   -- transit to/from a node set blocks until healed;
 - ``cache_evict``     -- Memcached nodes leave (and rejoin) the ring.
@@ -38,7 +37,6 @@ __all__ = ["FAULT_KINDS", "DiskFault", "FaultEvent", "FaultPlan", "RetryPolicy"]
 FAULT_KINDS: tuple[str, ...] = (
     "disk_failslow",
     "server_crash",
-    "mirror_fail",
     "net_degrade",
     "net_partition",
     "cache_evict",
@@ -135,22 +133,13 @@ class FaultEvent:
     at_s: float
     until_s: Optional[float] = None
     #: Kind-specific index: data-server index for ``disk_failslow`` /
-    #: ``server_crash`` / ``mirror_fail``, unused for the network kinds,
+    #: ``server_crash``, unused for the network kinds,
     #: the compute-node id for ``cache_evict`` when ``nodes`` is empty.
     target: int = 0
 
     # -- disk_failslow ---------------------------------------------------
     transfer_factor: float = 4.0
     extra_seek_s: float = 0.0
-
-    # -- mirror_fail -----------------------------------------------------
-    #: RAID-1 member index to fail.
-    member: int = 1
-    #: Rebuild pacing on repair (md's speed_limit ceiling).
-    rebuild_rate_bytes_s: float = 40e6
-    #: Cap on bytes resynced (None = whole member); models bitmap-based
-    #: resync of the dirty region on small simulated disks.
-    rebuild_bytes: Optional[int] = None
 
     # -- net_degrade -----------------------------------------------------
     extra_latency_s: float = 0.0
@@ -176,13 +165,6 @@ class FaultEvent:
                 raise ValueError("transfer_factor must be >= 1 (fail-SLOW)")
             if self.extra_seek_s < 0:
                 raise ValueError("extra_seek_s must be >= 0")
-        elif self.kind == "mirror_fail":
-            if self.member < 0:
-                raise ValueError("member must be >= 0")
-            if self.rebuild_rate_bytes_s <= 0:
-                raise ValueError("rebuild_rate_bytes_s must be > 0")
-            if self.rebuild_bytes is not None and self.rebuild_bytes <= 0:
-                raise ValueError("rebuild_bytes must be > 0")
         elif self.kind == "net_degrade":
             if self.extra_latency_s < 0 or self.jitter_s < 0:
                 raise ValueError("latency/jitter must be >= 0")

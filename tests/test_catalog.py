@@ -185,16 +185,81 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: ``to_dict()`` of the docs/service.md example while ``FaultEvent`` still
+#: carried the ``mirror_fail`` fields (member, rebuild rate and cap).
+_EXAMPLE_DICT_WITH_MIRROR_FIELDS = {
+    "schema_version": 1,
+    "tenant": "acme",
+    "label": "failslow sweep cell 3",
+    "jobs": [
+        {
+            "name": "j0",
+            "workload": "mpi-io-test",
+            "nprocs": 64,
+            "size_mb": 64,
+            "op": "R",
+            "strategy": "dualpar",
+            "delay_s": 0.0,
+        }
+    ],
+    "cluster": {
+        "compute_nodes": 32,
+        "data_servers": 9,
+        "io_scheduler": "cfq",
+        "stripe_unit": 65536,
+    },
+    "quota_kb": 1024,
+    "limit_s": 1000000.0,
+    "observe": False,
+    "fault_plan": {
+        "seed": 7,
+        "events": [
+            {
+                "kind": "disk_failslow",
+                "at_s": 0.1,
+                "until_s": 0.5,
+                "target": 0,
+                "transfer_factor": 4.0,
+                "extra_seek_s": 0.0,
+                "member": 1,
+                "rebuild_rate_bytes_s": 40000000.0,
+                "rebuild_bytes": None,
+                "extra_latency_s": 0.0,
+                "jitter_s": 0.0,
+                "nodes": [],
+            }
+        ],
+        "retry": {
+            "base_timeout_s": 2.0,
+            "timeout_per_byte_s": 1e-06,
+            "max_retries": 12,
+            "backoff_base_s": 0.01,
+            "backoff_factor": 2.0,
+            "backoff_max_s": 2.0,
+            "backoff_jitter": "none",
+        },
+    },
+    "guard": None,
+}
+
+
 def test_to_json_bytes_are_pinned():
     docs = Path(__file__).resolve().parent.parent / "docs" / "service.md"
     example = docs.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```")[0]
     sub = ExperimentSubmission.from_json(example)
     assert _sha256(sub.to_json()) == (
-        "13d98513f88c74eb86c728c991f55bd457d613caa12e5d6b776474dc7478b50f"
+        "a9558829e36496f84501e2cd77b0c52823ee5e3ab36553d5ae09025a45ee3b56"
     )
     assert _sha256(sub.to_json(indent=None)) == (
-        "ac76f02a90e364acb49873a6292ba1e81d94477f4ebe1496faf8c14445efaea3"
+        "9429d067e29b9c29b7fb1c151abd18ae7aa11ccab16eb1991734879585a92ede"
     )
+    # These two hashes moved only because FaultEvent lost the RAID-1
+    # mirror fields: the dict is the earlier one minus exactly those keys.
+    earlier = json.loads(json.dumps(_EXAMPLE_DICT_WITH_MIRROR_FIELDS))
+    for ev in earlier["fault_plan"]["events"]:
+        for key in ("member", "rebuild_rate_bytes_s", "rebuild_bytes"):
+            del ev[key]
+    assert json.dumps(sub.to_dict()) == json.dumps(earlier)
     guarded = _submission(quota_kb=256, guard=GuardConfig(min_hit_rate=0.5))
     assert _sha256(guarded.to_json()) == (
         "818a2e161c0379afc18560bd6e520119f0668e12d63d722fab54ae44bcdc291a"

@@ -9,15 +9,14 @@ The contract under test (docs/fault_injection.md):
   the pre-fault code path (the injector is a complete no-op);
 - DualPar still beats the no-coordination baseline under a single-server
   fail-slow;
-- committed writes are exactly-once under arbitrary crash schedules, and
-  RAID-1 reads never touch an out-of-sync mirror, for any interleaving
-  of failures and repairs (Hypothesis).
+- committed writes are exactly-once under arbitrary crash schedules
+  (Hypothesis).
 """
 
 from dataclasses import asdict
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster, paper_spec
@@ -41,12 +40,8 @@ def small_spec(**kw):
     return ClusterSpec(**defaults)
 
 
-def _run(plan, strategy="dualpar-forced", mb=32, trace=False, raid=False):
+def _run(plan, strategy="dualpar-forced", mb=32, trace=False):
     spec = paper_spec(n_compute_nodes=4, n_data_servers=4, trace_disks=trace)
-    if raid:
-        import dataclasses
-
-        spec = dataclasses.replace(spec, raid_members=2, raid_level=1)
     return run_experiment(
         [
             JobSpec("job", 8, MpiIoTest(file_size=mb << 20, op="R"),
@@ -108,21 +103,6 @@ def test_faulted_run_completes(kind):
     assert all(j.end_s > j.start_s for j in res.jobs)
     assert res.faults is not None
     assert any(k == kind for _, k, _, _ in res.faults.log)
-
-
-def test_mirror_fail_run_completes_and_rebuilds():
-    plan = FaultPlan(
-        seed=6,
-        events=(
-            FaultEvent(kind="mirror_fail", at_s=0.05, until_s=0.4, target=1,
-                       member=1, rebuild_rate_bytes_s=400e6,
-                       rebuild_bytes=4 << 20),
-        ),
-    )
-    res = _run(plan, raid=True)
-    dev = res.cluster.data_servers[1].device
-    assert dev.n_member_failures == 1
-    assert res.makespan_s < 1e4
 
 
 def test_multi_fault_run_completes():
@@ -388,68 +368,6 @@ def test_writes_are_exactly_once_under_crash_schedules(schedule):
     assert len(committed) == len(set(committed)), "a write committed twice"
     issued = set(range(1, injector._req_counter + 1))
     assert set(committed) == issued, "a committed write went missing"
-
-
-_mirror_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["fail", "repair", "read", "write"]),
-        st.integers(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=63),
-    ),
-    min_size=1,
-    max_size=24,
-)
-
-
-@given(ops=_mirror_ops)
-# A member that fails again mid-rebuild: the superseded rebuild must not
-# mark it in-sync, or the array lets its last in-sync mirror fail.
-@example(ops=[("fail", 1, 0), ("repair", 1, 0), ("fail", 1, 0), ("read", 0, 0),
-              ("read", 0, 0), ("read", 0, 0), ("repair", 1, 0), ("fail", 0, 0)])
-@settings(max_examples=15, deadline=None)
-def test_raid1_reads_never_touch_out_of_sync_mirror(ops):
-    """For any interleaving of member failures, repairs (with real paced
-    rebuilds), reads, and writes: every read is served by a member that is
-    neither failed nor still rebuild-stale, and read-after-write holds in
-    the sense that a repaired member takes no reads before its rebuild
-    completes."""
-    cluster = build_cluster(small_spec(raid_members=2, raid_level=1))
-    dev = cluster.data_servers[0].device
-    sim = cluster.sim
-    dev.read_targets = []
-    rebuilds = {}
-    for op, member, block in ops:
-        if op == "fail":
-            try:
-                dev.fail_member(member)
-            except ValueError:
-                pass  # already failed / last mirror: invalid transition
-        elif op == "repair":
-            if dev._member_failed[member]:
-                rebuilds[member] = dev.repair_member(
-                    member, rebuild_rate_bytes_s=800e6, rebuild_bytes=1 << 20
-                )
-        else:
-            before_failed = list(dev._member_failed)
-            before_stale = list(dev._member_stale)
-            n_seen = len(dev.read_targets)
-            lbn = block * dev.chunk_sectors
-
-            def io(lbn=lbn, kind=op):
-                yield from dev.service(lbn, 64, "R" if kind == "read" else "W")
-
-            sim.run_until_event(sim.process(io()))
-            if op == "read":
-                for _lbn, m in dev.read_targets[n_seen:]:
-                    assert not before_failed[m], "read hit a failed mirror"
-                    assert not before_stale[m], "read hit a stale mirror"
-    # Drain outstanding rebuilds; afterwards every repaired member is
-    # in-sync again and serves reads.
-    for member, proc in rebuilds.items():
-        if proc.is_alive:
-            sim.run_until_event(proc, limit=1e4)
-        if not dev._member_failed[member]:
-            assert not dev._member_stale[member]
 
 
 @given(

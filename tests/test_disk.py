@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk import DiskDrive, DiskGeometry, DiskParams, RaidArray, SeekModel
+from repro.disk import DiskDrive, DiskGeometry, DiskParams, SeekModel
 from repro.disk.geometry import SECTOR_BYTES
 from repro.sim import Simulator
 
@@ -226,144 +226,3 @@ def test_media_rate_matches_params():
     assert p.media_rate_bytes_s == pytest.approx(1200 * 512 / (60 / 7200))
     assert p.media_rate_bytes_s == pytest.approx(73.7e6, rel=0.01)
 
-
-# ----------------------------------------------------------------- RAID
-
-
-def make_members(sim, n=2):
-    return [
-        DiskDrive(sim, small_params(capacity_bytes=64 * 1024 * 1024), name=f"m{i}")
-        for i in range(n)
-    ]
-
-
-def test_raid0_capacity_is_sum():
-    sim = Simulator()
-    members = make_members(sim, 2)
-    arr = RaidArray(sim, members, level=0)
-    assert arr.total_sectors == 2 * members[0].total_sectors
-
-
-def test_raid1_capacity_is_single():
-    sim = Simulator()
-    members = make_members(sim, 2)
-    arr = RaidArray(sim, members, level=1)
-    assert arr.total_sectors == members[0].total_sectors
-
-
-def test_raid0_split_alternates_members():
-    sim = Simulator()
-    arr = RaidArray(sim, make_members(sim, 2), level=0, chunk_sectors=128)
-    pieces = arr._split(0, 512)
-    # 4 chunks -> members 0,1,0,1, coalesced per member into 2 runs each.
-    by_member = {}
-    for m, lbn, n in pieces:
-        by_member.setdefault(m, 0)
-        by_member[m] += n
-    assert by_member == {0: 256, 1: 256}
-
-
-def test_raid0_split_respects_offsets():
-    sim = Simulator()
-    arr = RaidArray(sim, make_members(sim, 2), level=0, chunk_sectors=128)
-    # Request inside the second chunk -> member 1, chunk 0 of member 1.
-    pieces = arr._split(130, 20)
-    assert pieces == [(1, 2, 20)]
-
-
-def test_raid0_parallel_speedup():
-    """A large striped request completes faster than on one member."""
-    sim = Simulator()
-    members = make_members(sim, 2)
-    arr = RaidArray(sim, members, level=0, chunk_sectors=128)
-
-    def proc():
-        yield from arr.service(0, 8192)
-
-    p = sim.process(proc())
-    sim.run_until_event(p)
-    t_arr = sim.now
-
-    sim2 = Simulator()
-    solo = DiskDrive(sim2, small_params(capacity_bytes=64 * 1024 * 1024))
-
-    def proc2():
-        yield from solo.service(0, 8192)
-
-    p2 = sim2.process(proc2())
-    sim2.run_until_event(p2)
-    assert t_arr < sim2.now * 0.75
-
-
-def test_raid1_write_goes_to_all_members():
-    sim = Simulator()
-    members = make_members(sim, 2)
-    arr = RaidArray(sim, members, level=1)
-
-    def proc():
-        yield from arr.service(0, 256, op="W")
-
-    sim.run_until_event(sim.process(proc()))
-    assert members[0].stats.n_requests == 1
-    assert members[1].stats.n_requests == 1
-
-
-def test_raid1_read_goes_to_one_member():
-    sim = Simulator()
-    members = make_members(sim, 2)
-    arr = RaidArray(sim, members, level=1)
-
-    def proc():
-        yield from arr.service(0, 256, op="R")
-
-    sim.run_until_event(sim.process(proc()))
-    assert members[0].stats.n_requests + members[1].stats.n_requests == 1
-
-
-def test_raid_rejects_bad_config():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        RaidArray(sim, [], level=0)
-    with pytest.raises(ValueError):
-        RaidArray(sim, make_members(sim, 2), level=5)
-    with pytest.raises(ValueError):
-        RaidArray(sim, make_members(sim, 2), level=0, chunk_sectors=0)
-
-
-def test_raid_rejects_mismatched_members():
-    sim = Simulator()
-    a = DiskDrive(sim, small_params(capacity_bytes=64 * 1024 * 1024))
-    b = DiskDrive(sim, small_params(capacity_bytes=128 * 1024 * 1024))
-    with pytest.raises(ValueError):
-        RaidArray(sim, [a, b])
-
-
-@given(
-    lbn=st.integers(min_value=0, max_value=100_000),
-    n=st.integers(min_value=1, max_value=2048),
-    chunk=st.sampled_from([64, 128, 256]),
-    members=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=150, deadline=None)
-def test_raid0_split_covers_exactly_property(lbn, n, chunk, members):
-    """RAID-0 split pieces partition the request: sizes sum, no overlap."""
-    sim = Simulator()
-    arr = RaidArray(
-        sim,
-        [
-            DiskDrive(sim, small_params(capacity_bytes=256 * 1024 * 1024), name=f"m{i}")
-            for i in range(members)
-        ],
-        level=0,
-        chunk_sectors=chunk,
-    )
-    pieces = arr._split(lbn, n)
-    assert sum(p[2] for p in pieces) == n
-    # No two pieces on the same member overlap.
-    by_member = {}
-    for m, mlbn, cnt in pieces:
-        by_member.setdefault(m, []).append((mlbn, cnt))
-    for runs in by_member.values():
-        runs.sort()
-        for (a_lbn, a_n), (b_lbn, _) in zip(runs, runs[1:]):
-            assert a_lbn + a_n <= b_lbn

@@ -37,10 +37,6 @@ def small_spec(**kw):
     return ClusterSpec(**defaults)
 
 
-def raid1_spec(**kw):
-    return small_spec(raid_members=2, raid_level=1, **kw)
-
-
 # ----------------------------------------------------------------- FaultPlan
 
 
@@ -48,7 +44,6 @@ def test_fault_kinds_catalogue():
     assert set(FAULT_KINDS) == {
         "disk_failslow",
         "server_crash",
-        "mirror_fail",
         "net_degrade",
         "net_partition",
         "cache_evict",
@@ -71,8 +66,6 @@ def test_event_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # An unhealed partition would hang blocked senders forever.
         FaultEvent(kind="net_partition", at_s=0.0, nodes=(1,))
-    with pytest.raises(ValueError):
-        FaultEvent(kind="mirror_fail", at_s=0.0, rebuild_rate_bytes_s=0.0)
 
 
 def test_evicted_nodes_defaults_to_target():
@@ -140,11 +133,11 @@ def test_plan_decoding_is_pinned(raw, expected):
 
 #: sha256 of ``FaultPlan.load(p).to_json()`` for every example plan.
 _EXAMPLE_PLAN_JSON_SHA256 = {
-    "crash_in_flight": "492b24b21b541def2a0987fefea6ea974dd8ab1292e2caadb21dae94a5a6d6e3",
-    "crash_recover": "1a49638075f3331638ee6690471544dbd85243258a4ea64143ffa21479398a81",
-    "early_mix": "05e0c2b49ed027b7c349ac224e00c52dcc6fa756cadb74033b1cbc0a1f1795da",
-    "failslow": "16e15f162e7c15827b2633a04f02221cd1a04c25a3baaa1ede38fc1cf69fe724",
-    "partition_evict": "40239f3f35258341efa87a469a7eb086aa3bc5024070387f39791e47f1a605cc",
+    "crash_in_flight": "6441ccf2118ed0c9b9a1125b83499fd0edc43fc9c35f5d46e592b6bbaa385d66",
+    "crash_recover": "bb82c68c02b7204bb1ce9f61c2eca3ce5b24220d36a46e4ba460252cd205ae8f",
+    "early_mix": "00d3919c4d4e5a5c51e0fef018f14358776f7f60b138bc7835533611219a1333",
+    "failslow": "6c22d70be75b9494edf7a8ba995105fe89f3a6ac0a92f352d315e8bf355228ac",
+    "partition_evict": "1889f902fcca6eba0704b38763e4e1881ea21a3c2a2a20a27a3680e8db3acb07",
 }
 
 
@@ -154,6 +147,23 @@ def test_example_plan_json_bytes_are_pinned():
         p.stem: hashlib.sha256(FaultPlan.load(p).to_json().encode()).hexdigest()
         for p in sorted(plans.glob("*.json"))
     } == _EXAMPLE_PLAN_JSON_SHA256
+
+
+def test_every_fault_kind_has_an_example_plan():
+    plans = Path(__file__).resolve().parent.parent / "examples" / "faultplans"
+    covered = {
+        ev.kind for p in plans.glob("*.json") for ev in FaultPlan.load(p).events
+    }
+    assert set(FAULT_KINDS) <= covered, sorted(set(FAULT_KINDS) - covered)
+
+
+def test_plan_rejects_the_removed_mirror_fault():
+    with pytest.raises(ValueError, match="unknown fault kind 'mirror_fail'"):
+        FaultPlan.from_dict({"events": [{"kind": "mirror_fail", "at_s": 0.0}]})
+    with pytest.raises(ValueError, match=r"unknown FaultEvent fields: \['member'\]"):
+        FaultPlan.from_dict(
+            {"events": [{"kind": "disk_failslow", "at_s": 0.0, "member": 1}]}
+        )
 
 
 # --------------------------------------------------------------- RetryPolicy
@@ -392,74 +402,6 @@ def test_cache_evict_validation():
         cache.restore_node(1)  # not evicted
 
 
-# ------------------------------------------------------------ RAID-1 faults
-
-
-def test_raid1_read_fails_over_and_writes_skip_failed_member():
-    cluster = build_cluster(raid1_spec())
-    dev = cluster.data_servers[0].device
-    dev.read_targets = []
-    dev.fail_member(1)
-    with pytest.raises(ValueError):
-        dev.fail_member(1)  # already failed
-    with pytest.raises(ValueError):
-        dev.fail_member(0)  # last in-sync mirror
-    sim = cluster.sim
-
-    def io():
-        yield from dev.service(0, 256, "R")
-        yield from dev.service(dev.chunk_sectors, 256, "R")
-        yield from dev.service(0, 128, "W")
-
-    sim.run_until_event(sim.process(io()))
-    assert all(m == 0 for _, m in dev.read_targets)
-    assert dev.n_degraded_reads >= 1
-    # The write landed on the survivor only.
-    assert dev.members[0].stats.n_requests > dev.members[1].stats.n_requests
-
-
-def test_raid1_repair_rebuilds_then_serves_reads_again():
-    cluster = build_cluster(raid1_spec())
-    dev = cluster.data_servers[0].device
-    sim = cluster.sim
-    dev.fail_member(1)
-    proc = dev.repair_member(1, rebuild_rate_bytes_s=500e6, rebuild_bytes=2 << 20)
-    assert dev._member_stale[1] and not dev._member_failed[1]
-    sim.run_until_event(proc)
-    assert dev.n_rebuilds == 1
-    assert dev.rebuilt_bytes >= 2 << 20
-    assert not dev._member_stale[1]
-    # Preferred-member reads reach member 1 again.
-    dev.read_targets = []
-
-    def io():
-        yield from dev.service(dev.chunk_sectors, 64, "R")
-
-    sim.run_until_event(sim.process(io()))
-    assert dev.read_targets == [(dev.chunk_sectors, 1)]
-
-
-def test_raid1_rebuild_contends_with_foreground_io():
-    cluster = build_cluster(raid1_spec())
-    dev = cluster.data_servers[0].device
-    sim = cluster.sim
-    dev.fail_member(1)
-    dev.repair_member(1, rebuild_rate_bytes_s=100e6, rebuild_bytes=8 << 20)
-
-    def io():
-        for _ in range(4):
-            yield from dev.service(0, 256, "R")
-
-    sim.run_until_event(sim.process(io()))
-    assert dev.rebuilt_bytes > 0  # rebuild ran interleaved with service
-
-
-def test_raid0_rejects_member_faults():
-    cluster = build_cluster(small_spec(raid_members=2, raid_level=0))
-    with pytest.raises(ValueError):
-        cluster.data_servers[0].device.fail_member(0)
-
-
 # ---------------------------------------------------------- DataServer crash
 
 
@@ -575,11 +517,6 @@ def test_injector_validates_plan_against_cluster():
         FaultInjector(
             cluster,
             FaultPlan(events=(FaultEvent(kind="server_crash", at_s=0.0, target=9),)),
-        )
-    with pytest.raises(FaultError, match="RAID-1"):
-        FaultInjector(
-            cluster,
-            FaultPlan(events=(FaultEvent(kind="mirror_fail", at_s=0.0, target=0),)),
         )
     with pytest.raises(FaultError, match="not a compute node"):
         FaultInjector(

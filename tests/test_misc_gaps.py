@@ -98,11 +98,6 @@ def test_prefetch_window_bounds_runahead(monkeypatch):
     assert res.jobs[0].bytes_read == 4 * 1024 * 1024
 
 
-def test_spec_rejects_bad_raid():
-    with pytest.raises(ValueError):
-        ClusterSpec(raid_members=0)
-
-
 def test_spec_rejects_empty_cluster():
     with pytest.raises(ValueError):
         ClusterSpec(n_compute_nodes=0)

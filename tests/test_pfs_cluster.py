@@ -149,19 +149,6 @@ def test_traced_cluster_records_accesses():
     assert any(len(t) > 0 for t in cluster.traces)
 
 
-def test_raid_cluster_builds_and_serves():
-    cluster = build_cluster(small_spec(raid_members=2, raid_level=0))
-    sim = cluster.sim
-    f = cluster.fs.create("r.dat", 1024 * 1024)
-    client = cluster.clients[0]
-
-    def proc():
-        yield from client.io(f, 0, 256 * 1024, "R", stream_id=1)
-
-    sim.run_until_event(sim.process(proc()))
-    assert cluster.total_bytes_served() == 256 * 1024
-
-
 def test_concurrent_clients_interfere():
     """Two clients streaming different files are slower than one alone
     (disk interference), but both complete."""

@@ -1,10 +1,11 @@
 """The benchmark tracer's boundary table still names real functions.
 
 ``benchmarks/suite/layers.py`` charges host time to a layer by wrapping
-the entries of its ``BOUNDARY`` table by name, and it skips an entry it
-cannot find without a word.  A renamed ``GlobalCache.multiget`` would then
-be charged to its caller's layer (``core``) in every ``--trace`` run.  The
-table is read here, never edited.
+the entries of its ``BOUNDARY`` table by name.  It skips an attribute it
+cannot find without a word: a renamed ``GlobalCache.multiget`` would be
+charged to its caller's layer (``core``) in every ``--trace`` run.  A
+missing module or owner class instead fails every traced run.  The table
+is read here, never edited.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ import pytest
 LAYERS_PY = Path(__file__).resolve().parent.parent / "benchmarks" / "suite" / "layers.py"
 
 
-def _boundary() -> tuple[str, ...]:
+def _layers():
     spec = importlib.util.spec_from_file_location("_suite_layers", LAYERS_PY)
     assert spec is not None and spec.loader is not None
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.BOUNDARY
+    return mod
+
+
+def _boundary() -> tuple[str, ...]:
+    return _layers().BOUNDARY
 
 
 _CHECKED = [
@@ -51,3 +56,12 @@ def test_boundary_entry_resolves_to_a_function(entry):
     else:
         fn = getattr(module, attr, None)
     assert inspect.isfunction(fn), f"{entry} does not resolve to a function"
+
+
+def test_every_boundary_module_and_owner_class_resolves():
+    # _targets() skips a missing attribute but imports every module and
+    # looks up every owner class, as Tracer.install() does: a module or
+    # class gone from repro fails every --trace run.
+    targets = list(_layers()._targets())
+    assert targets
+    assert all(callable(fn) for _owner, _attr, fn, _layer in targets)
