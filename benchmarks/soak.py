@@ -60,8 +60,12 @@ WORKLOADS = [
 
 
 def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan:
-    """A small randomized fault schedule with soak-safe windows."""
-    events = []
+    """A small randomized fault schedule with soak-safe windows.
+
+    A drawn event that overlaps an earlier one of its kind on its target
+    is dropped after the draw, so the RNG stream does not depend on it.
+    """
+    drawn = []
     for _ in range(rng.randint(1, 4)):
         at = rng.uniform(0.05, 6.0)
         window = rng.uniform(0.5, MAX_FAULT_WINDOW_S)
@@ -69,7 +73,7 @@ def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan
             ["disk_failslow", "server_crash", "net_degrade", "cache_evict"]
         )
         if kind == "disk_failslow":
-            events.append(
+            drawn.append(
                 FaultEvent(
                     kind=kind,
                     at_s=at,
@@ -80,7 +84,7 @@ def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan
                 )
             )
         elif kind == "server_crash":
-            events.append(
+            drawn.append(
                 FaultEvent(
                     kind=kind,
                     at_s=at,
@@ -89,7 +93,7 @@ def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan
                 )
             )
         elif kind == "net_degrade":
-            events.append(
+            drawn.append(
                 FaultEvent(
                     kind=kind,
                     at_s=at,
@@ -99,7 +103,7 @@ def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan
                 )
             )
         else:  # cache_evict
-            events.append(
+            drawn.append(
                 FaultEvent(
                     kind=kind,
                     at_s=at,
@@ -107,6 +111,10 @@ def random_plan(rng: random.Random, n_servers: int, n_compute: int) -> FaultPlan
                     target=rng.randrange(n_compute),
                 )
             )
+    events: list[FaultEvent] = []
+    for ev in drawn:
+        if not any(kept.overlaps(ev) for kept in events):
+            events.append(ev)
     events.sort(key=lambda ev: ev.at_s)
     return FaultPlan(
         seed=rng.randrange(1 << 30),

@@ -74,16 +74,16 @@ class EmcDaemon:
     # ------------------------------------------------------------------
 
     def live_servers(self) -> Optional[frozenset[int]]:
-        """Data servers the metadata service reports up, or None when no
-        health tracking is installed (nominal run: everything is live).
+        """Data servers that are not crashed, or None when no fault plan
+        is installed (nominal run: everything is live).
 
         CRM consults this when building batch plans so dead servers are
         dropped rather than timed out against.
         """
-        health = self.system.health
-        if health is None:
+        if self.system.faults is None:
             return None
-        return frozenset(health.live_servers())
+        servers = self.system.runtime.cluster.data_servers
+        return frozenset(ds.server_index for ds in servers if not ds.crashed)
 
     def ave_seek_dist(self) -> Optional[float]:
         vals = [

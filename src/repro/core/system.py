@@ -48,10 +48,8 @@ class DualParSystem:
                 "emc.mode_transitions", "counter", lambda: len(self.transitions)
             )
         self._tracer = sim.obs.tracer if sim.obs is not None else None
-        #: Fault-injection attachments (None nominally): the injector and
-        #: the ServerHealth map it maintains.
+        #: The fault injector when a plan is installed, None nominally.
         self.faults = None
-        self.health = None
         #: Safety governor (repro.guard.SafetyGovernor) when one is
         #: attached; None nominally.  When set, EMC delegates per-job mode
         #: decisions (and mis-prefetch reports) to its state machines.

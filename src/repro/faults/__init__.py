@@ -4,7 +4,6 @@ See ``docs/fault_injection.md`` for the fault taxonomy, the plan JSON
 schema, and the determinism guarantees.
 """
 
-from repro.faults.health import ServerHealth
 from repro.faults.injector import FaultError, FaultInjector, NetFault, RequestTimeout
 from repro.faults.plan import FAULT_KINDS, DiskFault, FaultEvent, FaultPlan, RetryPolicy
 
@@ -18,5 +17,4 @@ __all__ = [
     "NetFault",
     "RequestTimeout",
     "RetryPolicy",
-    "ServerHealth",
 ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.faults.health import ServerHealth
 from repro.faults.plan import DiskFault, FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,11 +107,9 @@ class FaultInjector:
         self.sim = cluster.sim
         self.rng = random.Random(plan.seed)
         self.retry = plan.retry
-        self.health: Optional[ServerHealth] = None
         self.net_fault: Optional[NetFault] = None
         #: (sim_time, kind, phase, target) for every applied transition.
         self.log: list[tuple[float, str, str, int]] = []
-        self.n_timeouts = 0
         self._installed = False
         self._req_counter = 0
         obs = self.sim.obs
@@ -164,12 +161,10 @@ class FaultInjector:
         self._req_counter += 1
         return self._req_counter
 
-    def record_timeout(self, server_index: int) -> None:
-        self.n_timeouts += 1
-        if self._tracer is not None:
-            self._tracer.instant(
-                "faults.timeout", track="faults", cat="fault", server=server_index
-            )
+    @property
+    def n_timeouts(self) -> int:
+        """Client request timeouts, summed over the cluster's clients."""
+        return sum(c.n_timeouts for c in self.cluster.clients)
 
     # -- installation -----------------------------------------------------
 
@@ -181,16 +176,24 @@ class FaultInjector:
         self._installed = True
         if not self.plan.events:
             return
-        self.health = ServerHealth(self.sim, len(self.cluster.data_servers))
         self.net_fault = NetFault(self.sim, self.rng)
         self.cluster.network.fault = self.net_fault
         for client in self.cluster.clients:
             client.faults = self
+        obs = self.sim.obs
         for ds in self.cluster.data_servers:
             ds.enable_fault_tracking()
+            if obs is not None:
+                # 1 up / 0.5 slow / 0 down: a crash outranks a fail-slow disk.
+                obs.registry.view(
+                    f"faults.ds{ds.server_index}.health",
+                    "gauge",
+                    lambda ds=ds: (
+                        0.0 if ds.crashed else 1.0 if ds.device.fault is None else 0.5
+                    ),
+                )
         if self.dualpar is not None:
             self.dualpar.faults = self
-            self.dualpar.health = self.health
         self.sim.process(self._run(), name="fault-injector", daemon=True)
 
     def _run(self) -> Any:
@@ -260,20 +263,15 @@ class FaultInjector:
             else None
         )
         self.cluster.data_servers[ev.target].device.fault = fault
-        assert self.health is not None
-        self.health.mark(ev.target, "slow" if apply else "up")
 
     def _server_crash(self, ev: FaultEvent, apply: bool) -> None:
         ds = self.cluster.data_servers[ev.target]
-        assert self.health is not None
         if apply:
             ds.crash()
-            self.health.mark(ev.target, "down")
             if self.dualpar is not None:
                 self.dualpar.on_server_fault(ev.target)
         else:
             ds.recover()
-            self.health.mark(ev.target, "up")
 
     def _net_degrade(self, ev: FaultEvent, apply: bool) -> None:
         nf = self.net_fault

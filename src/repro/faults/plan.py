@@ -20,7 +20,9 @@ Windowed events (``until_s`` set) revert automatically; ``until_s=None``
 means the fault is permanent for the run -- except ``net_partition``,
 which *requires* a heal time because transfers crossing the cut wait on
 the heal event and an unhealed partition would hang any non-retried
-sender (e.g. compute-node cache traffic) forever.
+sender (e.g. compute-node cache traffic) forever.  Two windows of one
+kind may not overlap on one target (:meth:`FaultEvent.overlaps`); a plan
+that has such a pair fails to load.
 """
 
 from __future__ import annotations
@@ -184,6 +186,21 @@ class FaultEvent:
         """Cache nodes a ``cache_evict`` event removes."""
         return self.nodes if self.nodes else (self.target,)
 
+    def overlaps(self, other: "FaultEvent") -> bool:
+        """True when ``other`` is a fault of the same kind on a shared
+        target (a data server, an evicted cache node, or the one network)
+        whose window meets this one's.  A revert and an apply at the same
+        instant do not meet: the injector runs the revert first."""
+        if other.kind != self.kind:
+            return False
+        if self.kind in ("disk_failslow", "server_crash") and other.target != self.target:
+            return False
+        if self.kind == "cache_evict" and not set(self.evicted_nodes) & set(other.evicted_nodes):
+            return False
+        return (other.until_s is None or self.at_s < other.until_s) and (
+            self.until_s is None or other.at_s < self.until_s
+        )
+
 
 @dataclass(frozen=True)
 class FaultPlan(JsonRecord):
@@ -199,6 +216,15 @@ class FaultPlan(JsonRecord):
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "events", tuple(self.events))
+        # The injector holds one state per fault kind and target, so a
+        # second window there would fail mid-run or be cut short.
+        for j, b in enumerate(self.events):
+            for i, a in enumerate(self.events[:j]):
+                if a.overlaps(b):
+                    raise ValueError(
+                        f"fault events {i} ({a.kind} at {a.at_s}-{a.until_s} s) and "
+                        f"{j} ({b.kind} at {b.at_s}-{b.until_s} s) overlap on one target"
+                    )
 
     def dump(self, path: Any) -> None:
         with open(path, "w", encoding="utf-8") as fh:

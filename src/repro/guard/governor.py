@@ -166,7 +166,6 @@ class JobGovernor:
             return
         cfg = self.config
         self.n_degrades += 1
-        self.guard.n_degrades += 1
         cooldown = min(
             cfg.cooldown_s * cfg.cooldown_factor ** (self.n_degrades - 1),
             cfg.cooldown_max_s,
@@ -250,7 +249,6 @@ class SafetyGovernor:
         self._job_names: dict[str, int] = {}
         #: (time, job name, new governor state, reason) history.
         self.transitions: list[tuple[float, str, str, str]] = []
-        self.n_degrades = 0
         if self.registry is not None:
             self.registry.view(
                 "guard.transitions", "counter", lambda: len(self.transitions)
@@ -310,6 +308,11 @@ class SafetyGovernor:
             name: self._governors[job_id].state
             for name, job_id in sorted(self._job_names.items())
         }
+
+    @property
+    def n_degrades(self) -> int:
+        """Degrades, summed over the per-job governors."""
+        return sum(gov.n_degrades for gov in self._governors.values())
 
     def log_state(self, job_name: str, state: str, reason: str) -> None:
         now = self.sim.now

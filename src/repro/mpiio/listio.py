@@ -9,7 +9,8 @@ and submits them to its block layer together.
 The conversation with each server is the client's one request/reply
 exchange (:meth:`PfsClient._exchange`) with a header of one descriptor
 per run, and the per-server units run through the client's one
-fault-aware fan-out (:meth:`PfsClient._fan_out`), as stripe pieces do.
+fault-aware fan-out (:meth:`PfsClient._fan_out`, which also stamps
+write ids under fault injection), as stripe pieces do.
 """
 
 from __future__ import annotations
@@ -70,30 +71,11 @@ def batch_io(
                 )
             total_by_server[piece.server] = total_by_server.get(piece.server, 0) + piece.length
 
-    units = sorted(by_server.items())
-    faults = client.faults
-    if faults is not None and op == "W":
-        # Ids are stamped once, before any attempt: a timed-out batch is
-        # re-sent with the same ids so the server commits each run once.
-        for _, reqs in units:
-            for req in reqs:
-                req.req_id = faults.next_request_id()
-
-    servers = client.servers
-    yield client._fan_out(
+    yield from client._fan_out(
+        op,
         [
-            (
-                s,
-                total_by_server[s],
-                lambda s=s, reqs=reqs: client._exchange(
-                    servers[s],
-                    op,
-                    CONTROL_MSG_BYTES + PER_PIECE_HEADER_BYTES * len(reqs),
-                    total_by_server[s],
-                    reqs,
-                ),
-            )
-            for s, reqs in units
+            (s, total_by_server[s], CONTROL_MSG_BYTES + PER_PIECE_HEADER_BYTES * len(reqs), reqs)
+            for s, reqs in sorted(by_server.items())
         ],
         "listio-s{}",
     )

@@ -17,11 +17,11 @@ schedule of the spawned form (see :meth:`_exchange`).
 
 Under fault injection (``client.faults`` set by the installer) every
 piece and every list batch runs through :meth:`PfsClient.robust_call`:
-requests to servers the injector's health map reports down park on the
-recovery event; live requests race a size-aware timeout and retry with
-exponential backoff, re-sending the same ``req_id`` so the server can
-commit a write exactly once.  Nominally ``faults`` is None and none of
-this code runs.
+requests to a crashed server park on its recovery event; requests to a
+running one race a size-aware timeout and retry with exponential
+backoff, re-sending the same request (and so the same ``req_id``) so
+the server can commit a write exactly once.  Nominally ``faults`` is
+None and none of this code runs.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Generator
 
 from repro.pfs.dataserver import DataServer, ServerRequest, absorb_interrupt
 from repro.pfs.filesystem import PfsFile
-from repro.pfs.layout import StripeLayout, StripePiece
+from repro.pfs.layout import StripeLayout
 from repro.net.ethernet import Network
-from repro.sim import Event, Simulator, all_of, any_of
+from repro.sim import Simulator, all_of, any_of
 from repro.sim.core import NORMAL, URGENT
 
 __all__ = ["PfsClient"]
@@ -68,29 +68,44 @@ class PfsClient:
 
     # -- fault-aware retry loop ------------------------------------------
 
-    def robust_call(self, make_attempt, server_index: int, nbytes: int = 0) -> Generator:
-        """Run ``make_attempt()`` (a fresh generator per call) against one
-        server with health-gated dispatch, timeout, and backoff."""
+    def robust_call(
+        self,
+        server_index: int,
+        op: str,
+        header: int,
+        nbytes: int,
+        request: ServerRequest | list[ServerRequest],
+    ) -> Generator:
+        """Run one :meth:`_exchange` with a server under the plan's retry
+        policy: park while the server is crashed, race each attempt
+        against a size-aware timeout, and back off before re-sending the
+        same ``request``."""
         faults = self.faults
         sim = self.sim
         policy = faults.retry
-        health = faults.health
+        server = self.servers[server_index]
         timeout_s = policy.timeout_for(nbytes)
         attempt = 0
         while True:
-            if not health.is_up(server_index):
-                # Reported down: don't burn the retry budget against
-                # a black hole -- park until the server returns.
+            if server.crashed:
+                # Don't burn the retry budget against a black hole --
+                # park until the server returns.
                 self.n_failovers += 1
-                yield health.recovery_event(server_index)
-            proc = sim.process(absorb_interrupt(make_attempt()), name="pfs-attempt")
+                yield server.recovery_event()
+            proc = sim.process(
+                absorb_interrupt(self._exchange(server, op, header, nbytes, request)),
+                name="pfs-attempt",
+            )
             gate = sim.timeout(timeout_s)
             yield any_of(sim, [proc, gate])
             if proc.triggered:
                 return
             proc.interrupt("request-timeout")
             self.n_timeouts += 1
-            faults.record_timeout(server_index)
+            if self._tracer is not None:
+                self._tracer.instant(
+                    "faults.timeout", track="faults", cat="fault", server=server_index
+                )
             attempt += 1
             if attempt > policy.max_retries:
                 from repro.faults.injector import RequestTimeout
@@ -148,51 +163,35 @@ class PfsClient:
         reply = CONTROL_MSG_BYTES + nbytes if op == "R" else CONTROL_MSG_BYTES
         yield from net.transfer(peer, node, reply, NORMAL if served_inline else None, inline)
 
-    def _fan_out(self, units: list, name: str) -> Event:
-        """Run ``(server index, nbytes, make_attempt)`` units in parallel,
-        one process each named ``name.format(server index)``; returns the
-        ``all_of`` event that fires when every unit is done.
+    def _fan_out(self, op: str, units: list, name: str) -> Generator:
+        """Run ``(server index, nbytes, header, request or batch)`` units
+        in parallel, each an :meth:`_exchange` in a process of its own
+        named ``name.format(server index)``; yield until every unit is
+        done.
 
-        ``make_attempt()`` returns a fresh exchange generator.  Nominally
-        each unit runs it once; under fault injection each unit runs it
-        through :meth:`robust_call`, which calls it again per retry.
+        Under fault injection each unit runs through :meth:`robust_call`,
+        and write requests get their ids first: once per unit, before any
+        attempt, in unit order and in run order within a batch.  A retry
+        re-sends the same requests, so the server commits each write once.
         """
         sim = self.sim
-        if self.faults is None:
-            procs = [sim.process(make(), name=name.format(s)) for s, _, make in units]
-        else:
-            procs = [
-                sim.process(self.robust_call(make, s, nbytes=n), name=name.format(s))
-                for s, n, make in units
-            ]
-        return all_of(sim, procs)
-
-    def _join_pieces(
-        self, f: PfsFile, pieces: list[StripePiece], op: str, stream_id: int, trace_id: int
-    ) -> Generator:
-        """One process per stripe piece (see :meth:`_fan_out`), joined."""
+        servers = self.servers
         faults = self.faults
-        units = []
-        for p in pieces:
-            # Write ids are assigned once per piece, before any attempt,
-            # so every retry re-sends the same id (exactly-once commit).
-            rid = faults.next_request_id() if faults is not None and op == "W" else None
-            units.append(
-                (
-                    p.server,
-                    p.length,
-                    lambda p=p, rid=rid: self._exchange(
-                        self.servers[p.server],
-                        op,
-                        CONTROL_MSG_BYTES,
-                        p.length,
-                        ServerRequest(
-                            f.name, p.object_offset, p.length, op, stream_id, trace_id, rid
-                        ),
-                    ),
-                )
-            )
-        yield self._fan_out(units, "pfs-piece")
+        if faults is None:
+            procs = [
+                sim.process(self._exchange(servers[s], op, header, n, req), name=name.format(s))
+                for s, n, header, req in units
+            ]
+        else:
+            if op == "W":
+                for *_, req in units:
+                    for r in req if type(req) is list else (req,):
+                        r.req_id = faults.next_request_id()
+            procs = [
+                sim.process(self.robust_call(s, op, header, n, req), name=name.format(s))
+                for s, n, header, req in units
+            ]
+        yield all_of(sim, procs)
 
     def io(
         self,
@@ -234,7 +233,16 @@ class PfsClient:
         else:
             pieces = layout.split(offset, length)
             n_pieces = len(pieces)
-            work = self._join_pieces(f, pieces, op, stream_id, trace_id)
+            units = [
+                (
+                    p.server,
+                    p.length,
+                    CONTROL_MSG_BYTES,
+                    ServerRequest(f.name, p.object_offset, p.length, op, stream_id, trace_id),
+                )
+                for p in pieces
+            ]
+            work = self._fan_out(op, units, "pfs-piece")
         if tr is not None:
             # Async span: one client node can have overlapping I/O calls.
             with tr.span(

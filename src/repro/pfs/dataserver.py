@@ -134,6 +134,8 @@ class DataServer:
         self.n_crashes = 0
         self.n_recoveries = 0
         self.lost_dirty_bytes = 0
+        #: Fired by recover(); opened by crash(), None while running.
+        self._recovery: Optional[Event] = None
         #: Live service processes (insertion-ordered), tracked only under
         #: fault injection so a crash can interrupt in-flight work.
         self._service_procs: Optional[dict] = None
@@ -180,6 +182,7 @@ class DataServer:
             raise SimulationError(f"ds{self.server_index} is already crashed")
         self.crashed = True
         self.n_crashes += 1
+        self._recovery = self.sim.event()
         san = self.sim._sanitizer
         if san is not None:
             san.on_component_unregistered(f"ds{self.server_index}")
@@ -212,6 +215,16 @@ class DataServer:
             raise SimulationError(f"ds{self.server_index} is not crashed")
         self.crashed = False
         self.n_recoveries += 1
+        ev, self._recovery = self._recovery, None
+        ev.succeed(self.sim.now)
+
+    def recovery_event(self) -> Event:
+        """An event that fires when the server next returns from a crash;
+        already triggered while it runs, so callers can wait on it
+        unconditionally."""
+        if self._recovery is not None:
+            return self._recovery
+        return self.sim.event().succeed(self.sim.now)
 
     def _spawn(self, gen, name: str):
         """Service-process spawn point: tracked (and interrupt-absorbing)

@@ -9,6 +9,9 @@ The contract under test (docs/fault_injection.md):
   the pre-fault code path (the injector is a complete no-op);
 - DualPar still beats the no-coordination baseline under a single-server
   fail-slow;
+- a crash and a fail-slow window on one server compose: the server is
+  down while crashed, whatever the disk does, and slow after recovery
+  while its disk still is;
 - committed writes are exactly-once under arbitrary crash schedules
   (Hypothesis).
 """
@@ -24,6 +27,7 @@ from repro.core.config import DualParConfig
 from repro.disk.drive import DiskParams
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, RetryPolicy
 from repro.guard import GuardConfig
+from repro.obs import Observability
 from repro.runner import ExperimentSpec, JobSpec, run_experiment, run_experiments
 from repro.runner.parallel import experiment_fingerprint
 from repro.workloads import Demo, DependentReads, MpiIoTest
@@ -123,6 +127,95 @@ def test_multi_fault_run_completes():
     assert kinds == {"server_crash", "disk_failslow", "net_degrade", "cache_evict"}
 
 
+# ------------------------------------------- crash and fail-slow on one server
+
+
+def _after_each_fault(monkeypatch, read):
+    """``(kind, phase, read(injector))`` recorded after every fault
+    transition, the only points where a server's fault state moves."""
+    readings = []
+    dispatch = FaultInjector._dispatch
+
+    def spy(self, ev, phase):
+        dispatch(self, ev, phase)
+        readings.append((ev.kind, phase, read(self)))
+
+    monkeypatch.setattr(FaultInjector, "_dispatch", spy)
+    return readings
+
+
+def _ds0_health(injector):
+    return injector.sim.obs.registry.get("faults.ds0.health").read()
+
+
+def _vanilla_read(plan):
+    """An 8-rank vanilla 16 MB read on three data servers, observed."""
+    return run_experiment(
+        [JobSpec("job", 8, MpiIoTest(file_size=16 << 20, op="R"), strategy="vanilla")],
+        cluster_spec=paper_spec(n_compute_nodes=4, n_data_servers=3),
+        limit_s=1e4,
+        observe=Observability(),
+        fault_plan=plan,
+    )
+
+
+_FAILSLOW_INSIDE_CRASH = FaultPlan(
+    events=(
+        FaultEvent(kind="server_crash", at_s=0.05, until_s=0.5, target=0),
+        FaultEvent(kind="disk_failslow", at_s=0.1, until_s=0.2, target=0),
+    )
+)
+
+
+def test_failslow_window_inside_a_crash_does_not_wake_its_clients(monkeypatch):
+    """A fail-slow window that opens and closes while its server is down
+    leaves the server down: no client is woken to time out against it."""
+    readings = _after_each_fault(monkeypatch, _ds0_health)
+    res = _vanilla_read(_FAILSLOW_INSIDE_CRASH)
+    assert res.faults.n_timeouts == 0
+    assert readings == [
+        ("server_crash", "apply", 0.0),
+        ("disk_failslow", "apply", 0.0),
+        ("disk_failslow", "revert", 0.0),
+        ("server_crash", "revert", 1.0),
+    ]
+
+
+#: Soak seed 0, cell 7 draws this case: fail-slow on one server over
+#: 1.50-3.82 s and a crash of it over 2.59-3.24 s.
+_CRASH_INSIDE_FAILSLOW = FaultPlan(
+    events=(
+        FaultEvent(kind="disk_failslow", at_s=0.05, until_s=0.6, target=0),
+        FaultEvent(kind="server_crash", at_s=0.1, until_s=0.3, target=0),
+    )
+)
+
+
+def test_server_recovering_inside_a_failslow_window_reads_slow(monkeypatch):
+    readings = _after_each_fault(monkeypatch, _ds0_health)
+    _vanilla_read(_CRASH_INSIDE_FAILSLOW)
+    assert readings == [
+        ("disk_failslow", "apply", 0.5),
+        ("server_crash", "apply", 0.0),
+        ("server_crash", "revert", 0.5),
+        ("disk_failslow", "revert", 1.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "plan, live",
+    [
+        (_FAILSLOW_INSIDE_CRASH, [{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {0, 1, 2, 3}]),
+        (_CRASH_INSIDE_FAILSLOW, [{0, 1, 2, 3}, {1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}]),
+    ],
+    ids=["failslow-inside-crash", "crash-inside-failslow"],
+)
+def test_crm_drops_a_crashed_server_and_keeps_a_slow_one(monkeypatch, plan, live):
+    readings = _after_each_fault(monkeypatch, lambda inj: inj.dualpar.emc.live_servers())
+    _run(plan)
+    assert [servers for *_, servers in readings] == live
+
+
 # ------------------------------------------------------------- determinism
 
 
@@ -153,6 +246,7 @@ def test_no_plan_and_empty_plan_are_bit_identical():
     # And nominal component hooks stay uninstalled.
     assert empty.cluster.network.fault is None
     assert all(c.faults is None for c in empty.cluster.clients)
+    assert empty.dualpar.emc.live_servers() is None
 
 
 def test_dualpar_beats_baseline_under_failslow():

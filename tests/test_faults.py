@@ -20,9 +20,9 @@ from repro.faults import (
     FaultPlan,
     NetFault,
     RetryPolicy,
-    ServerHealth,
 )
 from repro.net.ethernet import Network
+from repro.obs import Observability
 from repro.sim import SimulationError, Simulator
 
 
@@ -73,6 +73,53 @@ def test_evicted_nodes_defaults_to_target():
     assert ev.evicted_nodes == (3,)
     ev2 = FaultEvent(kind="cache_evict", at_s=0.0, nodes=(1, 2))
     assert ev2.evicted_nodes == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            FaultEvent(kind="disk_failslow", at_s=0.0, until_s=2.0, target=1),
+            FaultEvent(kind="disk_failslow", at_s=1.0, until_s=3.0, target=1),
+        ),
+        (
+            FaultEvent(kind="server_crash", at_s=0.5, target=0),
+            FaultEvent(kind="server_crash", at_s=4.0, until_s=5.0, target=0),
+        ),
+        (
+            FaultEvent(kind="net_degrade", at_s=0.0, until_s=2.0, extra_latency_s=1e-3),
+            FaultEvent(kind="net_degrade", at_s=1.5, until_s=2.5, jitter_s=1e-3),
+        ),
+        (
+            FaultEvent(kind="net_partition", at_s=0.0, until_s=2.0, nodes=(1,)),
+            FaultEvent(kind="net_partition", at_s=1.0, until_s=3.0, nodes=(4,)),
+        ),
+        (
+            FaultEvent(kind="cache_evict", at_s=1.0, until_s=3.0, nodes=(1, 2)),
+            FaultEvent(kind="cache_evict", at_s=0.0, until_s=1.5, target=2),
+        ),
+    ],
+    ids=lambda ev: ev.kind,
+)
+def test_plan_rejects_overlapping_windows_of_one_kind_on_one_target(first, second):
+    with pytest.raises(ValueError, match=r"fault events 0 .* and 1 .* overlap"):
+        FaultPlan(events=(first, second))
+
+
+def test_plan_accepts_windows_that_do_not_overlap():
+    FaultPlan(
+        events=(
+            # A crash inside a fail-slow window of the same server.
+            FaultEvent(kind="disk_failslow", at_s=0.1, until_s=0.8, target=0),
+            FaultEvent(kind="server_crash", at_s=0.2, until_s=0.5, target=0),
+            # One crash window ending where the next begins.
+            FaultEvent(kind="server_crash", at_s=0.5, until_s=0.9, target=0),
+            # The same window on another server, and on other cache nodes.
+            FaultEvent(kind="server_crash", at_s=0.2, until_s=0.5, target=1),
+            FaultEvent(kind="cache_evict", at_s=0.0, until_s=1.0, nodes=(1, 2)),
+            FaultEvent(kind="cache_evict", at_s=0.0, until_s=1.0, target=3),
+        )
+    )
 
 
 def test_plan_json_round_trip(tmp_path):
@@ -233,41 +280,48 @@ def test_backoff_jitter_round_trips_through_json():
     assert restored.retry.backoff_jitter == "full"
 
 
-# -------------------------------------------------------------- ServerHealth
+# ------------------------------------------------- DataServer recovery event
 
 
-def test_server_health_transitions_and_recovery_event():
-    sim = Simulator()
-    h = ServerHealth(sim, 3)
-    assert h.live_servers() == [0, 1, 2]
-    assert h.is_up(1)
-    h.mark(1, "down")
-    assert not h.is_up(1)
-    assert h.live_servers() == [0, 2]
-    # "slow" servers are still live (they answer, slowly).
-    h.mark(2, "slow")
-    assert h.is_up(2)
-    assert h.live_servers() == [0, 2]
-    ev = h.recovery_event(1)
+def _server():
+    cluster = build_cluster(small_spec())
+    return cluster.sim, cluster.data_servers[1]
+
+
+def test_recovery_event_is_cached_while_crashed():
+    sim, ds = _server()
+    ds.crash()
+    ev = ds.recovery_event()
     assert not ev.triggered
-    assert h.recovery_event(1) is ev  # cached while down
-    h.mark(1, "up")
-    assert ev.triggered
-    # Recovery event of an up server fires immediately.
-    assert h.recovery_event(0).triggered
-    assert [(s, state) for _, s, state in h.transitions] == [
-        (1, "down"),
-        (2, "slow"),
-        (1, "up"),
-    ]
+    assert ds.recovery_event() is ev
 
 
-def test_server_health_same_state_mark_is_noop():
-    sim = Simulator()
-    h = ServerHealth(sim, 2)
-    h.mark(0, "down")
-    h.mark(0, "down")
-    assert len(h.transitions) == 1
+def test_recovery_event_of_a_running_server_is_triggered():
+    sim, ds = _server()
+    assert ds.recovery_event().triggered
+    ds.crash()
+    ds.recover()
+    assert ds.recovery_event().triggered
+
+
+def test_recover_fires_the_recovery_event():
+    sim, ds = _server()
+    woke = []
+
+    def waiter():
+        yield ds.recovery_event()
+        woke.append(sim.now)
+
+    def restarter():
+        yield sim.timeout(0.5)
+        ds.recover()
+
+    ds.crash()
+    sim.process(waiter())
+    sim.process(restarter())
+    sim.run(until=1.0)
+    assert woke == [0.5]
+    assert not ds.crashed
 
 
 # ------------------------------------------------------------------ NetFault
@@ -540,7 +594,6 @@ def test_injector_empty_plan_installs_nothing():
     inj = FaultInjector(cluster, FaultPlan(seed=5))
     inj.install()
     assert cluster.network.fault is None
-    assert inj.health is None
     assert all(c.faults is None for c in cluster.clients)
     assert all(ds.commit_log is None for ds in cluster.data_servers)
     with pytest.raises(FaultError):
@@ -548,7 +601,7 @@ def test_injector_empty_plan_installs_nothing():
 
 
 def test_injector_applies_and_reverts_on_schedule():
-    cluster = build_cluster(small_spec())
+    cluster = build_cluster(small_spec(), observe=Observability())
     plan = FaultPlan(
         seed=1,
         events=(
@@ -559,16 +612,39 @@ def test_injector_applies_and_reverts_on_schedule():
     inj = FaultInjector(cluster, plan)
     inj.install()
     sim = cluster.sim
+    health = sim.obs.registry.get("faults.ds1.health").read
     sim.run(until=0.6)
     assert cluster.data_servers[1].device.fault is not None
-    assert inj.health.state_of(1) == "slow"
+    assert health() == 0.5
     sim.run(until=2.0)
     assert cluster.data_servers[1].device.fault is None
-    assert inj.health.state_of(1) == "up"
+    assert health() == 1.0
     assert [(k, p) for _, k, p, _ in inj.log] == [
         ("disk_failslow", "apply"),
         ("disk_failslow", "revert"),
     ]
+
+
+def test_failslow_window_inside_a_crash_keeps_the_server_down():
+    cluster = build_cluster(small_spec(), observe=Observability())
+    plan = FaultPlan(
+        events=(
+            FaultEvent(kind="server_crash", at_s=0.1, until_s=1.0, target=0),
+            FaultEvent(kind="disk_failslow", at_s=0.2, until_s=0.4, target=0),
+        ),
+    )
+    FaultInjector(cluster, plan).install()
+    sim, ds = cluster.sim, cluster.data_servers[0]
+    health = sim.obs.registry.get("faults.ds0.health").read
+    sim.run(until=0.3)
+    ev = ds.recovery_event()
+    assert health() == 0.0
+    sim.run(until=0.5)
+    assert ds.crashed and not ev.triggered
+    assert health() == 0.0
+    sim.run(until=1.1)
+    assert ev.triggered
+    assert health() == 1.0
 
 
 def test_injector_next_request_id_monotone():

@@ -451,7 +451,7 @@ def test_disabled_components_hold_none_not_instruments():
         ("cache.gets", "counters"),                  # GlobalCache
         ("locality.loc0.seekdist", "timeseries"),    # LocalityDaemon
         ("emc.ticks", "counters"),                   # EmcDaemon
-        ("faults.ds0.health", "gauges"),             # ServerHealth
+        ("faults.ds0.health", "gauges"),             # FaultInjector
         ("guard.budget.bytes", "gauges"),            # MemoryBudget
     ):
         assert isinstance(obs.registry.get(name), View), name
