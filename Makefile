@@ -106,9 +106,11 @@ bench-gate:
 # Replay the CI gates locally: lint legs, the examples, the C
 # accelerator's -Wall build and self-test, tier-1 tests on both kernels,
 # the chaos job's suites, the determinism jobs' suites and cell digests,
-# and the kernel bench gate.  A _cq.c that fails to build or to
-# self-test would otherwise leave every later step on the pure-Python
-# kernel without a word.
+# the observability job's C-vs-pure-Python `repro run --metrics`
+# snapshot comparison, the service job's serve-smoke, and the kernel
+# bench gate.  A _cq.c that fails to build or to self-test would
+# otherwise leave every later step on the pure-Python kernel without a
+# word.
 ci-local: lint
 	$(MAKE) examples
 	cc -Wall -Werror -fsyntax-only \
@@ -124,6 +126,16 @@ ci-local: lint
 	$(MAKE) digests
 	REPRO_SIM_ACCEL=0 $(MAKE) digests
 	REPRO_SANITIZE=1 $(MAKE) digests
+	mkdir -p benchmarks/out
+	for accel in 1 0; do \
+		REPRO_SIM_ACCEL=$$accel PYTHONPATH=src $(PYTHON) -m repro run \
+			--workload mpi-io-test --nprocs 16 --size-mb 16 \
+			--strategy dualpar-forced \
+			--faults examples/faultplans/crash_recover.json --guard \
+			--metrics benchmarks/out/obs-metrics-accel$$accel.json >/dev/null || exit 1; \
+	done
+	cmp benchmarks/out/obs-metrics-accel1.json benchmarks/out/obs-metrics-accel0.json
+	$(MAKE) serve-smoke
 	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py
 
 # Regenerate the archived outputs referenced by EXPERIMENTS.md.

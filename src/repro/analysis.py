@@ -22,6 +22,8 @@ __all__ = [
     "analyze_disks",
     "analyze_cache",
     "analyze_network",
+    "dualpar_lines",
+    "job_table",
     "summarize",
 ]
 
@@ -114,21 +116,41 @@ def analyze_network(result: "ExperimentResult") -> dict:
     }
 
 
+def job_table(result: "ExperimentResult", title: str) -> str:
+    """The per-job measurements of one experiment as a table."""
+    return format_table(
+        ["job", "strategy", "ranks", "time (s)", "MB/s", "I/O ratio"],
+        [
+            [j.name, j.strategy, j.nprocs, j.elapsed_s, j.throughput_mb_s,
+             f"{j.io_ratio:.0%}"]
+            for j in result.jobs
+        ],
+        title=title,
+        float_fmt="{:.2f}",
+    )
+
+
+def dualpar_lines(result: "ExperimentResult") -> list[str]:
+    """One line of DualPar internals per job that ran a DualPar engine."""
+    lines = []
+    for mj in result.mpi_jobs:
+        eng = mj.engine
+        if hasattr(eng, "pec"):
+            lines.append(
+                f"DualPar[{mj.name}]: mode={mj.mode}, "
+                f"{eng.pec.n_cycles} prefetch cycles "
+                f"({eng.pec.n_deadline_stops} deadline stops), "
+                f"prefetched {eng.crm.prefetched_bytes / 1e6:.1f} MB, "
+                f"wrote back {eng.crm.writeback_bytes / 1e6:.1f} MB, "
+                f"cache hits/misses {eng.n_cache_hits}/{eng.n_cache_misses}, "
+                f"direct fallback {eng.n_direct_fallback_bytes / 1e6:.2f} MB"
+            )
+    return lines
+
+
 def summarize(result: "ExperimentResult") -> str:
     """A complete plain-text report for one experiment."""
-    parts = []
-    parts.append(
-        format_table(
-            ["job", "strategy", "ranks", "time (s)", "MB/s", "I/O ratio"],
-            [
-                [j.name, j.strategy, j.nprocs, j.elapsed_s, j.throughput_mb_s,
-                 f"{j.io_ratio:.0%}"]
-                for j in result.jobs
-            ],
-            title="jobs",
-            float_fmt="{:.2f}",
-        )
-    )
+    parts = [job_table(result, title="jobs")]
     disks = analyze_disks(result)
     parts.append(
         format_table(
@@ -157,16 +179,5 @@ def summarize(result: "ExperimentResult") -> str:
         f"busiest node {net['busiest_node']} "
         f"({net['busiest_node_mb']:.1f} MB in+out)"
     )
-    for mj in result.mpi_jobs:
-        eng = mj.engine
-        if hasattr(eng, "pec"):
-            parts.append(
-                f"DualPar[{mj.name}]: mode={mj.mode}, "
-                f"{eng.pec.n_cycles} cycles "
-                f"({eng.pec.n_deadline_stops} deadline stops), "
-                f"prefetched {eng.crm.prefetched_bytes / 1e6:.1f} MB, "
-                f"wrote back {eng.crm.writeback_bytes / 1e6:.1f} MB, "
-                f"cache hits/misses {eng.n_cache_hits}/{eng.n_cache_misses}, "
-                f"direct fallback {eng.n_direct_fallback_bytes / 1e6:.2f} MB"
-            )
+    parts.extend(dualpar_lines(result))
     return "\n\n".join(parts)

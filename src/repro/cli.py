@@ -34,71 +34,80 @@ import os
 import sys
 from typing import Optional
 
-from repro.cluster import paper_spec
-from repro.core.config import DualParConfig
+from repro.analysis import dualpar_lines, job_table, summarize
 from repro.faults import FaultPlan
 from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
-from repro.runner import (
-    ExperimentSpec,
-    JobSpec,
-    format_table,
-    run_experiments,
-    run_spec,
-)
-from repro.runner.strategies import STRATEGY_NAMES
+from repro.runner import STRATEGIES, ExperimentSpec, format_table, run_experiments, run_spec
 from repro.workloads import WORKLOADS, build_workload
 
 __all__ = ["main", "build_workload", "WORKLOADS"]
 
 
-def _spec_from_args(args, strategy: str, observe: bool) -> ExperimentSpec:
-    """The one-job cell the common flags describe, run under ``strategy``.
+def _lower(args, strategies: list[str], observe: bool) -> tuple[list, list[ExperimentSpec]]:
+    """The one-job :class:`~repro.service.ExperimentSubmission` the common
+    flags describe under each strategy, and the cell it lowers to, as the
+    service lowers one.  A flag left out takes the schema's default; a
+    flag the schema or the workload rejects ends the command with exit
+    status 2 and the reason, not a traceback.  ``--faults`` replays a
+    plan file (which raises as it fails to load); ``--guard`` attaches a
+    default :class:`~repro.guard.GuardConfig`."""
+    from repro.service.schemas import ClusterSubmission, ExperimentSubmission, JobSubmission
 
-    ``--faults`` replays a plan file; ``--guard`` attaches a default
-    :class:`~repro.guard.GuardConfig` (guard-off runs stay bit-identical).
-    """
-    workload = build_workload(args.workload, args.size_mb, args.op, args.nprocs)
-    return ExperimentSpec(
-        (JobSpec(args.workload, args.nprocs, workload, strategy=strategy),),
-        cluster_spec=paper_spec(
-            n_compute_nodes=args.compute_nodes,
-            n_data_servers=args.data_servers,
-            io_scheduler=args.elevator,
-        ),
-        dualpar_config=(
-            None if args.quota_kb is None else DualParConfig(quota_bytes=args.quota_kb * 1024)
-        ),
-        observe=observe,
-        fault_plan=FaultPlan.load(args.faults) if args.faults else None,
-        guard=GuardConfig() if args.guard else None,
-        label=strategy,
+    def given(**flags):
+        return {k: v for k, v in flags.items() if v is not None}
+
+    fault_plan = FaultPlan.load(args.faults) if args.faults else None
+    try:
+        submissions = [
+            ExperimentSubmission(
+                label=strategy,
+                jobs=(
+                    JobSubmission(
+                        name=args.workload,
+                        workload=args.workload,
+                        strategy=strategy,
+                        **given(nprocs=args.nprocs, size_mb=args.size_mb, op=args.op),
+                    ),
+                ),
+                cluster=ClusterSubmission(
+                    **given(
+                        compute_nodes=args.compute_nodes,
+                        data_servers=args.data_servers,
+                        io_scheduler=args.elevator,
+                    )
+                ),
+                quota_kb=args.quota_kb,
+                observe=observe,
+                fault_plan=fault_plan,
+                guard=GuardConfig() if args.guard else None,
+            )
+            for strategy in strategies
+        ]
+        return submissions, [s.to_experiment_spec() for s in submissions]
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _run_view(result) -> str:
+    """``repro run``'s view: the job table, DualPar internals and the
+    elevator's behaviour at server 0."""
+    job = result.jobs[0]
+    blk = result.cluster.data_servers[0].block_layer.stats
+    dualpar = dualpar_lines(result)
+    return "\n".join(
+        [
+            job_table(result, title=f"{job.name} under {job.strategy}"),
+            *(["", *dualpar] if dualpar else []),
+            f"server 0: mean elevator queue depth {blk.mean_queue_depth:.1f}, "
+            f"mean disk request {blk.mean_unit_sectors * 512 / 1024:.0f} KB",
+        ]
     )
 
 
-def _run_one(args):
-    """The ``run``/``report`` cell, observed when ``--metrics`` or
-    ``--trace-out`` asks for a file."""
-    _apply_sanitize(args)
-    return run_spec(_spec_from_args(args, args.strategy, bool(args.metrics or args.trace_out)))
-
-
-def _job_rows(result) -> list[list]:
-    return [
-        [
-            j.name,
-            j.strategy,
-            j.nprocs,
-            j.elapsed_s,
-            j.throughput_mb_s,
-            f"{j.io_ratio:.0%}",
-        ]
-        for j in result.jobs
-    ]
-
-
 def _print_guard_summary(result) -> None:
-    guard = getattr(result, "guard", None)
+    guard = result.guard
     if guard is None:
         return
     summary = guard.summary()
@@ -120,7 +129,7 @@ def _print_guard_summary(result) -> None:
 
 
 def _print_fault_summary(result) -> None:
-    faults = getattr(result, "faults", None)
+    faults = result.faults
     if faults is None or not faults.log:
         return
     print(f"\nfaults injected ({len(faults.log)} events):")
@@ -169,30 +178,13 @@ def _apply_sanitize(args) -> None:
 
 
 def cmd_run(args) -> int:
-    result = _run_one(args)
-    print(
-        format_table(
-            ["job", "strategy", "ranks", "time (s)", "MB/s", "I/O ratio"],
-            _job_rows(result),
-            title=f"{args.workload} under {args.strategy}",
-            float_fmt="{:.2f}",
-        )
-    )
-    job = result.mpi_jobs[0]
-    engine = job.engine
-    if hasattr(engine, "pec"):
-        print(
-            f"\nDualPar: {engine.pec.n_cycles} prefetch cycles, "
-            f"{engine.crm.prefetched_bytes / 1e6:.1f} MB prefetched, "
-            f"{engine.crm.writeback_bytes / 1e6:.1f} MB written back, "
-            f"cache hits/misses {engine.n_cache_hits}/{engine.n_cache_misses}"
-        )
-    blk = result.cluster.data_servers[0].block_layer.stats
-    print(
-        f"server 0: mean elevator queue depth "
-        f"{blk.mean_queue_depth:.1f}, mean disk request "
-        f"{blk.mean_unit_sectors * 512 / 1024:.0f} KB"
-    )
+    """``run`` and ``report``: one cell, shown by the command's ``view``
+    (the job table or the full analysis), then its fault and guard
+    summaries and the observability files asked for."""
+    _apply_sanitize(args)
+    _, (spec,) = _lower(args, [args.strategy], bool(args.metrics or args.trace_out))
+    result = run_spec(spec)
+    print(args.view(result))
     _print_fault_summary(result)
     _print_guard_summary(result)
     _export_obs(args, result)
@@ -201,17 +193,18 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     _apply_sanitize(args)
-    specs = [_spec_from_args(args, s, observe=bool(args.metrics)) for s in args.strategies]
+    submissions, specs = _lower(args, args.strategies, bool(args.metrics))
     results = run_experiments(specs, jobs=args.jobs, cache=not args.no_cache)
     rows = []
     for strategy, result in zip(args.strategies, results):
         j = result.jobs[0]
         rows.append([strategy, j.elapsed_s, j.throughput_mb_s])
+    job = submissions[0].jobs[0]
     print(
         format_table(
             ["strategy", "time (s)", "MB/s"],
             rows,
-            title=f"{args.workload}, {args.nprocs} ranks, {args.size_mb} MB",
+            title=f"{job.workload}, {job.nprocs} ranks, {job.size_mb} MB",
             float_fmt="{:.2f}",
         )
     )
@@ -233,17 +226,6 @@ def cmd_compare(args) -> int:
             "(compare cells run in worker processes)",
             file=sys.stderr,
         )
-    return 0
-
-
-def cmd_report(args) -> int:
-    from repro.analysis import summarize
-
-    result = _run_one(args)
-    print(summarize(result))
-    _print_fault_summary(result)
-    _print_guard_summary(result)
-    _export_obs(args, result)
     return 0
 
 
@@ -415,17 +397,10 @@ def cmd_list_workloads(_args) -> int:
 
 
 def cmd_list_strategies(_args) -> int:
-    descriptions = {
-        "vanilla": "independent synchronous MPI-IO (Strategy 1)",
-        "collective": "ROMIO-style two-phase collective I/O",
-        "prefetch": "speculative pre-execution prefetching (Strategy 2)",
-        "dualpar": "DualPar, mode chosen opportunistically by EMC",
-        "dualpar-forced": "DualPar pinned in data-driven mode",
-    }
     print(
         format_table(
             ["name", "description"],
-            [[n, descriptions[n]] for n in STRATEGY_NAMES],
+            [[name, strategy.description] for name, strategy in STRATEGIES.items()],
             title="available strategies",
         )
     )
@@ -434,22 +409,19 @@ def cmd_list_strategies(_args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workload", default="mpi-io-test", help="see list-workloads")
-    p.add_argument("--nprocs", type=int, default=64, help="MPI ranks")
-    p.add_argument("--size-mb", type=int, default=64, help="data volume (MB)")
+    # Flags left out take the submission schema's defaults: 64 ranks,
+    # 64 MB read, 32 compute nodes, 9 data servers, CFQ.
+    p.add_argument("--nprocs", type=int, help="MPI ranks")
+    p.add_argument("--size-mb", type=int, help="data volume (MB)")
     p.add_argument(
         "--op",
         type=str.lower,
         choices=["r", "w", "read", "write"],
-        default="R",
         help="read or write (case-insensitive aliases accepted)",
     )
-    p.add_argument("--compute-nodes", type=int, default=32)
-    p.add_argument("--data-servers", type=int, default=9)
-    p.add_argument(
-        "--elevator",
-        choices=sorted(SCHEDULERS),
-        default="cfq",
-    )
+    p.add_argument("--compute-nodes", type=int)
+    p.add_argument("--data-servers", type=int)
+    p.add_argument("--elevator", choices=sorted(SCHEDULERS))
     p.add_argument(
         "--quota-kb", type=int, default=None, help="DualPar per-process cache quota"
     )
@@ -491,22 +463,21 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one job under one strategy")
-    _add_common(p_run)
-    p_run.add_argument("--strategy", choices=STRATEGY_NAMES, default="dualpar-forced")
-    p_run.set_defaults(func=cmd_run)
-
-    p_rep = sub.add_parser("report", help="run one job and print a full analysis")
-    _add_common(p_rep)
-    p_rep.add_argument("--strategy", choices=STRATEGY_NAMES, default="dualpar-forced")
-    p_rep.set_defaults(func=cmd_report)
+    for name, help_text, view in (
+        ("run", "run one job under one strategy", _run_view),
+        ("report", "run one job and print a full analysis", summarize),
+    ):
+        p_one = sub.add_parser(name, help=help_text)
+        _add_common(p_one)
+        p_one.add_argument("--strategy", choices=STRATEGIES, default="dualpar-forced")
+        p_one.set_defaults(func=cmd_run, view=view)
 
     p_cmp = sub.add_parser("compare", help="same workload under several strategies")
     _add_common(p_cmp)
     p_cmp.add_argument(
         "--strategies",
         nargs="+",
-        choices=STRATEGY_NAMES,
+        choices=STRATEGIES,
         default=["vanilla", "collective", "dualpar-forced"],
     )
     p_cmp.add_argument(

@@ -1,13 +1,14 @@
-"""JSON and frozen dataclasses: the one codec of every configured input.
+"""JSON and dataclasses: the one codec of every configured input and result.
 
-Fault plans, service submissions with their guard configs, and catalog
-records travel as JSON.  :func:`encode` writes a dataclass in JSON-normal
-form (tuples become lists), fields in declaration order; :func:`decode`
-reads it back from the field types -- nested dataclasses, ``Optional``
-and ``tuple[X, ...]`` -- and rejects a key the class does not declare, at
-every level, so a typo cannot silently drop a setting.  Other values stay
-as JSON gave them: an ``int`` where a ``float`` is declared stays an
-``int``, because the experiment fingerprint hashes its ``repr``.
+Fault plans, service submissions with their guard configs, catalog
+records and the experiment results they hold travel as JSON.
+:func:`encode` writes a dataclass in JSON-normal form (tuples become
+lists), fields in declaration order; :func:`decode` reads it back from
+the field types -- nested dataclasses, ``Optional``, ``tuple[X, ...]``
+and ``list[X]`` -- and rejects a key the class does not declare, at
+every level, so a typo cannot silently drop a setting.  Other values
+stay as JSON gave them: an ``int`` where a ``float`` is declared stays
+an ``int``, because the experiment fingerprint hashes its ``repr``.
 :class:`JsonRecord` adds the ``to_dict``/``from_dict``/``to_json``/
 ``from_json``/``load`` methods.
 
@@ -75,11 +76,12 @@ def _decode(tp: Any, value: Any) -> Any:
             return None
         (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
         return _decode(tp, value)
-    if origin is tuple:  # tuple[X, ...]
+    seq = origin or tp
+    if seq is tuple or seq is list:  # tuple[X, ...], list[X], bare tuple/list
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a JSON list, got {value!r}")
-        item = typing.get_args(tp)[0]
-        return tuple(_decode(item, v) for v in value)
+        item = (*typing.get_args(tp), Any)[0]
+        return seq(_decode(item, v) for v in value)
     if dataclasses.is_dataclass(tp):
         return decode(tp, value)
     return value

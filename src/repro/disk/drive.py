@@ -37,17 +37,20 @@ __all__ = ["BlockDevice", "DiskDrive", "DiskParams"]
 class _DiskMetrics:
     """Registry instruments for one drive (allocated only when observed)."""
 
-    __slots__ = ("accesses", "seeks", "seek_s", "rotation_s", "transfer_s",
-                 "sectors", "sequential_hits", "seek_sectors")
+    __slots__ = ("seeks", "seek_s", "rotation_s", "transfer_s", "sequential_hits",
+                 "seek_sectors")
 
-    def __init__(self, registry, name: str):
+    def __init__(self, registry, name: str, stats: DriveStats):
         pre = f"disk.{name}"
-        self.accesses = registry.counter(f"{pre}.accesses")
+        # Completed accesses and their sectors: views of the drive's totals.
+        registry.view(f"{pre}.accesses", "counter", lambda: stats.n_requests)
+        registry.view(
+            f"{pre}.sectors", "counter", lambda: stats.total_bytes // SECTOR_BYTES
+        )
         self.seeks = registry.counter(f"{pre}.seeks")
         self.seek_s = registry.counter(f"{pre}.seek_s")
         self.rotation_s = registry.counter(f"{pre}.rotation_s")
         self.transfer_s = registry.counter(f"{pre}.transfer_s")
-        self.sectors = registry.counter(f"{pre}.sectors")
         self.sequential_hits = registry.counter(f"{pre}.sequential_hits")
         # Seek distance per request, in sectors (Fig 7(b)'s quantity).
         self.seek_sectors = registry.histogram(
@@ -138,7 +141,7 @@ class DiskDrive:
         self.fault: Optional[object] = None
         #: None when unobserved so the hot path pays one identity check.
         self._metrics: Optional[_DiskMetrics] = (
-            _DiskMetrics(sim.obs.registry, name) if sim.obs is not None else None
+            _DiskMetrics(sim.obs.registry, name, self.stats) if sim.obs is not None else None
         )
 
     @property
@@ -209,8 +212,6 @@ class DiskDrive:
                 self.on_access(start, lbn, nsectors, op)
             m = self._metrics
             if m is not None:
-                m.accesses.inc()
-                m.sectors.inc(nsectors)
                 m.seek_s.inc(seek)
                 m.rotation_s.inc(rotation)
                 m.transfer_s.inc(transfer)

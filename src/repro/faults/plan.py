@@ -17,10 +17,11 @@ Fault taxonomy (see ``docs/fault_injection.md`` for semantics):
 - ``cache_evict``     -- Memcached nodes leave (and rejoin) the ring.
 
 Windowed events (``until_s`` set) revert automatically; ``until_s=None``
-means the fault is permanent for the run -- except ``net_partition``,
-which *requires* a heal time because transfers crossing the cut wait on
-the heal event and an unhealed partition would hang any non-retried
-sender (e.g. compute-node cache traffic) forever.  Two windows of one
+means the fault is permanent for the run -- except ``net_partition`` and
+``server_crash``, which *require* an end time: transfers crossing a cut
+wait on the heal event, and requests parked on a crashed server wait on
+its recovery, so an unhealed cut or an unrecovered server would hang the
+run instead of timing its requests out.  Two windows of one
 kind may not overlap on one target (:meth:`FaultEvent.overlaps`); a plan
 that has such a pair fails to load.
 """
@@ -180,6 +181,11 @@ class FaultEvent:
                     "net_partition requires until_s: senders block on the heal "
                     "event, so an unhealed cut would hang the run"
                 )
+        elif self.kind == "server_crash" and self.until_s is None:
+            raise ValueError(
+                "server_crash requires until_s: requests to a crashed server wait "
+                "on its recovery, so a server that never recovers would hang the run"
+            )
 
     @property
     def evicted_nodes(self) -> tuple[int, ...]:

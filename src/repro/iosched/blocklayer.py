@@ -97,11 +97,9 @@ class BlockLayer:
             reg = sim.obs.registry
             stats = self.stats
             reg.view(f"blk.{name}.submitted", "counter", lambda: stats.n_submitted)
-            # Units dispatched to the disk (one depth sample each); a unit
-            # still in service counts here but not in n_units_served.
-            reg.view(
-                f"blk.{name}.units_served", "counter", lambda: len(stats.depth_samples)
-            )
+            # Units the disk finished; the dispatch count is the n of
+            # blk.<name>.queue_depth (one sample per dispatched unit).
+            reg.view(f"blk.{name}.units_served", "counter", lambda: stats.n_units_served)
             self._metrics = _BlkMetrics(reg, name)
         self._tracer = sim.obs.tracer if sim.obs is not None else None
         self._dispatcher = sim.process(

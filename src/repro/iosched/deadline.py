@@ -43,29 +43,9 @@ class DeadlineScheduler(IoScheduler):
         q = self._sorted[req.op]
         if q.add(req) == 1:
             # Genuinely new unit: give it a deadline entry.
-            unit = self._unit_containing(q, req.lbn)
             expire = READ_EXPIRE_S if req.op == "R" else WRITE_EXPIRE_S
-            self._fifo[req.op].append((now + expire, unit))
+            self._fifo[req.op].append((now + expire, q.unit_at(req.lbn)))
         self.n_merges = self._sorted["R"].n_merges + self._sorted["W"].n_merges
-
-    @staticmethod
-    def _unit_containing(q: SortedUnitQueue, lbn: int) -> IoUnit:
-        import bisect
-
-        idx = bisect.bisect_right(q._keys, lbn) - 1
-        return q.units[idx]
-
-    def _remove_sorted(self, op: str, unit: IoUnit) -> None:
-        q = self._sorted[op]
-        import bisect
-
-        idx = bisect.bisect_left(q._keys, unit.lbn)
-        while idx < len(q.units) and q.units[idx] is not unit:
-            idx += 1
-        if idx < len(q.units):
-            del q.units[idx]
-            del q._keys[idx]
-        unit.queued = False
 
     def decide(self, now: float, head_lbn: int) -> Decision:
         nr, nw = len(self._sorted["R"]), len(self._sorted["W"])
@@ -97,7 +77,7 @@ class DeadlineScheduler(IoScheduler):
         self._batch_left = FIFO_BATCH - 1
         if fifo and fifo[0][0] <= now:
             _deadline, unit = fifo.popleft()
-            self._remove_sorted(op, unit)
+            self._sorted[op].remove(unit)
             return unit
 
         return self._sorted[op].pop_next(head_lbn)

@@ -72,6 +72,21 @@ class SortedUnitQueue:
             return 1
         return 0
 
+    def unit_at(self, lbn: int) -> IoUnit:
+        """The queued unit holding sector ``lbn`` (the last unit starting
+        at or before it), e.g. the unit a request was just added to."""
+        return self._units[bisect.bisect_right(self._keys, lbn) - 1]
+
+    def remove(self, unit: IoUnit) -> None:
+        """Take a queued ``unit`` out of sorted order (the deadline
+        elevator serving an expired FIFO head)."""
+        idx = bisect.bisect_left(self._keys, unit.lbn)
+        while self._units[idx] is not unit:  # units sharing a start sector
+            idx += 1
+        del self._units[idx]
+        del self._keys[idx]
+        unit.queued = False
+
     def pop_next(self, head_lbn: int) -> Optional[IoUnit]:
         """C-LOOK: next unit at or beyond the head, wrapping to the start."""
         if not self._units:

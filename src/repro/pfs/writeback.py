@@ -7,9 +7,9 @@ memory; a flusher daemon wakes every ``flush_interval_s``, collects the
 dirty ranges, sorts them, and submits them to the block layer as one
 async batch -- the kernel's own little request scheduler.
 
-Disabled by default (`ClusterSpec.server_writeback=False`): write-through
-matches the calibration in DESIGN.md §5, and the ablation bench
-quantifies what the kernel flusher changes.
+Disabled by default (``ClusterSpec.server_writeback_interval_s=None``):
+write-through matches the calibration in DESIGN.md §5, and the ablation
+bench quantifies what the kernel flusher changes.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from repro.cluster import ClusterSpec, build_cluster
@@ -13,7 +13,13 @@ from repro.runner.strategies import resolve_strategy
 from repro.trace.timeline import ThroughputTimeline
 from repro.workloads.base import Workload
 
-__all__ = ["ExperimentResult", "JobResult", "JobSpec", "run_experiment"]
+__all__ = [
+    "ExperimentResult",
+    "JobResult",
+    "JobSpec",
+    "SlimExperimentResult",
+    "run_experiment",
+]
 
 
 @dataclass
@@ -57,22 +63,28 @@ class JobResult:
 
 
 @dataclass
-class ExperimentResult:
+class SlimExperimentResult:
+    """The catalogued view of one cell's result: every measurement, none
+    of the live simulator, cluster, MPI job objects or timeline.
+
+    The catalog stores it through :mod:`repro.codec`
+    (:func:`repro.service.catalog.result_to_dict`).
+    """
+
     jobs: list[JobResult]
     makespan_s: float
-    cluster: Any
-    runtime: MpiRuntime
-    dualpar: Optional[DualParSystem]
-    timeline: Optional[ThroughputTimeline]
-    mpi_jobs: list[MpiJob]
-    #: The observability layer the run used (None for plain runs) and its
-    #: end-of-run registry snapshot stamped with final sim time.
-    observe: Any = None
+    #: Bytes the data servers moved (requested + hole-filled + readahead).
+    total_bytes_served: int = 0
+    #: DualPar EMC (time, job name, new mode) transitions, if any.
+    dualpar_transitions: list[tuple] = field(default_factory=list)
+    #: End-of-run metrics snapshot, when the cell ran observed.
     metrics: Optional[dict] = None
-    #: The fault injector driving the run (None for nominal runs).
-    faults: Any = None
-    #: The safety governor guarding the run (None for unguarded runs).
-    guard: Any = None
+    #: (time, kind, phase, target) fault events, when a plan was injected.
+    fault_log: list[tuple] = field(default_factory=list)
+    #: Guard (time, job, state, reason) transitions, when a guard ran.
+    guard_transitions: list[tuple] = field(default_factory=list)
+    #: SafetyGovernor.summary() dict, when a guard ran.
+    guard_summary: Optional[dict] = None
 
     @property
     def system_throughput_mb_s(self) -> float:
@@ -84,16 +96,36 @@ class ExperimentResult:
         return sum(j.io_time_s for j in self.jobs)
 
     def job(self, name: str) -> JobResult:
-        return job_named(self.jobs, name)
+        """The job called ``name`` (:func:`run_experiment` refuses a run in
+        which two jobs share a name); ``KeyError`` when there is none."""
+        for j in self.jobs:
+            if j.name == name:
+                return j
+        raise KeyError(name)
+
+    @classmethod
+    def from_full(cls, res: "SlimExperimentResult") -> "SlimExperimentResult":
+        """The catalogued fields of ``res`` (an :class:`ExperimentResult`)."""
+        return cls(**{f.name: getattr(res, f.name) for f in fields(cls)})
 
 
-def job_named(jobs: list[JobResult], name: str) -> JobResult:
-    """The job called ``name`` (:func:`run_experiment` refuses a run in
-    which two jobs share a name); ``KeyError`` when there is none."""
-    for j in jobs:
-        if j.name == name:
-            return j
-    raise KeyError(name)
+@dataclass(kw_only=True)
+class ExperimentResult(SlimExperimentResult):
+    """A run's measurements plus the live objects that produced them."""
+
+    cluster: Any
+    runtime: MpiRuntime
+    dualpar: Optional[DualParSystem]
+    timeline: Optional[ThroughputTimeline]
+    mpi_jobs: list[MpiJob]
+    #: The observability layer the run used (None for plain runs); its
+    #: end-of-run registry snapshot, stamped with final sim time, is
+    #: ``metrics``.
+    observe: Any = None
+    #: The fault injector driving the run (None for nominal runs).
+    faults: Any = None
+    #: The safety governor guarding the run (None for unguarded runs).
+    guard: Any = None
 
 
 def _create_files(cluster, specs: list[JobSpec]) -> None:
@@ -219,17 +251,18 @@ def run_experiment(
     return ExperimentResult(
         jobs=results,
         makespan_s=makespan,
+        total_bytes_served=cluster.total_bytes_served(),
+        dualpar_transitions=list(dualpar.transitions) if dualpar else [],
+        metrics=observe.snapshot(runtime.sim.now) if observe is not None else None,
+        fault_log=list(faults.log) if faults is not None else [],
+        guard_transitions=list(governor.transitions) if governor else [],
+        guard_summary=governor.summary() if governor else None,
         cluster=cluster,
         runtime=runtime,
         dualpar=dualpar,
         timeline=timeline,
         mpi_jobs=jobs,
         observe=observe,
-        metrics=(
-            observe.snapshot(runtime.sim.now)
-            if observe is not None
-            else None
-        ),
         faults=faults,
         guard=governor,
     )

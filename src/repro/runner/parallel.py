@@ -7,9 +7,9 @@ result.  This module provides:
 
 - :class:`ExperimentSpec` -- a picklable description of one cell (the
   exact arguments of :func:`repro.runner.experiment.run_experiment`);
-- :class:`SlimExperimentResult` -- the subset of
-  :class:`~repro.runner.experiment.ExperimentResult` the benches consume
-  (per-job measurements plus a few cluster/DualPar summaries);
+- :class:`SlimExperimentResult` -- the catalogued result of one cell
+  (:class:`~repro.runner.experiment.ExperimentResult` without its live
+  simulator objects);
 - :func:`experiment_fingerprint` -- the content address of one cell
   (workloads, cluster spec, strategy, config, code version);
 - :func:`run_spec` -- evaluate one cell in this process;
@@ -26,7 +26,7 @@ import dataclasses
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -35,9 +35,8 @@ from repro.core.config import DualParConfig
 from repro.faults import FaultPlan
 from repro.runner.experiment import (
     ExperimentResult,
-    JobResult,
     JobSpec,
-    job_named,
+    SlimExperimentResult,
     run_experiment,
 )
 
@@ -92,55 +91,6 @@ class ExperimentSpec:
 
 
 @dataclass
-class SlimExperimentResult:
-    """The catalogued view of one cell's result.
-
-    Mirrors the measurement surface of :class:`ExperimentResult`; the live
-    simulator, cluster, MPI job objects and timeline are deliberately absent.
-    """
-
-    jobs: list[JobResult]
-    makespan_s: float
-    #: Bytes the data servers moved (requested + hole-filled + readahead).
-    total_bytes_served: int = 0
-    #: DualPar EMC (time, job name, new mode) transitions, if any.
-    dualpar_transitions: list[tuple[float, str, str]] = field(default_factory=list)
-    #: End-of-run metrics snapshot, when the cell ran with observe=True.
-    metrics: Optional[dict] = None
-    #: (time, kind, phase, target) fault events, when a plan was injected.
-    fault_log: list = field(default_factory=list)
-    #: Guard (time, job, state, reason) transitions, when a guard ran.
-    guard_transitions: list = field(default_factory=list)
-    #: SafetyGovernor.summary() dict, when a guard ran.
-    guard_summary: Optional[dict] = None
-
-    @property
-    def system_throughput_mb_s(self) -> float:
-        total = sum(j.total_bytes for j in self.jobs)
-        return total / 1e6 / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    @property
-    def total_io_time_s(self) -> float:
-        return sum(j.io_time_s for j in self.jobs)
-
-    def job(self, name: str) -> JobResult:
-        return job_named(self.jobs, name)
-
-    @classmethod
-    def from_full(cls, res: ExperimentResult) -> "SlimExperimentResult":
-        return cls(
-            jobs=list(res.jobs),
-            makespan_s=res.makespan_s,
-            total_bytes_served=res.cluster.total_bytes_served(),
-            dualpar_transitions=list(res.dualpar.transitions) if res.dualpar else [],
-            metrics=res.metrics,
-            fault_log=list(res.faults.log) if res.faults is not None else [],
-            guard_transitions=list(res.guard.transitions) if res.guard else [],
-            guard_summary=res.guard.summary() if res.guard else None,
-        )
-
-
-@dataclass
 class CacheStats:
     """Hit/miss accounting for the most recent :func:`run_experiments`."""
 
@@ -154,29 +104,39 @@ LAST_RUN_STATS = CacheStats()
 
 # -- fingerprinting -----------------------------------------------------
 
-_CODE_FINGERPRINT: Optional[str] = None
-
-
 #: The repro package directory (this file is repro/runner/parallel.py).
 _PKG_ROOT = Path(__file__).parent.parent
 
+#: ``(signature, hash)`` of the source tree as last hashed, where the
+#: signature is every source file's ``(path, mtime_ns, size)``.
+_CODE_FINGERPRINT: Optional[tuple[tuple, str]] = None
 
-def _code_files() -> list[Path]:
+
+def _code_files() -> list[str]:
     """Every source file of the repro package: Python and the C kernel."""
-    return sorted([*_PKG_ROOT.rglob("*.py"), *_PKG_ROOT.rglob("*.c")])
+    return sorted(
+        os.path.join(root, name)
+        for root, _, names in os.walk(_PKG_ROOT)
+        for name in names
+        if name.endswith((".py", ".c"))
+    )
 
 
 def _code_fingerprint() -> str:
     """Hash of every source file in the repro package: a new code version
-    invalidates all catalogued results."""
+    invalidates all catalogued results.  The tree is re-hashed whenever a
+    file's path, mtime or size changes, so a long-running process keys
+    its records by the code on disk, not the code it read at start."""
     global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is None:
+    files = _code_files()
+    signature = tuple((p, st.st_mtime_ns, st.st_size) for p in files for st in [os.stat(p)])
+    if _CODE_FINGERPRINT is None or _CODE_FINGERPRINT[0] != signature:
         h = hashlib.sha256()
-        for path in _code_files():
+        for path in files:
             h.update(os.path.relpath(path, _PKG_ROOT).encode())
-            h.update(path.read_bytes())
-        _CODE_FINGERPRINT = h.hexdigest()
-    return _CODE_FINGERPRINT
+            h.update(Path(path).read_bytes())
+        _CODE_FINGERPRINT = (signature, h.hexdigest())
+    return _CODE_FINGERPRINT[1]
 
 
 def _canonical(obj: Any) -> Any:

@@ -21,15 +21,15 @@ A record carries everything needed to audit or reproduce the run:
   or ``"runner"``), worker id, attempt count, wall time, timestamps, and
   for the service the coordinator host/pid and submit tenant.
 
-``result_to_dict`` defines the *one* canonical JSON form of a
-:class:`~repro.runner.SlimExperimentResult` (``result_from_dict`` reads
-it back); the service-level tests compare a catalog record against a
+``result_to_dict`` is the *one* canonical JSON form of a
+:class:`~repro.runner.SlimExperimentResult`, the :mod:`repro.codec`
+encoding of its fields (``result_from_dict`` decodes it); the
+service-level tests compare a catalog record against a
 direct ``run_experiment`` of the same spec through it, bit for bit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -38,8 +38,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.codec import decode, encode
-from repro.runner.experiment import JobResult
-from repro.runner.parallel import SlimExperimentResult
+from repro.runner.experiment import SlimExperimentResult
 
 __all__ = [
     "RECORD_VERSION",
@@ -66,39 +65,22 @@ def canonical_json(obj: Any) -> str:
 
 
 def result_to_dict(result: SlimExperimentResult) -> dict:
-    """The canonical JSON-able measurement surface of one slim result.
+    """The canonical JSON-able measurement surface of one result: the
+    :class:`~repro.runner.SlimExperimentResult` fields, encoded by
+    :mod:`repro.codec`.
 
-    The payload is round-tripped through the JSON codec so that what a
-    coordinator stores and what a direct in-process run produces are
-    structurally identical (tuples become lists, mapping keys become
-    strings) -- JSON floats round-trip exactly (shortest-repr), so this
-    normalisation never changes a measured value.
+    The payload is round-tripped through JSON so that what a coordinator
+    stores and what a direct in-process run produces are structurally
+    identical (tuples become lists, mapping keys become strings) -- JSON
+    floats round-trip exactly (shortest-repr), so this normalisation
+    never changes a measured value.
     """
-    payload = {
-        "jobs": [dataclasses.asdict(j) for j in result.jobs],
-        "makespan_s": result.makespan_s,
-        "total_bytes_served": result.total_bytes_served,
-        "dualpar_transitions": [list(t) for t in result.dualpar_transitions],
-        "fault_log": [list(ev) for ev in result.fault_log],
-        "guard_transitions": [list(t) for t in result.guard_transitions],
-        "guard_summary": result.guard_summary,
-        "metrics": result.metrics,
-    }
-    return json.loads(canonical_json(payload))
+    return json.loads(canonical_json(encode(SlimExperimentResult.from_full(result))))
 
 
 def result_from_dict(d: Mapping[str, Any]) -> SlimExperimentResult:
     """Inverse of :func:`result_to_dict`: the slim result a record holds."""
-    return SlimExperimentResult(
-        jobs=[JobResult(**j) for j in d["jobs"]],
-        makespan_s=d["makespan_s"],
-        total_bytes_served=d["total_bytes_served"],
-        dualpar_transitions=[tuple(t) for t in d["dualpar_transitions"]],
-        metrics=d["metrics"],
-        fault_log=[tuple(ev) for ev in d["fault_log"]],
-        guard_transitions=[tuple(t) for t in d["guard_transitions"]],
-        guard_summary=d["guard_summary"],
-    )
+    return decode(SlimExperimentResult, d)
 
 
 @dataclass(frozen=True, kw_only=True)

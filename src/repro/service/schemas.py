@@ -69,7 +69,7 @@ class JobSubmission:
     delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        from repro.runner.strategies import STRATEGY_NAMES
+        from repro.runner.strategies import STRATEGIES
 
         if not self.name:
             raise ValueError("job name must be non-empty")
@@ -79,9 +79,9 @@ class JobSubmission:
             raise ValueError("size_mb must be positive")
         if self.delay_s < 0:
             raise ValueError("delay_s must be >= 0")
-        if self.strategy not in STRATEGY_NAMES:
+        if self.strategy not in STRATEGIES:
             raise ValueError(
-                f"unknown strategy {self.strategy!r} (know {STRATEGY_NAMES})"
+                f"unknown strategy {self.strategy!r} (know {tuple(STRATEGIES)})"
             )
         # Canonicalise the direction at the edge so "read"/"r"/"R" all
         # fingerprint (and round-trip) identically.

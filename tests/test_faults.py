@@ -75,6 +75,17 @@ def test_evicted_nodes_defaults_to_target():
     assert ev2.evicted_nodes == (1, 2)
 
 
+def test_permanent_server_crash_is_rejected():
+    """Requests to a crashed server park on its recovery event, so a crash
+    that never recovers would end the run at the simulator's time limit
+    rather than in client timeouts."""
+    with pytest.raises(ValueError, match="server_crash requires until_s"):
+        FaultEvent(kind="server_crash", at_s=0.5, target=0)
+    with pytest.raises(ValueError, match="server_crash requires until_s"):
+        FaultPlan.from_dict({"events": [{"kind": "server_crash", "at_s": 0.0}]})
+    assert FaultEvent(kind="server_crash", at_s=0.5, until_s=0.6).until_s == 0.6
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -83,7 +94,7 @@ def test_evicted_nodes_defaults_to_target():
             FaultEvent(kind="disk_failslow", at_s=1.0, until_s=3.0, target=1),
         ),
         (
-            FaultEvent(kind="server_crash", at_s=0.5, target=0),
+            FaultEvent(kind="server_crash", at_s=0.5, until_s=1e6, target=0),
             FaultEvent(kind="server_crash", at_s=4.0, until_s=5.0, target=0),
         ),
         (
@@ -570,7 +581,9 @@ def test_injector_validates_plan_against_cluster():
     with pytest.raises(FaultError, match="3 data servers"):
         FaultInjector(
             cluster,
-            FaultPlan(events=(FaultEvent(kind="server_crash", at_s=0.0, target=9),)),
+            FaultPlan(
+                events=(FaultEvent(kind="server_crash", at_s=0.0, until_s=1.0, target=9),)
+            ),
         )
     with pytest.raises(FaultError, match="not a compute node"):
         FaultInjector(

@@ -135,6 +135,32 @@ def test_deadline_expired_read_preempts(monkeypatch):
     assert done and done[0][1] < 0.3  # served well before the near stream drains
 
 
+def test_deadline_expired_fifo_head_leaves_sorted_order(monkeypatch):
+    """Once a unit's deadline passes, the FIFO head is served ahead of
+    C-LOOK order and taken out of the sorted queue."""
+    from repro.iosched.request import BlockRequest
+
+    monkeypatch.setattr(deadline, "FIFO_BATCH", 1)
+    sched = DeadlineScheduler()
+    sim = Simulator()
+
+    def add(lbn, now):
+        sched.add(BlockRequest(lbn=lbn, nsectors=8, op="R", stream_id=0,
+                               submit_time=now, completion=sim.event()), now)
+
+    add(900_000, 0.0)  # expires at READ_EXPIRE_S = 0.5
+    for lbn in (100, 200, 300):
+        add(lbn, 0.2)  # expire at 0.7
+    assert sched.decide(0.3, head_lbn=0).lbn == 100  # nothing expired: C-LOOK
+    far = sched.decide(0.6, head_lbn=108)
+    assert far.lbn == 900_000 and not far.queued  # expired head, out of order
+    assert len(sched) == 2
+    # Past 0.7 every head has expired: served in FIFO order, not C-LOOK
+    # order from the head (which would pick 300 first).
+    assert [sched.decide(0.8, head_lbn=250).lbn for _ in range(2)] == [200, 300]
+    assert sched.decide(0.9, head_lbn=0) is None
+
+
 def test_deadline_write_not_starved(monkeypatch):
     monkeypatch.setattr(deadline, "WRITES_STARVED", 1)
     sim = Simulator()

@@ -94,6 +94,20 @@ def test_absorbed_unit_flagged_unqueued():
     assert absorbed.queued is False
 
 
+def test_unit_at_and_remove_find_units_sharing_a_start_sector():
+    q = SortedUnitQueue()
+    q.add(mkreq(100, 8))
+    q.add(mkreq(100, 8))  # overlaps, so it cannot merge: a second unit at 100
+    q.add(mkreq(300, 8))
+    first, second, third = q.units
+    assert first.lbn == second.lbn == 100
+    assert q.unit_at(104) is second and q.unit_at(300) is third
+    q.remove(second)
+    assert q.units == [first, third] and second.queued is False
+    q.remove(first)
+    assert q.units == [third] and q.pop_next(head_lbn=0) is third
+
+
 @given(
     st.lists(
         st.tuples(st.integers(min_value=0, max_value=5000), st.integers(min_value=1, max_value=64)),

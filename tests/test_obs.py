@@ -160,21 +160,29 @@ def test_snapshot_shape_and_json_round_trip():
     assert json.loads(json.dumps(snap)) == snap
 
 
-def test_units_served_counts_units_at_dispatch():
-    """``blk.*.units_served`` counts a unit when it is dispatched, so a
-    snapshot taken mid-service includes the unit on the platter."""
+def test_block_and_disk_service_counts_agree():
+    """``blk.*.units_served`` and ``disk.*.accesses``/``.sectors`` are views
+    of the totals the block layer and the drive keep, so the two accounts
+    agree in every snapshot; a unit still on the platter counts only in
+    the dispatch count, the ``n`` of ``blk.*.queue_depth``."""
     from repro.disk import DiskDrive, DiskParams
     from repro.iosched import BlockLayer, NoopScheduler
 
     obs = Observability()
     sim = Simulator(observe=obs)
-    layer = BlockLayer(sim, DiskDrive(sim, DiskParams(capacity_bytes=2 * 10**9)), NoopScheduler())
+    drive = DiskDrive(sim, DiskParams(capacity_bytes=2 * 10**9))
+    layer = BlockLayer(sim, drive, NoopScheduler())
     layer.submit(1_000_000, 8)
-    sim.run(until=1e-6)
-    assert layer.stats.n_units_served == 0  # still in service
-    assert obs.snapshot(sim.now)["counters"]["blk.blk0.units_served"] == 1
-    sim.run()
-    assert obs.snapshot(sim.now)["counters"]["blk.blk0.units_served"] == 1
+    layer.submit(1_500_000, 16)
+    for until, served in ((1e-6, 0), (None, 2)):
+        sim.run(until=until)
+        snap = obs.snapshot(sim.now)
+        counters = snap["counters"]
+        assert counters["blk.blk0.units_served"] == layer.stats.n_units_served == served
+        assert counters["disk.disk0.accesses"] == drive.stats.n_requests == served
+        assert counters["disk.disk0.sectors"] == drive.stats.total_bytes // 512
+        assert snap["histograms"]["blk.blk0.queue_depth"]["n"] == len(layer.stats.depth_samples)
+    assert counters["disk.disk0.sectors"] == 24
 
 
 def test_dualpar_job_counters_read_their_own_engine():

@@ -284,8 +284,8 @@ def test_code_fingerprint_covers_c_sources(tmp_path, monkeypatch):
     c_file = tmp_path / "kernel.c"
     c_file.write_text("int f(void) { return 1; }\n")
     files = parallel._code_files()
-    assert any(p.suffix == ".c" for p in files)
-    monkeypatch.setattr(parallel, "_code_files", lambda: [*files, c_file])
+    assert any(p.endswith(".c") for p in files)
+    monkeypatch.setattr(parallel, "_code_files", lambda: [*files, str(c_file)])
 
     def fingerprint() -> str:
         monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
@@ -294,6 +294,25 @@ def test_code_fingerprint_covers_c_sources(tmp_path, monkeypatch):
     before = fingerprint()
     c_file.write_text("int f(void) { return 2; }\n")
     assert fingerprint() != before
+
+
+def test_code_fingerprint_follows_edits_within_one_process(tmp_path, monkeypatch):
+    """A long-running process (``repro serve``) keys its records by the
+    code on disk: editing a source file changes the fingerprint at once."""
+    import shutil
+
+    pkg = tmp_path / "repro"
+    shutil.copytree(parallel._PKG_ROOT, pkg, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    monkeypatch.setattr(parallel, "_PKG_ROOT", pkg)
+    monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
+    before = parallel._code_fingerprint()
+    assert parallel._code_fingerprint() == before
+    source = pkg / "runner" / "strategies.py"
+    source.write_text(source.read_text() + "\n# edited\n")
+    edited = parallel._code_fingerprint()
+    assert edited != before
+    (pkg / "runner" / "added.py").write_text("")
+    assert parallel._code_fingerprint() != edited
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.runner import (
     resolve_strategy,
     run_experiment,
 )
-from repro.runner.strategies import STRATEGY_NAMES
+from repro.runner.strategies import STRATEGIES
 from repro.workloads import Demo, SyntheticPattern
 
 
@@ -35,7 +35,7 @@ def test_all_strategies_resolvable():
 
     runtime = MpiRuntime(build_cluster(small_spec()))
     system = DualParSystem(runtime)
-    for name in STRATEGY_NAMES:
+    for name in STRATEGIES:
         factory = resolve_strategy(name, system)
         assert callable(factory)
 
