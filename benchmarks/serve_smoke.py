@@ -23,6 +23,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -101,6 +102,9 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     catalog_dir = out_dir / "catalog"
+    # The audit counts what this server wrote: drop an earlier run's
+    # records (another code version keys them apart).
+    shutil.rmtree(catalog_dir, ignore_errors=True)
     port_file = out_dir / "port"
     if port_file.exists():
         port_file.unlink()

@@ -107,13 +107,12 @@ def _run_view(result) -> str:
 
 
 def _print_guard_summary(result) -> None:
-    guard = result.guard
-    if guard is None:
+    summary = result.guard_summary
+    if summary is None:
         return
-    summary = guard.summary()
     states = ", ".join(f"{job}={st}" for job, st in sorted(summary["states"].items()))
     print(f"\nguard: job states [{states or 'none'}]")
-    for t, job, state, reason in guard.transitions:
+    for t, job, state, reason in result.guard_transitions:
         print(f"  t={t:10.3f}s  {job:<12}-> {state:<11}({reason})")
     b = summary["budget"]
     print(
@@ -129,14 +128,13 @@ def _print_guard_summary(result) -> None:
 
 
 def _print_fault_summary(result) -> None:
-    faults = result.faults
-    if faults is None or not faults.log:
+    if not result.fault_log:
         return
-    print(f"\nfaults injected ({len(faults.log)} events):")
-    for t, kind, phase, target in faults.log:
+    print(f"\nfaults injected ({len(result.fault_log)} events):")
+    for t, kind, phase, target in result.fault_log:
         print(f"  t={t:10.3f}s  {phase:<7}{kind:<14}target={target}")
-    if faults.n_timeouts:
-        print(f"  client request timeouts: {faults.n_timeouts}")
+    if result.faults.n_timeouts:
+        print(f"  client request timeouts: {result.faults.n_timeouts}")
 
 
 def _export_obs(args, result) -> None:
@@ -195,15 +193,12 @@ def cmd_compare(args) -> int:
     _apply_sanitize(args)
     submissions, specs = _lower(args, args.strategies, bool(args.metrics))
     results = run_experiments(specs, jobs=args.jobs, cache=not args.no_cache)
-    rows = []
-    for strategy, result in zip(args.strategies, results):
-        j = result.jobs[0]
-        rows.append([strategy, j.elapsed_s, j.throughput_mb_s])
     job = submissions[0].jobs[0]
     print(
         format_table(
             ["strategy", "time (s)", "MB/s"],
-            rows,
+            [[s, r.jobs[0].elapsed_s, r.jobs[0].throughput_mb_s]
+             for s, r in zip(args.strategies, results)],
             title=f"{job.workload}, {job.nprocs} ranks, {job.size_mb} MB",
             float_fmt="{:.2f}",
         )

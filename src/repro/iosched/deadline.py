@@ -44,7 +44,7 @@ class DeadlineScheduler(IoScheduler):
         if q.add(req) == 1:
             # Genuinely new unit: give it a deadline entry.
             expire = READ_EXPIRE_S if req.op == "R" else WRITE_EXPIRE_S
-            self._fifo[req.op].append((now + expire, q.unit_at(req.lbn)))
+            self._fifo[req.op].append((now + expire, q.added_unit(req.lbn)))
         self.n_merges = self._sorted["R"].n_merges + self._sorted["W"].n_merges
 
     def decide(self, now: float, head_lbn: int) -> Decision:

@@ -72,10 +72,11 @@ class SortedUnitQueue:
             return 1
         return 0
 
-    def unit_at(self, lbn: int) -> IoUnit:
-        """The queued unit holding sector ``lbn`` (the last unit starting
-        at or before it), e.g. the unit a request was just added to."""
-        return self._units[bisect.bisect_right(self._keys, lbn) - 1]
+    def added_unit(self, lbn: int) -> IoUnit:
+        """The new unit an :meth:`add` of a request at ``lbn`` just queued
+        (one that returned 1).  ``add`` inserts it ahead of any unit that
+        shares its start sector, so it is the first unit starting there."""
+        return self._units[bisect.bisect_left(self._keys, lbn)]
 
     def remove(self, unit: IoUnit) -> None:
         """Take a queued ``unit`` out of sorted order (the deadline

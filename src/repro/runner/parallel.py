@@ -44,6 +44,7 @@ __all__ = [
     "CacheStats",
     "ExperimentSpec",
     "SlimExperimentResult",
+    "StaleCodeError",
     "WorkerCellError",
     "experiment_fingerprint",
     "run_experiments",
@@ -62,6 +63,10 @@ class WorkerCellError(RuntimeError):
             f"experiment cell {label or '<unlabelled>'!r} failed in worker:\n"
             f"{traceback_text}"
         )
+
+
+class StaleCodeError(RuntimeError):
+    """The repro source changed after this process imported it."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,7 @@ LAST_RUN_STATS = CacheStats()
 #: The repro package directory (this file is repro/runner/parallel.py).
 _PKG_ROOT = Path(__file__).parent.parent
 
-#: ``(signature, hash)`` of the source tree as last hashed, where the
-#: signature is every source file's ``(path, mtime_ns, size)``.
-_CODE_FINGERPRINT: Optional[tuple[tuple, str]] = None
+_CODE_FINGERPRINT: Optional[str] = None
 
 
 def _code_files() -> list[str]:
@@ -122,21 +125,31 @@ def _code_files() -> list[str]:
     )
 
 
+def _code_signature() -> tuple:
+    """Every source file's ``(path, mtime_ns, size)``."""
+    return tuple((p, st.st_mtime_ns, st.st_size) for p in _code_files() for st in [os.stat(p)])
+
+
+#: The source signature when this process imported the package.
+_LOADED_SIGNATURE = _code_signature()
+
+
 def _code_fingerprint() -> str:
     """Hash of every source file in the repro package: a new code version
-    invalidates all catalogued results.  The tree is re-hashed whenever a
-    file's path, mtime or size changes, so a long-running process keys
-    its records by the code on disk, not the code it read at start."""
+    invalidates all catalogued results.  Taken once per process, it names
+    the code the process (and a forked worker) runs; files edited since
+    import would name code it does not run, so that raises instead."""
     global _CODE_FINGERPRINT
-    files = _code_files()
-    signature = tuple((p, st.st_mtime_ns, st.st_size) for p in files for st in [os.stat(p)])
-    if _CODE_FINGERPRINT is None or _CODE_FINGERPRINT[0] != signature:
+    if _CODE_FINGERPRINT is None:
         h = hashlib.sha256()
-        for path in files:
+        for path in _code_files():
             h.update(os.path.relpath(path, _PKG_ROOT).encode())
             h.update(Path(path).read_bytes())
-        _CODE_FINGERPRINT = (signature, h.hexdigest())
-    return _CODE_FINGERPRINT[1]
+        if _code_signature() != _LOADED_SIGNATURE:  # after reading: no edit slips by
+            raise StaleCodeError(f"the repro source under {_PKG_ROOT} changed after "
+                                 "this process imported it; restart to catalogue cells")
+        _CODE_FINGERPRINT = h.hexdigest()
+    return _CODE_FINGERPRINT
 
 
 def _canonical(obj: Any) -> Any:

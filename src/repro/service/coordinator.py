@@ -110,6 +110,9 @@ class Coordinator:
         allow_chaos: bool = False,
     ) -> None:
         self.catalog = ResultCatalog(catalog_dir)
+        #: Hash of the code this server and its forked workers run; taken
+        #: at start, it keys every record the server commits.
+        self.code_version = _code_fingerprint()
         self.host = host
         self.port = port  # rebound to the real port once the server binds
         self.n_workers = workers
@@ -337,7 +340,7 @@ class Coordinator:
                 return
             record = CatalogRecord(
                 fingerprint=fingerprint,
-                code_version=_code_fingerprint(),
+                code_version=self.code_version,
                 submission=job.payload,
                 result=result,
                 provenance={

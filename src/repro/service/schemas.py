@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from repro.codec import JsonRecord, decode, encode
+from repro.codec import JsonRecord, decode
 from repro.faults import FaultPlan
 from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
@@ -37,22 +37,10 @@ __all__ = [
     "ClusterSubmission",
     "ExperimentSubmission",
     "JobSubmission",
-    "guard_from_dict",
-    "guard_to_dict",
 ]
 
 #: The one submission shape this coordinator understands.
 SCHEMA_VERSION = 1
-
-
-def guard_to_dict(guard: GuardConfig) -> dict:
-    """A :class:`~repro.guard.GuardConfig` as a plain JSON-able dict."""
-    return encode(guard)
-
-
-def guard_from_dict(raw: Mapping[str, Any]) -> GuardConfig:
-    """Parse a guard config, rejecting unknown fields."""
-    return decode(GuardConfig, raw)
 
 
 @dataclass(frozen=True)

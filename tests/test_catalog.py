@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.codec import decode, encode
 from repro.faults import FaultEvent, FaultPlan
 from repro.guard import GuardConfig
 from repro.runner.parallel import _run_spec, experiment_fingerprint
@@ -32,7 +33,6 @@ from repro.service import (
     result_to_dict,
 )
 from repro.service.catalog import result_from_dict
-from repro.service.schemas import guard_from_dict, guard_to_dict
 
 
 def _submission(**over) -> ExperimentSubmission:
@@ -145,9 +145,9 @@ def test_op_aliases_normalise_to_one_canonical_form():
 
 def test_guard_config_roundtrip_and_unknown_field_rejection():
     guard = GuardConfig(min_hit_rate=0.42, breaker_failures=5)
-    assert guard_from_dict(guard_to_dict(guard)) == guard
+    assert decode(GuardConfig, encode(guard)) == guard
     with pytest.raises(ValueError, match="unknown GuardConfig"):
-        guard_from_dict({"min_hit_rate": 0.1, "surprise": True})
+        decode(GuardConfig, {"min_hit_rate": 0.1, "surprise": True})
 
 
 _MINIMAL = {"schema_version": 1, "jobs": [{"name": "j0", "workload": "mpi-io-test"}]}

@@ -53,8 +53,8 @@ def test_fault_kinds_catalogue():
 def test_event_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         FaultEvent(kind="meteor_strike", at_s=0.0)
-    with pytest.raises(ValueError):
-        FaultEvent(kind="server_crash", at_s=-1.0)
+    with pytest.raises(ValueError, match="at_s must be >= 0"):
+        FaultEvent(kind="server_crash", at_s=-1.0, until_s=1.0)
     with pytest.raises(ValueError):
         FaultEvent(kind="server_crash", at_s=2.0, until_s=1.0)
     with pytest.raises(ValueError):

@@ -161,6 +161,29 @@ def test_deadline_expired_fifo_head_leaves_sorted_order(monkeypatch):
     assert sched.decide(0.9, head_lbn=0) is None
 
 
+def test_deadline_gives_each_unit_sharing_a_start_sector_a_deadline(monkeypatch):
+    """A second, overlapping read at a queued unit's start sector is a new
+    unit; its own FIFO entry must serve it by its deadline."""
+    from repro.iosched.request import BlockRequest
+
+    monkeypatch.setattr(deadline, "FIFO_BATCH", 1)
+    sched = DeadlineScheduler()
+    sim = Simulator()
+
+    def add(lbn, nsectors, now):
+        sched.add(BlockRequest(lbn=lbn, nsectors=nsectors, op="R", stream_id=0,
+                               submit_time=now, completion=sim.event()), now)
+
+    add(900_000, 8, 0.0)  # expires at READ_EXPIRE_S = 0.5
+    add(900_000, 16, 0.1)  # overlaps: a second unit at 900_000, due 0.6
+    add(100, 8, 0.2)  # due 0.7
+    first = sched.decide(0.55, head_lbn=0)  # expired head, out of C-LOOK order
+    assert (first.lbn, first.nsectors) == (900_000, 8)
+    second = sched.decide(0.65, head_lbn=0)  # the overlapping unit's own deadline
+    assert (second.lbn, second.nsectors) == (900_000, 16)
+    assert sched.decide(0.66, head_lbn=0).lbn == 100
+
+
 def test_deadline_write_not_starved(monkeypatch):
     monkeypatch.setattr(deadline, "WRITES_STARVED", 1)
     sim = Simulator()

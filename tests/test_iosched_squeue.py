@@ -94,17 +94,19 @@ def test_absorbed_unit_flagged_unqueued():
     assert absorbed.queued is False
 
 
-def test_unit_at_and_remove_find_units_sharing_a_start_sector():
+def test_added_unit_and_remove_find_units_sharing_a_start_sector():
     q = SortedUnitQueue()
-    q.add(mkreq(100, 8))
-    q.add(mkreq(100, 8))  # overlaps, so it cannot merge: a second unit at 100
-    q.add(mkreq(300, 8))
-    first, second, third = q.units
-    assert first.lbn == second.lbn == 100
-    assert q.unit_at(104) is second and q.unit_at(300) is third
-    q.remove(second)
-    assert q.units == [first, third] and second.queued is False
-    q.remove(first)
+    assert q.add(mkreq(100, 8)) == 1
+    old = q.added_unit(100)
+    assert q.add(mkreq(100, 8)) == 1  # overlaps, so it cannot merge
+    new = q.added_unit(100)
+    assert new is not old and new.lbn == old.lbn == 100
+    assert q.add(mkreq(300, 8)) == 1
+    third = q.added_unit(300)
+    assert q.units == [new, old, third]
+    q.remove(old)
+    assert q.units == [new, third] and old.queued is False
+    q.remove(new)
     assert q.units == [third] and q.pop_next(head_lbn=0) is third
 
 

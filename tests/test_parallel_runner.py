@@ -288,7 +288,7 @@ def test_code_fingerprint_covers_c_sources(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_code_files", lambda: [*files, str(c_file)])
 
     def fingerprint() -> str:
-        monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
+        _fresh_import(monkeypatch)
         return parallel._code_fingerprint()
 
     before = fingerprint()
@@ -296,23 +296,56 @@ def test_code_fingerprint_covers_c_sources(tmp_path, monkeypatch):
     assert fingerprint() != before
 
 
-def test_code_fingerprint_follows_edits_within_one_process(tmp_path, monkeypatch):
-    """A long-running process (``repro serve``) keys its records by the
-    code on disk: editing a source file changes the fingerprint at once."""
+def _fresh_import(monkeypatch) -> None:
+    """Reset the fingerprint state to what a process importing the
+    package now would hold."""
+    monkeypatch.setattr(parallel, "_LOADED_SIGNATURE", parallel._code_signature())
+    monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
+
+
+def _copied_package(tmp_path, monkeypatch):
+    """Point the fingerprint at a copy of the package, freshly imported."""
     import shutil
 
     pkg = tmp_path / "repro"
     shutil.copytree(parallel._PKG_ROOT, pkg, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
     monkeypatch.setattr(parallel, "_PKG_ROOT", pkg)
-    monkeypatch.setattr(parallel, "_CODE_FINGERPRINT", None)
+    _fresh_import(monkeypatch)
+    return pkg
+
+
+def test_code_fingerprint_describes_the_code_the_process_loaded(tmp_path, monkeypatch):
+    """A long-running process (``repro serve``) runs the modules it
+    imported, so an edit on disk does not move its fingerprint."""
+    pkg = _copied_package(tmp_path, monkeypatch)
     before = parallel._code_fingerprint()
-    assert parallel._code_fingerprint() == before
     source = pkg / "runner" / "strategies.py"
     source.write_text(source.read_text() + "\n# edited\n")
-    edited = parallel._code_fingerprint()
-    assert edited != before
-    (pkg / "runner" / "added.py").write_text("")
-    assert parallel._code_fingerprint() != edited
+    assert parallel._code_fingerprint() == before
+    _fresh_import(monkeypatch)
+    assert parallel._code_fingerprint() != before  # a new process: new key
+
+
+def test_edit_before_first_hash_catalogues_nothing(tmp_path, monkeypatch):
+    """Hashing the files after they changed would key this process's
+    results as the edited code's, and a process running the edited code
+    would then get a wrong hit; the run is refused and stores nothing."""
+    pkg = _copied_package(tmp_path, monkeypatch)
+    source = pkg / "runner" / "strategies.py"
+    source.write_text(source.read_text() + "\n# edited\n")
+    cache_dir = tmp_path / "catalog"
+    spec = _spec()
+    with pytest.raises(parallel.StaleCodeError, match="restart"):
+        run_experiments([spec], jobs=1, cache_dir=cache_dir)
+    from repro.service import Coordinator
+
+    with pytest.raises(parallel.StaleCodeError):
+        Coordinator(catalog_dir=cache_dir)  # a server hashes its code at start
+    _fresh_import(monkeypatch)  # the edited code's own process
+    assert experiment_fingerprint(spec) not in ResultCatalog(cache_dir)
+    assert len(ResultCatalog(cache_dir)) == 0
+    # Uncatalogued runs need no code hash.
+    assert run_experiments([spec], jobs=1, cache=False)[0].makespan_s > 0
 
 
 # ---------------------------------------------------------------------------
