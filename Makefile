@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests proc-counts soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
+.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests proc-counts gc-audit soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -74,6 +74,13 @@ digests:
 proc-counts:
 	PYTHONPATH=src $(PYTHON) benchmarks/process_counts.py
 
+# The cyclic collector's cost per seed-0 cell of each cell workload
+# (collections per generation, seconds) and the objects each cell leaves
+# unreachable, by type; fails when a cell leaves more than the bound in
+# benchmarks/gc_audit.py (about 40 s).
+gc-audit:
+	PYTHONPATH=src $(PYTHON) benchmarks/gc_audit.py
+
 # Long randomized-chaos soak at a pinned seed: guard + watchdog +
 # sanitizer armed; fails on watchdog deadlock or sanitizer finding.
 soak:
@@ -106,11 +113,11 @@ bench-gate:
 # Replay the CI gates locally: lint legs, the examples, the C
 # accelerator's -Wall build and self-test, tier-1 tests on both kernels,
 # the chaos job's suites, the determinism jobs' suites and cell digests,
-# the observability job's C-vs-pure-Python `repro run --metrics`
-# snapshot comparison, the service job's serve-smoke, and the kernel
-# bench gate.  A _cq.c that fails to build or to self-test would
-# otherwise leave every later step on the pure-Python kernel without a
-# word.
+# the cyclic-garbage audit, the observability job's C-vs-pure-Python
+# `repro run --metrics` snapshot comparison, the service job's
+# serve-smoke, and the kernel bench gate.  A _cq.c that fails to build
+# or to self-test would otherwise leave every later step on the
+# pure-Python kernel without a word.
 ci-local: lint
 	$(MAKE) examples
 	cc -Wall -Werror -fsyntax-only \
@@ -126,6 +133,7 @@ ci-local: lint
 	$(MAKE) digests
 	REPRO_SIM_ACCEL=0 $(MAKE) digests
 	REPRO_SANITIZE=1 $(MAKE) digests
+	$(MAKE) gc-audit
 	mkdir -p benchmarks/out
 	for accel in 1 0; do \
 		REPRO_SIM_ACCEL=$$accel PYTHONPATH=src $(PYTHON) -m repro run \

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from repro.analysis import dualpar_lines, job_table, summarize
 from repro.faults import FaultPlan
@@ -49,15 +49,23 @@ def _lower(args, strategies: list[str], observe: bool) -> tuple[list, list[Exper
     flags describe under each strategy, and the cell it lowers to, as the
     service lowers one.  A flag left out takes the schema's default; a
     flag the schema or the workload rejects ends the command with exit
-    status 2 and the reason, not a traceback.  ``--faults`` replays a
-    plan file (which raises as it fails to load); ``--guard`` attaches a
-    default :class:`~repro.guard.GuardConfig`."""
+    status 2 and the reason, not a traceback, and so does a ``--faults``
+    plan file that is missing or does not load as a
+    :class:`~repro.faults.FaultPlan`; ``--guard`` attaches a default
+    :class:`~repro.guard.GuardConfig`."""
     from repro.service.schemas import ClusterSubmission, ExperimentSubmission, JobSubmission
 
     def given(**flags):
         return {k: v for k, v in flags.items() if v is not None}
 
-    fault_plan = FaultPlan.load(args.faults) if args.faults else None
+    def usage_error(reason: str) -> NoReturn:
+        print(f"repro {args.command}: error: {reason}", file=sys.stderr)
+        raise SystemExit(2)
+
+    try:
+        fault_plan = FaultPlan.load(args.faults) if args.faults else None
+    except (OSError, ValueError, TypeError) as exc:
+        usage_error(f"--faults {args.faults}: {exc}")
     try:
         submissions = [
             ExperimentSubmission(
@@ -86,8 +94,7 @@ def _lower(args, strategies: list[str], observe: bool) -> tuple[list, list[Exper
         ]
         return submissions, [s.to_experiment_spec() for s in submissions]
     except ValueError as exc:
-        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        usage_error(str(exc))
 
 
 def _run_view(result) -> str:

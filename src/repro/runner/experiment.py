@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
@@ -128,6 +132,50 @@ class ExperimentResult(SlimExperimentResult):
     guard: Any = None
 
 
+#: The cyclic collector's generation-0 threshold while a simulation runs
+#: (the interpreter's default is 700).  A run's events and processes die
+#: by refcount, but each collective or DualPar phase keeps segment lists
+#: alive, and at the default that live data alone sets off hundreds of
+#: young collections per cell that find nothing to free.
+GC_GEN0_THRESHOLD = 50_000
+
+
+class _YoungGenPolicy:
+    """The collector thresholds of the simulations running in this process.
+
+    Thresholds are per process, and runs may nest or run in threads: the
+    first run to enter saves the caller's thresholds and sets the run's,
+    the last to leave restores them, also when a run raises.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._runs = 0
+        self._saved = gc.get_threshold()
+
+    @contextmanager
+    def held(self) -> Iterator[None]:
+        # The last run's cluster graph is cyclic garbage once its result
+        # is dropped: free it before this run builds its own, so the two
+        # never share the peak.
+        gc.collect(1)
+        with self._lock:
+            if self._runs == 0:
+                self._saved = gc.get_threshold()
+                gc.set_threshold(GC_GEN0_THRESHOLD, *self._saved[1:])
+            self._runs += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._runs -= 1
+                if self._runs == 0:
+                    gc.set_threshold(*self._saved)
+
+
+_GC_POLICY = _YoungGenPolicy()
+
+
 def _create_files(cluster, specs: list[JobSpec]) -> None:
     sizes: dict[str, int] = {}
     for spec in specs:
@@ -143,6 +191,7 @@ def _create_files(cluster, specs: list[JobSpec]) -> None:
             cluster.fs.create(fspec.name, fspec.size)
 
 
+@_GC_POLICY.held()
 def run_experiment(
     specs: list[JobSpec],
     cluster_spec: Optional[ClusterSpec] = None,
@@ -168,6 +217,9 @@ def run_experiment(
     for defaults); when enabled, a :class:`repro.guard.SafetyGovernor`
     is attached across the stack (budgets, benefit governor, breaker,
     watchdog) and returned as ``result.guard``.
+
+    The run holds the collector at :data:`GC_GEN0_THRESHOLD` and restores
+    the caller's thresholds when it returns or raises.
     """
     if not specs:
         raise ValueError("need at least one job spec")

@@ -748,6 +748,8 @@ static PyObject *grant_release(GrantFn *g, PyObject *req)
     PyObject *users = g->users;
     if (PyList_GET_SIZE(users) == 1 && PyList_GET_ITEM(users, 0) == req) {
         if (PyList_SetSlice(users, 0, 1, NULL) < 0) return NULL;
+        /* drop the grant's value, the request itself: no self-cycle */
+        slot_set(req, off_value, Py_NewRef(Py_None));
     } else {
         /* Releasing a queued (never-granted) request cancels it. */
         PyObject *r = PyObject_CallMethodOneArg(g->queue, str_remove, req);
@@ -1242,6 +1244,8 @@ static int resume_proc(PyObject *sim, BandHeap *q, PyObject *w, PyObject *event)
         return -1;
     }
     int rc;
+    if (st != PYGEN_NEXT) /* finished: drop the bound self-reference */
+        slot_set(w, off_resume_cb, Py_NewRef(Py_None));
     if (st == PYGEN_RETURN) {
         rc = ev_succeed(q, w, result, 0 /* URGENT */);
         Py_DECREF(result);

@@ -358,10 +358,12 @@ class Process(Event):
                 result = self._throw(event._value)
         except StopIteration as exc:
             sim._active = None
+            self._resume_cb = None  # the bound self-reference: a cycle
             self.succeed(exc.value, priority=URGENT)
             return
         except BaseException as exc:
             sim._active = None
+            self._resume_cb = None
             self.fail(exc, priority=URGENT)
             return
         sim._active = None
@@ -419,11 +421,23 @@ class _Condition(Event):
                 raise SimulationError("condition mixes events from different simulators")
             if ev.callbacks is None:
                 self._check(ev)
-            else:
+            elif not self._triggered:
                 ev.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _unhook(self) -> None:
+        # Once this condition has fired, its _check on a still-pending
+        # event is a no-op; unhook it, or that event and this condition
+        # keep each other alive in a cycle only the collector frees.
+        check = self._check
+        for ev in self.events:
+            if ev.callbacks is not None:
+                try:
+                    ev.callbacks.remove(check)
+                except ValueError:  # a repeated event, already unhooked
+                    pass
 
     def _collect(self) -> dict[Event, Any]:
         return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
@@ -438,6 +452,7 @@ class _AllOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._unhook()
             return
         self._n_done += 1
         if self._n_done == len(self.events):
@@ -453,8 +468,9 @@ class _AnyOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        self._unhook()
 
 
 def all_of(sim: "Simulator", events: list[Event]) -> Event:

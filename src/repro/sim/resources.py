@@ -3,7 +3,11 @@
 - :class:`Resource` -- ``n`` identical servers with a FIFO wait queue;
   ``request()`` returns an event that fires when a slot is granted and
   ``release()`` frees it (or cancels a still-queued request).  Each NIC
-  side of the network model is a ``Resource(capacity=1)``.
+  side of the network model is a ``Resource(capacity=1)``.  A granted
+  request's value is the request itself while it is held; ``release()``
+  drops that value back to ``None``, so a released request holds no
+  reference to itself and is freed by refcount, not by the cyclic
+  garbage collector.
 - :class:`Store` -- unbounded-or-bounded FIFO buffer of items with ``put``
   and ``get`` events.
 
@@ -103,6 +107,9 @@ class Resource:
                     ledger.release(request, None)
                 raise SimulationError("release() of unknown request") from None
         else:
+            # The grant's value was the request itself; a released
+            # request must not keep that self-cycle (refcount frees it).
+            request._value = None
             # A request queues only while every slot is taken, so the
             # freed slot goes to the head of the queue.
             if self.queue:

@@ -157,15 +157,34 @@ def test_plan_from_dict_rejects_unknown_fields():
         FaultPlan.from_dict({"retry": {"jitterbug": 1}})
 
 
-def test_plan_file_with_unknown_top_level_key_is_rejected(tmp_path):
+def test_plan_file_with_unknown_top_level_key_is_rejected(tmp_path, capsys):
     # A misspelt "events" must not load as an empty plan and run nominally.
     path = tmp_path / "typo.json"
     path.write_text('{"seed": 1, "evnts": [{"kind": "server_crash", "at_s": 0.0}]}')
     with pytest.raises(ValueError, match=r"unknown FaultPlan fields: \['evnts'\]"):
         FaultPlan.load(path)
-    with pytest.raises(ValueError, match="FaultPlan"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["run", "--workload", "mpi-io-test", "--nprocs", "2", "--size-mb", "1",
               "--compute-nodes", "2", "--data-servers", "2", "--faults", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (f"repro run: error: --faults {path}: "
+                   "unknown FaultPlan fields: ['evnts']\n")
+
+
+@pytest.mark.parametrize(
+    "text", [None, "{", "[1, 2]", '{"events": 5}', '{"events": [{"kind": "x", "at_s": 0}]}']
+)
+def test_cli_exits_2_on_a_missing_or_malformed_plan(tmp_path, capsys, text):
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--workload", "mpi-io-test", "--faults", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro run: error: --faults {path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
