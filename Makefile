@@ -1,7 +1,7 @@
 PYTHON ?= python
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests proc-counts gc-audit soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
+.PHONY: install test test-fast test-py coverage lint lint-fast sanitize chaos digests proc-counts gc-audit cold-start soak serve-smoke bench bench-kernel bench-gate ci-local examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -81,6 +81,13 @@ proc-counts:
 gc-audit:
 	PYTHONPATH=src $(PYTHON) benchmarks/gc_audit.py
 
+# What a fresh interpreter loads and pays before it runs anything, over 9
+# cold starts each of the suite's set-up probe path, a smoke run_spec and
+# `repro --help`; fails when the probe path loads numpy or a module only
+# faulted, traced or observed runs use (about 10 s).
+cold-start:
+	$(PYTHON) benchmarks/cold_start.py
+
 # Long randomized-chaos soak at a pinned seed: guard + watchdog +
 # sanitizer armed; fails on watchdog deadlock or sanitizer finding.
 soak:
@@ -113,9 +120,9 @@ bench-gate:
 # Replay the CI gates locally: lint legs, the examples, the C
 # accelerator's -Wall build and self-test, tier-1 tests on both kernels,
 # the chaos job's suites, the determinism jobs' suites and cell digests,
-# the cyclic-garbage audit, the observability job's C-vs-pure-Python
-# `repro run --metrics` snapshot comparison, the service job's
-# serve-smoke, and the kernel bench gate.  A _cq.c that fails to build
+# the cyclic-garbage audit, the cold-start import check, the
+# observability job's C-vs-pure-Python `repro run --metrics` snapshot
+# comparison, the service job's serve-smoke, and the kernel bench gate.  A _cq.c that fails to build
 # or to self-test would otherwise leave every later step on the
 # pure-Python kernel without a word.
 ci-local: lint
@@ -134,6 +141,7 @@ ci-local: lint
 	REPRO_SIM_ACCEL=0 $(MAKE) digests
 	REPRO_SANITIZE=1 $(MAKE) digests
 	$(MAKE) gc-audit
+	$(MAKE) cold-start
 	mkdir -p benchmarks/out
 	for accel in 1 0; do \
 		REPRO_SIM_ACCEL=$$accel PYTHONPATH=src $(PYTHON) -m repro run \

@@ -35,8 +35,6 @@ import sys
 from typing import NoReturn, Optional
 
 from repro.analysis import dualpar_lines, job_table, summarize
-from repro.faults import FaultPlan
-from repro.guard import GuardConfig
 from repro.iosched import SCHEDULERS
 from repro.runner import STRATEGIES, ExperimentSpec, format_table, run_experiments, run_spec
 from repro.workloads import WORKLOADS, build_workload
@@ -53,6 +51,8 @@ def _lower(args, strategies: list[str], observe: bool) -> tuple[list, list[Exper
     plan file that is missing or does not load as a
     :class:`~repro.faults.FaultPlan`; ``--guard`` attaches a default
     :class:`~repro.guard.GuardConfig`."""
+    from repro.faults import FaultPlan
+    from repro.guard import GuardConfig
     from repro.service.schemas import ClusterSubmission, ExperimentSubmission, JobSubmission
 
     def given(**flags):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.spec import ClusterSpec
 from repro.disk.drive import DiskDrive
@@ -14,7 +14,9 @@ from repro.pfs.dataserver import DataServer, LocalityDaemon
 from repro.pfs.filesystem import ExtentAllocator, FileSystem
 from repro.pfs.layout import StripeLayout
 from repro.sim import Simulator
-from repro.trace.blktrace import BlkTrace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.blktrace import BlkTrace
 
 __all__ = ["Cluster", "build_cluster"]
 
@@ -60,6 +62,8 @@ def build_cluster(spec: Optional[ClusterSpec] = None, observe=None) -> Cluster:
     devices = []
 
     registry = sim.obs.registry if sim.obs is not None else None
+    if spec.trace_disks:
+        from repro.trace.blktrace import BlkTrace
     for i in range(spec.n_data_servers):
         trace = (
             BlkTrace(name=f"server{i}", registry=registry)

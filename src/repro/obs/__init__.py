@@ -26,19 +26,17 @@ tracer.  Views are read only at snapshot time, so they cost nothing per
 event in either case.  Observing a run never schedules events, reads
 wall clocks, or consumes randomness, so an observed run is
 bit-identical to a plain one.
+
+Only observed runs trace spans or export, so :mod:`repro.obs.tracing`
+and :mod:`repro.obs.export` load when an :class:`Observability` is built
+or one of their names is first read from this package.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import importlib
+from typing import TYPE_CHECKING, Any
 
-from repro.obs.export import (
-    chrome_trace_events,
-    darshan_summary,
-    merge_metric_snapshots,
-    write_chrome_trace,
-    write_metrics,
-)
 from repro.obs.registry import (
     Counter,
     EventLog,
@@ -47,9 +45,16 @@ from repro.obs.registry import (
     TimeSeries,
 )
 from repro.obs.sampling import PeriodicSampler
-from repro.obs.tracing import Span, SpanRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.export import (
+        chrome_trace_events,
+        darshan_summary,
+        merge_metric_snapshots,
+        write_chrome_trace,
+        write_metrics,
+    )
+    from repro.obs.tracing import Span, SpanRecord, Tracer
     from repro.sim.core import Simulator
 
 __all__ = [
@@ -81,6 +86,8 @@ class Observability:
     """
 
     def __init__(self) -> None:
+        from repro.obs.tracing import Tracer
+
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
 
@@ -91,3 +98,16 @@ class Observability:
     def snapshot(self, now: float) -> dict:
         """The registry snapshot stamped with simulated time ``now``."""
         return self.registry.snapshot(now)
+
+
+def __getattr__(name: str) -> Any:
+    """The names of :mod:`repro.obs.tracing` and :mod:`repro.obs.export`,
+    loaded on first use."""
+    if name in ("Span", "SpanRecord", "Tracer"):
+        module = "tracing"
+    elif name in ("chrome_trace_events", "darshan_summary", "merge_metric_snapshots",
+                  "write_chrome_trace", "write_metrics"):
+        module = "export"
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.obs.{module}"), name)

@@ -21,6 +21,7 @@ from repro.iosched import request as blkreq
 from repro.iosched.blocklayer import BlockLayer
 from repro.net.ethernet import Network
 from repro.pfs.filesystem import FileSystem
+from repro.pfs.pagecache import ServerPageCache
 from repro.sim import Event, Interrupt, Simulator, all_of
 
 __all__ = ["DataServer", "LocalityDaemon", "ServerRequest", "absorb_interrupt", "wait_all"]
@@ -100,8 +101,6 @@ class DataServer:
         writeback_interval_s: Optional[float] = None,
         writeback_max_dirty: int = 64 * 1024 * 1024,
     ):
-        from repro.pfs.pagecache import ServerPageCache
-
         self.sim = sim
         self.server_index = server_index
         self.node_id = node_id
@@ -195,8 +194,6 @@ class DataServer:
         if self.writeback is not None:
             self.lost_dirty_bytes += self.writeback.drop_all()
         # RAM is gone: post-recovery reads go back to the platters.
-        from repro.pfs.pagecache import ServerPageCache
-
         old = self.page_cache
         self.page_cache = ServerPageCache()
         self.page_cache.n_hits = old.n_hits

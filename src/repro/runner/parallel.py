@@ -24,21 +24,24 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cluster import ClusterSpec
 from repro.core.config import DualParConfig
-from repro.faults import FaultPlan
 from repro.runner.experiment import (
     ExperimentResult,
     JobSpec,
     SlimExperimentResult,
     run_experiment,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
 
 __all__ = [
     "CacheStats",
@@ -134,13 +137,29 @@ def _code_signature() -> tuple:
 _LOADED_SIGNATURE = _code_signature()
 
 
+def _import_package() -> None:
+    """Import every Python module of the repro package.  Modules that only
+    some runs use (fault injection, observed runs' export, disk traces)
+    load on first use, so without this a process could hash a file and
+    later run an edited copy of it."""
+    for path in _code_files():
+        if not path.endswith(".py"):
+            continue
+        parts = Path(os.path.relpath(path, _PKG_ROOT)).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        importlib.import_module(".".join(("repro", *parts)))
+
+
 def _code_fingerprint() -> str:
     """Hash of every source file in the repro package: a new code version
-    invalidates all catalogued results.  Taken once per process, it names
-    the code the process (and a forked worker) runs; files edited since
-    import would name code it does not run, so that raises instead."""
+    invalidates all catalogued results.  Taken once per process, after
+    every module is loaded, it names the code the process (and a forked
+    worker) runs; files edited since import would name code it does not
+    run, so that raises instead."""
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
+        _import_package()
         h = hashlib.sha256()
         for path in _code_files():
             h.update(os.path.relpath(path, _PKG_ROOT).encode())

@@ -41,9 +41,7 @@ from collections import deque
 from multiprocessing.connection import Connection, wait as mp_wait
 from typing import Callable, Hashable, Optional
 
-# Pre-import everything a worker touches so a forked child never has to
-# take the import lock (the pool may be started from a non-main thread).
-from repro.runner.parallel import ExperimentSpec, _run_spec
+from repro.runner.parallel import ExperimentSpec, _import_package, _run_spec
 from repro.service.catalog import result_to_dict
 
 __all__ = ["WorkerPool"]
@@ -147,6 +145,13 @@ class WorkerPool:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
+        # A forked worker must never take the import lock (the pool may be
+        # started from a non-main thread), so load now what a cell may use
+        # that ``import repro`` leaves out: numpy and the modules only
+        # faulted, guarded or observed runs load.
+        import numpy  # noqa: F401
+
+        _import_package()
         with self._lock:
             for _ in range(self.n_workers):
                 self._spawn_locked()

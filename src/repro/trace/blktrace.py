@@ -9,10 +9,12 @@ instead of keeping a private list nobody else can discover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import EventLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["AccessRecord", "BlkTrace"]
 
@@ -60,6 +62,8 @@ class BlkTrace:
         self, t0: float = 0.0, t1: float = float("inf")
     ) -> tuple[np.ndarray, np.ndarray]:
         """(times, lbns) arrays for plotting an LBN-vs-time figure."""
+        import numpy as np
+
         recs = self.window(t0, t1)
         return (
             np.array([r.time for r in recs], dtype=float),
@@ -75,6 +79,8 @@ class BlkTrace:
         recs = self.window(t0, t1)
         if len(recs) < 2:
             return 0.0
+        import numpy as np
+
         gaps = [
             abs(b.lbn - (a.lbn + a.nsectors)) for a, b in zip(recs, recs[1:])
         ]

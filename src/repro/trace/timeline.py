@@ -8,8 +8,6 @@ rather than keeping private parallel lists.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.obs.registry import TimeSeries
 
 __all__ = ["ThroughputTimeline"]
@@ -41,6 +39,8 @@ class ThroughputTimeline:
         """
         if window_s <= 0:
             raise ValueError("window must be positive")
+        import numpy as np
+
         samples = self._series.samples
         if not samples and t_end is None:
             return []
@@ -62,6 +62,8 @@ class ThroughputTimeline:
         samples = self._series.samples
         if not samples:
             return 0.0
+        import numpy as np
+
         times = np.array([t for t, _ in samples])
         sizes = np.array([v for _, v in samples], dtype=float)
         mask = (times >= t0) & (times < t1)

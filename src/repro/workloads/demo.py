@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.mpi.datatypes import VectorType
 from repro.mpi.ops import ComputeOp, IoOp, Op
 from repro.workloads.base import FileSpec, Workload
 
@@ -56,8 +57,6 @@ class Demo(Workload):
         return total_segments // (self.segments_per_call * size)
 
     def ops(self, rank: int, size: int) -> Iterator[Op]:
-        from repro.mpi.datatypes import VectorType
-
         seg = self.segment_bytes
         n = self.segments_per_call
         # "by using the derived Vector datatype": per call, n blocks of

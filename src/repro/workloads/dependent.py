@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.mpi.ops import ComputeOp, IoOp, Op, Segment
 from repro.workloads.base import FileSpec, Workload
 
@@ -49,6 +47,8 @@ class DependentReads(Workload):
         return [FileSpec(self.file_name, self.file_size)]
 
     def ops(self, rank: int, size: int) -> Iterator[Op]:
+        import numpy as np
+
         # The data actually read lives in the first half of the file; the
         # stale pointer values a pre-execution sees always resolve into the
         # second half, so no prefetched chunk is ever consumed.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.mpi.datatypes import VectorType
 from repro.mpi.ops import ComputeOp, IoOp, Op
 from repro.workloads.base import FileSpec, Workload, normalize_op
 
@@ -72,8 +73,6 @@ class Noncontig(Workload):
             )
 
     def ops(self, rank: int, size: int) -> Iterator[Op]:
-        from repro.mpi.datatypes import VectorType
-
         width = self.column_width
         row_bytes = size * width
         rows_per_call = max(self.bytes_per_call // (size * width), 1)

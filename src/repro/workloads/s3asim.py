@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.mpi.ops import ComputeOp, IoOp, Op, Segment
 from repro.workloads.base import FileSpec, Workload
 
@@ -69,6 +67,8 @@ class S3asim(Workload):
         ]
 
     def ops(self, rank: int, size: int) -> Iterator[Op]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed + rank * 7919)
         frag_bytes = self.db_bytes // self.n_fragments
         out_base = rank * self.out_region_bytes

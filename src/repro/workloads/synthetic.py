@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from repro.mpi.ops import BarrierOp, ComputeOp, IoOp, Op, Segment
 from repro.workloads.base import FileSpec, Workload, normalize_op
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["SyntheticPattern"]
 
@@ -59,6 +60,8 @@ class SyntheticPattern(Workload):
         return [FileSpec(self.file_name, self.file_size)]
 
     def _block_order(self, rank: int, size: int) -> np.ndarray:
+        import numpy as np
+
         n_blocks = self.file_size // self.request_bytes
         if self.pattern == "sequential":
             return np.arange(rank, n_blocks, size)

@@ -329,23 +329,72 @@ def test_code_fingerprint_describes_the_code_the_process_loaded(tmp_path, monkey
 def test_edit_before_first_hash_catalogues_nothing(tmp_path, monkeypatch):
     """Hashing the files after they changed would key this process's
     results as the edited code's, and a process running the edited code
-    would then get a wrong hit; the run is refused and stores nothing."""
+    would then get a wrong hit; the run is refused and stores nothing.
+    That holds for a module every run loads and for one only faulted
+    runs load."""
     pkg = _copied_package(tmp_path, monkeypatch)
-    source = pkg / "runner" / "strategies.py"
-    source.write_text(source.read_text() + "\n# edited\n")
-    cache_dir = tmp_path / "catalog"
-    spec = _spec()
-    with pytest.raises(parallel.StaleCodeError, match="restart"):
-        run_experiments([spec], jobs=1, cache_dir=cache_dir)
     from repro.service import Coordinator
 
-    with pytest.raises(parallel.StaleCodeError):
-        Coordinator(catalog_dir=cache_dir)  # a server hashes its code at start
-    _fresh_import(monkeypatch)  # the edited code's own process
-    assert experiment_fingerprint(spec) not in ResultCatalog(cache_dir)
-    assert len(ResultCatalog(cache_dir)) == 0
+    spec = _spec()
+    for name in ("runner/strategies.py", "faults/injector.py"):
+        _fresh_import(monkeypatch)
+        source = pkg / name
+        original = source.read_text()
+        source.write_text(original + "\n# edited\n")
+        cache_dir = tmp_path / "catalog"
+        with pytest.raises(parallel.StaleCodeError, match="restart"):
+            run_experiments([spec], jobs=1, cache_dir=cache_dir)
+        with pytest.raises(parallel.StaleCodeError):
+            Coordinator(catalog_dir=cache_dir)  # a server hashes its code at start
+        _fresh_import(monkeypatch)  # the edited code's own process
+        assert experiment_fingerprint(spec) not in ResultCatalog(cache_dir)
+        assert len(ResultCatalog(cache_dir)) == 0
+        source.write_text(original)
     # Uncatalogued runs need no code hash.
     assert run_experiments([spec], jobs=1, cache=False)[0].makespan_s > 0
+
+
+def test_a_module_loaded_after_the_hash_is_the_hashed_code(tmp_path, monkeypatch):
+    """The fault injector loads on a run's first fault plan.  A process
+    that hashed its code and then sees the injector edited on disk still
+    runs, and catalogues, the injector it hashed: the hash loads every
+    module first.  The process runs from a copy of the package."""
+    import subprocess
+    import sys
+    import textwrap
+
+    plan = parallel._PKG_ROOT.parent.parent / "examples" / "faultplans" / "crash_recover.json"
+    pkg = _copied_package(tmp_path, monkeypatch)
+    code = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        sys.path.insert(0, {str(pkg.parent)!r})
+        from repro import ExperimentSpec, JobSpec, MpiIoTest, run_experiments
+        from repro.cluster import paper_spec
+        from repro.runner import parallel
+
+        assert parallel._PKG_ROOT == Path({str(pkg)!r})
+        assert "repro.faults.injector" not in sys.modules
+        parallel._code_fingerprint()
+        injector = parallel._PKG_ROOT / "faults" / "injector.py"
+        injector.write_text(injector.read_text() + "\\nraise RuntimeError('edited')\\n")
+
+        from repro.faults import FaultPlan
+        from repro.service.catalog import ResultCatalog
+
+        plan = FaultPlan.load({str(plan)!r})
+        spec = ExperimentSpec(
+            [JobSpec("m", 4, MpiIoTest(file_size=1 << 20), strategy="vanilla")],
+            cluster_spec=paper_spec(n_compute_nodes=4), fault_plan=plan)
+        catalog = Path({str(tmp_path / "catalog")!r})
+        [result] = run_experiments([spec], jobs=1, cache_dir=catalog)
+        assert result.fault_log, "the plan injected no fault"
+        assert len(ResultCatalog(catalog)) == 1
+    """)
+    env = dict(os.environ, REPRO_SIM_ACCEL="0")  # the copy has no built kernel
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------------------------------------------------
